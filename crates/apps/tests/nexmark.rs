@@ -9,7 +9,8 @@
 
 use gflink_apps::nexmark::{self, NexmarkConfig};
 use gflink_core::{
-    CheckpointConfig, FabricConfig, GpuFabric, SchedulingPolicy, StreamEnv, WindowedRun,
+    CheckpointConfig, FabricConfig, GpuFabric, JobSnapshot, SchedulingPolicy, StreamEnv,
+    StreamState, WindowedRun,
 };
 use gflink_flink::{ClusterConfig, JobGate, SharedCluster};
 use gflink_sim::{FaultKind, FaultPlan, SimTime};
@@ -163,4 +164,78 @@ fn crash_then_checkpoint_resume_matches_a_clean_run() {
     assert_eq!(clean.digest(), resumed.digest());
     assert_eq!(clean.watermark_digest(), resumed.watermark_digest());
     assert_eq!(clean.windows.len(), resumed.windows.len());
+}
+
+/// Snapshot byte identity across the same crash → resume pair: the final
+/// snapshot file's `(len, crc, epoch)` and the number of snapshots each
+/// run wrote. The pinned values were computed on the commit before
+/// snapshot cutting became a single ingest pass; every snapshot must keep
+/// its exact bytes however the cutting is implemented.
+#[test]
+fn checkpointed_q6_snapshots_are_byte_identical() {
+    let cfg = config();
+    let cluster = SharedCluster::new(ClusterConfig::standard(WORKERS));
+    let fabric = fabric_with(FabricConfig {
+        checkpoint: CheckpointConfig::every(SimTime::from_millis(250)),
+        ..FabricConfig::default()
+    });
+    let env = StreamEnv::gpu(&fabric)
+        .with_cluster(&cluster)
+        .named("nexmark-q6");
+    let manifest = || {
+        let m = *cluster
+            .lock()
+            .hdfs
+            .manifest("ckpt/nexmark-q6/op0")
+            .expect("the run wrote its snapshot");
+        (m.len, m.crc, m.epoch)
+    };
+    let crashed = nexmark::q6_with(&env, &cfg, Some(SimTime::from_millis(1_500)))
+        .expect("crashed run completes its prefix");
+    assert_eq!(crashed.checkpoints, 4);
+    assert_eq!(manifest(), (3_982, 1_416_468_091, 4));
+    let resumed = nexmark::q6(&env, &cfg).expect("resumed run");
+    assert_eq!(resumed.checkpoints, 7);
+    assert_eq!(manifest(), (9_937, 3_352_543_570, 11));
+}
+
+/// Corrupt-snapshot fuzz over a real q6 snapshot: every truncation and a
+/// stride of single-bit flips of the GFCK payload and of the GFSS window
+/// state inside it decode to `None` or to a value that survives its own
+/// encode → decode round trip. None may panic.
+#[test]
+fn corrupt_q6_snapshots_decode_without_panicking() {
+    let cluster = SharedCluster::new(ClusterConfig::standard(WORKERS));
+    let fabric = fabric_with(FabricConfig {
+        checkpoint: CheckpointConfig::every(SimTime::from_millis(250)),
+        ..FabricConfig::default()
+    });
+    let env = StreamEnv::gpu(&fabric).with_cluster(&cluster).named("fuzz");
+    nexmark::q6_with(&env, &config(), Some(SimTime::from_millis(1_500))).expect("q6 runs");
+    let gfck = cluster.lock().hdfs.data("ckpt/fuzz/op0").expect("snapshot");
+    let snap = JobSnapshot::decode(&gfck).expect("an intact snapshot decodes");
+    assert!(!snap.blocks.is_empty() && StreamState::decode(&snap.state).is_some());
+
+    fn fuzz<V: PartialEq + std::fmt::Debug>(
+        bytes: &[u8],
+        decode: impl Fn(&[u8]) -> Option<V>,
+        encode: impl Fn(&V) -> Vec<u8>,
+    ) {
+        let check = |input: &[u8]| {
+            if let Some(v) = decode(input) {
+                assert_eq!(decode(&encode(&v)).as_ref(), Some(&v));
+            }
+        };
+        for len in 0..bytes.len() {
+            check(&bytes[..len]);
+        }
+        let mut flipped = bytes.to_vec();
+        for bit in (0..bytes.len() * 8).step_by(7) {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            check(&flipped);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+    fuzz(&gfck, JobSnapshot::decode, JobSnapshot::encode);
+    fuzz(&snap.state, StreamState::decode, StreamState::encode);
 }

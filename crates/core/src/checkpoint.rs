@@ -88,42 +88,14 @@ impl JobSnapshot {
 
     /// Deterministic byte encoding (little-endian, length-prefixed).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        put_u32(&mut out, VERSION);
-        put_u64(&mut out, self.job);
-        put_u64(&mut out, self.seq);
-        put_u64(&mut out, self.frontier.as_nanos());
-        put_u64(&mut out, self.state.len() as u64);
-        out.extend_from_slice(&self.state);
-        put_u64(&mut out, self.blocks.len() as u64);
-        for b in &self.blocks {
-            put_u32(&mut out, b.tag.0);
-            put_u32(&mut out, b.tag.1);
-            match b.emitted {
-                Some(n) => {
-                    out.push(1);
-                    put_u64(&mut out, n as u64);
-                }
-                None => {
-                    out.push(0);
-                    put_u64(&mut out, 0);
-                }
-            }
-            put_u64(&mut out, b.completed_at.as_nanos());
-            put_u64(&mut out, b.payload.len() as u64);
-            out.extend_from_slice(&b.payload);
-        }
-        put_u64(&mut out, self.cache.len() as u64);
-        for e in &self.cache {
-            put_u32(&mut out, e.worker);
-            put_u32(&mut out, e.gpu);
-            put_u64(&mut out, e.key.dataset);
-            put_u32(&mut out, e.key.partition);
-            put_u32(&mut out, e.key.block);
-            put_u64(&mut out, e.bytes);
-        }
-        out
+        encode_snapshot(
+            self.job,
+            self.seq,
+            self.frontier,
+            &self.state,
+            &self.blocks,
+            &self.cache,
+        )
     }
 
     /// Decode an encoded snapshot; `None` on any structural mismatch
@@ -184,6 +156,55 @@ impl JobSnapshot {
     }
 }
 
+/// The [`JobSnapshot::encode`] layout over borrowed parts, so a run that
+/// cuts many snapshots over one completed-block list never copies the
+/// blocks into an owned `JobSnapshot` per snapshot.
+pub(crate) fn encode_snapshot(
+    job: u64,
+    seq: u64,
+    frontier: SimTime,
+    state: &[u8],
+    blocks: &[SnapshotBlock],
+    cache: &[CacheManifestEntry],
+) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(MAGIC);
+    put_u32(&mut out, VERSION);
+    put_u64(&mut out, job);
+    put_u64(&mut out, seq);
+    put_u64(&mut out, frontier.as_nanos());
+    put_u64(&mut out, state.len() as u64);
+    out.extend_from_slice(state);
+    put_u64(&mut out, blocks.len() as u64);
+    for b in blocks {
+        put_u32(&mut out, b.tag.0);
+        put_u32(&mut out, b.tag.1);
+        match b.emitted {
+            Some(n) => {
+                out.push(1);
+                put_u64(&mut out, n as u64);
+            }
+            None => {
+                out.push(0);
+                put_u64(&mut out, 0);
+            }
+        }
+        put_u64(&mut out, b.completed_at.as_nanos());
+        put_u64(&mut out, b.payload.len() as u64);
+        out.extend_from_slice(&b.payload);
+    }
+    put_u64(&mut out, cache.len() as u64);
+    for e in cache {
+        put_u32(&mut out, e.worker);
+        put_u32(&mut out, e.gpu);
+        put_u64(&mut out, e.key.dataset);
+        put_u32(&mut out, e.key.partition);
+        put_u32(&mut out, e.key.block);
+        put_u64(&mut out, e.bytes);
+    }
+    out
+}
+
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -208,14 +229,16 @@ impl<'a> Reader<'a> {
         Some(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
+
     fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
+        self.array().map(u64::from_le_bytes)
     }
 }
 
@@ -341,17 +364,63 @@ impl CheckpointManager {
         at: SimTime,
     ) -> Result<CheckpointToken, HdfsError> {
         let file = self.file_name(job_name, snap.seq);
-        let payload = snap.encode();
-        let bytes = payload.len() as u64;
-        let grant = hdfs.snapshot_at(node, &file, payload, at)?;
-        let epoch = hdfs.manifest(&file).map_or(1, |m| m.epoch);
-        Ok(CheckpointToken {
-            file,
-            epoch,
-            taken_at: grant.end,
-            bytes,
-            covered: snap.blocks.len(),
-        })
+        put(hdfs, node, &file, snap.encode(), snap.blocks.len(), at)
+    }
+
+    /// The snapshot instants of one operator invocation of `job` that ran
+    /// from `start` to `end`: the cadence is seeded at the earlier of the
+    /// two, every periodic tick due by the horizon follows, and a
+    /// failure-free invocation adds one final full snapshot at `end`.
+    /// When the invocation lost works permanently, the horizon is the
+    /// crash instant (the checkpointer dies with the node), so what
+    /// survives for the next attempt is exactly the work completed by the
+    /// last pre-crash tick. The final tick may repeat the last periodic
+    /// one; each is written.
+    pub fn snapshot_ticks(
+        &mut self,
+        job: u64,
+        start: SimTime,
+        end: SimTime,
+        crashed_at: Option<SimTime>,
+    ) -> Vec<SimTime> {
+        self.seed(job, start.min(end));
+        let mut ticks = self.due_ticks(job, crashed_at.unwrap_or(end));
+        if crashed_at.is_none() {
+            ticks.push(end);
+        }
+        ticks
+    }
+
+    /// Write invocation `seq` of job `job` (named `job_name`) once per
+    /// tick, from datanode 0 where the driver runs. The snapshot at `tick`
+    /// covers the prefix of `done` — sorted by completion — that completed
+    /// by `tick`, carries the cache manifest `cache`, and holds the keyed
+    /// state `state(tick)` returns; `state` is called once per tick, in
+    /// tick order. A failed write is skipped: the next tick supersedes it.
+    /// Returns the snapshots written and their encoded bytes.
+    #[allow(clippy::too_many_arguments)] // one snapshot's parts plus its ticks
+    pub fn write_ticks(
+        &self,
+        hdfs: &mut Hdfs,
+        job_name: &str,
+        (job, seq): (u64, u64),
+        ticks: &[SimTime],
+        done: &[SnapshotBlock],
+        cache: &[CacheManifestEntry],
+        mut state: impl FnMut(SimTime) -> Vec<u8>,
+    ) -> (u64, u64) {
+        let file = self.file_name(job_name, seq);
+        let (mut written, mut bytes) = (0, 0);
+        for &tick in ticks {
+            let upto = done.partition_point(|b| b.completed_at <= tick);
+            let blocks = &done[..upto];
+            let payload = encode_snapshot(job, seq, tick, &state(tick), blocks, cache);
+            if let Ok(tok) = put(hdfs, 0, &file, payload, upto, tick) {
+                written += 1;
+                bytes += tok.bytes;
+            }
+        }
+        (written, bytes)
     }
 
     /// Read back the newest snapshot of `job_name`'s invocation `seq`, if
@@ -380,6 +449,27 @@ impl CheckpointManager {
             epoch,
         }))
     }
+}
+
+/// Write one encoded snapshot covering `covered` blocks durably to `file`.
+fn put(
+    hdfs: &mut Hdfs,
+    node: usize,
+    file: &str,
+    payload: Vec<u8>,
+    covered: usize,
+    at: SimTime,
+) -> Result<CheckpointToken, HdfsError> {
+    let bytes = payload.len() as u64;
+    let grant = hdfs.snapshot_at(node, file, payload, at)?;
+    let epoch = hdfs.manifest(file).map_or(1, |m| m.epoch);
+    Ok(CheckpointToken {
+        file: file.to_string(),
+        epoch,
+        taken_at: grant.end,
+        bytes,
+        covered,
+    })
 }
 
 /// Magic prefix of an encoded stream operator state ("GFlink Stream State").

@@ -20,7 +20,7 @@
 //! records and the partition's ready time advances to its last block's
 //! completion.
 
-use crate::checkpoint::{CheckpointManager, JobSnapshot, SnapshotBlock};
+use crate::checkpoint::{CheckpointManager, SnapshotBlock};
 use crate::config::CheckpointConfig;
 use crate::gwork::{CacheKey, GWork, WorkBuf};
 use crate::jobsched::{AdmissionError, JobHandle};
@@ -1097,15 +1097,9 @@ impl<T: GRecord> GDataSet<T> {
                 ));
             }
         }
-        // Periodic snapshots of this op's progress. Ticks run on the
-        // job-global cadence; when the op lost works permanently, the
-        // cadence is bounded by the crash instant (the checkpointer dies
-        // with the node), so what survives for the next attempt is exactly
-        // the work completed up to the last pre-crash tick. A failure-free
-        // op writes one final full snapshot at its wall end.
-        let mut checkpoints = 0u64;
-        let mut checkpoint_bytes = 0u64;
-        if ckpt_on {
+        // Periodic snapshots of this op's progress, on the job-global
+        // cadence (`CheckpointManager::snapshot_ticks`).
+        let (checkpoints, checkpoint_bytes) = if ckpt_on {
             let mut done: Vec<SnapshotBlock> = Vec::new();
             for (p, blocks) in per_part_blocks.iter().enumerate() {
                 for (b, buf, emitted, completed) in blocks.iter() {
@@ -1127,28 +1121,19 @@ impl<T: GRecord> GDataSet<T> {
             });
             let mut cl = cluster.lock();
             let mut ck = self.env.fabric.ckpt.lock();
-            ck.seed(job.0, wall_start.min(wall_end));
-            let horizon = crashed_at.unwrap_or(wall_end);
-            let mut ticks = ck.due_ticks(job.0, horizon);
-            if crashed_at.is_none() {
-                ticks.push(wall_end);
-            }
-            for tick in ticks {
-                let upto = done.partition_point(|blk| blk.completed_at <= tick);
-                let snap = JobSnapshot {
-                    job: job.0,
-                    seq,
-                    frontier: tick,
-                    state: Vec::new(),
-                    blocks: done[..upto].to_vec(),
-                    cache: cache.clone(),
-                };
-                if let Ok(tok) = ck.write(&mut cl.hdfs, 0, &jname, &snap, tick) {
-                    checkpoints += 1;
-                    checkpoint_bytes += tok.bytes;
-                }
-            }
-        }
+            let ticks = ck.snapshot_ticks(job.0, wall_start, wall_end, crashed_at);
+            ck.write_ticks(
+                &mut cl.hdfs,
+                &jname,
+                (job.0, seq),
+                &ticks,
+                &done,
+                &cache,
+                |_| Vec::new(),
+            )
+        } else {
+            (0, 0)
+        };
         if ckpt_on {
             flink.with_gpu_rollup(|r| {
                 r.checkpoints += checkpoints;

@@ -30,7 +30,7 @@ use super::window::{
     output_digest, AggResult, AggSpec, FiredWindow, KeyedWindows, WindowAssigner, WindowOutput,
 };
 use super::{LostBatch, StreamError, StreamReport};
-use crate::checkpoint::{JobSnapshot, OpenPane, SnapshotBlock, StreamState};
+use crate::checkpoint::{OpenPane, SnapshotBlock, StreamState};
 use crate::gdst::{GRecord, GpuFabric, GpuMapSpec, OutMode};
 use crate::gwork::{GWork, WorkBuf};
 use gflink_flink::{ClusterConfig, OpCost, SharedCluster};
@@ -416,6 +416,90 @@ struct Ingested {
     state: StreamState,
 }
 
+/// One resumable pass of the keyed window state machine over the merged
+/// batches, in arrival order. Because ingestion is a pure function of the
+/// pipeline, a single pass yields the state at any number of ascending cut
+/// points: snapshot cutting costs one pass, not one replay per tick.
+struct Replay<'p, 'a, T> {
+    pipeline: &'p WindowPipeline<'a, T>,
+    batches: Vec<BatchRef>,
+    /// Batches absorbed so far (a prefix of `batches`).
+    absorbed: usize,
+    last_arrival: SimTime,
+    kw: KeyedWindows,
+}
+
+impl<'p, 'a, T> Replay<'p, 'a, T> {
+    fn new(pipeline: &'p WindowPipeline<'a, T>) -> Self {
+        let (_, strategy) = pipeline
+            .stream
+            .ts
+            .as_ref()
+            .expect("validated: timestamps set");
+        Replay {
+            pipeline,
+            batches: merged_batches(&pipeline.stream.sources),
+            absorbed: 0,
+            last_arrival: SimTime::ZERO,
+            kw: KeyedWindows::new(pipeline.assigner, pipeline.lateness, strategy.bound()),
+        }
+    }
+
+    /// Absorb every remaining batch with arrival ≤ `until` (all of them
+    /// for `None`), handing each batch's fired windows to `fired`.
+    fn advance(&mut self, until: Option<SimTime>, mut fired: impl FnMut(Vec<FiredWindow>)) {
+        let p = self.pipeline;
+        let (ts_fn, _) = p.stream.ts.as_ref().expect("validated: timestamps set");
+        while let Some(&b) = self.batches.get(self.absorbed) {
+            if until.is_some_and(|u| b.arrival > u) {
+                break;
+            }
+            let (src, gen) = &p.stream.sources[b.source];
+            let scale = src.record_scale();
+            let actual = src.batch_actual();
+            for j in 0..actual {
+                let rec = gen((b.index * actual + j) as u64);
+                self.kw
+                    .insert(ts_fn(&rec), (p.key)(&rec), (p.value)(&rec), scale);
+            }
+            fired(self.kw.advance(b.arrival));
+            self.absorbed += 1;
+            self.last_arrival = b.arrival;
+        }
+    }
+
+    /// The keyed state after the batches absorbed so far.
+    fn state(&self) -> StreamState {
+        let kw = &self.kw;
+        StreamState {
+            batches: self.absorbed as u64,
+            watermark: kw.watermark,
+            max_event_ts: kw.max_ts.unwrap_or(SimTime::ZERO),
+            late_records: kw.late_records,
+            fired: kw.fire_seq as u64,
+            open: kw
+                .open
+                .values()
+                .map(|p| OpenPane {
+                    start: p.span.start,
+                    end: p.span.end,
+                    key: p.key,
+                    logical: p.logical,
+                    values: p.values.clone(),
+                })
+                .collect(),
+        }
+    }
+
+    /// The keyed state at `tick`: exactly `ingest(Some(tick), false).state`
+    /// as long as ticks come in non-decreasing order (an earlier tick than
+    /// the last one sees the later state). Repeated ticks each get it.
+    fn state_at(&mut self, tick: SimTime) -> StreamState {
+        self.advance(Some(tick), drop);
+        self.state()
+    }
+}
+
 impl<'a, T> WindowPipeline<'a, T> {
     /// Simulate a driver crash at `at`: ingestion stops, open windows
     /// never flush, and (with checkpointing on) the snapshot cadence is
@@ -441,51 +525,17 @@ impl<'a, T> WindowPipeline<'a, T> {
     /// Drive the keyed window state machine over every merged batch with
     /// arrival ≤ `cutoff`, flushing remaining windows iff `flush`.
     fn ingest(&self, cutoff: Option<SimTime>, flush: bool) -> Ingested {
-        let (ts_fn, strategy) = self.stream.ts.as_ref().expect("validated: timestamps set");
-        let mut kw = KeyedWindows::new(self.assigner, self.lateness, strategy.bound());
+        let mut replay = Replay::new(self);
         let mut fired = Vec::new();
-        let mut batches = 0u64;
-        let mut last_arrival = SimTime::ZERO;
-        for b in merged_batches(&self.stream.sources) {
-            if cutoff.is_some_and(|c| b.arrival > c) {
-                break;
-            }
-            let (src, gen) = &self.stream.sources[b.source];
-            let scale = src.record_scale();
-            let actual = src.batch_actual();
-            for j in 0..actual {
-                let rec = gen((b.index * actual + j) as u64);
-                kw.insert(ts_fn(&rec), (self.key)(&rec), (self.value)(&rec), scale);
-            }
-            fired.extend(kw.advance(b.arrival));
-            batches += 1;
-            last_arrival = b.arrival;
-        }
+        replay.advance(cutoff, |f| fired.extend(f));
         if flush {
-            fired.extend(kw.flush(last_arrival));
+            fired.extend(replay.kw.flush(replay.last_arrival));
         }
-        let state = StreamState {
-            batches,
-            watermark: kw.watermark,
-            max_event_ts: kw.max_ts.unwrap_or(SimTime::ZERO),
-            late_records: kw.late_records,
-            fired: kw.fire_seq as u64,
-            open: kw
-                .open
-                .values()
-                .map(|p| OpenPane {
-                    start: p.span.start,
-                    end: p.span.end,
-                    key: p.key,
-                    logical: p.logical,
-                    values: p.values.clone(),
-                })
-                .collect(),
-        };
+        let state = replay.state();
         Ingested {
             fired,
-            stamps: kw.stamps,
-            late: kw.late_records,
+            stamps: replay.kw.stamps,
+            late: replay.kw.late_records,
             state,
         }
     }
@@ -647,15 +697,14 @@ impl<'a, T> WindowPipeline<'a, T> {
 
         // --- drain ------------------------------------------------------
         struct Exec {
-            worker: u32,
             seq: u32,
             completed: SimTime,
-            emitted: usize,
             rows: Vec<(u64, AggResult)>,
-            payload: Vec<u8>,
         }
         let out_def = keyagg_def();
         let mut executed: Vec<Exec> = Vec::new();
+        // Executed outputs kept for snapshots (checkpointing only).
+        let mut done_blocks: Vec<SnapshotBlock> = Vec::new();
         let mut wall_end = SimTime::ZERO;
         for w in 0..workers {
             for done in job.drain_worker(w) {
@@ -664,13 +713,18 @@ impl<'a, T> WindowPipeline<'a, T> {
                 let reader = RecordReader::new(&done.output, &out_def, DataLayout::Aos, capacity);
                 wall_end = wall_end.max(done.timing.completed);
                 executed.push(Exec {
-                    worker: done.tag.0,
                     seq: done.tag.1,
                     completed: done.timing.completed,
-                    emitted,
                     rows: read_keyagg(&reader, emitted),
-                    payload: done.output.as_slice().to_vec(),
                 });
+                if ckpt_on {
+                    done_blocks.push(SnapshotBlock {
+                        tag: done.tag,
+                        emitted: Some(emitted),
+                        completed_at: done.timing.completed,
+                        payload: done.output.as_slice().to_vec(),
+                    });
+                }
             }
         }
         let mut lost = Vec::new();
@@ -749,54 +803,32 @@ impl<'a, T> WindowPipeline<'a, T> {
         });
 
         // --- periodic snapshots (gdst cadence, stream state attached) -----
+        // One more ingest pass serves every tick's keyed state, in order.
         let mut checkpoints = 0u64;
         if ckpt_on && !ing.fired.is_empty() {
-            let mut done_blocks: Vec<SnapshotBlock> = executed
-                .iter()
-                .map(|e| SnapshotBlock {
-                    tag: (e.worker, e.seq),
-                    emitted: Some(e.emitted),
-                    completed_at: e.completed,
-                    payload: e.payload.clone(),
-                })
-                .collect();
-            if let Some(rs) = &restored {
-                for blk in &rs.snapshot.blocks {
-                    done_blocks.push(SnapshotBlock {
-                        completed_at: rs.ready_at,
-                        ..blk.clone()
-                    });
-                }
+            if let Some(rs) = restored {
+                let ready_at = rs.ready_at;
+                done_blocks.extend(rs.snapshot.blocks.into_iter().map(|blk| SnapshotBlock {
+                    completed_at: ready_at,
+                    ..blk
+                }));
             }
             done_blocks.sort_by_key(|b| (b.completed_at, b.tag));
             let cl = cluster.expect("ckpt_on implies cluster");
             let mut cl = cl.lock();
+            let mut replay = Replay::new(self);
             checkpoints = fabric.with_checkpoints(|ck| {
-                let mut written = 0u64;
-                ck.seed(jid.0, first_fire.min(wall_end));
-                let horizon = crashed_at.unwrap_or(wall_end);
-                let mut ticks = ck.due_ticks(jid.0, horizon);
-                if crashed_at.is_none() {
-                    ticks.push(wall_end);
-                }
-                for tick in ticks {
-                    let upto = done_blocks.partition_point(|b| b.completed_at <= tick);
-                    let snap = JobSnapshot {
-                        job: jid.0,
-                        seq,
-                        frontier: tick,
-                        state: self.ingest(Some(tick), false).state.encode(),
-                        blocks: done_blocks[..upto].to_vec(),
-                        cache: Vec::new(),
-                    };
-                    if ck
-                        .write(&mut cl.hdfs, 0, &self.env.name, &snap, tick)
-                        .is_ok()
-                    {
-                        written += 1;
-                    }
-                }
-                written
+                let ticks = ck.snapshot_ticks(jid.0, first_fire, wall_end, crashed_at);
+                ck.write_ticks(
+                    &mut cl.hdfs,
+                    &self.env.name,
+                    (jid.0, seq),
+                    &ticks,
+                    &done_blocks,
+                    &[],
+                    |tick| replay.state_at(tick).encode(),
+                )
+                .0
             });
         }
         job.finish();
@@ -1052,10 +1084,11 @@ impl<T, U> CpuMapPipeline<'_, T, U> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointManager;
     use crate::config::CheckpointConfig;
     use crate::gdst::FabricConfig;
     use crate::recovery::CpuFallback;
-    use crate::stream::window::Tumbling;
+    use crate::stream::window::{Session, Sliding, Tumbling};
     use crate::stream::StreamError;
     use gflink_sim::{FaultKind, FaultPlan};
 
@@ -1289,6 +1322,71 @@ mod tests {
         assert!(!r1.windows.is_empty());
         assert_eq!(r1.digest(), r2.digest());
         assert_eq!(r1.watermark_digest(), r2.watermark_digest());
+    }
+
+    /// The one snapshot pass hands every tick exactly the state a fresh
+    /// replay up to that tick rebuilds — for every window kind, over two
+    /// merged sources (tied arrivals included) with late records, at ticks
+    /// before the first batch, on a crash-bounded cadence, past the last
+    /// batch, and on a repeated final tick.
+    #[test]
+    fn single_pass_states_equal_per_tick_replay() {
+        let a = StreamSource::at_rate(10_000_000.0).for_duration(SimTime::from_secs(1));
+        let b = StreamSource::at_rate(5_000_000.0)
+            .for_duration(SimTime::from_secs(1))
+            .with_batch(250_000, 16);
+        // Every fifth record of the second source lags far behind the
+        // watermark, so some land in already-fired windows.
+        let straggler = |i: u64| {
+            let mut e = event(i * 3 + 1);
+            if i.is_multiple_of(5) {
+                e.ts = e.ts.saturating_sub(SimTime::from_millis(200));
+            }
+            e
+        };
+        let ms = SimTime::from_millis;
+        let crash = ms(650);
+        let (first, last) = (ms(50), SimTime::from_secs(1));
+        let mut ck = CheckpointManager::new(CheckpointConfig::every(ms(150)));
+        let crashed = ck.snapshot_ticks(1, first, last, Some(crash));
+        assert_eq!(crashed.last(), Some(&crash));
+        let mut ck = CheckpointManager::new(CheckpointConfig::every(ms(250)));
+        let full = ck.snapshot_ticks(2, SimTime::ZERO, last, None);
+        assert_eq!(full[full.len() - 2..], [last, last], "final tick repeats");
+        let tick_sets = [
+            vec![SimTime::ZERO, ms(10), ms(49), ms(50), ms(120)],
+            crashed,
+            full,
+            vec![ms(990), last, ms(1_500), ms(1_500)],
+        ];
+        let env = StreamEnv::cpu(&ClusterConfig::standard(1));
+        let assigners = [
+            Tumbling::of(ms(100)),
+            Sliding::of(ms(100), ms(40)),
+            Session::with_gap(ms(30)),
+        ];
+        for assigner in assigners {
+            let p = env
+                .source(a.clone(), event)
+                .and_source(b.clone(), straggler)
+                .timestamps(|e: &Event| e.ts, WatermarkStrategy::bounded(ms(40)))
+                .key_by(|e: &Event| e.key)
+                .window(assigner)
+                .aggregate(AggSpec::avg(), |e: &Event| e.value)
+                .crash_at(crash);
+            let end = p.ingest(None, false).state;
+            assert!(end.late_records > 0 && end.fired > 0, "{assigner:?}");
+            // A tick covers the batches arriving at or before it.
+            assert_eq!(p.ingest(Some(first), false).state.batches, 1);
+            assert_eq!(p.ingest(Some(ms(100)), false).state.batches, 3);
+            for ticks in &tick_sets {
+                let mut replay = Replay::new(&p);
+                for &t in ticks {
+                    let expected = p.ingest(Some(t), false).state;
+                    assert_eq!(replay.state_at(t), expected, "{assigner:?} at {t}");
+                }
+            }
+        }
     }
 
     #[test]

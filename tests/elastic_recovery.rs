@@ -171,6 +171,56 @@ fn resume_from_checkpoint_is_bit_identical_and_balanced() {
     assert_eq!(report.faults.works_failed, 0);
 }
 
+/// Snapshot byte identity for a checkpointed batch operator: the crash →
+/// resume pair above leaves these exact snapshot files behind, and each
+/// attempt writes this many snapshots. The pinned values were computed on
+/// the commit before snapshot cutting shared one tick writer with the
+/// streaming layer; every snapshot must keep its exact bytes.
+#[test]
+fn checkpointed_operator_snapshots_are_byte_identical() {
+    let interval = SimTime::from_millis(1);
+    let cluster = SharedCluster::new(ClusterConfig::standard(1));
+    let manifests = || {
+        let cl = cluster.lock();
+        cl.hdfs
+            .list()
+            .into_iter()
+            .filter(|f| f.starts_with("ckpt/"))
+            .map(|f| {
+                let m = *cl.hdfs.manifest(&f).expect("snapshot manifest");
+                (f, m.len, m.crc, m.epoch)
+            })
+            .collect::<Vec<_>>()
+    };
+    let checkpoints = |r: &JobReport| r.gpu.as_ref().map_or(0, |g| g.checkpoints);
+    let f1 = make_fabric(fabric_cfg(interval, false));
+    let (_, crashed) = attempt(
+        &cluster,
+        &f1,
+        "elastic",
+        kill_all_at(SimTime::from_micros(1_264_000)),
+        MembershipPlan::new(),
+    );
+    assert_eq!(checkpoints(&crashed), 4);
+    assert_eq!(
+        manifests(),
+        vec![("ckpt/elastic/op0".to_string(), 12_258, 3_435_762_804, 4)]
+    );
+    let f2 = make_fabric(fabric_cfg(interval, false));
+    let (_, resumed) = attempt(
+        &cluster,
+        &f2,
+        "elastic",
+        FaultPlan::new(),
+        MembershipPlan::new(),
+    );
+    assert_eq!(checkpoints(&resumed), 11);
+    assert_eq!(
+        manifests(),
+        vec![("ckpt/elastic/op0".to_string(), 38_772, 2_254_177_717, 15)]
+    );
+}
+
 #[test]
 fn faultfree_rerun_restores_everything_from_final_snapshot() {
     let (clean, total_works) = clean_reference();
