@@ -18,6 +18,7 @@ use gflink_memory::{
     AlignClass, DataLayout, FieldDef, GStructDef, PrimType, RecordReader, RecordView,
 };
 use gflink_sim::SimTime;
+use std::sync::LazyLock;
 
 /// Degree of the synthetic graph.
 pub const DEG: usize = 8;
@@ -40,17 +41,21 @@ pub struct LabelledPage {
     pub links: [u32; DEG],
 }
 
+static LABELLED_PAGE_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
+    GStructDef::new(
+        "LabelledPage",
+        AlignClass::Align8,
+        vec![
+            FieldDef::scalar("page", PrimType::U32),
+            FieldDef::scalar("label", PrimType::U32),
+            FieldDef::array("links", PrimType::U32, DEG),
+        ],
+    )
+});
+
 impl GRecord for LabelledPage {
     fn def() -> GStructDef {
-        GStructDef::new(
-            "LabelledPage",
-            AlignClass::Align8,
-            vec![
-                FieldDef::scalar("page", PrimType::U32),
-                FieldDef::scalar("label", PrimType::U32),
-                FieldDef::array("links", PrimType::U32, DEG),
-            ],
-        )
+        LABELLED_PAGE_DEF.clone()
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
         view.set_u64(idx, 0, 0, self.page as u64);
@@ -78,16 +83,20 @@ pub struct AggMsg {
     pub label: u32,
 }
 
+static AGG_MSG_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
+    GStructDef::new(
+        "AggMsg",
+        AlignClass::Align8,
+        vec![
+            FieldDef::scalar("dst", PrimType::U32),
+            FieldDef::scalar("label", PrimType::U32),
+        ],
+    )
+});
+
 impl GRecord for AggMsg {
     fn def() -> GStructDef {
-        GStructDef::new(
-            "AggMsg",
-            AlignClass::Align8,
-            vec![
-                FieldDef::scalar("dst", PrimType::U32),
-                FieldDef::scalar("label", PrimType::U32),
-            ],
-        )
+        AGG_MSG_DEF.clone()
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
         view.set_u64(idx, 0, 0, self.dst as u64);
@@ -134,10 +143,10 @@ pub fn register_kernels(fabric: &GpuFabric) {
     fabric.register_kernel("cudaMinByKey", min_by_key_kernel);
     fabric.register_kernel("cudaCcScatter", |args: &mut KernelArgs<'_, '_>| {
         use std::collections::BTreeMap;
-        let def = LabelledPage::def();
-        let out_def = AggMsg::def();
+        let def = &*LABELLED_PAGE_DEF;
+        let out_def = &*AGG_MSG_DEF;
         let n = args.n_actual;
-        let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+        let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
         // Scatter labels to self + neighbours, min-combining within the
         // block (segmented sort/reduce on a real device).
         let mut agg: BTreeMap<u32, u32> = BTreeMap::new();
@@ -155,7 +164,7 @@ pub fn register_kernels(fabric: &GpuFabric) {
             }
         }
         let capacity = n * (DEG + 1);
-        let mut view = RecordView::new(args.outputs[0], &out_def, DataLayout::Aos, capacity);
+        let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, capacity);
         let emitted = agg.len();
         for (i, (dst, label)) in agg.into_iter().enumerate() {
             AggMsg { dst, label }.store(&mut view, i);
@@ -163,7 +172,7 @@ pub fn register_kernels(fabric: &GpuFabric) {
         KernelProfile::new(
             args.n_logical as f64 * (8 * (DEG + 1)) as f64,
             args.n_logical as f64
-                * (LabelledPage::def().size() + 2 * (DEG + 1) * AggMsg::def().size()) as f64,
+                * (LABELLED_PAGE_DEF.size() + 2 * (DEG + 1) * AGG_MSG_DEF.size()) as f64,
         )
         .with_coalescing(0.7)
         .with_emitted(emitted)
@@ -174,9 +183,9 @@ pub fn register_kernels(fabric: &GpuFabric) {
 /// label messages within each block.
 fn min_by_key_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     use std::collections::BTreeMap;
-    let def = AggMsg::def();
+    let def = &*AGG_MSG_DEF;
     let n = args.n_actual;
-    let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+    let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
     let mut agg: BTreeMap<u32, u32> = BTreeMap::new();
     for i in 0..n {
         let dst = reader.get_u64(i, 0, 0) as u32;
@@ -188,14 +197,14 @@ fn min_by_key_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
             }
         }
     }
-    let mut view = RecordView::new(args.outputs[0], &def, DataLayout::Aos, n);
+    let mut view = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
     let emitted = agg.len();
     for (i, (dst, label)) in agg.into_iter().enumerate() {
         AggMsg { dst, label }.store(&mut view, i);
     }
     KernelProfile::new(
         args.n_logical as f64 * 10.0,
-        args.n_logical as f64 * (2 * AggMsg::def().size()) as f64,
+        args.n_logical as f64 * (2 * AGG_MSG_DEF.size()) as f64,
     )
     .with_coalescing(0.8)
     .with_emitted(emitted)

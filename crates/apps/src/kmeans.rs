@@ -14,10 +14,10 @@ use gflink_core::{GDataSet, GRecord, GflinkEnv, GpuFabric, GpuMapSpec, OutMode};
 use gflink_flink::{DataSet, FlinkEnv, OpCost};
 use gflink_gpu::{KernelArgs, KernelProfile};
 use gflink_memory::{
-    AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, PrimType, RecordReader, RecordView,
+    AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, Prim, PrimType, RecordReader, RecordView,
 };
 use gflink_sim::SimTime;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Feature dimensionality.
 pub const D: usize = 16;
@@ -34,25 +34,25 @@ pub struct Point {
     pub coords: [f32; D],
 }
 
+static POINT_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
+    GStructDef::new(
+        "KmPoint",
+        AlignClass::Align8,
+        vec![FieldDef::array("coords", PrimType::F32, D)],
+    )
+});
+
 impl GRecord for Point {
     fn def() -> GStructDef {
-        GStructDef::new(
-            "KmPoint",
-            AlignClass::Align8,
-            vec![FieldDef::array("coords", PrimType::F32, D)],
-        )
+        POINT_DEF.clone()
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        for (d, v) in self.coords.iter().enumerate() {
-            view.set_f64(idx, 0, d, *v as f64);
-        }
+        view.set_field(idx, 0, self.coords);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        let mut coords = [0.0f32; D];
-        for (d, v) in coords.iter_mut().enumerate() {
-            *v = reader.get_f64(idx, 0, d) as f32;
+        Point {
+            coords: reader.get_field(idx, 0),
         }
-        Point { coords }
     }
 }
 
@@ -67,34 +67,34 @@ pub struct Partial {
     pub sums: [f32; D],
 }
 
+static PARTIAL_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
+    GStructDef::new(
+        "KmPartial",
+        AlignClass::Align8,
+        vec![
+            FieldDef::scalar("center", PrimType::U32),
+            FieldDef::scalar("count", PrimType::U32),
+            FieldDef::array("sums", PrimType::F32, D),
+        ],
+    )
+});
+
 impl GRecord for Partial {
     fn def() -> GStructDef {
-        GStructDef::new(
-            "KmPartial",
-            AlignClass::Align8,
-            vec![
-                FieldDef::scalar("center", PrimType::U32),
-                FieldDef::scalar("count", PrimType::U32),
-                FieldDef::array("sums", PrimType::F32, D),
-            ],
-        )
+        PARTIAL_DEF.clone()
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_u64(idx, 0, 0, self.center as u64);
-        view.set_u64(idx, 1, 0, self.count as u64);
-        for (d, v) in self.sums.iter().enumerate() {
-            view.set_f64(idx, 2, d, *v as f64);
-        }
+        view.set_field(idx, 0, [self.center]);
+        view.set_field(idx, 1, [self.count]);
+        view.set_field(idx, 2, self.sums);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        let mut sums = [0.0f32; D];
-        for (d, v) in sums.iter_mut().enumerate() {
-            *v = reader.get_f64(idx, 2, d) as f32;
-        }
+        let [center] = reader.get_field(idx, 0);
+        let [count] = reader.get_field(idx, 1);
         Partial {
-            center: reader.get_u64(idx, 0, 0) as u32,
-            count: reader.get_u64(idx, 1, 0) as u32,
-            sums,
+            center,
+            count,
+            sums: reader.get_field(idx, 2),
         }
     }
 }
@@ -136,46 +136,91 @@ pub fn register_kernels(fabric: &GpuFabric) {
     fabric.register_kernel("cudaKmeansAssign", kmeans_assign_kernel);
 }
 
+/// The centers widened to `f64` once, stored dimension-major so one step
+/// over a dimension advances all `K` running distances together.
+struct Centers([[f64; K]; D]);
+
+impl Centers {
+    fn new(centers: &[[f32; D]; K]) -> Centers {
+        Centers(std::array::from_fn(|d| {
+            std::array::from_fn(|c| centers[c][d] as f64)
+        }))
+    }
+
+    /// Decode the kernel's `k·d` f32 side input.
+    fn from_buffer(buf: &HBuffer) -> Centers {
+        let bytes = &buf.as_slice()[..K * D * 4];
+        Centers(std::array::from_fn(|d| {
+            std::array::from_fn(|c| f32::read_le(&bytes[(c * D + d) * 4..]) as f64)
+        }))
+    }
+}
+
+/// Per-center coordinate sums and counts over one block or partition: the
+/// single assignment loop the CPU engine and the GPU kernel share.
+struct Assignment {
+    sums: [[f64; D]; K],
+    counts: [u32; K],
+}
+
+impl Assignment {
+    fn new() -> Assignment {
+        Assignment {
+            sums: [[0.0; D]; K],
+            counts: [0; K],
+        }
+    }
+
+    /// Fold `point` into its nearest center, the lowest index winning a
+    /// tie. Each squared distance sums its dimensions in order, so the
+    /// result does not depend on how the loops over centers are arranged.
+    #[inline]
+    fn add(&mut self, point: &[f32; D], centers: &Centers) {
+        let p = point.map(f64::from);
+        let mut d2 = [0.0f64; K];
+        for (pd, cd) in p.iter().zip(&centers.0) {
+            for (acc, cc) in d2.iter_mut().zip(cd) {
+                let diff = pd - cc;
+                *acc += diff * diff;
+            }
+        }
+        let mut best = 0usize;
+        let mut best_d2 = f64::INFINITY;
+        for (c, &v) in d2.iter().enumerate() {
+            if v < best_d2 {
+                best_d2 = v;
+                best = c;
+            }
+        }
+        self.counts[best] += 1;
+        for (s, v) in self.sums[best].iter_mut().zip(p) {
+            *s += v;
+        }
+    }
+
+    fn partial(&self, c: usize) -> Partial {
+        Partial {
+            center: c as u32,
+            count: self.counts[c],
+            sums: self.sums[c].map(|v| v as f32),
+        }
+    }
+}
+
 /// The GPU kernel: nearest-center assignment with per-block partial sums.
 /// Inputs: `[points block (cached), centers (k·d f32)]`; output: `K`
 /// [`Partial`] records.
 fn kmeans_assign_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
-    let def = Point::def();
     let n = args.n_actual;
-    let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
-    let centers = args.inputs[1];
-    let mut sums = vec![[0.0f64; D]; K];
-    let mut counts = [0u32; K];
+    let reader = RecordReader::new(args.inputs[0], &POINT_DEF, DataLayout::Aos, n);
+    let centers = Centers::from_buffer(args.inputs[1]);
+    let mut acc = Assignment::new();
     for i in 0..n {
-        let mut best = 0usize;
-        let mut best_d2 = f64::INFINITY;
-        for c in 0..K {
-            let mut d2 = 0.0f64;
-            for d in 0..D {
-                let pc = reader.get_f64(i, 0, d);
-                let cc = centers.read_f32((c * D + d) * 4) as f64;
-                let diff = pc - cc;
-                d2 += diff * diff;
-            }
-            if d2 < best_d2 {
-                best_d2 = d2;
-                best = c;
-            }
-        }
-        counts[best] += 1;
-        for d in 0..D {
-            sums[best][d] += reader.get_f64(i, 0, d);
-        }
+        acc.add(&reader.get_field(i, 0), &centers);
     }
-    let out_def = Partial::def();
-    let mut view = RecordView::new(args.outputs[0], &out_def, DataLayout::Aos, K);
+    let mut view = RecordView::new(args.outputs[0], &PARTIAL_DEF, DataLayout::Aos, K);
     for c in 0..K {
-        let partial = Partial {
-            center: c as u32,
-            count: counts[c],
-            sums: std::array::from_fn(|d| sums[c][d] as f32),
-        };
-        partial.store(&mut view, c);
+        acc.partial(c).store(&mut view, c);
     }
     KernelProfile::new(
         args.n_logical as f64 * (3 * K * D) as f64,
@@ -185,34 +230,12 @@ fn kmeans_assign_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
 
 /// CPU-side assignment over one partition (the baseline's mapPartition).
 fn cpu_assign(points: &[Point], centers: &[[f32; D]; K]) -> Vec<Partial> {
-    let mut sums = vec![[0.0f64; D]; K];
-    let mut counts = [0u32; K];
+    let centers = Centers::new(centers);
+    let mut acc = Assignment::new();
     for p in points {
-        let mut best = 0usize;
-        let mut best_d2 = f64::INFINITY;
-        for (c, center) in centers.iter().enumerate() {
-            let mut d2 = 0.0f64;
-            for d in 0..D {
-                let diff = p.coords[d] as f64 - center[d] as f64;
-                d2 += diff * diff;
-            }
-            if d2 < best_d2 {
-                best_d2 = d2;
-                best = c;
-            }
-        }
-        counts[best] += 1;
-        for d in 0..D {
-            sums[best][d] += p.coords[d] as f64;
-        }
+        acc.add(&p.coords, &centers);
     }
-    (0..K)
-        .map(|c| Partial {
-            center: c as u32,
-            count: counts[c],
-            sums: std::array::from_fn(|d| sums[c][d] as f32),
-        })
-        .collect()
+    (0..K).map(|c| acc.partial(c)).collect()
 }
 
 /// Fold partials (from any granularity) into fresh centers.
@@ -288,7 +311,7 @@ pub fn run_cpu_at(setup: &Setup, params: &Params, at: SimTime) -> AppRun {
         let partials = points.map_partition("kmeans-assign", cpu_assign_cost(), 1.0, move |pts| {
             cpu_assign(pts, &cs)
         });
-        let got = partials.collect("partials", Partial::def().size() as f64);
+        let got = partials.collect("partials", PARTIAL_DEF.size() as f64);
         update_centers(&got, &mut centers);
         env.broadcast_bytes((K * D * 4) as u64);
         points.set_min_ready(env.frontier());
@@ -337,7 +360,7 @@ pub fn run_gpu_at(setup: &Setup, params: &Params, at: SimTime) -> AppRun {
         let partials: GDataSet<Partial> = gpoints.gpu_map_partition("kmeans-assign", &spec);
         let got = partials
             .inner()
-            .collect("partials", Partial::def().size() as f64);
+            .collect("partials", PARTIAL_DEF.size() as f64);
         update_centers(&got, &mut centers);
         genv.flink.broadcast_bytes((K * D * 4) as u64);
         gpoints.set_min_ready(genv.flink.frontier());
@@ -441,6 +464,120 @@ mod tests {
             "digest {} vs ideal {ideal}",
             cpu.digest
         );
+    }
+
+    /// The per-element accessor kernel the decode-once kernel replaced:
+    /// the reference it must match bit for bit.
+    fn oracle_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
+        let def = Point::def();
+        let n = args.n_actual;
+        let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+        let centers = args.inputs[1];
+        let mut sums = vec![[0.0f64; D]; K];
+        let mut counts = [0u32; K];
+        for i in 0..n {
+            let mut best = 0usize;
+            let mut best_d2 = f64::INFINITY;
+            for c in 0..K {
+                let mut d2 = 0.0f64;
+                for d in 0..D {
+                    let pc = reader.get_f64(i, 0, d);
+                    let cc = centers.read_f32((c * D + d) * 4) as f64;
+                    let diff = pc - cc;
+                    d2 += diff * diff;
+                }
+                if d2 < best_d2 {
+                    best_d2 = d2;
+                    best = c;
+                }
+            }
+            counts[best] += 1;
+            for d in 0..D {
+                sums[best][d] += reader.get_f64(i, 0, d);
+            }
+        }
+        let out_def = Partial::def();
+        let mut view = RecordView::new(args.outputs[0], &out_def, DataLayout::Aos, K);
+        for c in 0..K {
+            view.set_u64(c, 0, 0, c as u64);
+            view.set_u64(c, 1, 0, counts[c] as u64);
+            for d in 0..D {
+                view.set_f64(c, 2, d, sums[c][d] as f32 as f64);
+            }
+        }
+        KernelProfile::new(
+            args.n_logical as f64 * (3 * K * D) as f64,
+            args.n_logical as f64 * POINT_BYTES,
+        )
+    }
+
+    fn launch(
+        kernel: fn(&mut KernelArgs<'_, '_>) -> KernelProfile,
+        points: &[Point],
+        centers: &[[f32; D]; K],
+    ) -> (HBuffer, KernelProfile) {
+        let n = points.len();
+        let mut block = HBuffer::zeroed(RecordView::required_bytes(&POINT_DEF, DataLayout::Aos, n));
+        let mut view = RecordView::new(&mut block, &POINT_DEF, DataLayout::Aos, n);
+        for (i, p) in points.iter().enumerate() {
+            p.store(&mut view, i);
+        }
+        let cbuf = HBuffer::from_f32s(centers.as_flattened());
+        let mut out = HBuffer::zeroed(K * PARTIAL_DEF.size());
+        let profile = kernel(&mut KernelArgs {
+            inputs: &[&block, &cbuf],
+            outputs: &mut [&mut out],
+            params: &[K as f64, D as f64],
+            n_actual: n,
+            n_logical: n as u64 * 2000 + 7,
+        });
+        (out, profile)
+    }
+
+    /// Random blocks of clustered points, plus a grid block: the centers
+    /// alternate between all −1 and all +1, and every point whose
+    /// coordinates cycle through ±0.5, ±1.5 is exactly as far from each.
+    fn differential_cases() -> Vec<(Vec<Point>, [[f32; D]; K])> {
+        let mut cases = Vec::new();
+        for (seed, n) in [(1u64, 0usize), (2, 1), (3, 2), (4, 33), (5, 257)] {
+            let points = (0..n as u64)
+                .map(|i| Point {
+                    coords: clustered_point::<D>(seed, i, K),
+                })
+                .collect();
+            cases.push((points, initial_centers(seed ^ 0xC0FFEE)));
+        }
+        let grid: [[f32; D]; K] = std::array::from_fn(|c| [(c % 2) as f32 * 2.0 - 1.0; D]);
+        let points = (0..96u64)
+            .map(|i| Point {
+                coords: std::array::from_fn(|d| ((i / 3 + d as u64 * (i % 3)) % 4) as f32 - 1.5),
+            })
+            .collect();
+        cases.push((points, grid));
+        cases
+    }
+
+    #[test]
+    fn decode_once_kernel_matches_accessor_oracle_bit_for_bit() {
+        for (points, centers) in differential_cases() {
+            let (got, got_profile) = launch(kmeans_assign_kernel, &points, &centers);
+            let (want, want_profile) = launch(oracle_kernel, &points, &centers);
+            assert_eq!(got, want, "n = {}", points.len());
+            assert_eq!(got_profile, want_profile);
+        }
+    }
+
+    #[test]
+    fn gpu_block_partials_equal_cpu_assign_bit_for_bit() {
+        for (points, centers) in differential_cases() {
+            let (got, _) = launch(kmeans_assign_kernel, &points, &centers);
+            let mut want = HBuffer::zeroed(K * PARTIAL_DEF.size());
+            let mut view = RecordView::new(&mut want, &PARTIAL_DEF, DataLayout::Aos, K);
+            for (c, p) in cpu_assign(&points, &centers).iter().enumerate() {
+                p.store(&mut view, c);
+            }
+            assert_eq!(got, want, "n = {}", points.len());
+        }
     }
 
     #[test]

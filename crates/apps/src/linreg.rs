@@ -15,7 +15,7 @@ use gflink_memory::{
     AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, PrimType, RecordReader, RecordView,
 };
 use gflink_sim::SimTime;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Feature dimensionality.
 pub const D: usize = 12;
@@ -36,27 +36,30 @@ pub struct Sample {
     pub y: f32,
 }
 
+static SAMPLE_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
+    GStructDef::new(
+        "LrSample",
+        AlignClass::Align8,
+        vec![
+            FieldDef::array("x", PrimType::F32, D),
+            FieldDef::scalar("y", PrimType::F32),
+        ],
+    )
+});
+
 impl GRecord for Sample {
     fn def() -> GStructDef {
-        GStructDef::new(
-            "LrSample",
-            AlignClass::Align8,
-            vec![
-                FieldDef::array("x", PrimType::F32, D),
-                FieldDef::scalar("y", PrimType::F32),
-            ],
-        )
+        SAMPLE_DEF.clone()
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        for (d, v) in self.x.iter().enumerate() {
-            view.set_f64(idx, 0, d, *v as f64);
-        }
-        view.set_f64(idx, 1, 0, self.y as f64);
+        view.set_field(idx, 0, self.x);
+        view.set_field(idx, 1, [self.y]);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
+        let [y] = reader.get_field(idx, 1);
         Sample {
-            x: std::array::from_fn(|d| reader.get_f64(idx, 0, d) as f32),
-            y: reader.get_f64(idx, 1, 0) as f32,
+            x: reader.get_field(idx, 0),
+            y,
         }
     }
 }
@@ -72,30 +75,34 @@ pub struct GradPartial {
     pub count: u32,
 }
 
+static GRAD_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
+    GStructDef::new(
+        "LrGrad",
+        AlignClass::Align8,
+        vec![
+            FieldDef::array("grad", PrimType::F32, D),
+            FieldDef::scalar("bias", PrimType::F32),
+            FieldDef::scalar("count", PrimType::U32),
+        ],
+    )
+});
+
 impl GRecord for GradPartial {
     fn def() -> GStructDef {
-        GStructDef::new(
-            "LrGrad",
-            AlignClass::Align8,
-            vec![
-                FieldDef::array("grad", PrimType::F32, D),
-                FieldDef::scalar("bias", PrimType::F32),
-                FieldDef::scalar("count", PrimType::U32),
-            ],
-        )
+        GRAD_DEF.clone()
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        for (d, v) in self.grad.iter().enumerate() {
-            view.set_f64(idx, 0, d, *v as f64);
-        }
-        view.set_f64(idx, 1, 0, self.bias as f64);
-        view.set_u64(idx, 2, 0, self.count as u64);
+        view.set_field(idx, 0, self.grad);
+        view.set_field(idx, 1, [self.bias]);
+        view.set_field(idx, 2, [self.count]);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
+        let [bias] = reader.get_field(idx, 1);
+        let [count] = reader.get_field(idx, 2);
         GradPartial {
-            grad: std::array::from_fn(|d| reader.get_f64(idx, 0, d) as f32),
-            bias: reader.get_f64(idx, 1, 0) as f32,
-            count: reader.get_u64(idx, 2, 0) as u32,
+            grad: reader.get_field(idx, 0),
+            bias,
+            count,
         }
     }
 }
@@ -138,32 +145,61 @@ fn flops_per_sample() -> f64 {
     (4 * (D + 1)) as f64
 }
 
+/// Gradient sums over one block or partition: the per-sample fold the CPU
+/// engine and the GPU kernel share.
+struct Gradient {
+    grad: [f64; D],
+    bias: f64,
+    count: u32,
+}
+
+impl Gradient {
+    fn new() -> Gradient {
+        Gradient {
+            grad: [0.0; D],
+            bias: 0.0,
+            count: 0,
+        }
+    }
+
+    /// Fold one sample's squared-loss gradient under weights `w`, bias `b`.
+    #[inline]
+    fn add(&mut self, x: &[f32; D], y: f32, w: &[f64; D], b: f64) {
+        let x = x.map(f64::from);
+        let mut pred = b;
+        for (wd, xd) in w.iter().zip(&x) {
+            pred += wd * xd;
+        }
+        let resid = pred - y as f64;
+        for (g, xd) in self.grad.iter_mut().zip(&x) {
+            *g += resid * xd;
+        }
+        self.bias += resid;
+        self.count += 1;
+    }
+
+    fn partial(&self) -> GradPartial {
+        GradPartial {
+            grad: self.grad.map(|g| g as f32),
+            bias: self.bias as f32,
+            count: self.count,
+        }
+    }
+}
+
 fn linreg_grad_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
-    let def = Sample::def();
     let n = args.n_actual;
-    let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+    let reader = RecordReader::new(args.inputs[0], &SAMPLE_DEF, DataLayout::Aos, n);
     let weights = args.inputs[1]; // D weights + bias, f32
-    let mut grad = [0.0f64; D];
-    let mut bias = 0.0f64;
+    let w: [f64; D] = std::array::from_fn(|d| weights.read_f32(d * 4) as f64);
+    let b = weights.read_f32(D * 4) as f64;
+    let mut acc = Gradient::new();
     for i in 0..n {
-        let mut pred = weights.read_f32(D * 4) as f64; // bias term
-        for d in 0..D {
-            pred += weights.read_f32(d * 4) as f64 * reader.get_f64(i, 0, d);
-        }
-        let resid = pred - reader.get_f64(i, 1, 0);
-        for d in 0..D {
-            grad[d] += resid * reader.get_f64(i, 0, d);
-        }
-        bias += resid;
+        let [y] = reader.get_field(i, 1);
+        acc.add(&reader.get_field(i, 0), y, &w, b);
     }
-    let out_def = GradPartial::def();
-    let mut view = RecordView::new(args.outputs[0], &out_def, DataLayout::Aos, 1);
-    GradPartial {
-        grad: std::array::from_fn(|d| grad[d] as f32),
-        bias: bias as f32,
-        count: n as u32,
-    }
-    .store(&mut view, 0);
+    let mut view = RecordView::new(args.outputs[0], &GRAD_DEF, DataLayout::Aos, 1);
+    acc.partial().store(&mut view, 0);
     KernelProfile::new(
         args.n_logical as f64 * flops_per_sample(),
         args.n_logical as f64 * SAMPLE_BYTES,
@@ -171,24 +207,11 @@ fn linreg_grad_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
 }
 
 fn cpu_gradient(samples: &[Sample], w: &[f64; D], b: f64) -> GradPartial {
-    let mut grad = [0.0f64; D];
-    let mut bias = 0.0f64;
+    let mut acc = Gradient::new();
     for s in samples {
-        let mut pred = b;
-        for d in 0..D {
-            pred += w[d] * s.x[d] as f64;
-        }
-        let resid = pred - s.y as f64;
-        for d in 0..D {
-            grad[d] += resid * s.x[d] as f64;
-        }
-        bias += resid;
+        acc.add(&s.x, s.y, w, b);
     }
-    GradPartial {
-        grad: std::array::from_fn(|d| grad[d] as f32),
-        bias: bias as f32,
-        count: samples.len() as u32,
-    }
+    acc.partial()
 }
 
 fn apply_step(partials: &[GradPartial], w: &mut [f64; D], b: &mut f64) {
@@ -265,7 +288,7 @@ pub fn run_cpu_at(setup: &Setup, params: &Params, at: SimTime) -> AppRun {
         let partials = samples.map_partition("linreg-grad", cpu_grad_cost(), 1.0, move |ss| {
             vec![cpu_gradient(ss, &wc, bc)]
         });
-        let got = partials.collect("grads", GradPartial::def().size() as f64);
+        let got = partials.collect("grads", GRAD_DEF.size() as f64);
         apply_step(&got, &mut w, &mut b);
         env.broadcast_bytes(((D + 1) * 4) as u64);
         samples.set_min_ready(env.frontier());
@@ -310,9 +333,7 @@ pub fn run_gpu_at(setup: &Setup, params: &Params, at: SimTime) -> AppRun {
             .build(&setup.fabric)
             .expect("linreg spec");
         let partials: GDataSet<GradPartial> = gsamples.gpu_map_partition("linreg-grad", &spec);
-        let got = partials
-            .inner()
-            .collect("grads", GradPartial::def().size() as f64);
+        let got = partials.inner().collect("grads", GRAD_DEF.size() as f64);
         apply_step(&got, &mut w, &mut b);
         genv.flink.broadcast_bytes(((D + 1) * 4) as u64);
         gsamples.set_min_ready(genv.flink.frontier());

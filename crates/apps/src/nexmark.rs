@@ -21,7 +21,7 @@
 //!   against a static side table (GPU-cached extra input on the fabric).
 
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use gflink_core::{
     AggSpec, GRecord, GpuFabric, GpuMapSpec, OutMode, StreamEnv, StreamError, StreamReport,
@@ -205,60 +205,83 @@ pub fn bid(cfg: &NexmarkConfig, i: u64) -> Bid {
     }
 }
 
+/// A schema of `f64` scalars — every Nexmark record's shape.
+fn f64_def(name: &str, fields: &[&str]) -> GStructDef {
+    GStructDef::new(
+        name,
+        AlignClass::Align8,
+        fields
+            .iter()
+            .map(|f| FieldDef::scalar(f, PrimType::F64))
+            .collect(),
+    )
+}
+
+static AUCTION_DEF: LazyLock<GStructDef> =
+    LazyLock::new(|| f64_def("NexAuction", &["id", "seller", "category", "initial"]));
+static BID_DEF: LazyLock<GStructDef> =
+    LazyLock::new(|| f64_def("NexBid", &["auction", "bidder", "price", "ts"]));
+static Q3_ROW_DEF: LazyLock<GStructDef> =
+    LazyLock::new(|| f64_def("NexQ3Row", &["id", "seller", "initial"]));
+static Q13_ROW_DEF: LazyLock<GStructDef> =
+    LazyLock::new(|| f64_def("NexQ13Row", &["auction", "boosted"]));
+
+/// Write `vals` into the leading `f64` scalar fields of record `idx`.
+fn store_f64s<const N: usize>(view: &mut RecordView<'_>, idx: usize, vals: [f64; N]) {
+    for (f, v) in vals.into_iter().enumerate() {
+        view.set_field(idx, f, [v]);
+    }
+}
+
+/// Read the leading `N` `f64` scalar fields of record `idx`.
+fn load_f64s<const N: usize>(reader: &RecordReader<'_>, idx: usize) -> [f64; N] {
+    std::array::from_fn(|f| {
+        let [v] = reader.get_field(idx, f);
+        v
+    })
+}
+
 impl GRecord for Auction {
     fn def() -> GStructDef {
-        GStructDef::new(
-            "NexAuction",
-            AlignClass::Align8,
-            vec![
-                FieldDef::scalar("id", PrimType::F64),
-                FieldDef::scalar("seller", PrimType::F64),
-                FieldDef::scalar("category", PrimType::F64),
-                FieldDef::scalar("initial", PrimType::F64),
-            ],
-        )
+        AUCTION_DEF.clone()
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_f64(idx, 0, 0, self.id as f64);
-        view.set_f64(idx, 1, 0, self.seller as f64);
-        view.set_f64(idx, 2, 0, self.category as f64);
-        view.set_f64(idx, 3, 0, self.initial_bid);
+        let a = self;
+        let vals = [
+            a.id as f64,
+            a.seller as f64,
+            a.category as f64,
+            a.initial_bid,
+        ];
+        store_f64s(view, idx, vals);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
+        let [id, seller, category, initial_bid] = load_f64s(reader, idx);
         Auction {
-            id: reader.get_f64(idx, 0, 0) as u64,
-            seller: reader.get_f64(idx, 1, 0) as u64,
-            category: reader.get_f64(idx, 2, 0) as u64,
-            initial_bid: reader.get_f64(idx, 3, 0),
+            id: id as u64,
+            seller: seller as u64,
+            category: category as u64,
+            initial_bid,
         }
     }
 }
 
 impl GRecord for Bid {
     fn def() -> GStructDef {
-        GStructDef::new(
-            "NexBid",
-            AlignClass::Align8,
-            vec![
-                FieldDef::scalar("auction", PrimType::F64),
-                FieldDef::scalar("bidder", PrimType::F64),
-                FieldDef::scalar("price", PrimType::F64),
-                FieldDef::scalar("ts", PrimType::F64),
-            ],
-        )
+        BID_DEF.clone()
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_f64(idx, 0, 0, self.auction as f64);
-        view.set_f64(idx, 1, 0, self.bidder as f64);
-        view.set_f64(idx, 2, 0, self.price);
-        view.set_f64(idx, 3, 0, self.ts.as_nanos() as f64);
+        let b = self;
+        let ts = b.ts.as_nanos() as f64;
+        store_f64s(view, idx, [b.auction as f64, b.bidder as f64, b.price, ts]);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
+        let [auction, bidder, price, ts] = load_f64s(reader, idx);
         Bid {
-            auction: reader.get_f64(idx, 0, 0) as u64,
-            bidder: reader.get_f64(idx, 1, 0) as u64,
-            price: reader.get_f64(idx, 2, 0),
-            ts: SimTime::from_nanos(reader.get_f64(idx, 3, 0) as u64),
+            auction: auction as u64,
+            bidder: bidder as u64,
+            price,
+            ts: SimTime::from_nanos(ts as u64),
         }
     }
 }
@@ -273,26 +296,21 @@ struct Q3Row {
 
 impl GRecord for Q3Row {
     fn def() -> GStructDef {
-        GStructDef::new(
-            "NexQ3Row",
-            AlignClass::Align8,
-            vec![
-                FieldDef::scalar("id", PrimType::F64),
-                FieldDef::scalar("seller", PrimType::F64),
-                FieldDef::scalar("initial", PrimType::F64),
-            ],
-        )
+        Q3_ROW_DEF.clone()
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_f64(idx, 0, 0, self.id as f64);
-        view.set_f64(idx, 1, 0, self.seller as f64);
-        view.set_f64(idx, 2, 0, self.initial_bid);
+        store_f64s(
+            view,
+            idx,
+            [self.id as f64, self.seller as f64, self.initial_bid],
+        );
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
+        let [id, seller, initial_bid] = load_f64s(reader, idx);
         Q3Row {
-            id: reader.get_f64(idx, 0, 0) as u64,
-            seller: reader.get_f64(idx, 1, 0) as u64,
-            initial_bid: reader.get_f64(idx, 2, 0),
+            id: id as u64,
+            seller: seller as u64,
+            initial_bid,
         }
     }
 }
@@ -306,23 +324,16 @@ struct Q13Row {
 
 impl GRecord for Q13Row {
     fn def() -> GStructDef {
-        GStructDef::new(
-            "NexQ13Row",
-            AlignClass::Align8,
-            vec![
-                FieldDef::scalar("auction", PrimType::F64),
-                FieldDef::scalar("boosted", PrimType::F64),
-            ],
-        )
+        Q13_ROW_DEF.clone()
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_f64(idx, 0, 0, self.auction as f64);
-        view.set_f64(idx, 1, 0, self.boosted);
+        store_f64s(view, idx, [self.auction as f64, self.boosted]);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
+        let [auction, boosted] = load_f64s(reader, idx);
         Q13Row {
-            auction: reader.get_f64(idx, 0, 0) as u64,
-            boosted: reader.get_f64(idx, 1, 0),
+            auction: auction as u64,
+            boosted,
         }
     }
 }
@@ -334,18 +345,15 @@ const Q13_KERNEL: &str = "nexQ13Enrich";
 pub fn register_kernels(fabric: &GpuFabric) {
     fabric.register_kernel(Q3_KERNEL, |args: &mut KernelArgs<'_, '_>| {
         let target = args.params.first().copied().unwrap_or(0.0);
-        let def = Auction::def();
-        let out_def = Q3Row::def();
         let n = args.n_actual;
-        let input = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+        let input = RecordReader::new(args.inputs[0], &AUCTION_DEF, DataLayout::Aos, n);
         let out_buf = &mut args.outputs[0];
-        let mut out = RecordView::new(out_buf, &out_def, DataLayout::Aos, n);
+        let mut out = RecordView::new(out_buf, &Q3_ROW_DEF, DataLayout::Aos, n);
         let mut emitted = 0usize;
         for i in 0..n {
-            if input.get_f64(i, 2, 0) == target {
-                out.set_f64(emitted, 0, 0, input.get_f64(i, 0, 0));
-                out.set_f64(emitted, 1, 0, input.get_f64(i, 1, 0));
-                out.set_f64(emitted, 2, 0, input.get_f64(i, 3, 0));
+            let [id, seller, category, initial] = load_f64s(&input, i);
+            if category == target {
+                store_f64s(&mut out, emitted, [id, seller, initial]);
                 emitted += 1;
             }
         }
@@ -353,19 +361,17 @@ pub fn register_kernels(fabric: &GpuFabric) {
             .with_emitted(emitted)
     });
     fabric.register_kernel(Q13_KERNEL, |args: &mut KernelArgs<'_, '_>| {
-        let def = Bid::def();
-        let out_def = Q13Row::def();
         let n = args.n_actual;
-        let input = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+        let input = RecordReader::new(args.inputs[0], &BID_DEF, DataLayout::Aos, n);
         let side = args.inputs[1];
         let side_rows = (side.len() / 8).max(1);
         let out_buf = &mut args.outputs[0];
-        let mut out = RecordView::new(out_buf, &out_def, DataLayout::Aos, n);
+        let mut out = RecordView::new(out_buf, &Q13_ROW_DEF, DataLayout::Aos, n);
         for i in 0..n {
-            let auction = input.get_f64(i, 0, 0);
+            let [auction] = input.get_field(i, 0);
+            let [price] = input.get_field::<f64, 1>(i, 2);
             let factor = side.read_f64((auction as usize % side_rows) * 8);
-            out.set_f64(i, 0, 0, auction);
-            out.set_f64(i, 1, 0, input.get_f64(i, 2, 0) * factor);
+            store_f64s(&mut out, i, [auction, price * factor]);
         }
         // One side-table gather per bid: irregular access, like SpMV's x.
         KernelProfile::new(args.n_logical as f64 * 2.0, args.n_logical as f64 * 48.0)

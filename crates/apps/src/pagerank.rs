@@ -22,6 +22,7 @@ use gflink_memory::{
     AlignClass, DataLayout, FieldDef, GStructDef, PrimType, RecordReader, RecordView,
 };
 use gflink_sim::SimTime;
+use std::sync::LazyLock;
 
 /// Out-degree of every page in the synthetic web graph.
 pub const DEG: usize = 8;
@@ -44,16 +45,20 @@ pub struct RankedPage {
     pub links: [u32; DEG],
 }
 
+static RANKED_PAGE_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
+    GStructDef::new(
+        "RankedPage",
+        AlignClass::Align8,
+        vec![
+            FieldDef::scalar("rank", PrimType::F32),
+            FieldDef::array("links", PrimType::U32, DEG),
+        ],
+    )
+});
+
 impl GRecord for RankedPage {
     fn def() -> GStructDef {
-        GStructDef::new(
-            "RankedPage",
-            AlignClass::Align8,
-            vec![
-                FieldDef::scalar("rank", PrimType::F32),
-                FieldDef::array("links", PrimType::U32, DEG),
-            ],
-        )
+        RANKED_PAGE_DEF.clone()
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
         view.set_f64(idx, 0, 0, self.rank as f64);
@@ -81,16 +86,20 @@ pub struct AggContrib {
     pub val: f32,
 }
 
+static AGG_CONTRIB_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
+    GStructDef::new(
+        "AggContrib",
+        AlignClass::Align8,
+        vec![
+            FieldDef::scalar("dst", PrimType::U32),
+            FieldDef::scalar("val", PrimType::F32),
+        ],
+    )
+});
+
 impl GRecord for AggContrib {
     fn def() -> GStructDef {
-        GStructDef::new(
-            "AggContrib",
-            AlignClass::Align8,
-            vec![
-                FieldDef::scalar("dst", PrimType::U32),
-                FieldDef::scalar("val", PrimType::F32),
-            ],
-        )
+        AGG_CONTRIB_DEF.clone()
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
         view.set_u64(idx, 0, 0, self.dst as u64);
@@ -137,10 +146,10 @@ pub fn register_kernels(fabric: &GpuFabric) {
     fabric.register_kernel("cudaSumByKey", sum_by_key_kernel);
     fabric.register_kernel("cudaPagerankScatter", |args: &mut KernelArgs<'_, '_>| {
         use std::collections::BTreeMap;
-        let def = RankedPage::def();
-        let out_def = AggContrib::def();
+        let def = &*RANKED_PAGE_DEF;
+        let out_def = &*AGG_CONTRIB_DEF;
         let n = args.n_actual;
-        let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+        let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
         // Scatter + block-level combine (sort/segmented-reduce on a real
         // device; a BTreeMap here).
         let mut agg: BTreeMap<u32, f64> = BTreeMap::new();
@@ -151,7 +160,7 @@ pub fn register_kernels(fabric: &GpuFabric) {
             }
         }
         let capacity = n * DEG;
-        let mut view = RecordView::new(args.outputs[0], &out_def, DataLayout::Aos, capacity);
+        let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, capacity);
         let emitted = agg.len();
         for (i, (dst, val)) in agg.into_iter().enumerate() {
             AggContrib {
@@ -164,7 +173,7 @@ pub fn register_kernels(fabric: &GpuFabric) {
         KernelProfile::new(
             args.n_logical as f64 * (6 * DEG) as f64,
             args.n_logical as f64
-                * (RankedPage::def().size() + 2 * DEG * AggContrib::def().size()) as f64,
+                * (RANKED_PAGE_DEF.size() + 2 * DEG * AGG_CONTRIB_DEF.size()) as f64,
         )
         .with_coalescing(0.7)
         .with_emitted(emitted)
@@ -175,14 +184,14 @@ pub fn register_kernels(fabric: &GpuFabric) {
 /// summing shuffled contribution pairs by key within each block.
 fn sum_by_key_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     use std::collections::BTreeMap;
-    let def = AggContrib::def();
+    let def = &*AGG_CONTRIB_DEF;
     let n = args.n_actual;
-    let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+    let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
     let mut agg: BTreeMap<u32, f64> = BTreeMap::new();
     for i in 0..n {
         *agg.entry(reader.get_u64(i, 0, 0) as u32).or_insert(0.0) += reader.get_f64(i, 1, 0);
     }
-    let mut view = RecordView::new(args.outputs[0], &def, DataLayout::Aos, n);
+    let mut view = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
     let emitted = agg.len();
     for (i, (dst, val)) in agg.into_iter().enumerate() {
         AggContrib {
@@ -193,7 +202,7 @@ fn sum_by_key_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     }
     KernelProfile::new(
         args.n_logical as f64 * 10.0,
-        args.n_logical as f64 * (2 * AggContrib::def().size()) as f64,
+        args.n_logical as f64 * (2 * AGG_CONTRIB_DEF.size()) as f64,
     )
     .with_coalescing(0.8)
     .with_emitted(emitted)

@@ -13,6 +13,7 @@ use gflink_memory::{
     AlignClass, DataLayout, FieldDef, GStructDef, PrimType, RecordReader, RecordView,
 };
 use gflink_sim::SimTime;
+use std::sync::LazyLock;
 
 /// Default generator seed.
 pub const POINTADD_SEED: u64 = 0x50_4F49_4E54;
@@ -30,26 +31,29 @@ pub struct Point2 {
     pub y: f32,
 }
 
+static POINT2_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
+    GStructDef::new(
+        "Point2",
+        AlignClass::Align8,
+        vec![
+            FieldDef::scalar("x", PrimType::F32),
+            FieldDef::scalar("y", PrimType::F32),
+        ],
+    )
+});
+
 impl GRecord for Point2 {
     fn def() -> GStructDef {
-        GStructDef::new(
-            "Point2",
-            AlignClass::Align8,
-            vec![
-                FieldDef::scalar("x", PrimType::F32),
-                FieldDef::scalar("y", PrimType::F32),
-            ],
-        )
+        POINT2_DEF.clone()
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_f64(idx, 0, 0, self.x as f64);
-        view.set_f64(idx, 1, 0, self.y as f64);
+        view.set_field(idx, 0, [self.x]);
+        view.set_field(idx, 1, [self.y]);
     }
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        Point2 {
-            x: reader.get_f64(idx, 0, 0) as f32,
-            y: reader.get_f64(idx, 1, 0) as f32,
-        }
+        let [x] = reader.get_field(idx, 0);
+        let [y] = reader.get_field(idx, 1);
+        Point2 { x, y }
     }
 }
 
@@ -83,21 +87,26 @@ impl Params {
 
 /// Register the `cudaAddPoint` kernel.
 pub fn register_kernels(fabric: &GpuFabric) {
-    fabric.register_elementwise_kernel("cudaAddPoint", |args: &mut KernelArgs<'_, '_>| {
-        let def = Point2::def();
-        let n = args.n_actual;
-        let (dx, dy) = (args.params[0], args.params[1]);
-        let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
-        let mut view = RecordView::new(args.outputs[0], &def, DataLayout::Aos, n);
-        for i in 0..n {
-            view.set_f64(i, 0, 0, reader.get_f64(i, 0, 0) + dx);
-            view.set_f64(i, 1, 0, reader.get_f64(i, 1, 0) + dy);
-        }
-        KernelProfile::new(
-            args.n_logical as f64 * 2.0,
-            args.n_logical as f64 * POINT_BYTES * 2.0,
-        )
-    });
+    fabric.register_elementwise_kernel("cudaAddPoint", add_point_kernel);
+}
+
+/// The kernel body: each point is read once, translated in `f64` (the
+/// launch parameters' precision) and written back once.
+fn add_point_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
+    let n = args.n_actual;
+    let (dx, dy) = (args.params[0], args.params[1]);
+    let reader = RecordReader::new(args.inputs[0], &POINT2_DEF, DataLayout::Aos, n);
+    let mut view = RecordView::new(args.outputs[0], &POINT2_DEF, DataLayout::Aos, n);
+    for i in 0..n {
+        let [x] = reader.get_field::<f32, 1>(i, 0);
+        let [y] = reader.get_field::<f32, 1>(i, 1);
+        view.set_field(i, 0, [(x as f64 + dx) as f32]);
+        view.set_field(i, 1, [(y as f64 + dy) as f32]);
+    }
+    KernelProfile::new(
+        args.n_logical as f64 * 2.0,
+        args.n_logical as f64 * POINT_BYTES * 2.0,
+    )
 }
 
 fn read_points(env: &FlinkEnv, params: &Params) -> DataSet<Point2> {
@@ -189,6 +198,7 @@ pub fn run_gpu_at(setup: &Setup, params: &Params, at: SimTime) -> AppRun {
 mod tests {
     use super::*;
     use crate::common::digests_match;
+    use gflink_memory::HBuffer;
 
     fn small(setup: &Setup) -> Params {
         Params {
@@ -212,6 +222,68 @@ mod tests {
             cpu.digest,
             gpu.digest
         );
+    }
+
+    /// The per-element accessor kernel the decode-once kernel replaced:
+    /// the reference it must match bit for bit.
+    fn oracle_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
+        let def = Point2::def();
+        let n = args.n_actual;
+        let (dx, dy) = (args.params[0], args.params[1]);
+        let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+        let mut view = RecordView::new(args.outputs[0], &def, DataLayout::Aos, n);
+        for i in 0..n {
+            view.set_f64(i, 0, 0, reader.get_f64(i, 0, 0) + dx);
+            view.set_f64(i, 1, 0, reader.get_f64(i, 1, 0) + dy);
+        }
+        KernelProfile::new(
+            args.n_logical as f64 * 2.0,
+            args.n_logical as f64 * POINT_BYTES * 2.0,
+        )
+    }
+
+    #[test]
+    fn decode_once_kernel_matches_accessor_oracle_bit_for_bit() {
+        use rand::rngs::SmallRng;
+        use rand::{RngCore, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x9A11);
+        // Any finite f32 bit pattern: subnormals, huge magnitudes, -0.0.
+        let mut finite = || loop {
+            let v = f32::from_bits(rng.next_u32());
+            if v.is_finite() {
+                return v;
+            }
+        };
+        for (n, dx, dy) in [
+            (0, 1.0, -0.5),
+            (1, 0.1, 1e-9),
+            (2, -3.3e5, 0.7),
+            (513, 1e30, -0.3),
+        ] {
+            let points: Vec<Point2> = (0..n)
+                .map(|_| Point2 {
+                    x: finite(),
+                    y: finite(),
+                })
+                .collect();
+            let mut block = HBuffer::zeroed(n * POINT2_DEF.size());
+            let mut view = RecordView::new(&mut block, &POINT2_DEF, DataLayout::Aos, n);
+            for (i, p) in points.iter().enumerate() {
+                p.store(&mut view, i);
+            }
+            let run = |kernel: fn(&mut KernelArgs<'_, '_>) -> KernelProfile| {
+                let mut out = HBuffer::zeroed(block.len());
+                let profile = kernel(&mut KernelArgs {
+                    inputs: &[&block],
+                    outputs: &mut [&mut out],
+                    params: &[dx, dy],
+                    n_actual: n,
+                    n_logical: n as u64 * 5000 + 3,
+                });
+                (out, profile)
+            };
+            assert_eq!(run(add_point_kernel), run(oracle_kernel), "n = {n}");
+        }
     }
 
     #[test]

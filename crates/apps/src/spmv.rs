@@ -23,7 +23,7 @@ use gflink_memory::{
     AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, PrimType, RecordReader, RecordView,
 };
 use gflink_sim::SimTime;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// Nonzeros per row (ELLPACK width).
 pub const NNZ: usize = 8;
@@ -44,16 +44,20 @@ pub struct EllRow {
     pub vals: [f32; NNZ],
 }
 
+static ELL_ROW_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
+    GStructDef::new(
+        "EllRow",
+        AlignClass::Align8,
+        vec![
+            FieldDef::array("cols", PrimType::U32, NNZ),
+            FieldDef::array("vals", PrimType::F32, NNZ),
+        ],
+    )
+});
+
 impl GRecord for EllRow {
     fn def() -> GStructDef {
-        GStructDef::new(
-            "EllRow",
-            AlignClass::Align8,
-            vec![
-                FieldDef::array("cols", PrimType::U32, NNZ),
-                FieldDef::array("vals", PrimType::F32, NNZ),
-            ],
-        )
+        ELL_ROW_DEF.clone()
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
         for (i, c) in self.cols.iter().enumerate() {
@@ -78,13 +82,17 @@ pub struct YVal {
     pub y: f32,
 }
 
+static Y_VAL_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
+    GStructDef::new(
+        "YVal",
+        AlignClass::Align4,
+        vec![FieldDef::scalar("y", PrimType::F32)],
+    )
+});
+
 impl GRecord for YVal {
     fn def() -> GStructDef {
-        GStructDef::new(
-            "YVal",
-            AlignClass::Align4,
-            vec![FieldDef::scalar("y", PrimType::F32)],
-        )
+        Y_VAL_DEF.clone()
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
         view.set_f64(idx, 0, 0, self.y as f64);
@@ -149,13 +157,13 @@ pub fn register_kernels(fabric: &GpuFabric) {
 }
 
 fn spmv_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
-    let def = EllRow::def();
+    let def = &*ELL_ROW_DEF;
     let n = args.n_actual;
-    let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+    let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
     let x = args.inputs[1];
     let x_len = x.len() / 4;
-    let out_def = YVal::def();
-    let mut view = RecordView::new(args.outputs[0], &out_def, DataLayout::Aos, n);
+    let out_def = &*Y_VAL_DEF;
+    let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, n);
     for i in 0..n {
         let mut acc = 0.0f64;
         for k in 0..NNZ {

@@ -20,6 +20,7 @@ use gflink_memory::{
     AlignClass, DataLayout, FieldDef, GStructDef, PrimType, RecordReader, RecordView,
 };
 use gflink_sim::SimTime;
+use std::sync::LazyLock;
 
 /// Vocabulary size (distinct words).
 pub const VOCAB: u32 = 1_000;
@@ -35,13 +36,17 @@ pub struct WordId {
     pub id: u32,
 }
 
+static WORD_ID_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
+    GStructDef::new(
+        "WordId",
+        AlignClass::Align4,
+        vec![FieldDef::scalar("id", PrimType::U32)],
+    )
+});
+
 impl GRecord for WordId {
     fn def() -> GStructDef {
-        GStructDef::new(
-            "WordId",
-            AlignClass::Align4,
-            vec![FieldDef::scalar("id", PrimType::U32)],
-        )
+        WORD_ID_DEF.clone()
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
         view.set_u64(idx, 0, 0, self.id as u64);
@@ -62,16 +67,20 @@ pub struct CountRec {
     pub count: u32,
 }
 
+static COUNT_REC_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
+    GStructDef::new(
+        "CountRec",
+        AlignClass::Align4,
+        vec![
+            FieldDef::scalar("id", PrimType::U32),
+            FieldDef::scalar("count", PrimType::U32),
+        ],
+    )
+});
+
 impl GRecord for CountRec {
     fn def() -> GStructDef {
-        GStructDef::new(
-            "CountRec",
-            AlignClass::Align4,
-            vec![
-                FieldDef::scalar("id", PrimType::U32),
-                FieldDef::scalar("count", PrimType::U32),
-            ],
-        )
+        COUNT_REC_DEF.clone()
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
         view.set_u64(idx, 0, 0, self.id as u64);
@@ -118,16 +127,16 @@ impl Params {
 /// Register the histogram kernel.
 pub fn register_kernels(fabric: &GpuFabric) {
     fabric.register_kernel("cudaWordHistogram", |args: &mut KernelArgs<'_, '_>| {
-        let def = WordId::def();
+        let def = &*WORD_ID_DEF;
         let n = args.n_actual;
-        let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+        let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
         let mut counts = vec![0u64; VOCAB as usize];
         for i in 0..n {
             let id = reader.get_u64(i, 0, 0) as usize;
             counts[id % VOCAB as usize] += 1;
         }
-        let out_def = CountRec::def();
-        let mut view = RecordView::new(args.outputs[0], &out_def, DataLayout::Aos, VOCAB as usize);
+        let out_def = &*COUNT_REC_DEF;
+        let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, VOCAB as usize);
         for (id, c) in counts.iter().enumerate() {
             CountRec {
                 id: id as u32,

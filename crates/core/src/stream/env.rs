@@ -41,14 +41,14 @@ use gflink_memory::{
 use gflink_sim::{LogHistogram, SimTime, Summary};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// The built-in GPU windowed-aggregation kernel, registered by
 /// [`StreamEnv::gpu`]. Input: key/value pairs grouped by key; output: one
 /// `(key, count, sum, min, max)` row per distinct key.
 pub(crate) const WINDOW_KERNEL: &str = "gfWindowedAgg";
 
-fn pair_def() -> GStructDef {
+static PAIR_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
     GStructDef::new(
         "GfPair",
         AlignClass::Align8,
@@ -57,9 +57,9 @@ fn pair_def() -> GStructDef {
             FieldDef::scalar("value", PrimType::F64),
         ],
     )
-}
+});
 
-fn keyagg_def() -> GStructDef {
+static KEYAGG_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
     GStructDef::new(
         "GfKeyAgg",
         AlignClass::Align8,
@@ -71,37 +71,47 @@ fn keyagg_def() -> GStructDef {
             FieldDef::scalar("max", PrimType::F64),
         ],
     )
-}
+});
 
 /// The windowed-aggregation kernel body: folds consecutive same-key runs
-/// with [`AggResult::fold`] — the exact fold the CPU engine uses, so the
-/// two engines are bit-identical. `params[0]`/`params[1]` carry the
-/// aggregation's flops/bytes per logical record.
+/// in place with [`AggResult::push`] — the step [`AggResult::fold`], the
+/// CPU engine's fold, is made of — so the two engines are bit-identical.
+/// `params[0]`/`params[1]` carry the aggregation's flops/bytes per logical
+/// record.
 fn window_agg_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
-    let pair = pair_def();
-    let out_def = keyagg_def();
     let n = args.n_actual;
-    let input = RecordReader::new(args.inputs[0], &pair, DataLayout::Aos, n);
-    let capacity = args.outputs[0].len() / out_def.size().max(1);
+    let input = RecordReader::new(args.inputs[0], &PAIR_DEF, DataLayout::Aos, n);
+    let capacity = args.outputs[0].len() / KEYAGG_DEF.size().max(1);
     let out_buf = &mut args.outputs[0];
-    let mut out = RecordView::new(out_buf, &out_def, DataLayout::Aos, capacity);
+    let mut out = RecordView::new(out_buf, &KEYAGG_DEF, DataLayout::Aos, capacity);
     let mut emitted = 0usize;
-    let mut i = 0usize;
-    let mut values = Vec::new();
-    while i < n {
-        let key = input.get_f64(i, 0, 0);
-        values.clear();
-        while i < n && input.get_f64(i, 0, 0) == key {
-            values.push(input.get_f64(i, 1, 0));
-            i += 1;
-        }
-        let r = AggResult::fold(&values);
-        out.set_f64(emitted, 0, 0, key);
-        out.set_f64(emitted, 1, 0, r.count as f64);
-        out.set_f64(emitted, 2, 0, r.sum);
-        out.set_f64(emitted, 3, 0, r.min);
-        out.set_f64(emitted, 4, 0, r.max);
+    let mut emit = |key: f64, r: AggResult| {
+        out.set_field(emitted, 0, [key]);
+        out.set_field(emitted, 1, [r.count as f64]);
+        out.set_field(emitted, 2, [r.sum]);
+        out.set_field(emitted, 3, [r.min]);
+        out.set_field(emitted, 4, [r.max]);
         emitted += 1;
+    };
+    // The open run: its first key and the fold so far.
+    let mut run: Option<(f64, AggResult)> = None;
+    for i in 0..n {
+        let [key] = input.get_field(i, 0);
+        let [value] = input.get_field(i, 1);
+        match &mut run {
+            Some((k, acc)) if *k == key => acc.push(value),
+            _ => {
+                if let Some((k, acc)) = run.take() {
+                    emit(k, acc);
+                }
+                let mut acc = AggResult::EMPTY;
+                acc.push(value);
+                run = Some((key, acc));
+            }
+        }
+    }
+    if let Some((k, acc)) = run {
+        emit(k, acc);
     }
     let flops = args.params.first().copied().unwrap_or(200.0);
     let bytes = args.params.get(1).copied().unwrap_or(16.0);
@@ -596,17 +606,16 @@ impl<'a, T> WindowPipeline<'a, T> {
     /// Build the `GWork` for one fired window: panes packed key-ascending,
     /// values in insertion order — the order the kernel folds in.
     fn window_work(fw: &FiredWindow, spec: &GpuMapSpec, workers: usize) -> GWork {
-        let pair = pair_def();
-        let out_def = keyagg_def();
+        let (pair, out_def) = (&*PAIR_DEF, &*KEYAGG_DEF);
         let rows = fw.rows();
-        let mut buf = HBuffer::zeroed(RecordView::required_bytes(&pair, DataLayout::Aos, rows));
+        let mut buf = HBuffer::zeroed(RecordView::required_bytes(pair, DataLayout::Aos, rows));
         {
-            let mut view = RecordView::new(&mut buf, &pair, DataLayout::Aos, rows);
+            let mut view = RecordView::new(&mut buf, pair, DataLayout::Aos, rows);
             let mut i = 0;
             for pane in &fw.panes {
                 for &v in &pane.values {
-                    view.set_f64(i, 0, 0, pane.key as f64);
-                    view.set_f64(i, 1, 0, v);
+                    view.set_field(i, 0, [pane.key as f64]);
+                    view.set_field(i, 1, [v]);
                     i += 1;
                 }
             }
@@ -626,7 +635,7 @@ impl<'a, T> WindowPipeline<'a, T> {
                 Arc::new(buf),
                 logical * pair.size() as u64,
             )],
-            out_actual_bytes: RecordView::required_bytes(&out_def, DataLayout::Aos, out_rows),
+            out_actual_bytes: RecordView::required_bytes(out_def, DataLayout::Aos, out_rows),
             out_logical_bytes: (out_rows * out_def.size()) as u64,
             out_records: out_rows,
             params: Arc::clone(&spec.params),
@@ -701,7 +710,7 @@ impl<'a, T> WindowPipeline<'a, T> {
             completed: SimTime,
             rows: Vec<(u64, AggResult)>,
         }
-        let out_def = keyagg_def();
+        let out_def = &*KEYAGG_DEF;
         let mut executed: Vec<Exec> = Vec::new();
         // Executed outputs kept for snapshots (checkpointing only).
         let mut done_blocks: Vec<SnapshotBlock> = Vec::new();
@@ -710,7 +719,7 @@ impl<'a, T> WindowPipeline<'a, T> {
             for done in job.drain_worker(w) {
                 let capacity = done.output.len() / out_def.size().max(1);
                 let emitted = done.emitted.unwrap_or(capacity).min(capacity);
-                let reader = RecordReader::new(&done.output, &out_def, DataLayout::Aos, capacity);
+                let reader = RecordReader::new(&done.output, out_def, DataLayout::Aos, capacity);
                 wall_end = wall_end.max(done.timing.completed);
                 executed.push(Exec {
                     seq: done.tag.1,
@@ -775,7 +784,7 @@ impl<'a, T> WindowPipeline<'a, T> {
                 let buf = HBuffer::from_bytes(&blk.payload);
                 let capacity = blk.payload.len() / out_def.size().max(1);
                 let emitted = blk.emitted.unwrap_or(capacity).min(capacity);
-                let reader = RecordReader::new(&buf, &out_def, DataLayout::Aos, capacity);
+                let reader = RecordReader::new(&buf, out_def, DataLayout::Aos, capacity);
                 for (key, agg) in read_keyagg(&reader, emitted) {
                     outputs.push(WindowOutput {
                         span: fw.span,
@@ -1163,6 +1172,89 @@ mod tests {
             .key_by(|e: &Event| e.key)
             .window(Tumbling::of(SimTime::from_millis(100)))
             .aggregate(AggSpec::avg(), |e: &Event| e.value)
+    }
+
+    /// The kernel body before the in-place fold: it collects each run of
+    /// equal keys through the per-element accessors, then calls
+    /// [`AggResult::fold`]. The reference the kernel must match bit for bit.
+    fn window_agg_oracle(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
+        let n = args.n_actual;
+        let input = RecordReader::new(args.inputs[0], &PAIR_DEF, DataLayout::Aos, n);
+        let capacity = args.outputs[0].len() / KEYAGG_DEF.size();
+        let mut out = RecordView::new(args.outputs[0], &KEYAGG_DEF, DataLayout::Aos, capacity);
+        let mut emitted = 0usize;
+        let mut i = 0usize;
+        let mut values = Vec::new();
+        while i < n {
+            let key = input.get_f64(i, 0, 0);
+            values.clear();
+            while i < n && input.get_f64(i, 0, 0) == key {
+                values.push(input.get_f64(i, 1, 0));
+                i += 1;
+            }
+            let r = AggResult::fold(&values);
+            out.set_f64(emitted, 0, 0, key);
+            out.set_f64(emitted, 1, 0, r.count as f64);
+            out.set_f64(emitted, 2, 0, r.sum);
+            out.set_f64(emitted, 3, 0, r.min);
+            out.set_f64(emitted, 4, 0, r.max);
+            emitted += 1;
+        }
+        let flops = args.params.first().copied().unwrap_or(200.0);
+        let bytes = args.params.get(1).copied().unwrap_or(16.0);
+        KernelProfile::new(args.n_logical as f64 * flops, args.n_logical as f64 * bytes)
+            .with_emitted(emitted)
+    }
+
+    #[test]
+    fn in_place_window_fold_matches_collect_then_fold_oracle() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x5EED);
+        let mut cases: Vec<Vec<(f64, f64)>> = vec![
+            vec![],
+            vec![(3.0, 1.5)],
+            vec![(7.0, 2.0); 9],
+            (0..12).map(|k| (k as f64, -(k as f64))).collect(),
+            // -0.0 and 0.0 compare equal: one run, keyed by the first.
+            vec![(-0.0, 1.0), (0.0, 2.0), (1.0, f64::INFINITY), (1.0, -0.0)],
+        ];
+        for n in [5usize, 64, 300] {
+            let mut key = 0.0;
+            cases.push(
+                (0..n)
+                    .map(|_| {
+                        if rng.gen_range(0.0..1.0) < 0.3 {
+                            key += 1.0;
+                        }
+                        (key, rng.gen_range(-1e6..1e6))
+                    })
+                    .collect(),
+            );
+        }
+        for pairs in cases {
+            let n = pairs.len();
+            let mut block = HBuffer::zeroed(n * PAIR_DEF.size());
+            let mut view = RecordView::new(&mut block, &PAIR_DEF, DataLayout::Aos, n);
+            for (i, &(k, v)) in pairs.iter().enumerate() {
+                view.set_f64(i, 0, 0, k);
+                view.set_f64(i, 1, 0, v);
+            }
+            for params in [&[][..], &[35.0, 24.0][..]] {
+                let run = |kernel: fn(&mut KernelArgs<'_, '_>) -> KernelProfile| {
+                    let mut out = HBuffer::zeroed(n * KEYAGG_DEF.size());
+                    let profile = kernel(&mut KernelArgs {
+                        inputs: &[&block],
+                        outputs: &mut [&mut out],
+                        params,
+                        n_actual: n,
+                        n_logical: n as u64 * 40,
+                    });
+                    (out, profile)
+                };
+                assert_eq!(run(window_agg_kernel), run(window_agg_oracle), "{pairs:?}");
+            }
+        }
     }
 
     #[test]

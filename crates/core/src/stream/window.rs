@@ -189,25 +189,33 @@ pub struct AggResult {
 }
 
 impl AggResult {
-    /// Fold `values` sequentially, in slice order. Both the CPU path and
-    /// the GPU kernel call exactly this, so results are bit-identical.
+    /// The fold of no values.
+    pub const EMPTY: AggResult = AggResult {
+        count: 0,
+        sum: 0.0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+    };
+
+    /// Fold one more value in. Folding a sequence value by value from
+    /// [`AggResult::EMPTY`] is exactly [`AggResult::fold`].
+    #[inline]
+    pub fn push(&mut self, v: f64) {
+        self.count += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
+    /// Fold `values` sequentially, in slice order. The CPU path calls this
+    /// and the GPU kernel pushes the same values in the same order, so
+    /// results are bit-identical.
     pub fn fold(values: &[f64]) -> AggResult {
-        let mut count = 0u64;
-        let mut sum = 0.0f64;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
+        let mut r = AggResult::EMPTY;
         for &v in values {
-            count += 1;
-            sum += v;
-            min = min.min(v);
-            max = max.max(v);
+            r.push(v);
         }
-        AggResult {
-            count,
-            sum,
-            min,
-            max,
-        }
+        r
     }
 
     /// The scalar the configured [`AggOp`] extracts.

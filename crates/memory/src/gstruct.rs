@@ -61,6 +61,40 @@ impl PrimType {
     }
 }
 
+/// A Rust primitive that a GStruct field of type [`Prim::TYPE`] holds,
+/// moved to and from its little-endian bytes without widening — what the
+/// whole-field accessors ([`RecordReader::get_field`]) decode into.
+///
+/// [`RecordReader::get_field`]: crate::RecordReader::get_field
+pub trait Prim: Copy {
+    /// The field type this Rust type reads and writes.
+    const TYPE: PrimType;
+    /// Decode from the first `TYPE.size()` bytes of `bytes`.
+    fn read_le(bytes: &[u8]) -> Self;
+    /// Encode into the first `TYPE.size()` bytes of `bytes`.
+    fn write_le(self, bytes: &mut [u8]);
+}
+
+macro_rules! impl_prim {
+    ($($t:ty => $p:ident),* $(,)?) => {$(
+        impl Prim for $t {
+            const TYPE: PrimType = PrimType::$p;
+            #[inline]
+            fn read_le(bytes: &[u8]) -> Self {
+                let mut le = [0u8; std::mem::size_of::<$t>()];
+                le.copy_from_slice(&bytes[..std::mem::size_of::<$t>()]);
+                <$t>::from_le_bytes(le)
+            }
+            #[inline]
+            fn write_le(self, bytes: &mut [u8]) {
+                bytes[..std::mem::size_of::<$t>()].copy_from_slice(&self.to_le_bytes());
+            }
+        }
+    )*};
+}
+
+impl_prim!(u8 => U8, i32 => I32, u32 => U32, i64 => I64, u64 => U64, f32 => F32, f64 => F64);
+
 /// Alignment class of the struct: the paper's `GStruct_4` / `GStruct_8`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AlignClass {
@@ -172,6 +206,7 @@ impl GStructDef {
     }
 
     /// Padded struct size in bytes (the AoS stride).
+    #[inline]
     pub fn size(&self) -> usize {
         self.size
     }
@@ -187,11 +222,13 @@ impl GStructDef {
     }
 
     /// Field definitions in declaration order.
+    #[inline]
     pub fn fields(&self) -> &[FieldDef] {
         &self.fields
     }
 
     /// Byte offset of field `i` within the struct.
+    #[inline]
     pub fn offset(&self, i: usize) -> usize {
         self.offsets[i]
     }

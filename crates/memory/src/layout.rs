@@ -12,8 +12,9 @@
 //! [`GStructDef`] under a chosen layout, with field accessors and
 //! layout-conversion routines.
 
-use crate::gstruct::{GStructDef, PrimType};
+use crate::gstruct::{GStructDef, Prim, PrimType};
 use crate::hbuffer::HBuffer;
+use std::ops::Range;
 
 /// The three data layouts of §2.1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -139,6 +140,7 @@ impl<'a> RecordView<'a> {
     }
 
     /// Byte offset of `(record, field, elem)` under this view's layout.
+    #[inline]
     pub fn element_offset(&self, record: usize, field: usize, elem: usize) -> usize {
         debug_assert!(record < self.n, "record {record} out of {}", self.n);
         element_offset_of(
@@ -152,6 +154,7 @@ impl<'a> RecordView<'a> {
     }
 
     /// Read `(record, field, elem)` as `f64` (numeric widening for F32).
+    #[inline]
     pub fn get_f64(&self, record: usize, field: usize, elem: usize) -> f64 {
         let off = self.element_offset(record, field, elem);
         match self.def.fields()[field].prim {
@@ -162,6 +165,7 @@ impl<'a> RecordView<'a> {
     }
 
     /// Write `(record, field, elem)` as `f64` (narrowing for F32).
+    #[inline]
     pub fn set_f64(&mut self, record: usize, field: usize, elem: usize, v: f64) {
         let off = self.element_offset(record, field, elem);
         match self.def.fields()[field].prim {
@@ -172,6 +176,7 @@ impl<'a> RecordView<'a> {
     }
 
     /// Read `(record, field, elem)` as `u64` (zero-extended).
+    #[inline]
     pub fn get_u64(&self, record: usize, field: usize, elem: usize) -> u64 {
         let off = self.element_offset(record, field, elem);
         match self.def.fields()[field].prim {
@@ -185,6 +190,7 @@ impl<'a> RecordView<'a> {
     }
 
     /// Write `(record, field, elem)` as `u64` (truncating).
+    #[inline]
     pub fn set_u64(&mut self, record: usize, field: usize, elem: usize, v: u64) {
         let off = self.element_offset(record, field, elem);
         match self.def.fields()[field].prim {
@@ -194,6 +200,26 @@ impl<'a> RecordView<'a> {
             PrimType::I64 => self.buf.write_i64(off, v as i64),
             PrimType::U64 => self.buf.write_u64(off, v),
             other => panic!("field {field} is {other:?}, not an integer"),
+        }
+    }
+
+    /// Write all `N` elements of `field` of `record` in one access: one
+    /// offset computation and one bounds check for the whole field, the
+    /// counterpart of [`RecordReader::get_field`]. Panics if `record` is
+    /// out of range or the field is not `N` elements of `T`.
+    #[inline(always)]
+    pub fn set_field<T: Prim, const N: usize>(&mut self, record: usize, field: usize, v: [T; N]) {
+        let range = field_range::<T, N>(
+            self.def,
+            self.layout,
+            &self.field_bases,
+            self.n,
+            record,
+            field,
+        );
+        let bytes = &mut self.buf.as_mut_slice()[range];
+        for (i, x) in v.into_iter().enumerate() {
+            x.write_le(&mut bytes[i * T::TYPE.size()..]);
         }
     }
 
@@ -268,6 +294,7 @@ impl<'a> RecordReader<'a> {
     }
 
     /// Byte offset of `(record, field, elem)` under this reader's layout.
+    #[inline]
     pub fn element_offset(&self, record: usize, field: usize, elem: usize) -> usize {
         element_offset_of(
             self.def,
@@ -280,6 +307,7 @@ impl<'a> RecordReader<'a> {
     }
 
     /// Read `(record, field, elem)` as `f64` (numeric widening for F32).
+    #[inline]
     pub fn get_f64(&self, record: usize, field: usize, elem: usize) -> f64 {
         let off = self.element_offset(record, field, elem);
         match self.def.fields()[field].prim {
@@ -290,6 +318,7 @@ impl<'a> RecordReader<'a> {
     }
 
     /// Read `(record, field, elem)` as `u64` (zero-extended).
+    #[inline]
     pub fn get_u64(&self, record: usize, field: usize, elem: usize) -> u64 {
         let off = self.element_offset(record, field, elem);
         match self.def.fields()[field].prim {
@@ -300,6 +329,25 @@ impl<'a> RecordReader<'a> {
             PrimType::U64 => self.buf.read_u64(off),
             other => panic!("field {field} is {other:?}, not an integer"),
         }
+    }
+
+    /// Read all `N` elements of `field` of `record` in one access — how a
+    /// kernel loads a record into registers once instead of paying the
+    /// field lookup, type match and bounds check per element (§3.5.1).
+    /// Scalars are `N = 1`. Panics if `record` is out of range or the
+    /// field is not `N` elements of `T`.
+    #[inline(always)]
+    pub fn get_field<T: Prim, const N: usize>(&self, record: usize, field: usize) -> [T; N] {
+        let range = field_range::<T, N>(
+            self.def,
+            self.layout,
+            &self.field_bases,
+            self.n,
+            record,
+            field,
+        );
+        let bytes = &self.buf.as_slice()[range];
+        std::array::from_fn(|i| T::read_le(&bytes[i * T::TYPE.size()..]))
     }
 }
 
@@ -320,6 +368,7 @@ fn field_bases(def: &GStructDef, layout: DataLayout, n: usize) -> Vec<usize> {
     }
 }
 
+#[inline]
 fn element_offset_of(
     def: &GStructDef,
     layout: DataLayout,
@@ -336,6 +385,47 @@ fn element_offset_of(
             bases[field] + (record * f.array_len + elem) * f.prim.size()
         }
     }
+}
+
+/// Byte range of every element of `field` in `record`. Each layout keeps a
+/// record's elements of one field contiguous, so a whole field is one range.
+#[inline]
+fn field_range<T: Prim, const N: usize>(
+    def: &GStructDef,
+    layout: DataLayout,
+    bases: &[usize],
+    n: usize,
+    record: usize,
+    field: usize,
+) -> Range<usize> {
+    let f = &def.fields()[field];
+    if record >= n || f.prim != T::TYPE || f.array_len != N {
+        bad_field_access(def, n, record, field, T::TYPE, N);
+    }
+    let start = element_offset_of(def, layout, bases, record, field, 0);
+    start..start + N * T::TYPE.size()
+}
+
+/// The panic of [`field_range`], kept out of line so the checks inline
+/// into every kernel loop as two compares and a branch.
+#[cold]
+#[inline(never)]
+fn bad_field_access(
+    def: &GStructDef,
+    n: usize,
+    record: usize,
+    field: usize,
+    want: PrimType,
+    len: usize,
+) -> ! {
+    let f = &def.fields()[field];
+    if record >= n {
+        panic!("record {record} out of {n}");
+    }
+    panic!(
+        "field {field} is {:?}[{}], not {want:?}[{len}]",
+        f.prim, f.array_len
+    );
 }
 
 #[inline]
@@ -471,6 +561,131 @@ mod tests {
         let def = point_def();
         let mut buf = HBuffer::zeroed(10);
         let _ = RecordView::new(&mut buf, &def, DataLayout::Aos, 4);
+    }
+
+    /// Every field type, scalars and arrays, mixed widths so AoS pads.
+    fn wide_def() -> GStructDef {
+        GStructDef::new(
+            "Wide",
+            AlignClass::Align8,
+            vec![
+                FieldDef::scalar("tag", PrimType::U8),
+                FieldDef::array("xs", PrimType::F32, 5),
+                FieldDef::scalar("i", PrimType::I32),
+                FieldDef::scalar("d", PrimType::F64),
+                FieldDef::array("ks", PrimType::U64, 3),
+                FieldDef::scalar("j", PrimType::I64),
+                FieldDef::scalar("u", PrimType::U32),
+            ],
+        )
+    }
+
+    #[test]
+    fn whole_field_accessors_roundtrip_and_match_element_accessors() {
+        let def = wide_def();
+        let n = 7;
+        for layout in DataLayout::ALL {
+            let mut buf = HBuffer::zeroed(RecordView::required_bytes(&def, layout, n));
+            let mut v = RecordView::new(&mut buf, &def, layout, n);
+            for r in 0..n {
+                let x = r as f32;
+                v.set_field(r, 0, [r as u8 + 200]);
+                v.set_field(r, 1, [x, -x, x * 0.5, f32::MAX, f32::MIN_POSITIVE]);
+                v.set_field(r, 2, [-(r as i32) - 1]);
+                v.set_field(r, 3, [r as f64 / 3.0]);
+                v.set_field(r, 4, [r as u64, u64::MAX - r as u64, 1 << 40]);
+                v.set_field(r, 5, [i64::MIN + r as i64]);
+                v.set_field(r, 6, [0xDEAD_0000 + r as u32]);
+            }
+            // The per-element accessors see exactly what the field writes put.
+            for r in 0..n {
+                let x = r as f32;
+                assert_eq!(v.get_u64(r, 0, 0), r as u64 + 200, "{layout:?}");
+                for (e, want) in [x, -x, x * 0.5, f32::MAX, f32::MIN_POSITIVE]
+                    .into_iter()
+                    .enumerate()
+                {
+                    assert_eq!(v.get_f64(r, 1, e), want as f64, "{layout:?}");
+                }
+                assert_eq!(v.get_u64(r, 2, 0), (-(r as i32) - 1) as u32 as u64);
+                assert_eq!(v.get_f64(r, 3, 0), r as f64 / 3.0);
+                assert_eq!(v.get_u64(r, 4, 1), u64::MAX - r as u64);
+            }
+            drop(v);
+            let rd = RecordReader::new(&buf, &def, layout, n);
+            for r in 0..n {
+                let x = r as f32;
+                assert_eq!(rd.get_field::<u8, 1>(r, 0), [r as u8 + 200]);
+                assert_eq!(
+                    rd.get_field::<f32, 5>(r, 1),
+                    [x, -x, x * 0.5, f32::MAX, f32::MIN_POSITIVE],
+                    "{layout:?}"
+                );
+                assert_eq!(rd.get_field::<i32, 1>(r, 2), [-(r as i32) - 1]);
+                assert_eq!(rd.get_field::<f64, 1>(r, 3), [r as f64 / 3.0]);
+                assert_eq!(
+                    rd.get_field::<u64, 3>(r, 4),
+                    [r as u64, u64::MAX - r as u64, 1 << 40]
+                );
+                assert_eq!(rd.get_field::<i64, 1>(r, 5), [i64::MIN + r as i64]);
+                assert_eq!(rd.get_field::<u32, 1>(r, 6), [0xDEAD_0000 + r as u32]);
+            }
+        }
+    }
+
+    #[test]
+    fn whole_field_writes_match_element_writes_byte_for_byte() {
+        let def = wide_def();
+        let n = 4;
+        for layout in DataLayout::ALL {
+            let bytes = RecordView::required_bytes(&def, layout, n);
+            let (mut a, mut b) = (HBuffer::zeroed(bytes), HBuffer::zeroed(bytes));
+            let mut va = RecordView::new(&mut a, &def, layout, n);
+            let mut vb = RecordView::new(&mut b, &def, layout, n);
+            for r in 0..n {
+                let xs: [f32; 5] = std::array::from_fn(|e| (r * 5 + e) as f32 * 1.5);
+                va.set_field(r, 1, xs);
+                for (e, x) in xs.iter().enumerate() {
+                    vb.set_f64(r, 1, e, *x as f64);
+                }
+                va.set_field(r, 6, [r as u32 * 3]);
+                vb.set_u64(r, 6, 0, r as u64 * 3);
+            }
+            drop((va, vb));
+            assert_eq!(a, b, "{layout:?}");
+        }
+    }
+
+    #[test]
+    fn whole_field_access_out_of_range_panics() {
+        let def = wide_def();
+        for layout in DataLayout::ALL {
+            let mut buf = HBuffer::zeroed(RecordView::required_bytes(&def, layout, 3));
+            let read = std::panic::catch_unwind(|| {
+                RecordReader::new(&buf, &def, layout, 3).get_field::<f32, 5>(3, 1)
+            });
+            assert!(read.is_err(), "{layout:?} read past the last record");
+            let write = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                RecordView::new(&mut buf, &def, layout, 3).set_field(3, 3, [1.0f64])
+            }));
+            assert!(write.is_err(), "{layout:?} wrote past the last record");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not F32[5]")]
+    fn whole_field_type_confusion_rejected() {
+        let def = wide_def();
+        let buf = HBuffer::zeroed(RecordView::required_bytes(&def, DataLayout::Soa, 1));
+        let _ = RecordReader::new(&buf, &def, DataLayout::Soa, 1).get_field::<f32, 5>(0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "not F32[4]")]
+    fn whole_field_length_mismatch_rejected() {
+        let def = wide_def();
+        let mut buf = HBuffer::zeroed(RecordView::required_bytes(&def, DataLayout::Aos, 1));
+        RecordView::new(&mut buf, &def, DataLayout::Aos, 1).set_field(0, 1, [0.0f32; 4]);
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod pool;
 pub mod serialize;
 
 pub use arena::{ArenaBuf, ArenaStats, BufferArena};
-pub use gstruct::{AlignClass, FieldDef, GStructDef, PrimType};
+pub use gstruct::{AlignClass, FieldDef, GStructDef, Prim, PrimType};
 pub use hbuffer::HBuffer;
 pub use layout::{DataLayout, RecordReader, RecordView};
 pub use pinned::{PinnedLease, PinnedPool, PinnedStats};
