@@ -1,17 +1,16 @@
 #![warn(clippy::too_many_lines)]
 
-//! Small-GWork transfer batching: fused flights and the batch-under-backlog
-//! accumulator.
+//! Small-GWork transfer batching: the batch-under-backlog accumulator.
 //!
 //! Dispatching a tiny GWork pays the transfer channel's per-call overhead α
 //! twice (H2D and D2H) for very little payload — at the Table 2 fit, a
 //! 2 KiB copy is ~74% α. When the fabric is saturated, small works that
 //! would *queue anyway* are instead coalesced into a [`PendingBatch`] and
-//! later dispatched as one [`FusedFlight`]: a single fused H2D reservation
-//! (one α for every member copy), the member kernels back-to-back on one
-//! stream, and a single fused D2H. Results are split back per member, so a
-//! batched work's output bytes — and therefore every digest downstream —
-//! are identical to the unbatched run.
+//! later dispatched as one [flight](crate::flight) of several members: a
+//! single fused H2D reservation (one α for every member copy), the member
+//! kernels back-to-back on one stream, and a single fused D2H. Results are
+//! split back per member, so a batched work's output bytes — and therefore
+//! every digest downstream — are identical to the unbatched run.
 //!
 //! Batches only form under backlog (the dispatch path consults the batcher
 //! only after Algorithm 5.1 found no idle stream), and a freed stream
@@ -20,95 +19,19 @@
 //! event](crate::gstream::Ev::FlushBatch) bounds how long a partial batch
 //! may wait; epochs guard against stale windows.
 
-use crate::gmemory::pro_rata;
-use crate::gstream::{Engine, Ev, GStreamManager, QueuedWork};
-use crate::gwork::{CacheKey, CompletedWork, GWork, WorkTiming};
-use crate::recovery::{FailReason, ManagerError};
-use crate::session::JobId;
-use gflink_gpu::DevBufId;
-use gflink_memory::{ArenaBuf, HBuffer, PinnedLease};
-use gflink_sim::trace::{gpu_pid, stream_tid, Cat, TraceEvent};
+use crate::flight::Parked;
+use crate::gstream::{Ev, GStreamManager, QueuedWork};
+use crate::gwork::GWork;
 use gflink_sim::{EventQueue, SimTime};
-
-/// One entry of a GPU's parked-work queue: a lone work or a fused batch.
-pub(crate) enum Parked {
-    /// An ordinary queued work (Algorithm 5.1 lines 11–18).
-    Single(QueuedWork),
-    /// A flushed batch awaiting a stream, dispatched as one fused flight.
-    Fused(FusedBatch),
-}
-
-impl Parked {
-    pub(crate) fn job(&self) -> JobId {
-        match self {
-            Parked::Single(qw) => qw.job,
-            Parked::Fused(b) => b.job,
-        }
-    }
-
-    pub(crate) fn op_label(&self) -> &str {
-        match self {
-            Parked::Single(qw) => &qw.work.name,
-            Parked::Fused(_) => "fused-batch",
-        }
-    }
-
-    /// Flatten into plain queued works (device-loss queue drain).
-    pub(crate) fn into_members(self) -> Vec<QueuedWork> {
-        match self {
-            Parked::Single(qw) => vec![qw],
-            Parked::Fused(b) => b.members,
-        }
-    }
-}
-
-/// A flushed, ready-to-dispatch transfer batch. All members belong to one
-/// job (so one cache region and one ledger are in play).
-pub(crate) struct FusedBatch {
-    pub(crate) job: JobId,
-    pub(crate) members: Vec<QueuedWork>,
-}
 
 /// A per-GPU accumulating batch: works land here from the dispatch park
 /// path until a flush condition (fill, job change, window, or an idle
-/// stream) moves it to the queue as a [`Parked::Fused`].
+/// stream) moves it to the queue.
 pub(crate) struct PendingBatch {
-    pub(crate) job: JobId,
-    pub(crate) members: Vec<QueuedWork>,
+    pub(crate) batch: Parked,
     pub(crate) bytes: u64,
     /// Identity guarding the window event against stale firings.
     pub(crate) epoch: u64,
-}
-
-/// One member of a fused flight, carrying the same per-work state as a solo
-/// `InFlight`.
-pub(crate) struct FusedMember {
-    pub(crate) work: GWork,
-    pub(crate) retries: u32,
-    pub(crate) timing: WorkTiming,
-    pub(crate) dev_inputs: Vec<DevBufId>,
-    pub(crate) transient: Vec<DevBufId>,
-    pub(crate) pinned: Vec<CacheKey>,
-    pub(crate) out_dev: DevBufId,
-    pub(crate) emitted: Option<usize>,
-    /// When this member's kernel completes (kernels run back-to-back).
-    pub(crate) kernel_end: SimTime,
-}
-
-/// A dispatched batch in flight: one fused H2D, sequential member kernels
-/// on one stream, one fused D2H.
-pub(crate) struct FusedFlight {
-    /// Monotonic creation stamp; device-loss recovery re-submits flights in
-    /// `seq` order (slot ids are reused, seqs are not).
-    pub(crate) seq: u64,
-    pub(crate) job: JobId,
-    pub(crate) gpu: usize,
-    pub(crate) stream: usize,
-    pub(crate) members: Vec<FusedMember>,
-    pub(crate) staging: Vec<PinnedLease>,
-    /// An injected hang wedged a member kernel; only the watchdog recovers
-    /// the flight.
-    pub(crate) hung: bool,
 }
 
 fn work_bytes(work: &GWork) -> u64 {
@@ -123,8 +46,8 @@ impl GStreamManager {
     pub(crate) fn batchable(&self, retries: u32, work: &GWork) -> bool {
         self.batch_cfg.enabled
             && retries == 0
-            // Split children complete through the merge table, which the
-            // fused completion path bypasses — they always run solo.
+            // Split children always run solo: the cost model already sized
+            // them for their engine.
             && !crate::gstream::is_split_child(work.tag)
             && work_bytes(work) <= self.batch_cfg.small_work_bytes
     }
@@ -132,64 +55,54 @@ impl GStreamManager {
     /// Park a small work into GPU `gpu`'s accumulating batch, flushing on
     /// job change or when the batch reaches its fill thresholds. A fresh
     /// batch arms a window event so a lull cannot strand it.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn enqueue_batched(
         &mut self,
-        job: JobId,
-        work: GWork,
-        submitted: SimTime,
-        retries: u32,
+        qw: QueuedWork,
         gpu: usize,
         t: SimTime,
         q: &mut EventQueue<Ev>,
     ) {
         // One job per batch: a different tenant's pending batch flushes.
-        if self.batchers[gpu].as_ref().is_some_and(|b| b.job != job) {
+        if self.batchers[gpu]
+            .as_ref()
+            .is_some_and(|b| b.batch.job() != qw.job)
+        {
             self.flush_batcher(gpu);
         }
-        if self.batchers[gpu].is_none() {
-            let epoch = self.batch_epoch;
-            self.batch_epoch += 1;
-            self.batchers[gpu] = Some(PendingBatch {
-                job,
-                members: Vec::new(),
-                bytes: 0,
-                epoch,
-            });
-            q.schedule(t + self.batch_cfg.window, Ev::FlushBatch { gpu, epoch });
-        }
-        let full = {
-            let b = self.batchers[gpu].as_mut().expect("just ensured");
-            b.bytes += work_bytes(&work);
-            b.members.push(QueuedWork {
-                job,
-                submitted,
-                retries,
-                work,
-            });
-            b.members.len() >= self.batch_cfg.max_works || b.bytes >= self.batch_cfg.max_bytes
+        let bytes = work_bytes(&qw.work);
+        let b = match &mut self.batchers[gpu] {
+            Some(b) => {
+                b.batch.rest.push(qw);
+                b.bytes += bytes;
+                b
+            }
+            None => {
+                let epoch = self.batch_epoch;
+                self.batch_epoch += 1;
+                q.schedule(t + self.batch_cfg.window, Ev::FlushBatch { gpu, epoch });
+                let batch = Parked {
+                    head: qw,
+                    rest: self.batch_vecs.pop().unwrap_or_default(),
+                };
+                self.batchers[gpu].insert(PendingBatch {
+                    batch,
+                    bytes,
+                    epoch,
+                })
+            }
         };
-        if full {
+        if b.batch.len() >= self.batch_cfg.max_works || b.bytes >= self.batch_cfg.max_bytes {
             self.flush_batcher(gpu);
         }
     }
 
-    /// Move GPU `gpu`'s accumulating batch to its queue. A lone member goes
-    /// back as an ordinary [`Parked::Single`] — fusing one work would pay
+    /// Move GPU `gpu`'s accumulating batch to its queue. A lone member
+    /// parks as a batch of one and flies solo: fusing one work would pay
     /// batching's bookkeeping for no α savings.
     pub(crate) fn flush_batcher(&mut self, gpu: usize) {
-        let Some(mut b) = self.batchers[gpu].take() else {
-            return;
-        };
-        let parked = if b.members.len() == 1 {
-            Parked::Single(b.members.pop().expect("len checked"))
-        } else {
-            Parked::Fused(FusedBatch {
-                job: b.job,
-                members: b.members,
-            })
-        };
-        self.sched.park(gpu, parked);
+        if let Some(b) = self.batchers[gpu].take() {
+            self.sched.park(gpu, b.batch);
+        }
     }
 
     /// The batching window expired: flush the pending batch (unless it was
@@ -213,443 +126,5 @@ impl GStreamManager {
                 q.schedule(t, Ev::StreamFree { gpu: g, stream: s });
             }
         }
-    }
-
-    /// Emit one fused pipeline-stage span on the flight's stream thread.
-    #[allow(clippy::too_many_arguments)]
-    fn trace_fused_stage(
-        &self,
-        gpu: usize,
-        stream: usize,
-        job: JobId,
-        stage: &'static str,
-        start: SimTime,
-        end: SimTime,
-        works: usize,
-    ) {
-        if self.tracer.enabled() {
-            self.tracer.record(
-                TraceEvent::span(
-                    gpu_pid(self.worker_id, gpu),
-                    stream_tid(stream),
-                    Cat::Stage,
-                    stage,
-                    start,
-                    end,
-                )
-                .with_job(job.0)
-                .with_arg("op", "fused-batch")
-                .with_arg("works", works as u64),
-            );
-        }
-    }
-
-    /// Dispatch a fused batch onto (gpu, stream): one fused H2D staging
-    /// pass, then the member kernels driven by the Fused* events. On any
-    /// staging or allocation failure the whole batch unwinds and every
-    /// member retries solo (retried works are never re-batched).
-    pub(crate) fn execute_fused(
-        &mut self,
-        eng: &mut Engine<'_>,
-        batch: FusedBatch,
-        gpu: usize,
-        stream: usize,
-        t: SimTime,
-        q: &mut EventQueue<Ev>,
-    ) {
-        let FusedBatch { job, members } = batch;
-        let n = members.len();
-        let mut timings: Vec<WorkTiming> = members
-            .iter()
-            .map(|m| WorkTiming {
-                submitted: m.submitted,
-                started: t,
-                ..WorkTiming::default()
-            })
-            .collect();
-        let (metas, works): (Vec<(SimTime, u32)>, Vec<GWork>) = members
-            .into_iter()
-            .map(|m| ((m.submitted, m.retries), m.work))
-            .unzip();
-        let session = eng.sessions.get_mut(&job).expect("session open");
-        let staged = eng.gmem.stage_fused(
-            &mut session.regions[gpu],
-            gpu,
-            job.0,
-            &works,
-            t,
-            &mut timings,
-        );
-        let mut failure = staged.failure;
-        let mut out_devs: Vec<DevBufId> = Vec::with_capacity(n);
-        if failure.is_none() {
-            for work in &works {
-                match eng
-                    .gmem
-                    .alloc_output(&mut session.regions[gpu], gpu, work, t)
-                {
-                    Ok(dev) => out_devs.push(dev),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
-        if let Some(err) = failure {
-            // Unwind every member's partial placement; the stream was never
-            // occupied. Each member retries on its own.
-            eng.gmem.release_staging(staged.staging);
-            let session = eng.sessions.get_mut(&job).expect("session open");
-            for (i, sm) in staged.members.into_iter().enumerate() {
-                let out = out_devs.get(i).copied();
-                eng.gmem.reclaim(
-                    &mut session.regions[gpu],
-                    gpu,
-                    sm.dev_inputs,
-                    sm.transient,
-                    sm.pinned,
-                    out,
-                );
-            }
-            for (work, &(submitted, retries)) in works.into_iter().zip(&metas) {
-                eng.recovery.retry_or_fail(
-                    session,
-                    job,
-                    work,
-                    submitted,
-                    retries,
-                    t,
-                    FailReason::Fatal(err.clone()),
-                    q,
-                );
-            }
-            return;
-        }
-        // Occupy the stream until the fused D2H completes.
-        self.stream_busy_until[gpu][stream] = SimTime::MAX;
-        let seq = self.next_flight;
-        self.next_flight += 1;
-        let saved = eng
-            .gmem
-            .gpu(gpu)
-            .transfer_path()
-            .alpha_saved(staged.upload_calls);
-        self.fused_batches += 1;
-        self.fused_works += n as u64;
-        self.alpha_saved += saved;
-        session.batches += 1;
-        session.batched_works += n as u64;
-        session.alpha_saved += saved;
-        session.batch_sizes.add(n as f64);
-        if let Some(start) = staged.h2d_start {
-            self.trace_fused_stage(gpu, stream, job, "h2d", start, staged.kernel_earliest, n);
-        }
-        let fmembers: Vec<FusedMember> = works
-            .into_iter()
-            .zip(metas)
-            .zip(staged.members)
-            .zip(timings.into_iter().zip(out_devs))
-            .map(
-                |(((work, (_, retries)), sm), (timing, out_dev))| FusedMember {
-                    work,
-                    retries,
-                    timing,
-                    dev_inputs: sm.dev_inputs,
-                    transient: sm.transient,
-                    pinned: sm.pinned,
-                    out_dev,
-                    emitted: None,
-                    kernel_end: SimTime::ZERO,
-                },
-            )
-            .collect();
-        let id = self.fused_in_flight.insert(FusedFlight {
-            seq,
-            job,
-            gpu,
-            stream,
-            members: fmembers,
-            staging: staged.staging,
-            hung: false,
-        });
-        q.schedule(staged.kernel_earliest, Ev::FusedKernelStage(id));
-    }
-
-    /// Stage 2, fused: the member kernels launch back-to-back on the one
-    /// stream once the fused copy lands. A missing kernel or a dead device
-    /// unwinds the whole flight (every member then retries solo); injected
-    /// transients recover only the afflicted members.
-    pub(crate) fn on_fused_kernel_stage(
-        &mut self,
-        eng: &mut Engine<'_>,
-        id: u64,
-        t: SimTime,
-        q: &mut EventQueue<Ev>,
-    ) {
-        let Some(mut fl) = self.fused_in_flight.remove(id) else {
-            // The flight was recovered (device loss) before this fired.
-            return;
-        };
-        // The fused H2D has landed: staging buffers go back to the pool.
-        eng.gmem.release_staging(std::mem::take(&mut fl.staging));
-        let mut cursor = t;
-        for i in 0..fl.members.len() {
-            let kernel = eng
-                .registry
-                .lock()
-                .get_by_id(fl.members[i].work.kernel)
-                .cloned();
-            let Some(kernel) = kernel else {
-                self.recover_fused_flight(eng, fl, t, t, FailReason::RetriesExhausted, q);
-                return;
-            };
-            let mb = &mut fl.members[i];
-            let launched = eng.gmem.gpu_mut(fl.gpu).launch(
-                cursor,
-                &kernel,
-                &mb.dev_inputs,
-                &[mb.out_dev],
-                &mb.work.params,
-                mb.work.n_actual,
-                mb.work.n_logical,
-                mb.work.coalescing,
-            );
-            let (kres, profile) = match launched {
-                Ok(v) => v,
-                Err(_) => {
-                    self.recover_fused_flight(eng, fl, t, t, FailReason::RetriesExhausted, q);
-                    return;
-                }
-            };
-            mb.timing.kernel = kres.duration();
-            mb.emitted = profile.emitted;
-            mb.kernel_end = kres.end;
-            cursor = kres.end;
-            self.trace_fused_stage(fl.gpu, fl.stream, fl.job, "kernel", kres.start, kres.end, 1);
-        }
-        // A scripted hang wedges the whole flight (the members share one
-        // stream); the watchdog recovers every member.
-        if eng.recovery.take_hang(fl.gpu) {
-            fl.hung = true;
-            let deadline = SimTime::from_nanos(
-                t.as_nanos()
-                    .saturating_add(eng.recovery.hang_timeout().as_nanos()),
-            );
-            let id = self.fused_in_flight.insert(fl);
-            q.schedule(deadline, Ev::FusedHangCheck(id));
-            return;
-        }
-        // Transient faults hit members individually — each roll mirrors the
-        // solo path — and the afflicted members retry solo while survivors
-        // continue to the fused D2H.
-        let mut survivors = Vec::with_capacity(fl.members.len());
-        let mut last_end = cursor;
-        for mb in fl.members.drain(..) {
-            let scripted = eng.recovery.take_transient(fl.gpu);
-            if scripted || eng.recovery.random_transient(&mut *eng.rng) {
-                last_end = last_end.max(mb.kernel_end);
-                let session = eng.sessions.get_mut(&fl.job).expect("session open");
-                eng.recovery.note_transient_fault(session);
-                eng.gmem.reclaim(
-                    &mut session.regions[fl.gpu],
-                    fl.gpu,
-                    mb.dev_inputs,
-                    mb.transient,
-                    mb.pinned,
-                    Some(mb.out_dev),
-                );
-                eng.recovery.retry_or_fail(
-                    session,
-                    fl.job,
-                    mb.work,
-                    mb.timing.submitted,
-                    mb.retries,
-                    mb.kernel_end.max(t),
-                    FailReason::RetriesExhausted,
-                    q,
-                );
-            } else {
-                survivors.push(mb);
-            }
-        }
-        fl.members = survivors;
-        if fl.members.is_empty() {
-            // Every member faulted; the stream frees at the wasted end.
-            self.stream_busy_until[fl.gpu][fl.stream] = last_end;
-            q.schedule(
-                last_end,
-                Ev::StreamFree {
-                    gpu: fl.gpu,
-                    stream: fl.stream,
-                },
-            );
-            return;
-        }
-        let d2h_at = fl
-            .members
-            .iter()
-            .map(|mb| mb.kernel_end)
-            .max()
-            .expect("non-empty");
-        let id = self.fused_in_flight.insert(fl);
-        q.schedule(d2h_at, Ev::FusedD2hStage(id));
-    }
-
-    /// Stage 3, fused: one fused D2H for every member's results (one α),
-    /// split back per member — pro-rata engine time, exact per-member
-    /// output bytes, so digests match the unbatched run bit for bit.
-    pub(crate) fn on_fused_d2h_stage(
-        &mut self,
-        eng: &mut Engine<'_>,
-        id: u64,
-        t: SimTime,
-        q: &mut EventQueue<Ev>,
-    ) {
-        let Some(fl) = self.fused_in_flight.remove(id) else {
-            // The flight was recovered (device loss) before this fired.
-            return;
-        };
-        let (job, gpu, stream) = (fl.job, fl.gpu, fl.stream);
-        let n = fl.members.len();
-        let logicals: Vec<u64> = fl
-            .members
-            .iter()
-            .map(|mb| match mb.emitted {
-                Some(e) => {
-                    (mb.work.out_logical_bytes as u128 * e as u128
-                        / mb.work.out_records.max(1) as u128) as u64
-                }
-                None => mb.work.out_logical_bytes,
-            })
-            .collect();
-        // Result buffers are arena leases, recycled from earlier flights of
-        // the same output size (zero-on-hit keeps the split bit-identical
-        // to per-work fresh allocations).
-        let mut outs: Vec<ArenaBuf> = fl
-            .members
-            .iter()
-            .map(|mb| eng.gmem.lease_output(job.0, mb.work.out_actual_bytes))
-            .collect();
-        let mut items: Vec<(u64, DevBufId, &mut HBuffer)> = logicals
-            .iter()
-            .zip(&fl.members)
-            .zip(outs.iter_mut())
-            .map(|((&l, mb), h)| (l, mb.out_dev, &mut **h))
-            .collect();
-        let copied = eng.gmem.gpu_mut(gpu).copy_d2h_batch(t, &mut items);
-        drop(items);
-        let r = match copied {
-            Ok(r) => r,
-            Err(e) => {
-                // Defensive: loss recovery removes flights before this can
-                // fire, but a failed readback still routes through retry.
-                self.recover_fused_flight(
-                    eng,
-                    fl,
-                    t,
-                    t,
-                    FailReason::Fatal(ManagerError::Device(e)),
-                    q,
-                );
-                return;
-            }
-        };
-        let saved = eng.gmem.gpu(gpu).transfer_path().alpha_saved(n);
-        self.alpha_saved += saved;
-        self.trace_fused_stage(gpu, stream, job, "d2h", r.start, r.end, n);
-        let total: u64 = logicals.iter().sum();
-        let session = eng.sessions.get_mut(&job).expect("session open");
-        session.alpha_saved += saved;
-        for ((mut mb, logical), out_host) in fl.members.into_iter().zip(logicals).zip(outs) {
-            mb.timing.d2h = pro_rata(r.duration(), logical, total);
-            mb.timing.bytes_d2h = logical;
-            mb.timing.completed = r.end;
-            eng.gmem.reclaim(
-                &mut session.regions[gpu],
-                gpu,
-                mb.dev_inputs,
-                mb.transient,
-                mb.pinned,
-                Some(mb.out_dev),
-            );
-            self.executed_per_gpu[gpu] += 1;
-            session.completed.push(CompletedWork {
-                name: mb.work.name,
-                tag: mb.work.tag,
-                gpu,
-                stream,
-                output: out_host,
-                emitted: mb.emitted,
-                timing: mb.timing,
-            });
-        }
-        self.stream_busy_until[gpu][stream] = r.end;
-        q.schedule(r.end, Ev::StreamFree { gpu, stream });
-    }
-
-    /// The watchdog fires `hang_timeout` after a fused launch; a flight
-    /// still wedged recovers every member.
-    pub(crate) fn on_fused_hang_check(
-        &mut self,
-        eng: &mut Engine<'_>,
-        id: u64,
-        t: SimTime,
-        q: &mut EventQueue<Ev>,
-    ) {
-        let hung = self
-            .fused_in_flight
-            .get(id)
-            .map(|fl| fl.hung)
-            .unwrap_or(false);
-        if !hung {
-            // Completed normally, or already recovered by device loss.
-            return;
-        }
-        let fl = self.fused_in_flight.remove(id).expect("checked above");
-        {
-            let session = eng.sessions.get_mut(&fl.job).expect("session open");
-            eng.recovery.note_hang_detected(session);
-        }
-        self.recover_fused_flight(eng, fl, t, t, FailReason::RetriesExhausted, q);
-    }
-
-    /// Common tail of every fused-flight recovery: reclaim every member's
-    /// buffers and pins, free the stream, and route each member through
-    /// retry-or-fail (retried works run solo).
-    fn recover_fused_flight(
-        &mut self,
-        eng: &mut Engine<'_>,
-        mut fl: FusedFlight,
-        stream_free_at: SimTime,
-        retry_at: SimTime,
-        reason: FailReason,
-        q: &mut EventQueue<Ev>,
-    ) {
-        eng.gmem.release_staging(std::mem::take(&mut fl.staging));
-        let (job, gpu, stream) = (fl.job, fl.gpu, fl.stream);
-        let session = eng.sessions.get_mut(&job).expect("session open");
-        for mb in fl.members {
-            eng.gmem.reclaim(
-                &mut session.regions[gpu],
-                gpu,
-                mb.dev_inputs,
-                mb.transient,
-                mb.pinned,
-                Some(mb.out_dev),
-            );
-            eng.recovery.retry_or_fail(
-                session,
-                job,
-                mb.work,
-                mb.timing.submitted,
-                mb.retries,
-                retry_at,
-                reason.clone(),
-                q,
-            );
-        }
-        self.stream_busy_until[gpu][stream] = stream_free_at;
-        q.schedule(stream_free_at, Ev::StreamFree { gpu, stream });
     }
 }

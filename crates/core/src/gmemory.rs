@@ -17,7 +17,8 @@
 
 use crate::cache::{CachePolicy, GpuCache};
 use crate::config::TransferConfig;
-use crate::gwork::{CacheKey, GWork, WorkTiming};
+use crate::flight::Member;
+use crate::gwork::{CacheKey, GWork, WorkBuf, WorkTiming};
 use crate::recovery::ManagerError;
 use gflink_gpu::{
     DevBufId, DeviceError, DeviceMemoryOps, DmemError, GpuModel, TransferMode, VirtualGpu,
@@ -26,29 +27,10 @@ use gflink_memory::{ArenaBuf, BufferArena, HBuffer, PinnedLease, PinnedPool, Pin
 use gflink_sim::trace::{gpu_pid, Cat, TraceEvent, TID_DEVICE};
 use gflink_sim::{Counter, Metrics, SimTime, Tracer};
 
-/// Result of staging one work's inputs onto a device (stage 1, H2D).
-pub(crate) struct StagedInputs {
-    /// Device buffers, one per work input, in input order.
-    pub dev_inputs: Vec<DevBufId>,
-    /// Buffers to free once the work leaves the device.
-    pub transient: Vec<DevBufId>,
-    /// Cache keys pinned for the duration of the work.
-    pub pinned: Vec<CacheKey>,
-    /// Pinned-pool leases backing the H2D copies; held until the copies
-    /// land (the kernel stage), then released for recycling.
-    pub staging: Vec<PinnedLease>,
-    /// When the first H2D copy engine reservation starts; `None` when every
-    /// input was a cache hit (no copy issued).
-    pub h2d_start: Option<SimTime>,
-    /// When the last H2D copy lands (the kernel's earliest launch instant).
-    pub kernel_earliest: SimTime,
-    /// Set when staging failed; partial placement is in the fields above
-    /// and must be reclaimed by the caller.
-    pub failure: Option<ManagerError>,
-}
-
-/// Per-member placement of one fused (batched) staging pass.
-pub(crate) struct StagedMember {
+/// Where one flight member's inputs live on the device: what stage 1
+/// (H2D) builds and [`GMemoryManager::reclaim`] tears down.
+#[derive(Default)]
+pub(crate) struct Placement {
     /// Device buffers, one per work input, in input order.
     pub dev_inputs: Vec<DevBufId>,
     /// Buffers to free once the member leaves the device.
@@ -57,24 +39,21 @@ pub(crate) struct StagedMember {
     pub pinned: Vec<CacheKey>,
 }
 
-/// Result of staging a whole batch of works through one fused H2D call
-/// (single per-call α for every member copy).
-pub(crate) struct FusedStaged {
-    /// Per-member placement, in member order (may be shorter than the batch
-    /// on failure — reclaim what is here).
-    pub members: Vec<StagedMember>,
-    /// Pinned-pool leases backing the fused copy; release after the copy
-    /// lands.
+/// Result of staging a flight's inputs onto a device (stage 1, H2D). Each
+/// member's [`Placement`] and H2D timing land on the member itself.
+pub(crate) struct Staged {
+    /// Pinned-pool leases backing the H2D copies; held until the copies
+    /// land (the kernel stage), then released for recycling.
     pub staging: Vec<PinnedLease>,
-    /// Fused copy reservation start; `None` when every input hit the cache.
+    /// When the first H2D copy engine reservation starts; `None` when every
+    /// input was a cache hit (no copy issued).
     pub h2d_start: Option<SimTime>,
-    /// When the fused copy lands (earliest launch of the first kernel).
+    /// When the last H2D copy lands (the first kernel's earliest launch).
     pub kernel_earliest: SimTime,
-    /// Member copies folded into the one call (α is paid once instead of
-    /// this many times).
-    pub upload_calls: usize,
-    /// Set when staging failed; the caller reclaims `members` and releases
-    /// `staging`.
+    /// Input copies issued (one per cache miss).
+    pub copies: usize,
+    /// Set when staging failed; the partial placement is on the members
+    /// and must be reclaimed by the caller, `staging` released.
     pub failure: Option<ManagerError>,
 }
 
@@ -587,131 +566,176 @@ impl GMemoryManager {
         )
     }
 
-    /// Stage 1: bring a work's inputs onto device `gpu` (H2D copies,
-    /// skipped per-buffer on cache hits against the job's region). Every
-    /// cached buffer the work references is pinned until its D2H completes
-    /// so concurrent works cannot evict a live kernel argument. In pinned
-    /// mode each copy is fed from a pool staging buffer (leases ride in the
-    /// result until the copies land).
+    /// Pinned staging bytes currently leased to in-flight copies.
+    pub fn pinned_in_use_bytes(&self) -> u64 {
+        self.pinned_pool.in_use_bytes()
+    }
+
+    /// A fresh member placement built from the recycled `Vec` pools.
+    fn take_placement(&mut self) -> Placement {
+        Placement {
+            dev_inputs: self.take_dev_vec(),
+            transient: self.take_dev_vec(),
+            pinned: self.take_key_vec(),
+        }
+    }
+
+    /// Place one input buffer from the job's cache region when it is
+    /// resident there, pinning it for the member's lifetime; `false` on a
+    /// miss.
+    fn place_hit(
+        &mut self,
+        region: &mut GpuCache,
+        gpu: usize,
+        inbuf: &WorkBuf,
+        t: SimTime,
+        timing: &mut WorkTiming,
+        place: &mut Placement,
+    ) -> bool {
+        let Some((key, dev)) = inbuf
+            .cache_key
+            .and_then(|key| region.lookup(key).map(|dev| (key, dev)))
+        else {
+            return false;
+        };
+        timing.cache_hits += 1;
+        region.pin(key);
+        place.pinned.push(key);
+        place.dev_inputs.push(dev);
+        self.trace_cache_event(gpu, true, key, t);
+        true
+    }
+
+    /// Place one input buffer that missed the cache: the §4.2.2 insert/pin
+    /// protocol for cacheable inputs, a transient buffer otherwise.
+    #[allow(clippy::too_many_arguments)]
+    fn place_miss(
+        &mut self,
+        region: &mut GpuCache,
+        gpu: usize,
+        inbuf: &WorkBuf,
+        dev: DevBufId,
+        t: SimTime,
+        timing: &mut WorkTiming,
+        place: &mut Placement,
+    ) {
+        let mut keep = false;
+        if let Some(key) = inbuf.cache_key {
+            timing.cache_misses += 1;
+            self.trace_cache_event(gpu, false, key, t);
+            let (evicted, may_insert) = region.make_room(inbuf.logical_bytes);
+            for d in evicted {
+                let _ = self.dmem(gpu).release(d);
+                self.trace_eviction(gpu, t);
+            }
+            if may_insert {
+                if let Some(old) = region.insert(key, dev, inbuf.logical_bytes) {
+                    let _ = self.dmem(gpu).release(old);
+                }
+                region.pin(key);
+                place.pinned.push(key);
+                keep = true;
+            }
+        }
+        if !keep {
+            place.transient.push(dev);
+        }
+        place.dev_inputs.push(dev);
+    }
+
+    /// Stage 1 for a flight of one: bring the member's inputs onto device
+    /// `gpu` with one H2D copy call per input, skipped per-buffer on cache
+    /// hits against the job's region. Every cached buffer the work
+    /// references is pinned until its D2H completes so concurrent works
+    /// cannot evict a live kernel argument. In pinned mode each copy is fed
+    /// from a pool staging buffer (leases ride in the result until the
+    /// copies land).
     pub(crate) fn stage_inputs(
         &mut self,
         region: &mut GpuCache,
         gpu: usize,
         owner: u64,
-        work: &GWork,
+        mb: &mut Member,
         t: SimTime,
-        timing: &mut WorkTiming,
-    ) -> StagedInputs {
-        let mut staged = StagedInputs {
-            dev_inputs: self.take_dev_vec(),
-            transient: self.take_dev_vec(),
-            pinned: self.take_key_vec(),
+    ) -> Staged {
+        let mut staged = Staged {
             staging: self.take_lease_vec(),
             h2d_start: None,
             kernel_earliest: t,
+            copies: 0,
             failure: None,
         };
+        mb.place = self.take_placement();
+        let Member {
+            work,
+            timing,
+            place,
+            ..
+        } = mb;
         for inbuf in &work.inputs {
-            let cached_dev = inbuf.cache_key.and_then(|key| region.lookup(key));
-            match cached_dev {
-                Some(dev) => {
-                    timing.cache_hits += 1;
-                    let key = inbuf.cache_key.unwrap();
-                    region.pin(key);
-                    staged.pinned.push(key);
-                    staged.dev_inputs.push(dev);
-                    self.trace_cache_event(gpu, true, key, t);
-                }
-                None => {
-                    let dev = match self.alloc_with_pressure(
-                        region,
-                        gpu,
-                        inbuf.logical_bytes,
-                        inbuf.data.len(),
-                        t,
-                    ) {
-                        Ok(dev) => dev,
-                        Err(e) => {
-                            staged.failure = Some(e);
-                            break;
-                        }
-                    };
-                    let (lease, reg) = self.lease_staging(owner, &inbuf.data);
-                    let src: &HBuffer = match &lease {
-                        Some(l) => self.pinned_pool.buffer(l),
-                        None => &inbuf.data,
-                    };
-                    let r = match self.gpus[gpu].copy_h2d(t + reg, inbuf.logical_bytes, src, dev) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            if let Some(l) = lease {
-                                self.pinned_pool.release(l);
-                            }
-                            staged.transient.push(dev);
-                            staged.failure = Some(ManagerError::Device(e));
-                            break;
-                        }
-                    };
-                    if let Some(l) = lease {
-                        staged.staging.push(l);
-                    }
-                    timing.h2d += r.duration();
-                    timing.bytes_h2d += inbuf.logical_bytes;
-                    staged.h2d_start = Some(match staged.h2d_start {
-                        Some(s) => s.min(r.start),
-                        None => r.start,
-                    });
-                    staged.kernel_earliest = staged.kernel_earliest.max(r.end);
-                    let mut keep = false;
-                    if let Some(key) = inbuf.cache_key {
-                        timing.cache_misses += 1;
-                        self.trace_cache_event(gpu, false, key, t);
-                        let (evicted, may_insert) = region.make_room(inbuf.logical_bytes);
-                        for d in evicted {
-                            let _ = self.dmem(gpu).release(d);
-                            self.trace_eviction(gpu, t);
-                        }
-                        if may_insert {
-                            if let Some(old) = region.insert(key, dev, inbuf.logical_bytes) {
-                                let _ = self.dmem(gpu).release(old);
-                            }
-                            region.pin(key);
-                            staged.pinned.push(key);
-                            keep = true;
-                        }
-                    }
-                    if !keep {
-                        staged.transient.push(dev);
-                    }
-                    staged.dev_inputs.push(dev);
-                }
+            if self.place_hit(region, gpu, inbuf, t, timing, place) {
+                continue;
             }
+            let alloc =
+                self.alloc_with_pressure(region, gpu, inbuf.logical_bytes, inbuf.data.len(), t);
+            let dev = match alloc {
+                Ok(dev) => dev,
+                Err(e) => {
+                    staged.failure = Some(e);
+                    break;
+                }
+            };
+            let (lease, reg) = self.lease_staging(owner, &inbuf.data);
+            let src: &HBuffer = match &lease {
+                Some(l) => self.pinned_pool.buffer(l),
+                None => &inbuf.data,
+            };
+            let r = match self.gpus[gpu].copy_h2d(t + reg, inbuf.logical_bytes, src, dev) {
+                Ok(r) => r,
+                Err(e) => {
+                    if let Some(l) = lease {
+                        self.pinned_pool.release(l);
+                    }
+                    place.transient.push(dev);
+                    staged.failure = Some(ManagerError::Device(e));
+                    break;
+                }
+            };
+            if let Some(l) = lease {
+                staged.staging.push(l);
+            }
+            staged.copies += 1;
+            timing.h2d += r.duration();
+            timing.bytes_h2d += inbuf.logical_bytes;
+            staged.h2d_start = Some(match staged.h2d_start {
+                Some(s) => s.min(r.start),
+                None => r.start,
+            });
+            staged.kernel_earliest = staged.kernel_earliest.max(r.end);
+            self.place_miss(region, gpu, inbuf, dev, t, timing, place);
         }
         staged
     }
 
-    /// Stage a whole batch of same-job works onto device `gpu` through one
-    /// fused H2D call: every member's cache-miss copy is folded into a
-    /// single engine reservation paying one per-call α. Cache semantics are
-    /// identical to [`GMemoryManager::stage_inputs`], applied member by
-    /// member (a later member can hit a key an earlier member just
-    /// inserted). Per-member `h2d` time is the member's pro-rata share of
-    /// the fused reservation by bytes.
+    /// Stage 1 for a larger flight: every member's cache-miss copy is
+    /// folded into a single fused H2D call paying one per-call α. Cache
+    /// semantics are identical to [`GMemoryManager::stage_inputs`], applied
+    /// member by member (a later member can hit a key an earlier member
+    /// just inserted). Per-member `h2d` time is the member's pro-rata share
+    /// of the fused reservation by bytes.
     pub(crate) fn stage_fused(
         &mut self,
         region: &mut GpuCache,
         gpu: usize,
         owner: u64,
-        works: &[GWork],
+        members: &mut [Member],
         t: SimTime,
-        timings: &mut [WorkTiming],
-    ) -> FusedStaged {
-        let mut staged = FusedStaged {
-            members: Vec::with_capacity(works.len()),
+    ) -> Staged {
+        let mut staged = Staged {
             staging: self.take_lease_vec(),
             h2d_start: None,
             kernel_earliest: t,
-            upload_calls: 0,
+            copies: 0,
             failure: None,
         };
         // Copies deferred into the fused call: (logical bytes, source,
@@ -723,20 +747,16 @@ impl GMemoryManager {
         }
         let mut pending: Vec<(u64, Src, DevBufId, usize)> = Vec::new();
         let mut reg_total = SimTime::ZERO;
-        'members: for (m, work) in works.iter().enumerate() {
-            let mut member = StagedMember {
-                dev_inputs: self.take_dev_vec(),
-                transient: self.take_dev_vec(),
-                pinned: self.take_key_vec(),
-            };
+        'members: for (m, mb) in members.iter_mut().enumerate() {
+            mb.place = self.take_placement();
+            let Member {
+                work,
+                timing,
+                place,
+                ..
+            } = mb;
             for (j, inbuf) in work.inputs.iter().enumerate() {
-                if let Some(dev) = inbuf.cache_key.and_then(|key| region.lookup(key)) {
-                    timings[m].cache_hits += 1;
-                    let key = inbuf.cache_key.unwrap();
-                    region.pin(key);
-                    member.pinned.push(key);
-                    member.dev_inputs.push(dev);
-                    self.trace_cache_event(gpu, true, key, t);
+                if self.place_hit(region, gpu, inbuf, t, timing, place) {
                     continue;
                 }
                 let alloc =
@@ -745,7 +765,6 @@ impl GMemoryManager {
                     Ok(dev) => dev,
                     Err(e) => {
                         staged.failure = Some(e);
-                        staged.members.push(member);
                         break 'members;
                     }
                 };
@@ -759,30 +778,8 @@ impl GMemoryManager {
                     None => Src::Direct(m, j),
                 };
                 pending.push((inbuf.logical_bytes, src, dev, m));
-                let mut keep = false;
-                if let Some(key) = inbuf.cache_key {
-                    timings[m].cache_misses += 1;
-                    self.trace_cache_event(gpu, false, key, t);
-                    let (evicted, may_insert) = region.make_room(inbuf.logical_bytes);
-                    for d in evicted {
-                        let _ = self.dmem(gpu).release(d);
-                        self.trace_eviction(gpu, t);
-                    }
-                    if may_insert {
-                        if let Some(old) = region.insert(key, dev, inbuf.logical_bytes) {
-                            let _ = self.dmem(gpu).release(old);
-                        }
-                        region.pin(key);
-                        member.pinned.push(key);
-                        keep = true;
-                    }
-                }
-                if !keep {
-                    member.transient.push(dev);
-                }
-                member.dev_inputs.push(dev);
+                self.place_miss(region, gpu, inbuf, dev, t, timing, place);
             }
-            staged.members.push(member);
         }
         if staged.failure.is_some() || pending.is_empty() {
             return staged;
@@ -792,7 +789,7 @@ impl GMemoryManager {
             .map(|&(logical, ref src, dev, _)| {
                 let buf: &HBuffer = match src {
                     Src::Lease(i) => self.pinned_pool.buffer(&staged.staging[*i]),
-                    Src::Direct(m, j) => &works[*m].inputs[*j].data,
+                    Src::Direct(m, j) => &members[*m].work.inputs[*j].data,
                 };
                 (logical, buf, dev)
             })
@@ -807,12 +804,12 @@ impl GMemoryManager {
         drop(items);
         let total: u64 = pending.iter().map(|p| p.0).sum();
         for &(logical, _, _, m) in &pending {
-            timings[m].h2d += pro_rata(r.duration(), logical, total);
-            timings[m].bytes_h2d += logical;
+            members[m].timing.h2d += pro_rata(r.duration(), logical, total);
+            members[m].timing.bytes_h2d += logical;
         }
         staged.h2d_start = Some(r.start);
         staged.kernel_earliest = r.end;
-        staged.upload_calls = pending.len();
+        staged.copies = pending.len();
         staged
     }
 
@@ -843,11 +840,14 @@ impl GMemoryManager {
         &mut self,
         region: &mut GpuCache,
         gpu: usize,
-        dev_inputs: Vec<DevBufId>,
-        mut transient: Vec<DevBufId>,
-        mut pinned: Vec<CacheKey>,
+        place: Placement,
         out_dev: Option<DevBufId>,
     ) {
+        let Placement {
+            dev_inputs,
+            mut transient,
+            mut pinned,
+        } = place;
         for d in transient.drain(..) {
             let _ = self.dmem(gpu).release(d);
         }

@@ -3,8 +3,9 @@
 //! GStreamManager (§5): the stream-scheduling half of the GPUManager.
 //!
 //! Owns the stream bulks (`stream_busy_until`), the per-GPU FIFO GWork
-//! queues (the GWork Pool), and the in-flight table, and drives the
-//! three-stage H2D → Kernel → D2H pipeline through the event loop:
+//! queues (the GWork Pool), and the flight table, and drives the
+//! three-stage H2D → Kernel → D2H pipeline through the event loop (the
+//! flight state machine itself lives in [`crate::flight`]):
 //!
 //! * [`GWork` scheduling](crate::scheduling::SchedulingPolicy) follows
 //!   Algorithm 5.1: prefer the GPU whose cache region already holds the
@@ -22,15 +23,16 @@
 
 use crate::config::{BatchConfig, GpuWorkerConfig, HybridConfig};
 use crate::costmodel::{decide, CostModel, HybridRoute};
-use crate::fused::{FusedFlight, Parked, PendingBatch};
-use crate::gmemory::{GMemoryManager, StagedInputs};
+use crate::flight::{Flight, FlightTable, Member, Parked};
+use crate::fused::PendingBatch;
+use crate::gmemory::GMemoryManager;
 use crate::gwork::{CacheKey, CompletedWork, GWork, WorkBuf, WorkTiming};
 use crate::jobsched::{JobScheduler, PennedWork};
-use crate::recovery::{FailReason, ManagerError, RecoveryManager, CPU_FALLBACK_GPU};
+use crate::recovery::{FailReason, RecoveryManager, CPU_FALLBACK_GPU};
 use crate::scheduling::SchedulingPolicy;
 use crate::session::{JobId, JobSession};
-use gflink_gpu::{DevBufId, GpuModel, KernelRegistry};
-use gflink_memory::{ArenaBuf, HBuffer, PinnedLease};
+use gflink_gpu::{GpuModel, KernelRegistry};
+use gflink_memory::{ArenaBuf, HBuffer};
 use gflink_sim::trace::{cpu_pid, gpu_pid, stream_tid, Cat, TraceEvent, TID_DEVICE};
 use gflink_sim::{
     Counter, EventQueue, FaultKind, Gauge, Histogram, MembershipKind, Metrics, RecEvent, RecKind,
@@ -62,9 +64,9 @@ pub(crate) enum Ev {
         /// Stream index within the device's bulk.
         stream: usize,
     },
-    /// A work's H2D stage finished; launch its kernel.
+    /// A flight's H2D landed; launch its member kernels.
     KernelStage(u64),
-    /// A work's kernel finished; start its D2H transfer.
+    /// A flight's kernels finished; start its D2H transfer.
     D2hStage(u64),
     /// A scripted fault fires.
     Fault(FaultKind),
@@ -78,12 +80,6 @@ pub(crate) enum Ev {
         /// Identity of the pending batch the window was armed for.
         epoch: u64,
     },
-    /// A fused flight's H2D landed; launch its members' kernels.
-    FusedKernelStage(u64),
-    /// A fused flight's kernels all finished; start the fused D2H.
-    FusedD2hStage(u64),
-    /// Watchdog for a fused flight wedged in a member kernel.
-    FusedHangCheck(u64),
     /// A scripted membership event fires: a device joins the live fabric
     /// or gracefully leaves it.
     Membership(MembershipKind),
@@ -109,123 +105,6 @@ pub(crate) struct QueuedWork {
     pub(crate) submitted: SimTime,
     pub(crate) retries: u32,
     pub(crate) work: GWork,
-}
-
-/// Generation-tagged slab of flights keyed by the packed ids that ride in
-/// pipeline-stage events: `(gen << 32) | slot`. A stage event that fires
-/// after its flight was recovered (device loss) carries a stale generation
-/// and misses cleanly — exactly the semantics the old `HashMap<u64, _>`
-/// gave via never-reused keys, but lookups are now an array index with no
-/// hashing on the per-work hot path (ISSUE 7).
-pub(crate) struct FlightTable<T> {
-    slots: Vec<(u32, Option<T>)>,
-    free: Vec<u32>,
-    live: usize,
-}
-
-impl<T> FlightTable<T> {
-    pub(crate) fn new() -> Self {
-        FlightTable {
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
-        }
-    }
-
-    /// Park a flight, minting its event id. Re-inserting after a `remove`
-    /// mints a *new* id (the slot's generation advanced), so events armed
-    /// against the old id stay dead.
-    pub(crate) fn insert(&mut self, v: T) -> u64 {
-        self.live += 1;
-        match self.free.pop() {
-            Some(slot) => {
-                let e = &mut self.slots[slot as usize];
-                e.1 = Some(v);
-                ((e.0 as u64) << 32) | slot as u64
-            }
-            None => {
-                let slot = u32::try_from(self.slots.len()).expect("flight table overflow");
-                self.slots.push((0, Some(v)));
-                slot as u64
-            }
-        }
-    }
-
-    /// Take a flight out; `None` when the id's generation is stale (the
-    /// flight was already recovered) — callers treat that as "event no
-    /// longer applies".
-    pub(crate) fn remove(&mut self, id: u64) -> Option<T> {
-        let (slot, gen) = ((id & u32::MAX as u64) as usize, (id >> 32) as u32);
-        let e = self.slots.get_mut(slot)?;
-        if e.0 != gen {
-            return None;
-        }
-        let v = e.1.take()?;
-        e.0 = e.0.wrapping_add(1);
-        self.free.push(slot as u32);
-        self.live -= 1;
-        Some(v)
-    }
-
-    /// Peek at a live flight (stale ids miss).
-    pub(crate) fn get(&self, id: u64) -> Option<&T> {
-        let (slot, gen) = ((id & u32::MAX as u64) as usize, (id >> 32) as u32);
-        let e = self.slots.get(slot)?;
-        if e.0 != gen {
-            return None;
-        }
-        e.1.as_ref()
-    }
-
-    /// Mutable peek at a live flight (stale ids miss).
-    pub(crate) fn get_mut(&mut self, id: u64) -> Option<&mut T> {
-        let (slot, gen) = ((id & u32::MAX as u64) as usize, (id >> 32) as u32);
-        let e = self.slots.get_mut(slot)?;
-        if e.0 != gen {
-            return None;
-        }
-        e.1.as_mut()
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Live flights with their current ids, in slot order. Callers that
-    /// need a deterministic *creation* order (device-loss recovery) sort by
-    /// the flights' own monotonic `seq`, not by id — slots are reused.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, (g, v))| v.as_ref().map(|v| (((*g as u64) << 32) | i as u64, v)))
-    }
-}
-
-/// Per-work state carried between pipeline-stage events.
-struct InFlight {
-    /// Monotonic creation stamp: device-loss recovery re-submits flights in
-    /// `seq` order so the recovered event sequence is bit-identical to the
-    /// pre-slab (never-reused-id) behaviour.
-    seq: u64,
-    job: JobId,
-    work: GWork,
-    retries: u32,
-    timing: WorkTiming,
-    gpu: usize,
-    stream: usize,
-    dev_inputs: Vec<DevBufId>,
-    transient: Vec<DevBufId>,
-    /// Cache keys pinned for the duration of this work.
-    pinned: Vec<CacheKey>,
-    /// Pinned-pool staging leases backing the H2D; released once the copy
-    /// has landed (kernel-stage entry) or the flight is recovered.
-    staging: Vec<PinnedLease>,
-    out_dev: DevBufId,
-    emitted: Option<usize>,
-    /// An injected hang wedged this flight's kernel; only the watchdog
-    /// recovers it.
-    hung: bool,
 }
 
 /// Synthetic block-index floor for split children: adaptive block sizing
@@ -299,8 +178,13 @@ pub struct GStreamManager {
     rr_counter: usize,
     steals: u64,
     pub(crate) executed_per_gpu: Vec<u64>,
-    in_flight: FlightTable<InFlight>,
+    /// Every live flight, solo or fused, keyed by its stage-event id.
+    pub(crate) flights: FlightTable<Flight>,
     pub(crate) next_flight: u64,
+    /// Recycled member lists of finished flights.
+    pub(crate) member_vecs: Vec<Vec<Member>>,
+    /// Recycled work lists of dispatched fused batches.
+    pub(crate) batch_vecs: Vec<Vec<QueuedWork>>,
     /// Small-GWork transfer batching policy.
     pub(crate) batch_cfg: BatchConfig,
     /// One accumulating batch per GPU; works that would otherwise queue
@@ -309,9 +193,6 @@ pub struct GStreamManager {
     /// Monotonic identity for pending batches (guards stale FlushBatch
     /// window events).
     pub(crate) batch_epoch: u64,
-    /// Fused flights, keyed like `in_flight` but driven by the Fused*
-    /// events.
-    pub(crate) fused_in_flight: FlightTable<FusedFlight>,
     /// Fused batches dispatched.
     pub(crate) fused_batches: u64,
     /// Works that travelled inside fused batches.
@@ -324,7 +205,7 @@ pub struct GStreamManager {
     /// time-series sampling from the dispatch/completion hot path).
     pub(crate) metrics: Metrics,
     m_dispatched: Counter,
-    m_completed: Counter,
+    pub(crate) m_completed: Counter,
     m_steals: Counter,
     m_penned: Counter,
     m_pen_depth: Gauge,
@@ -363,12 +244,13 @@ impl GStreamManager {
             rr_counter: 0,
             steals: 0,
             executed_per_gpu: vec![0; n_gpus],
-            in_flight: FlightTable::new(),
+            flights: FlightTable::new(),
             next_flight: 1,
+            member_vecs: Vec::new(),
+            batch_vecs: Vec::new(),
             batch_cfg: cfg.transfer.batch.clone(),
             batchers: (0..n_gpus).map(|_| None).collect(),
             batch_epoch: 0,
-            fused_in_flight: FlightTable::new(),
             fused_batches: 0,
             fused_works: 0,
             alpha_saved: SimTime::ZERO,
@@ -462,25 +344,6 @@ impl GStreamManager {
         self.worker_id = worker_id;
     }
 
-    /// Emit one pipeline-stage span for a flight on its stream's thread,
-    /// tagged with the owning job and operator name.
-    fn trace_stage(&self, fl: &InFlight, stage: &'static str, start: SimTime, end: SimTime) {
-        if self.tracer.enabled() {
-            self.tracer.record(
-                TraceEvent::span(
-                    gpu_pid(self.worker_id, fl.gpu),
-                    stream_tid(fl.stream),
-                    Cat::Stage,
-                    stage,
-                    start,
-                    end,
-                )
-                .with_job(fl.job.0)
-                .with_arg("op", &fl.work.name),
-            );
-        }
-    }
-
     /// Streams per GPU (the stream bulk size).
     pub fn streams_per_gpu(&self) -> usize {
         self.streams_per_gpu
@@ -520,8 +383,7 @@ impl GStreamManager {
     /// in flight (end-of-drain invariant).
     pub(crate) fn is_idle(&self) -> bool {
         self.sched.is_idle()
-            && self.in_flight.is_empty()
-            && self.fused_in_flight.is_empty()
+            && self.flights.is_empty()
             && self.merges.is_empty()
             && self.batchers.iter().all(Option::is_none)
     }
@@ -671,7 +533,8 @@ impl GStreamManager {
                 }
             }
         }
-        match self.policy {
+        // Pick the target GPU and, when one is idle there, the stream.
+        let (gpu, stream) = match self.policy {
             SchedulingPolicy::LocalityAware
             | SchedulingPolicy::LocalityNoSteal
             | SchedulingPolicy::HybridCostModel => {
@@ -688,34 +551,17 @@ impl GStreamManager {
                     None => self.most_idle_bulk(t),
                 };
                 match placed {
-                    Some((g, s)) => self.execute(eng, job, work, submitted, retries, g, s, t, q),
+                    Some((g, s)) => (g, Some(s)),
+                    // Lines 11–18: park in GID's queue, or the least loaded
+                    // usable queue when GID is null.
                     None => {
-                        // Lines 11–18: park in GID's queue, or the least
-                        // loaded usable queue when GID is null.
-                        let qi = match gid.filter(|&g| eng.gmem.usable(g)) {
-                            Some(g) => g,
-                            None => (0..self.sched.num_queues())
+                        let g = gid.filter(|&g| eng.gmem.usable(g)).unwrap_or_else(|| {
+                            (0..self.sched.num_queues())
                                 .filter(|&i| eng.gmem.usable(i))
                                 .min_by_key(|&i| self.sched.queue_len(i))
-                                .unwrap(),
-                        };
-                        // Small works that would queue anyway accumulate
-                        // into a fused transfer batch instead — batching
-                        // only ever engages under backlog, so an idle
-                        // fabric sees zero added latency.
-                        if self.batchable(retries, &work) {
-                            self.enqueue_batched(job, work, submitted, retries, qi, t, q);
-                        } else {
-                            self.sched.park(
-                                qi,
-                                Parked::Single(QueuedWork {
-                                    job,
-                                    submitted,
-                                    retries,
-                                    work,
-                                }),
-                            );
-                        }
+                                .unwrap()
+                        });
+                        (g, None)
                     }
                 }
             }
@@ -726,37 +572,34 @@ impl GStreamManager {
                 while !eng.gmem.usable(g) {
                     g = (g + 1) % n;
                 }
-                match self.first_idle_stream(g, t) {
-                    Some(s) => self.execute(eng, job, work, submitted, retries, g, s, t, q),
-                    None => self.sched.park(
-                        g,
-                        Parked::Single(QueuedWork {
-                            job,
-                            submitted,
-                            retries,
-                            work,
-                        }),
-                    ),
-                }
+                (g, self.first_idle_stream(g, t))
             }
             SchedulingPolicy::Random { .. } => {
                 let usable: Vec<usize> = (0..self.sched.num_queues())
                     .filter(|&g| eng.gmem.usable(g))
                     .collect();
                 let g = usable[eng.rng.gen_index(usable.len())];
-                match self.first_idle_stream(g, t) {
-                    Some(s) => self.execute(eng, job, work, submitted, retries, g, s, t, q),
-                    None => self.sched.park(
-                        g,
-                        Parked::Single(QueuedWork {
-                            job,
-                            submitted,
-                            retries,
-                            work,
-                        }),
-                    ),
-                }
+                (g, self.first_idle_stream(g, t))
             }
+        };
+        let qw = QueuedWork {
+            job,
+            submitted,
+            retries,
+            work,
+        };
+        match stream {
+            Some(s) => {
+                self.execute(eng, Parked::one(qw), gpu, s, t, q);
+            }
+            // Under the locality policies, small works that would queue
+            // anyway accumulate into a fused transfer batch instead —
+            // batching only ever engages under backlog, so an idle fabric
+            // sees zero added latency.
+            None if self.policy.locality_aware() && self.batchable(retries, &qw.work) => {
+                self.enqueue_batched(qw, gpu, t, q);
+            }
+            None => self.sched.park(gpu, Parked::one(qw)),
         }
     }
 
@@ -838,336 +681,8 @@ impl GStreamManager {
                     );
                 }
             }
-            match parked {
-                Parked::Single(qw) => self.execute(
-                    eng,
-                    qw.job,
-                    qw.work,
-                    qw.submitted,
-                    qw.retries,
-                    gpu,
-                    stream,
-                    t,
-                    q,
-                ),
-                Parked::Fused(batch) => self.execute_fused(eng, batch, gpu, stream, t, q),
-            }
+            self.execute(eng, parked, gpu, stream, t, q);
         }
-    }
-
-    /// Dispatch one GWork onto (gpu, stream): the stream is occupied until
-    /// the work's D2H completes. Pipeline stages are driven by events so a
-    /// stage's engine reservation is made only when its stream dependency
-    /// resolves — exactly how CUDA feeds its copy/compute engines. Eagerly
-    /// reserving all three stages here would block later H2Ds behind
-    /// not-yet-runnable D2H slots on single-copy-engine devices.
-    #[allow(clippy::too_many_arguments)]
-    fn execute(
-        &mut self,
-        eng: &mut Engine<'_>,
-        job: JobId,
-        work: GWork,
-        submitted: SimTime,
-        retries: u32,
-        gpu: usize,
-        stream: usize,
-        t: SimTime,
-        q: &mut EventQueue<Ev>,
-    ) {
-        let mut timing = WorkTiming {
-            submitted,
-            started: t,
-            ..WorkTiming::default()
-        };
-        let session = eng.sessions.get_mut(&job).expect("session open");
-        // Stage 1: H2D (GMemoryManager; skipped per-buffer on cache hits).
-        let StagedInputs {
-            dev_inputs,
-            transient,
-            pinned,
-            staging,
-            h2d_start,
-            kernel_earliest,
-            mut failure,
-        } = eng
-            .gmem
-            .stage_inputs(&mut session.regions[gpu], gpu, job.0, &work, t, &mut timing);
-        // Output allocation (GMemoryManager, automatic).
-        let out_dev = if failure.is_none() {
-            match eng
-                .gmem
-                .alloc_output(&mut session.regions[gpu], gpu, &work, t)
-            {
-                Ok(dev) => Some(dev),
-                Err(e) => {
-                    failure = Some(e);
-                    None
-                }
-            }
-        } else {
-            None
-        };
-        if let Some(err) = failure {
-            // Unwind the partial placement; the stream was never occupied.
-            eng.gmem.release_staging(staging);
-            let session = eng.sessions.get_mut(&job).expect("session open");
-            eng.gmem.reclaim(
-                &mut session.regions[gpu],
-                gpu,
-                dev_inputs,
-                transient,
-                pinned,
-                None,
-            );
-            self.route_retry_or_fail(
-                eng,
-                job,
-                work,
-                submitted,
-                retries,
-                t,
-                FailReason::Fatal(err),
-                q,
-            );
-            return;
-        }
-        let out_dev = out_dev.expect("checked by failure branch");
-        // Occupy the stream until the final stage completes.
-        self.stream_busy_until[gpu][stream] = SimTime::MAX;
-        let seq = self.next_flight;
-        self.next_flight += 1;
-        let fl = InFlight {
-            seq,
-            job,
-            work,
-            retries,
-            timing,
-            gpu,
-            stream,
-            dev_inputs,
-            transient,
-            pinned,
-            staging,
-            out_dev,
-            emitted: None,
-            hung: false,
-        };
-        // Stage-1 span: from the first copy's engine start to the last
-        // copy's landing. A full cache hit issues no copies — no span.
-        if let Some(start) = h2d_start {
-            self.trace_stage(&fl, "h2d", start, kernel_earliest);
-        }
-        let id = self.in_flight.insert(fl);
-        q.schedule(kernel_earliest, Ev::KernelStage(id));
-    }
-
-    /// Stage 2: the kernel launches once its inputs are device-resident.
-    pub(crate) fn on_kernel_stage(
-        &mut self,
-        eng: &mut Engine<'_>,
-        id: u64,
-        t: SimTime,
-        q: &mut EventQueue<Ev>,
-    ) {
-        let Some(mut fl) = self.in_flight.remove(id) else {
-            // The flight was recovered (device loss) before this fired.
-            return;
-        };
-        // The H2D has landed: the staging buffers go back to the pool.
-        eng.gmem.release_staging(std::mem::take(&mut fl.staging));
-        let kernel = eng.registry.lock().get_by_id(fl.work.kernel).cloned();
-        let kernel = match kernel {
-            Some(k) => k,
-            None => {
-                let err = ManagerError::KernelMissing {
-                    name: fl.work.execute_name.to_string(),
-                };
-                self.recover_flight(eng, fl, t, t, FailReason::Fatal(err), q);
-                return;
-            }
-        };
-        let launched = eng.gmem.gpu_mut(fl.gpu).launch(
-            t,
-            &kernel,
-            &fl.dev_inputs,
-            &[fl.out_dev],
-            &fl.work.params,
-            fl.work.n_actual,
-            fl.work.n_logical,
-            fl.work.coalescing,
-        );
-        let (kres, profile) = match launched {
-            Ok(v) => v,
-            Err(e) => {
-                // The device failed underneath the flight (defensive: loss
-                // recovery normally removes flights first).
-                self.recover_flight(eng, fl, t, t, FailReason::Fatal(ManagerError::Device(e)), q);
-                return;
-            }
-        };
-        fl.timing.kernel = kres.duration();
-        fl.emitted = profile.emitted;
-        let end = kres.end;
-        self.trace_stage(&fl, "kernel", kres.start, kres.end);
-        // Scripted hang: the kernel never completes; the stream stays
-        // occupied until the watchdog recovers the work.
-        if eng.recovery.take_hang(fl.gpu) {
-            fl.hung = true;
-            if self.tracer.enabled() {
-                self.tracer.record(
-                    TraceEvent::instant(
-                        gpu_pid(self.worker_id, fl.gpu),
-                        stream_tid(fl.stream),
-                        Cat::Recovery,
-                        "hang",
-                        t,
-                    )
-                    .with_job(fl.job.0),
-                );
-            }
-            let deadline = SimTime::from_nanos(
-                t.as_nanos()
-                    .saturating_add(eng.recovery.hang_timeout().as_nanos()),
-            );
-            let id = self.in_flight.insert(fl);
-            q.schedule(deadline, Ev::HangCheck(id));
-            return;
-        }
-        // Transient fault injection: scripted, or random at `failure_rate`
-        // (ECC error, lost context, a preempted device). Failure is
-        // detected at kernel completion; the GPUManager reclaims the
-        // buffers and reschedules the work after backoff.
-        let scripted = eng.recovery.take_transient(fl.gpu);
-        if scripted || eng.recovery.random_transient(&mut *eng.rng) {
-            {
-                let session = eng.sessions.get_mut(&fl.job).expect("session open");
-                eng.recovery.note_transient_fault(session);
-                if self.metrics.enabled() {
-                    session.recorder.push(
-                        RecEvent::new(t, RecKind::TransientFault, self.worker_id as u32)
-                            .on_gpu(fl.gpu),
-                    );
-                }
-            }
-            if self.tracer.enabled() {
-                self.tracer.record(
-                    TraceEvent::instant(
-                        gpu_pid(self.worker_id, fl.gpu),
-                        stream_tid(fl.stream),
-                        Cat::Recovery,
-                        "transient",
-                        t,
-                    )
-                    .with_job(fl.job.0),
-                );
-            }
-            // The stream frees at the (wasted) kernel end; the work goes
-            // back through Alg. 5.1 for a fresh placement after backoff.
-            self.recover_flight(eng, fl, end, end.max(t), FailReason::RetriesExhausted, q);
-            return;
-        }
-        let id = self.in_flight.insert(fl);
-        q.schedule(end, Ev::D2hStage(id));
-    }
-
-    /// Stage 3: results travel back; the stream frees at the copy's end.
-    pub(crate) fn on_d2h_stage(
-        &mut self,
-        eng: &mut Engine<'_>,
-        id: u64,
-        t: SimTime,
-        q: &mut EventQueue<Ev>,
-    ) {
-        let Some(mut fl) = self.in_flight.remove(id) else {
-            // The flight was recovered (device loss) before this fired.
-            return;
-        };
-        // Variable-output kernels transfer only the emitted fraction of the
-        // declared capacity.
-        let d2h_logical = match fl.emitted {
-            Some(e) => {
-                (fl.work.out_logical_bytes as u128 * e as u128 / fl.work.out_records.max(1) as u128)
-                    as u64
-            }
-            None => fl.work.out_logical_bytes,
-        };
-        let mut out_host = eng.gmem.lease_output(fl.job.0, fl.work.out_actual_bytes);
-        let rd2h =
-            match eng
-                .gmem
-                .gpu_mut(fl.gpu)
-                .copy_d2h(t, d2h_logical, fl.out_dev, &mut out_host)
-            {
-                Ok(r) => r,
-                Err(e) => {
-                    // Defensive: loss recovery removes flights before this can
-                    // fire, but a failed readback still routes through retry.
-                    self.recover_flight(
-                        eng,
-                        fl,
-                        t,
-                        t,
-                        FailReason::Fatal(ManagerError::Device(e)),
-                        q,
-                    );
-                    return;
-                }
-            };
-        fl.timing.d2h = rd2h.duration();
-        fl.timing.bytes_d2h = d2h_logical;
-        fl.timing.completed = rd2h.end;
-        self.trace_stage(&fl, "d2h", rd2h.start, rd2h.end);
-        // Automatic deallocation of transient buffers (§4.2.1) and
-        // unpinning of the cached inputs.
-        let session = eng.sessions.get_mut(&fl.job).expect("session open");
-        eng.gmem.reclaim(
-            &mut session.regions[fl.gpu],
-            fl.gpu,
-            fl.dev_inputs,
-            fl.transient,
-            fl.pinned,
-            Some(fl.out_dev),
-        );
-        self.stream_busy_until[fl.gpu][fl.stream] = rd2h.end;
-        self.executed_per_gpu[fl.gpu] += 1;
-        self.m_completed.inc();
-        self.metrics.maybe_sample(rd2h.end);
-        q.schedule(
-            rd2h.end,
-            Ev::StreamFree {
-                gpu: fl.gpu,
-                stream: fl.stream,
-            },
-        );
-        if let Some(cm) = self.cost_model.as_mut() {
-            // Score the prediction against this completion first (the error
-            // gauges the model as it stood), then fold the observation in.
-            let kbytes = fl.work.input_logical_bytes() + fl.work.out_logical_bytes;
-            let pred = cm.h2d_time(fl.gpu, fl.timing.bytes_h2d)
-                + cm.gpu_kernel_time(fl.gpu, fl.work.kernel, kbytes)
-                + cm.d2h_time(fl.gpu, fl.timing.bytes_d2h);
-            let obs = fl.timing.h2d + fl.timing.kernel + fl.timing.d2h;
-            if !obs.is_zero() {
-                let rel = crate::model::prediction_error(pred, obs);
-                cm.observe_error(fl.work.kernel, rel);
-                session.hybrid_err.record_nanos((rel * 10_000.0) as u64);
-                self.m_model_err.set((rel * 1_000.0) as u64);
-            }
-            cm.observe_gpu_kernel(fl.gpu, fl.work.kernel, kbytes, fl.timing.kernel);
-            cm.observe_h2d(fl.gpu, fl.timing.bytes_h2d, fl.timing.h2d);
-            cm.observe_d2h(fl.gpu, fl.timing.bytes_d2h, fl.timing.d2h);
-        }
-        let job = fl.job;
-        let done = CompletedWork {
-            name: fl.work.name,
-            tag: fl.work.tag,
-            gpu: fl.gpu,
-            stream: fl.stream,
-            output: out_host,
-            emitted: fl.emitted,
-            timing: fl.timing,
-        };
-        self.deliver(eng, job, done);
     }
 
     /// Push a device-scoped flight-recorder event into every open session
@@ -1244,9 +759,9 @@ impl GStreamManager {
     }
 
     /// Evacuate a device that just left the live fabric (lost to a fault
-    /// or gracefully retired): blacklist its streams, recover its in-flight
-    /// works and fused flights onto the event loop, and drain its queue —
-    /// and any accumulating batch — onto the survivors.
+    /// or gracefully retired): blacklist its streams, re-submit its live
+    /// flights, and drain its queue — and any accumulating batch — onto the
+    /// survivors.
     fn drain_device(
         &mut self,
         eng: &mut Engine<'_>,
@@ -1258,50 +773,7 @@ impl GStreamManager {
         for s in 0..self.streams_per_gpu {
             self.stream_busy_until[gpu][s] = SimTime::MAX;
         }
-        // Recover in-flight works in creation (`seq`) order so the
-        // re-submit event sequence — and thus the timeline — matches the
-        // pre-slab behaviour exactly (slot ids are reused; seqs are not).
-        let mut ids: Vec<(u64, u64)> = self
-            .in_flight
-            .iter()
-            .filter(|(_, fl)| fl.gpu == gpu)
-            .map(|(id, fl)| (fl.seq, id))
-            .collect();
-        ids.sort_unstable();
-        for (_, id) in ids {
-            let mut fl = self.in_flight.remove(id).expect("id collected above");
-            // Device buffers died with the device; nothing to
-            // reclaim. Host-side staging leases survive and go back
-            // to the pool. Loss is not the work's fault: it
-            // re-enters scheduling immediately and keeps its retry
-            // budget.
-            eng.gmem.release_staging(std::mem::take(&mut fl.staging));
-            let session = eng.sessions.get_mut(&fl.job).expect("session open");
-            eng.recovery.note_retry(session);
-            q.schedule(
-                t,
-                Ev::submit(fl.job, fl.timing.submitted, fl.retries, fl.work),
-            );
-        }
-        // Fused flights on the dead device recover the same way,
-        // member by member.
-        let mut fids: Vec<(u64, u64)> = self
-            .fused_in_flight
-            .iter()
-            .filter(|(_, fl)| fl.gpu == gpu)
-            .map(|(id, fl)| (fl.seq, id))
-            .collect();
-        fids.sort_unstable();
-        for (_, id) in fids {
-            let mut fl = self.fused_in_flight.remove(id).expect("id collected above");
-            eng.gmem.release_staging(std::mem::take(&mut fl.staging));
-            let job = fl.job;
-            for mb in fl.members {
-                let session = eng.sessions.get_mut(&job).expect("session open");
-                eng.recovery.note_retry(session);
-                q.schedule(t, Ev::submit(job, mb.timing.submitted, mb.retries, mb.work));
-            }
-        }
+        self.evacuate_flights(eng, gpu, t, q);
         // Drain the dead device's queue — and its accumulating
         // batch — onto the survivors.
         if self.batchers[gpu].is_some() {
@@ -1309,7 +781,7 @@ impl GStreamManager {
         }
         let queued: Vec<Parked> = self.sched.drain_queue(gpu);
         for parked in queued {
-            for qw in parked.into_members() {
+            for qw in std::iter::once(parked.head).chain(parked.rest) {
                 let session = eng.sessions.get_mut(&qw.job).expect("session open");
                 eng.recovery.note_steal_on_drain(session);
                 if self.metrics.enabled() {
@@ -1429,77 +901,6 @@ impl GStreamManager {
         }
         self.m_pen_depth.set(self.sched.pen_depth_total() as u64);
         true
-    }
-
-    /// The watchdog fires `hang_timeout` after a launch; a flight still
-    /// wedged in its kernel is recovered and retried.
-    pub(crate) fn on_hang_check(
-        &mut self,
-        eng: &mut Engine<'_>,
-        id: u64,
-        t: SimTime,
-        q: &mut EventQueue<Ev>,
-    ) {
-        let hung = self.in_flight.get(id).map(|fl| fl.hung).unwrap_or(false);
-        if !hung {
-            // Completed normally, or already recovered by device loss.
-            return;
-        }
-        let fl = self.in_flight.remove(id).expect("checked above");
-        {
-            let session = eng.sessions.get_mut(&fl.job).expect("session open");
-            eng.recovery.note_hang_detected(session);
-            if self.metrics.enabled() {
-                session.recorder.push(
-                    RecEvent::new(t, RecKind::HangDetected, self.worker_id as u32).on_gpu(fl.gpu),
-                );
-            }
-        }
-        self.recover_flight(eng, fl, t, t, FailReason::RetriesExhausted, q);
-    }
-
-    /// Common tail of every in-place flight recovery: reclaim the flight's
-    /// buffers and pins, free its stream at `stream_free_at`, and route the
-    /// work through retry-or-fail at `retry_at`.
-    fn recover_flight(
-        &mut self,
-        eng: &mut Engine<'_>,
-        mut fl: InFlight,
-        stream_free_at: SimTime,
-        retry_at: SimTime,
-        reason: FailReason,
-        q: &mut EventQueue<Ev>,
-    ) {
-        eng.gmem.release_staging(std::mem::take(&mut fl.staging));
-        {
-            let session = eng.sessions.get_mut(&fl.job).expect("session open");
-            eng.gmem.reclaim(
-                &mut session.regions[fl.gpu],
-                fl.gpu,
-                std::mem::take(&mut fl.dev_inputs),
-                std::mem::take(&mut fl.transient),
-                std::mem::take(&mut fl.pinned),
-                Some(fl.out_dev),
-            );
-        }
-        self.stream_busy_until[fl.gpu][fl.stream] = stream_free_at;
-        q.schedule(
-            stream_free_at,
-            Ev::StreamFree {
-                gpu: fl.gpu,
-                stream: fl.stream,
-            },
-        );
-        self.route_retry_or_fail(
-            eng,
-            fl.job,
-            fl.work,
-            fl.timing.submitted,
-            fl.retries,
-            retry_at,
-            reason,
-            q,
-        );
     }
 }
 
@@ -1773,11 +1174,40 @@ impl GStreamManager {
         }
     }
 
+    /// Feed a flight of one's completion to the cost model: score the
+    /// prediction against it first (the error gauges the model as it
+    /// stood), then fold the observation in. No-op off the hybrid policy.
+    pub(crate) fn observe_gpu_run(
+        &mut self,
+        session: &mut JobSession,
+        gpu: usize,
+        work: &GWork,
+        timing: &WorkTiming,
+    ) {
+        let Some(cm) = self.cost_model.as_mut() else {
+            return;
+        };
+        let kbytes = work.input_logical_bytes() + work.out_logical_bytes;
+        let pred = cm.h2d_time(gpu, timing.bytes_h2d)
+            + cm.gpu_kernel_time(gpu, work.kernel, kbytes)
+            + cm.d2h_time(gpu, timing.bytes_d2h);
+        let obs = timing.h2d + timing.kernel + timing.d2h;
+        if !obs.is_zero() {
+            let rel = crate::model::prediction_error(pred, obs);
+            cm.observe_error(work.kernel, rel);
+            session.hybrid_err.record_nanos((rel * 10_000.0) as u64);
+            self.m_model_err.set((rel * 1_000.0) as u64);
+        }
+        cm.observe_gpu_kernel(gpu, work.kernel, kbytes, timing.kernel);
+        cm.observe_h2d(gpu, timing.bytes_h2d, timing.h2d);
+        cm.observe_d2h(gpu, timing.bytes_d2h, timing.d2h);
+    }
+
     /// Route a completion to its consumer: ordinary works land in the
     /// session; split children fold into their merge entry, which emits the
     /// reassembled parent completion (or a single parent failure, if a
     /// sibling failed terminally) when the last child lands.
-    fn deliver(&mut self, eng: &mut Engine<'_>, job: JobId, done: CompletedWork) {
+    pub(crate) fn deliver(&mut self, eng: &mut Engine<'_>, job: JobId, done: CompletedWork) {
         let Some(route) = self.split_children.remove(&(job, done.tag)) else {
             let session = eng.sessions.get_mut(&job).expect("session open");
             session.completed.push(done);
@@ -1897,7 +1327,7 @@ impl GStreamManager {
     /// never strand the merge by recording a failure under a synthetic tag
     /// the consumer never submitted.
     #[allow(clippy::too_many_arguments)]
-    fn route_retry_or_fail(
+    pub(crate) fn route_retry_or_fail(
         &mut self,
         eng: &mut Engine<'_>,
         job: JobId,

@@ -29,7 +29,7 @@
 //! hash iteration order.
 
 use crate::config::SchedulerConfig;
-use crate::fused::Parked;
+use crate::flight::Parked;
 use crate::gdst::GpuFabric;
 use crate::gwork::{CompletedWork, GWork};
 use crate::recovery::FailedWork;
@@ -71,10 +71,7 @@ pub(crate) fn parked_cost(p: &Parked) -> u64 {
         let ins: u64 = w.inputs.iter().map(|b| b.logical_bytes).sum();
         ins + w.out_logical_bytes
     }
-    match p {
-        Parked::Single(qw) => one(&qw.work),
-        Parked::Fused(b) => b.members.iter().map(|m| one(&m.work)).sum(),
-    }
+    p.works().map(|qw| one(&qw.work)).sum()
 }
 
 /// One GPU's parked-work queue, switched on the arbitration policy.

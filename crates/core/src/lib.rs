@@ -32,6 +32,7 @@ pub mod commpath;
 pub mod config;
 pub(crate) mod costmodel;
 mod elastic;
+mod flight;
 pub mod fused;
 pub mod gdst;
 pub mod gmemory;
@@ -70,5 +71,3 @@ pub use stream::{
     StreamSource, Tumbling, WatermarkStamp, WatermarkStrategy, WindowAssigner, WindowOutput,
     WindowPipeline, WindowSpan, WindowedRun, WindowedStream,
 };
-#[allow(deprecated)]
-pub use stream::{run_cpu_stream, run_gpu_stream};

@@ -149,6 +149,11 @@ impl GpuManager {
         self.gmem.pinned_pool_bytes()
     }
 
+    /// Pinned staging bytes currently leased to in-flight copies.
+    pub fn pinned_in_use_bytes(&self) -> u64 {
+        self.gmem.pinned_in_use_bytes()
+    }
+
     /// Fused transfer batches dispatched.
     pub fn fused_batches(&self) -> u64 {
         self.gstream.fused_batches()
@@ -361,15 +366,6 @@ impl GpuManager {
                     Ev::HangCheck(id) => self.gstream.on_hang_check(&mut eng, id, t, &mut q),
                     Ev::FlushBatch { gpu, epoch } => {
                         self.gstream.on_flush_batch(gpu, epoch, t, &mut q)
-                    }
-                    Ev::FusedKernelStage(id) => {
-                        self.gstream.on_fused_kernel_stage(&mut eng, id, t, &mut q)
-                    }
-                    Ev::FusedD2hStage(id) => {
-                        self.gstream.on_fused_d2h_stage(&mut eng, id, t, &mut q)
-                    }
-                    Ev::FusedHangCheck(id) => {
-                        self.gstream.on_fused_hang_check(&mut eng, id, t, &mut q)
                     }
                     Ev::Membership(kind) => self
                         .gstream

@@ -128,8 +128,8 @@ enum Engine {
     },
 }
 
-/// The engine-parameterized streaming environment — the one non-deprecated
-/// entry point into the streaming layer.
+/// The engine-parameterized streaming environment — the one entry point
+/// into the streaming layer.
 #[derive(Clone)]
 pub struct StreamEnv {
     engine: Engine,

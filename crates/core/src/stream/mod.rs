@@ -27,10 +27,6 @@
 //! `(seed, FaultPlan)`, and [`WindowedRun::digest`] is bit-identical
 //! across engines, placement policies, fault plans, concurrency and
 //! crash→restore boundaries.
-//!
-//! The free functions [`run_cpu_stream`]/[`run_gpu_stream`] are the
-//! pre-DataStream entry points, kept as thin deprecated shims over the
-//! builder.
 
 mod env;
 mod source;
@@ -48,10 +44,9 @@ pub use window::{
     WindowOutput, WindowSpan,
 };
 
-use crate::gdst::{GRecord, GpuFabric, GpuMapSpec, OutMode, SpecError};
+use crate::gdst::SpecError;
 use crate::jobsched::AdmissionError;
 use crate::recovery::FailReason;
-use gflink_flink::{ClusterConfig, OpCost};
 use gflink_sim::{LogHistogram, SimTime, Summary};
 
 /// Why a stream pipeline refused to run — configuration errors surfaced
@@ -150,20 +145,6 @@ pub struct StreamReport {
 }
 
 impl StreamReport {
-    fn empty() -> StreamReport {
-        StreamReport {
-            batches: 0,
-            latency: Summary::new(),
-            latency_hist: LogHistogram::new(),
-            last_latency: SimTime::ZERO,
-            finished_at: SimTime::ZERO,
-            lost: Vec::new(),
-            late_records: 0,
-            parked_works: 0,
-            park_delay: SimTime::ZERO,
-        }
-    }
-
     /// Whether the operator kept up: the last unit's latency is within
     /// `factor` of the mean (no queue growth). A run whose mean latency is
     /// zero (nothing completed, or all-zero latencies) is sustained iff
@@ -186,61 +167,10 @@ impl StreamReport {
     }
 }
 
-/// Run a streaming map on the **CPU**: each batch occupies one task slot of
-/// a round-robin worker/slot from its arrival instant.
-#[deprecated(note = "use `StreamEnv::cpu(cfg).source(..).map_fn(..)` instead")]
-pub fn run_cpu_stream<T, U>(
-    cluster_cfg: &ClusterConfig,
-    source: &StreamSource,
-    cost: OpCost,
-    gen: impl Fn(u64) -> T,
-    op: impl Fn(&T) -> U,
-) -> StreamReport {
-    if source.num_batches() == 0 {
-        return StreamReport::empty();
-    }
-    StreamEnv::cpu(cluster_cfg)
-        .source(source.clone(), gen)
-        .map_fn(cost, op)
-        .run()
-        .expect("validated: source is non-empty")
-}
-
-/// Run a streaming map on **GFlink's GPU fabric**: each micro-batch becomes
-/// one [`GWork`](crate::GWork) submitted at its arrival instant; the
-/// GStreamManager's pipeline and scheduling absorb the stream. A batch that
-/// terminally fails (device loss past every retry and fallback) lands in
-/// [`StreamReport::lost`] — it no longer panics the driver.
-#[deprecated(note = "use `StreamEnv::gpu(fabric).source(..).map_kernel(..)` instead")]
-#[allow(clippy::too_many_arguments)]
-pub fn run_gpu_stream<T: GRecord, U: GRecord>(
-    fabric: &GpuFabric,
-    _num_workers: usize,
-    source: &StreamSource,
-    kernel: &str,
-    params: Vec<f64>,
-    gen: impl Fn(u64) -> T,
-    check: impl Fn(&[U]),
-) -> StreamReport {
-    if source.num_batches() == 0 {
-        return StreamReport::empty();
-    }
-    let spec = GpuMapSpec::new(kernel)
-        .uncached() // streaming batches are seen once
-        .with_params(params)
-        .with_out_mode(OutMode::PerRecord);
-    StreamEnv::gpu(fabric)
-        .source(source.clone(), gen)
-        .map_kernel::<U>(spec)
-        .run_each(|_, records| check(records))
-        .expect("stream job admitted")
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::gdst::FabricConfig;
+    use crate::gdst::{FabricConfig, GRecord, GpuFabric, GpuMapSpec, OutMode};
     use crate::recovery::CpuFallback;
     use gflink_gpu::{KernelArgs, KernelProfile};
     use gflink_memory::{
@@ -291,60 +221,9 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_shims_still_run() {
-        let rate = 2_000_000.0;
-        let cluster = ClusterConfig::standard(2);
-        let cpu = run_cpu_stream(
-            &cluster,
-            &source(rate),
-            OpCost::new(200.0, 8.0),
-            |i| Sample { v: i as f32 },
-            |s| Sample { v: s.v * 2.0 },
-        );
-        let f = fabric_with(2, FabricConfig::default());
-        let gpu = run_gpu_stream::<Sample, Sample>(
-            &f,
-            2,
-            &source(rate),
-            "streamDouble",
-            vec![],
-            |i| Sample { v: i as f32 },
-            |records| {
-                for r in records {
-                    assert_eq!(r.v % 2.0, 0.0);
-                }
-            },
-        );
-        assert!(cpu.sustained(2.0));
-        assert!(gpu.sustained(2.0));
-        assert!(gpu.lost.is_empty());
-        // Throughput matches the offered rate (both keep up).
-        assert!((cpu.throughput(&source(rate)) - rate).abs() / rate < 0.25);
-        assert!((gpu.throughput(&source(rate)) - rate).abs() / rate < 0.25);
-    }
-
-    #[test]
-    fn shim_on_empty_source_returns_empty_report() {
-        // rate × duration below one batch: the legacy arithmetic yields 0
-        // batches; the shim short-circuits instead of erroring.
-        let s = StreamSource::at_rate(1_000.0);
-        let cluster = ClusterConfig::standard(1);
-        let r = run_cpu_stream(
-            &cluster,
-            &s,
-            OpCost::new(1.0, 1.0),
-            |i| Sample { v: i as f32 },
-            |s| s.clone(),
-        );
-        assert_eq!(r.batches, 0);
-        assert!(r.sustained(1.5), "zero-mean latency must not divide");
-    }
-
-    #[test]
-    fn shim_surfaces_lost_batches_instead_of_panicking() {
+    fn lost_map_batches_surface_instead_of_panicking() {
         // Kill every GPU on worker 0 mid-stream with CPU fallback disabled:
-        // the legacy code panicked at `expect("batch lost in the stream")`;
-        // the shim must complete and report the losses.
+        // the map pipeline must complete and report the losses.
         let mut cfg = FabricConfig::default();
         cfg.worker.cpu_fallback = CpuFallback {
             enabled: false,
@@ -358,15 +237,14 @@ mod tests {
                     .with(SimTime::from_millis(400), FaultKind::GpuLost { gpu: 1 }),
             );
         });
-        let report = run_gpu_stream::<Sample, Sample>(
-            &f,
-            2,
-            &source(20_000_000.0),
-            "streamDouble",
-            vec![],
-            |i| Sample { v: i as f32 },
-            |_| {},
-        );
+        let spec = GpuMapSpec::new("streamDouble")
+            .uncached()
+            .with_out_mode(OutMode::PerRecord);
+        let report = StreamEnv::gpu(&f)
+            .source(source(20_000_000.0), |i| Sample { v: i as f32 })
+            .map_kernel::<Sample>(spec)
+            .run_each(|_, _| {})
+            .expect("stream job admitted");
         assert!(
             !report.lost.is_empty(),
             "batches on the dead worker must surface as lost"
@@ -379,7 +257,17 @@ mod tests {
 
     #[test]
     fn sustained_guard_handles_zero_mean() {
-        let mut r = StreamReport::empty();
+        let mut r = StreamReport {
+            batches: 0,
+            latency: Summary::new(),
+            latency_hist: LogHistogram::new(),
+            last_latency: SimTime::ZERO,
+            finished_at: SimTime::ZERO,
+            lost: Vec::new(),
+            late_records: 0,
+            parked_works: 0,
+            park_delay: SimTime::ZERO,
+        };
         assert!(r.sustained(1.5));
         r.last_latency = SimTime::from_millis(5);
         assert!(!r.sustained(1.5), "nonzero last over zero mean diverges");

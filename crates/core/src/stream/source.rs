@@ -6,25 +6,19 @@ use gflink_sim::SimTime;
 /// chopped into micro-batches of `batch_logical` records.
 ///
 /// Build one with the fluent constructors —
-/// `StreamSource::at_rate(2e7).for_duration(SimTime::from_secs(5))` — the
-/// public fields only remain for the deprecated field-struct literal form.
+/// `StreamSource::at_rate(2e7).for_duration(SimTime::from_secs(5))`.
 #[derive(Clone, Debug)]
 pub struct StreamSource {
     /// Offered load, logical records per second.
-    #[deprecated(note = "construct with `StreamSource::at_rate(..)` instead")]
-    pub rate: f64,
+    rate: f64,
     /// How long the stream runs.
-    #[deprecated(note = "set with `.for_duration(..)` instead")]
-    pub duration: SimTime,
+    duration: SimTime,
     /// Logical records per micro-batch.
-    #[deprecated(note = "set with `.with_batch(logical, actual)` instead")]
-    pub batch_logical: u64,
+    batch_logical: u64,
     /// Actual records materialized per micro-batch.
-    #[deprecated(note = "set with `.with_batch(logical, actual)` instead")]
-    pub batch_actual: usize,
+    batch_actual: usize,
 }
 
-#[allow(deprecated)]
 impl StreamSource {
     /// A source offering `rate` logical records per second. Defaults: 1 s
     /// duration, 1 M-logical-record micro-batches materializing 64 rows.
@@ -98,21 +92,5 @@ mod tests {
         assert_eq!(s.num_batches(), 8);
         assert_eq!(s.batch_actual(), 32);
         assert_eq!(s.record_scale(), 500_000.0 / 32.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn field_literal_still_works() {
-        // The deprecated field-struct form must stay semantically identical
-        // to the builder while downstreams migrate.
-        let lit = StreamSource {
-            rate: 2e6,
-            duration: SimTime::from_secs(2),
-            batch_logical: 1_000_000,
-            batch_actual: 64,
-        };
-        let built = StreamSource::at_rate(2e6).for_duration(SimTime::from_secs(2));
-        assert_eq!(lit.num_batches(), built.num_batches());
-        assert_eq!(lit.arrival(3), built.arrival(3));
     }
 }

@@ -1,0 +1,320 @@
+//! Flight goldens: FNV-64 fingerprints of two fully observed `GpuManager`
+//! runs, pinned so that a change to the flight state machine (the
+//! H2D → kernel → D2H pipeline every GWork runs through) cannot move a
+//! single completion, failure, trace span or exported metric unnoticed.
+//!
+//! * **solo**: batching off, with a scripted transient, a hang, a missing
+//!   kernel and a device loss — every solo recovery path.
+//! * **fused**: `BatchConfig::enabled()` on one single-stream GPU in the
+//!   backlog regime, no faults — small works fuse, larger ones interleave
+//!   as solo flights.
+//!
+//! Each run fingerprints every `CompletedWork` (tag, gpu, stream, every
+//! `WorkTiming` field, output bytes) and every `FailedWork` in the order
+//! the manager reports them, the Chrome trace JSON, the metrics exports,
+//! the flight-recorder events and the fault ledger. The fused run's
+//! metrics fingerprint covers the Prometheus export without the
+//! `gflink_works_completed_total` series, which `fused_flights.rs` checks
+//! directly.
+
+use gflink_core::{
+    BatchConfig, CacheKey, CompletedWork, FailedWork, GWork, GpuManager, GpuWorkerConfig, JobId,
+    WorkBuf,
+};
+use gflink_gpu::{GpuModel, KernelArgs, KernelId, KernelProfile, KernelRegistry};
+use gflink_memory::HBuffer;
+use gflink_sim::{FaultKind, FaultPlan, Metrics, RetryPolicy, SimRng, SimTime, Tracer};
+use parking_lot::Mutex;
+use std::sync::Arc;
+
+const JOB: JobId = JobId(1);
+
+/// 64-bit FNV-1a, fed field by field.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+    fn bytes(&mut self, b: &[u8]) {
+        for &x in b {
+            self.0 ^= x as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+}
+
+fn fnv_str(s: &str) -> u64 {
+    let mut h = Fnv::new();
+    h.str(s);
+    h.0
+}
+
+fn fp_completed(done: &[CompletedWork]) -> u64 {
+    let mut h = Fnv::new();
+    for d in done {
+        h.u64(d.tag.0 as u64);
+        h.u64(d.tag.1 as u64);
+        h.u64(d.gpu as u64);
+        h.u64(d.stream as u64);
+        let t = &d.timing;
+        for v in [
+            t.submitted.as_nanos(),
+            t.started.as_nanos(),
+            t.h2d.as_nanos(),
+            t.kernel.as_nanos(),
+            t.d2h.as_nanos(),
+            t.completed.as_nanos(),
+            t.cache_hits as u64,
+            t.cache_misses as u64,
+            t.bytes_h2d,
+            t.bytes_d2h,
+        ] {
+            h.u64(v);
+        }
+        h.u64(d.emitted.map_or(u64::MAX, |e| e as u64));
+        h.bytes(d.output.as_slice());
+    }
+    h.0
+}
+
+fn fp_failed(failed: &[FailedWork]) -> u64 {
+    let mut h = Fnv::new();
+    for f in failed {
+        h.str(&f.name);
+        h.u64(f.tag.0 as u64);
+        h.u64(f.tag.1 as u64);
+        h.u64(f.retries as u64);
+        h.str(&format!("{:?}", f.reason));
+        h.u64(f.submitted.as_nanos());
+        h.u64(f.failed_at.as_nanos());
+    }
+    h.0
+}
+
+fn registry() -> Arc<Mutex<KernelRegistry>> {
+    let mut reg = KernelRegistry::new();
+    reg.register("scale2", |args: &mut KernelArgs<'_, '_>| {
+        let n = args.n_actual;
+        for i in 0..n {
+            let v = args.inputs[0].read_f32(i * 4);
+            args.outputs[0].write_f32(i * 4, v * 2.0);
+        }
+        KernelProfile::new(args.n_logical as f64, args.n_logical as f64 * 8.0)
+    });
+    Arc::new(Mutex::new(reg))
+}
+
+/// One four-element `scale2` work of `logical` input bytes; even blocks
+/// are cacheable, odd ones transient.
+fn mk_work(i: u32, logical: u64, kernel: &str) -> GWork {
+    let base = i as f32;
+    let data = Arc::new(HBuffer::from_f32s(&[base, base + 0.5, -base, base * 3.0]));
+    GWork {
+        name: format!("w{i}").into(),
+        execute_name: kernel.into(),
+        kernel: KernelId::UNRESOLVED,
+        ptx_path: "/scale2.ptx".into(),
+        block_size: 256,
+        grid_size: 1,
+        inputs: vec![if i.is_multiple_of(2) {
+            WorkBuf::cached(
+                data,
+                logical,
+                CacheKey {
+                    dataset: 3,
+                    partition: i % 4,
+                    block: i,
+                },
+            )
+        } else {
+            WorkBuf::transient(data, logical)
+        }],
+        out_actual_bytes: 16,
+        out_logical_bytes: logical,
+        out_records: 4,
+        params: Arc::from([]),
+        n_actual: 4,
+        n_logical: logical / 4,
+        coalescing: 1.0,
+        tag: (0, i),
+    }
+}
+
+/// Everything a golden run exports.
+struct Golden {
+    completed: u64,
+    failed: u64,
+    trace: u64,
+    prom: String,
+    json: String,
+    events: u64,
+    ledger: u64,
+    done: usize,
+    n_failed: usize,
+    fused_batches: u64,
+}
+
+fn observe(m: &mut GpuManager, tracer: &Tracer, metrics: &Metrics) -> Golden {
+    let done = m.drain_job(JOB);
+    let failed = m.take_job_failed(JOB);
+    let session = m.session(JOB).expect("session open");
+    let events = format!("{:?}", session.flight_events());
+    let ledger = format!("{:?}", session.faults());
+    Golden {
+        completed: fp_completed(&done),
+        failed: fp_failed(&failed),
+        trace: fnv_str(&tracer.export_chrome_json()),
+        prom: metrics.export_prometheus(),
+        json: metrics.export_json(),
+        events: fnv_str(&events),
+        ledger: fnv_str(&ledger),
+        done: done.len(),
+        n_failed: failed.len(),
+        fused_batches: m.fused_batches(),
+    }
+}
+
+/// Two C2050s, two streams each, batching off: a transient on GPU 0, a
+/// hang on GPU 1, one work whose kernel was never registered, and GPU 1
+/// lost while flights are live on it.
+fn solo_run() -> Golden {
+    let mut m = GpuManager::new(
+        0,
+        GpuWorkerConfig {
+            models: vec![GpuModel::TeslaC2050; 2],
+            streams_per_gpu: 2,
+            hang_timeout: SimTime::from_micros(300),
+            retry: RetryPolicy {
+                max_retries: 100,
+                ..RetryPolicy::default()
+            },
+            ..GpuWorkerConfig::default()
+        },
+        registry(),
+    );
+    let tracer = Tracer::new(Tracer::DEFAULT_CAPACITY);
+    m.set_tracer(tracer.clone());
+    let metrics = Metrics::new(SimTime::from_micros(100));
+    m.set_metrics(&metrics);
+    m.set_fault_plan(
+        FaultPlan::new()
+            .with(
+                SimTime::from_micros(150),
+                FaultKind::KernelTransient { gpu: 0 },
+            )
+            .with(SimTime::from_micros(400), FaultKind::KernelHang { gpu: 1 })
+            .with(SimTime::from_millis(3), FaultKind::GpuLost { gpu: 1 }),
+    );
+    m.begin_job(JOB);
+    let mut rng = SimRng::new(7);
+    let mut at = SimTime::ZERO;
+    for i in 0..40 {
+        at += SimTime::from_micros(10 + rng.gen_range(60));
+        let logical = (1u64 << 20) + rng.gen_range(1 << 22);
+        let kernel = if i == 17 { "unregistered" } else { "scale2" };
+        m.submit_for(JOB, mk_work(i, logical, kernel), at);
+    }
+    observe(&mut m, &tracer, &metrics)
+}
+
+/// One single-stream C2050 with batching on: 64 small works arrive faster
+/// than the stream drains them and fuse; every seventh work is too large
+/// to batch and runs as a solo flight between the fused ones.
+fn fused_run() -> Golden {
+    let mut cfg = GpuWorkerConfig {
+        models: vec![GpuModel::TeslaC2050],
+        streams_per_gpu: 1,
+        ..GpuWorkerConfig::default()
+    };
+    cfg.transfer.batch = BatchConfig::enabled();
+    let mut m = GpuManager::new(0, cfg, registry());
+    let tracer = Tracer::new(Tracer::DEFAULT_CAPACITY);
+    m.set_tracer(tracer.clone());
+    let metrics = Metrics::new(SimTime::from_micros(100));
+    m.set_metrics(&metrics);
+    m.begin_job(JOB);
+    let mut rng = SimRng::new(11);
+    let mut at = SimTime::ZERO;
+    for i in 0..64 {
+        at += SimTime::from_micros(1 + rng.gen_range(4));
+        let logical = if i % 7 == 3 {
+            (1u64 << 20) + rng.gen_range(1 << 20)
+        } else {
+            (8u64 << 10) + rng.gen_range(32 << 10)
+        };
+        m.submit_for(JOB, mk_work(i, logical, "scale2"), at);
+    }
+    observe(&mut m, &tracer, &metrics)
+}
+
+/// The Prometheus export without the completed-works series.
+fn prom_without_completed(prom: &str) -> String {
+    prom.lines()
+        .filter(|l| !l.contains("gflink_works_completed_total"))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+/// Print every fingerprint; shown when a golden fails, so an intended
+/// change can re-record it.
+fn report(name: &str, g: &Golden) {
+    eprintln!(
+        "{name}: completed={:#018x} failed={:#018x} trace={:#018x} prom={:#018x} \
+         prom_wo_completed={:#018x} json={:#018x} events={:#018x} ledger={:#018x} \
+         done={} n_failed={} fused_batches={}",
+        g.completed,
+        g.failed,
+        g.trace,
+        fnv_str(&g.prom),
+        fnv_str(&prom_without_completed(&g.prom)),
+        fnv_str(&g.json),
+        g.events,
+        g.ledger,
+        g.done,
+        g.n_failed,
+        g.fused_batches,
+    );
+}
+
+#[test]
+fn solo_run_matches_golden() {
+    let g = solo_run();
+    report("solo", &g);
+    assert_eq!(g.done + g.n_failed, 40, "every work completes or fails");
+    assert_eq!(g.n_failed, 1, "only the unregistered kernel fails");
+    assert_eq!(g.fused_batches, 0);
+    assert_eq!(g.completed, 0x8cd0_1044_36a1_e840, "completions");
+    assert_eq!(g.failed, 0xc4e4_7857_a46a_bc7f, "failures");
+    assert_eq!(g.trace, 0xde56_c0b2_2603_6990, "Chrome trace");
+    assert_eq!(fnv_str(&g.prom), 0x6e24_4c82_983e_f668, "Prometheus export");
+    assert_eq!(fnv_str(&g.json), 0xb957_94ac_e261_dbb5, "JSON export");
+    assert_eq!(g.events, 0x0675_ca1a_c039_ae3f, "flight-recorder events");
+    assert_eq!(g.ledger, 0xbb77_da83_ee6e_69ce, "fault ledger");
+}
+
+#[test]
+fn fused_run_matches_golden() {
+    let g = fused_run();
+    report("fused", &g);
+    assert_eq!(g.done, 64);
+    assert_eq!(g.n_failed, 0);
+    assert!(g.fused_batches > 0, "the backlog regime must fuse");
+    assert_eq!(g.completed, 0x18a1_edb7_de19_e350, "completions");
+    assert_eq!(g.failed, 0xcbf2_9ce4_8422_2325, "failures");
+    assert_eq!(g.trace, 0x5c44_00bf_f55f_71b7, "Chrome trace");
+    assert_eq!(
+        fnv_str(&prom_without_completed(&g.prom)),
+        0x809a_a464_f54b_db54,
+        "Prometheus export without the completed-works series"
+    );
+    assert_eq!(g.events, 0x9c3d_dcd3_288c_214b, "flight-recorder events");
+    assert_eq!(g.ledger, 0xb14d_a21a_32c6_3354, "fault ledger");
+}

@@ -203,6 +203,11 @@ impl PinnedPool {
         self.peak_registered
     }
 
+    /// Bytes currently leased out (zero once every copy has landed).
+    pub fn in_use_bytes(&self) -> u64 {
+        self.in_use_bytes
+    }
+
     /// High-water mark of concurrently leased bytes.
     pub fn peak_in_use_bytes(&self) -> u64 {
         self.peak_in_use

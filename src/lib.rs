@@ -74,8 +74,6 @@ pub mod prelude {
         Sliding, SpecError, StreamEnv, StreamError, StreamReport, StreamSource, TransferConfig,
         Tumbling, WatermarkStrategy, WindowAssigner, WindowOutput, WindowedRun, CPU_FALLBACK_GPU,
     };
-    #[allow(deprecated)]
-    pub use crate::core::{run_cpu_stream, run_gpu_stream};
     pub use crate::flink::{
         ClusterConfig, ClusterSnapshot, FlinkEnv, JobGate, JobReport, OpCost, SharedCluster,
     };
