@@ -131,12 +131,12 @@ impl GpuCache {
 
     /// Logical bytes of `keys` resident in this cache — the quantity the
     /// GMemoryManager sums per GPU to pick the locality winner (Alg. 5.1).
-    pub fn resident_bytes(&self, keys: &[CacheKey]) -> u64 {
+    pub fn resident_bytes(&self, keys: impl IntoIterator<Item = CacheKey>) -> u64 {
         if self.policy == CachePolicy::Disabled {
             return 0;
         }
-        keys.iter()
-            .filter_map(|k| self.map.get(k).map(|&(_, b)| b))
+        keys.into_iter()
+            .filter_map(|k| self.map.get(&k).map(|&(_, b)| b))
             .sum()
     }
 
@@ -345,7 +345,7 @@ mod tests {
         let mut c = GpuCache::new(1000, CachePolicy::Disabled);
         assert_eq!(c.make_room(10), (vec![], false));
         assert_eq!(c.lookup(key(0)), None);
-        assert_eq!(c.resident_bytes(&[key(0)]), 0);
+        assert_eq!(c.resident_bytes([key(0)]), 0);
         assert_eq!(c.stats(), (0, 1, 0));
     }
 
@@ -368,7 +368,7 @@ mod tests {
         let d = dev(&mut mem, 40);
         assert!(c.make_room(40).1);
         let _ = c.insert(key(1), d, 40);
-        assert_eq!(c.resident_bytes(&[key(0), key(1)]), 40);
+        assert_eq!(c.resident_bytes([key(0), key(1)]), 40);
     }
 
     #[test]

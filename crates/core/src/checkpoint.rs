@@ -22,8 +22,10 @@
 use crate::config::CheckpointConfig;
 use crate::gwork::CacheKey;
 use gflink_hdfs::{Hdfs, HdfsError};
+use gflink_memory::HBuffer;
 use gflink_sim::SimTime;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Magic prefix of an encoded snapshot ("GFlink ChecKpoint").
 const MAGIC: &[u8; 4] = b"GFCK";
@@ -41,8 +43,9 @@ pub struct SnapshotBlock {
     pub emitted: Option<usize>,
     /// Simulated instant the block completed in the original run.
     pub completed_at: SimTime,
-    /// The block's output bytes, verbatim.
-    pub payload: Vec<u8>,
+    /// The block's output bytes, verbatim — shared with the operator's
+    /// resident block, so cutting a snapshot copies no payload.
+    pub payload: Arc<HBuffer>,
 }
 
 /// One resident cache entry captured in a snapshot: which device held
@@ -120,7 +123,7 @@ impl JobSnapshot {
             let emitted = has_emitted.then_some(emitted_raw as usize);
             let completed_at = SimTime::from_nanos(r.u64()?);
             let payload_len = r.u64()? as usize;
-            let payload = r.take(payload_len)?.to_vec();
+            let payload = Arc::new(HBuffer::from_bytes(r.take(payload_len)?));
             blocks.push(SnapshotBlock {
                 tag,
                 emitted,
@@ -191,7 +194,7 @@ pub(crate) fn encode_snapshot(
         }
         put_u64(&mut out, b.completed_at.as_nanos());
         put_u64(&mut out, b.payload.len() as u64);
-        out.extend_from_slice(&b.payload);
+        out.extend_from_slice(b.payload.as_slice());
     }
     put_u64(&mut out, cache.len() as u64);
     for e in cache {
@@ -611,13 +614,13 @@ mod tests {
                     tag: (0, 1),
                     emitted: Some(5),
                     completed_at: SimTime::from_micros(10),
-                    payload: vec![9; 16],
+                    payload: Arc::new(HBuffer::from_bytes(&[9; 16])),
                 },
                 SnapshotBlock {
                     tag: (1, 0),
                     emitted: None,
                     completed_at: SimTime::from_micros(20),
-                    payload: vec![],
+                    payload: Arc::new(HBuffer::zeroed(0)),
                 },
             ],
             cache: vec![CacheManifestEntry {

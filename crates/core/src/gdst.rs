@@ -16,9 +16,16 @@
 //! partition is split into blocks (a GStruct never straddles a block), the
 //! owning task slot *produces* one [`GWork`] per block, and the worker's
 //! [`GpuManager`] consumes them — three-stage pipelining, caching and
-//! locality-aware scheduling all apply. Results are decoded back into
-//! records and the partition's ready time advances to its last block's
-//! completion.
+//! locality-aware scheduling all apply. The partition's ready time
+//! advances to its last block's completion.
+//!
+//! A GDST's source of truth is its *resident blocks*: off-heap
+//! [`HBuffer`]s in the GDST's layout, cut exactly where the producer cuts
+//! them (§4.1 — the bytes handed to the device are already in the CUDA
+//! struct layout). [`GflinkEnv::to_gdst`] encodes each record once; every
+//! later GPU map submits the same blocks; a map's outputs stay encoded as
+//! the result GDST's blocks; records are decoded only when a CPU operator
+//! asks for them ([`GDataSet::inner`]).
 
 use crate::checkpoint::{CheckpointManager, SnapshotBlock};
 use crate::config::CheckpointConfig;
@@ -31,14 +38,16 @@ use gflink_flink::dataset::RawPart;
 use gflink_flink::graph::{PhaseKind, PhaseRecord};
 use gflink_flink::{DataSet, FlinkEnv, GpuLane, GpuWorkSample, JobReport, SharedCluster};
 use gflink_gpu::{KernelArgs, KernelId, KernelProfile, KernelRegistry};
-use gflink_memory::{ArenaBuf, DataLayout, GStructDef, HBuffer, RecordReader, RecordView};
+use gflink_memory::{DataLayout, GStructDef, HBuffer, RecordReader, RecordView};
 use gflink_sim::{
     FaultLedger, MembershipPlan, Metrics, Phase, RecEvent, RecKind, SimTime, SloPolicy, Tracer,
 };
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A record type bindable to a GStruct layout.
 ///
@@ -530,10 +539,29 @@ impl GflinkEnv {
     }
 
     /// Wrap a CPU dataset into a GPU-based DataSet with the given input
-    /// layout.
+    /// layout: each partition is encoded once into its resident blocks,
+    /// cut where [`GDataSet::gpu_map_partition`] cuts, and its records are
+    /// dropped — the blocks are the GDST's only copy.
     pub fn to_gdst<T: GRecord>(&self, ds: DataSet<T>, layout: DataLayout) -> GDataSet<T> {
+        let def = T::def();
+        let block_bytes = self.fabric.cfg.block_bytes;
+        let (flink, raw, scale) = ds.into_raw();
+        let parts = raw
+            .into_iter()
+            .map(|part| Part {
+                worker: part.worker,
+                slot: part.slot,
+                data: block_cut(part.data.len(), scale, def.size(), block_bytes)
+                    .map(|rows| Block::encode(&part.data[rows], &def, layout))
+                    .collect(),
+                ready: part.ready,
+            })
+            .collect();
         GDataSet {
-            ds,
+            parts,
+            scale,
+            flink,
+            decoded: OnceLock::new(),
             id: self.fabric.fresh_dataset_id(),
             layout,
             env: self.clone(),
@@ -724,23 +752,103 @@ impl GflinkEnv {
     }
 }
 
-/// A GPU-based DataSet (the paper's GDST).
+/// The block cut of a partition of `n_act` records (§5.1): as many blocks
+/// as its logical bytes fill at `block_bytes` each — at least one, at most
+/// one per record — block `b` holding records
+/// `n_act·b/n_blocks .. n_act·(b+1)/n_blocks`.
+fn block_cut(
+    n_act: usize,
+    scale: f64,
+    rec_size: usize,
+    block_bytes: u64,
+) -> impl ExactSizeIterator<Item = Range<usize>> + Clone {
+    let logical_bytes = n_act as f64 * scale * rec_size as f64;
+    let n_blocks = ((logical_bytes / block_bytes as f64).ceil() as usize).clamp(1, n_act.max(1));
+    (0..n_blocks).map(move |b| n_act * b / n_blocks..n_act * (b + 1) / n_blocks)
+}
+
+/// One resident block: `rows` records at the front of `buf`, in the
+/// owning GDST's layout. Shared, so a GWork input or a snapshot payload
+/// is a pointer copy.
+#[derive(Clone)]
+struct Block {
+    buf: Arc<HBuffer>,
+    rows: usize,
+}
+
+impl Block {
+    /// Encode `recs` under `layout` into a buffer of exactly the bytes
+    /// they need.
+    fn encode<T: GRecord>(recs: &[T], def: &GStructDef, layout: DataLayout) -> Block {
+        let rows = recs.len();
+        let mut buf = HBuffer::zeroed(RecordView::required_bytes(def, layout, rows));
+        let mut view = RecordView::new(&mut buf, def, layout, rows);
+        for (i, rec) in recs.iter().enumerate() {
+            rec.store(&mut view, i);
+        }
+        Block {
+            buf: Arc::new(buf),
+            rows,
+        }
+    }
+}
+
+/// One partition of a GDST: its placement, ready time and blocks in block
+/// order.
+type Part = RawPart<Block>;
+
+fn part_rows(part: &Part) -> usize {
+    part.data.iter().map(|b| b.rows).sum()
+}
+
+/// A GPU-based DataSet (the paper's GDST). Its records live off-heap as
+/// resident blocks (see the module docs); the `DataSet` view is decoded
+/// from them once, on first demand.
 pub struct GDataSet<T: GRecord> {
-    ds: DataSet<T>,
+    parts: Vec<Part>,
+    scale: f64,
+    /// Environment of the decoded `DataSet`.
+    flink: FlinkEnv,
+    /// The blocks decoded into records, memoised for CPU operators.
+    decoded: OnceLock<DataSet<T>>,
     id: u64,
     layout: DataLayout,
     env: GflinkEnv,
 }
 
 impl<T: GRecord> GDataSet<T> {
-    /// The wrapped CPU dataset.
+    /// The dataset as records, for CPU operators. Decodes the resident
+    /// blocks on the first call; later calls return the same dataset.
     pub fn inner(&self) -> &DataSet<T> {
-        &self.ds
+        self.decoded.get_or_init(|| self.decode())
     }
 
-    /// Unwrap into the CPU dataset.
-    pub fn into_inner(self) -> DataSet<T> {
-        self.ds
+    /// Unwrap into the CPU dataset (decoding the blocks unless
+    /// [`inner`](Self::inner) already did).
+    pub fn into_inner(mut self) -> DataSet<T> {
+        self.decoded.take().unwrap_or_else(|| self.decode())
+    }
+
+    fn decode(&self) -> DataSet<T> {
+        let def = T::def();
+        let parts = self
+            .parts
+            .iter()
+            .map(|part| {
+                let mut data = Vec::with_capacity(part_rows(part));
+                for blk in &part.data {
+                    let reader = RecordReader::new(&blk.buf, &def, self.layout, blk.rows);
+                    data.extend((0..blk.rows).map(|i| T::load(&reader, i)));
+                }
+                RawPart {
+                    worker: part.worker,
+                    slot: part.slot,
+                    data,
+                    ready: part.ready,
+                }
+            })
+            .collect();
+        DataSet::from_raw(self.flink.clone(), parts, self.scale)
     }
 
     /// The dataset's stable identity (GPU cache key scope).
@@ -756,12 +864,60 @@ impl<T: GRecord> GDataSet<T> {
     /// Barrier helper for iterative drivers: no partition may be consumed
     /// before `t` (e.g. after a broadcast of fresh state).
     pub fn set_min_ready(&mut self, t: SimTime) {
-        self.ds.set_min_ready(t);
+        for part in &mut self.parts {
+            part.ready = part.ready.max(t);
+        }
+        if let Some(ds) = self.decoded.get_mut() {
+            ds.set_min_ready(t);
+        }
     }
 
-    /// The GPU-based `mapPartition` (§3.5.2): split each partition into
-    /// blocks, run `spec.kernel` over every block on the worker's GPUs, and
-    /// rebuild a dataset from the outputs.
+    /// `part`'s blocks cut for a pass over records of `def`: the resident
+    /// blocks themselves when they already sit on the cut with exactly the
+    /// bytes their rows need, otherwise new blocks copied row-contiguously
+    /// from them. Only AoS blocks — map outputs — can be off the cut: a
+    /// GDST built by `to_gdst` is encoded on it.
+    fn blocks_for_pass<'a>(&self, part: &'a Part, def: &GStructDef) -> Cow<'a, [Block]> {
+        let block_bytes = self.env.fabric.cfg.block_bytes;
+        let cut = block_cut(part_rows(part), self.scale, def.size(), block_bytes);
+        let on_cut = cut.len() == part.data.len()
+            && cut.clone().zip(&part.data).all(|(rows, blk)| {
+                blk.rows == rows.len()
+                    && blk.buf.len() == RecordView::required_bytes(def, self.layout, blk.rows)
+            });
+        if on_cut {
+            return Cow::Borrowed(&part.data);
+        }
+        assert_eq!(self.layout, DataLayout::Aos, "only AoS blocks are re-cut");
+        let size = def.size();
+        let mut src = part.data.iter().map(|b| &b.buf.as_slice()[..b.rows * size]);
+        let mut rest: &[u8] = &[];
+        Cow::Owned(
+            cut.map(|rows| {
+                let mut buf = HBuffer::zeroed(rows.len() * size);
+                let mut dst = buf.as_mut_slice();
+                while !dst.is_empty() {
+                    while rest.is_empty() {
+                        rest = src.next().expect("the cut covers exactly the stored rows");
+                    }
+                    let n = rest.len().min(dst.len());
+                    let (head, tail) = std::mem::take(&mut dst).split_at_mut(n);
+                    head.copy_from_slice(&rest[..n]);
+                    rest = &rest[n..];
+                    dst = tail;
+                }
+                Block {
+                    buf: Arc::new(buf),
+                    rows: rows.len(),
+                }
+            })
+            .collect(),
+        )
+    }
+
+    /// The GPU-based `mapPartition` (§3.5.2): run `spec.kernel` over every
+    /// resident block on the worker's GPUs; the output blocks, still
+    /// encoded, become the result GDST.
     ///
     /// Takes `&self` — like a Flink DST, a GDST may be consumed by many
     /// operators (iterative drivers call this every superstep on the same
@@ -774,7 +930,7 @@ impl<T: GRecord> GDataSet<T> {
         let sched = flink.schedule_phase();
         let cluster = flink.cluster();
         let job = self.env.handle.id();
-        let scale = self.ds.scale();
+        let scale = self.scale;
         let coalescing = self.layout.coalescing_all_fields(&def);
 
         let mut wall_start = SimTime::MAX;
@@ -826,31 +982,17 @@ impl<T: GRecord> GDataSet<T> {
         // operator name is interned once; every block shares it.
         let op_name: Arc<str> = name.into();
         self.env.fabric.with_managers(|managers| {
-            for (p, part) in self.ds.raw_parts().iter().enumerate() {
-                let n_act = part.data.len();
+            for (p, part) in self.parts.iter().enumerate() {
+                let n_act = part_rows(part);
                 let n_log = n_act as f64 * scale;
                 elements += n_log as u64;
-                let logical_bytes = n_log * def.size() as f64;
-                let n_blocks = ((logical_bytes / fabric_cfg.block_bytes as f64).ceil() as usize)
-                    .clamp(1, n_act.max(1));
                 let mut cursor = part.ready + sched;
-                for b in 0..n_blocks {
-                    let lo = n_act * b / n_blocks;
-                    let hi = n_act * (b + 1) / n_blocks;
-                    let rows = hi - lo;
-                    // Build the block's off-heap bytes under the chosen
-                    // layout (zero-copy path: these exact bytes go to the
-                    // device).
-                    let mut buf =
-                        HBuffer::zeroed(RecordView::required_bytes(&def, self.layout, rows));
-                    {
-                        let mut view = RecordView::new(&mut buf, &def, self.layout, rows);
-                        for (i, rec) in part.data[lo..hi].iter().enumerate() {
-                            rec.store(&mut view, i);
-                        }
-                    }
+                // Zero-copy path: the resident bytes, already in the
+                // GDST's layout, are what goes to the device.
+                for (b, block) in self.blocks_for_pass(part, &def).iter().enumerate() {
+                    let rows = block.rows;
                     let block_logical_elems =
-                        (n_log * (hi - lo) as f64 / n_act.max(1) as f64).round() as u64;
+                        (n_log * rows as f64 / n_act.max(1) as f64).round() as u64;
                     let block_logical_bytes =
                         (block_logical_elems as f64 * def.size() as f64) as u64;
                     // Producer occupies its task slot briefly per block.
@@ -869,7 +1011,7 @@ impl<T: GRecord> GDataSet<T> {
                         partition: p as u32,
                         block: b as u32,
                     };
-                    let data = Arc::new(buf);
+                    let data = Arc::clone(&block.buf);
                     let mut inputs = vec![if spec.cache_input {
                         WorkBuf::cached(data, block_logical_bytes, key)
                     } else {
@@ -967,8 +1109,8 @@ impl<T: GRecord> GDataSet<T> {
 
         // Consumer side: drain every worker's GpuManager.
         #[allow(clippy::type_complexity)]
-        let mut per_part_blocks: Vec<Vec<(u32, ArenaBuf, Option<usize>, SimTime)>> =
-            (0..self.ds.num_partitions()).map(|_| Vec::new()).collect();
+        let mut per_part_blocks: Vec<Vec<(u32, Arc<HBuffer>, Option<usize>, SimTime)>> =
+            (0..self.parts.len()).map(|_| Vec::new()).collect();
         let mut kernel_sum = SimTime::ZERO;
         let mut h2d_sum = SimTime::ZERO;
         let mut d2h_sum = SimTime::ZERO;
@@ -1016,7 +1158,7 @@ impl<T: GRecord> GDataSet<T> {
                     }
                     per_part_blocks[done.tag.0 as usize].push((
                         done.tag.1,
-                        done.output,
+                        Arc::new(done.output.into_inner()),
                         done.emitted,
                         done.timing.completed,
                     ));
@@ -1091,7 +1233,7 @@ impl<T: GRecord> GDataSet<T> {
                 wall_end = wall_end.max(rs.ready_at);
                 per_part_blocks[blk.tag.0 as usize].push((
                     blk.tag.1,
-                    ArenaBuf::detached(HBuffer::from_bytes(&blk.payload)),
+                    Arc::clone(&blk.payload),
                     blk.emitted,
                     rs.ready_at,
                 ));
@@ -1107,7 +1249,7 @@ impl<T: GRecord> GDataSet<T> {
                         tag: (p as u32, *b),
                         emitted: *emitted,
                         completed_at: *completed,
-                        payload: buf.as_slice().to_vec(),
+                        payload: Arc::clone(buf),
                     });
                 }
             }
@@ -1187,35 +1329,38 @@ impl<T: GRecord> GDataSet<T> {
                 }
             });
         }
-        // Rebuild partitions from block outputs, in block order.
-        let mut new_parts: Vec<RawPart<U>> = Vec::with_capacity(self.ds.num_partitions());
-        for (p, part) in self.ds.raw_parts().iter().enumerate() {
-            let blocks = &mut per_part_blocks[p];
-            blocks.sort_by_key(|(b, _, _, _)| *b);
-            let mut data: Vec<U> = Vec::new();
-            let mut ready = part.ready;
-            for (_, out_buf, emitted, completed) in blocks.iter() {
-                let capacity = out_buf.len() / out_def.size().max(1);
-                let out_rows = match spec.out_mode {
-                    OutMode::PerRecord => emitted.unwrap_or(capacity),
-                    OutMode::PerBlock(n) => n,
-                    OutMode::Bounded { .. } => {
-                        emitted.expect("Bounded output mode requires with_emitted")
-                    }
-                };
-                let reader = RecordReader::new(out_buf, &out_def, DataLayout::Aos, capacity);
-                for i in 0..out_rows {
-                    data.push(U::load(&reader, i));
+        // The output blocks, in block order, become the result's resident
+        // blocks as they are: nothing is decoded here.
+        let out_size = out_def.size().max(1);
+        let parts: Vec<Part> = self
+            .parts
+            .iter()
+            .zip(per_part_blocks)
+            .map(|(part, mut blocks)| {
+                blocks.sort_by_key(|(b, _, _, _)| *b);
+                let mut ready = part.ready;
+                let blocks = blocks
+                    .into_iter()
+                    .map(|(_, buf, emitted, completed)| {
+                        ready = ready.max(completed);
+                        let rows = match spec.out_mode {
+                            OutMode::PerRecord => emitted.unwrap_or(buf.len() / out_size),
+                            OutMode::PerBlock(n) => n,
+                            OutMode::Bounded { .. } => {
+                                emitted.expect("Bounded output mode requires with_emitted")
+                            }
+                        };
+                        Block { buf, rows }
+                    })
+                    .collect();
+                Part {
+                    worker: part.worker,
+                    slot: part.slot,
+                    data: blocks,
+                    ready,
                 }
-                ready = ready.max(*completed);
-            }
-            new_parts.push(RawPart {
-                worker: part.worker,
-                slot: part.slot,
-                data,
-                ready,
-            });
-        }
+            })
+            .collect();
 
         // Accounting: the GPU map is the job's Map phase; kernel/transfer
         // components are tracked as Eq. (4) sub-phases.
@@ -1228,7 +1373,7 @@ impl<T: GRecord> GDataSet<T> {
         flink.record_phase(PhaseRecord {
             name: format!("gpuMapPartition({name})"),
             kind: PhaseKind::Map,
-            parallelism: self.ds.num_partitions(),
+            parallelism: self.parts.len(),
             wall,
             elements,
         });
@@ -1239,7 +1384,10 @@ impl<T: GRecord> GDataSet<T> {
             (OutMode::PerBlock(_), None) => 1.0,
         };
         GDataSet {
-            ds: DataSet::from_raw(flink.clone(), new_parts, out_scale),
+            parts,
+            scale: out_scale,
+            flink: flink.clone(),
+            decoded: OnceLock::new(),
             id: self.env.fabric.fresh_dataset_id(),
             layout: DataLayout::Aos,
             env: self.env.clone(),

@@ -26,7 +26,7 @@ use crate::costmodel::{decide, CostModel, HybridRoute};
 use crate::flight::{Flight, FlightTable, Member, Parked};
 use crate::fused::PendingBatch;
 use crate::gmemory::GMemoryManager;
-use crate::gwork::{CacheKey, CompletedWork, GWork, WorkBuf, WorkTiming};
+use crate::gwork::{CompletedWork, GWork, WorkBuf, WorkTiming};
 use crate::jobsched::{JobScheduler, PennedWork};
 use crate::recovery::{FailReason, RecoveryManager, CPU_FALLBACK_GPU};
 use crate::scheduling::SchedulingPolicy;
@@ -394,8 +394,7 @@ impl GStreamManager {
     /// tenant caching the same key must not attract this job's work. Lost
     /// devices never win: their regions were invalidated at loss.
     fn locality_gpu(gmem: &GMemoryManager, session: &JobSession, work: &GWork) -> Option<usize> {
-        let keys: Vec<_> = work.inputs.iter().filter_map(|b| b.cache_key).collect();
-        if keys.is_empty() {
+        if work.inputs.iter().all(|b| b.cache_key.is_none()) {
             return None;
         }
         let mut best: Option<(usize, u64)> = None;
@@ -403,7 +402,7 @@ impl GStreamManager {
             if !gmem.usable(g) {
                 continue;
             }
-            let bytes = region.resident_bytes(&keys);
+            let bytes = region.resident_bytes(work.inputs.iter().filter_map(|b| b.cache_key));
             if bytes > 0 && best.map(|(_, b)| bytes > b).unwrap_or(true) {
                 best = Some((g, bytes));
             }
@@ -914,18 +913,14 @@ impl GStreamManager {
         let cm = self.cost_model.as_ref().expect("hybrid policy active");
         let session = eng.sessions.get(&job).expect("session open");
         let kbytes = work.input_logical_bytes() + work.out_logical_bytes;
-        let keys: Vec<CacheKey> = work.inputs.iter().filter_map(|b| b.cache_key).collect();
+        let keys = || work.inputs.iter().filter_map(|b| b.cache_key);
         let mut best: Option<SimTime> = None;
         for g in 0..self.stream_busy_until.len() {
             if !eng.gmem.usable(g) {
                 continue;
             }
             // Cache-hit discount: resident input bytes skip the H2D.
-            let resident = if keys.is_empty() {
-                0
-            } else {
-                session.regions[g].resident_bytes(&keys)
-            };
+            let resident = session.regions[g].resident_bytes(keys());
             let miss = work.input_logical_bytes().saturating_sub(resident);
             let kest = cm.gpu_kernel_time(g, work.kernel, kbytes);
             // Queue term of Eq. (1): an idle stream starts now; otherwise

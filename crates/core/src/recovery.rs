@@ -12,7 +12,7 @@
 //! device is every tenant's problem.
 
 use crate::config::GpuWorkerConfig;
-use crate::gwork::{CompletedWork, GWork, WorkTiming};
+use crate::gwork::{CompletedWork, GWork, WorkBuf, WorkTiming};
 use crate::session::{JobId, JobSession};
 use gflink_gpu::{DeviceError, KernelArgs, KernelRegistry};
 use gflink_memory::{ArenaBuf, HBuffer};
@@ -628,17 +628,15 @@ impl RecoveryManager {
             });
         };
         let mut out_host = HBuffer::zeroed(work.out_actual_bytes);
-        let profile = {
-            let inputs: Vec<&HBuffer> = work.inputs.iter().map(|b| b.data.as_ref()).collect();
-            let mut args = KernelArgs {
-                inputs: &inputs,
+        let profile = with_input_refs(&work.inputs, |inputs| {
+            kernel(&mut KernelArgs {
+                inputs,
                 outputs: &mut [&mut out_host],
                 params: &work.params,
                 n_actual: work.n_actual,
                 n_logical: work.n_logical,
-            };
-            kernel(&mut args)
-        };
+            })
+        });
         let (slot, r) = self.host.run(t, profile.flops, profile.bytes);
         Ok(HostExec {
             slot,
@@ -740,5 +738,24 @@ impl HostExec {
                 bytes_d2h: 0,
             },
         }
+    }
+}
+
+/// Call `f` with `inputs`' host buffers as the kernel's `&[&HBuffer]`
+/// argument, on the stack for works of up to four inputs
+/// (a data block plus broadcast state is two), so the per-work host path
+/// allocates no reference vector.
+fn with_input_refs<R>(inputs: &[WorkBuf], f: impl FnOnce(&[&HBuffer]) -> R) -> R {
+    const INLINE_INPUTS: usize = 4;
+    match inputs.first() {
+        Some(first) if inputs.len() <= INLINE_INPUTS => {
+            let mut refs = [first.data.as_ref(); INLINE_INPUTS];
+            for (slot, b) in refs.iter_mut().zip(inputs) {
+                *slot = b.data.as_ref();
+            }
+            f(&refs[..inputs.len()])
+        }
+        Some(_) => f(&inputs.iter().map(|b| b.data.as_ref()).collect::<Vec<_>>()),
+        None => f(&[]),
     }
 }

@@ -731,7 +731,7 @@ impl<'a, T> WindowPipeline<'a, T> {
                         tag: done.tag,
                         emitted: Some(emitted),
                         completed_at: done.timing.completed,
-                        payload: done.output.as_slice().to_vec(),
+                        payload: Arc::new(done.output.into_inner()),
                     });
                 }
             }
@@ -781,10 +781,9 @@ impl<'a, T> WindowPipeline<'a, T> {
                 };
                 windows_restored += 1;
                 wall_end = wall_end.max(rs.ready_at);
-                let buf = HBuffer::from_bytes(&blk.payload);
                 let capacity = blk.payload.len() / out_def.size().max(1);
                 let emitted = blk.emitted.unwrap_or(capacity).min(capacity);
-                let reader = RecordReader::new(&buf, out_def, DataLayout::Aos, capacity);
+                let reader = RecordReader::new(&blk.payload, out_def, DataLayout::Aos, capacity);
                 for (key, agg) in read_keyagg(&reader, emitted) {
                     outputs.push(WindowOutput {
                         span: fw.span,
