@@ -170,7 +170,20 @@ pub(crate) fn encode_snapshot(
     blocks: &[SnapshotBlock],
     cache: &[CacheManifestEntry],
 ) -> Vec<u8> {
-    let mut out = Vec::new();
+    // Header, state, block count, cache count; per block: tag, emitted
+    // flag and count, completion, payload length; per cache entry 32 B.
+    let len = 4
+        + 4
+        + 8 * 4
+        + state.len()
+        + 8
+        + 8
+        + cache.len() * 32
+        + blocks
+            .iter()
+            .map(|b| 4 + 4 + 1 + 8 + 8 + 8 + b.payload.len())
+            .sum::<usize>();
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, VERSION);
     put_u64(&mut out, job);
@@ -205,6 +218,7 @@ pub(crate) fn encode_snapshot(
         put_u32(&mut out, e.key.block);
         put_u64(&mut out, e.bytes);
     }
+    debug_assert_eq!(out.len(), len, "GFCK length precomputed exactly");
     out
 }
 
@@ -520,7 +534,19 @@ pub struct StreamState {
 impl StreamState {
     /// Deterministic byte encoding (little-endian, length-prefixed).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        // Header and counters, then per pane its four fixed words, the
+        // value count and the values.
+        let len = 4
+            + 4
+            + 8
+            + 1
+            + 8 * 5
+            + self
+                .open
+                .iter()
+                .map(|p| 8 * (5 + p.values.len()))
+                .sum::<usize>();
+        let mut out = Vec::with_capacity(len);
         out.extend_from_slice(STREAM_MAGIC);
         put_u32(&mut out, STREAM_VERSION);
         put_u64(&mut out, self.batches);
@@ -548,6 +574,7 @@ impl StreamState {
                 put_u64(&mut out, v.to_bits());
             }
         }
+        debug_assert_eq!(out.len(), len, "GFSS length precomputed exactly");
         out
     }
 

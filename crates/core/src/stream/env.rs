@@ -30,7 +30,7 @@ use super::window::{
     output_digest, AggResult, AggSpec, FiredWindow, KeyedWindows, WindowAssigner, WindowOutput,
 };
 use super::{LostBatch, StreamError, StreamReport};
-use crate::checkpoint::{OpenPane, SnapshotBlock, StreamState};
+use crate::checkpoint::{SnapshotBlock, StreamState};
 use crate::gdst::{GRecord, GpuFabric, GpuMapSpec, OutMode};
 use crate::gwork::{GWork, WorkBuf};
 use gflink_flink::{ClusterConfig, OpCost, SharedCluster};
@@ -480,25 +480,7 @@ impl<'p, 'a, T> Replay<'p, 'a, T> {
 
     /// The keyed state after the batches absorbed so far.
     fn state(&self) -> StreamState {
-        let kw = &self.kw;
-        StreamState {
-            batches: self.absorbed as u64,
-            watermark: kw.watermark,
-            max_event_ts: kw.max_ts.unwrap_or(SimTime::ZERO),
-            late_records: kw.late_records,
-            fired: kw.fire_seq as u64,
-            open: kw
-                .open
-                .values()
-                .map(|p| OpenPane {
-                    start: p.span.start,
-                    end: p.span.end,
-                    key: p.key,
-                    logical: p.logical,
-                    values: p.values.clone(),
-                })
-                .collect(),
-        }
+        self.kw.state(self.absorbed as u64)
     }
 
     /// The keyed state at `tick`: exactly `ingest(Some(tick), false).state`
