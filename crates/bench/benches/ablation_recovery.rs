@@ -7,7 +7,9 @@
 //! completed *since the last snapshot* — i.e. of the checkpoint interval —
 //! not of the job size. A finer cadence restores more and replays less, at
 //! the price of more snapshot bytes written: the classic checkpointing
-//! trade-off, swept here across intervals.
+//! trade-off, swept here across intervals. Snapshots are incremental
+//! chains, so every row's written bytes must stay within three times the
+//! folded snapshot the crashed attempt left behind.
 //!
 //! Besides `results/ablation_recovery.json`, this harness emits the first
 //! `BENCH_recovery.json` trajectory file at the workspace root so future
@@ -112,6 +114,8 @@ fn attempt(cluster: &SharedCluster, fabric: &GpuFabric, faults: FaultPlan) -> (f
 struct Outcome {
     snapshots: u64,
     snapshot_bytes: u64,
+    /// Encoded size of the crashed attempt's folded snapshot.
+    folded_bytes: u64,
     restored: u64,
     replayed: u64,
     replay_delta: SimTime,
@@ -136,6 +140,11 @@ fn crash_then_resume(interval: SimTime) -> (f64, Outcome) {
         .as_ref()
         .map(|g| (g.checkpoints, g.checkpoint_bytes))
         .unwrap_or((0, 0));
+    // An uncharged fold: the resumed attempt's timeline is untouched.
+    let folded = f1
+        .with_checkpoints(|c| c.inspect(&cluster.lock().hdfs, "recovery", 0))
+        .expect("the crashed attempt's chain is intact")
+        .map_or(0, |rs| rs.snapshot.encoded_len() as u64);
     let f2 = make_fabric(interval);
     let (digest, report) = attempt(&cluster, &f2, FaultPlan::new());
     let g = report.gpu.as_ref().expect("resumed attempt has a rollup");
@@ -144,6 +153,7 @@ fn crash_then_resume(interval: SimTime) -> (f64, Outcome) {
         Outcome {
             snapshots: snapshots.0,
             snapshot_bytes: snapshots.1,
+            folded_bytes: folded,
             restored: g.works_restored,
             replayed: g.works,
             replay_delta: SimTime::from_secs_f64(g.recovery_delta.sum()),
@@ -189,6 +199,13 @@ fn main() {
             out.restored + out.replayed,
             total_works,
             "double entry: restored + replayed must cover the whole operator"
+        );
+        assert!(
+            out.snapshot_bytes <= 3 * out.folded_bytes,
+            "interval {interval}: {} snapshot bytes written for a {} B folded \
+             snapshot; incremental chains must stay within 3x",
+            out.snapshot_bytes,
+            out.folded_bytes
         );
         assert!(
             out.restored <= last_restored,

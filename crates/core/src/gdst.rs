@@ -952,20 +952,24 @@ impl<T: GRecord> GDataSet<T> {
         } else {
             0
         };
-        let restored = if ckpt_on {
+        // A corrupt or broken chain is refused here — the run falls back
+        // to executing from zero, never silently replaying bad bytes — and
+        // counted.
+        let (restored, refused) = if ckpt_on {
             let now = flink.frontier();
             let mut cl = cluster.lock();
-            // A corrupt snapshot (CRC or length mismatch) is refused here
-            // — the run falls back to executing from zero, never silently
-            // replaying bad bytes.
-            self.env
+            match self
+                .env
                 .fabric
                 .ckpt
                 .lock()
                 .read(&mut cl.hdfs, 0, &jname, seq, now)
-                .unwrap_or(None)
+            {
+                Ok(rs) => (rs, 0),
+                Err(_) => (None, 1),
+            }
         } else {
-            None
+            (None, 0)
         };
         if let Some(rs) = &restored {
             let tags = rs.snapshot.covered_tags();
@@ -1271,7 +1275,7 @@ impl<T: GRecord> GDataSet<T> {
                 &ticks,
                 &done,
                 &cache,
-                |_| Vec::new(),
+                |_| Some(Vec::new()),
             )
         } else {
             (0, 0)
@@ -1280,6 +1284,7 @@ impl<T: GRecord> GDataSet<T> {
             flink.with_gpu_rollup(|r| {
                 r.checkpoints += checkpoints;
                 r.checkpoint_bytes += checkpoint_bytes;
+                r.restores_refused += refused;
                 if let Some(rs) = &restored {
                     r.restores += 1;
                     r.works_restored += restored_works;

@@ -49,8 +49,9 @@ pub mod stream;
 
 pub use cache::{CachePolicy, GpuCache};
 pub use checkpoint::{
-    CacheManifestEntry, CheckpointManager, CheckpointToken, JobSnapshot, OpenPane,
-    RestoredSnapshot, SnapshotBlock, StreamState,
+    segment_name, CacheManifestEntry, ChainAudit, CheckpointManager, CheckpointToken, JobSnapshot,
+    OpenPane, RestoredSnapshot, SegmentLink, SnapshotBlock, SnapshotError, SnapshotSegment,
+    StreamState,
 };
 pub use config::{BatchConfig, CheckpointConfig, HybridConfig, SchedulerConfig, TransferConfig};
 pub use gdst::{

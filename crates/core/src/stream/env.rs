@@ -399,8 +399,13 @@ pub struct WindowedRun {
     pub watermarks: Vec<WatermarkStamp>,
     /// Windows satisfied from a durable snapshot instead of executing.
     pub windows_restored: u64,
+    /// Snapshots refused — corrupt, broken or diverging from the replayed
+    /// state — so the run replayed from zero.
+    pub restores_refused: u64,
     /// Durable snapshots written during the run.
     pub checkpoints: u64,
+    /// Bytes those snapshots wrote.
+    pub checkpoint_bytes: u64,
 }
 
 impl WindowedRun {
@@ -417,19 +422,48 @@ impl WindowedRun {
 }
 
 /// The pure driver-side ingestion result: what fired, when, and the keyed
-/// state left open. A pure function of the pipeline definition and the
-/// cutoff, which is what makes checkpoint validation-by-replay possible.
+/// states captured on the way. A pure function of the pipeline definition
+/// and the cutoff, which is what makes checkpoint validation-by-replay
+/// possible.
 struct Ingested {
     fired: Vec<FiredWindow>,
     stamps: Vec<WatermarkStamp>,
     late: u64,
-    state: StreamState,
+    states: StateTape,
+}
+
+/// When a pass must capture the keyed state, besides at its end.
+#[derive(Default)]
+struct Capture {
+    /// Instants known before the pass — a restore's frontier and
+    /// `ready_at` — ascending.
+    at: Vec<SimTime>,
+    /// The snapshot interval: capture at `first_fire + k·interval` for
+    /// every `k ≥ 0`, once the first window fires.
+    every: Option<SimTime>,
+}
+
+/// The keyed states one pass captured, keyed by batches absorbed. The
+/// state changes only when a batch lands, so each one answers every
+/// instant from its last absorbed arrival up to the next arrival, and the
+/// final (pre-flush) state answers every instant past the last batch.
+struct StateTape {
+    /// Every merged batch's arrival, ascending.
+    arrivals: Vec<SimTime>,
+    states: BTreeMap<u64, StreamState>,
+}
+
+impl StateTape {
+    /// The state after every batch with arrival ≤ `t`, if the pass
+    /// captured it.
+    fn at(&self, t: SimTime) -> Option<&StreamState> {
+        let absorbed = self.arrivals.partition_point(|&a| a <= t) as u64;
+        self.states.get(&absorbed)
+    }
 }
 
 /// One resumable pass of the keyed window state machine over the merged
-/// batches, in arrival order. Because ingestion is a pure function of the
-/// pipeline, a single pass yields the state at any number of ascending cut
-/// points: snapshot cutting costs one pass, not one replay per tick.
+/// batches, in arrival order.
 struct Replay<'p, 'a, T> {
     pipeline: &'p WindowPipeline<'a, T>,
     batches: Vec<BatchRef>,
@@ -455,27 +489,29 @@ impl<'p, 'a, T> Replay<'p, 'a, T> {
         }
     }
 
-    /// Absorb every remaining batch with arrival ≤ `until` (all of them
-    /// for `None`), handing each batch's fired windows to `fired`.
-    fn advance(&mut self, until: Option<SimTime>, mut fired: impl FnMut(Vec<FiredWindow>)) {
+    /// The next batch's arrival, if there is one landing by `until` (any,
+    /// for `None`).
+    fn next_arrival(&self, until: Option<SimTime>) -> Option<SimTime> {
+        let arrival = self.batches.get(self.absorbed)?.arrival;
+        until.is_none_or(|u| arrival <= u).then_some(arrival)
+    }
+
+    /// Absorb the next batch, returning the windows it fired.
+    fn absorb(&mut self) -> Vec<FiredWindow> {
         let p = self.pipeline;
         let (ts_fn, _) = p.stream.ts.as_ref().expect("validated: timestamps set");
-        while let Some(&b) = self.batches.get(self.absorbed) {
-            if until.is_some_and(|u| b.arrival > u) {
-                break;
-            }
-            let (src, gen) = &p.stream.sources[b.source];
-            let scale = src.record_scale();
-            let actual = src.batch_actual();
-            for j in 0..actual {
-                let rec = gen((b.index * actual + j) as u64);
-                self.kw
-                    .insert(ts_fn(&rec), (p.key)(&rec), (p.value)(&rec), scale);
-            }
-            fired(self.kw.advance(b.arrival));
-            self.absorbed += 1;
-            self.last_arrival = b.arrival;
+        let b = self.batches[self.absorbed];
+        let (src, gen) = &p.stream.sources[b.source];
+        let scale = src.record_scale();
+        let actual = src.batch_actual();
+        for j in 0..actual {
+            let rec = gen((b.index * actual + j) as u64);
+            self.kw
+                .insert(ts_fn(&rec), (p.key)(&rec), (p.value)(&rec), scale);
         }
+        self.absorbed += 1;
+        self.last_arrival = b.arrival;
+        self.kw.advance(b.arrival)
     }
 
     /// The keyed state after the batches absorbed so far.
@@ -483,11 +519,13 @@ impl<'p, 'a, T> Replay<'p, 'a, T> {
         self.kw.state(self.absorbed as u64)
     }
 
-    /// The keyed state at `tick`: exactly `ingest(Some(tick), false).state`
-    /// as long as ticks come in non-decreasing order (an earlier tick than
-    /// the last one sees the later state). Repeated ticks each get it.
+    /// The keyed state at `tick` by absorbing up to it — the per-tick
+    /// replay the one pass's captured states are checked against.
+    #[cfg(test)]
     fn state_at(&mut self, tick: SimTime) -> StreamState {
-        self.advance(Some(tick), drop);
+        while self.next_arrival(Some(tick)).is_some() {
+            self.absorb();
+        }
         self.state()
     }
 }
@@ -515,25 +553,51 @@ impl<'a, T> WindowPipeline<'a, T> {
     }
 
     /// Drive the keyed window state machine over every merged batch with
-    /// arrival ≤ `cutoff`, flushing remaining windows iff `flush`.
-    fn ingest(&self, cutoff: Option<SimTime>, flush: bool) -> Ingested {
+    /// arrival ≤ `cutoff`, flushing remaining windows iff `flush`, in one
+    /// pass that also captures the keyed state at every instant `capture`
+    /// asks for and at its end, before any flush.
+    fn ingest(&self, cutoff: Option<SimTime>, flush: bool, capture: Capture) -> Ingested {
         let mut replay = Replay::new(self);
+        let arrivals = replay.batches.iter().map(|b| b.arrival).collect();
+        let mut states = BTreeMap::new();
+        let mut fixed = capture.at.into_iter().peekable();
+        let mut cadence: Option<SimTime> = None;
         let mut fired = Vec::new();
-        replay.advance(cutoff, |f| fired.extend(f));
+        while let Some(arrival) = replay.next_arrival(cutoff) {
+            // An instant before this arrival sees the state as it stands.
+            while let Some(c) = fixed.peek().copied().into_iter().chain(cadence).min() {
+                if c >= arrival {
+                    break;
+                }
+                let absorbed = replay.absorbed as u64;
+                states.entry(absorbed).or_insert_with(|| replay.state());
+                if fixed.next_if_eq(&c).is_none() {
+                    // Skip the cadence instants that share this state.
+                    let every = capture.every.map_or(1, |e| e.as_nanos().max(1));
+                    let skip = (arrival - c).as_nanos().div_ceil(every);
+                    cadence = Some(c + SimTime::from_nanos(every) * skip);
+                }
+            }
+            let f = replay.absorb();
+            if cadence.is_none() && !f.is_empty() {
+                cadence = capture.every.map(|_| arrival);
+            }
+            fired.extend(f);
+        }
+        states.insert(replay.absorbed as u64, replay.state());
         if flush {
             fired.extend(replay.kw.flush(replay.last_arrival));
         }
-        let state = replay.state();
         Ingested {
             fired,
             stamps: replay.kw.stamps,
             late: replay.kw.late_records,
-            state,
+            states: StateTape { arrivals, states },
         }
     }
 
     fn run_cpu(&self, cfg: &ClusterConfig) -> Result<WindowedRun, StreamError> {
-        let ing = self.ingest(self.crash_at, self.crash_at.is_none());
+        let ing = self.ingest(self.crash_at, self.crash_at.is_none(), Capture::default());
         let cpu = cfg.cpu;
         let slots = (cfg.num_workers * cfg.slots_per_worker).max(1);
         let mut slot_free = vec![SimTime::ZERO; slots];
@@ -581,7 +645,9 @@ impl<'a, T> WindowPipeline<'a, T> {
             windows: outputs,
             watermarks: ing.stamps,
             windows_restored: 0,
+            restores_refused: 0,
             checkpoints: 0,
+            checkpoint_bytes: 0,
         })
     }
 
@@ -630,7 +696,6 @@ impl<'a, T> WindowPipeline<'a, T> {
 
     fn run_gpu(&self) -> Result<WindowedRun, StreamError> {
         let (fabric, cluster) = self.env.gpu_parts()?;
-        let ing = self.ingest(self.crash_at, self.crash_at.is_none());
         let spec = GpuMapSpec::new(WINDOW_KERNEL)
             .uncached()
             .with_params(vec![self.agg.flops_per_record, self.agg.bytes_per_record])
@@ -640,32 +705,46 @@ impl<'a, T> WindowPipeline<'a, T> {
         let job = fabric.open_job_weighted(self.env.weight)?;
         let jid = job.id();
 
-        // --- restore: replay-validated snapshot coverage -----------------
-        let ckpt_on = cluster.is_some() && fabric.with_checkpoints(|c| c.enabled());
-        let seq = if ckpt_on {
+        // --- restore read, ahead of the one ingest pass -------------------
+        // The read is charged from time zero, so reading first moves no
+        // simulated instant; it tells the pass which states to capture.
+        let ckpt = cluster.filter(|_| fabric.with_checkpoints(|c| c.enabled()));
+        let seq = if ckpt.is_some() {
             fabric.with_checkpoints(|c| c.next_seq(jid.0))
         } else {
             0
         };
-        let restored = if let (true, Some(cl)) = (ckpt_on, cluster) {
-            let rs = {
-                let mut cl = cl.lock();
-                fabric
-                    .with_checkpoints(|c| {
-                        c.read(&mut cl.hdfs, 0, &self.env.name, seq, SimTime::ZERO)
-                    })
-                    .unwrap_or(None)
-            };
-            // The snapshot's keyed state must equal the state replay
-            // reconstructs at its frontier; divergence refuses the
-            // snapshot (replay-from-zero) rather than resuming wrong.
-            rs.filter(|rs| {
-                StreamState::decode(&rs.snapshot.state)
-                    .is_some_and(|st| self.ingest(Some(rs.snapshot.frontier), false).state == st)
-            })
-        } else {
-            None
+        let mut restores_refused = 0;
+        let read = ckpt.and_then(|cl| {
+            let mut cl = cl.lock();
+            fabric
+                .with_checkpoints(|c| c.read(&mut cl.hdfs, 0, &self.env.name, seq, SimTime::ZERO))
+                .unwrap_or_else(|_| {
+                    restores_refused += 1;
+                    None
+                })
+        });
+
+        // --- one ingest pass: windows, restore check, snapshot states -----
+        let mut capture = Capture {
+            at: read
+                .iter()
+                .flat_map(|rs| [rs.snapshot.frontier, rs.ready_at])
+                .collect(),
+            every: ckpt.map(|_| fabric.with_checkpoints(|c| c.config().interval)),
         };
+        capture.at.sort_unstable();
+        let ing = self.ingest(self.crash_at, self.crash_at.is_none(), capture);
+        // The snapshot's keyed state must equal the state the pass rebuilt
+        // at its frontier; divergence refuses the snapshot (replay from
+        // zero) rather than resuming wrong. So does a frontier past this
+        // run's own crash, which the pass never reached.
+        let restored = read.filter(|rs| {
+            let valid = StreamState::decode(&rs.snapshot.state)
+                .is_ok_and(|st| ing.states.at(rs.snapshot.frontier) == Some(&st));
+            restores_refused += u64::from(!valid);
+            valid
+        });
         if let Some(rs) = &restored {
             let tags = rs.snapshot.covered_tags();
             fabric.with_managers(|ms| {
@@ -708,7 +787,7 @@ impl<'a, T> WindowPipeline<'a, T> {
                     completed: done.timing.completed,
                     rows: read_keyagg(&reader, emitted),
                 });
-                if ckpt_on {
+                if ckpt.is_some() {
                     done_blocks.push(SnapshotBlock {
                         tag: done.tag,
                         emitted: Some(emitted),
@@ -793,9 +872,9 @@ impl<'a, T> WindowPipeline<'a, T> {
         });
 
         // --- periodic snapshots (gdst cadence, stream state attached) -----
-        // One more ingest pass serves every tick's keyed state, in order.
-        let mut checkpoints = 0u64;
-        if ckpt_on && !ing.fired.is_empty() {
+        // Each tick's keyed state is one the ingest pass captured.
+        let (mut checkpoints, mut checkpoint_bytes) = (0, 0);
+        if let (Some(cl), false) = (ckpt, ing.fired.is_empty()) {
             if let Some(rs) = restored {
                 let ready_at = rs.ready_at;
                 done_blocks.extend(rs.snapshot.blocks.into_iter().map(|blk| SnapshotBlock {
@@ -804,11 +883,14 @@ impl<'a, T> WindowPipeline<'a, T> {
                 }));
             }
             done_blocks.sort_by_key(|b| (b.completed_at, b.tag));
-            let cl = cluster.expect("ckpt_on implies cluster");
             let mut cl = cl.lock();
-            let mut replay = Replay::new(self);
-            checkpoints = fabric.with_checkpoints(|ck| {
+            (checkpoints, checkpoint_bytes) = fabric.with_checkpoints(|ck| {
                 let ticks = ck.snapshot_ticks(jid.0, first_fire, wall_end, crashed_at);
+                // A tick the pass holds no state for — the final tick of a
+                // run whose last window completed before its last batch
+                // landed, or a cadence tick of a run that restored every
+                // window and then crashed — is skipped: the chain keeps
+                // its last snapshot, which is never wrong.
                 ck.write_ticks(
                     &mut cl.hdfs,
                     &self.env.name,
@@ -816,9 +898,8 @@ impl<'a, T> WindowPipeline<'a, T> {
                     &ticks,
                     &done_blocks,
                     &[],
-                    |tick| replay.state_at(tick).encode(),
+                    |tick| ing.states.at(tick).map(StreamState::encode),
                 )
-                .0
             });
         }
         job.finish();
@@ -839,7 +920,9 @@ impl<'a, T> WindowPipeline<'a, T> {
             windows: outputs,
             watermarks: ing.stamps,
             windows_restored,
+            restores_refused,
             checkpoints,
+            checkpoint_bytes,
         })
     }
 }
@@ -1397,11 +1480,13 @@ mod tests {
         assert_eq!(r1.watermark_digest(), r2.watermark_digest());
     }
 
-    /// The one snapshot pass hands every tick exactly the state a fresh
-    /// replay up to that tick rebuilds — for every window kind, over two
-    /// merged sources (tied arrivals included) with late records, at ticks
-    /// before the first batch, on a crash-bounded cadence, past the last
-    /// batch, and on a repeated final tick.
+    /// The one ingest pass captures, for every tick a run can cut, exactly
+    /// the state a fresh replay up to that tick rebuilds — for every window
+    /// kind, over two merged sources (tied arrivals included) with late
+    /// records: a crash-bounded cadence, a full cadence past the last batch
+    /// with a repeated final tick, and a restore's frontier and `ready_at`,
+    /// where `ready_at` comes before the first batch and the first fire
+    /// (every window restored).
     #[test]
     fn single_pass_states_equal_per_tick_replay() {
         let a = StreamSource::at_rate(10_000_000.0).for_duration(SimTime::from_secs(1));
@@ -1419,19 +1504,8 @@ mod tests {
         };
         let ms = SimTime::from_millis;
         let crash = ms(650);
-        let (first, last) = (ms(50), SimTime::from_secs(1));
-        let mut ck = CheckpointManager::new(CheckpointConfig::every(ms(150)));
-        let crashed = ck.snapshot_ticks(1, first, last, Some(crash));
-        assert_eq!(crashed.last(), Some(&crash));
-        let mut ck = CheckpointManager::new(CheckpointConfig::every(ms(250)));
-        let full = ck.snapshot_ticks(2, SimTime::ZERO, last, None);
-        assert_eq!(full[full.len() - 2..], [last, last], "final tick repeats");
-        let tick_sets = [
-            vec![SimTime::ZERO, ms(10), ms(49), ms(50), ms(120)],
-            crashed,
-            full,
-            vec![ms(990), last, ms(1_500), ms(1_500)],
-        ];
+        let last = SimTime::from_secs(1);
+        let (ready_at, frontier) = (ms(10), ms(120));
         let env = StreamEnv::cpu(&ClusterConfig::standard(1));
         let assigners = [
             Tumbling::of(ms(100)),
@@ -1447,16 +1521,46 @@ mod tests {
                 .window(assigner)
                 .aggregate(AggSpec::avg(), |e: &Event| e.value)
                 .crash_at(crash);
-            let end = p.ingest(None, false).state;
+            let replay = |t: SimTime| Replay::new(&p).state_at(t);
+            let end = replay(last);
             assert!(end.late_records > 0 && end.fired > 0, "{assigner:?}");
             // A tick covers the batches arriving at or before it.
-            assert_eq!(p.ingest(Some(first), false).state.batches, 1);
-            assert_eq!(p.ingest(Some(ms(100)), false).state.batches, 3);
-            for ticks in &tick_sets {
-                let mut replay = Replay::new(&p);
-                for &t in ticks {
-                    let expected = p.ingest(Some(t), false).state;
-                    assert_eq!(replay.state_at(t), expected, "{assigner:?} at {t}");
+            assert_eq!(replay(ms(50)).batches, 1);
+            assert_eq!(replay(ms(100)).batches, 3);
+            assert_eq!(replay(ready_at).batches, 0, "ready_at precedes every batch");
+
+            let cases = [
+                (Some(crash), false, ms(150), vec![], Some(crash)),
+                (None, true, ms(250), vec![], None),
+                (None, true, ms(250), vec![ready_at, frontier], None),
+            ];
+            for (i, (cutoff, flush, every, at, crashed)) in cases.into_iter().enumerate() {
+                let restore = at.clone();
+                let capture = Capture {
+                    at,
+                    every: Some(every),
+                };
+                let ing = p.ingest(cutoff, flush, capture);
+                let first_fire = ing.fired[0].fire_at;
+                let mut ck = CheckpointManager::new(CheckpointConfig::every(every));
+                let mut ticks = ck.snapshot_ticks(1, first_fire, last + ms(5), crashed);
+                if crashed.is_none() {
+                    ticks.push(last + ms(5)); // the final tick repeats
+                }
+                if !restore.is_empty() {
+                    // A restore that covered every window cuts one tick at
+                    // `ready_at`, before the first fire.
+                    let mut ck = CheckpointManager::new(CheckpointConfig::every(every));
+                    ticks.extend(ck.snapshot_ticks(2, first_fire, ready_at, None));
+                    assert!(ready_at < first_fire && ticks.contains(&ready_at));
+                    ticks.extend(restore);
+                }
+                for t in ticks {
+                    if cutoff.is_some_and(|c| t > c) {
+                        continue;
+                    }
+                    let got = ing.states.at(t);
+                    assert_eq!(got, Some(&replay(t)), "{assigner:?} case {i} at {t}");
                 }
             }
         }

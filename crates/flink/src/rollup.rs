@@ -112,6 +112,9 @@ pub struct GpuRollup {
     pub checkpoint_bytes: u64,
     /// Operator invocations that found a durable snapshot and restored it.
     pub restores: u64,
+    /// Operator invocations that refused a corrupt or broken snapshot and
+    /// replayed from zero.
+    pub restores_refused: u64,
     /// Works satisfied from a restored snapshot instead of executing.
     pub works_restored: u64,
     /// Per restored operator: simulated time from the snapshot's restore
@@ -286,6 +289,13 @@ impl fmt::Display for GpuRollup {
                 fmt_ms(self.recovery_delta.mean()),
             )?;
         }
+        if self.restores_refused > 0 {
+            writeln!(
+                f,
+                "  refused restores: {} (replayed from zero)",
+                self.restores_refused
+            )?;
+        }
         if self.hybrid_gpu + self.hybrid_cpu + self.hybrid_splits > 0 {
             write!(
                 f,
@@ -453,6 +463,14 @@ mod tests {
         let text = format!("{r}");
         assert!(!text.contains("checkpointing"));
         assert!(text.contains("restores: 1 covering 7 works, replay delta mean 4.000 ms"));
+        assert!(!text.contains("refused"));
+
+        let mut r = GpuRollup::default();
+        r.record(&sample(Some(0), 0, 1));
+        r.restores_refused = 2;
+        let text = format!("{r}");
+        assert!(text.contains("refused restores: 2 (replayed from zero)"));
+        assert!(!text.contains("covering"));
     }
 
     #[test]

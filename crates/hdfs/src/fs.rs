@@ -211,8 +211,14 @@ pub struct Hdfs {
     num_nodes: usize,
     files: HashMap<String, FileMeta>,
     manifests: HashMap<String, SnapshotManifest>,
+    /// The last snapshot epoch written under each name. A rename moves a
+    /// file's manifest but not its old name's count; a delete resets it.
+    epochs: HashMap<String, u64>,
     disks: Vec<Timeline>,
     failed: Vec<bool>,
+    /// Scripted outages: `(node, from, until)` — the node serves no I/O
+    /// issued in `[from, until)`.
+    outages: Vec<(usize, SimTime, SimTime)>,
     next_block_start: usize,
 }
 
@@ -225,8 +231,10 @@ impl Hdfs {
             num_nodes,
             files: HashMap::new(),
             manifests: HashMap::new(),
+            epochs: HashMap::new(),
             disks: vec![Timeline::new(); num_nodes],
             failed: vec![false; num_nodes],
+            outages: Vec::new(),
             next_block_start: 0,
         }
     }
@@ -299,11 +307,8 @@ impl Hdfs {
         let mut cursor = start;
         while remaining > 0 {
             let size = remaining.min(self.config.block_size);
-            let primary = cursor % self.num_nodes;
+            let replicas = self.replica_nodes(cursor).collect();
             cursor += 1;
-            let replicas = (0..self.config.replication.min(self.num_nodes))
-                .map(|r| (primary + r) % self.num_nodes)
-                .collect();
             blocks.push(Block { size, replicas });
             remaining -= size;
         }
@@ -327,14 +332,51 @@ impl Hdfs {
         Ok(placed)
     }
 
+    /// The datanodes holding the replicas of a block placed at `cursor`,
+    /// primary first.
+    fn replica_nodes(&self, cursor: usize) -> impl Iterator<Item = usize> {
+        let (n, primary) = (self.num_nodes, cursor % self.num_nodes);
+        (0..self.config.replication.min(n)).map(move |r| (primary + r) % n)
+    }
+
+    /// Whether datanode `node` serves no I/O issued at `at`: failed, or
+    /// inside a scripted outage.
+    fn down(&self, node: usize, at: SimTime) -> bool {
+        self.failed[node]
+            || self
+                .outages
+                .iter()
+                .any(|&(n, from, until)| n == node && from <= at && at < until)
+    }
+
     /// Delete a file's metadata and content (and its snapshot manifest,
     /// if it has one).
     pub fn delete(&mut self, name: &str) -> Result<(), HdfsError> {
         self.manifests.remove(name);
+        self.epochs.remove(name);
         self.files
             .remove(name)
             .map(|_| ())
             .ok_or_else(|| HdfsError::NotFound(name.to_string()))
+    }
+
+    /// Rename `from` to `to`: a namenode metadata operation, so no I/O is
+    /// charged and the blocks stay where they are. A snapshot manifest
+    /// moves with its file; `from` keeps its epoch count, so the next
+    /// snapshot written under it continues the sequence.
+    pub fn rename(&mut self, from: &str, to: &str) -> Result<(), HdfsError> {
+        if self.files.contains_key(to) {
+            return Err(HdfsError::AlreadyExists(to.to_string()));
+        }
+        let meta = self
+            .files
+            .remove(from)
+            .ok_or_else(|| HdfsError::NotFound(from.to_string()))?;
+        self.files.insert(to.to_string(), meta);
+        if let Some(m) = self.manifests.remove(from) {
+            self.manifests.insert(to.to_string(), m);
+        }
+        Ok(())
     }
 
     /// Names of all files, sorted.
@@ -440,14 +482,14 @@ impl Hdfs {
             let live: Vec<usize> = replicas
                 .iter()
                 .copied()
-                .filter(|&r| !self.failed[r])
+                .filter(|&r| !self.down(r, cursor))
                 .collect();
             if live.is_empty() {
                 return Err(HdfsError::BlockLost {
                     file: name.to_string(),
                 });
             }
-            let (serving, is_local) = if !self.failed[node] && live.contains(&node) {
+            let (serving, is_local) = if live.contains(&node) {
                 (node, true)
             } else {
                 let best = live
@@ -536,7 +578,10 @@ impl Hdfs {
         for (replicas, bytes) in plan {
             // The write pipeline skips failed datanodes (the namenode
             // re-replicates later; we only charge the live copies).
-            let replicas: Vec<usize> = replicas.into_iter().filter(|&r| !self.failed[r]).collect();
+            let replicas: Vec<usize> = replicas
+                .into_iter()
+                .filter(|&r| !self.down(r, cursor))
+                .collect();
             let mut block_end = cursor;
             for &rep in &replicas {
                 let mut t = self.disks[rep].reserve(cursor, disk.time_for(bytes)).end;
@@ -566,6 +611,10 @@ impl Hdfs {
     /// payload is recorded in the namenode-side [`SnapshotManifest`], and
     /// the file's write epoch advances monotonically so a restore can
     /// tell which checkpoint generation it got. Returns the I/O grant.
+    ///
+    /// Fails with [`HdfsError::BlockLost`], leaving any earlier epoch in
+    /// place, when every datanode a block's replicas would land on is down
+    /// at `earliest`: the write pipeline has nowhere to go.
     pub fn snapshot_at(
         &mut self,
         node: usize,
@@ -576,10 +625,20 @@ impl Hdfs {
         if node >= self.num_nodes {
             return Err(HdfsError::BadNode(node));
         }
-        let epoch = self.manifests.get(name).map_or(0, |m| m.epoch) + 1;
+        let blocks = (payload.len() as u64).div_ceil(self.config.block_size) as usize;
+        if (0..blocks).any(|b| {
+            self.replica_nodes(self.next_block_start + b)
+                .all(|r| self.down(r, earliest))
+        }) {
+            return Err(HdfsError::BlockLost {
+                file: name.to_string(),
+            });
+        }
+        let epoch = self.epochs.get(name).copied().unwrap_or(0) + 1;
         if self.files.contains_key(name) {
             self.delete(name)?;
         }
+        self.epochs.insert(name.to_string(), epoch);
         let crc = crc32(&payload);
         let len = payload.len() as u64;
         // Snapshots carry their real content: logical size == payload
@@ -642,14 +701,22 @@ impl Hdfs {
     /// checkpoint write and its restore. Tests use this to prove the CRC
     /// gate actually fires.
     pub fn rot(&mut self, name: &str) -> Result<(), HdfsError> {
+        self.tamper(name, |data| {
+            if let Some(b) = data.first_mut() {
+                *b ^= 0x01;
+            }
+        })
+    }
+
+    /// Chaos injection: rewrite `name`'s stored content in place with `f`
+    /// — truncate it, flip bits — without touching its manifest, as a
+    /// failing disk would.
+    pub fn tamper(&mut self, name: &str, f: impl FnOnce(&mut Vec<u8>)) -> Result<(), HdfsError> {
         let meta = self
             .files
             .get_mut(name)
             .ok_or_else(|| HdfsError::NotFound(name.to_string()))?;
-        let data = Arc::make_mut(&mut meta.data);
-        if let Some(b) = data.first_mut() {
-            *b ^= 0x01;
-        }
+        f(Arc::make_mut(&mut meta.data));
         Ok(())
     }
 
@@ -657,6 +724,14 @@ impl Hdfs {
     /// fail over to surviving replicas (HDFS's standard behaviour).
     pub fn fail_node(&mut self, node: usize) {
         self.failed[node] = true;
+    }
+
+    /// Chaos injection: datanode `node` serves no I/O issued in `[from,
+    /// until)` — a scripted mid-run outage on the simulated clock. Reads
+    /// fail over to live replicas and writes skip the node, as for
+    /// [`Hdfs::fail_node`]; a snapshot write with no live replica fails.
+    pub fn fail_node_during(&mut self, node: usize, from: SimTime, until: SimTime) {
+        self.outages.push((node, from, until));
     }
 
     /// Bring a failed datanode back.
@@ -900,6 +975,48 @@ mod tests {
         assert_eq!(
             fs.restore(0, "ghost", SimTime::ZERO).unwrap_err(),
             HdfsError::NotFound("ghost".into())
+        );
+    }
+
+    #[test]
+    fn snapshot_writes_fail_only_inside_a_full_outage() {
+        let mut fs = Hdfs::new(2, small_cfg()); // replication 2: both nodes
+        let ms = SimTime::from_millis;
+        fs.snapshot_at(0, "s", vec![1], ms(1)).unwrap();
+        fs.fail_node_during(0, ms(10), ms(20));
+        // One replica down: the pipeline writes the survivor.
+        fs.snapshot_at(0, "s", vec![2], ms(10)).unwrap();
+        fs.fail_node_during(1, ms(10), ms(20));
+        assert_eq!(
+            fs.snapshot_at(0, "s", vec![3], ms(15)),
+            Err(HdfsError::BlockLost { file: "s".into() })
+        );
+        // The failed write left the last epoch intact and readable.
+        assert_eq!(fs.manifest("s").unwrap().epoch, 2);
+        assert_eq!(*fs.restore(0, "s", ms(30)).unwrap().0, vec![2]);
+        fs.snapshot_at(0, "s", vec![4], ms(20)).unwrap();
+        assert_eq!(fs.manifest("s").unwrap().epoch, 3);
+    }
+
+    #[test]
+    fn rename_moves_the_manifest_and_keeps_the_epoch_sequence() {
+        let mut fs = Hdfs::new(2, small_cfg());
+        fs.snapshot_at(0, "s", vec![1, 2], SimTime::ZERO).unwrap();
+        fs.snapshot_at(0, "s", vec![3], SimTime::ZERO).unwrap();
+        fs.rename("s", "s.2").unwrap();
+        assert!(!fs.exists("s") && fs.manifest("s").is_none());
+        assert_eq!(fs.manifest("s.2").unwrap().epoch, 2);
+        assert_eq!(*fs.restore(0, "s.2", SimTime::ZERO).unwrap().0, vec![3]);
+        // The next snapshot under the old name continues its sequence.
+        fs.snapshot_at(0, "s", vec![4], SimTime::ZERO).unwrap();
+        assert_eq!(fs.manifest("s").unwrap().epoch, 3);
+        assert_eq!(
+            fs.rename("s", "s.2"),
+            Err(HdfsError::AlreadyExists("s.2".into()))
+        );
+        assert_eq!(
+            fs.rename("ghost", "g"),
+            Err(HdfsError::NotFound("ghost".into()))
         );
     }
 

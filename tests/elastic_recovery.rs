@@ -172,10 +172,10 @@ fn resume_from_checkpoint_is_bit_identical_and_balanced() {
 }
 
 /// Snapshot byte identity for a checkpointed batch operator: the crash →
-/// resume pair above leaves these exact snapshot files behind, and each
-/// attempt writes this many snapshots. The pinned values were computed on
-/// the commit before snapshot cutting shared one tick writer with the
-/// streaming layer; every snapshot must keep its exact bytes.
+/// resume pair above leaves these exact chain files behind, as `(file,
+/// len, crc, epoch)`, and each attempt writes this many snapshots and
+/// bytes. The pinned values are the GFCK v2 layout's: any drift in what a
+/// segment holds, or in when a chain compacts, shows here.
 #[test]
 fn checkpointed_operator_snapshots_are_byte_identical() {
     let interval = SimTime::from_millis(1);
@@ -192,7 +192,11 @@ fn checkpointed_operator_snapshots_are_byte_identical() {
             })
             .collect::<Vec<_>>()
     };
-    let checkpoints = |r: &JobReport| r.gpu.as_ref().map_or(0, |g| g.checkpoints);
+    let checkpoints = |r: &JobReport| {
+        r.gpu
+            .as_ref()
+            .map_or((0, 0), |g| (g.checkpoints, g.checkpoint_bytes))
+    };
     let f1 = make_fabric(fabric_cfg(interval, false));
     let (_, crashed) = attempt(
         &cluster,
@@ -201,10 +205,10 @@ fn checkpointed_operator_snapshots_are_byte_identical() {
         kill_all_at(SimTime::from_micros(1_264_000)),
         MembershipPlan::new(),
     );
-    assert_eq!(checkpoints(&crashed), 4);
+    assert_eq!(checkpoints(&crashed), (4, 24_166));
     assert_eq!(
         manifests(),
-        vec![("ckpt/elastic/op0".to_string(), 12_258, 3_435_762_804, 4)]
+        vec![("ckpt/elastic/op0".to_string(), 12_287, 2_229_058_922, 4)]
     );
     let f2 = make_fabric(fabric_cfg(interval, false));
     let (_, resumed) = attempt(
@@ -214,11 +218,66 @@ fn checkpointed_operator_snapshots_are_byte_identical() {
         FaultPlan::new(),
         MembershipPlan::new(),
     );
-    assert_eq!(checkpoints(&resumed), 11);
+    assert_eq!(checkpoints(&resumed), (11, 118_327));
     assert_eq!(
         manifests(),
-        vec![("ckpt/elastic/op0".to_string(), 38_772, 2_254_177_717, 15)]
+        vec![("ckpt/elastic/op0".to_string(), 38_801, 3_924_091_430, 15)]
     );
+}
+
+/// The differential against the v1 writer for a batch operator. With
+/// chain verification on, after every tick of the crash → resume pair the
+/// chain folds to exactly the snapshot the v1 writer would have written
+/// at that tick: frontier, state bytes, blocks in completion order and
+/// cache manifest. And a crash at any tick a clean checkpointed run cuts
+/// resumes bit-identically, with a balanced ledger.
+#[test]
+fn operator_chains_fold_to_the_v1_cut_at_every_tick() {
+    let (clean, total_works) = clean_reference();
+    let interval = SimTime::from_millis(1);
+    let cluster = SharedCluster::new(ClusterConfig::standard(1));
+    let attempts = [
+        kill_all_at(SimTime::from_micros(1_264_000)),
+        FaultPlan::new(),
+    ];
+    for (i, faults) in attempts.into_iter().enumerate() {
+        let fabric = make_fabric(fabric_cfg(interval, false));
+        fabric.with_checkpoints(|c| c.verify_chains());
+        let (got, _) = attempt(&cluster, &fabric, "diff", faults, MembershipPlan::new());
+        if i == 1 {
+            assert_eq!(got, clean);
+        }
+        let audits = fabric.with_checkpoints(|c| c.take_audits());
+        assert!(audits.len() >= 4, "attempt {i}: {audits:?}");
+        assert!(
+            audits.iter().all(|a| a.written && a.folds_to_cut),
+            "attempt {i}: {audits:?}"
+        );
+    }
+
+    let fabric = make_fabric(fabric_cfg(interval, false));
+    fabric.with_checkpoints(|c| c.verify_chains());
+    let cluster = SharedCluster::new(ClusterConfig::standard(1));
+    let _ = attempt(
+        &cluster,
+        &fabric,
+        "ticks",
+        FaultPlan::new(),
+        MembershipPlan::new(),
+    );
+    let mut ticks: Vec<SimTime> = fabric
+        .with_checkpoints(|c| c.take_audits())
+        .iter()
+        .map(|a| a.tick)
+        .collect();
+    ticks.dedup();
+    for tick in ticks {
+        let (resumed, report) = crash_then_resume(interval, tick, MembershipPlan::new());
+        assert_eq!(resumed, clean, "crash at {tick}");
+        let g = report.gpu.as_ref().expect("gpu rollup");
+        assert_eq!(g.restores_refused, 0, "crash at {tick}");
+        assert_eq!(g.works_restored + g.works, total_works, "crash at {tick}");
+    }
 }
 
 #[test]
@@ -287,6 +346,7 @@ fn corrupt_snapshot_is_refused_and_job_replays_from_zero() {
     assert_eq!(resumed, clean, "a refused snapshot still replays correctly");
     let g = report.gpu.as_ref().expect("gpu rollup");
     assert_eq!(g.restores, 0, "a corrupt snapshot must never be restored");
+    assert_eq!(g.restores_refused, 1, "the refusal is counted");
     assert_eq!(g.works, total_works, "everything re-executes from zero");
 }
 
