@@ -124,6 +124,58 @@ pub fn digests_match(a: f64, b: f64, rel_tol: f64) -> bool {
     ((a - b) / denom).abs() <= rel_tol
 }
 
+/// Differential-test support for kernel bodies.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use gflink_core::GRecord;
+    use gflink_gpu::{KernelArgs, KernelProfile};
+    use gflink_memory::{DataLayout, HBuffer, RecordView};
+
+    /// A kernel body, as the fabric's registry holds it.
+    pub(crate) type KernelBody = fn(&mut KernelArgs<'_, '_>) -> KernelProfile;
+
+    /// Block sizes every differential test runs: empty, one record, and
+    /// odd sizes.
+    pub(crate) const SIZES: [usize; 5] = [0, 1, 2, 33, 257];
+
+    /// `records` stored as one AoS block, as `to_gdst` packs them.
+    pub(crate) fn aos_block<T: GRecord>(records: &[T]) -> HBuffer {
+        let def = T::def();
+        let n = records.len();
+        let mut buf = HBuffer::zeroed(RecordView::required_bytes(&def, DataLayout::Aos, n));
+        let mut view = RecordView::new(&mut buf, &def, DataLayout::Aos, n);
+        for (i, r) in records.iter().enumerate() {
+            r.store(&mut view, i);
+        }
+        buf
+    }
+
+    /// Launch `kernel` and `oracle` on the same `n`-record inputs, each
+    /// into a zeroed `out_bytes` output as a host launch does, and assert
+    /// equal output bytes and equal profiles.
+    pub(crate) fn assert_same_launch(
+        kernel: KernelBody,
+        oracle: KernelBody,
+        inputs: &[&HBuffer],
+        params: &[f64],
+        n: usize,
+        out_bytes: usize,
+    ) {
+        let run = |body: KernelBody| {
+            let mut out = HBuffer::zeroed(out_bytes);
+            let profile = body(&mut KernelArgs {
+                inputs,
+                outputs: &mut [&mut out],
+                params,
+                n_actual: n,
+                n_logical: n as u64 * 1000 + 7,
+            });
+            (out, profile)
+        };
+        assert_eq!(run(kernel), run(oracle), "n = {n}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

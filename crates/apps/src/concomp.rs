@@ -15,9 +15,10 @@ use gflink_core::{GDataSet, GRecord, GflinkEnv, GpuFabric, GpuMapSpec, GpuReduce
 use gflink_flink::{DataSet, FlinkEnv, KeyedOps, OpCost};
 use gflink_gpu::{KernelArgs, KernelProfile};
 use gflink_memory::{
-    AlignClass, DataLayout, FieldDef, GStructDef, PrimType, RecordReader, RecordView,
+    AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, PrimType, RecordReader, RecordView,
 };
 use gflink_sim::SimTime;
+use std::collections::BTreeMap;
 use std::sync::LazyLock;
 
 /// Degree of the synthetic graph.
@@ -141,67 +142,74 @@ impl Params {
 /// Register the message scatter+combine kernel.
 pub fn register_kernels(fabric: &GpuFabric) {
     fabric.register_kernel("cudaMinByKey", min_by_key_kernel);
-    fabric.register_kernel("cudaCcScatter", |args: &mut KernelArgs<'_, '_>| {
-        use std::collections::BTreeMap;
-        let def = &*LABELLED_PAGE_DEF;
-        let out_def = &*AGG_MSG_DEF;
-        let n = args.n_actual;
-        let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
-        // Scatter labels to self + neighbours, min-combining within the
-        // block (segmented sort/reduce on a real device).
-        let mut agg: BTreeMap<u32, u32> = BTreeMap::new();
-        let mut note = |dst: u32, label: u32| match agg.get_mut(&dst) {
-            Some(cur) => *cur = (*cur).min(label),
-            None => {
-                agg.insert(dst, label);
-            }
-        };
-        for i in 0..n {
-            let label = reader.get_u64(i, 1, 0) as u32;
-            note(reader.get_u64(i, 0, 0) as u32, label);
-            for k in 0..DEG {
-                note(reader.get_u64(i, 2, k) as u32, label);
-            }
+    fabric.register_kernel("cudaCcScatter", scatter_kernel);
+}
+
+/// Keep the smallest label heard for `dst`.
+fn note_min(agg: &mut BTreeMap<u32, u32>, dst: u32, label: u32) {
+    match agg.get_mut(&dst) {
+        Some(cur) => *cur = (*cur).min(label),
+        None => {
+            agg.insert(dst, label);
         }
-        let capacity = n * (DEG + 1);
-        let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, capacity);
-        let emitted = agg.len();
-        for (i, (dst, label)) in agg.into_iter().enumerate() {
-            AggMsg { dst, label }.store(&mut view, i);
+    }
+}
+
+/// Write the combined messages, key-ascending, as the leading [`AggMsg`]
+/// rows of an output block of `capacity` records.
+fn write_msgs(out: &mut HBuffer, capacity: usize, agg: BTreeMap<u32, u32>) {
+    let mut view = RecordView::new(out, &AGG_MSG_DEF, DataLayout::Aos, capacity);
+    let (dst, label) = (view.field(0), view.field(1));
+    for ((d, l), row) in agg.into_iter().zip(view.rows_mut()) {
+        dst.write(row, [d]);
+        label.write(row, [l]);
+    }
+}
+
+/// The scatter+combine kernel: each page sends its label to itself and
+/// its neighbours, min-combined per destination within the block.
+fn scatter_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
+    let n = args.n_actual;
+    let reader = RecordReader::new(args.inputs[0], &LABELLED_PAGE_DEF, DataLayout::Aos, n);
+    let (page, label, links) = (
+        reader.field::<u32, 1>(0),
+        reader.field::<u32, 1>(1),
+        reader.field::<u32, DEG>(2),
+    );
+    // Scatter labels to self + neighbours, min-combining within the
+    // block (segmented sort/reduce on a real device).
+    let mut agg: BTreeMap<u32, u32> = BTreeMap::new();
+    for row in reader.rows() {
+        let ([p], [l]) = (page.read(row), label.read(row));
+        note_min(&mut agg, p, l);
+        for dst in links.read(row) {
+            note_min(&mut agg, dst, l);
         }
-        KernelProfile::new(
-            args.n_logical as f64 * (8 * (DEG + 1)) as f64,
-            args.n_logical as f64
-                * (LABELLED_PAGE_DEF.size() + 2 * (DEG + 1) * AGG_MSG_DEF.size()) as f64,
-        )
-        .with_coalescing(0.7)
-        .with_emitted(emitted)
-    });
+    }
+    let emitted = agg.len();
+    write_msgs(args.outputs[0], n * (DEG + 1), agg);
+    KernelProfile::new(
+        args.n_logical as f64 * (8 * (DEG + 1)) as f64,
+        args.n_logical as f64
+            * (LABELLED_PAGE_DEF.size() + 2 * (DEG + 1) * AGG_MSG_DEF.size()) as f64,
+    )
+    .with_coalescing(0.7)
+    .with_emitted(emitted)
 }
 
 /// The GPU reducer kernel (the paper's gpuReduce): min-by-key over shuffled
 /// label messages within each block.
 fn min_by_key_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
-    use std::collections::BTreeMap;
-    let def = &*AGG_MSG_DEF;
     let n = args.n_actual;
-    let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
+    let reader = RecordReader::new(args.inputs[0], &AGG_MSG_DEF, DataLayout::Aos, n);
+    let (dst, label) = (reader.field::<u32, 1>(0), reader.field::<u32, 1>(1));
     let mut agg: BTreeMap<u32, u32> = BTreeMap::new();
-    for i in 0..n {
-        let dst = reader.get_u64(i, 0, 0) as u32;
-        let label = reader.get_u64(i, 1, 0) as u32;
-        match agg.get_mut(&dst) {
-            Some(cur) => *cur = (*cur).min(label),
-            None => {
-                agg.insert(dst, label);
-            }
-        }
+    for row in reader.rows() {
+        let ([d], [l]) = (dst.read(row), label.read(row));
+        note_min(&mut agg, d, l);
     }
-    let mut view = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
     let emitted = agg.len();
-    for (i, (dst, label)) in agg.into_iter().enumerate() {
-        AggMsg { dst, label }.store(&mut view, i);
-    }
+    write_msgs(args.outputs[0], n, agg);
     KernelProfile::new(
         args.n_logical as f64 * 10.0,
         args.n_logical as f64 * (2 * AGG_MSG_DEF.size()) as f64,
@@ -373,6 +381,108 @@ pub fn run_gpu_at(setup: &Setup, params: &Params, at: SimTime) -> AppRun {
 mod tests {
     use super::*;
     use crate::common::digests_match;
+    use crate::common::oracle::{aos_block, assert_same_launch, SIZES};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The scatter kernel before field handles, per-element accessors: the
+    /// reference the row walk must match byte for byte.
+    fn scatter_oracle(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
+        let def = &*LABELLED_PAGE_DEF;
+        let out_def = &*AGG_MSG_DEF;
+        let n = args.n_actual;
+        let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
+        let mut agg: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut note = |dst: u32, label: u32| match agg.get_mut(&dst) {
+            Some(cur) => *cur = (*cur).min(label),
+            None => {
+                agg.insert(dst, label);
+            }
+        };
+        for i in 0..n {
+            let label = reader.get_u64(i, 1, 0) as u32;
+            note(reader.get_u64(i, 0, 0) as u32, label);
+            for k in 0..DEG {
+                note(reader.get_u64(i, 2, k) as u32, label);
+            }
+        }
+        let capacity = n * (DEG + 1);
+        let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, capacity);
+        let emitted = agg.len();
+        for (i, (dst, label)) in agg.into_iter().enumerate() {
+            AggMsg { dst, label }.store(&mut view, i);
+        }
+        KernelProfile::new(
+            args.n_logical as f64 * (8 * (DEG + 1)) as f64,
+            args.n_logical as f64
+                * (LABELLED_PAGE_DEF.size() + 2 * (DEG + 1) * AGG_MSG_DEF.size()) as f64,
+        )
+        .with_coalescing(0.7)
+        .with_emitted(emitted)
+    }
+
+    /// The reducer kernel before field handles.
+    fn min_by_key_oracle(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
+        let def = &*AGG_MSG_DEF;
+        let n = args.n_actual;
+        let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
+        let mut agg: BTreeMap<u32, u32> = BTreeMap::new();
+        for i in 0..n {
+            let dst = reader.get_u64(i, 0, 0) as u32;
+            let label = reader.get_u64(i, 1, 0) as u32;
+            match agg.get_mut(&dst) {
+                Some(cur) => *cur = (*cur).min(label),
+                None => {
+                    agg.insert(dst, label);
+                }
+            }
+        }
+        let mut view = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
+        let emitted = agg.len();
+        for (i, (dst, label)) in agg.into_iter().enumerate() {
+            AggMsg { dst, label }.store(&mut view, i);
+        }
+        KernelProfile::new(
+            args.n_logical as f64 * 10.0,
+            args.n_logical as f64 * (2 * AGG_MSG_DEF.size()) as f64,
+        )
+        .with_coalescing(0.8)
+        .with_emitted(emitted)
+    }
+
+    #[test]
+    fn row_walk_kernels_match_accessor_oracles() {
+        let mut rng = SmallRng::seed_from_u64(0xCC01);
+        for n in SIZES {
+            // Few distinct pages and labels, so blocks combine.
+            let pages: Vec<LabelledPage> = (0..n)
+                .map(|_| LabelledPage {
+                    page: rng.gen_range(0u32..50),
+                    label: rng.gen_range(0u32..50),
+                    links: std::array::from_fn(|_| rng.gen_range(0u32..50)),
+                })
+                .collect();
+            let out_bytes = n * (DEG + 1) * AGG_MSG_DEF.size();
+            let block = aos_block(&pages);
+            assert_same_launch(scatter_kernel, scatter_oracle, &[&block], &[], n, out_bytes);
+            let msgs: Vec<AggMsg> = (0..n)
+                .map(|_| AggMsg {
+                    dst: rng.gen_range(0u32..50),
+                    label: rng.gen_range(0u32..50),
+                })
+                .collect();
+            let out_bytes = n * AGG_MSG_DEF.size();
+            let block = aos_block(&msgs);
+            assert_same_launch(
+                min_by_key_kernel,
+                min_by_key_oracle,
+                &[&block],
+                &[],
+                n,
+                out_bytes,
+            );
+        }
+    }
 
     fn small(setup: &Setup) -> Params {
         Params {

@@ -215,12 +215,17 @@ fn kmeans_assign_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let reader = RecordReader::new(args.inputs[0], &POINT_DEF, DataLayout::Aos, n);
     let centers = Centers::from_buffer(args.inputs[1]);
     let mut acc = Assignment::new();
-    for i in 0..n {
-        acc.add(&reader.get_field(i, 0), &centers);
+    let coords = reader.field::<f32, D>(0);
+    for row in reader.rows() {
+        acc.add(&coords.read(row), &centers);
     }
     let mut view = RecordView::new(args.outputs[0], &PARTIAL_DEF, DataLayout::Aos, K);
-    for c in 0..K {
-        acc.partial(c).store(&mut view, c);
+    let (center, count, sums) = (view.field(0), view.field(1), view.field(2));
+    for (c, row) in view.rows_mut().enumerate() {
+        let p = acc.partial(c);
+        center.write(row, [p.center]);
+        count.write(row, [p.count]);
+        sums.write(row, p.sums);
     }
     KernelProfile::new(
         args.n_logical as f64 * (3 * K * D) as f64,

@@ -194,9 +194,10 @@ fn linreg_grad_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let w: [f64; D] = std::array::from_fn(|d| weights.read_f32(d * 4) as f64);
     let b = weights.read_f32(D * 4) as f64;
     let mut acc = Gradient::new();
-    for i in 0..n {
-        let [y] = reader.get_field(i, 1);
-        acc.add(&reader.get_field(i, 0), y, &w, b);
+    let (x, y) = (reader.field::<f32, D>(0), reader.field::<f32, 1>(1));
+    for row in reader.rows() {
+        let [y] = y.read(row);
+        acc.add(&x.read(row), y, &w, b);
     }
     let mut view = RecordView::new(args.outputs[0], &GRAD_DEF, DataLayout::Aos, 1);
     acc.partial().store(&mut view, 0);
@@ -354,6 +355,53 @@ pub fn run_gpu_at(setup: &Setup, params: &Params, at: SimTime) -> AppRun {
 mod tests {
     use super::*;
     use crate::common::digests_match;
+    use crate::common::oracle::{aos_block, assert_same_launch, SIZES};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The kernel body before field handles, a `get_field` per record: the
+    /// reference the row walk must match byte for byte.
+    fn oracle_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
+        let n = args.n_actual;
+        let reader = RecordReader::new(args.inputs[0], &SAMPLE_DEF, DataLayout::Aos, n);
+        let weights = args.inputs[1]; // D weights + bias, f32
+        let w: [f64; D] = std::array::from_fn(|d| weights.read_f32(d * 4) as f64);
+        let b = weights.read_f32(D * 4) as f64;
+        let mut acc = Gradient::new();
+        for i in 0..n {
+            let [y] = reader.get_field(i, 1);
+            acc.add(&reader.get_field(i, 0), y, &w, b);
+        }
+        let mut view = RecordView::new(args.outputs[0], &GRAD_DEF, DataLayout::Aos, 1);
+        acc.partial().store(&mut view, 0);
+        KernelProfile::new(
+            args.n_logical as f64 * flops_per_sample(),
+            args.n_logical as f64 * SAMPLE_BYTES,
+        )
+    }
+
+    #[test]
+    fn row_walk_kernel_matches_accessor_oracle() {
+        let mut rng = SmallRng::seed_from_u64(0x11AE);
+        for n in SIZES {
+            let samples: Vec<Sample> = (0..n)
+                .map(|_| Sample {
+                    x: std::array::from_fn(|_| rng.gen_range(-4.0f32..4.0)),
+                    y: rng.gen_range(-10.0f32..10.0),
+                })
+                .collect();
+            let weights: Vec<f32> = (0..=D).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            let (block, weights) = (aos_block(&samples), HBuffer::from_f32s(&weights));
+            assert_same_launch(
+                linreg_grad_kernel,
+                oracle_kernel,
+                &[&block, &weights],
+                &[],
+                n,
+                GRAD_DEF.size(),
+            );
+        }
+    }
 
     fn small(setup: &Setup) -> Params {
         Params {

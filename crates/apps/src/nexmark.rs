@@ -29,7 +29,8 @@ use gflink_core::{
 };
 use gflink_gpu::{KernelArgs, KernelProfile};
 use gflink_memory::{
-    AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, PrimType, RecordReader, RecordView,
+    AlignClass, DataLayout, Field, FieldDef, GStructDef, HBuffer, PrimType, RecordReader,
+    RecordView,
 };
 use gflink_sim::SimTime;
 
@@ -343,40 +344,52 @@ const Q13_KERNEL: &str = "nexQ13Enrich";
 
 /// Register the Nexmark kernels (call before `StreamEnv::gpu` runs q3/q13).
 pub fn register_kernels(fabric: &GpuFabric) {
-    fabric.register_kernel(Q3_KERNEL, |args: &mut KernelArgs<'_, '_>| {
-        let target = args.params.first().copied().unwrap_or(0.0);
-        let n = args.n_actual;
-        let input = RecordReader::new(args.inputs[0], &AUCTION_DEF, DataLayout::Aos, n);
-        let out_buf = &mut args.outputs[0];
-        let mut out = RecordView::new(out_buf, &Q3_ROW_DEF, DataLayout::Aos, n);
-        let mut emitted = 0usize;
-        for i in 0..n {
-            let [id, seller, category, initial] = load_f64s(&input, i);
-            if category == target {
-                store_f64s(&mut out, emitted, [id, seller, initial]);
-                emitted += 1;
+    fabric.register_kernel(Q3_KERNEL, q3_filter_kernel);
+    fabric.register_kernel(Q13_KERNEL, q13_enrich_kernel);
+}
+
+/// q3's filter: auctions of the target category, as (id, seller, initial)
+/// rows packed from the front of the output.
+fn q3_filter_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
+    let target = args.params.first().copied().unwrap_or(0.0);
+    let n = args.n_actual;
+    let input = RecordReader::new(args.inputs[0], &AUCTION_DEF, DataLayout::Aos, n);
+    let mut out = RecordView::new(args.outputs[0], &Q3_ROW_DEF, DataLayout::Aos, n);
+    let auction: [Field<f64, 1>; 4] = std::array::from_fn(|f| input.field(f));
+    let row_out: [Field<f64, 1>; 3] = std::array::from_fn(|f| out.field(f));
+    let mut emitted = 0usize;
+    for row in input.rows() {
+        let [id, seller, category, initial] = auction.map(|f| f.read(row)[0]);
+        if category == target {
+            for (f, v) in row_out.into_iter().zip([id, seller, initial]) {
+                out.set(f, emitted, [v]);
             }
+            emitted += 1;
         }
-        KernelProfile::new(args.n_logical as f64 * 4.0, args.n_logical as f64 * 32.0)
-            .with_emitted(emitted)
-    });
-    fabric.register_kernel(Q13_KERNEL, |args: &mut KernelArgs<'_, '_>| {
-        let n = args.n_actual;
-        let input = RecordReader::new(args.inputs[0], &BID_DEF, DataLayout::Aos, n);
-        let side = args.inputs[1];
-        let side_rows = (side.len() / 8).max(1);
-        let out_buf = &mut args.outputs[0];
-        let mut out = RecordView::new(out_buf, &Q13_ROW_DEF, DataLayout::Aos, n);
-        for i in 0..n {
-            let [auction] = input.get_field(i, 0);
-            let [price] = input.get_field::<f64, 1>(i, 2);
-            let factor = side.read_f64((auction as usize % side_rows) * 8);
-            store_f64s(&mut out, i, [auction, price * factor]);
-        }
-        // One side-table gather per bid: irregular access, like SpMV's x.
-        KernelProfile::new(args.n_logical as f64 * 2.0, args.n_logical as f64 * 48.0)
-            .with_coalescing(0.6)
-    });
+    }
+    KernelProfile::new(args.n_logical as f64 * 4.0, args.n_logical as f64 * 32.0)
+        .with_emitted(emitted)
+}
+
+/// q13's enrichment: every bid's price scaled by its auction's side-table
+/// factor.
+fn q13_enrich_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
+    let n = args.n_actual;
+    let input = RecordReader::new(args.inputs[0], &BID_DEF, DataLayout::Aos, n);
+    let side = args.inputs[1];
+    let side_rows = (side.len() / 8).max(1);
+    let mut out = RecordView::new(args.outputs[0], &Q13_ROW_DEF, DataLayout::Aos, n);
+    let (auction, price) = (input.field::<f64, 1>(0), input.field::<f64, 1>(2));
+    let (auction_out, boosted) = (out.field::<f64, 1>(0), out.field::<f64, 1>(1));
+    for (src, dst) in input.rows().zip(out.rows_mut()) {
+        let ([a], [p]) = (auction.read(src), price.read(src));
+        let factor = side.read_f64((a as usize % side_rows) * 8);
+        auction_out.write(dst, [a]);
+        boosted.write(dst, [p * factor]);
+    }
+    // One side-table gather per bid: irregular access, like SpMV's x.
+    KernelProfile::new(args.n_logical as f64 * 2.0, args.n_logical as f64 * 48.0)
+        .with_coalescing(0.6)
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -553,8 +566,86 @@ pub fn q13(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::oracle::{aos_block, assert_same_launch, SIZES};
     use gflink_core::FabricConfig;
     use gflink_flink::ClusterConfig;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The q3 kernel before field handles, a `get_field`/`set_field` per
+    /// field and record: the reference the row walk must match byte for
+    /// byte.
+    fn q3_oracle(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
+        let target = args.params.first().copied().unwrap_or(0.0);
+        let n = args.n_actual;
+        let input = RecordReader::new(args.inputs[0], &AUCTION_DEF, DataLayout::Aos, n);
+        let out_buf = &mut args.outputs[0];
+        let mut out = RecordView::new(out_buf, &Q3_ROW_DEF, DataLayout::Aos, n);
+        let mut emitted = 0usize;
+        for i in 0..n {
+            let [id, seller, category, initial] = load_f64s(&input, i);
+            if category == target {
+                store_f64s(&mut out, emitted, [id, seller, initial]);
+                emitted += 1;
+            }
+        }
+        KernelProfile::new(args.n_logical as f64 * 4.0, args.n_logical as f64 * 32.0)
+            .with_emitted(emitted)
+    }
+
+    /// The q13 kernel before field handles.
+    fn q13_oracle(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
+        let n = args.n_actual;
+        let input = RecordReader::new(args.inputs[0], &BID_DEF, DataLayout::Aos, n);
+        let side = args.inputs[1];
+        let side_rows = (side.len() / 8).max(1);
+        let out_buf = &mut args.outputs[0];
+        let mut out = RecordView::new(out_buf, &Q13_ROW_DEF, DataLayout::Aos, n);
+        for i in 0..n {
+            let [auction] = input.get_field(i, 0);
+            let [price] = input.get_field::<f64, 1>(i, 2);
+            let factor = side.read_f64((auction as usize % side_rows) * 8);
+            store_f64s(&mut out, i, [auction, price * factor]);
+        }
+        KernelProfile::new(args.n_logical as f64 * 2.0, args.n_logical as f64 * 48.0)
+            .with_coalescing(0.6)
+    }
+
+    #[test]
+    fn row_walk_kernels_match_accessor_oracles() {
+        let mut rng = SmallRng::seed_from_u64(0x4E58);
+        for n in SIZES {
+            let auctions: Vec<Auction> = (0..n)
+                .map(|_| Auction {
+                    id: rng.gen_range(0u64..1 << 40),
+                    seller: rng.gen_range(0u64..1000),
+                    category: rng.gen_range(0u64..4),
+                    initial_bid: rng.gen_range(1.0..1000.0),
+                })
+                .collect();
+            let (block, out_bytes) = (aos_block(&auctions), n * Q3_ROW_DEF.size());
+            assert_same_launch(q3_filter_kernel, q3_oracle, &[&block], &[2.0], n, out_bytes);
+            let bids: Vec<Bid> = (0..n)
+                .map(|_| Bid {
+                    auction: rng.gen_range(0u64..1 << 40),
+                    bidder: rng.gen_range(0u64..1000),
+                    price: rng.gen_range(1.0..1000.0),
+                    ts: SimTime::from_nanos(rng.gen_range(0u64..1 << 50)),
+                })
+                .collect();
+            let side: Vec<f64> = (0..13).map(|_| rng.gen_range(0.5..2.0)).collect();
+            let (block, side) = (aos_block(&bids), HBuffer::from_f64s(&side));
+            let out_bytes = n * Q13_ROW_DEF.size();
+            assert_same_launch(
+                q13_enrich_kernel,
+                q13_oracle,
+                &[&block, &side],
+                &[],
+                n,
+                out_bytes,
+            );
+        }
+    }
 
     fn small() -> NexmarkConfig {
         let mut cfg = NexmarkConfig::standard(7);

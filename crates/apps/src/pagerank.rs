@@ -19,9 +19,10 @@ use gflink_core::{GDataSet, GRecord, GflinkEnv, GpuFabric, GpuMapSpec, GpuReduce
 use gflink_flink::{DataSet, FlinkEnv, KeyedOps, OpCost};
 use gflink_gpu::{KernelArgs, KernelProfile};
 use gflink_memory::{
-    AlignClass, DataLayout, FieldDef, GStructDef, PrimType, RecordReader, RecordView,
+    AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, PrimType, RecordReader, RecordView,
 };
 use gflink_sim::SimTime;
+use std::collections::BTreeMap;
 use std::sync::LazyLock;
 
 /// Out-degree of every page in the synthetic web graph.
@@ -144,62 +145,61 @@ impl Params {
 /// Register the contribution scatter+combine kernel.
 pub fn register_kernels(fabric: &GpuFabric) {
     fabric.register_kernel("cudaSumByKey", sum_by_key_kernel);
-    fabric.register_kernel("cudaPagerankScatter", |args: &mut KernelArgs<'_, '_>| {
-        use std::collections::BTreeMap;
-        let def = &*RANKED_PAGE_DEF;
-        let out_def = &*AGG_CONTRIB_DEF;
-        let n = args.n_actual;
-        let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
-        // Scatter + block-level combine (sort/segmented-reduce on a real
-        // device; a BTreeMap here).
-        let mut agg: BTreeMap<u32, f64> = BTreeMap::new();
-        for i in 0..n {
-            let share = reader.get_f64(i, 0, 0) / DEG as f64;
-            for k in 0..DEG {
-                *agg.entry(reader.get_u64(i, 1, k) as u32).or_insert(0.0) += share;
-            }
+    fabric.register_kernel("cudaPagerankScatter", scatter_kernel);
+}
+
+/// The scatter+combine kernel: each page sends `rank / DEG` to every
+/// out-link, combined per destination within the block.
+fn scatter_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
+    let n = args.n_actual;
+    let reader = RecordReader::new(args.inputs[0], &RANKED_PAGE_DEF, DataLayout::Aos, n);
+    let (rank, links) = (reader.field::<f32, 1>(0), reader.field::<u32, DEG>(1));
+    // Scatter + block-level combine (sort/segmented-reduce on a real
+    // device; a BTreeMap here).
+    let mut agg: BTreeMap<u32, f64> = BTreeMap::new();
+    for row in reader.rows() {
+        let [r] = rank.read(row);
+        let share = r as f64 / DEG as f64;
+        for dst in links.read(row) {
+            *agg.entry(dst).or_insert(0.0) += share;
         }
-        let capacity = n * DEG;
-        let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, capacity);
-        let emitted = agg.len();
-        for (i, (dst, val)) in agg.into_iter().enumerate() {
-            AggContrib {
-                dst,
-                val: val as f32,
-            }
-            .store(&mut view, i);
-        }
-        // Scatter (DEG adds) + sort-combine (~DEG·log window) per page.
-        KernelProfile::new(
-            args.n_logical as f64 * (6 * DEG) as f64,
-            args.n_logical as f64
-                * (RANKED_PAGE_DEF.size() + 2 * DEG * AGG_CONTRIB_DEF.size()) as f64,
-        )
-        .with_coalescing(0.7)
-        .with_emitted(emitted)
-    });
+    }
+    let capacity = n * DEG;
+    let emitted = agg.len();
+    write_contribs(args.outputs[0], capacity, agg);
+    // Scatter (DEG adds) + sort-combine (~DEG·log window) per page.
+    KernelProfile::new(
+        args.n_logical as f64 * (6 * DEG) as f64,
+        args.n_logical as f64 * (RANKED_PAGE_DEF.size() + 2 * DEG * AGG_CONTRIB_DEF.size()) as f64,
+    )
+    .with_coalescing(0.7)
+    .with_emitted(emitted)
+}
+
+/// Write the combined contributions, key-ascending, as the leading
+/// [`AggContrib`] rows of an output block of `capacity` records.
+fn write_contribs(out: &mut HBuffer, capacity: usize, agg: BTreeMap<u32, f64>) {
+    let mut view = RecordView::new(out, &AGG_CONTRIB_DEF, DataLayout::Aos, capacity);
+    let (dst, val) = (view.field(0), view.field(1));
+    for ((d, v), row) in agg.into_iter().zip(view.rows_mut()) {
+        dst.write(row, [d]);
+        val.write(row, [v as f32]);
+    }
 }
 
 /// Register-time extra: the GPU reducer kernel (the paper's gpuReduce),
 /// summing shuffled contribution pairs by key within each block.
 fn sum_by_key_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
-    use std::collections::BTreeMap;
-    let def = &*AGG_CONTRIB_DEF;
     let n = args.n_actual;
-    let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
+    let reader = RecordReader::new(args.inputs[0], &AGG_CONTRIB_DEF, DataLayout::Aos, n);
+    let (dst, val) = (reader.field::<u32, 1>(0), reader.field::<f32, 1>(1));
     let mut agg: BTreeMap<u32, f64> = BTreeMap::new();
-    for i in 0..n {
-        *agg.entry(reader.get_u64(i, 0, 0) as u32).or_insert(0.0) += reader.get_f64(i, 1, 0);
+    for row in reader.rows() {
+        let ([d], [v]) = (dst.read(row), val.read(row));
+        *agg.entry(d).or_insert(0.0) += v as f64;
     }
-    let mut view = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
     let emitted = agg.len();
-    for (i, (dst, val)) in agg.into_iter().enumerate() {
-        AggContrib {
-            dst,
-            val: val as f32,
-        }
-        .store(&mut view, i);
-    }
+    write_contribs(args.outputs[0], n, agg);
     KernelProfile::new(
         args.n_logical as f64 * 10.0,
         args.n_logical as f64 * (2 * AGG_CONTRIB_DEF.size()) as f64,
@@ -386,6 +386,101 @@ pub fn run_gpu_at(setup: &Setup, params: &Params, at: SimTime) -> AppRun {
 mod tests {
     use super::*;
     use crate::common::digests_match;
+    use crate::common::oracle::{aos_block, assert_same_launch, SIZES};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The scatter kernel before field handles, per-element accessors: the
+    /// reference the row walk must match byte for byte.
+    fn scatter_oracle(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
+        let def = &*RANKED_PAGE_DEF;
+        let out_def = &*AGG_CONTRIB_DEF;
+        let n = args.n_actual;
+        let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
+        let mut agg: BTreeMap<u32, f64> = BTreeMap::new();
+        for i in 0..n {
+            let share = reader.get_f64(i, 0, 0) / DEG as f64;
+            for k in 0..DEG {
+                *agg.entry(reader.get_u64(i, 1, k) as u32).or_insert(0.0) += share;
+            }
+        }
+        let capacity = n * DEG;
+        let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, capacity);
+        let emitted = agg.len();
+        for (i, (dst, val)) in agg.into_iter().enumerate() {
+            AggContrib {
+                dst,
+                val: val as f32,
+            }
+            .store(&mut view, i);
+        }
+        KernelProfile::new(
+            args.n_logical as f64 * (6 * DEG) as f64,
+            args.n_logical as f64
+                * (RANKED_PAGE_DEF.size() + 2 * DEG * AGG_CONTRIB_DEF.size()) as f64,
+        )
+        .with_coalescing(0.7)
+        .with_emitted(emitted)
+    }
+
+    /// The reducer kernel before field handles.
+    fn sum_by_key_oracle(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
+        let def = &*AGG_CONTRIB_DEF;
+        let n = args.n_actual;
+        let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
+        let mut agg: BTreeMap<u32, f64> = BTreeMap::new();
+        for i in 0..n {
+            *agg.entry(reader.get_u64(i, 0, 0) as u32).or_insert(0.0) += reader.get_f64(i, 1, 0);
+        }
+        let mut view = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
+        let emitted = agg.len();
+        for (i, (dst, val)) in agg.into_iter().enumerate() {
+            AggContrib {
+                dst,
+                val: val as f32,
+            }
+            .store(&mut view, i);
+        }
+        KernelProfile::new(
+            args.n_logical as f64 * 10.0,
+            args.n_logical as f64 * (2 * AGG_CONTRIB_DEF.size()) as f64,
+        )
+        .with_coalescing(0.8)
+        .with_emitted(emitted)
+    }
+
+    #[test]
+    fn row_walk_kernels_match_accessor_oracles() {
+        let mut rng = SmallRng::seed_from_u64(0x9A6E);
+        for n in SIZES {
+            // Few distinct destinations, so blocks combine.
+            let pages: Vec<RankedPage> = (0..n)
+                .map(|_| RankedPage {
+                    rank: rng.gen_range(0.0f32..3.0),
+                    links: std::array::from_fn(|_| rng.gen_range(0u32..40)),
+                })
+                .collect();
+            let out_bytes = n * DEG * AGG_CONTRIB_DEF.size();
+            let block = aos_block(&pages);
+            assert_same_launch(scatter_kernel, scatter_oracle, &[&block], &[], n, out_bytes);
+            let contribs: Vec<AggContrib> = (0..n)
+                .map(|_| AggContrib {
+                    dst: rng.gen_range(0u32..40),
+                    val: rng.gen_range(0.0f32..1.0),
+                })
+                .collect();
+            let out_bytes = n * AGG_CONTRIB_DEF.size();
+            let block = aos_block(&contribs);
+            assert_same_launch(
+                sum_by_key_kernel,
+                sum_by_key_oracle,
+                &[&block],
+                &[],
+                n,
+                out_bytes,
+            );
+        }
+    }
 
     fn small(setup: &Setup) -> Params {
         Params {

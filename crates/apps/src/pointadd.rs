@@ -91,17 +91,18 @@ pub fn register_kernels(fabric: &GpuFabric) {
 }
 
 /// The kernel body: each point is read once, translated in `f64` (the
-/// launch parameters' precision) and written back once.
+/// launch parameters' precision) and written back once. Input and output
+/// share the schema, so one pair of field handles serves both rows.
 fn add_point_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let n = args.n_actual;
     let (dx, dy) = (args.params[0], args.params[1]);
     let reader = RecordReader::new(args.inputs[0], &POINT2_DEF, DataLayout::Aos, n);
     let mut view = RecordView::new(args.outputs[0], &POINT2_DEF, DataLayout::Aos, n);
-    for i in 0..n {
-        let [x] = reader.get_field::<f32, 1>(i, 0);
-        let [y] = reader.get_field::<f32, 1>(i, 1);
-        view.set_field(i, 0, [(x as f64 + dx) as f32]);
-        view.set_field(i, 1, [(y as f64 + dy) as f32]);
+    let (x, y) = (reader.field::<f32, 1>(0), reader.field::<f32, 1>(1));
+    for (src, dst) in reader.rows().zip(view.rows_mut()) {
+        let ([px], [py]) = (x.read(src), y.read(src));
+        x.write(dst, [(px as f64 + dx) as f32]);
+        y.write(dst, [(py as f64 + dy) as f32]);
     }
     KernelProfile::new(
         args.n_logical as f64 * 2.0,

@@ -164,14 +164,14 @@ fn spmv_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let x_len = x.len() / 4;
     let out_def = &*Y_VAL_DEF;
     let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, n);
-    for i in 0..n {
+    let (cols, vals) = (reader.field::<u32, NNZ>(0), reader.field::<f32, NNZ>(1));
+    let y = view.field::<f32, 1>(0);
+    for (src, dst) in reader.rows().zip(view.rows_mut()) {
         let mut acc = 0.0f64;
-        for k in 0..NNZ {
-            let col = reader.get_u64(i, 0, k) as usize;
-            let v = reader.get_f64(i, 1, k);
-            acc += v * x.read_f32((col % x_len.max(1)) * 4) as f64;
+        for (col, v) in cols.read(src).into_iter().zip(vals.read(src)) {
+            acc += v as f64 * x.read_f32((col as usize % x_len.max(1)) * 4) as f64;
         }
-        view.set_f64(i, 0, 0, acc);
+        y.write(dst, [acc as f32]);
     }
     // 2 flops per nonzero; traffic: row bytes + gathered x values + y.
     KernelProfile::new(
@@ -323,6 +323,52 @@ pub fn run_gpu_at(setup: &Setup, params: &Params, at: SimTime) -> AppRun {
 mod tests {
     use super::*;
     use crate::common::digests_match;
+    use crate::common::oracle::{aos_block, assert_same_launch, SIZES};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, RngCore, SeedableRng};
+
+    /// The kernel body before field handles, per-element accessors: the
+    /// reference the row walk must match byte for byte.
+    fn oracle_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
+        let def = &*ELL_ROW_DEF;
+        let n = args.n_actual;
+        let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
+        let x = args.inputs[1];
+        let x_len = x.len() / 4;
+        let out_def = &*Y_VAL_DEF;
+        let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, n);
+        for i in 0..n {
+            let mut acc = 0.0f64;
+            for k in 0..NNZ {
+                let col = reader.get_u64(i, 0, k) as usize;
+                let v = reader.get_f64(i, 1, k);
+                acc += v * x.read_f32((col % x_len.max(1)) * 4) as f64;
+            }
+            view.set_f64(i, 0, 0, acc);
+        }
+        KernelProfile::new(
+            args.n_logical as f64 * (2 * NNZ) as f64,
+            args.n_logical as f64 * (ROW_BYTES + (NNZ * 4) as f64 + 4.0),
+        )
+        .with_coalescing(0.45)
+    }
+
+    #[test]
+    fn row_walk_kernel_matches_accessor_oracle() {
+        let mut rng = SmallRng::seed_from_u64(0x5B3F);
+        for n in SIZES {
+            let rows: Vec<EllRow> = (0..n)
+                .map(|_| EllRow {
+                    cols: std::array::from_fn(|_| rng.next_u32()),
+                    vals: std::array::from_fn(|_| rng.gen_range(-2.0f32..2.0)),
+                })
+                .collect();
+            let x: Vec<f32> = (0..37).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            let (block, x) = (aos_block(&rows), HBuffer::from_f32s(&x));
+            let out_bytes = n * Y_VAL_DEF.size();
+            assert_same_launch(spmv_kernel, oracle_kernel, &[&block, &x], &[], n, out_bytes);
+        }
+    }
 
     fn small(setup: &Setup) -> Params {
         Params {

@@ -126,31 +126,36 @@ impl Params {
 
 /// Register the histogram kernel.
 pub fn register_kernels(fabric: &GpuFabric) {
-    fabric.register_kernel("cudaWordHistogram", |args: &mut KernelArgs<'_, '_>| {
-        let def = &*WORD_ID_DEF;
-        let n = args.n_actual;
-        let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
-        let mut counts = vec![0u64; VOCAB as usize];
-        for i in 0..n {
-            let id = reader.get_u64(i, 0, 0) as usize;
-            counts[id % VOCAB as usize] += 1;
-        }
-        let out_def = &*COUNT_REC_DEF;
-        let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, VOCAB as usize);
-        for (id, c) in counts.iter().enumerate() {
-            CountRec {
-                id: id as u32,
-                count: (*c).min(u32::MAX as u64) as u32,
-            }
-            .store(&mut view, id);
-        }
-        // One atomic add per word plus the histogram write-back.
-        KernelProfile::new(
-            args.n_logical as f64 * 2.0,
-            args.n_logical as f64 * 8.0 + VOCAB as f64 * 8.0,
-        )
-        .with_coalescing(0.5) // histogram scatter is irregular
-    });
+    fabric.register_kernel("cudaWordHistogram", histogram_kernel);
+}
+
+/// The histogram kernel: one count per vocabulary word in the block.
+fn histogram_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
+    let n = args.n_actual;
+    let reader = RecordReader::new(args.inputs[0], &WORD_ID_DEF, DataLayout::Aos, n);
+    let word = reader.field::<u32, 1>(0);
+    let mut counts = vec![0u64; VOCAB as usize];
+    for row in reader.rows() {
+        let [id] = word.read(row);
+        counts[id as usize % VOCAB as usize] += 1;
+    }
+    let mut view = RecordView::new(
+        args.outputs[0],
+        &COUNT_REC_DEF,
+        DataLayout::Aos,
+        VOCAB as usize,
+    );
+    let (id, count) = (view.field(0), view.field(1));
+    for ((w, c), row) in counts.iter().enumerate().zip(view.rows_mut()) {
+        id.write(row, [w as u32]);
+        count.write(row, [(*c).min(u32::MAX as u64) as u32]);
+    }
+    // One atomic add per word plus the histogram write-back.
+    KernelProfile::new(
+        args.n_logical as f64 * 2.0,
+        args.n_logical as f64 * 8.0 + VOCAB as f64 * 8.0,
+    )
+    .with_coalescing(0.5) // histogram scatter is irregular
 }
 
 /// CPU cost of tokenization (string scanning, char decoding, object churn).
@@ -252,7 +257,56 @@ pub fn run_gpu_at(setup: &Setup, params: &Params, at: SimTime) -> AppRun {
 mod tests {
     use super::*;
     use crate::common::digests_match;
+    use crate::common::oracle::{aos_block, assert_same_launch, SIZES};
     use gflink_sim::Phase;
+    use rand::rngs::SmallRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// The histogram kernel before field handles, per-element accessors:
+    /// the reference the row walk must match byte for byte.
+    fn oracle_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
+        let def = &*WORD_ID_DEF;
+        let n = args.n_actual;
+        let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
+        let mut counts = vec![0u64; VOCAB as usize];
+        for i in 0..n {
+            let id = reader.get_u64(i, 0, 0) as usize;
+            counts[id % VOCAB as usize] += 1;
+        }
+        let out_def = &*COUNT_REC_DEF;
+        let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, VOCAB as usize);
+        for (id, c) in counts.iter().enumerate() {
+            CountRec {
+                id: id as u32,
+                count: (*c).min(u32::MAX as u64) as u32,
+            }
+            .store(&mut view, id);
+        }
+        KernelProfile::new(
+            args.n_logical as f64 * 2.0,
+            args.n_logical as f64 * 8.0 + VOCAB as f64 * 8.0,
+        )
+        .with_coalescing(0.5)
+    }
+
+    #[test]
+    fn row_walk_kernel_matches_accessor_oracle() {
+        let mut rng = SmallRng::seed_from_u64(0x3C0D);
+        for n in SIZES {
+            // Any u32 id, so the kernel's modulo folds some onto others.
+            let words: Vec<WordId> = (0..n).map(|_| WordId { id: rng.next_u32() }).collect();
+            let out_bytes = VOCAB as usize * COUNT_REC_DEF.size();
+            let block = aos_block(&words);
+            assert_same_launch(
+                histogram_kernel,
+                oracle_kernel,
+                &[&block],
+                &[],
+                n,
+                out_bytes,
+            );
+        }
+    }
 
     fn small(setup: &Setup) -> Params {
         Params {

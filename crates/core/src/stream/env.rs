@@ -36,7 +36,8 @@ use crate::gwork::{GWork, WorkBuf};
 use gflink_flink::{ClusterConfig, OpCost, SharedCluster};
 use gflink_gpu::{KernelArgs, KernelProfile};
 use gflink_memory::{
-    AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, PrimType, RecordReader, RecordView,
+    AlignClass, DataLayout, Field, FieldDef, GStructDef, HBuffer, PrimType, RecordReader,
+    RecordView,
 };
 use gflink_sim::{LogHistogram, SimTime, Summary};
 use std::collections::BTreeMap;
@@ -84,20 +85,22 @@ fn window_agg_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let capacity = args.outputs[0].len() / KEYAGG_DEF.size().max(1);
     let out_buf = &mut args.outputs[0];
     let mut out = RecordView::new(out_buf, &KEYAGG_DEF, DataLayout::Aos, capacity);
+    let (key_in, value_in) = (input.field::<f64, 1>(0), input.field::<f64, 1>(1));
+    let columns: [Field<f64, 1>; 5] = std::array::from_fn(|f| out.field(f));
     let mut emitted = 0usize;
     let mut emit = |key: f64, r: AggResult| {
-        out.set_field(emitted, 0, [key]);
-        out.set_field(emitted, 1, [r.count as f64]);
-        out.set_field(emitted, 2, [r.sum]);
-        out.set_field(emitted, 3, [r.min]);
-        out.set_field(emitted, 4, [r.max]);
+        for (f, v) in columns
+            .into_iter()
+            .zip([key, r.count as f64, r.sum, r.min, r.max])
+        {
+            out.set(f, emitted, [v]);
+        }
         emitted += 1;
     };
     // The open run: its first key and the fold so far.
     let mut run: Option<(f64, AggResult)> = None;
-    for i in 0..n {
-        let [key] = input.get_field(i, 0);
-        let [value] = input.get_field(i, 1);
+    for row in input.rows() {
+        let ([key], [value]) = (key_in.read(row), value_in.read(row));
         match &mut run {
             Some((k, acc)) if *k == key => acc.push(value),
             _ => {
@@ -659,12 +662,12 @@ impl<'a, T> WindowPipeline<'a, T> {
         let mut buf = HBuffer::zeroed(RecordView::required_bytes(pair, DataLayout::Aos, rows));
         {
             let mut view = RecordView::new(&mut buf, pair, DataLayout::Aos, rows);
-            let mut i = 0;
+            let (key, value) = (view.field::<f64, 1>(0), view.field::<f64, 1>(1));
+            let mut slots = view.rows_mut();
             for pane in &fw.panes {
-                for &v in &pane.values {
-                    view.set_field(i, 0, [pane.key as f64]);
-                    view.set_field(i, 1, [v]);
-                    i += 1;
+                for (&v, row) in pane.values.iter().zip(&mut slots) {
+                    key.write(row, [pane.key as f64]);
+                    value.write(row, [v]);
                 }
             }
         }
@@ -928,17 +931,19 @@ impl<'a, T> WindowPipeline<'a, T> {
 }
 
 fn read_keyagg(reader: &RecordReader<'_>, emitted: usize) -> Vec<(u64, AggResult)> {
-    (0..emitted)
-        .map(|i| {
-            (
-                reader.get_f64(i, 0, 0) as u64,
-                AggResult {
-                    count: reader.get_f64(i, 1, 0) as u64,
-                    sum: reader.get_f64(i, 2, 0),
-                    min: reader.get_f64(i, 3, 0),
-                    max: reader.get_f64(i, 4, 0),
-                },
-            )
+    let columns: [Field<f64, 1>; 5] = std::array::from_fn(|f| reader.field(f));
+    reader
+        .rows()
+        .take(emitted)
+        .map(|row| {
+            let [key, count, sum, min, max] = columns.map(|f| f.read(row)[0]);
+            let agg = AggResult {
+                count: count as u64,
+                sum,
+                min,
+                max,
+            };
+            (key as u64, agg)
         })
         .collect()
 }

@@ -8,13 +8,24 @@
 //! coalesce, which the virtual GPU models through
 //! [`DataLayout::coalescing_efficiency`].
 //!
-//! [`RecordView`] interprets an [`HBuffer`] as `n` records of a
-//! [`GStructDef`] under a chosen layout, with field accessors and
-//! layout-conversion routines.
+//! [`RecordReader`] (read-only) and [`RecordView`] (writable) interpret an
+//! [`HBuffer`] as `n` records of a [`GStructDef`] under a chosen layout.
+//! Neither allocates. Kernels address records the way a CUDA thread
+//! addresses `points[i].x` (§3.5.1): a [`Field`] handle, resolved once per
+//! launch, checks the field's type and length and fixes its base and
+//! stride, so no access after that looks at the schema. Under AoS a loop
+//! walks the records as rows (`rows`/`rows_mut`, `chunks_exact` over the
+//! struct size) and each handle reads or writes its field within a row.
+//! `get`/`set` access one record through a handle, with one record-range
+//! check; `get_field`/`set_field` resolve and access in one call. The
+//! per-element `get_f64`/`get_u64` family and the layout conversion serve
+//! generic code. Every access checks its record against the record count.
 
 use crate::gstruct::{GStructDef, Prim, PrimType};
 use crate::hbuffer::HBuffer;
+use std::marker::PhantomData;
 use std::ops::Range;
+use std::slice::{ChunksExact, ChunksExactMut};
 
 /// The three data layouts of §2.1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -70,6 +81,78 @@ impl DataLayout {
     }
 }
 
+/// A field of `N` elements of `T`, resolved once against a reader's or
+/// view's schema, layout and record count: the type and length are checked
+/// when it is resolved, and record `r`'s elements start at byte
+/// `base + r * stride` — under AoS the field's offset and the struct size,
+/// under SoA/AoP the field array's start and `N` elements.
+///
+/// A handle holds no borrow, so a kernel resolves its input and output
+/// handles first and then walks the records.
+pub struct Field<T, const N: usize> {
+    base: usize,
+    stride: usize,
+    _prim: PhantomData<fn() -> T>,
+}
+
+impl<T, const N: usize> Clone for Field<T, N> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T, const N: usize> Copy for Field<T, N> {}
+
+impl<T: Prim, const N: usize> Field<T, N> {
+    #[inline]
+    fn resolve(def: &GStructDef, layout: DataLayout, n: usize, field: usize) -> Self {
+        let f = &def.fields()[field];
+        if f.prim != T::TYPE || f.array_len != N {
+            bad_field_type(def, field, T::TYPE, N);
+        }
+        Field {
+            base: field_base(def, layout, n, field),
+            stride: field_stride(def, layout, field),
+            _prim: PhantomData,
+        }
+    }
+
+    /// Byte range of `record`'s elements; the caller checks `record`.
+    #[inline(always)]
+    fn range(self, record: usize) -> Range<usize> {
+        let start = self.base + record * self.stride;
+        start..start + N * T::TYPE.size()
+    }
+
+    /// Read this field from one AoS row of its schema (an item of
+    /// [`RecordReader::rows`]).
+    #[inline(always)]
+    pub fn read(self, row: &[u8]) -> [T; N] {
+        debug_assert_eq!(row.len(), self.stride, "not an AoS row of this schema");
+        decode(&row[self.range(0)])
+    }
+
+    /// Write this field into one AoS row of its schema (an item of
+    /// [`RecordView::rows_mut`]).
+    #[inline(always)]
+    pub fn write(self, row: &mut [u8], v: [T; N]) {
+        debug_assert_eq!(row.len(), self.stride, "not an AoS row of this schema");
+        encode(&mut row[self.range(0)], v);
+    }
+}
+
+#[inline(always)]
+fn decode<T: Prim, const N: usize>(bytes: &[u8]) -> [T; N] {
+    std::array::from_fn(|i| T::read_le(&bytes[i * T::TYPE.size()..]))
+}
+
+#[inline(always)]
+fn encode<T: Prim, const N: usize>(bytes: &mut [u8], v: [T; N]) {
+    for (i, x) in v.into_iter().enumerate() {
+        x.write_le(&mut bytes[i * T::TYPE.size()..]);
+    }
+}
+
 /// A typed view of `n` records of schema `def` under `layout`, stored in a
 /// caller-provided byte buffer.
 pub struct RecordView<'a> {
@@ -77,8 +160,6 @@ pub struct RecordView<'a> {
     def: &'a GStructDef,
     layout: DataLayout,
     n: usize,
-    /// Per-field base offsets (SoA/AoP); empty for AoS.
-    field_bases: Vec<usize>,
 }
 
 impl<'a> RecordView<'a> {
@@ -89,33 +170,18 @@ impl<'a> RecordView<'a> {
     pub fn required_bytes(def: &GStructDef, layout: DataLayout, n: usize) -> usize {
         match layout {
             DataLayout::Aos => def.size() * n,
-            DataLayout::Soa | DataLayout::Aop => {
-                let mut off = 0usize;
-                for f in def.fields() {
-                    off = round_up(off, 8);
-                    off += f.byte_size() * n;
-                }
-                off
-            }
+            DataLayout::Soa | DataLayout::Aop => soa_end(def, def.num_fields(), n),
         }
     }
 
     /// Create a view over `buf`. Panics if the buffer is too small.
     pub fn new(buf: &'a mut HBuffer, def: &'a GStructDef, layout: DataLayout, n: usize) -> Self {
-        let need = Self::required_bytes(def, layout, n);
-        assert!(
-            buf.len() >= need,
-            "buffer too small: {} < {need} for {n} records of {}",
-            buf.len(),
-            def.name()
-        );
-        let field_bases = field_bases(def, layout, n);
+        check_capacity(buf, def, layout, n);
         RecordView {
             buf,
             def,
             layout,
             n,
-            field_bases,
         }
     }
 
@@ -140,28 +206,17 @@ impl<'a> RecordView<'a> {
     }
 
     /// Byte offset of `(record, field, elem)` under this view's layout.
+    /// Panics if `record` or `elem` is out of range.
     #[inline]
     pub fn element_offset(&self, record: usize, field: usize, elem: usize) -> usize {
-        debug_assert!(record < self.n, "record {record} out of {}", self.n);
-        element_offset_of(
-            self.def,
-            self.layout,
-            &self.field_bases,
-            record,
-            field,
-            elem,
-        )
+        element_offset_of(self.def, self.layout, self.n, record, field, elem)
     }
 
     /// Read `(record, field, elem)` as `f64` (numeric widening for F32).
     #[inline]
     pub fn get_f64(&self, record: usize, field: usize, elem: usize) -> f64 {
         let off = self.element_offset(record, field, elem);
-        match self.def.fields()[field].prim {
-            PrimType::F32 => self.buf.read_f32(off) as f64,
-            PrimType::F64 => self.buf.read_f64(off),
-            other => panic!("field {field} is {other:?}, not a float"),
-        }
+        read_f64_at(self.buf, self.def, field, off)
     }
 
     /// Write `(record, field, elem)` as `f64` (narrowing for F32).
@@ -179,14 +234,7 @@ impl<'a> RecordView<'a> {
     #[inline]
     pub fn get_u64(&self, record: usize, field: usize, elem: usize) -> u64 {
         let off = self.element_offset(record, field, elem);
-        match self.def.fields()[field].prim {
-            PrimType::U8 => self.buf.read_u8(off) as u64,
-            PrimType::I32 => self.buf.read_i32(off) as u32 as u64,
-            PrimType::U32 => self.buf.read_u32(off) as u64,
-            PrimType::I64 => self.buf.read_i64(off) as u64,
-            PrimType::U64 => self.buf.read_u64(off),
-            other => panic!("field {field} is {other:?}, not an integer"),
-        }
+        read_u64_at(self.buf, self.def, field, off)
     }
 
     /// Write `(record, field, elem)` as `u64` (truncating).
@@ -203,24 +251,34 @@ impl<'a> RecordView<'a> {
         }
     }
 
-    /// Write all `N` elements of `field` of `record` in one access: one
-    /// offset computation and one bounds check for the whole field, the
+    /// Resolve `field` as `N` elements of `T` for this view. Panics if the
+    /// field is not `N` elements of `T`.
+    #[inline]
+    pub fn field<T: Prim, const N: usize>(&self, field: usize) -> Field<T, N> {
+        Field::resolve(self.def, self.layout, self.n, field)
+    }
+
+    /// Write all `N` elements of field `f` of `record`. Panics if `record`
+    /// is out of range.
+    #[inline(always)]
+    pub fn set<T: Prim, const N: usize>(&mut self, f: Field<T, N>, record: usize, v: [T; N]) {
+        check_record(record, self.n);
+        encode(&mut self.buf.as_mut_slice()[f.range(record)], v);
+    }
+
+    /// Write all `N` elements of `field` of `record` in one access, the
     /// counterpart of [`RecordReader::get_field`]. Panics if `record` is
     /// out of range or the field is not `N` elements of `T`.
     #[inline(always)]
     pub fn set_field<T: Prim, const N: usize>(&mut self, record: usize, field: usize, v: [T; N]) {
-        let range = field_range::<T, N>(
-            self.def,
-            self.layout,
-            &self.field_bases,
-            self.n,
-            record,
-            field,
-        );
-        let bytes = &mut self.buf.as_mut_slice()[range];
-        for (i, x) in v.into_iter().enumerate() {
-            x.write_le(&mut bytes[i * T::TYPE.size()..]);
-        }
+        self.set(self.field(field), record, v);
+    }
+
+    /// The records as AoS rows of `def().size()` bytes, in record order —
+    /// what [`Field::write`] writes into. Panics unless the layout is AoS.
+    pub fn rows_mut(&mut self) -> ChunksExactMut<'_, u8> {
+        let stride = aos_stride(self.def, self.layout);
+        self.buf.as_mut_slice()[..self.n * stride].chunks_exact_mut(stride)
     }
 
     /// Copy all records into `dst`, which may use a different layout.
@@ -261,25 +319,17 @@ pub struct RecordReader<'a> {
     def: &'a GStructDef,
     layout: DataLayout,
     n: usize,
-    field_bases: Vec<usize>,
 }
 
 impl<'a> RecordReader<'a> {
     /// Create a reader over `buf`. Panics if the buffer is too small.
     pub fn new(buf: &'a HBuffer, def: &'a GStructDef, layout: DataLayout, n: usize) -> Self {
-        let need = RecordView::required_bytes(def, layout, n);
-        assert!(
-            buf.len() >= need,
-            "buffer too small: {} < {need} for {n} records of {}",
-            buf.len(),
-            def.name()
-        );
+        check_capacity(buf, def, layout, n);
         RecordReader {
             buf,
             def,
             layout,
             n,
-            field_bases: field_bases(def, layout, n),
         }
     }
 
@@ -294,134 +344,162 @@ impl<'a> RecordReader<'a> {
     }
 
     /// Byte offset of `(record, field, elem)` under this reader's layout.
+    /// Panics if `record` or `elem` is out of range.
     #[inline]
     pub fn element_offset(&self, record: usize, field: usize, elem: usize) -> usize {
-        element_offset_of(
-            self.def,
-            self.layout,
-            &self.field_bases,
-            record,
-            field,
-            elem,
-        )
+        element_offset_of(self.def, self.layout, self.n, record, field, elem)
     }
 
     /// Read `(record, field, elem)` as `f64` (numeric widening for F32).
     #[inline]
     pub fn get_f64(&self, record: usize, field: usize, elem: usize) -> f64 {
         let off = self.element_offset(record, field, elem);
-        match self.def.fields()[field].prim {
-            PrimType::F32 => self.buf.read_f32(off) as f64,
-            PrimType::F64 => self.buf.read_f64(off),
-            other => panic!("field {field} is {other:?}, not a float"),
-        }
+        read_f64_at(self.buf, self.def, field, off)
     }
 
     /// Read `(record, field, elem)` as `u64` (zero-extended).
     #[inline]
     pub fn get_u64(&self, record: usize, field: usize, elem: usize) -> u64 {
         let off = self.element_offset(record, field, elem);
-        match self.def.fields()[field].prim {
-            PrimType::U8 => self.buf.read_u8(off) as u64,
-            PrimType::I32 => self.buf.read_i32(off) as u32 as u64,
-            PrimType::U32 => self.buf.read_u32(off) as u64,
-            PrimType::I64 => self.buf.read_i64(off) as u64,
-            PrimType::U64 => self.buf.read_u64(off),
-            other => panic!("field {field} is {other:?}, not an integer"),
-        }
+        read_u64_at(self.buf, self.def, field, off)
     }
 
-    /// Read all `N` elements of `field` of `record` in one access — how a
-    /// kernel loads a record into registers once instead of paying the
-    /// field lookup, type match and bounds check per element (§3.5.1).
+    /// Resolve `field` as `N` elements of `T` for this reader — once per
+    /// launch, as a CUDA kernel's field offsets are fixed at compile time
+    /// (§3.5.1). Panics if the field is not `N` elements of `T`.
+    #[inline]
+    pub fn field<T: Prim, const N: usize>(&self, field: usize) -> Field<T, N> {
+        Field::resolve(self.def, self.layout, self.n, field)
+    }
+
+    /// Read all `N` elements of field `f` of `record`. Panics if `record`
+    /// is out of range.
+    #[inline(always)]
+    pub fn get<T: Prim, const N: usize>(&self, f: Field<T, N>, record: usize) -> [T; N] {
+        check_record(record, self.n);
+        decode(&self.buf.as_slice()[f.range(record)])
+    }
+
+    /// Read all `N` elements of `field` of `record` in one access: how a
+    /// one-record caller loads a record without handling a [`Field`].
     /// Scalars are `N = 1`. Panics if `record` is out of range or the
     /// field is not `N` elements of `T`.
     #[inline(always)]
     pub fn get_field<T: Prim, const N: usize>(&self, record: usize, field: usize) -> [T; N] {
-        let range = field_range::<T, N>(
-            self.def,
-            self.layout,
-            &self.field_bases,
-            self.n,
-            record,
-            field,
-        );
-        let bytes = &self.buf.as_slice()[range];
-        std::array::from_fn(|i| T::read_le(&bytes[i * T::TYPE.size()..]))
+        self.get(self.field(field), record)
+    }
+
+    /// The records as AoS rows of `def().size()` bytes, in record order —
+    /// what [`Field::read`] reads from. Panics unless the layout is AoS.
+    pub fn rows(&self) -> ChunksExact<'a, u8> {
+        let stride = aos_stride(self.def, self.layout);
+        self.buf.as_slice()[..self.n * stride].chunks_exact(stride)
     }
 }
 
-/// Per-field base offsets for SoA/AoP (empty for AoS).
-fn field_bases(def: &GStructDef, layout: DataLayout, n: usize) -> Vec<usize> {
+#[inline]
+fn check_capacity(buf: &HBuffer, def: &GStructDef, layout: DataLayout, n: usize) {
+    let need = RecordView::required_bytes(def, layout, n);
+    assert!(
+        buf.len() >= need,
+        "buffer too small: {} < {need} for {n} records of {}",
+        buf.len(),
+        def.name()
+    );
+}
+
+/// End of the SoA/AoP field arrays before field `upto`: each array starts
+/// on an 8-byte boundary and holds `n` records' elements.
+fn soa_end(def: &GStructDef, upto: usize, n: usize) -> usize {
+    def.fields()[..upto]
+        .iter()
+        .fold(0, |off, f| round_up(off, 8) + f.byte_size() * n)
+}
+
+/// Where `field` of record 0 starts.
+#[inline]
+fn field_base(def: &GStructDef, layout: DataLayout, n: usize, field: usize) -> usize {
     match layout {
-        DataLayout::Aos => Vec::new(),
-        DataLayout::Soa | DataLayout::Aop => {
-            let mut bases = Vec::with_capacity(def.num_fields());
-            let mut off = 0usize;
-            for f in def.fields() {
-                off = round_up(off, 8);
-                bases.push(off);
-                off += f.byte_size() * n;
-            }
-            bases
-        }
+        DataLayout::Aos => def.offset(field),
+        DataLayout::Soa | DataLayout::Aop => round_up(soa_end(def, field, n), 8),
     }
+}
+
+/// Bytes from one record's `field` to the next's.
+#[inline]
+fn field_stride(def: &GStructDef, layout: DataLayout, field: usize) -> usize {
+    match layout {
+        DataLayout::Aos => def.size(),
+        DataLayout::Soa | DataLayout::Aop => def.fields()[field].byte_size(),
+    }
+}
+
+fn aos_stride(def: &GStructDef, layout: DataLayout) -> usize {
+    assert!(
+        layout == DataLayout::Aos,
+        "row walks need AoS records, not {}",
+        layout.label()
+    );
+    def.size()
 }
 
 #[inline]
 fn element_offset_of(
     def: &GStructDef,
     layout: DataLayout,
-    bases: &[usize],
+    n: usize,
     record: usize,
     field: usize,
     elem: usize,
 ) -> usize {
+    check_record(record, n);
     let f = &def.fields()[field];
-    debug_assert!(elem < f.array_len);
-    match layout {
-        DataLayout::Aos => record * def.size() + def.offset(field) + elem * f.prim.size(),
-        DataLayout::Soa | DataLayout::Aop => {
-            bases[field] + (record * f.array_len + elem) * f.prim.size()
-        }
-    }
+    assert!(elem < f.array_len, "element {elem} out of {}", f.array_len);
+    field_base(def, layout, n, field)
+        + record * field_stride(def, layout, field)
+        + elem * f.prim.size()
 }
 
-/// Byte range of every element of `field` in `record`. Each layout keeps a
-/// record's elements of one field contiguous, so a whole field is one range.
 #[inline]
-fn field_range<T: Prim, const N: usize>(
-    def: &GStructDef,
-    layout: DataLayout,
-    bases: &[usize],
-    n: usize,
-    record: usize,
-    field: usize,
-) -> Range<usize> {
-    let f = &def.fields()[field];
-    if record >= n || f.prim != T::TYPE || f.array_len != N {
-        bad_field_access(def, n, record, field, T::TYPE, N);
+fn read_f64_at(buf: &HBuffer, def: &GStructDef, field: usize, off: usize) -> f64 {
+    match def.fields()[field].prim {
+        PrimType::F32 => buf.read_f32(off) as f64,
+        PrimType::F64 => buf.read_f64(off),
+        other => panic!("field {field} is {other:?}, not a float"),
     }
-    let start = element_offset_of(def, layout, bases, record, field, 0);
-    start..start + N * T::TYPE.size()
 }
 
-/// The panic of [`field_range`], kept out of line so the checks inline
-/// into every kernel loop as two compares and a branch.
+#[inline]
+fn read_u64_at(buf: &HBuffer, def: &GStructDef, field: usize, off: usize) -> u64 {
+    match def.fields()[field].prim {
+        PrimType::U8 => buf.read_u8(off) as u64,
+        PrimType::I32 => buf.read_i32(off) as u32 as u64,
+        PrimType::U32 => buf.read_u32(off) as u64,
+        PrimType::I64 => buf.read_i64(off) as u64,
+        PrimType::U64 => buf.read_u64(off),
+        other => panic!("field {field} is {other:?}, not an integer"),
+    }
+}
+
+/// The record-range check of every access, inlined as one compare and a
+/// branch, with the panic kept out of line.
+#[inline(always)]
+fn check_record(record: usize, n: usize) {
+    if record >= n {
+        record_out_of_range(record, n);
+    }
+}
+
 #[cold]
 #[inline(never)]
-fn bad_field_access(
-    def: &GStructDef,
-    n: usize,
-    record: usize,
-    field: usize,
-    want: PrimType,
-    len: usize,
-) -> ! {
+fn record_out_of_range(record: usize, n: usize) -> ! {
+    panic!("record {record} out of {n}");
+}
+
+#[cold]
+#[inline(never)]
+fn bad_field_type(def: &GStructDef, field: usize, want: PrimType, len: usize) -> ! {
     let f = &def.fields()[field];
-    if record >= n {
-        panic!("record {record} out of {n}");
-    }
     panic!(
         "field {field} is {:?}[{}], not {want:?}[{len}]",
         f.prim, f.array_len
@@ -432,7 +510,6 @@ fn bad_field_access(
 fn round_up(x: usize, align: usize) -> usize {
     x.div_ceil(align) * align
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,7 +688,6 @@ mod tests {
                 assert_eq!(v.get_f64(r, 3, 0), r as f64 / 3.0);
                 assert_eq!(v.get_u64(r, 4, 1), u64::MAX - r as u64);
             }
-            drop(v);
             let rd = RecordReader::new(&buf, &def, layout, n);
             for r in 0..n {
                 let x = r as f32;
@@ -651,7 +727,6 @@ mod tests {
                 va.set_field(r, 6, [r as u32 * 3]);
                 vb.set_u64(r, 6, 0, r as u64 * 3);
             }
-            drop((va, vb));
             assert_eq!(a, b, "{layout:?}");
         }
     }
@@ -669,6 +744,116 @@ mod tests {
                 RecordView::new(&mut buf, &def, layout, 3).set_field(3, 3, [1.0f64])
             }));
             assert!(write.is_err(), "{layout:?} wrote past the last record");
+        }
+    }
+
+    /// The panic text of `f`, which must panic.
+    fn panic_text(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the access must panic");
+        *err.downcast::<String>().expect("a formatted panic message")
+    }
+
+    #[test]
+    fn element_accessors_reject_records_past_the_count() {
+        // Two records over a buffer sized for four: record 3's bytes exist
+        // (under SoA/AoP they lie in the next field's array), but they are
+        // not this reader's or view's.
+        let def = point_def();
+        for layout in DataLayout::ALL {
+            let mut buf = HBuffer::zeroed(RecordView::required_bytes(&def, layout, 4));
+            let rd = RecordReader::new(&buf, &def, layout, 2);
+            let want = "record 3 out of 2";
+            assert_eq!(
+                panic_text(|| {
+                    let _ = rd.get_f64(3, 1, 0);
+                }),
+                want,
+                "{layout:?}"
+            );
+            assert_eq!(
+                panic_text(|| {
+                    let _ = rd.get_u64(3, 0, 0);
+                }),
+                want,
+                "{layout:?}"
+            );
+            assert_eq!(
+                panic_text(|| {
+                    let _ = rd.element_offset(3, 2, 0);
+                }),
+                want
+            );
+            assert_eq!(
+                panic_text(|| {
+                    let _ = rd.get(rd.field::<f64, 1>(1), 3);
+                }),
+                want
+            );
+            let mut v = RecordView::new(&mut buf, &def, layout, 2);
+            assert_eq!(
+                panic_text(|| {
+                    let _ = v.get_f64(3, 2, 0);
+                }),
+                want,
+                "{layout:?}"
+            );
+            assert_eq!(
+                panic_text(|| {
+                    let _ = v.get_u64(3, 0, 0);
+                }),
+                want
+            );
+            assert_eq!(
+                panic_text(|| {
+                    let _ = v.element_offset(3, 1, 0);
+                }),
+                want
+            );
+            assert_eq!(panic_text(|| v.set_f64(3, 1, 0, 1.0)), want, "{layout:?}");
+            assert_eq!(panic_text(|| v.set_u64(3, 0, 0, 1)), want, "{layout:?}");
+            let f = v.field::<f32, 1>(2);
+            assert_eq!(panic_text(|| v.set(f, 3, [1.0])), want, "{layout:?}");
+        }
+    }
+
+    #[test]
+    fn row_walks_need_aos() {
+        let def = point_def();
+        for layout in [DataLayout::Soa, DataLayout::Aop] {
+            let mut buf = HBuffer::zeroed(RecordView::required_bytes(&def, layout, 2));
+            let text = panic_text(|| {
+                let _ = RecordReader::new(&buf, &def, layout, 2).rows();
+            });
+            assert_eq!(
+                text,
+                format!("row walks need AoS records, not {}", layout.label())
+            );
+            let text = panic_text(|| {
+                let _ = RecordView::new(&mut buf, &def, layout, 2).rows_mut();
+            });
+            assert_eq!(
+                text,
+                format!("row walks need AoS records, not {}", layout.label())
+            );
+        }
+    }
+
+    #[test]
+    fn handles_resolve_type_and_length_once_with_the_accessor_text() {
+        let def = wide_def();
+        for layout in DataLayout::ALL {
+            let mut buf = HBuffer::zeroed(RecordView::required_bytes(&def, layout, 1));
+            let rd = RecordReader::new(&buf, &def, layout, 1);
+            let text = panic_text(|| {
+                let _ = rd.field::<f32, 5>(4);
+            });
+            assert_eq!(text, "field 4 is U64[3], not F32[5]", "{layout:?}");
+            let v = RecordView::new(&mut buf, &def, layout, 1);
+            let text = panic_text(|| {
+                let _ = v.field::<f32, 4>(1);
+            });
+            assert_eq!(text, "field 1 is F32[5], not F32[4]", "{layout:?}");
         }
     }
 

@@ -26,6 +26,7 @@
 //!   `GStruct_8` + `@StructField(order = n)` annotations;
 //! * [`layout`] — Array-of-Structures / Structure-of-Arrays /
 //!   Array-of-Primitives views over the same logical schema, with
+//!   [`Field`] handles resolved once per kernel launch, AoS row walks,
 //!   conversions and a GPU memory-coalescing model (§2.1);
 //! * [`serialize`] — the *baseline* object-serialization path that GFlink
 //!   avoids, implemented so the contrast can be measured.
@@ -41,7 +42,7 @@ pub mod serialize;
 pub use arena::{ArenaBuf, ArenaStats, BufferArena};
 pub use gstruct::{AlignClass, FieldDef, GStructDef, Prim, PrimType};
 pub use hbuffer::HBuffer;
-pub use layout::{DataLayout, RecordReader, RecordView};
+pub use layout::{DataLayout, Field, RecordReader, RecordView};
 pub use pinned::{PinnedLease, PinnedPool, PinnedStats};
 pub use pool::{MemoryPool, PageRef, PoolError};
 pub use serialize::{decode_records, encode_records, FieldValue, Record};

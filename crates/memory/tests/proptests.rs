@@ -2,9 +2,11 @@
 
 use gflink_memory::{
     decode_records, encode_records, AlignClass, DataLayout, FieldDef, FieldValue, GStructDef,
-    HBuffer, MemoryPool, PrimType, Record, RecordView,
+    HBuffer, MemoryPool, Prim, PrimType, Record, RecordReader, RecordView,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn arb_prim() -> impl Strategy<Value = PrimType> {
     prop_oneof![
@@ -44,6 +46,115 @@ fn arb_value(p: PrimType) -> BoxedStrategy<FieldValue> {
         PrimType::F32 => any::<i32>().prop_map(|b| FieldValue::F32(b as f32)).boxed(),
         PrimType::F64 => any::<i64>().prop_map(|b| FieldValue::F64(b as f64)).boxed(),
     }
+}
+
+/// The little-endian bytes of a whole field value.
+fn field_bytes<T: Prim, const N: usize>(v: [T; N]) -> Vec<u8> {
+    let mut out = vec![0u8; N * T::TYPE.size()];
+    for (i, x) in v.into_iter().enumerate() {
+        x.write_le(&mut out[i * T::TYPE.size()..]);
+    }
+    out
+}
+
+/// Check the `Field<T, N>` handle of `field` against `element_offset`,
+/// byte for byte: one-record reads and writes under every layout, and the
+/// row walks under AoS. Writes store record `n - 1 - r`'s value into
+/// record `r`, so every written cell moves.
+fn check_handle<T: Prim, const N: usize>(
+    def: &GStructDef,
+    layout: DataLayout,
+    n: usize,
+    field: usize,
+    bytes: &[u8],
+) -> Result<(), TestCaseError> {
+    let src = HBuffer::from_bytes(bytes);
+    let reader = RecordReader::new(&src, def, layout, n);
+    let f = reader.field::<T, N>(field);
+    let size = T::TYPE.size();
+    let cell = |r: usize| -> Vec<u8> {
+        (0..N)
+            .flat_map(|e| {
+                let off = reader.element_offset(r, field, e);
+                bytes[off..off + size].iter().copied()
+            })
+            .collect()
+    };
+    for r in 0..n {
+        prop_assert_eq!(field_bytes(reader.get(f, r)), cell(r));
+        prop_assert_eq!(field_bytes(reader.get_field::<T, N>(r, field)), cell(r));
+    }
+    let reversed: Vec<[T; N]> = (0..n).map(|r| reader.get(f, n - 1 - r)).collect();
+    let mut want = HBuffer::from_bytes(bytes);
+    for r in 0..n {
+        for e in 0..N {
+            let (to, from) = (
+                reader.element_offset(r, field, e),
+                reader.element_offset(n - 1 - r, field, e),
+            );
+            want.as_mut_slice()[to..to + size].copy_from_slice(&bytes[from..from + size]);
+        }
+    }
+    let mut got = HBuffer::from_bytes(bytes);
+    let mut view = RecordView::new(&mut got, def, layout, n);
+    let g = view.field::<T, N>(field);
+    for (r, v) in reversed.iter().enumerate() {
+        view.set(g, r, *v);
+    }
+    prop_assert_eq!(&got, &want, "{:?} set", layout);
+    if layout == DataLayout::Aos {
+        prop_assert_eq!(reader.rows().len(), n);
+        for (r, row) in reader.rows().enumerate() {
+            prop_assert_eq!(field_bytes(f.read(row)), cell(r));
+        }
+        let mut walked = HBuffer::from_bytes(bytes);
+        let mut view = RecordView::new(&mut walked, def, layout, n);
+        for (row, v) in view.rows_mut().zip(&reversed) {
+            g.write(row, *v);
+        }
+        prop_assert_eq!(&walked, &want, "AoS row walk");
+    }
+    Ok(())
+}
+
+fn check_handle_of<T: Prim>(
+    def: &GStructDef,
+    layout: DataLayout,
+    n: usize,
+    field: usize,
+    bytes: &[u8],
+) -> Result<(), TestCaseError> {
+    match def.fields()[field].array_len {
+        1 => check_handle::<T, 1>(def, layout, n, field, bytes),
+        2 => check_handle::<T, 2>(def, layout, n, field, bytes),
+        3 => check_handle::<T, 3>(def, layout, n, field, bytes),
+        len => panic!("arb_def makes arrays of at most 3, not {len}"),
+    }
+}
+
+/// Resolving `field` as `N` elements of `T`, which it is not, panics with
+/// the accessors' type-confusion text.
+fn check_wrong_handle<T: Prim, const N: usize>(
+    reader: &RecordReader<'_>,
+    def: &GStructDef,
+    field: usize,
+) -> Result<(), TestCaseError> {
+    let f = &def.fields()[field];
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        reader.field::<T, N>(field);
+    }))
+    .expect_err("a mismatched handle must not resolve");
+    let text = err.downcast::<String>().expect("a formatted panic message");
+    prop_assert_eq!(
+        *text,
+        format!(
+            "field {field} is {:?}[{}], not {:?}[{N}]",
+            f.prim,
+            f.array_len,
+            T::TYPE
+        )
+    );
+    Ok(())
 }
 
 proptest! {
@@ -150,7 +261,6 @@ proptest! {
     /// cell offset and value, for every layout.
     #[test]
     fn reader_and_view_agree(def in arb_def(), n in 1usize..12, seed in any::<u64>()) {
-        use gflink_memory::RecordReader;
         let mut state = seed;
         let mut next = || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -199,6 +309,37 @@ proptest! {
         }
     }
 
+    /// Field handles — one-record reads and writes, and AoS row walks —
+    /// agree byte for byte with `element_offset` under every layout, for
+    /// mixed-width schemas with array fields.
+    #[test]
+    fn field_handles_match_element_offsets(
+        def in arb_def(),
+        n in 1usize..12,
+        seed in any::<u64>(),
+    ) {
+        let mut state = seed;
+        for layout in DataLayout::ALL {
+            let bytes: Vec<u8> = (0..RecordView::required_bytes(&def, layout, n))
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (state >> 56) as u8
+                })
+                .collect();
+            for (fi, f) in def.fields().iter().enumerate() {
+                match f.prim {
+                    PrimType::U8 => check_handle_of::<u8>(&def, layout, n, fi, &bytes)?,
+                    PrimType::I32 => check_handle_of::<i32>(&def, layout, n, fi, &bytes)?,
+                    PrimType::U32 => check_handle_of::<u32>(&def, layout, n, fi, &bytes)?,
+                    PrimType::I64 => check_handle_of::<i64>(&def, layout, n, fi, &bytes)?,
+                    PrimType::U64 => check_handle_of::<u64>(&def, layout, n, fi, &bytes)?,
+                    PrimType::F32 => check_handle_of::<f32>(&def, layout, n, fi, &bytes)?,
+                    PrimType::F64 => check_handle_of::<f64>(&def, layout, n, fi, &bytes)?,
+                }
+            }
+        }
+    }
+
     /// Serializer roundtrip over random records.
     #[test]
     fn serializer_roundtrip(recs in prop::collection::vec(
@@ -230,6 +371,32 @@ proptest! {
             }
             prop_assert_eq!(pool.allocated(), live.len());
             prop_assert!(pool.allocated() <= pool.capacity());
+        }
+    }
+}
+
+proptest! {
+    // Every case prints its expected panics; a few schemas cover the text.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A handle of the wrong length, or of the wrong type at the right
+    /// length, does not resolve.
+    #[test]
+    fn mismatched_handles_panic_with_the_accessor_text(def in arb_def(), n in 0usize..4) {
+        for layout in DataLayout::ALL {
+            let buf = HBuffer::zeroed(RecordView::required_bytes(&def, layout, n));
+            let reader = RecordReader::new(&buf, &def, layout, n);
+            for (fi, f) in def.fields().iter().enumerate() {
+                check_wrong_handle::<u8, 4>(&reader, &def, fi)?;
+                match (f.prim == PrimType::F64, f.array_len) {
+                    (false, 1) => check_wrong_handle::<f64, 1>(&reader, &def, fi)?,
+                    (false, 2) => check_wrong_handle::<f64, 2>(&reader, &def, fi)?,
+                    (false, _) => check_wrong_handle::<f64, 3>(&reader, &def, fi)?,
+                    (true, 1) => check_wrong_handle::<u32, 1>(&reader, &def, fi)?,
+                    (true, 2) => check_wrong_handle::<u32, 2>(&reader, &def, fi)?,
+                    (true, _) => check_wrong_handle::<u32, 3>(&reader, &def, fi)?,
+                }
+            }
         }
     }
 }
