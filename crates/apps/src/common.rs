@@ -142,8 +142,8 @@ pub(crate) mod oracle {
     pub(crate) fn aos_block<T: GRecord>(records: &[T]) -> HBuffer {
         let def = T::def();
         let n = records.len();
-        let mut buf = HBuffer::zeroed(RecordView::required_bytes(&def, DataLayout::Aos, n));
-        let mut view = RecordView::new(&mut buf, &def, DataLayout::Aos, n);
+        let mut buf = HBuffer::zeroed(RecordView::required_bytes(def, DataLayout::Aos, n));
+        let mut view = RecordView::new(&mut buf, def, DataLayout::Aos, n);
         for (i, r) in records.iter().enumerate() {
             r.store(&mut view, i);
         }

@@ -14,12 +14,9 @@ use crate::generators::page_links;
 use gflink_core::{GDataSet, GRecord, GflinkEnv, GpuFabric, GpuMapSpec, GpuReduceCosts, OutMode};
 use gflink_flink::{DataSet, FlinkEnv, KeyedOps, OpCost};
 use gflink_gpu::{KernelArgs, KernelProfile};
-use gflink_memory::{
-    AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, PrimType, RecordReader, RecordView,
-};
+use gflink_memory::{gstruct, DataLayout, HBuffer, RecordReader, RecordView};
 use gflink_sim::SimTime;
 use std::collections::BTreeMap;
-use std::sync::LazyLock;
 
 /// Degree of the synthetic graph.
 pub const DEG: usize = 8;
@@ -31,83 +28,28 @@ pub const LABEL_PAIR_BYTES: f64 = 12.0;
 /// Wire bytes of one adjacency pair at paper scale.
 pub const ADJ_PAIR_BYTES: f64 = (4 + DEG * 4 + 4) as f64;
 
-/// A joined (label, out-links) record, packed for the GPU.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LabelledPage {
-    /// The page's own id.
-    pub page: u32,
-    /// Current component label.
-    pub label: u32,
-    /// Neighbours.
-    pub links: [u32; DEG],
-}
-
-static LABELLED_PAGE_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
-    GStructDef::new(
-        "LabelledPage",
-        AlignClass::Align8,
-        vec![
-            FieldDef::scalar("page", PrimType::U32),
-            FieldDef::scalar("label", PrimType::U32),
-            FieldDef::array("links", PrimType::U32, DEG),
-        ],
-    )
-});
-
-impl GRecord for LabelledPage {
-    fn def() -> GStructDef {
-        LABELLED_PAGE_DEF.clone()
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_u64(idx, 0, 0, self.page as u64);
-        view.set_u64(idx, 1, 0, self.label as u64);
-        for (i, l) in self.links.iter().enumerate() {
-            view.set_u64(idx, 2, i, *l as u64);
-        }
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        LabelledPage {
-            page: reader.get_u64(idx, 0, 0) as u32,
-            label: reader.get_u64(idx, 1, 0) as u32,
-            links: std::array::from_fn(|i| reader.get_u64(idx, 2, i) as u32),
-        }
+gstruct! {
+    /// A joined (label, out-links) record, packed for the GPU.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct LabelledPage: Align8 {
+        /// The page's own id.
+        pub page: u32,
+        /// Current component label.
+        pub label: u32,
+        /// Neighbours.
+        pub links: [u32; DEG],
     }
 }
 
-/// Kernel output: one **block-combined** minimum-label message per distinct
-/// destination.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AggMsg {
-    /// Destination page.
-    pub dst: u32,
-    /// Minimum label heard within the block.
-    pub label: u32,
-}
-
-static AGG_MSG_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
-    GStructDef::new(
-        "AggMsg",
-        AlignClass::Align8,
-        vec![
-            FieldDef::scalar("dst", PrimType::U32),
-            FieldDef::scalar("label", PrimType::U32),
-        ],
-    )
-});
-
-impl GRecord for AggMsg {
-    fn def() -> GStructDef {
-        AGG_MSG_DEF.clone()
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_u64(idx, 0, 0, self.dst as u64);
-        view.set_u64(idx, 1, 0, self.label as u64);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        AggMsg {
-            dst: reader.get_u64(idx, 0, 0) as u32,
-            label: reader.get_u64(idx, 1, 0) as u32,
-        }
+gstruct! {
+    /// Kernel output: one **block-combined** minimum-label message per distinct
+    /// destination.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct AggMsg: Align8 {
+        /// Destination page.
+        pub dst: u32,
+        /// Minimum label heard within the block.
+        pub label: u32,
     }
 }
 
@@ -158,8 +100,8 @@ fn note_min(agg: &mut BTreeMap<u32, u32>, dst: u32, label: u32) {
 /// Write the combined messages, key-ascending, as the leading [`AggMsg`]
 /// rows of an output block of `capacity` records.
 fn write_msgs(out: &mut HBuffer, capacity: usize, agg: BTreeMap<u32, u32>) {
-    let mut view = RecordView::new(out, &AGG_MSG_DEF, DataLayout::Aos, capacity);
-    let (dst, label) = (view.field(0), view.field(1));
+    let mut view = RecordView::new(out, AggMsg::def(), DataLayout::Aos, capacity);
+    let (dst, label) = (view.field(AggMsg::dst), view.field(AggMsg::label));
     for ((d, l), row) in agg.into_iter().zip(view.rows_mut()) {
         dst.write(row, [d]);
         label.write(row, [l]);
@@ -170,11 +112,11 @@ fn write_msgs(out: &mut HBuffer, capacity: usize, agg: BTreeMap<u32, u32>) {
 /// its neighbours, min-combined per destination within the block.
 fn scatter_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let n = args.n_actual;
-    let reader = RecordReader::new(args.inputs[0], &LABELLED_PAGE_DEF, DataLayout::Aos, n);
+    let reader = RecordReader::new(args.inputs[0], LabelledPage::def(), DataLayout::Aos, n);
     let (page, label, links) = (
-        reader.field::<u32, 1>(0),
-        reader.field::<u32, 1>(1),
-        reader.field::<u32, DEG>(2),
+        reader.field(LabelledPage::page),
+        reader.field(LabelledPage::label),
+        reader.field(LabelledPage::links),
     );
     // Scatter labels to self + neighbours, min-combining within the
     // block (segmented sort/reduce on a real device).
@@ -191,7 +133,7 @@ fn scatter_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     KernelProfile::new(
         args.n_logical as f64 * (8 * (DEG + 1)) as f64,
         args.n_logical as f64
-            * (LABELLED_PAGE_DEF.size() + 2 * (DEG + 1) * AGG_MSG_DEF.size()) as f64,
+            * (LabelledPage::def().size() + 2 * (DEG + 1) * AggMsg::def().size()) as f64,
     )
     .with_coalescing(0.7)
     .with_emitted(emitted)
@@ -201,8 +143,8 @@ fn scatter_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
 /// label messages within each block.
 fn min_by_key_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let n = args.n_actual;
-    let reader = RecordReader::new(args.inputs[0], &AGG_MSG_DEF, DataLayout::Aos, n);
-    let (dst, label) = (reader.field::<u32, 1>(0), reader.field::<u32, 1>(1));
+    let reader = RecordReader::new(args.inputs[0], AggMsg::def(), DataLayout::Aos, n);
+    let (dst, label) = (reader.field(AggMsg::dst), reader.field(AggMsg::label));
     let mut agg: BTreeMap<u32, u32> = BTreeMap::new();
     for row in reader.rows() {
         let ([d], [l]) = (dst.read(row), label.read(row));
@@ -212,7 +154,7 @@ fn min_by_key_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     write_msgs(args.outputs[0], n, agg);
     KernelProfile::new(
         args.n_logical as f64 * 10.0,
-        args.n_logical as f64 * (2 * AGG_MSG_DEF.size()) as f64,
+        args.n_logical as f64 * (2 * AggMsg::def().size()) as f64,
     )
     .with_coalescing(0.8)
     .with_emitted(emitted)
@@ -388,8 +330,8 @@ mod tests {
     /// The scatter kernel before field handles, per-element accessors: the
     /// reference the row walk must match byte for byte.
     fn scatter_oracle(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
-        let def = &*LABELLED_PAGE_DEF;
-        let out_def = &*AGG_MSG_DEF;
+        let def = LabelledPage::def();
+        let out_def = AggMsg::def();
         let n = args.n_actual;
         let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
         let mut agg: BTreeMap<u32, u32> = BTreeMap::new();
@@ -415,7 +357,7 @@ mod tests {
         KernelProfile::new(
             args.n_logical as f64 * (8 * (DEG + 1)) as f64,
             args.n_logical as f64
-                * (LABELLED_PAGE_DEF.size() + 2 * (DEG + 1) * AGG_MSG_DEF.size()) as f64,
+                * (LabelledPage::def().size() + 2 * (DEG + 1) * AggMsg::def().size()) as f64,
         )
         .with_coalescing(0.7)
         .with_emitted(emitted)
@@ -423,7 +365,7 @@ mod tests {
 
     /// The reducer kernel before field handles.
     fn min_by_key_oracle(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
-        let def = &*AGG_MSG_DEF;
+        let def = AggMsg::def();
         let n = args.n_actual;
         let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
         let mut agg: BTreeMap<u32, u32> = BTreeMap::new();
@@ -444,7 +386,7 @@ mod tests {
         }
         KernelProfile::new(
             args.n_logical as f64 * 10.0,
-            args.n_logical as f64 * (2 * AGG_MSG_DEF.size()) as f64,
+            args.n_logical as f64 * (2 * AggMsg::def().size()) as f64,
         )
         .with_coalescing(0.8)
         .with_emitted(emitted)
@@ -462,7 +404,7 @@ mod tests {
                     links: std::array::from_fn(|_| rng.gen_range(0u32..50)),
                 })
                 .collect();
-            let out_bytes = n * (DEG + 1) * AGG_MSG_DEF.size();
+            let out_bytes = n * (DEG + 1) * AggMsg::def().size();
             let block = aos_block(&pages);
             assert_same_launch(scatter_kernel, scatter_oracle, &[&block], &[], n, out_bytes);
             let msgs: Vec<AggMsg> = (0..n)
@@ -471,7 +413,7 @@ mod tests {
                     label: rng.gen_range(0u32..50),
                 })
                 .collect();
-            let out_bytes = n * AGG_MSG_DEF.size();
+            let out_bytes = n * AggMsg::def().size();
             let block = aos_block(&msgs);
             assert_same_launch(
                 min_by_key_kernel,

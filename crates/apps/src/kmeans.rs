@@ -13,11 +13,9 @@ use crate::generators::clustered_point;
 use gflink_core::{GDataSet, GRecord, GflinkEnv, GpuFabric, GpuMapSpec, OutMode};
 use gflink_flink::{DataSet, FlinkEnv, OpCost};
 use gflink_gpu::{KernelArgs, KernelProfile};
-use gflink_memory::{
-    AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, Prim, PrimType, RecordReader, RecordView,
-};
+use gflink_memory::{gstruct, DataLayout, HBuffer, Prim, RecordReader, RecordView};
 use gflink_sim::SimTime;
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 
 /// Feature dimensionality.
 pub const D: usize = 16;
@@ -27,75 +25,25 @@ pub const K: usize = 8;
 /// Bytes of one point at paper scale.
 pub const POINT_BYTES: f64 = (D * 4) as f64;
 
-/// A KMeans input point.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Point {
-    /// Feature vector.
-    pub coords: [f32; D],
-}
-
-static POINT_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
-    GStructDef::new(
-        "KmPoint",
-        AlignClass::Align8,
-        vec![FieldDef::array("coords", PrimType::F32, D)],
-    )
-});
-
-impl GRecord for Point {
-    fn def() -> GStructDef {
-        POINT_DEF.clone()
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_field(idx, 0, self.coords);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        Point {
-            coords: reader.get_field(idx, 0),
-        }
+gstruct! {
+    /// A KMeans input point.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct Point: Align8 {
+        /// Feature vector.
+        pub coords: [f32; D],
     }
 }
 
-/// A partial centroid update: per-center coordinate sums and point count.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Partial {
-    /// Center index this partial belongs to.
-    pub center: u32,
-    /// Points assigned.
-    pub count: u32,
-    /// Coordinate sums.
-    pub sums: [f32; D],
-}
-
-static PARTIAL_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
-    GStructDef::new(
-        "KmPartial",
-        AlignClass::Align8,
-        vec![
-            FieldDef::scalar("center", PrimType::U32),
-            FieldDef::scalar("count", PrimType::U32),
-            FieldDef::array("sums", PrimType::F32, D),
-        ],
-    )
-});
-
-impl GRecord for Partial {
-    fn def() -> GStructDef {
-        PARTIAL_DEF.clone()
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_field(idx, 0, [self.center]);
-        view.set_field(idx, 1, [self.count]);
-        view.set_field(idx, 2, self.sums);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        let [center] = reader.get_field(idx, 0);
-        let [count] = reader.get_field(idx, 1);
-        Partial {
-            center,
-            count,
-            sums: reader.get_field(idx, 2),
-        }
+gstruct! {
+    /// A partial centroid update: per-center coordinate sums and point count.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct Partial: Align8 {
+        /// Center index this partial belongs to.
+        pub center: u32,
+        /// Points assigned.
+        pub count: u32,
+        /// Coordinate sums.
+        pub sums: [f32; D],
     }
 }
 
@@ -212,15 +160,16 @@ impl Assignment {
 /// [`Partial`] records.
 fn kmeans_assign_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let n = args.n_actual;
-    let reader = RecordReader::new(args.inputs[0], &POINT_DEF, DataLayout::Aos, n);
+    let reader = RecordReader::new(args.inputs[0], Point::def(), DataLayout::Aos, n);
     let centers = Centers::from_buffer(args.inputs[1]);
     let mut acc = Assignment::new();
-    let coords = reader.field::<f32, D>(0);
+    let coords = reader.field(Point::coords);
     for row in reader.rows() {
         acc.add(&coords.read(row), &centers);
     }
-    let mut view = RecordView::new(args.outputs[0], &PARTIAL_DEF, DataLayout::Aos, K);
-    let (center, count, sums) = (view.field(0), view.field(1), view.field(2));
+    let mut view = RecordView::new(args.outputs[0], Partial::def(), DataLayout::Aos, K);
+    let center = view.field(Partial::center);
+    let (count, sums) = (view.field(Partial::count), view.field(Partial::sums));
     for (c, row) in view.rows_mut().enumerate() {
         let p = acc.partial(c);
         center.write(row, [p.center]);
@@ -316,7 +265,7 @@ pub fn run_cpu_at(setup: &Setup, params: &Params, at: SimTime) -> AppRun {
         let partials = points.map_partition("kmeans-assign", cpu_assign_cost(), 1.0, move |pts| {
             cpu_assign(pts, &cs)
         });
-        let got = partials.collect("partials", PARTIAL_DEF.size() as f64);
+        let got = partials.collect("partials", Partial::def().size() as f64);
         update_centers(&got, &mut centers);
         env.broadcast_bytes((K * D * 4) as u64);
         points.set_min_ready(env.frontier());
@@ -365,7 +314,7 @@ pub fn run_gpu_at(setup: &Setup, params: &Params, at: SimTime) -> AppRun {
         let partials: GDataSet<Partial> = gpoints.gpu_map_partition("kmeans-assign", &spec);
         let got = partials
             .inner()
-            .collect("partials", PARTIAL_DEF.size() as f64);
+            .collect("partials", Partial::def().size() as f64);
         update_centers(&got, &mut centers);
         genv.flink.broadcast_bytes((K * D * 4) as u64);
         gpoints.set_min_ready(genv.flink.frontier());
@@ -476,7 +425,7 @@ mod tests {
     fn oracle_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
         let def = Point::def();
         let n = args.n_actual;
-        let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+        let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
         let centers = args.inputs[1];
         let mut sums = vec![[0.0f64; D]; K];
         let mut counts = [0u32; K];
@@ -502,7 +451,7 @@ mod tests {
             }
         }
         let out_def = Partial::def();
-        let mut view = RecordView::new(args.outputs[0], &out_def, DataLayout::Aos, K);
+        let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, K);
         for c in 0..K {
             view.set_u64(c, 0, 0, c as u64);
             view.set_u64(c, 1, 0, counts[c] as u64);
@@ -522,13 +471,14 @@ mod tests {
         centers: &[[f32; D]; K],
     ) -> (HBuffer, KernelProfile) {
         let n = points.len();
-        let mut block = HBuffer::zeroed(RecordView::required_bytes(&POINT_DEF, DataLayout::Aos, n));
-        let mut view = RecordView::new(&mut block, &POINT_DEF, DataLayout::Aos, n);
+        let mut block =
+            HBuffer::zeroed(RecordView::required_bytes(Point::def(), DataLayout::Aos, n));
+        let mut view = RecordView::new(&mut block, Point::def(), DataLayout::Aos, n);
         for (i, p) in points.iter().enumerate() {
             p.store(&mut view, i);
         }
         let cbuf = HBuffer::from_f32s(centers.as_flattened());
-        let mut out = HBuffer::zeroed(K * PARTIAL_DEF.size());
+        let mut out = HBuffer::zeroed(K * Partial::def().size());
         let profile = kernel(&mut KernelArgs {
             inputs: &[&block, &cbuf],
             outputs: &mut [&mut out],
@@ -576,8 +526,8 @@ mod tests {
     fn gpu_block_partials_equal_cpu_assign_bit_for_bit() {
         for (points, centers) in differential_cases() {
             let (got, _) = launch(kmeans_assign_kernel, &points, &centers);
-            let mut want = HBuffer::zeroed(K * PARTIAL_DEF.size());
-            let mut view = RecordView::new(&mut want, &PARTIAL_DEF, DataLayout::Aos, K);
+            let mut want = HBuffer::zeroed(K * Partial::def().size());
+            let mut view = RecordView::new(&mut want, Partial::def(), DataLayout::Aos, K);
             for (c, p) in cpu_assign(&points, &centers).iter().enumerate() {
                 p.store(&mut view, c);
             }
@@ -591,12 +541,12 @@ mod tests {
         let p = Point {
             coords: std::array::from_fn(|i| i as f32),
         };
-        let mut buf = HBuffer::zeroed(RecordView::required_bytes(&def, DataLayout::Aos, 1));
+        let mut buf = HBuffer::zeroed(RecordView::required_bytes(def, DataLayout::Aos, 1));
         {
-            let mut view = RecordView::new(&mut buf, &def, DataLayout::Aos, 1);
+            let mut view = RecordView::new(&mut buf, def, DataLayout::Aos, 1);
             p.store(&mut view, 0);
         }
-        let reader = RecordReader::new(&buf, &def, DataLayout::Aos, 1);
+        let reader = RecordReader::new(&buf, def, DataLayout::Aos, 1);
         assert_eq!(Point::load(&reader, 0), p);
     }
 }

@@ -11,11 +11,9 @@ use crate::generators::regression_sample;
 use gflink_core::{GDataSet, GRecord, GflinkEnv, GpuFabric, GpuMapSpec, OutMode};
 use gflink_flink::{DataSet, FlinkEnv, OpCost};
 use gflink_gpu::{KernelArgs, KernelProfile};
-use gflink_memory::{
-    AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, PrimType, RecordReader, RecordView,
-};
+use gflink_memory::{gstruct, DataLayout, HBuffer, RecordReader, RecordView};
 use gflink_sim::SimTime;
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 
 /// Feature dimensionality.
 pub const D: usize = 12;
@@ -27,83 +25,27 @@ pub const LINREG_SEED: u64 = 0x4C49_4E52_4547; // "LINREG"
 /// Bytes of one sample at paper scale (features + label).
 pub const SAMPLE_BYTES: f64 = ((D + 1) * 4) as f64;
 
-/// One labelled sample.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Sample {
-    /// Features.
-    pub x: [f32; D],
-    /// Label.
-    pub y: f32,
-}
-
-static SAMPLE_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
-    GStructDef::new(
-        "LrSample",
-        AlignClass::Align8,
-        vec![
-            FieldDef::array("x", PrimType::F32, D),
-            FieldDef::scalar("y", PrimType::F32),
-        ],
-    )
-});
-
-impl GRecord for Sample {
-    fn def() -> GStructDef {
-        SAMPLE_DEF.clone()
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_field(idx, 0, self.x);
-        view.set_field(idx, 1, [self.y]);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        let [y] = reader.get_field(idx, 1);
-        Sample {
-            x: reader.get_field(idx, 0),
-            y,
-        }
+gstruct! {
+    /// One labelled sample.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct Sample: Align8 {
+        /// Features.
+        pub x: [f32; D],
+        /// Label.
+        pub y: f32,
     }
 }
 
-/// A gradient partial: Σ residual·x per dimension, Σ residual (bias), count.
-#[derive(Clone, Debug, PartialEq)]
-pub struct GradPartial {
-    /// Per-dimension gradient sums.
-    pub grad: [f32; D],
-    /// Bias gradient sum.
-    pub bias: f32,
-    /// Samples folded in.
-    pub count: u32,
-}
-
-static GRAD_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
-    GStructDef::new(
-        "LrGrad",
-        AlignClass::Align8,
-        vec![
-            FieldDef::array("grad", PrimType::F32, D),
-            FieldDef::scalar("bias", PrimType::F32),
-            FieldDef::scalar("count", PrimType::U32),
-        ],
-    )
-});
-
-impl GRecord for GradPartial {
-    fn def() -> GStructDef {
-        GRAD_DEF.clone()
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_field(idx, 0, self.grad);
-        view.set_field(idx, 1, [self.bias]);
-        view.set_field(idx, 2, [self.count]);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        let [bias] = reader.get_field(idx, 1);
-        let [count] = reader.get_field(idx, 2);
-        GradPartial {
-            grad: reader.get_field(idx, 0),
-            bias,
-            count,
-        }
+gstruct! {
+    /// A gradient partial: Σ residual·x per dimension, Σ residual (bias), count.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct GradPartial: Align8 {
+        /// Per-dimension gradient sums.
+        pub grad: [f32; D],
+        /// Bias gradient sum.
+        pub bias: f32,
+        /// Samples folded in.
+        pub count: u32,
     }
 }
 
@@ -189,17 +131,17 @@ impl Gradient {
 
 fn linreg_grad_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let n = args.n_actual;
-    let reader = RecordReader::new(args.inputs[0], &SAMPLE_DEF, DataLayout::Aos, n);
+    let reader = RecordReader::new(args.inputs[0], Sample::def(), DataLayout::Aos, n);
     let weights = args.inputs[1]; // D weights + bias, f32
     let w: [f64; D] = std::array::from_fn(|d| weights.read_f32(d * 4) as f64);
     let b = weights.read_f32(D * 4) as f64;
     let mut acc = Gradient::new();
-    let (x, y) = (reader.field::<f32, D>(0), reader.field::<f32, 1>(1));
+    let (x, y) = (reader.field(Sample::x), reader.field(Sample::y));
     for row in reader.rows() {
         let [y] = y.read(row);
         acc.add(&x.read(row), y, &w, b);
     }
-    let mut view = RecordView::new(args.outputs[0], &GRAD_DEF, DataLayout::Aos, 1);
+    let mut view = RecordView::new(args.outputs[0], GradPartial::def(), DataLayout::Aos, 1);
     acc.partial().store(&mut view, 0);
     KernelProfile::new(
         args.n_logical as f64 * flops_per_sample(),
@@ -289,7 +231,7 @@ pub fn run_cpu_at(setup: &Setup, params: &Params, at: SimTime) -> AppRun {
         let partials = samples.map_partition("linreg-grad", cpu_grad_cost(), 1.0, move |ss| {
             vec![cpu_gradient(ss, &wc, bc)]
         });
-        let got = partials.collect("grads", GRAD_DEF.size() as f64);
+        let got = partials.collect("grads", GradPartial::def().size() as f64);
         apply_step(&got, &mut w, &mut b);
         env.broadcast_bytes(((D + 1) * 4) as u64);
         samples.set_min_ready(env.frontier());
@@ -334,7 +276,9 @@ pub fn run_gpu_at(setup: &Setup, params: &Params, at: SimTime) -> AppRun {
             .build(&setup.fabric)
             .expect("linreg spec");
         let partials: GDataSet<GradPartial> = gsamples.gpu_map_partition("linreg-grad", &spec);
-        let got = partials.inner().collect("grads", GRAD_DEF.size() as f64);
+        let got = partials
+            .inner()
+            .collect("grads", GradPartial::def().size() as f64);
         apply_step(&got, &mut w, &mut b);
         genv.flink.broadcast_bytes(((D + 1) * 4) as u64);
         gsamples.set_min_ready(genv.flink.frontier());
@@ -356,6 +300,7 @@ mod tests {
     use super::*;
     use crate::common::digests_match;
     use crate::common::oracle::{aos_block, assert_same_launch, SIZES};
+    use gflink_memory::FieldKey;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -363,16 +308,16 @@ mod tests {
     /// reference the row walk must match byte for byte.
     fn oracle_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
         let n = args.n_actual;
-        let reader = RecordReader::new(args.inputs[0], &SAMPLE_DEF, DataLayout::Aos, n);
+        let reader = RecordReader::new(args.inputs[0], Sample::def(), DataLayout::Aos, n);
         let weights = args.inputs[1]; // D weights + bias, f32
         let w: [f64; D] = std::array::from_fn(|d| weights.read_f32(d * 4) as f64);
         let b = weights.read_f32(D * 4) as f64;
         let mut acc = Gradient::new();
         for i in 0..n {
-            let [y] = reader.get_field(i, 1);
-            acc.add(&reader.get_field(i, 0), y, &w, b);
+            let [y] = reader.get_field(i, FieldKey::new(1));
+            acc.add(&reader.get_field(i, FieldKey::new(0)), y, &w, b);
         }
-        let mut view = RecordView::new(args.outputs[0], &GRAD_DEF, DataLayout::Aos, 1);
+        let mut view = RecordView::new(args.outputs[0], GradPartial::def(), DataLayout::Aos, 1);
         acc.partial().store(&mut view, 0);
         KernelProfile::new(
             args.n_logical as f64 * flops_per_sample(),
@@ -398,7 +343,7 @@ mod tests {
                 &[&block, &weights],
                 &[],
                 n,
-                GRAD_DEF.size(),
+                GradPartial::def().size(),
             );
         }
     }

@@ -21,17 +21,14 @@
 //!   against a static side table (GPU-cached extra input on the fabric).
 
 use std::cell::Cell;
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 
 use gflink_core::{
     AggSpec, GRecord, GpuFabric, GpuMapSpec, OutMode, StreamEnv, StreamError, StreamReport,
     StreamSource, Tumbling, WatermarkStrategy, WindowedRun,
 };
 use gflink_gpu::{KernelArgs, KernelProfile};
-use gflink_memory::{
-    AlignClass, DataLayout, Field, FieldDef, GStructDef, HBuffer, PrimType, RecordReader,
-    RecordView,
-};
+use gflink_memory::{gstruct, DataLayout, HBuffer, RecordReader, RecordView};
 use gflink_sim::SimTime;
 
 /// Persons per 50-event group.
@@ -154,18 +151,21 @@ pub fn auction_category(seed: u64, auction: u64, categories: u64) -> u64 {
     mix(seed, 0x4354, auction) % categories.max(1)
 }
 
-/// One auction record (q3 input). Numeric-only so it round-trips through
-/// a GStruct row exactly (all fields ≤ 2^53).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Auction {
-    /// Auction id.
-    pub id: u64,
-    /// Seller (person id).
-    pub seller: u64,
-    /// Item category.
-    pub category: u64,
-    /// Opening price.
-    pub initial_bid: f64,
+gstruct! {
+    /// One auction record (q3 input). Numeric-only so it round-trips through
+    /// a GStruct row exactly (all fields ≤ 2^53): the GPU row stores every
+    /// field as a `double`.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct Auction: Align8 {
+        /// Auction id.
+        pub id: u64 as f64,
+        /// Seller (person id).
+        pub seller: u64 as f64,
+        /// Item category.
+        pub category: u64 as f64,
+        /// Opening price.
+        pub initial_bid: f64,
+    }
 }
 
 /// The `i`-th auction of the stream.
@@ -178,17 +178,20 @@ pub fn auction(cfg: &NexmarkConfig, i: u64) -> Auction {
     }
 }
 
-/// One bid (q6/q13 input).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Bid {
-    /// The auction being bid on — drawn among auctions already emitted.
-    pub auction: u64,
-    /// Bidding person.
-    pub bidder: u64,
-    /// Bid price.
-    pub price: f64,
-    /// Event timestamp (base arrival minus bounded disorder).
-    pub ts: SimTime,
+gstruct! {
+    /// One bid (q6/q13 input); like [`Auction`], a row of `double`s.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct Bid: Align8 {
+        /// The auction being bid on — drawn among auctions already emitted.
+        pub auction: u64 as f64,
+        /// Bidding person.
+        pub bidder: u64 as f64,
+        /// Bid price.
+        pub price: f64,
+        /// Event timestamp in nanoseconds (base arrival minus bounded
+        /// disorder).
+        pub ts: u64 as f64,
+    }
 }
 
 /// The `i`-th bid of the stream.
@@ -202,140 +205,26 @@ pub fn bid(cfg: &NexmarkConfig, i: u64) -> Bid {
         auction: mix(cfg.seed, 0x4155, i) % auctions_so_far,
         bidder: mix(cfg.seed, 0x4244, i) % persons_so_far,
         price: (100 + mix(cfg.seed, 0x5052, i) % 99_900) as f64 * 0.01,
-        ts: SimTime::from_nanos(base.saturating_sub(jitter)),
+        ts: base.saturating_sub(jitter),
     }
 }
 
-/// A schema of `f64` scalars — every Nexmark record's shape.
-fn f64_def(name: &str, fields: &[&str]) -> GStructDef {
-    GStructDef::new(
-        name,
-        AlignClass::Align8,
-        fields
-            .iter()
-            .map(|f| FieldDef::scalar(f, PrimType::F64))
-            .collect(),
-    )
-}
-
-static AUCTION_DEF: LazyLock<GStructDef> =
-    LazyLock::new(|| f64_def("NexAuction", &["id", "seller", "category", "initial"]));
-static BID_DEF: LazyLock<GStructDef> =
-    LazyLock::new(|| f64_def("NexBid", &["auction", "bidder", "price", "ts"]));
-static Q3_ROW_DEF: LazyLock<GStructDef> =
-    LazyLock::new(|| f64_def("NexQ3Row", &["id", "seller", "initial"]));
-static Q13_ROW_DEF: LazyLock<GStructDef> =
-    LazyLock::new(|| f64_def("NexQ13Row", &["auction", "boosted"]));
-
-/// Write `vals` into the leading `f64` scalar fields of record `idx`.
-fn store_f64s<const N: usize>(view: &mut RecordView<'_>, idx: usize, vals: [f64; N]) {
-    for (f, v) in vals.into_iter().enumerate() {
-        view.set_field(idx, f, [v]);
+gstruct! {
+    /// A filtered q3 auction row coming back from the engine.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Q3Row: Align8 {
+        id: u64 as f64,
+        seller: u64 as f64,
+        initial_bid: f64,
     }
 }
 
-/// Read the leading `N` `f64` scalar fields of record `idx`.
-fn load_f64s<const N: usize>(reader: &RecordReader<'_>, idx: usize) -> [f64; N] {
-    std::array::from_fn(|f| {
-        let [v] = reader.get_field(idx, f);
-        v
-    })
-}
-
-impl GRecord for Auction {
-    fn def() -> GStructDef {
-        AUCTION_DEF.clone()
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        let a = self;
-        let vals = [
-            a.id as f64,
-            a.seller as f64,
-            a.category as f64,
-            a.initial_bid,
-        ];
-        store_f64s(view, idx, vals);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        let [id, seller, category, initial_bid] = load_f64s(reader, idx);
-        Auction {
-            id: id as u64,
-            seller: seller as u64,
-            category: category as u64,
-            initial_bid,
-        }
-    }
-}
-
-impl GRecord for Bid {
-    fn def() -> GStructDef {
-        BID_DEF.clone()
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        let b = self;
-        let ts = b.ts.as_nanos() as f64;
-        store_f64s(view, idx, [b.auction as f64, b.bidder as f64, b.price, ts]);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        let [auction, bidder, price, ts] = load_f64s(reader, idx);
-        Bid {
-            auction: auction as u64,
-            bidder: bidder as u64,
-            price,
-            ts: SimTime::from_nanos(ts as u64),
-        }
-    }
-}
-
-/// A filtered q3 auction row coming back from the engine.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct Q3Row {
-    id: u64,
-    seller: u64,
-    initial_bid: f64,
-}
-
-impl GRecord for Q3Row {
-    fn def() -> GStructDef {
-        Q3_ROW_DEF.clone()
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        store_f64s(
-            view,
-            idx,
-            [self.id as f64, self.seller as f64, self.initial_bid],
-        );
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        let [id, seller, initial_bid] = load_f64s(reader, idx);
-        Q3Row {
-            id: id as u64,
-            seller: seller as u64,
-            initial_bid,
-        }
-    }
-}
-
-/// An enriched q13 bid coming back from the engine.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct Q13Row {
-    auction: u64,
-    boosted: f64,
-}
-
-impl GRecord for Q13Row {
-    fn def() -> GStructDef {
-        Q13_ROW_DEF.clone()
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        store_f64s(view, idx, [self.auction as f64, self.boosted]);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        let [auction, boosted] = load_f64s(reader, idx);
-        Q13Row {
-            auction: auction as u64,
-            boosted,
-        }
+gstruct! {
+    /// An enriched q13 bid coming back from the engine.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Q13Row: Align8 {
+        auction: u64 as f64,
+        boosted: f64,
     }
 }
 
@@ -353,10 +242,16 @@ pub fn register_kernels(fabric: &GpuFabric) {
 fn q3_filter_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let target = args.params.first().copied().unwrap_or(0.0);
     let n = args.n_actual;
-    let input = RecordReader::new(args.inputs[0], &AUCTION_DEF, DataLayout::Aos, n);
-    let mut out = RecordView::new(args.outputs[0], &Q3_ROW_DEF, DataLayout::Aos, n);
-    let auction: [Field<f64, 1>; 4] = std::array::from_fn(|f| input.field(f));
-    let row_out: [Field<f64, 1>; 3] = std::array::from_fn(|f| out.field(f));
+    let input = RecordReader::new(args.inputs[0], Auction::def(), DataLayout::Aos, n);
+    let mut out = RecordView::new(args.outputs[0], Q3Row::def(), DataLayout::Aos, n);
+    let auction = [
+        Auction::id,
+        Auction::seller,
+        Auction::category,
+        Auction::initial_bid,
+    ]
+    .map(|k| input.field(k));
+    let row_out = [Q3Row::id, Q3Row::seller, Q3Row::initial_bid].map(|k| out.field(k));
     let mut emitted = 0usize;
     for row in input.rows() {
         let [id, seller, category, initial] = auction.map(|f| f.read(row)[0]);
@@ -375,12 +270,12 @@ fn q3_filter_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
 /// factor.
 fn q13_enrich_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let n = args.n_actual;
-    let input = RecordReader::new(args.inputs[0], &BID_DEF, DataLayout::Aos, n);
+    let input = RecordReader::new(args.inputs[0], Bid::def(), DataLayout::Aos, n);
     let side = args.inputs[1];
     let side_rows = (side.len() / 8).max(1);
-    let mut out = RecordView::new(args.outputs[0], &Q13_ROW_DEF, DataLayout::Aos, n);
-    let (auction, price) = (input.field::<f64, 1>(0), input.field::<f64, 1>(2));
-    let (auction_out, boosted) = (out.field::<f64, 1>(0), out.field::<f64, 1>(1));
+    let mut out = RecordView::new(args.outputs[0], Q13Row::def(), DataLayout::Aos, n);
+    let (auction, price) = (input.field(Bid::auction), input.field(Bid::price));
+    let (auction_out, boosted) = (out.field(Q13Row::auction), out.field(Q13Row::boosted));
     for (src, dst) in input.rows().zip(out.rows_mut()) {
         let ([a], [p]) = (auction.read(src), price.read(src));
         let factor = side.read_f64((a as usize % side_rows) * 8);
@@ -487,7 +382,7 @@ pub fn q6_with(
     let pipeline = env
         .source(cfg.bid_source(), move |i| bid(&gen_cfg, i))
         .timestamps(
-            |b: &Bid| b.ts,
+            |b: &Bid| SimTime::from_nanos(b.ts),
             WatermarkStrategy::bounded(cfg.watermark_bound),
         )
         .key_by(move |b| auction_seller(seed, b.auction))
@@ -569,8 +464,24 @@ mod tests {
     use crate::common::oracle::{aos_block, assert_same_launch, SIZES};
     use gflink_core::FabricConfig;
     use gflink_flink::ClusterConfig;
+    use gflink_memory::{AlignClass, FieldKey, GStructDef, PrimType};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// Write `vals` into the leading `f64` scalar fields of record `idx`.
+    fn store_f64s<const N: usize>(view: &mut RecordView<'_>, idx: usize, vals: [f64; N]) {
+        for (f, v) in vals.into_iter().enumerate() {
+            view.set_field(idx, FieldKey::new(f), [v]);
+        }
+    }
+
+    /// Read the leading `N` `f64` scalar fields of record `idx`.
+    fn load_f64s<const N: usize>(reader: &RecordReader<'_>, idx: usize) -> [f64; N] {
+        std::array::from_fn(|f| {
+            let [v] = reader.get_field(idx, FieldKey::new(f));
+            v
+        })
+    }
 
     /// The q3 kernel before field handles, a `get_field`/`set_field` per
     /// field and record: the reference the row walk must match byte for
@@ -578,9 +489,9 @@ mod tests {
     fn q3_oracle(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
         let target = args.params.first().copied().unwrap_or(0.0);
         let n = args.n_actual;
-        let input = RecordReader::new(args.inputs[0], &AUCTION_DEF, DataLayout::Aos, n);
+        let input = RecordReader::new(args.inputs[0], Auction::def(), DataLayout::Aos, n);
         let out_buf = &mut args.outputs[0];
-        let mut out = RecordView::new(out_buf, &Q3_ROW_DEF, DataLayout::Aos, n);
+        let mut out = RecordView::new(out_buf, Q3Row::def(), DataLayout::Aos, n);
         let mut emitted = 0usize;
         for i in 0..n {
             let [id, seller, category, initial] = load_f64s(&input, i);
@@ -596,14 +507,14 @@ mod tests {
     /// The q13 kernel before field handles.
     fn q13_oracle(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
         let n = args.n_actual;
-        let input = RecordReader::new(args.inputs[0], &BID_DEF, DataLayout::Aos, n);
+        let input = RecordReader::new(args.inputs[0], Bid::def(), DataLayout::Aos, n);
         let side = args.inputs[1];
         let side_rows = (side.len() / 8).max(1);
         let out_buf = &mut args.outputs[0];
-        let mut out = RecordView::new(out_buf, &Q13_ROW_DEF, DataLayout::Aos, n);
+        let mut out = RecordView::new(out_buf, Q13Row::def(), DataLayout::Aos, n);
         for i in 0..n {
-            let [auction] = input.get_field(i, 0);
-            let [price] = input.get_field::<f64, 1>(i, 2);
+            let [auction] = input.get_field(i, FieldKey::new(0));
+            let [price] = input.get_field::<f64, 1>(i, FieldKey::new(2));
             let factor = side.read_f64((auction as usize % side_rows) * 8);
             store_f64s(&mut out, i, [auction, price * factor]);
         }
@@ -623,19 +534,19 @@ mod tests {
                     initial_bid: rng.gen_range(1.0..1000.0),
                 })
                 .collect();
-            let (block, out_bytes) = (aos_block(&auctions), n * Q3_ROW_DEF.size());
+            let (block, out_bytes) = (aos_block(&auctions), n * Q3Row::def().size());
             assert_same_launch(q3_filter_kernel, q3_oracle, &[&block], &[2.0], n, out_bytes);
             let bids: Vec<Bid> = (0..n)
                 .map(|_| Bid {
                     auction: rng.gen_range(0u64..1 << 40),
                     bidder: rng.gen_range(0u64..1000),
                     price: rng.gen_range(1.0..1000.0),
-                    ts: SimTime::from_nanos(rng.gen_range(0u64..1 << 50)),
+                    ts: rng.gen_range(0u64..1 << 50),
                 })
                 .collect();
             let side: Vec<f64> = (0..13).map(|_| rng.gen_range(0.5..2.0)).collect();
             let (block, side) = (aos_block(&bids), HBuffer::from_f64s(&side));
-            let out_bytes = n * Q13_ROW_DEF.size();
+            let out_bytes = n * Q13Row::def().size();
             assert_same_launch(
                 q13_enrich_kernel,
                 q13_oracle,
@@ -682,24 +593,73 @@ mod tests {
         for i in 0..2_000u64 {
             let b = bid(&cfg, i);
             let base = i * period;
-            let ts = b.ts.as_nanos();
+            let ts = b.ts;
             assert!(ts <= base);
             assert!(base - ts < cfg.out_of_order.as_nanos());
         }
     }
 
     #[test]
+    fn output_row_layouts_are_pinned() {
+        for (def, n) in [(Q3Row::def(), 3), (Q13Row::def(), 2)] {
+            let got: Vec<_> = (def.fields().iter().enumerate())
+                .map(|(i, f)| (f.prim, f.array_len, def.offset(i)))
+                .collect();
+            let want: Vec<_> = (0..n).map(|i| (PrimType::F64, 1, 8 * i)).collect();
+            assert_eq!(got, want, "{}", def.name());
+            let shape = (def.align_class(), def.size(), def.align());
+            assert_eq!(shape, (AlignClass::Align8, 8 * n, 8), "{}", def.name());
+        }
+    }
+
+    #[test]
+    fn output_rows_roundtrip_and_keys_name_their_fields() {
+        let q3 = Q3Row {
+            id: 1 << 52,
+            seller: 9,
+            initial_bid: 0.5,
+        };
+        let q13 = Q13Row {
+            auction: 77,
+            boosted: -3.25,
+        };
+        for layout in DataLayout::ALL {
+            let (d3, d13) = (Q3Row::def(), Q13Row::def());
+            let mut b3 = HBuffer::zeroed(RecordView::required_bytes(d3, layout, 1));
+            let mut b13 = HBuffer::zeroed(RecordView::required_bytes(d13, layout, 1));
+            q3.store(&mut RecordView::new(&mut b3, d3, layout, 1), 0);
+            q13.store(&mut RecordView::new(&mut b13, d13, layout, 1), 0);
+            assert_eq!(Q3Row::load(&RecordReader::new(&b3, d3, layout, 1), 0), q3);
+            assert_eq!(
+                Q13Row::load(&RecordReader::new(&b13, d13, layout, 1), 0),
+                q13
+            );
+        }
+        let names = |def: &GStructDef| {
+            def.fields()
+                .iter()
+                .map(|f| f.name.to_string())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(names(Q3Row::def()), ["id", "seller", "initial_bid"]);
+        let keys = [Q3Row::id, Q3Row::seller, Q3Row::initial_bid].map(|k| k.index());
+        assert_eq!(keys, [0, 1, 2]);
+        assert_eq!(names(Q13Row::def()), ["auction", "boosted"]);
+        assert_eq!((Q13Row::auction.index(), Q13Row::boosted.index()), (0, 1));
+    }
+
+    #[test]
     fn records_roundtrip_through_gstruct_rows() {
         let cfg = small();
         let def = Bid::def();
-        let mut buf = HBuffer::zeroed(RecordView::required_bytes(&def, DataLayout::Aos, 4));
+        let mut buf = HBuffer::zeroed(RecordView::required_bytes(def, DataLayout::Aos, 4));
         {
-            let mut view = RecordView::new(&mut buf, &def, DataLayout::Aos, 4);
+            let mut view = RecordView::new(&mut buf, def, DataLayout::Aos, 4);
             for i in 0..4 {
                 bid(&cfg, i as u64).store(&mut view, i);
             }
         }
-        let reader = RecordReader::new(&buf, &def, DataLayout::Aos, 4);
+        let reader = RecordReader::new(&buf, def, DataLayout::Aos, 4);
         for i in 0..4 {
             assert_eq!(Bid::load(&reader, i), bid(&cfg, i as u64));
         }

@@ -18,12 +18,9 @@ use crate::generators::page_links;
 use gflink_core::{GDataSet, GRecord, GflinkEnv, GpuFabric, GpuMapSpec, GpuReduceCosts, OutMode};
 use gflink_flink::{DataSet, FlinkEnv, KeyedOps, OpCost};
 use gflink_gpu::{KernelArgs, KernelProfile};
-use gflink_memory::{
-    AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, PrimType, RecordReader, RecordView,
-};
+use gflink_memory::{gstruct, DataLayout, HBuffer, RecordReader, RecordView};
 use gflink_sim::SimTime;
 use std::collections::BTreeMap;
-use std::sync::LazyLock;
 
 /// Out-degree of every page in the synthetic web graph.
 pub const DEG: usize = 8;
@@ -37,80 +34,28 @@ pub const RANK_PAIR_BYTES: f64 = 12.0;
 /// Wire bytes of one (page, links) adjacency pair at paper scale.
 pub const ADJ_PAIR_BYTES: f64 = (4 + DEG * 4 + 4) as f64;
 
-/// A joined (rank, out-links) record, packed for the GPU.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RankedPage {
-    /// Current rank.
-    pub rank: f32,
-    /// Out-links.
-    pub links: [u32; DEG],
-}
-
-static RANKED_PAGE_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
-    GStructDef::new(
-        "RankedPage",
-        AlignClass::Align8,
-        vec![
-            FieldDef::scalar("rank", PrimType::F32),
-            FieldDef::array("links", PrimType::U32, DEG),
-        ],
-    )
-});
-
-impl GRecord for RankedPage {
-    fn def() -> GStructDef {
-        RANKED_PAGE_DEF.clone()
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_f64(idx, 0, 0, self.rank as f64);
-        for (i, l) in self.links.iter().enumerate() {
-            view.set_u64(idx, 1, i, *l as u64);
-        }
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        RankedPage {
-            rank: reader.get_f64(idx, 0, 0) as f32,
-            links: std::array::from_fn(|i| reader.get_u64(idx, 1, i) as u32),
-        }
+gstruct! {
+    /// A joined (rank, out-links) record, packed for the GPU.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct RankedPage: Align8 {
+        /// Current rank.
+        pub rank: f32,
+        /// Out-links.
+        pub links: [u32; DEG],
     }
 }
 
-/// The kernel's output: one **block-combined** contribution per distinct
-/// destination (GFlink offloads the map-side combine together with the
-/// scatter — Flink's combiner runs inside the map task, so the GPU mapper
-/// takes both).
-#[derive(Clone, Debug, PartialEq)]
-pub struct AggContrib {
-    /// Destination page.
-    pub dst: u32,
-    /// Combined contribution from this block.
-    pub val: f32,
-}
-
-static AGG_CONTRIB_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
-    GStructDef::new(
-        "AggContrib",
-        AlignClass::Align8,
-        vec![
-            FieldDef::scalar("dst", PrimType::U32),
-            FieldDef::scalar("val", PrimType::F32),
-        ],
-    )
-});
-
-impl GRecord for AggContrib {
-    fn def() -> GStructDef {
-        AGG_CONTRIB_DEF.clone()
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_u64(idx, 0, 0, self.dst as u64);
-        view.set_f64(idx, 1, 0, self.val as f64);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        AggContrib {
-            dst: reader.get_u64(idx, 0, 0) as u32,
-            val: reader.get_f64(idx, 1, 0) as f32,
-        }
+gstruct! {
+    /// The kernel's output: one **block-combined** contribution per distinct
+    /// destination (GFlink offloads the map-side combine together with the
+    /// scatter — Flink's combiner runs inside the map task, so the GPU mapper
+    /// takes both).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct AggContrib: Align8 {
+        /// Destination page.
+        pub dst: u32,
+        /// Combined contribution from this block.
+        pub val: f32,
     }
 }
 
@@ -152,8 +97,11 @@ pub fn register_kernels(fabric: &GpuFabric) {
 /// out-link, combined per destination within the block.
 fn scatter_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let n = args.n_actual;
-    let reader = RecordReader::new(args.inputs[0], &RANKED_PAGE_DEF, DataLayout::Aos, n);
-    let (rank, links) = (reader.field::<f32, 1>(0), reader.field::<u32, DEG>(1));
+    let reader = RecordReader::new(args.inputs[0], RankedPage::def(), DataLayout::Aos, n);
+    let (rank, links) = (
+        reader.field(RankedPage::rank),
+        reader.field(RankedPage::links),
+    );
     // Scatter + block-level combine (sort/segmented-reduce on a real
     // device; a BTreeMap here).
     let mut agg: BTreeMap<u32, f64> = BTreeMap::new();
@@ -170,7 +118,8 @@ fn scatter_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     // Scatter (DEG adds) + sort-combine (~DEG·log window) per page.
     KernelProfile::new(
         args.n_logical as f64 * (6 * DEG) as f64,
-        args.n_logical as f64 * (RANKED_PAGE_DEF.size() + 2 * DEG * AGG_CONTRIB_DEF.size()) as f64,
+        args.n_logical as f64
+            * (RankedPage::def().size() + 2 * DEG * AggContrib::def().size()) as f64,
     )
     .with_coalescing(0.7)
     .with_emitted(emitted)
@@ -179,8 +128,8 @@ fn scatter_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
 /// Write the combined contributions, key-ascending, as the leading
 /// [`AggContrib`] rows of an output block of `capacity` records.
 fn write_contribs(out: &mut HBuffer, capacity: usize, agg: BTreeMap<u32, f64>) {
-    let mut view = RecordView::new(out, &AGG_CONTRIB_DEF, DataLayout::Aos, capacity);
-    let (dst, val) = (view.field(0), view.field(1));
+    let mut view = RecordView::new(out, AggContrib::def(), DataLayout::Aos, capacity);
+    let (dst, val) = (view.field(AggContrib::dst), view.field(AggContrib::val));
     for ((d, v), row) in agg.into_iter().zip(view.rows_mut()) {
         dst.write(row, [d]);
         val.write(row, [v as f32]);
@@ -191,8 +140,8 @@ fn write_contribs(out: &mut HBuffer, capacity: usize, agg: BTreeMap<u32, f64>) {
 /// summing shuffled contribution pairs by key within each block.
 fn sum_by_key_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let n = args.n_actual;
-    let reader = RecordReader::new(args.inputs[0], &AGG_CONTRIB_DEF, DataLayout::Aos, n);
-    let (dst, val) = (reader.field::<u32, 1>(0), reader.field::<f32, 1>(1));
+    let reader = RecordReader::new(args.inputs[0], AggContrib::def(), DataLayout::Aos, n);
+    let (dst, val) = (reader.field(AggContrib::dst), reader.field(AggContrib::val));
     let mut agg: BTreeMap<u32, f64> = BTreeMap::new();
     for row in reader.rows() {
         let ([d], [v]) = (dst.read(row), val.read(row));
@@ -202,7 +151,7 @@ fn sum_by_key_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     write_contribs(args.outputs[0], n, agg);
     KernelProfile::new(
         args.n_logical as f64 * 10.0,
-        args.n_logical as f64 * (2 * AGG_CONTRIB_DEF.size()) as f64,
+        args.n_logical as f64 * (2 * AggContrib::def().size()) as f64,
     )
     .with_coalescing(0.8)
     .with_emitted(emitted)
@@ -393,8 +342,8 @@ mod tests {
     /// The scatter kernel before field handles, per-element accessors: the
     /// reference the row walk must match byte for byte.
     fn scatter_oracle(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
-        let def = &*RANKED_PAGE_DEF;
-        let out_def = &*AGG_CONTRIB_DEF;
+        let def = RankedPage::def();
+        let out_def = AggContrib::def();
         let n = args.n_actual;
         let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
         let mut agg: BTreeMap<u32, f64> = BTreeMap::new();
@@ -417,7 +366,7 @@ mod tests {
         KernelProfile::new(
             args.n_logical as f64 * (6 * DEG) as f64,
             args.n_logical as f64
-                * (RANKED_PAGE_DEF.size() + 2 * DEG * AGG_CONTRIB_DEF.size()) as f64,
+                * (RankedPage::def().size() + 2 * DEG * AggContrib::def().size()) as f64,
         )
         .with_coalescing(0.7)
         .with_emitted(emitted)
@@ -425,7 +374,7 @@ mod tests {
 
     /// The reducer kernel before field handles.
     fn sum_by_key_oracle(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
-        let def = &*AGG_CONTRIB_DEF;
+        let def = AggContrib::def();
         let n = args.n_actual;
         let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
         let mut agg: BTreeMap<u32, f64> = BTreeMap::new();
@@ -443,7 +392,7 @@ mod tests {
         }
         KernelProfile::new(
             args.n_logical as f64 * 10.0,
-            args.n_logical as f64 * (2 * AGG_CONTRIB_DEF.size()) as f64,
+            args.n_logical as f64 * (2 * AggContrib::def().size()) as f64,
         )
         .with_coalescing(0.8)
         .with_emitted(emitted)
@@ -460,7 +409,7 @@ mod tests {
                     links: std::array::from_fn(|_| rng.gen_range(0u32..40)),
                 })
                 .collect();
-            let out_bytes = n * DEG * AGG_CONTRIB_DEF.size();
+            let out_bytes = n * DEG * AggContrib::def().size();
             let block = aos_block(&pages);
             assert_same_launch(scatter_kernel, scatter_oracle, &[&block], &[], n, out_bytes);
             let contribs: Vec<AggContrib> = (0..n)
@@ -469,7 +418,7 @@ mod tests {
                     val: rng.gen_range(0.0f32..1.0),
                 })
                 .collect();
-            let out_bytes = n * AGG_CONTRIB_DEF.size();
+            let out_bytes = n * AggContrib::def().size();
             let block = aos_block(&contribs);
             assert_same_launch(
                 sum_by_key_kernel,

@@ -9,11 +9,8 @@ use crate::common::{AppRun, ExecMode, Setup};
 use gflink_core::{GDataSet, GRecord, GflinkEnv, GpuFabric, GpuMapSpec};
 use gflink_flink::{DataSet, FlinkEnv, OpCost};
 use gflink_gpu::{KernelArgs, KernelProfile};
-use gflink_memory::{
-    AlignClass, DataLayout, FieldDef, GStructDef, PrimType, RecordReader, RecordView,
-};
+use gflink_memory::{gstruct, DataLayout, RecordReader, RecordView};
 use gflink_sim::SimTime;
-use std::sync::LazyLock;
 
 /// Default generator seed.
 pub const POINTADD_SEED: u64 = 0x50_4F49_4E54;
@@ -21,39 +18,15 @@ pub const POINTADD_SEED: u64 = 0x50_4F49_4E54;
 /// Bytes of one point at paper scale.
 pub const POINT_BYTES: f64 = 8.0;
 
-/// The paper's `Point` (two floats here; the §3.5.1 listing mixes widths to
-/// demonstrate padding, which `gflink-memory`'s tests cover).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Point2 {
-    /// X coordinate.
-    pub x: f32,
-    /// Y coordinate.
-    pub y: f32,
-}
-
-static POINT2_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
-    GStructDef::new(
-        "Point2",
-        AlignClass::Align8,
-        vec![
-            FieldDef::scalar("x", PrimType::F32),
-            FieldDef::scalar("y", PrimType::F32),
-        ],
-    )
-});
-
-impl GRecord for Point2 {
-    fn def() -> GStructDef {
-        POINT2_DEF.clone()
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_field(idx, 0, [self.x]);
-        view.set_field(idx, 1, [self.y]);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        let [x] = reader.get_field(idx, 0);
-        let [y] = reader.get_field(idx, 1);
-        Point2 { x, y }
+gstruct! {
+    /// The paper's `Point` (two floats here; the §3.5.1 listing mixes widths to
+    /// demonstrate padding, which `gflink-memory`'s tests cover).
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct Point2: Align8 {
+        /// X coordinate.
+        pub x: f32,
+        /// Y coordinate.
+        pub y: f32,
     }
 }
 
@@ -96,9 +69,9 @@ pub fn register_kernels(fabric: &GpuFabric) {
 fn add_point_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let n = args.n_actual;
     let (dx, dy) = (args.params[0], args.params[1]);
-    let reader = RecordReader::new(args.inputs[0], &POINT2_DEF, DataLayout::Aos, n);
-    let mut view = RecordView::new(args.outputs[0], &POINT2_DEF, DataLayout::Aos, n);
-    let (x, y) = (reader.field::<f32, 1>(0), reader.field::<f32, 1>(1));
+    let reader = RecordReader::new(args.inputs[0], Point2::def(), DataLayout::Aos, n);
+    let mut view = RecordView::new(args.outputs[0], Point2::def(), DataLayout::Aos, n);
+    let (x, y) = (reader.field(Point2::x), reader.field(Point2::y));
     for (src, dst) in reader.rows().zip(view.rows_mut()) {
         let ([px], [py]) = (x.read(src), y.read(src));
         x.write(dst, [(px as f64 + dx) as f32]);
@@ -231,8 +204,8 @@ mod tests {
         let def = Point2::def();
         let n = args.n_actual;
         let (dx, dy) = (args.params[0], args.params[1]);
-        let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
-        let mut view = RecordView::new(args.outputs[0], &def, DataLayout::Aos, n);
+        let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
+        let mut view = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
         for i in 0..n {
             view.set_f64(i, 0, 0, reader.get_f64(i, 0, 0) + dx);
             view.set_f64(i, 1, 0, reader.get_f64(i, 1, 0) + dy);
@@ -267,8 +240,8 @@ mod tests {
                     y: finite(),
                 })
                 .collect();
-            let mut block = HBuffer::zeroed(n * POINT2_DEF.size());
-            let mut view = RecordView::new(&mut block, &POINT2_DEF, DataLayout::Aos, n);
+            let mut block = HBuffer::zeroed(n * Point2::def().size());
+            let mut view = RecordView::new(&mut block, Point2::def(), DataLayout::Aos, n);
             for (i, p) in points.iter().enumerate() {
                 p.store(&mut view, i);
             }

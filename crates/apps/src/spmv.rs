@@ -19,11 +19,9 @@ use crate::generators::ell_row;
 use gflink_core::{GDataSet, GRecord, GflinkEnv, GpuFabric, GpuMapSpec};
 use gflink_flink::{DataSet, FlinkEnv, OpCost};
 use gflink_gpu::{KernelArgs, KernelProfile};
-use gflink_memory::{
-    AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, PrimType, RecordReader, RecordView,
-};
+use gflink_memory::{gstruct, DataLayout, HBuffer, RecordReader, RecordView};
 use gflink_sim::SimTime;
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 
 /// Nonzeros per row (ELLPACK width).
 pub const NNZ: usize = 8;
@@ -35,72 +33,23 @@ pub const COLS_LOGICAL: u64 = 30_750_000;
 /// Bytes of one row at paper scale: NNZ column indices + NNZ values.
 pub const ROW_BYTES: f64 = (NNZ * 8) as f64;
 
-/// One ELLPACK row.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EllRow {
-    /// Column indices.
-    pub cols: [u32; NNZ],
-    /// Values.
-    pub vals: [f32; NNZ],
-}
-
-static ELL_ROW_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
-    GStructDef::new(
-        "EllRow",
-        AlignClass::Align8,
-        vec![
-            FieldDef::array("cols", PrimType::U32, NNZ),
-            FieldDef::array("vals", PrimType::F32, NNZ),
-        ],
-    )
-});
-
-impl GRecord for EllRow {
-    fn def() -> GStructDef {
-        ELL_ROW_DEF.clone()
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        for (i, c) in self.cols.iter().enumerate() {
-            view.set_u64(idx, 0, i, *c as u64);
-        }
-        for (i, v) in self.vals.iter().enumerate() {
-            view.set_f64(idx, 1, i, *v as f64);
-        }
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        EllRow {
-            cols: std::array::from_fn(|i| reader.get_u64(idx, 0, i) as u32),
-            vals: std::array::from_fn(|i| reader.get_f64(idx, 1, i) as f32),
-        }
+gstruct! {
+    /// One ELLPACK row.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct EllRow: Align8 {
+        /// Column indices.
+        pub cols: [u32; NNZ],
+        /// Values.
+        pub vals: [f32; NNZ],
     }
 }
 
-/// One output value of `y = A·x`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct YVal {
-    /// The row's dot product.
-    pub y: f32,
-}
-
-static Y_VAL_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
-    GStructDef::new(
-        "YVal",
-        AlignClass::Align4,
-        vec![FieldDef::scalar("y", PrimType::F32)],
-    )
-});
-
-impl GRecord for YVal {
-    fn def() -> GStructDef {
-        Y_VAL_DEF.clone()
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_f64(idx, 0, 0, self.y as f64);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        YVal {
-            y: reader.get_f64(idx, 0, 0) as f32,
-        }
+gstruct! {
+    /// One output value of `y = A·x`.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct YVal: Align4 {
+        /// The row's dot product.
+        pub y: f32,
     }
 }
 
@@ -157,15 +106,15 @@ pub fn register_kernels(fabric: &GpuFabric) {
 }
 
 fn spmv_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
-    let def = &*ELL_ROW_DEF;
+    let def = EllRow::def();
     let n = args.n_actual;
     let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
     let x = args.inputs[1];
     let x_len = x.len() / 4;
-    let out_def = &*Y_VAL_DEF;
+    let out_def = YVal::def();
     let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, n);
-    let (cols, vals) = (reader.field::<u32, NNZ>(0), reader.field::<f32, NNZ>(1));
-    let y = view.field::<f32, 1>(0);
+    let (cols, vals) = (reader.field(EllRow::cols), reader.field(EllRow::vals));
+    let y = view.field(YVal::y);
     for (src, dst) in reader.rows().zip(view.rows_mut()) {
         let mut acc = 0.0f64;
         for (col, v) in cols.read(src).into_iter().zip(vals.read(src)) {
@@ -330,12 +279,12 @@ mod tests {
     /// The kernel body before field handles, per-element accessors: the
     /// reference the row walk must match byte for byte.
     fn oracle_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
-        let def = &*ELL_ROW_DEF;
+        let def = EllRow::def();
         let n = args.n_actual;
         let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
         let x = args.inputs[1];
         let x_len = x.len() / 4;
-        let out_def = &*Y_VAL_DEF;
+        let out_def = YVal::def();
         let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, n);
         for i in 0..n {
             let mut acc = 0.0f64;
@@ -365,7 +314,7 @@ mod tests {
                 .collect();
             let x: Vec<f32> = (0..37).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
             let (block, x) = (aos_block(&rows), HBuffer::from_f32s(&x));
-            let out_bytes = n * Y_VAL_DEF.size();
+            let out_bytes = n * YVal::def().size();
             assert_same_launch(spmv_kernel, oracle_kernel, &[&block, &x], &[], n, out_bytes);
         }
     }

@@ -16,11 +16,8 @@ use crate::generators::zipf_word;
 use gflink_core::{GDataSet, GRecord, GflinkEnv, GpuFabric, GpuMapSpec, OutMode};
 use gflink_flink::{DataSet, FlinkEnv, KeyedOps, OpCost};
 use gflink_gpu::{KernelArgs, KernelProfile};
-use gflink_memory::{
-    AlignClass, DataLayout, FieldDef, GStructDef, PrimType, RecordReader, RecordView,
-};
+use gflink_memory::{gstruct, DataLayout, RecordReader, RecordView};
 use gflink_sim::SimTime;
-use std::sync::LazyLock;
 
 /// Vocabulary size (distinct words).
 pub const VOCAB: u32 = 1_000;
@@ -29,68 +26,23 @@ pub const WORD_BYTES: f64 = 7.0;
 /// Default generator seed.
 pub const WORDCOUNT_SEED: u64 = 0x574F_5244; // "WORD"
 
-/// A tokenized word id.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WordId {
-    /// Vocabulary index.
-    pub id: u32,
-}
-
-static WORD_ID_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
-    GStructDef::new(
-        "WordId",
-        AlignClass::Align4,
-        vec![FieldDef::scalar("id", PrimType::U32)],
-    )
-});
-
-impl GRecord for WordId {
-    fn def() -> GStructDef {
-        WORD_ID_DEF.clone()
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_u64(idx, 0, 0, self.id as u64);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        WordId {
-            id: reader.get_u64(idx, 0, 0) as u32,
-        }
+gstruct! {
+    /// A tokenized word id.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct WordId: Align4 {
+        /// Vocabulary index.
+        pub id: u32,
     }
 }
 
-/// A per-block count partial.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CountRec {
-    /// Vocabulary index.
-    pub id: u32,
-    /// Occurrences in the block (logical scale).
-    pub count: u32,
-}
-
-static COUNT_REC_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
-    GStructDef::new(
-        "CountRec",
-        AlignClass::Align4,
-        vec![
-            FieldDef::scalar("id", PrimType::U32),
-            FieldDef::scalar("count", PrimType::U32),
-        ],
-    )
-});
-
-impl GRecord for CountRec {
-    fn def() -> GStructDef {
-        COUNT_REC_DEF.clone()
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_u64(idx, 0, 0, self.id as u64);
-        view.set_u64(idx, 1, 0, self.count as u64);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        CountRec {
-            id: reader.get_u64(idx, 0, 0) as u32,
-            count: reader.get_u64(idx, 1, 0) as u32,
-        }
+gstruct! {
+    /// A per-block count partial.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct CountRec: Align4 {
+        /// Vocabulary index.
+        pub id: u32,
+        /// Occurrences in the block (logical scale).
+        pub count: u32,
     }
 }
 
@@ -132,8 +84,8 @@ pub fn register_kernels(fabric: &GpuFabric) {
 /// The histogram kernel: one count per vocabulary word in the block.
 fn histogram_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let n = args.n_actual;
-    let reader = RecordReader::new(args.inputs[0], &WORD_ID_DEF, DataLayout::Aos, n);
-    let word = reader.field::<u32, 1>(0);
+    let reader = RecordReader::new(args.inputs[0], WordId::def(), DataLayout::Aos, n);
+    let word = reader.field(WordId::id);
     let mut counts = vec![0u64; VOCAB as usize];
     for row in reader.rows() {
         let [id] = word.read(row);
@@ -141,11 +93,11 @@ fn histogram_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     }
     let mut view = RecordView::new(
         args.outputs[0],
-        &COUNT_REC_DEF,
+        CountRec::def(),
         DataLayout::Aos,
         VOCAB as usize,
     );
-    let (id, count) = (view.field(0), view.field(1));
+    let (id, count) = (view.field(CountRec::id), view.field(CountRec::count));
     for ((w, c), row) in counts.iter().enumerate().zip(view.rows_mut()) {
         id.write(row, [w as u32]);
         count.write(row, [(*c).min(u32::MAX as u64) as u32]);
@@ -265,7 +217,7 @@ mod tests {
     /// The histogram kernel before field handles, per-element accessors:
     /// the reference the row walk must match byte for byte.
     fn oracle_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
-        let def = &*WORD_ID_DEF;
+        let def = WordId::def();
         let n = args.n_actual;
         let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
         let mut counts = vec![0u64; VOCAB as usize];
@@ -273,7 +225,7 @@ mod tests {
             let id = reader.get_u64(i, 0, 0) as usize;
             counts[id % VOCAB as usize] += 1;
         }
-        let out_def = &*COUNT_REC_DEF;
+        let out_def = CountRec::def();
         let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, VOCAB as usize);
         for (id, c) in counts.iter().enumerate() {
             CountRec {
@@ -295,7 +247,7 @@ mod tests {
         for n in SIZES {
             // Any u32 id, so the kernel's modulo folds some onto others.
             let words: Vec<WordId> = (0..n).map(|_| WordId { id: rng.next_u32() }).collect();
-            let out_bytes = VOCAB as usize * COUNT_REC_DEF.size();
+            let out_bytes = VOCAB as usize * CountRec::def().size();
             let block = aos_block(&words);
             assert_same_launch(
                 histogram_kernel,

@@ -220,7 +220,7 @@ fn checkpointed_q6_generates_each_bid_once() {
                 nexmark::bid(&cfg, i)
             })
             .timestamps(
-                |b: &Bid| b.ts,
+                |b: &Bid| SimTime::from_nanos(b.ts),
                 WatermarkStrategy::bounded(cfg.watermark_bound),
             )
             .key_by(move |b| nexmark::auction_seller(seed, b.auction))

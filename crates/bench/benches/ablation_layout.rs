@@ -12,22 +12,17 @@ use gflink_bench::{header, jobj, row, write_results, Json};
 use gflink_core::{FabricConfig, GDataSet, GRecord, GflinkEnv, GpuFabric, GpuMapSpec};
 use gflink_flink::{ClusterConfig, SharedCluster};
 use gflink_gpu::{GpuModel, KernelArgs, KernelProfile, VirtualGpu};
-use gflink_memory::{
-    AlignClass, DataLayout, FieldDef, GStructDef, PrimType, RecordReader, RecordView,
-};
+use gflink_memory::{gstruct, DataLayout, RecordReader, RecordView};
 use gflink_sim::SimTime;
 
-/// A padded mixed-width record (the paper's §3.5.1 Point, extended).
-fn mixed_def() -> GStructDef {
-    GStructDef::new(
-        "Mixed",
-        AlignClass::Align8,
-        vec![
-            FieldDef::scalar("x", PrimType::U32),
-            FieldDef::scalar("y", PrimType::F64),
-            FieldDef::scalar("z", PrimType::F32),
-        ],
-    )
+gstruct! {
+    /// A padded mixed-width record (the paper's §3.5.1 Point, extended).
+    #[derive(Clone)]
+    struct Mixed: Align8 {
+        x: u32,
+        y: f64,
+        z: f32,
+    }
 }
 
 fn main() {
@@ -36,7 +31,7 @@ fn main() {
         "Ablation: layout coalescing model",
         "useful fraction of fetched bytes per access pattern",
     );
-    let def = mixed_def();
+    let def = Mixed::def();
     row(&[
         "layout".into(),
         "read field y only".into(),
@@ -45,13 +40,13 @@ fn main() {
     for layout in DataLayout::ALL {
         results.push(jobj! {
             "experiment": "coalescing", "layout": layout.label(),
-            "single_field": layout.coalescing_efficiency(&def, 1),
-            "all_fields": layout.coalescing_all_fields(&def),
+            "single_field": layout.coalescing_efficiency(def, 1),
+            "all_fields": layout.coalescing_all_fields(def),
         });
         row(&[
             layout.label().into(),
-            format!("{:.2}", layout.coalescing_efficiency(&def, 1)),
-            format!("{:.2}", layout.coalescing_all_fields(&def)),
+            format!("{:.2}", layout.coalescing_efficiency(def, 1)),
+            format!("{:.2}", layout.coalescing_all_fields(def)),
         ]);
     }
 
@@ -62,7 +57,7 @@ fn main() {
     let gpu = VirtualGpu::new(0, GpuModel::TeslaC2050);
     row(&["layout".into(), "kernel time (ms)".into()]);
     for layout in DataLayout::ALL {
-        let coal = layout.coalescing_efficiency(&def, 1);
+        let coal = layout.coalescing_efficiency(def, 1);
         let p = KernelProfile::new(1e8, 1e9).with_coalescing(coal);
         results.push(jobj! {
             "experiment": "roofline", "layout": layout.label(),
@@ -78,29 +73,6 @@ fn main() {
         "Ablation: end-to-end GPU map per layout",
         "same records + kernel, layout varied through the GDST",
     );
-    #[derive(Clone)]
-    struct Rec {
-        x: u32,
-        y: f64,
-        z: f32,
-    }
-    impl GRecord for Rec {
-        fn def() -> GStructDef {
-            mixed_def()
-        }
-        fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-            view.set_u64(idx, 0, 0, self.x as u64);
-            view.set_f64(idx, 1, 0, self.y);
-            view.set_f64(idx, 2, 0, self.z as f64);
-        }
-        fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-            Rec {
-                x: reader.get_u64(idx, 0, 0) as u32,
-                y: reader.get_f64(idx, 1, 0),
-                z: reader.get_f64(idx, 2, 0) as f32,
-            }
-        }
-    }
     row(&["layout".into(), "map wall (s)".into()]);
     for layout in DataLayout::ALL {
         let cluster = SharedCluster::new(ClusterConfig::single_node());
@@ -108,31 +80,30 @@ fn main() {
         // The kernel reads only the f64 field: the AoS stride wastes
         // bandwidth, SoA/AoP coalesce.
         fabric.register_kernel("scale_y", move |args: &mut KernelArgs<'_, '_>| {
-            let def = mixed_def();
+            let def = Mixed::def();
             let n = args.n_actual;
-            let reader = RecordReader::new(args.inputs[0], &def, layout, n);
-            let out_def = mixed_def();
-            let mut view = RecordView::new(args.outputs[0], &out_def, DataLayout::Aos, n);
+            let reader = RecordReader::new(args.inputs[0], def, layout, n);
+            let mut view = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
             for i in 0..n {
                 view.set_u64(i, 0, 0, reader.get_u64(i, 0, 0));
                 view.set_f64(i, 1, 0, reader.get_f64(i, 1, 0) * 2.0);
                 view.set_f64(i, 2, 0, 0.0);
             }
             KernelProfile::new(args.n_logical as f64, args.n_logical as f64 * 16.0)
-                .with_coalescing(layout.coalescing_efficiency(&def, 1))
+                .with_coalescing(layout.coalescing_efficiency(def, 1))
         });
         let env = GflinkEnv::submit(&cluster, &fabric, "layout", SimTime::ZERO);
-        let recs: Vec<Rec> = (0..10_000)
-            .map(|i| Rec {
+        let recs: Vec<Mixed> = (0..10_000)
+            .map(|i| Mixed {
                 x: i,
                 y: i as f64,
                 z: -(i as f32),
             })
             .collect();
         let ds = env.flink.parallelize("recs", recs, 4, 40_000.0);
-        let gdst: GDataSet<Rec> = env.to_gdst(ds, layout);
+        let gdst: GDataSet<Mixed> = env.to_gdst(ds, layout);
         let before = env.flink.frontier();
-        let out = gdst.gpu_map_partition::<Rec>("scale_y", &GpuMapSpec::new("scale_y"));
+        let out = gdst.gpu_map_partition::<Mixed>("scale_y", &GpuMapSpec::new("scale_y"));
         let wall = env.flink.frontier() - before;
         // Correctness under every layout (collect order is partition-major;
         // locate the record by its key field).

@@ -4,9 +4,10 @@
 //! kernel, and (3) call GPU-based operators on a GPU-based DataSet. The
 //! Rust analogues:
 //!
-//! 1. implement [`GRecord`] for the record type (the schema plus store/load
-//!    into a `RecordView` — what the paper's annotation + reflection
-//!    machinery derives);
+//! 1. declare the record type once with [`gflink_memory::gstruct!`] — the
+//!    paper's `extends GStruct_8` + `@StructField` — which emits the
+//!    struct, its schema, its [`GRecord`] store/load and a typed field key
+//!    per field for the kernel to address fields by;
 //! 2. register a kernel closure in the fabric's registry under its
 //!    `executeName`;
 //! 3. wrap a `DataSet<T>` into a [`GDataSet<T>`] and call
@@ -38,6 +39,7 @@ use gflink_flink::dataset::RawPart;
 use gflink_flink::graph::{PhaseKind, PhaseRecord};
 use gflink_flink::{DataSet, FlinkEnv, GpuLane, GpuWorkSample, JobReport, SharedCluster};
 use gflink_gpu::{KernelArgs, KernelId, KernelProfile, KernelRegistry};
+pub use gflink_memory::GRecord;
 use gflink_memory::{DataLayout, GStructDef, HBuffer, RecordReader, RecordView};
 use gflink_sim::{
     FaultLedger, MembershipPlan, Metrics, Phase, RecEvent, RecKind, SimTime, SloPolicy, Tracer,
@@ -48,20 +50,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// A record type bindable to a GStruct layout.
-///
-/// This is the paper's `extends GStruct_8` + `@StructField` declaration:
-/// [`GRecord::def`] is the reflected schema, and store/load move a record
-/// between Rust and the raw off-heap bytes.
-pub trait GRecord: Clone + Send + 'static {
-    /// The GStruct schema of this record type.
-    fn def() -> GStructDef;
-    /// Write this record into slot `idx` of a layout view.
-    fn store(&self, view: &mut RecordView<'_>, idx: usize);
-    /// Read the record at slot `idx` of a layout view.
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self;
-}
 
 /// Output shape of a GPU map.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -552,7 +540,7 @@ impl GflinkEnv {
                 worker: part.worker,
                 slot: part.slot,
                 data: block_cut(part.data.len(), scale, def.size(), block_bytes)
-                    .map(|rows| Block::encode(&part.data[rows], &def, layout))
+                    .map(|rows| Block::encode(&part.data[rows], def, layout))
                     .collect(),
                 ready: part.ready,
             })
@@ -837,7 +825,7 @@ impl<T: GRecord> GDataSet<T> {
             .map(|part| {
                 let mut data = Vec::with_capacity(part_rows(part));
                 for blk in &part.data {
-                    let reader = RecordReader::new(&blk.buf, &def, self.layout, blk.rows);
+                    let reader = RecordReader::new(&blk.buf, def, self.layout, blk.rows);
                     data.extend((0..blk.rows).map(|i| T::load(&reader, i)));
                 }
                 RawPart {
@@ -931,7 +919,7 @@ impl<T: GRecord> GDataSet<T> {
         let cluster = flink.cluster();
         let job = self.env.handle.id();
         let scale = self.scale;
-        let coalescing = self.layout.coalescing_all_fields(&def);
+        let coalescing = self.layout.coalescing_all_fields(def);
 
         let mut wall_start = SimTime::MAX;
         let mut last_submit = SimTime::ZERO;
@@ -993,7 +981,7 @@ impl<T: GRecord> GDataSet<T> {
                 let mut cursor = part.ready + sched;
                 // Zero-copy path: the resident bytes, already in the
                 // GDST's layout, are what goes to the device.
-                for (b, block) in self.blocks_for_pass(part, &def).iter().enumerate() {
+                for (b, block) in self.blocks_for_pass(part, def).iter().enumerate() {
                     let rows = block.rows;
                     let block_logical_elems =
                         (n_log * rows as f64 / n_act.max(1) as f64).round() as u64;
@@ -1043,7 +1031,7 @@ impl<T: GRecord> GDataSet<T> {
                         OutMode::Bounded { per_record } => rows * per_record,
                     };
                     let out_actual_bytes =
-                        RecordView::required_bytes(&out_def, DataLayout::Aos, out_rows);
+                        RecordView::required_bytes(out_def, DataLayout::Aos, out_rows);
                     let out_logical_bytes = match spec.out_mode {
                         OutMode::PerRecord => {
                             (block_logical_elems as f64 * out_def.size() as f64) as u64
@@ -1406,35 +1394,14 @@ mod tests {
     use crate::cache::CachePolicy;
 
     use gflink_flink::ClusterConfig;
-    use gflink_memory::{AlignClass, FieldDef, PrimType};
+    use gflink_memory::gstruct;
 
-    /// The paper's §3.5.1 example record.
-    #[derive(Clone, Debug, PartialEq)]
-    struct Point {
-        x: f32,
-        y: f32,
-    }
-
-    impl GRecord for Point {
-        fn def() -> GStructDef {
-            GStructDef::new(
-                "Point",
-                AlignClass::Align8,
-                vec![
-                    FieldDef::scalar("x", PrimType::F32),
-                    FieldDef::scalar("y", PrimType::F32),
-                ],
-            )
-        }
-        fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-            view.set_f64(idx, 0, 0, self.x as f64);
-            view.set_f64(idx, 1, 0, self.y as f64);
-        }
-        fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-            Point {
-                x: reader.get_f64(idx, 0, 0) as f32,
-                y: reader.get_f64(idx, 1, 0) as f32,
-            }
+    gstruct! {
+        /// The paper's §3.5.1 example record.
+        #[derive(Clone, Debug, PartialEq)]
+        struct Point: Align8 {
+            x: f32,
+            y: f32,
         }
     }
 
@@ -1443,9 +1410,9 @@ mod tests {
         let def = Point::def();
         let n = args.n_actual;
         let (dx, dy) = (args.params[0], args.params[1]);
-        let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+        let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
         let out = &mut args.outputs[0];
-        let mut view = RecordView::new(out, &def, DataLayout::Aos, n);
+        let mut view = RecordView::new(out, def, DataLayout::Aos, n);
         for i in 0..n {
             view.set_f64(i, 0, 0, reader.get_f64(i, 0, 0) + dx);
             view.set_f64(i, 1, 0, reader.get_f64(i, 1, 0) + dy);
@@ -1600,14 +1567,14 @@ mod tests {
         fabric.register_kernel("blocksum", |args: &mut KernelArgs<'_, '_>| {
             let def = Point::def();
             let n = args.n_actual;
-            let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+            let reader = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
             let (mut sx, mut sy) = (0.0, 0.0);
             for i in 0..n {
                 sx += reader.get_f64(i, 0, 0);
                 sy += reader.get_f64(i, 1, 0);
             }
             let out = &mut args.outputs[0];
-            let mut view = RecordView::new(out, &def, DataLayout::Aos, 1);
+            let mut view = RecordView::new(out, def, DataLayout::Aos, 1);
             view.set_f64(0, 0, 0, sx);
             view.set_f64(0, 1, 0, sy);
             KernelProfile::new(args.n_logical as f64 * 2.0, args.n_logical as f64 * 8.0)
@@ -1633,9 +1600,9 @@ mod tests {
         fabric.register_kernel("soaAdd", |args: &mut KernelArgs<'_, '_>| {
             let def = Point::def();
             let n = args.n_actual;
-            let reader = RecordReader::new(args.inputs[0], &def, DataLayout::Soa, n);
+            let reader = RecordReader::new(args.inputs[0], def, DataLayout::Soa, n);
             let out = &mut args.outputs[0];
-            let mut view = RecordView::new(out, &def, DataLayout::Aos, n);
+            let mut view = RecordView::new(out, def, DataLayout::Aos, n);
             for i in 0..n {
                 view.set_f64(i, 0, 0, reader.get_f64(i, 0, 0) * 2.0);
                 view.set_f64(i, 1, 0, reader.get_f64(i, 1, 0) * 2.0);

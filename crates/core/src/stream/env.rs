@@ -35,44 +35,46 @@ use crate::gdst::{GRecord, GpuFabric, GpuMapSpec, OutMode};
 use crate::gwork::{GWork, WorkBuf};
 use gflink_flink::{ClusterConfig, OpCost, SharedCluster};
 use gflink_gpu::{KernelArgs, KernelProfile};
-use gflink_memory::{
-    AlignClass, DataLayout, Field, FieldDef, GStructDef, HBuffer, PrimType, RecordReader,
-    RecordView,
-};
+use gflink_memory::{gstruct, DataLayout, FieldKey, HBuffer, RecordReader, RecordView};
 use gflink_sim::{LogHistogram, SimTime, Summary};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 
 /// The built-in GPU windowed-aggregation kernel, registered by
 /// [`StreamEnv::gpu`]. Input: key/value pairs grouped by key; output: one
 /// `(key, count, sum, min, max)` row per distinct key.
 pub(crate) const WINDOW_KERNEL: &str = "gfWindowedAgg";
 
-static PAIR_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
-    GStructDef::new(
-        "GfPair",
-        AlignClass::Align8,
-        vec![
-            FieldDef::scalar("key", PrimType::F64),
-            FieldDef::scalar("value", PrimType::F64),
-        ],
-    )
-});
+gstruct! {
+    /// One buffered `(key, value)` of a fired window: the kernel's input.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Pair: Align8 {
+        key: f64,
+        value: f64,
+    }
+}
 
-static KEYAGG_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
-    GStructDef::new(
-        "GfKeyAgg",
-        AlignClass::Align8,
-        vec![
-            FieldDef::scalar("key", PrimType::F64),
-            FieldDef::scalar("count", PrimType::F64),
-            FieldDef::scalar("sum", PrimType::F64),
-            FieldDef::scalar("min", PrimType::F64),
-            FieldDef::scalar("max", PrimType::F64),
-        ],
-    )
-});
+gstruct! {
+    /// One key's aggregate: the kernel's output row.
+    #[derive(Clone, Debug, PartialEq)]
+    struct KeyAgg: Align8 {
+        key: f64,
+        count: f64,
+        sum: f64,
+        min: f64,
+        max: f64,
+    }
+}
+
+/// The output row's columns, in declaration order.
+const KEYAGG_COLUMNS: [FieldKey<f64, 1>; 5] = [
+    KeyAgg::key,
+    KeyAgg::count,
+    KeyAgg::sum,
+    KeyAgg::min,
+    KeyAgg::max,
+];
 
 /// The windowed-aggregation kernel body: folds consecutive same-key runs
 /// in place with [`AggResult::push`] — the step [`AggResult::fold`], the
@@ -81,12 +83,12 @@ static KEYAGG_DEF: LazyLock<GStructDef> = LazyLock::new(|| {
 /// record.
 fn window_agg_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let n = args.n_actual;
-    let input = RecordReader::new(args.inputs[0], &PAIR_DEF, DataLayout::Aos, n);
-    let capacity = args.outputs[0].len() / KEYAGG_DEF.size().max(1);
+    let input = RecordReader::new(args.inputs[0], Pair::def(), DataLayout::Aos, n);
+    let capacity = args.outputs[0].len() / KeyAgg::def().size();
     let out_buf = &mut args.outputs[0];
-    let mut out = RecordView::new(out_buf, &KEYAGG_DEF, DataLayout::Aos, capacity);
-    let (key_in, value_in) = (input.field::<f64, 1>(0), input.field::<f64, 1>(1));
-    let columns: [Field<f64, 1>; 5] = std::array::from_fn(|f| out.field(f));
+    let mut out = RecordView::new(out_buf, KeyAgg::def(), DataLayout::Aos, capacity);
+    let (key_in, value_in) = (input.field(Pair::key), input.field(Pair::value));
+    let columns = KEYAGG_COLUMNS.map(|k| out.field(k));
     let mut emitted = 0usize;
     let mut emit = |key: f64, r: AggResult| {
         for (f, v) in columns
@@ -657,12 +659,12 @@ impl<'a, T> WindowPipeline<'a, T> {
     /// Build the `GWork` for one fired window: panes packed key-ascending,
     /// values in insertion order — the order the kernel folds in.
     fn window_work(fw: &FiredWindow, spec: &GpuMapSpec, workers: usize) -> GWork {
-        let (pair, out_def) = (&*PAIR_DEF, &*KEYAGG_DEF);
+        let (pair, out_def) = (Pair::def(), KeyAgg::def());
         let rows = fw.rows();
         let mut buf = HBuffer::zeroed(RecordView::required_bytes(pair, DataLayout::Aos, rows));
         {
             let mut view = RecordView::new(&mut buf, pair, DataLayout::Aos, rows);
-            let (key, value) = (view.field::<f64, 1>(0), view.field::<f64, 1>(1));
+            let (key, value) = (view.field(Pair::key), view.field(Pair::value));
             let mut slots = view.rows_mut();
             for pane in &fw.panes {
                 for (&v, row) in pane.values.iter().zip(&mut slots) {
@@ -774,21 +776,19 @@ impl<'a, T> WindowPipeline<'a, T> {
             completed: SimTime,
             rows: Vec<(u64, AggResult)>,
         }
-        let out_def = &*KEYAGG_DEF;
         let mut executed: Vec<Exec> = Vec::new();
         // Executed outputs kept for snapshots (checkpointing only).
         let mut done_blocks: Vec<SnapshotBlock> = Vec::new();
         let mut wall_end = SimTime::ZERO;
         for w in 0..workers {
             for done in job.drain_worker(w) {
-                let capacity = done.output.len() / out_def.size().max(1);
-                let emitted = done.emitted.unwrap_or(capacity).min(capacity);
-                let reader = RecordReader::new(&done.output, out_def, DataLayout::Aos, capacity);
+                let rows = read_keyagg(&done.output, done.emitted);
+                let emitted = rows.len();
                 wall_end = wall_end.max(done.timing.completed);
                 executed.push(Exec {
                     seq: done.tag.1,
                     completed: done.timing.completed,
-                    rows: read_keyagg(&reader, emitted),
+                    rows,
                 });
                 if ckpt.is_some() {
                     done_blocks.push(SnapshotBlock {
@@ -845,10 +845,7 @@ impl<'a, T> WindowPipeline<'a, T> {
                 };
                 windows_restored += 1;
                 wall_end = wall_end.max(rs.ready_at);
-                let capacity = blk.payload.len() / out_def.size().max(1);
-                let emitted = blk.emitted.unwrap_or(capacity).min(capacity);
-                let reader = RecordReader::new(&blk.payload, out_def, DataLayout::Aos, capacity);
-                for (key, agg) in read_keyagg(&reader, emitted) {
+                for (key, agg) in read_keyagg(&blk.payload, blk.emitted) {
                     outputs.push(WindowOutput {
                         span: fw.span,
                         key,
@@ -930,11 +927,15 @@ impl<'a, T> WindowPipeline<'a, T> {
     }
 }
 
-fn read_keyagg(reader: &RecordReader<'_>, emitted: usize) -> Vec<(u64, AggResult)> {
-    let columns: [Field<f64, 1>; 5] = std::array::from_fn(|f| reader.field(f));
+/// The `(key, aggregate)` rows of one window's kernel output: the
+/// `emitted` first rows, or every row that fits when the count is unknown.
+fn read_keyagg(out: &HBuffer, emitted: Option<usize>) -> Vec<(u64, AggResult)> {
+    let capacity = out.len() / KeyAgg::def().size();
+    let reader = RecordReader::new(out, KeyAgg::def(), DataLayout::Aos, capacity);
+    let columns = KEYAGG_COLUMNS.map(|k| reader.field(k));
     reader
         .rows()
-        .take(emitted)
+        .take(emitted.unwrap_or(capacity))
         .map(|row| {
             let [key, count, sum, min, max] = columns.map(|f| f.read(row)[0]);
             let agg = AggResult {
@@ -976,9 +977,9 @@ impl<T: GRecord, U: GRecord> MapPipeline<'_, T, U> {
         for (g, b) in batches.iter().enumerate() {
             let (src, gen) = &self.stream.sources[b.source];
             let rows = src.batch_actual();
-            let mut buf = HBuffer::zeroed(RecordView::required_bytes(&def, DataLayout::Aos, rows));
+            let mut buf = HBuffer::zeroed(RecordView::required_bytes(def, DataLayout::Aos, rows));
             {
-                let mut view = RecordView::new(&mut buf, &def, DataLayout::Aos, rows);
+                let mut view = RecordView::new(&mut buf, def, DataLayout::Aos, rows);
                 for j in 0..rows {
                     gen((b.index * rows + j) as u64).store(&mut view, j);
                 }
@@ -1024,7 +1025,7 @@ impl<T: GRecord, U: GRecord> MapPipeline<'_, T, U> {
                     .unwrap_or(u32::MAX)
                     .div_ceil(spec.block_size.max(1)),
                 inputs,
-                out_actual_bytes: RecordView::required_bytes(&out_def, DataLayout::Aos, out_rows),
+                out_actual_bytes: RecordView::required_bytes(out_def, DataLayout::Aos, out_rows),
                 out_logical_bytes,
                 out_records: out_rows,
                 params: Arc::clone(&spec.params),
@@ -1050,7 +1051,7 @@ impl<T: GRecord, U: GRecord> MapPipeline<'_, T, U> {
                     OutMode::PerBlock(n) => n.min(capacity),
                     OutMode::Bounded { .. } => done.emitted.unwrap_or(0).min(capacity),
                 };
-                let reader = RecordReader::new(&done.output, &out_def, DataLayout::Aos, capacity);
+                let reader = RecordReader::new(&done.output, out_def, DataLayout::Aos, capacity);
                 let records: Vec<U> = (0..out_rows).map(|j| U::load(&reader, j)).collect();
                 finished = finished.max(done.timing.completed);
                 completions[g] = Some((done.timing.completed, records));
@@ -1170,25 +1171,10 @@ mod tests {
     use crate::stream::StreamError;
     use gflink_sim::{FaultKind, FaultPlan};
 
-    #[derive(Clone, Debug, PartialEq)]
-    struct Sample {
-        v: f32,
-    }
-    impl GRecord for Sample {
-        fn def() -> GStructDef {
-            GStructDef::new(
-                "Sample",
-                AlignClass::Align4,
-                vec![FieldDef::scalar("v", PrimType::F32)],
-            )
-        }
-        fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-            view.set_f64(idx, 0, 0, self.v as f64);
-        }
-        fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-            Sample {
-                v: reader.get_f64(idx, 0, 0) as f32,
-            }
+    gstruct! {
+        #[derive(Clone, Debug, PartialEq)]
+        struct Sample: Align4 {
+            v: f32,
         }
     }
 
@@ -1197,9 +1183,9 @@ mod tests {
         f.register_kernel("streamDouble", |args: &mut KernelArgs<'_, '_>| {
             let def = Sample::def();
             let n = args.n_actual;
-            let input = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+            let input = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
             let out_buf = &mut args.outputs[0];
-            let mut out = RecordView::new(out_buf, &def, DataLayout::Aos, n);
+            let mut out = RecordView::new(out_buf, def, DataLayout::Aos, n);
             for i in 0..n {
                 out.set_f64(i, 0, 0, input.get_f64(i, 0, 0) * 2.0);
             }
@@ -1248,9 +1234,9 @@ mod tests {
     /// [`AggResult::fold`]. The reference the kernel must match bit for bit.
     fn window_agg_oracle(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
         let n = args.n_actual;
-        let input = RecordReader::new(args.inputs[0], &PAIR_DEF, DataLayout::Aos, n);
-        let capacity = args.outputs[0].len() / KEYAGG_DEF.size();
-        let mut out = RecordView::new(args.outputs[0], &KEYAGG_DEF, DataLayout::Aos, capacity);
+        let input = RecordReader::new(args.inputs[0], Pair::def(), DataLayout::Aos, n);
+        let capacity = args.outputs[0].len() / KeyAgg::def().size();
+        let mut out = RecordView::new(args.outputs[0], KeyAgg::def(), DataLayout::Aos, capacity);
         let mut emitted = 0usize;
         let mut i = 0usize;
         let mut values = Vec::new();
@@ -1273,6 +1259,61 @@ mod tests {
         let bytes = args.params.get(1).copied().unwrap_or(16.0);
         KernelProfile::new(args.n_logical as f64 * flops, args.n_logical as f64 * bytes)
             .with_emitted(emitted)
+    }
+
+    #[test]
+    fn window_record_layouts_are_pinned() {
+        use gflink_memory::{AlignClass, PrimType};
+        for (def, n) in [(Pair::def(), 2), (KeyAgg::def(), 5)] {
+            let got: Vec<_> = (def.fields().iter().enumerate())
+                .map(|(i, f)| (f.prim, f.array_len, def.offset(i)))
+                .collect();
+            let want: Vec<_> = (0..n).map(|i| (PrimType::F64, 1, 8 * i)).collect();
+            assert_eq!(got, want, "{}", def.name());
+            let shape = (def.align_class(), def.size(), def.align());
+            assert_eq!(shape, (AlignClass::Align8, 8 * n, 8), "{}", def.name());
+        }
+    }
+
+    /// `recs` stored then loaded under every layout.
+    fn assert_roundtrips<T: GRecord + PartialEq + std::fmt::Debug>(recs: &[T]) {
+        let (def, n) = (T::def(), recs.len());
+        for layout in DataLayout::ALL {
+            let mut buf = HBuffer::zeroed(RecordView::required_bytes(def, layout, n));
+            let mut view = RecordView::new(&mut buf, def, layout, n);
+            for (i, r) in recs.iter().enumerate() {
+                r.store(&mut view, i);
+            }
+            let reader = RecordReader::new(&buf, def, layout, n);
+            let back: Vec<T> = (0..n).map(|i| T::load(&reader, i)).collect();
+            assert_eq!(back, recs, "{layout:?}");
+        }
+    }
+
+    #[test]
+    fn window_records_roundtrip_and_keys_follow_their_fields() {
+        let pairs = [(1.0, -2.5), (f64::MAX, 0.0), (-0.0, f64::MIN_POSITIVE)];
+        assert_roundtrips(&pairs.map(|(key, value)| Pair { key, value }));
+        assert_roundtrips(&[
+            KeyAgg {
+                key: 7.0,
+                count: 3.0,
+                sum: 1.5,
+                min: -1.0,
+                max: 2.0,
+            },
+            KeyAgg {
+                key: 0.0,
+                count: 1.0,
+                sum: f64::MAX,
+                min: 1e-300,
+                max: 1e300,
+            },
+        ]);
+        assert_eq!((Pair::key.index(), Pair::value.index()), (0, 1));
+        assert_eq!(KEYAGG_COLUMNS.map(|k| k.index()), [0, 1, 2, 3, 4]);
+        let names = KeyAgg::def().fields().iter().map(|f| &*f.name);
+        assert!(names.eq(["key", "count", "sum", "min", "max"]));
     }
 
     #[test]
@@ -1303,15 +1344,15 @@ mod tests {
         }
         for pairs in cases {
             let n = pairs.len();
-            let mut block = HBuffer::zeroed(n * PAIR_DEF.size());
-            let mut view = RecordView::new(&mut block, &PAIR_DEF, DataLayout::Aos, n);
+            let mut block = HBuffer::zeroed(n * Pair::def().size());
+            let mut view = RecordView::new(&mut block, Pair::def(), DataLayout::Aos, n);
             for (i, &(k, v)) in pairs.iter().enumerate() {
                 view.set_f64(i, 0, 0, k);
                 view.set_f64(i, 1, 0, v);
             }
             for params in [&[][..], &[35.0, 24.0][..]] {
                 let run = |kernel: fn(&mut KernelArgs<'_, '_>) -> KernelProfile| {
-                    let mut out = HBuffer::zeroed(n * KEYAGG_DEF.size());
+                    let mut out = HBuffer::zeroed(n * KeyAgg::def().size());
                     let profile = kernel(&mut KernelArgs {
                         inputs: &[&block],
                         outputs: &mut [&mut out],

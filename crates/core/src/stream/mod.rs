@@ -173,30 +173,13 @@ mod tests {
     use crate::gdst::{FabricConfig, GRecord, GpuFabric, GpuMapSpec, OutMode};
     use crate::recovery::CpuFallback;
     use gflink_gpu::{KernelArgs, KernelProfile};
-    use gflink_memory::{
-        AlignClass, DataLayout, FieldDef, GStructDef, PrimType, RecordReader, RecordView,
-    };
+    use gflink_memory::{gstruct, DataLayout, RecordReader, RecordView};
     use gflink_sim::{FaultKind, FaultPlan};
 
-    #[derive(Clone, Debug, PartialEq)]
-    struct Sample {
-        v: f32,
-    }
-    impl GRecord for Sample {
-        fn def() -> GStructDef {
-            GStructDef::new(
-                "Sample",
-                AlignClass::Align4,
-                vec![FieldDef::scalar("v", PrimType::F32)],
-            )
-        }
-        fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-            view.set_f64(idx, 0, 0, self.v as f64);
-        }
-        fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-            Sample {
-                v: reader.get_f64(idx, 0, 0) as f32,
-            }
+    gstruct! {
+        #[derive(Clone, Debug, PartialEq)]
+        struct Sample: Align4 {
+            v: f32,
         }
     }
 
@@ -205,9 +188,9 @@ mod tests {
         f.register_kernel("streamDouble", |args: &mut KernelArgs<'_, '_>| {
             let def = Sample::def();
             let n = args.n_actual;
-            let input = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+            let input = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
             let out_buf = &mut args.outputs[0];
-            let mut out = RecordView::new(out_buf, &def, DataLayout::Aos, n);
+            let mut out = RecordView::new(out_buf, def, DataLayout::Aos, n);
             for i in 0..n {
                 out.set_f64(i, 0, 0, input.get_f64(i, 0, 0) * 2.0);
             }

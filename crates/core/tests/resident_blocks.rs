@@ -17,9 +17,7 @@ use gflink_core::{
 };
 use gflink_flink::{ClusterConfig, SharedCluster};
 use gflink_gpu::{KernelArgs, KernelProfile};
-use gflink_memory::{
-    AlignClass, DataLayout, FieldDef, GStructDef, PrimType, RecordReader, RecordView,
-};
+use gflink_memory::{gstruct, DataLayout, GStructDef, RecordReader, RecordView};
 use gflink_sim::{FaultKind, FaultPlan, SimTime};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,66 +27,23 @@ const N: usize = 2_000;
 const PARTS: usize = 4;
 const SCALE: f64 = 100.0;
 
-/// An 8-byte point.
-#[derive(Clone, Debug, PartialEq)]
-struct Pt {
-    x: f32,
-    y: f32,
-}
-
-impl GRecord for Pt {
-    fn def() -> GStructDef {
-        GStructDef::new(
-            "Pt",
-            AlignClass::Align8,
-            vec![
-                FieldDef::scalar("x", PrimType::F32),
-                FieldDef::scalar("y", PrimType::F32),
-            ],
-        )
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_field(idx, 0, [self.x]);
-        view.set_field(idx, 1, [self.y]);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        let [x] = reader.get_field(idx, 0);
-        let [y] = reader.get_field(idx, 1);
-        Pt { x, y }
+gstruct! {
+    /// An 8-byte point.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Pt: Align8 {
+        x: f32,
+        y: f32,
     }
 }
 
-/// A 24-byte record (two doubles, a tag, tail padding): a map into it
-/// changes the record size, so its blocks sit off the next pass's cut.
-#[derive(Clone, Debug, PartialEq)]
-struct Wide {
-    x: f64,
-    y: f64,
-    id: u32,
-}
-
-impl GRecord for Wide {
-    fn def() -> GStructDef {
-        GStructDef::new(
-            "Wide",
-            AlignClass::Align8,
-            vec![
-                FieldDef::scalar("x", PrimType::F64),
-                FieldDef::scalar("y", PrimType::F64),
-                FieldDef::scalar("id", PrimType::U32),
-            ],
-        )
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_field(idx, 0, [self.x]);
-        view.set_field(idx, 1, [self.y]);
-        view.set_field(idx, 2, [self.id]);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        let [x] = reader.get_field(idx, 0);
-        let [y] = reader.get_field(idx, 1);
-        let [id] = reader.get_field(idx, 2);
-        Wide { x, y, id }
+gstruct! {
+    /// A 24-byte record (two doubles, a tag, tail padding): a map into it
+    /// changes the record size, so its blocks sit off the next pass's cut.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Wide: Align8 {
+        x: f64,
+        y: f64,
+        id: u32,
     }
 }
 
@@ -102,7 +57,7 @@ static COUNTING: Mutex<()> = Mutex::new(());
 struct Counted(Pt);
 
 impl GRecord for Counted {
-    fn def() -> GStructDef {
+    fn def() -> &'static GStructDef {
         Pt::def()
     }
     fn store(&self, view: &mut RecordView<'_>, idx: usize) {
@@ -115,32 +70,12 @@ impl GRecord for Counted {
     }
 }
 
-/// A key/value pair for the GPU keyed reduction.
-#[derive(Clone, Debug, PartialEq)]
-struct Kv {
-    k: u32,
-    v: f32,
-}
-
-impl GRecord for Kv {
-    fn def() -> GStructDef {
-        GStructDef::new(
-            "Kv",
-            AlignClass::Align8,
-            vec![
-                FieldDef::scalar("k", PrimType::U32),
-                FieldDef::scalar("v", PrimType::F32),
-            ],
-        )
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_field(idx, 0, [self.k]);
-        view.set_field(idx, 1, [self.v]);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        let [k] = reader.get_field(idx, 0);
-        let [v] = reader.get_field(idx, 1);
-        Kv { k, v }
+gstruct! {
+    /// A key/value pair for the GPU keyed reduction.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Kv: Align8 {
+        k: u32,
+        v: f32,
     }
 }
 
@@ -160,70 +95,70 @@ fn register_kernels(fabric: &GpuFabric) {
     fabric.register_kernel("shift", |args: &mut KernelArgs<'_, '_>| {
         let (def, n) = (Pt::def(), args.n_actual);
         let layout = DataLayout::ALL[args.params[0] as usize];
-        let input = RecordReader::new(args.inputs[0], &def, layout, n);
-        let mut out = RecordView::new(args.outputs[0], &def, DataLayout::Aos, n);
+        let input = RecordReader::new(args.inputs[0], def, layout, n);
+        let mut out = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
         for i in 0..n {
-            let [x]: [f32; 1] = input.get_field(i, 0);
-            let [y]: [f32; 1] = input.get_field(i, 1);
-            out.set_field(i, 0, [x + 1.5]);
-            out.set_field(i, 1, [y * 0.5 - x]);
+            let [x] = input.get_field(i, Pt::x);
+            let [y] = input.get_field(i, Pt::y);
+            out.set_field(i, Pt::x, [x + 1.5]);
+            out.set_field(i, Pt::y, [y * 0.5 - x]);
         }
         profile(args)
     });
     fabric.register_kernel("widen", |args: &mut KernelArgs<'_, '_>| {
         let n = args.n_actual;
         let (pt, wide) = (Pt::def(), Wide::def());
-        let input = RecordReader::new(args.inputs[0], &pt, DataLayout::Aos, n);
-        let mut out = RecordView::new(args.outputs[0], &wide, DataLayout::Aos, n);
+        let input = RecordReader::new(args.inputs[0], pt, DataLayout::Aos, n);
+        let mut out = RecordView::new(args.outputs[0], wide, DataLayout::Aos, n);
         for i in 0..n {
-            let [x]: [f32; 1] = input.get_field(i, 0);
-            let [y]: [f32; 1] = input.get_field(i, 1);
-            out.set_field(i, 0, [x as f64 * 3.0]);
-            out.set_field(i, 1, [y as f64]);
-            out.set_field(i, 2, [x as u32]);
+            let [x] = input.get_field(i, Pt::x);
+            let [y] = input.get_field(i, Pt::y);
+            out.set_field(i, Wide::x, [x as f64 * 3.0]);
+            out.set_field(i, Wide::y, [y as f64]);
+            out.set_field(i, Wide::id, [x as u32]);
         }
         profile(args)
     });
     fabric.register_kernel("narrow", |args: &mut KernelArgs<'_, '_>| {
         let n = args.n_actual;
         let (pt, wide) = (Pt::def(), Wide::def());
-        let input = RecordReader::new(args.inputs[0], &wide, DataLayout::Aos, n);
-        let mut out = RecordView::new(args.outputs[0], &pt, DataLayout::Aos, n);
+        let input = RecordReader::new(args.inputs[0], wide, DataLayout::Aos, n);
+        let mut out = RecordView::new(args.outputs[0], pt, DataLayout::Aos, n);
         for i in 0..n {
-            let [x]: [f64; 1] = input.get_field(i, 0);
-            let [y]: [f64; 1] = input.get_field(i, 1);
-            let [id]: [u32; 1] = input.get_field(i, 2);
-            out.set_field(i, 0, [(x + id as f64) as f32]);
-            out.set_field(i, 1, [y as f32]);
+            let [x] = input.get_field(i, Wide::x);
+            let [y] = input.get_field(i, Wide::y);
+            let [id] = input.get_field(i, Wide::id);
+            out.set_field(i, Pt::x, [(x + id as f64) as f32]);
+            out.set_field(i, Pt::y, [y as f32]);
         }
         profile(args)
     });
     fabric.register_kernel("blocksum", |args: &mut KernelArgs<'_, '_>| {
         let (def, n) = (Pt::def(), args.n_actual);
-        let input = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+        let input = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
         let (mut sx, mut sy) = (0.0f64, 0.0f64);
         for i in 0..n {
-            let [x]: [f32; 1] = input.get_field(i, 0);
-            let [y]: [f32; 1] = input.get_field(i, 1);
+            let [x] = input.get_field(i, Pt::x);
+            let [y] = input.get_field(i, Pt::y);
             sx += x as f64;
             sy += y as f64;
         }
-        let mut out = RecordView::new(args.outputs[0], &def, DataLayout::Aos, 1);
-        out.set_field(0, 0, [sx as f32]);
-        out.set_field(0, 1, [sy as f32]);
+        let mut out = RecordView::new(args.outputs[0], def, DataLayout::Aos, 1);
+        out.set_field(0, Pt::x, [sx as f32]);
+        out.set_field(0, Pt::y, [sy as f32]);
         profile(args)
     });
     fabric.register_kernel("evens", |args: &mut KernelArgs<'_, '_>| {
         let (def, n) = (Pt::def(), args.n_actual);
-        let input = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
-        let mut out = RecordView::new(args.outputs[0], &def, DataLayout::Aos, n);
+        let input = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
+        let mut out = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
         let mut k = 0;
         for i in 0..n {
-            let [x]: [f32; 1] = input.get_field(i, 0);
-            let [y]: [f32; 1] = input.get_field(i, 1);
+            let [x] = input.get_field(i, Pt::x);
+            let [y] = input.get_field(i, Pt::y);
             if (x as i64) % 2 == 0 {
-                out.set_field(k, 0, [x]);
-                out.set_field(k, 1, [y]);
+                out.set_field(k, Pt::x, [x]);
+                out.set_field(k, Pt::y, [y]);
                 k += 1;
             }
         }
@@ -231,22 +166,22 @@ fn register_kernels(fabric: &GpuFabric) {
     });
     fabric.register_kernel("kvsum", |args: &mut KernelArgs<'_, '_>| {
         let (def, n) = (Kv::def(), args.n_actual);
-        let input = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
-        let mut out = RecordView::new(args.outputs[0], &def, DataLayout::Aos, n);
+        let input = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
+        let mut out = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
         let mut k = 0;
         let mut run: Option<(u32, f32)> = None;
         for i in 0..=n {
             let next = (i < n).then(|| {
-                let [key]: [u32; 1] = input.get_field(i, 0);
-                let [v]: [f32; 1] = input.get_field(i, 1);
+                let [key] = input.get_field(i, Kv::k);
+                let [v] = input.get_field(i, Kv::v);
                 (key, v)
             });
             match (run, next) {
                 (Some((rk, rv)), Some((key, v))) if rk == key => run = Some((rk, rv + v)),
                 (prev, next) => {
                     if let Some((rk, rv)) = prev {
-                        out.set_field(k, 0, [rk]);
-                        out.set_field(k, 1, [rv]);
+                        out.set_field(k, Kv::k, [rk]);
+                        out.set_field(k, Kv::v, [rv]);
                         k += 1;
                     }
                     run = next;

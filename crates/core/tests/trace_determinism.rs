@@ -11,9 +11,7 @@ use gflink_core::{
 };
 use gflink_flink::{ClusterConfig, SharedCluster};
 use gflink_gpu::{GpuModel, KernelArgs, KernelId, KernelProfile, KernelRegistry};
-use gflink_memory::{
-    AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, PrimType, RecordReader, RecordView,
-};
+use gflink_memory::{gstruct, DataLayout, HBuffer, RecordReader, RecordView};
 use gflink_sim::{
     FaultKind, FaultPlan, Metrics, RecKind, RetryPolicy, SimRng, SimTime, SloPolicy, Tracer,
 };
@@ -194,22 +192,10 @@ fn metrics_exports_differ_across_seeds() {
 
 // --- Flight-recorder postmortems through the full GDST stack -----------
 
-#[derive(Clone)]
-struct P(f32);
-
-impl GRecord for P {
-    fn def() -> GStructDef {
-        GStructDef::new(
-            "P",
-            AlignClass::Align8,
-            vec![FieldDef::scalar("v", PrimType::F32)],
-        )
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_f64(idx, 0, 0, self.0 as f64);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        P(reader.get_f64(idx, 0, 0) as f32)
+gstruct! {
+    #[derive(Clone)]
+    struct P: Align8 {
+        v: f32,
     }
 }
 
@@ -221,8 +207,8 @@ fn run_postmortem_once(dir: &str) -> Vec<String> {
     fabric.register_kernel("double", |args: &mut KernelArgs<'_, '_>| {
         let def = P::def();
         let n = args.n_actual;
-        let input = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
-        let mut out = RecordView::new(args.outputs[0], &def, DataLayout::Aos, n);
+        let input = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
+        let mut out = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
         for i in 0..n {
             out.set_f64(i, 0, 0, input.get_f64(i, 0, 0) * 2.0);
         }
@@ -237,7 +223,7 @@ fn run_postmortem_once(dir: &str) -> Vec<String> {
         );
     });
     let env = GflinkEnv::submit(&cluster, &fabric, "pm", SimTime::ZERO);
-    let pts: Vec<P> = (0..200).map(|i| P(i as f32)).collect();
+    let pts: Vec<P> = (0..200).map(|i| P { v: i as f32 }).collect();
     let ds = env.flink.parallelize("pts", pts, 4, 1000.0);
     let gdst = env.to_gdst(ds, DataLayout::Aos);
     let out = gdst.gpu_map_partition::<P>("double", &GpuMapSpec::new("double"));
@@ -283,7 +269,7 @@ fn disabled_metrics_plane_dumps_nothing() {
         );
     });
     let env = GflinkEnv::submit(&cluster, &fabric, "quiet", SimTime::ZERO);
-    let pts: Vec<P> = (0..50).map(|i| P(i as f32)).collect();
+    let pts: Vec<P> = (0..50).map(|i| P { v: i as f32 }).collect();
     let ds = env.flink.parallelize("pts", pts, 2, 1000.0);
     let gdst = env.to_gdst(ds, DataLayout::Aos);
     let out = gdst.gpu_map_partition::<P>("noop", &GpuMapSpec::new("noop"));

@@ -9,7 +9,12 @@
 //! [`GStructDef`] is the Rust equivalent: an ordered list of [`FieldDef`]s
 //! plus an alignment class, from which C offset/padding rules produce the
 //! exact byte layout a `struct` with those members would have on the device.
+//! A record type declares its schema with [`gstruct!`](crate::gstruct!),
+//! which builds the `GStructDef` at compile time; [`GStructDef::new`]
+//! builds one at run time, for code generic over schemas.
 
+use crate::record::GValue;
+use std::borrow::Cow;
 use std::fmt;
 
 /// Primitive field types, mirroring the paper's `Unsigned32`, `Float32`,
@@ -121,7 +126,7 @@ impl AlignClass {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FieldDef {
     /// Field name (for diagnostics and kernel-struct generation).
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Element type.
     pub prim: PrimType,
     /// Number of elements (1 = scalar).
@@ -131,25 +136,31 @@ pub struct FieldDef {
 impl FieldDef {
     /// A scalar field.
     pub fn scalar(name: &str, prim: PrimType) -> Self {
-        FieldDef {
-            name: name.to_string(),
-            prim,
-            array_len: 1,
-        }
+        FieldDef::array(name, prim, 1)
     }
 
     /// A fixed-length array field.
     pub fn array(name: &str, prim: PrimType, len: usize) -> Self {
         assert!(len >= 1, "array field needs at least one element");
         FieldDef {
-            name: name.to_string(),
+            name: Cow::Owned(name.to_string()),
             prim,
             array_len: len,
         }
     }
 
+    /// The field a [`gstruct!`](crate::gstruct!) member of Rust type `V`
+    /// declares: a scalar for a primitive, an array for `[T; N]`.
+    pub const fn of<V: GValue>(name: &'static str) -> Self {
+        FieldDef {
+            name: Cow::Borrowed(name),
+            prim: V::Prim::TYPE,
+            array_len: V::LEN,
+        }
+    }
+
     /// Total unpadded byte size of the field.
-    pub fn byte_size(&self) -> usize {
+    pub const fn byte_size(&self) -> usize {
         self.prim.size() * self.array_len
     }
 }
@@ -157,10 +168,10 @@ impl FieldDef {
 /// A fully resolved struct layout: offsets, padding, total (padded) size.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GStructDef {
-    name: String,
+    name: Cow<'static, str>,
     align_class: AlignClass,
-    fields: Vec<FieldDef>,
-    offsets: Vec<usize>,
+    fields: Cow<'static, [FieldDef]>,
+    offsets: Cow<'static, [usize]>,
     size: usize,
     align: usize,
 }
@@ -173,25 +184,34 @@ impl GStructDef {
     /// the JVM does not guarantee it; in Rust the `Vec` order is the order.
     pub fn new(name: &str, align_class: AlignClass, fields: Vec<FieldDef>) -> Self {
         assert!(!fields.is_empty(), "GStruct needs at least one field");
-        let cap = align_class.bytes();
-        let mut offsets = Vec::with_capacity(fields.len());
-        let mut off = 0usize;
-        let mut max_align = 1usize;
-        for f in &fields {
-            let a = f.prim.align().min(cap);
-            max_align = max_align.max(a);
-            off = round_up(off, a);
-            offsets.push(off);
-            off += f.byte_size();
-        }
-        let size = round_up(off, max_align);
+        let mut offsets = vec![0; fields.len()];
+        let (size, align) = c_layout(&fields, align_class, &mut offsets);
         GStructDef {
-            name: name.to_string(),
+            name: Cow::Owned(name.to_string()),
             align_class,
-            fields,
-            offsets,
+            fields: Cow::Owned(fields),
+            offsets: Cow::Owned(offsets),
             size,
-            align: max_align,
+            align,
+        }
+    }
+
+    /// The schema of a [`gstruct!`](crate::gstruct!) declaration, built at
+    /// compile time from `fields` and their [`c_layout_of`].
+    #[doc(hidden)]
+    pub const fn declared<const N: usize>(
+        name: &'static str,
+        align_class: AlignClass,
+        fields: &'static [FieldDef],
+        (offsets, size, align): &'static ([usize; N], usize, usize),
+    ) -> Self {
+        GStructDef {
+            name: Cow::Borrowed(name),
+            align_class,
+            fields: Cow::Borrowed(fields),
+            offsets: Cow::Borrowed(offsets),
+            size: *size,
+            align: *align,
         }
     }
 
@@ -233,11 +253,6 @@ impl GStructDef {
         self.offsets[i]
     }
 
-    /// Look up a field index by name.
-    pub fn field_index(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name == name)
-    }
-
     /// Total payload bytes (sum of field sizes, excluding padding).
     pub fn payload_size(&self) -> usize {
         self.fields.iter().map(FieldDef::byte_size).sum()
@@ -252,7 +267,7 @@ impl GStructDef {
     /// writes on the kernel side so layouts match (§3.5.1).
     pub fn cuda_decl(&self) -> String {
         let mut s = format!("struct {} {{\n", self.name);
-        for f in &self.fields {
+        for f in self.fields.iter() {
             if f.array_len == 1 {
                 s.push_str(&format!("    {} {};\n", f.prim.c_name(), f.name));
             } else {
@@ -269,6 +284,46 @@ impl GStructDef {
     }
 }
 
+/// The C layout of `fields` with alignment capped at `align_class`: writes
+/// each field's offset into `offsets` and returns the padded struct size
+/// and the struct alignment.
+const fn c_layout(
+    fields: &[FieldDef],
+    align_class: AlignClass,
+    offsets: &mut [usize],
+) -> (usize, usize) {
+    let cap = align_class.bytes();
+    let (mut off, mut max_align, mut i) = (0, 1, 0);
+    while i < fields.len() {
+        let f = &fields[i];
+        let a = if f.prim.align() < cap {
+            f.prim.align()
+        } else {
+            cap
+        };
+        if a > max_align {
+            max_align = a;
+        }
+        off = round_up(off, a);
+        offsets[i] = off;
+        off += f.byte_size();
+        i += 1;
+    }
+    (round_up(off, max_align), max_align)
+}
+
+/// [`c_layout`] of `N` fields at compile time: the offsets, padded size
+/// and alignment a [`gstruct!`](crate::gstruct!) schema stores.
+#[doc(hidden)]
+pub const fn c_layout_of<const N: usize>(
+    fields: &[FieldDef],
+    align_class: AlignClass,
+) -> ([usize; N], usize, usize) {
+    let mut offsets = [0; N];
+    let (size, align) = c_layout(fields, align_class, &mut offsets);
+    (offsets, size, align)
+}
+
 impl fmt::Display for GStructDef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -283,7 +338,7 @@ impl fmt::Display for GStructDef {
 }
 
 #[inline]
-fn round_up(x: usize, align: usize) -> usize {
+const fn round_up(x: usize, align: usize) -> usize {
     x.div_ceil(align) * align
 }
 
@@ -372,15 +427,6 @@ mod tests {
         assert_eq!(s.offset(1), 8);
         assert_eq!(s.offset(2), 16);
         assert_eq!(s.size(), 24); // trailing pad to align 8
-    }
-
-    #[test]
-    fn field_lookup() {
-        let p = paper_point();
-        assert_eq!(p.field_index("y"), Some(1));
-        assert_eq!(p.field_index("nope"), None);
-        assert_eq!(p.num_fields(), 3);
-        assert_eq!(p.fields()[2].name, "z");
     }
 
     #[test]

@@ -81,6 +81,34 @@ impl DataLayout {
     }
 }
 
+/// The typed key of a field: its position in the schema and its Rust
+/// element type `T` and length `N`. [`gstruct!`](crate::gstruct!) emits
+/// one per declared field (`Point2::x`), so a kernel resolves its handles
+/// by name — `reader.field(Point2::x)` — and the type and length come
+/// from the declaration. [`FieldKey::new`] turns a bare index into a key,
+/// for code generic over schemas.
+#[derive(Clone, Copy)]
+pub struct FieldKey<T, const N: usize> {
+    index: usize,
+    _prim: PhantomData<fn() -> T>,
+}
+
+impl<T, const N: usize> FieldKey<T, N> {
+    /// The key of field `index`, read as `N` elements of `T`; whether the
+    /// field is that is checked when the key is resolved.
+    pub const fn new(index: usize) -> Self {
+        FieldKey {
+            index,
+            _prim: PhantomData,
+        }
+    }
+
+    /// The field's position in its schema.
+    pub const fn index(self) -> usize {
+        self.index
+    }
+}
+
 /// A field of `N` elements of `T`, resolved once against a reader's or
 /// view's schema, layout and record count: the type and length are checked
 /// when it is resolved, and record `r`'s elements start at byte
@@ -89,23 +117,17 @@ impl DataLayout {
 ///
 /// A handle holds no borrow, so a kernel resolves its input and output
 /// handles first and then walks the records.
+#[derive(Clone, Copy)]
 pub struct Field<T, const N: usize> {
     base: usize,
     stride: usize,
     _prim: PhantomData<fn() -> T>,
 }
 
-impl<T, const N: usize> Clone for Field<T, N> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T, const N: usize> Copy for Field<T, N> {}
-
 impl<T: Prim, const N: usize> Field<T, N> {
     #[inline]
-    fn resolve(def: &GStructDef, layout: DataLayout, n: usize, field: usize) -> Self {
+    fn resolve(def: &GStructDef, layout: DataLayout, n: usize, key: FieldKey<T, N>) -> Self {
+        let field = key.index;
         let f = &def.fields()[field];
         if f.prim != T::TYPE || f.array_len != N {
             bad_field_type(def, field, T::TYPE, N);
@@ -251,11 +273,11 @@ impl<'a> RecordView<'a> {
         }
     }
 
-    /// Resolve `field` as `N` elements of `T` for this view. Panics if the
-    /// field is not `N` elements of `T`.
+    /// Resolve the field `key` names for this view. Panics if the field
+    /// is not `N` elements of `T`.
     #[inline]
-    pub fn field<T: Prim, const N: usize>(&self, field: usize) -> Field<T, N> {
-        Field::resolve(self.def, self.layout, self.n, field)
+    pub fn field<T: Prim, const N: usize>(&self, key: FieldKey<T, N>) -> Field<T, N> {
+        Field::resolve(self.def, self.layout, self.n, key)
     }
 
     /// Write all `N` elements of field `f` of `record`. Panics if `record`
@@ -266,12 +288,17 @@ impl<'a> RecordView<'a> {
         encode(&mut self.buf.as_mut_slice()[f.range(record)], v);
     }
 
-    /// Write all `N` elements of `field` of `record` in one access, the
-    /// counterpart of [`RecordReader::get_field`]. Panics if `record` is
-    /// out of range or the field is not `N` elements of `T`.
+    /// Write all `N` elements of the field `key` names of `record` in one
+    /// access, the counterpart of [`RecordReader::get_field`]. Panics if
+    /// `record` is out of range or the field is not `N` elements of `T`.
     #[inline(always)]
-    pub fn set_field<T: Prim, const N: usize>(&mut self, record: usize, field: usize, v: [T; N]) {
-        self.set(self.field(field), record, v);
+    pub fn set_field<T: Prim, const N: usize>(
+        &mut self,
+        record: usize,
+        key: FieldKey<T, N>,
+        v: [T; N],
+    ) {
+        self.set(self.field(key), record, v);
     }
 
     /// The records as AoS rows of `def().size()` bytes, in record order —
@@ -364,12 +391,12 @@ impl<'a> RecordReader<'a> {
         read_u64_at(self.buf, self.def, field, off)
     }
 
-    /// Resolve `field` as `N` elements of `T` for this reader — once per
-    /// launch, as a CUDA kernel's field offsets are fixed at compile time
+    /// Resolve the field `key` names for this reader — once per launch,
+    /// as a CUDA kernel's field offsets are fixed at compile time
     /// (§3.5.1). Panics if the field is not `N` elements of `T`.
     #[inline]
-    pub fn field<T: Prim, const N: usize>(&self, field: usize) -> Field<T, N> {
-        Field::resolve(self.def, self.layout, self.n, field)
+    pub fn field<T: Prim, const N: usize>(&self, key: FieldKey<T, N>) -> Field<T, N> {
+        Field::resolve(self.def, self.layout, self.n, key)
     }
 
     /// Read all `N` elements of field `f` of `record`. Panics if `record`
@@ -380,13 +407,13 @@ impl<'a> RecordReader<'a> {
         decode(&self.buf.as_slice()[f.range(record)])
     }
 
-    /// Read all `N` elements of `field` of `record` in one access: how a
-    /// one-record caller loads a record without handling a [`Field`].
-    /// Scalars are `N = 1`. Panics if `record` is out of range or the
-    /// field is not `N` elements of `T`.
+    /// Read all `N` elements of the field `key` names of `record` in one
+    /// access: how a one-record caller loads a record without handling a
+    /// [`Field`]. Scalars are `N = 1`. Panics if `record` is out of range
+    /// or the field is not `N` elements of `T`.
     #[inline(always)]
-    pub fn get_field<T: Prim, const N: usize>(&self, record: usize, field: usize) -> [T; N] {
-        self.get(self.field(field), record)
+    pub fn get_field<T: Prim, const N: usize>(&self, record: usize, key: FieldKey<T, N>) -> [T; N] {
+        self.get(self.field(key), record)
     }
 
     /// The records as AoS rows of `def().size()` bytes, in record order —
@@ -666,13 +693,21 @@ mod tests {
             let mut v = RecordView::new(&mut buf, &def, layout, n);
             for r in 0..n {
                 let x = r as f32;
-                v.set_field(r, 0, [r as u8 + 200]);
-                v.set_field(r, 1, [x, -x, x * 0.5, f32::MAX, f32::MIN_POSITIVE]);
-                v.set_field(r, 2, [-(r as i32) - 1]);
-                v.set_field(r, 3, [r as f64 / 3.0]);
-                v.set_field(r, 4, [r as u64, u64::MAX - r as u64, 1 << 40]);
-                v.set_field(r, 5, [i64::MIN + r as i64]);
-                v.set_field(r, 6, [0xDEAD_0000 + r as u32]);
+                v.set_field(r, FieldKey::new(0), [r as u8 + 200]);
+                v.set_field(
+                    r,
+                    FieldKey::new(1),
+                    [x, -x, x * 0.5, f32::MAX, f32::MIN_POSITIVE],
+                );
+                v.set_field(r, FieldKey::new(2), [-(r as i32) - 1]);
+                v.set_field(r, FieldKey::new(3), [r as f64 / 3.0]);
+                v.set_field(
+                    r,
+                    FieldKey::new(4),
+                    [r as u64, u64::MAX - r as u64, 1 << 40],
+                );
+                v.set_field(r, FieldKey::new(5), [i64::MIN + r as i64]);
+                v.set_field(r, FieldKey::new(6), [0xDEAD_0000 + r as u32]);
             }
             // The per-element accessors see exactly what the field writes put.
             for r in 0..n {
@@ -691,20 +726,32 @@ mod tests {
             let rd = RecordReader::new(&buf, &def, layout, n);
             for r in 0..n {
                 let x = r as f32;
-                assert_eq!(rd.get_field::<u8, 1>(r, 0), [r as u8 + 200]);
+                assert_eq!(rd.get_field(r, FieldKey::<u8, 1>::new(0)), [r as u8 + 200]);
                 assert_eq!(
-                    rd.get_field::<f32, 5>(r, 1),
+                    rd.get_field(r, FieldKey::<f32, 5>::new(1)),
                     [x, -x, x * 0.5, f32::MAX, f32::MIN_POSITIVE],
                     "{layout:?}"
                 );
-                assert_eq!(rd.get_field::<i32, 1>(r, 2), [-(r as i32) - 1]);
-                assert_eq!(rd.get_field::<f64, 1>(r, 3), [r as f64 / 3.0]);
                 assert_eq!(
-                    rd.get_field::<u64, 3>(r, 4),
+                    rd.get_field(r, FieldKey::<i32, 1>::new(2)),
+                    [-(r as i32) - 1]
+                );
+                assert_eq!(
+                    rd.get_field(r, FieldKey::<f64, 1>::new(3)),
+                    [r as f64 / 3.0]
+                );
+                assert_eq!(
+                    rd.get_field(r, FieldKey::<u64, 3>::new(4)),
                     [r as u64, u64::MAX - r as u64, 1 << 40]
                 );
-                assert_eq!(rd.get_field::<i64, 1>(r, 5), [i64::MIN + r as i64]);
-                assert_eq!(rd.get_field::<u32, 1>(r, 6), [0xDEAD_0000 + r as u32]);
+                assert_eq!(
+                    rd.get_field(r, FieldKey::<i64, 1>::new(5)),
+                    [i64::MIN + r as i64]
+                );
+                assert_eq!(
+                    rd.get_field(r, FieldKey::<u32, 1>::new(6)),
+                    [0xDEAD_0000 + r as u32]
+                );
             }
         }
     }
@@ -720,11 +767,11 @@ mod tests {
             let mut vb = RecordView::new(&mut b, &def, layout, n);
             for r in 0..n {
                 let xs: [f32; 5] = std::array::from_fn(|e| (r * 5 + e) as f32 * 1.5);
-                va.set_field(r, 1, xs);
+                va.set_field(r, FieldKey::new(1), xs);
                 for (e, x) in xs.iter().enumerate() {
                     vb.set_f64(r, 1, e, *x as f64);
                 }
-                va.set_field(r, 6, [r as u32 * 3]);
+                va.set_field(r, FieldKey::new(6), [r as u32 * 3]);
                 vb.set_u64(r, 6, 0, r as u64 * 3);
             }
             assert_eq!(a, b, "{layout:?}");
@@ -737,11 +784,11 @@ mod tests {
         for layout in DataLayout::ALL {
             let mut buf = HBuffer::zeroed(RecordView::required_bytes(&def, layout, 3));
             let read = std::panic::catch_unwind(|| {
-                RecordReader::new(&buf, &def, layout, 3).get_field::<f32, 5>(3, 1)
+                RecordReader::new(&buf, &def, layout, 3).get_field(3, FieldKey::<f32, 5>::new(1))
             });
             assert!(read.is_err(), "{layout:?} read past the last record");
             let write = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                RecordView::new(&mut buf, &def, layout, 3).set_field(3, 3, [1.0f64])
+                RecordView::new(&mut buf, &def, layout, 3).set_field(3, FieldKey::new(3), [1.0f64])
             }));
             assert!(write.is_err(), "{layout:?} wrote past the last record");
         }
@@ -786,7 +833,7 @@ mod tests {
             );
             assert_eq!(
                 panic_text(|| {
-                    let _ = rd.get(rd.field::<f64, 1>(1), 3);
+                    let _ = rd.get(rd.field(FieldKey::<f64, 1>::new(1)), 3);
                 }),
                 want
             );
@@ -812,7 +859,7 @@ mod tests {
             );
             assert_eq!(panic_text(|| v.set_f64(3, 1, 0, 1.0)), want, "{layout:?}");
             assert_eq!(panic_text(|| v.set_u64(3, 0, 0, 1)), want, "{layout:?}");
-            let f = v.field::<f32, 1>(2);
+            let f = v.field(FieldKey::<f32, 1>::new(2));
             assert_eq!(panic_text(|| v.set(f, 3, [1.0])), want, "{layout:?}");
         }
     }
@@ -846,12 +893,12 @@ mod tests {
             let mut buf = HBuffer::zeroed(RecordView::required_bytes(&def, layout, 1));
             let rd = RecordReader::new(&buf, &def, layout, 1);
             let text = panic_text(|| {
-                let _ = rd.field::<f32, 5>(4);
+                let _ = rd.field(FieldKey::<f32, 5>::new(4));
             });
             assert_eq!(text, "field 4 is U64[3], not F32[5]", "{layout:?}");
             let v = RecordView::new(&mut buf, &def, layout, 1);
             let text = panic_text(|| {
-                let _ = v.field::<f32, 4>(1);
+                let _ = v.field(FieldKey::<f32, 4>::new(1));
             });
             assert_eq!(text, "field 1 is F32[5], not F32[4]", "{layout:?}");
         }
@@ -862,7 +909,8 @@ mod tests {
     fn whole_field_type_confusion_rejected() {
         let def = wide_def();
         let buf = HBuffer::zeroed(RecordView::required_bytes(&def, DataLayout::Soa, 1));
-        let _ = RecordReader::new(&buf, &def, DataLayout::Soa, 1).get_field::<f32, 5>(0, 4);
+        let _ = RecordReader::new(&buf, &def, DataLayout::Soa, 1)
+            .get_field(0, FieldKey::<f32, 5>::new(4));
     }
 
     #[test]
@@ -870,7 +918,11 @@ mod tests {
     fn whole_field_length_mismatch_rejected() {
         let def = wide_def();
         let mut buf = HBuffer::zeroed(RecordView::required_bytes(&def, DataLayout::Aos, 1));
-        RecordView::new(&mut buf, &def, DataLayout::Aos, 1).set_field(0, 1, [0.0f32; 4]);
+        RecordView::new(&mut buf, &def, DataLayout::Aos, 1).set_field(
+            0,
+            FieldKey::new(1),
+            [0.0f32; 4],
+        );
     }
 
     #[test]

@@ -22,11 +22,14 @@
 //!   transfer channel (§4.1.2): registration paid once, high-water
 //!   recycling, per-job accounting;
 //! * [`GStructDef`] — a runtime-reflected C-struct layout (field order,
-//!   alignment class, offsets, padding), the analogue of the paper's
-//!   `GStruct_8` + `@StructField(order = n)` annotations;
+//!   alignment class, offsets, padding);
+//! * [`gstruct!`] — a record declared once, the analogue of the paper's
+//!   `GStruct_8` + `@StructField(order = n)` annotations: the struct, its
+//!   `static` schema, its [`GRecord`] store/load and a typed [`FieldKey`]
+//!   per field;
 //! * [`layout`] — Array-of-Structures / Structure-of-Arrays /
 //!   Array-of-Primitives views over the same logical schema, with
-//!   [`Field`] handles resolved once per kernel launch, AoS row walks,
+//!   [`Field`] handles resolved by key once per kernel launch, AoS row walks,
 //!   conversions and a GPU memory-coalescing model (§2.1);
 //! * [`serialize`] — the *baseline* object-serialization path that GFlink
 //!   avoids, implemented so the contrast can be measured.
@@ -37,12 +40,14 @@ pub mod hbuffer;
 pub mod layout;
 pub mod pinned;
 pub mod pool;
+pub mod record;
 pub mod serialize;
 
 pub use arena::{ArenaBuf, ArenaStats, BufferArena};
 pub use gstruct::{AlignClass, FieldDef, GStructDef, Prim, PrimType};
 pub use hbuffer::HBuffer;
-pub use layout::{DataLayout, Field, RecordReader, RecordView};
+pub use layout::{DataLayout, Field, FieldKey, RecordReader, RecordView};
 pub use pinned::{PinnedLease, PinnedPool, PinnedStats};
 pub use pool::{MemoryPool, PageRef, PoolError};
+pub use record::{GRecord, GValue};
 pub use serialize::{decode_records, encode_records, FieldValue, Record};

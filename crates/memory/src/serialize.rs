@@ -89,7 +89,10 @@ pub fn decode_records(bytes: &[u8]) -> Option<Vec<Record>> {
         Some(s)
     };
     let count = u32::from_be_bytes(take(&mut pos, 4)?.try_into().ok()?) as usize;
-    let mut records = Vec::with_capacity(count);
+    // Every record takes at least its field-count byte, so a header that
+    // claims more records than bytes remain is malformed: never reserve
+    // for more than could follow.
+    let mut records = Vec::with_capacity(count.min(bytes.len() - pos));
     for _ in 0..count {
         let nfields = *take(&mut pos, 1)?.first()? as usize;
         let mut rec = Vec::with_capacity(nfields);
@@ -220,6 +223,15 @@ mod tests {
         // Corrupt a type tag.
         let mut bytes = encode_records(&sample_records());
         bytes[5] = 99;
+        assert_eq!(decode_records(&bytes), None);
+    }
+
+    #[test]
+    fn record_count_past_the_input_is_malformed_not_an_allocation() {
+        // The header claims 2^32 - 1 records; no byte of any follows.
+        assert_eq!(decode_records(&[0xff; 4]), None);
+        let mut bytes = encode_records(&sample_records());
+        bytes[..4].copy_from_slice(&u32::MAX.to_be_bytes());
         assert_eq!(decode_records(&bytes), None);
     }
 

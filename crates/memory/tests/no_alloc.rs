@@ -1,10 +1,9 @@
 //! Readers, views, field handles and row walks never touch the heap, under
-//! any layout: a kernel that resolves its handles and walks its records
-//! allocates nothing of its own per launch.
+//! any layout: a kernel that takes a `gstruct!` schema, resolves its
+//! handles by key and walks its records allocates nothing of its own per
+//! launch.
 
-use gflink_memory::{
-    AlignClass, DataLayout, FieldDef, GStructDef, HBuffer, PrimType, RecordReader, RecordView,
-};
+use gflink_memory::{gstruct, DataLayout, FieldKey, GRecord, HBuffer, RecordReader, RecordView};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -55,33 +54,35 @@ fn the_counter_sees_allocations() {
     );
 }
 
+gstruct! {
+    /// Every width, scalars and arrays, so AoS pads.
+    #[derive(Clone)]
+    struct Wide: Align8 {
+        tag: u8,
+        xs: [f32; 5],
+        i: i32,
+        d: f64,
+        ks: [u64; 3],
+    }
+}
+
 #[test]
 fn readers_views_handles_and_row_walks_allocate_nothing() {
-    let def = GStructDef::new(
-        "Wide",
-        AlignClass::Align8,
-        vec![
-            FieldDef::scalar("tag", PrimType::U8),
-            FieldDef::array("xs", PrimType::F32, 5),
-            FieldDef::scalar("i", PrimType::I32),
-            FieldDef::scalar("d", PrimType::F64),
-            FieldDef::array("ks", PrimType::U64, 3),
-        ],
-    );
     let n = 9;
     for layout in DataLayout::ALL {
-        let bytes = RecordView::required_bytes(&def, layout, n);
+        let bytes = RecordView::required_bytes(Wide::def(), layout, n);
         let src = HBuffer::from_bytes(&(0..bytes).map(|b| b as u8).collect::<Vec<_>>());
         let mut dst = HBuffer::zeroed(bytes);
         let allocs = allocs_in(|| {
-            let reader = RecordReader::new(&src, &def, layout, n);
-            let mut view = RecordView::new(&mut dst, &def, layout, n);
-            let (xs, ks) = (reader.field::<f32, 5>(1), reader.field::<u64, 3>(4));
-            let (ys, ls) = (view.field::<f32, 5>(1), view.field::<u64, 3>(4));
+            let def = Wide::def();
+            let reader = RecordReader::new(&src, def, layout, n);
+            let mut view = RecordView::new(&mut dst, def, layout, n);
+            let (xs, ks) = (reader.field(Wide::xs), reader.field(Wide::ks));
+            let (ys, ls) = (view.field(Wide::xs), view.field(FieldKey::new(4)));
             for r in 0..n {
                 view.set(ys, r, reader.get(xs, r));
                 view.set(ls, r, reader.get(ks, r));
-                view.set_field(r, 3, reader.get_field::<f64, 1>(r, 3));
+                view.set_field(r, Wide::d, reader.get_field(r, Wide::d));
                 view.set_u64(r, 0, 0, reader.get_u64(r, 0, 0));
                 view.set_f64(r, 3, 0, reader.get_f64(r, 3, 0));
             }

@@ -1,8 +1,8 @@
 //! Property tests for buffers, layouts, the pool and the serializer.
 
 use gflink_memory::{
-    decode_records, encode_records, AlignClass, DataLayout, FieldDef, FieldValue, GStructDef,
-    HBuffer, MemoryPool, Prim, PrimType, Record, RecordReader, RecordView,
+    decode_records, encode_records, AlignClass, DataLayout, FieldDef, FieldKey, FieldValue,
+    GStructDef, HBuffer, MemoryPool, Prim, PrimType, Record, RecordReader, RecordView,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -70,7 +70,8 @@ fn check_handle<T: Prim, const N: usize>(
 ) -> Result<(), TestCaseError> {
     let src = HBuffer::from_bytes(bytes);
     let reader = RecordReader::new(&src, def, layout, n);
-    let f = reader.field::<T, N>(field);
+    let key = FieldKey::<T, N>::new(field);
+    let f = reader.field(key);
     let size = T::TYPE.size();
     let cell = |r: usize| -> Vec<u8> {
         (0..N)
@@ -82,7 +83,7 @@ fn check_handle<T: Prim, const N: usize>(
     };
     for r in 0..n {
         prop_assert_eq!(field_bytes(reader.get(f, r)), cell(r));
-        prop_assert_eq!(field_bytes(reader.get_field::<T, N>(r, field)), cell(r));
+        prop_assert_eq!(field_bytes(reader.get_field(r, key)), cell(r));
     }
     let reversed: Vec<[T; N]> = (0..n).map(|r| reader.get(f, n - 1 - r)).collect();
     let mut want = HBuffer::from_bytes(bytes);
@@ -97,7 +98,7 @@ fn check_handle<T: Prim, const N: usize>(
     }
     let mut got = HBuffer::from_bytes(bytes);
     let mut view = RecordView::new(&mut got, def, layout, n);
-    let g = view.field::<T, N>(field);
+    let g = view.field(key);
     for (r, v) in reversed.iter().enumerate() {
         view.set(g, r, *v);
     }
@@ -141,7 +142,7 @@ fn check_wrong_handle<T: Prim, const N: usize>(
 ) -> Result<(), TestCaseError> {
     let f = &def.fields()[field];
     let err = catch_unwind(AssertUnwindSafe(|| {
-        reader.field::<T, N>(field);
+        reader.field(FieldKey::<T, N>::new(field));
     }))
     .expect_err("a mismatched handle must not resolve");
     let text = err.downcast::<String>().expect("a formatted panic message");
@@ -348,6 +349,20 @@ proptest! {
         let recs: Vec<Record> = recs;
         let bytes = encode_records(&recs);
         prop_assert_eq!(decode_records(&bytes), Some(recs));
+    }
+
+    /// Decoding arbitrary bytes — any header, or a small record count
+    /// followed by garbage — returns `Some` or `None`, never panics, and
+    /// never reserves for records the input cannot hold.
+    #[test]
+    fn decoding_arbitrary_bytes_never_panics(bytes in prop_oneof![
+        prop::collection::vec(any::<u8>(), 0..64),
+        (0u32..6, prop::collection::vec(any::<u8>(), 0..64))
+            .prop_map(|(n, body)| n.to_be_bytes().into_iter().chain(body).collect()),
+    ]) {
+        if let Some(recs) = decode_records(&bytes) {
+            prop_assert!(recs.len() < bytes.len());
+        }
     }
 
     /// Pool: allocations never exceed capacity, never alias, and free always

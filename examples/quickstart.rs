@@ -1,8 +1,10 @@
 //! Quickstart: the paper's Algorithm 3.1, end to end.
 //!
-//! Defines a GStruct-backed `Point`, registers the `cudaAddPoint` kernel,
-//! builds a GDST from an HDFS source and runs `gpuMapPartition` over it —
-//! then runs the same program on the CPU baseline and compares.
+//! Declares a GStruct-backed `Point` with `gstruct!` (the analogue of the
+//! paper's `extends GStruct_8` + `@StructField`), registers the
+//! `cudaAddPoint` kernel, builds a GDST from an HDFS source and runs
+//! `gpuMapPartition` over it — then runs the same program on the CPU
+//! baseline and compares.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -11,46 +13,27 @@ use gflink::prelude::*;
 /// The quickstart kernel, shared by the default and hybrid fabrics.
 fn register_add_point(fabric: &GpuFabric) {
     fabric.register_elementwise_kernel("cudaAddPoint", |args: &mut KernelArgs<'_, '_>| {
-        let def = Point::def();
         let n = args.n_actual;
         let (dx, dy) = (args.params[0], args.params[1]);
-        let input = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
-        let mut out = RecordView::new(args.outputs[0], &def, DataLayout::Aos, n);
+        let input = RecordReader::new(args.inputs[0], Point::def(), DataLayout::Aos, n);
+        let mut out = RecordView::new(args.outputs[0], Point::def(), DataLayout::Aos, n);
+        // Fields are addressed by their typed keys, as `points[i].x` is in
+        // the CUDA kernel.
         for i in 0..n {
-            out.set_f64(i, 0, 0, input.get_f64(i, 0, 0) + dx);
-            out.set_f64(i, 1, 0, input.get_f64(i, 1, 0) + dy);
+            let ([x], [y]) = (input.get_field(i, Point::x), input.get_field(i, Point::y));
+            out.set_field(i, Point::x, [(x as f64 + dx) as f32]);
+            out.set_field(i, Point::y, [(y as f64 + dy) as f32]);
         }
         KernelProfile::new(args.n_logical as f64 * 2.0, args.n_logical as f64 * 16.0)
     });
 }
 
-/// The paper's §3.5.1 `Point`, as a GStruct-backed record.
-#[derive(Clone, Debug, PartialEq)]
-struct Point {
-    x: f32,
-    y: f32,
-}
-
-impl GRecord for Point {
-    fn def() -> GStructDef {
-        GStructDef::new(
-            "Point",
-            AlignClass::Align8,
-            vec![
-                FieldDef::scalar("x", PrimType::F32),
-                FieldDef::scalar("y", PrimType::F32),
-            ],
-        )
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_f64(idx, 0, 0, self.x as f64);
-        view.set_f64(idx, 1, 0, self.y as f64);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        Point {
-            x: reader.get_f64(idx, 0, 0) as f32,
-            y: reader.get_f64(idx, 1, 0) as f32,
-        }
+gstruct! {
+    /// The paper's §3.5.1 `Point`, as a GStruct-backed record.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Point: Align8 {
+        x: f32,
+        y: f32,
     }
 }
 

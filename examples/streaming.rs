@@ -13,26 +13,10 @@
 
 use gflink::prelude::*;
 
-#[derive(Clone, Debug)]
-struct Reading {
-    v: f32,
-}
-
-impl GRecord for Reading {
-    fn def() -> GStructDef {
-        GStructDef::new(
-            "Reading",
-            AlignClass::Align4,
-            vec![FieldDef::scalar("v", PrimType::F32)],
-        )
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_f64(idx, 0, 0, self.v as f64);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        Reading {
-            v: reader.get_f64(idx, 0, 0) as f32,
-        }
+gstruct! {
+    #[derive(Clone, Debug)]
+    struct Reading: Align4 {
+        v: f32,
     }
 }
 
@@ -41,9 +25,9 @@ fn fabric(workers: usize) -> GpuFabric {
     fabric.register_kernel("streamDouble", |args: &mut KernelArgs<'_, '_>| {
         let def = Reading::def();
         let n = args.n_actual;
-        let input = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+        let input = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
         let out_buf = &mut args.outputs[0];
-        let mut out = RecordView::new(out_buf, &def, DataLayout::Aos, n);
+        let mut out = RecordView::new(out_buf, def, DataLayout::Aos, n);
         for i in 0..n {
             out.set_f64(i, 0, 0, input.get_f64(i, 0, 0) * 2.0);
         }

@@ -79,7 +79,8 @@ pub mod prelude {
     };
     pub use crate::gpu::{GpuModel, KernelArgs, KernelProfile};
     pub use crate::memory::{
-        AlignClass, DataLayout, FieldDef, GStructDef, PrimType, RecordReader, RecordView,
+        gstruct, AlignClass, DataLayout, FieldDef, FieldKey, GStructDef, PrimType, RecordReader,
+        RecordView,
     };
     pub use crate::sim::trace::PipelineProfile;
     pub use crate::sim::{

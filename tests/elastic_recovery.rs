@@ -7,32 +7,11 @@ use gflink::core::CpuFallback;
 use gflink::prelude::*;
 use proptest::prelude::*;
 
-#[derive(Clone, Debug, PartialEq)]
-struct Point {
-    x: f32,
-    y: f32,
-}
-
-impl GRecord for Point {
-    fn def() -> GStructDef {
-        GStructDef::new(
-            "Point",
-            AlignClass::Align8,
-            vec![
-                FieldDef::scalar("x", PrimType::F32),
-                FieldDef::scalar("y", PrimType::F32),
-            ],
-        )
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_f64(idx, 0, 0, self.x as f64);
-        view.set_f64(idx, 1, 0, self.y as f64);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        Point {
-            x: reader.get_f64(idx, 0, 0) as f32,
-            y: reader.get_f64(idx, 1, 0) as f32,
-        }
+gstruct! {
+    #[derive(Clone, Debug, PartialEq)]
+    struct Point: Align8 {
+        x: f32,
+        y: f32,
     }
 }
 
@@ -62,8 +41,8 @@ fn make_fabric(cfg: FabricConfig) -> GpuFabric {
         let def = Point::def();
         let n = args.n_actual;
         let (dx, dy) = (args.params[0], args.params[1]);
-        let input = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
-        let mut out = RecordView::new(args.outputs[0], &def, DataLayout::Aos, n);
+        let input = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
+        let mut out = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
         for i in 0..n {
             out.set_f64(i, 0, 0, input.get_f64(i, 0, 0) + dx);
             out.set_f64(i, 1, 0, input.get_f64(i, 1, 0) + dy);

@@ -8,45 +8,22 @@ use gflink::core::{
 };
 use gflink::flink::{ClusterConfig, KeyedOps, OpCost, SharedCluster};
 use gflink::gpu::{GpuModel, KernelArgs, KernelProfile, TransferPath};
-use gflink::memory::{
-    AlignClass, DataLayout, FieldDef, GStructDef, PrimType, RecordReader, RecordView,
-};
+use gflink::memory::{gstruct, DataLayout, RecordReader, RecordView};
 use gflink::sim::SimTime;
 
-#[derive(Clone, Debug, PartialEq)]
-struct Cell {
-    id: u32,
-    v: f32,
-}
-
-impl GRecord for Cell {
-    fn def() -> GStructDef {
-        GStructDef::new(
-            "Cell",
-            AlignClass::Align8,
-            vec![
-                FieldDef::scalar("id", PrimType::U32),
-                FieldDef::scalar("v", PrimType::F32),
-            ],
-        )
-    }
-    fn store(&self, view: &mut RecordView<'_>, idx: usize) {
-        view.set_u64(idx, 0, 0, self.id as u64);
-        view.set_f64(idx, 1, 0, self.v as f64);
-    }
-    fn load(reader: &RecordReader<'_>, idx: usize) -> Self {
-        Cell {
-            id: reader.get_u64(idx, 0, 0) as u32,
-            v: reader.get_f64(idx, 1, 0) as f32,
-        }
+gstruct! {
+    #[derive(Clone, Debug, PartialEq)]
+    struct Cell: Align8 {
+        id: u32,
+        v: f32,
     }
 }
 
 fn square_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let def = Cell::def();
     let n = args.n_actual;
-    let input = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
-    let mut out = RecordView::new(args.outputs[0], &def, DataLayout::Aos, n);
+    let input = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
+    let mut out = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
     for i in 0..n {
         let c = Cell::load(&input, i);
         Cell {
@@ -223,13 +200,13 @@ fn bounded_output_mode_roundtrips_variable_cardinality() {
         use std::collections::BTreeMap;
         let def = Cell::def();
         let n = args.n_actual;
-        let input = RecordReader::new(args.inputs[0], &def, DataLayout::Aos, n);
+        let input = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
         let mut seen: BTreeMap<u32, f32> = BTreeMap::new();
         for i in 0..n {
             let c = Cell::load(&input, i);
             seen.entry(c.id).or_insert(c.v);
         }
-        let mut out = RecordView::new(args.outputs[0], &def, DataLayout::Aos, n);
+        let mut out = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
         let emitted = seen.len();
         for (i, (id, v)) in seen.into_iter().enumerate() {
             Cell { id, v }.store(&mut out, i);
