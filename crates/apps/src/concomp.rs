@@ -14,7 +14,7 @@ use crate::generators::page_links;
 use gflink_core::{GDataSet, GRecord, GflinkEnv, GpuFabric, GpuMapSpec, GpuReduceCosts, OutMode};
 use gflink_flink::{DataSet, FlinkEnv, KeyedOps, OpCost};
 use gflink_gpu::{KernelArgs, KernelProfile};
-use gflink_memory::{gstruct, DataLayout, HBuffer, RecordReader, RecordView};
+use gflink_memory::{gstruct, DataLayout, GRow, HBuffer, RecordReader, RecordView};
 use gflink_sim::SimTime;
 use std::collections::BTreeMap;
 
@@ -101,10 +101,8 @@ fn note_min(agg: &mut BTreeMap<u32, u32>, dst: u32, label: u32) {
 /// rows of an output block of `capacity` records.
 fn write_msgs(out: &mut HBuffer, capacity: usize, agg: BTreeMap<u32, u32>) {
     let mut view = RecordView::new(out, AggMsg::def(), DataLayout::Aos, capacity);
-    let (dst, label) = (view.field(AggMsg::dst), view.field(AggMsg::label));
-    for ((d, l), row) in agg.into_iter().zip(view.rows_mut()) {
-        dst.write(row, [d]);
-        label.write(row, [l]);
+    for ((dst, label), row) in agg.into_iter().zip(view.rows_of_mut::<AggMsg>()) {
+        AggMsg { dst, label }.store_row(row);
     }
 }
 
@@ -113,19 +111,14 @@ fn write_msgs(out: &mut HBuffer, capacity: usize, agg: BTreeMap<u32, u32>) {
 fn scatter_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let n = args.n_actual;
     let reader = RecordReader::new(args.inputs[0], LabelledPage::def(), DataLayout::Aos, n);
-    let (page, label, links) = (
-        reader.field(LabelledPage::page),
-        reader.field(LabelledPage::label),
-        reader.field(LabelledPage::links),
-    );
     // Scatter labels to self + neighbours, min-combining within the
     // block (segmented sort/reduce on a real device).
     let mut agg: BTreeMap<u32, u32> = BTreeMap::new();
-    for row in reader.rows() {
-        let ([p], [l]) = (page.read(row), label.read(row));
-        note_min(&mut agg, p, l);
-        for dst in links.read(row) {
-            note_min(&mut agg, dst, l);
+    for row in reader.rows_of::<LabelledPage>() {
+        let page = LabelledPage::load_row(row);
+        note_min(&mut agg, page.page, page.label);
+        for dst in page.links {
+            note_min(&mut agg, dst, page.label);
         }
     }
     let emitted = agg.len();
@@ -144,11 +137,10 @@ fn scatter_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
 fn min_by_key_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let n = args.n_actual;
     let reader = RecordReader::new(args.inputs[0], AggMsg::def(), DataLayout::Aos, n);
-    let (dst, label) = (reader.field(AggMsg::dst), reader.field(AggMsg::label));
     let mut agg: BTreeMap<u32, u32> = BTreeMap::new();
-    for row in reader.rows() {
-        let ([d], [l]) = (dst.read(row), label.read(row));
-        note_min(&mut agg, d, l);
+    for row in reader.rows_of::<AggMsg>() {
+        let m = AggMsg::load_row(row);
+        note_min(&mut agg, m.dst, m.label);
     }
     let emitted = agg.len();
     write_msgs(args.outputs[0], n, agg);

@@ -13,7 +13,7 @@ use crate::generators::clustered_point;
 use gflink_core::{GDataSet, GRecord, GflinkEnv, GpuFabric, GpuMapSpec, OutMode};
 use gflink_flink::{DataSet, FlinkEnv, OpCost};
 use gflink_gpu::{KernelArgs, KernelProfile};
-use gflink_memory::{gstruct, DataLayout, HBuffer, Prim, RecordReader, RecordView};
+use gflink_memory::{gstruct, DataLayout, GRow, HBuffer, Prim, RecordReader, RecordView};
 use gflink_sim::SimTime;
 use std::sync::Arc;
 
@@ -163,18 +163,12 @@ fn kmeans_assign_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let reader = RecordReader::new(args.inputs[0], Point::def(), DataLayout::Aos, n);
     let centers = Centers::from_buffer(args.inputs[1]);
     let mut acc = Assignment::new();
-    let coords = reader.field(Point::coords);
-    for row in reader.rows() {
-        acc.add(&coords.read(row), &centers);
+    for row in reader.rows_of::<Point>() {
+        acc.add(&Point::load_row(row).coords, &centers);
     }
     let mut view = RecordView::new(args.outputs[0], Partial::def(), DataLayout::Aos, K);
-    let center = view.field(Partial::center);
-    let (count, sums) = (view.field(Partial::count), view.field(Partial::sums));
-    for (c, row) in view.rows_mut().enumerate() {
-        let p = acc.partial(c);
-        center.write(row, [p.center]);
-        count.write(row, [p.count]);
-        sums.write(row, p.sums);
+    for (c, row) in view.rows_of_mut::<Partial>().enumerate() {
+        acc.partial(c).store_row(row);
     }
     KernelProfile::new(
         args.n_logical as f64 * (3 * K * D) as f64,

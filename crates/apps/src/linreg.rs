@@ -11,7 +11,7 @@ use crate::generators::regression_sample;
 use gflink_core::{GDataSet, GRecord, GflinkEnv, GpuFabric, GpuMapSpec, OutMode};
 use gflink_flink::{DataSet, FlinkEnv, OpCost};
 use gflink_gpu::{KernelArgs, KernelProfile};
-use gflink_memory::{gstruct, DataLayout, HBuffer, RecordReader, RecordView};
+use gflink_memory::{gstruct, DataLayout, GRow, HBuffer, RecordReader, RecordView};
 use gflink_sim::SimTime;
 use std::sync::Arc;
 
@@ -136,10 +136,9 @@ fn linreg_grad_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let w: [f64; D] = std::array::from_fn(|d| weights.read_f32(d * 4) as f64);
     let b = weights.read_f32(D * 4) as f64;
     let mut acc = Gradient::new();
-    let (x, y) = (reader.field(Sample::x), reader.field(Sample::y));
-    for row in reader.rows() {
-        let [y] = y.read(row);
-        acc.add(&x.read(row), y, &w, b);
+    for row in reader.rows_of::<Sample>() {
+        let s = Sample::load_row(row);
+        acc.add(&s.x, s.y, &w, b);
     }
     let mut view = RecordView::new(args.outputs[0], GradPartial::def(), DataLayout::Aos, 1);
     acc.partial().store(&mut view, 0);

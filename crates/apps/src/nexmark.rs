@@ -28,7 +28,7 @@ use gflink_core::{
     StreamSource, Tumbling, WatermarkStrategy, WindowedRun,
 };
 use gflink_gpu::{KernelArgs, KernelProfile};
-use gflink_memory::{gstruct, DataLayout, HBuffer, RecordReader, RecordView};
+use gflink_memory::{gstruct, DataLayout, GRow, HBuffer, RecordReader, RecordView};
 use gflink_sim::SimTime;
 
 /// Persons per 50-event group.
@@ -243,22 +243,23 @@ fn q3_filter_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let target = args.params.first().copied().unwrap_or(0.0);
     let n = args.n_actual;
     let input = RecordReader::new(args.inputs[0], Auction::def(), DataLayout::Aos, n);
-    let mut out = RecordView::new(args.outputs[0], Q3Row::def(), DataLayout::Aos, n);
-    let auction = [
-        Auction::id,
-        Auction::seller,
-        Auction::category,
-        Auction::initial_bid,
-    ]
-    .map(|k| input.field(k));
-    let row_out = [Q3Row::id, Q3Row::seller, Q3Row::initial_bid].map(|k| out.field(k));
+    let capacity = args.outputs[0].len() / Q3Row::SIZE;
+    let mut out = RecordView::new(args.outputs[0], Q3Row::def(), DataLayout::Aos, capacity);
+    let mut slots = out.rows_of_mut::<Q3Row>();
     let mut emitted = 0usize;
-    for row in input.rows() {
-        let [id, seller, category, initial] = auction.map(|f| f.read(row)[0]);
-        if category == target {
-            for (f, v) in row_out.into_iter().zip([id, seller, initial]) {
-                out.set(f, emitted, [v]);
+    for row in input.rows_of::<Auction>() {
+        let a = Auction::load_row(row);
+        // Ids are whole `double`s, so the `u64` round trip is exact.
+        if a.category as f64 == target {
+            let dst = slots
+                .next()
+                .expect("kernel emitted past its output capacity");
+            Q3Row {
+                id: a.id,
+                seller: a.seller,
+                initial_bid: a.initial_bid,
             }
+            .store_row(dst);
             emitted += 1;
         }
     }
@@ -274,13 +275,14 @@ fn q13_enrich_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let side = args.inputs[1];
     let side_rows = (side.len() / 8).max(1);
     let mut out = RecordView::new(args.outputs[0], Q13Row::def(), DataLayout::Aos, n);
-    let (auction, price) = (input.field(Bid::auction), input.field(Bid::price));
-    let (auction_out, boosted) = (out.field(Q13Row::auction), out.field(Q13Row::boosted));
-    for (src, dst) in input.rows().zip(out.rows_mut()) {
-        let ([a], [p]) = (auction.read(src), price.read(src));
-        let factor = side.read_f64((a as usize % side_rows) * 8);
-        auction_out.write(dst, [a]);
-        boosted.write(dst, [p * factor]);
+    for (src, dst) in input.rows_of::<Bid>().zip(out.rows_of_mut::<Q13Row>()) {
+        let b = Bid::load_row(src);
+        let factor = side.read_f64((b.auction as usize % side_rows) * 8);
+        Q13Row {
+            auction: b.auction,
+            boosted: b.price * factor,
+        }
+        .store_row(dst);
     }
     // One side-table gather per bid: irregular access, like SpMV's x.
     KernelProfile::new(args.n_logical as f64 * 2.0, args.n_logical as f64 * 48.0)
@@ -556,6 +558,29 @@ mod tests {
                 out_bytes,
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel emitted past its output capacity")]
+    fn q3_filter_panics_past_its_output_capacity() {
+        // Two matching auctions into an output sized for one row.
+        let auctions: Vec<Auction> = (0..2)
+            .map(|i| Auction {
+                id: i,
+                seller: 1,
+                category: 2,
+                initial_bid: 1.0,
+            })
+            .collect();
+        let block = aos_block(&auctions);
+        let mut out = HBuffer::zeroed(Q3Row::SIZE);
+        q3_filter_kernel(&mut KernelArgs {
+            inputs: &[&block],
+            outputs: &mut [&mut out],
+            params: &[2.0],
+            n_actual: 2,
+            n_logical: 2,
+        });
     }
 
     fn small() -> NexmarkConfig {

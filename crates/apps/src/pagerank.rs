@@ -18,7 +18,7 @@ use crate::generators::page_links;
 use gflink_core::{GDataSet, GRecord, GflinkEnv, GpuFabric, GpuMapSpec, GpuReduceCosts, OutMode};
 use gflink_flink::{DataSet, FlinkEnv, KeyedOps, OpCost};
 use gflink_gpu::{KernelArgs, KernelProfile};
-use gflink_memory::{gstruct, DataLayout, HBuffer, RecordReader, RecordView};
+use gflink_memory::{gstruct, DataLayout, GRow, HBuffer, RecordReader, RecordView};
 use gflink_sim::SimTime;
 use std::collections::BTreeMap;
 
@@ -98,17 +98,13 @@ pub fn register_kernels(fabric: &GpuFabric) {
 fn scatter_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let n = args.n_actual;
     let reader = RecordReader::new(args.inputs[0], RankedPage::def(), DataLayout::Aos, n);
-    let (rank, links) = (
-        reader.field(RankedPage::rank),
-        reader.field(RankedPage::links),
-    );
     // Scatter + block-level combine (sort/segmented-reduce on a real
     // device; a BTreeMap here).
     let mut agg: BTreeMap<u32, f64> = BTreeMap::new();
-    for row in reader.rows() {
-        let [r] = rank.read(row);
-        let share = r as f64 / DEG as f64;
-        for dst in links.read(row) {
+    for row in reader.rows_of::<RankedPage>() {
+        let page = RankedPage::load_row(row);
+        let share = page.rank as f64 / DEG as f64;
+        for dst in page.links {
             *agg.entry(dst).or_insert(0.0) += share;
         }
     }
@@ -129,10 +125,8 @@ fn scatter_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
 /// [`AggContrib`] rows of an output block of `capacity` records.
 fn write_contribs(out: &mut HBuffer, capacity: usize, agg: BTreeMap<u32, f64>) {
     let mut view = RecordView::new(out, AggContrib::def(), DataLayout::Aos, capacity);
-    let (dst, val) = (view.field(AggContrib::dst), view.field(AggContrib::val));
-    for ((d, v), row) in agg.into_iter().zip(view.rows_mut()) {
-        dst.write(row, [d]);
-        val.write(row, [v as f32]);
+    for ((dst, v), row) in agg.into_iter().zip(view.rows_of_mut::<AggContrib>()) {
+        AggContrib { dst, val: v as f32 }.store_row(row);
     }
 }
 
@@ -141,11 +135,10 @@ fn write_contribs(out: &mut HBuffer, capacity: usize, agg: BTreeMap<u32, f64>) {
 fn sum_by_key_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let n = args.n_actual;
     let reader = RecordReader::new(args.inputs[0], AggContrib::def(), DataLayout::Aos, n);
-    let (dst, val) = (reader.field(AggContrib::dst), reader.field(AggContrib::val));
     let mut agg: BTreeMap<u32, f64> = BTreeMap::new();
-    for row in reader.rows() {
-        let ([d], [v]) = (dst.read(row), val.read(row));
-        *agg.entry(d).or_insert(0.0) += v as f64;
+    for row in reader.rows_of::<AggContrib>() {
+        let c = AggContrib::load_row(row);
+        *agg.entry(c.dst).or_insert(0.0) += c.val as f64;
     }
     let emitted = agg.len();
     write_contribs(args.outputs[0], n, agg);

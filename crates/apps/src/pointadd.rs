@@ -9,7 +9,7 @@ use crate::common::{AppRun, ExecMode, Setup};
 use gflink_core::{GDataSet, GRecord, GflinkEnv, GpuFabric, GpuMapSpec};
 use gflink_flink::{DataSet, FlinkEnv, OpCost};
 use gflink_gpu::{KernelArgs, KernelProfile};
-use gflink_memory::{gstruct, DataLayout, RecordReader, RecordView};
+use gflink_memory::{gstruct, DataLayout, GRow, RecordReader, RecordView};
 use gflink_sim::SimTime;
 
 /// Default generator seed.
@@ -64,18 +64,20 @@ pub fn register_kernels(fabric: &GpuFabric) {
 }
 
 /// The kernel body: each point is read once, translated in `f64` (the
-/// launch parameters' precision) and written back once. Input and output
-/// share the schema, so one pair of field handles serves both rows.
+/// launch parameters' precision) and written back once, row by row at the
+/// record's compile-time offsets.
 fn add_point_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let n = args.n_actual;
     let (dx, dy) = (args.params[0], args.params[1]);
     let reader = RecordReader::new(args.inputs[0], Point2::def(), DataLayout::Aos, n);
     let mut view = RecordView::new(args.outputs[0], Point2::def(), DataLayout::Aos, n);
-    let (x, y) = (reader.field(Point2::x), reader.field(Point2::y));
-    for (src, dst) in reader.rows().zip(view.rows_mut()) {
-        let ([px], [py]) = (x.read(src), y.read(src));
-        x.write(dst, [(px as f64 + dx) as f32]);
-        y.write(dst, [(py as f64 + dy) as f32]);
+    for (src, dst) in reader.rows_of::<Point2>().zip(view.rows_of_mut::<Point2>()) {
+        let p = Point2::load_row(src);
+        Point2 {
+            x: (p.x as f64 + dx) as f32,
+            y: (p.y as f64 + dy) as f32,
+        }
+        .store_row(dst);
     }
     KernelProfile::new(
         args.n_logical as f64 * 2.0,

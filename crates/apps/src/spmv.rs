@@ -19,7 +19,7 @@ use crate::generators::ell_row;
 use gflink_core::{GDataSet, GRecord, GflinkEnv, GpuFabric, GpuMapSpec};
 use gflink_flink::{DataSet, FlinkEnv, OpCost};
 use gflink_gpu::{KernelArgs, KernelProfile};
-use gflink_memory::{gstruct, DataLayout, HBuffer, RecordReader, RecordView};
+use gflink_memory::{gstruct, DataLayout, GRow, HBuffer, RecordReader, RecordView};
 use gflink_sim::SimTime;
 use std::sync::Arc;
 
@@ -113,14 +113,13 @@ fn spmv_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let x_len = x.len() / 4;
     let out_def = YVal::def();
     let mut view = RecordView::new(args.outputs[0], out_def, DataLayout::Aos, n);
-    let (cols, vals) = (reader.field(EllRow::cols), reader.field(EllRow::vals));
-    let y = view.field(YVal::y);
-    for (src, dst) in reader.rows().zip(view.rows_mut()) {
+    for (src, dst) in reader.rows_of::<EllRow>().zip(view.rows_of_mut::<YVal>()) {
+        let row = EllRow::load_row(src);
         let mut acc = 0.0f64;
-        for (col, v) in cols.read(src).into_iter().zip(vals.read(src)) {
+        for (col, v) in row.cols.into_iter().zip(row.vals) {
             acc += v as f64 * x.read_f32((col as usize % x_len.max(1)) * 4) as f64;
         }
-        y.write(dst, [acc as f32]);
+        YVal { y: acc as f32 }.store_row(dst);
     }
     // 2 flops per nonzero; traffic: row bytes + gathered x values + y.
     KernelProfile::new(

@@ -16,7 +16,7 @@ use crate::generators::zipf_word;
 use gflink_core::{GDataSet, GRecord, GflinkEnv, GpuFabric, GpuMapSpec, OutMode};
 use gflink_flink::{DataSet, FlinkEnv, KeyedOps, OpCost};
 use gflink_gpu::{KernelArgs, KernelProfile};
-use gflink_memory::{gstruct, DataLayout, RecordReader, RecordView};
+use gflink_memory::{gstruct, DataLayout, GRow, RecordReader, RecordView};
 use gflink_sim::SimTime;
 
 /// Vocabulary size (distinct words).
@@ -85,11 +85,9 @@ pub fn register_kernels(fabric: &GpuFabric) {
 fn histogram_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let n = args.n_actual;
     let reader = RecordReader::new(args.inputs[0], WordId::def(), DataLayout::Aos, n);
-    let word = reader.field(WordId::id);
     let mut counts = vec![0u64; VOCAB as usize];
-    for row in reader.rows() {
-        let [id] = word.read(row);
-        counts[id as usize % VOCAB as usize] += 1;
+    for row in reader.rows_of::<WordId>() {
+        counts[WordId::load_row(row).id as usize % VOCAB as usize] += 1;
     }
     let mut view = RecordView::new(
         args.outputs[0],
@@ -97,10 +95,16 @@ fn histogram_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
         DataLayout::Aos,
         VOCAB as usize,
     );
-    let (id, count) = (view.field(CountRec::id), view.field(CountRec::count));
-    for ((w, c), row) in counts.iter().enumerate().zip(view.rows_mut()) {
-        id.write(row, [w as u32]);
-        count.write(row, [(*c).min(u32::MAX as u64) as u32]);
+    for ((w, c), row) in counts
+        .iter()
+        .enumerate()
+        .zip(view.rows_of_mut::<CountRec>())
+    {
+        CountRec {
+            id: w as u32,
+            count: (*c).min(u32::MAX as u64) as u32,
+        }
+        .store_row(row);
     }
     // One atomic add per word plus the histogram write-back.
     KernelProfile::new(

@@ -28,7 +28,7 @@
 //!
 //! Gates (skipped when `GFLINK_BENCH_BASELINE=1`, the re-measuring mode):
 //! * allocation: steady-state allocations per scheduled GWork must stay
-//!   at most 2 on both paths (measured 1.08 solo / 1.58 fused) — the
+//!   at most 2 on both paths (measured 1.02 solo / 1.53 fused) — the
 //!   pre-refactor path paid ~15; the
 //!   refactored flight itself pays 0 (the residue is the bench's own
 //!   per-work `GWork::inputs` Vec and per-batch bookkeeping). This is the
@@ -38,9 +38,12 @@
 //!   sits below the machine-noise band so CI does not flake);
 //! * regression: normalized throughput must not drop more than 20% below
 //!   the last committed `BENCH_throughput.json` entry;
-//! * metrics: both paths re-run with the live metrics plane attached must
-//!   stay inside the same allocation budgets and cost at most 5% of the
-//!   dark-path throughput. The dark runs themselves are the
+//! * metrics: each path runs [`METRIC_PAIRS`] short dark/metrics pairs,
+//!   alternating which goes first; the metrics runs must stay inside the
+//!   same allocation budgets, and the median of the pairs' throughput
+//!   ratios must cost at most 5% of the dark path. One pair alone cannot
+//!   tell 5% from this harness's run-to-run noise; the median of ten
+//!   adjacent pairs can. The dark runs themselves are the
 //!   disabled-is-zero-cost check — they never touch the plane.
 
 use gflink_bench::{header, jobj, row, write_results};
@@ -81,8 +84,9 @@ mod gates {
     pub const MAX_SOLO_ALLOCS_PER_WORK: f64 = 2.0;
     pub const MAX_FUSED_ALLOCS_PER_WORK: f64 = 2.0;
     /// The metrics plane may cost at most this fraction of throughput when
-    /// enabled — its hot path is interned atomic handles, so the steady
-    /// state should be within noise of the dark path.
+    /// enabled, as the median over the metrics pairs — its per-work feeds
+    /// are plain adds to tallies published at samples, so the steady state
+    /// should be within noise of the dark path.
     pub const MAX_METRICS_OVERHEAD: f64 = 0.05;
 }
 
@@ -113,6 +117,11 @@ unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 const JOB: JobId = JobId(1);
+/// Dark/metrics pairs per path behind the metrics overhead gate.
+const METRIC_PAIRS: usize = 10;
+/// Timed wall clock of each run in a metrics pair, in seconds.
+const PAIR_SECONDS: f64 = 0.25;
+
 /// Works submitted per submit/drain round.
 const WORKS_PER_ROUND: usize = 512;
 /// Floats per work — tiny on purpose; bookkeeping must dominate.
@@ -202,6 +211,59 @@ struct PathResult {
     rounds: u64,
     digest_per_work: f64,
     allocs_per_work: f64,
+}
+
+/// A path's metrics overhead over [`METRIC_PAIRS`] dark/metrics pairs.
+struct MetricsCost {
+    /// Median of the metrics runs' GWorks/sec.
+    gworks_per_sec: f64,
+    /// `1 -` the median of the pairs' metrics/dark throughput ratios.
+    overhead: f64,
+    /// Interquartile range of the per-pair overheads.
+    overhead_iqr: (f64, f64),
+    /// Allocations per work over every metrics run.
+    allocs_per_work: f64,
+    digest_per_work: f64,
+}
+
+/// The `q`-quantile of `xs` by linear interpolation between order
+/// statistics.
+fn quantile(xs: &[f64], q: f64) -> f64 {
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let pos = q * (v.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+/// [`METRIC_PAIRS`] adjacent dark/metrics runs of `batch`'s path, the
+/// order alternating each pair so drift in machine speed falls on both
+/// sides; the gate reads the median ratio, not any one run.
+fn metrics_cost(batch: &BatchConfig, metrics: &Metrics) -> MetricsCost {
+    let (mut overheads, mut lit_rates) = (Vec::new(), Vec::new());
+    let (mut lit_allocs, mut lit_works, mut digest) = (0.0, 0u64, f64::NAN);
+    for pair in 0..METRIC_PAIRS {
+        let run = |lit: bool| run_path(batch.clone(), PAIR_SECONDS, lit.then_some(metrics));
+        let (dark, lit) = if pair % 2 == 0 {
+            let dark = run(false);
+            (dark, run(true))
+        } else {
+            let lit = run(true);
+            (run(false), lit)
+        };
+        overheads.push(1.0 - lit.gworks_per_sec / dark.gworks_per_sec);
+        lit_rates.push(lit.gworks_per_sec);
+        lit_allocs += lit.allocs_per_work * lit.works as f64;
+        lit_works += lit.works;
+        digest = lit.digest_per_work;
+    }
+    MetricsCost {
+        gworks_per_sec: quantile(&lit_rates, 0.5),
+        overhead: quantile(&overheads, 0.5),
+        overhead_iqr: (quantile(&overheads, 0.25), quantile(&overheads, 0.75)),
+        allocs_per_work: lit_allocs / lit_works as f64,
+        digest_per_work: digest,
+    }
 }
 
 /// Submit/drain rounds of tiny works until at least `min_elapsed` of wall
@@ -340,20 +402,21 @@ fn main() {
     // histograms feed on every work, so the delta against the dark runs is
     // the plane's whole steady-state cost.
     let m_solo_reg = Metrics::new(Metrics::DEFAULT_CADENCE);
-    let m_solo = run_path(BatchConfig::default(), 1.0, Some(&m_solo_reg));
+    let m_solo = metrics_cost(&BatchConfig::default(), &m_solo_reg);
     let m_fused_reg = Metrics::new(Metrics::DEFAULT_CADENCE);
-    let m_fused = run_path(BatchConfig::enabled(), 1.0, Some(&m_fused_reg));
-    assert_eq!(
-        solo.digest_per_work.to_bits(),
-        m_solo.digest_per_work.to_bits(),
-        "the metrics plane must not change results"
-    );
+    let m_fused = metrics_cost(&BatchConfig::enabled(), &m_fused_reg);
+    for m in [&m_solo, &m_fused] {
+        assert_eq!(
+            solo.digest_per_work.to_bits(),
+            m.digest_per_work.to_bits(),
+            "the metrics plane must not change results"
+        );
+    }
     assert!(
         m_solo_reg.export_prometheus().contains("gflink_"),
         "the enabled run must actually feed the registry"
     );
-    let overhead_solo = 1.0 - m_solo.gworks_per_sec / solo.gworks_per_sec;
-    let overhead_fused = 1.0 - m_fused.gworks_per_sec / fused.gworks_per_sec;
+    let (overhead_solo, overhead_fused) = (m_solo.overhead, m_fused.overhead);
 
     let norm_solo = solo.gworks_per_sec / calib;
     let norm_fused = fused.gworks_per_sec / calib;
@@ -397,24 +460,22 @@ fn main() {
         format!("{norm_fused:.4}"),
         format!("{speedup_fused:.2}x"),
     ]);
-    row(&[
-        "solo+metrics".into(),
-        format!("{:.0}", m_solo.gworks_per_sec),
-        format!("{}", m_solo.works),
-        format!("{}", m_solo.rounds),
-        format!("{:.2}", m_solo.allocs_per_work),
-        format!("{:.4}", m_solo.gworks_per_sec / calib),
-        format!("{:+.1}% cost", 100.0 * overhead_solo),
-    ]);
-    row(&[
-        "fused+metrics".into(),
-        format!("{:.0}", m_fused.gworks_per_sec),
-        format!("{}", m_fused.works),
-        format!("{}", m_fused.rounds),
-        format!("{:.2}", m_fused.allocs_per_work),
-        format!("{:.4}", m_fused.gworks_per_sec / calib),
-        format!("{:+.1}% cost", 100.0 * overhead_fused),
-    ]);
+    for (path, m) in [("solo+metrics", &m_solo), ("fused+metrics", &m_fused)] {
+        row(&[
+            path.into(),
+            format!("{:.0}", m.gworks_per_sec),
+            format!("{METRIC_PAIRS} pairs"),
+            "-".into(),
+            format!("{:.2}", m.allocs_per_work),
+            format!("{:.4}", m.gworks_per_sec / calib),
+            format!(
+                "{:+.1}% cost (IQR {:+.1}…{:+.1}%)",
+                100.0 * m.overhead,
+                100.0 * m.overhead_iqr.0,
+                100.0 * m.overhead_iqr.1
+            ),
+        ]);
+    }
     println!("(calibration: {calib:.0} boxed-heap ops/s on this machine)");
 
     let entry = jobj! {
@@ -439,6 +500,11 @@ fn main() {
         "metrics_fused_allocs_per_work": m_fused.allocs_per_work,
         "metrics_overhead_solo": overhead_solo,
         "metrics_overhead_fused": overhead_fused,
+        "metrics_pairs": METRIC_PAIRS,
+        "metrics_overhead_solo_q1": m_solo.overhead_iqr.0,
+        "metrics_overhead_solo_q3": m_solo.overhead_iqr.1,
+        "metrics_overhead_fused_q1": m_fused.overhead_iqr.0,
+        "metrics_overhead_fused_q3": m_fused.overhead_iqr.1,
     };
     write_results("harness_throughput", &entry);
 
@@ -465,7 +531,7 @@ fn main() {
             gates::MAX_FUSED_ALLOCS_PER_WORK
         );
         // The metrics plane must stay inside the same allocation budget —
-        // its per-work feeds are interned atomic handles, not fresh heap —
+        // its per-work feeds are tallies and interned handles, not fresh heap —
         // and within the overhead ceiling of the dark runs.
         assert!(
             m_solo.allocs_per_work <= gates::MAX_SOLO_ALLOCS_PER_WORK,
@@ -483,15 +549,15 @@ fn main() {
         );
         assert!(
             overhead_solo <= gates::MAX_METRICS_OVERHEAD,
-            "metrics overhead gate: the enabled plane costs {:.1}% of solo \
-             throughput (gate: {:.0}%)",
+            "metrics overhead gate: the enabled plane costs a median {:.1}% \
+             of solo throughput over {METRIC_PAIRS} pairs (gate: {:.0}%)",
             100.0 * overhead_solo,
             100.0 * gates::MAX_METRICS_OVERHEAD
         );
         assert!(
             overhead_fused <= gates::MAX_METRICS_OVERHEAD,
-            "metrics overhead gate: the enabled plane costs {:.1}% of fused \
-             throughput (gate: {:.0}%)",
+            "metrics overhead gate: the enabled plane costs a median {:.1}% \
+             of fused throughput over {METRIC_PAIRS} pairs (gate: {:.0}%)",
             100.0 * overhead_fused,
             100.0 * gates::MAX_METRICS_OVERHEAD
         );

@@ -124,6 +124,18 @@ fn bench_event_queue(c: &mut Criterion) {
             }
         });
     });
+    // A drain's shape: one queue kept across drains, reset each time, its
+    // 64 pending submissions entered as one pre-sorted run.
+    c.bench_function("event_queue_sorted_run_64", |b| {
+        let mut q = EventQueue::new();
+        b.iter(|| {
+            q.reset();
+            q.extend_sorted((0..64u64).map(|i| (SimTime::from_nanos(i * 16), i)));
+            while let Some(e) = q.pop() {
+                black_box(e);
+            }
+        });
+    });
 }
 
 criterion_group!(
@@ -157,6 +169,7 @@ fn main() {
                     "gpu_cache_lookup_insert",
                     "timeline_reserve",
                     "event_queue_push_pop_64",
+                    "event_queue_sorted_run_64",
                 ]
                 .iter()
                 .map(|&n| gflink_bench::Json::from(n))

@@ -86,6 +86,14 @@ pub enum SnapshotError {
     },
     /// The file system could not serve a chain file.
     Io(HdfsError),
+    /// A block is not one the restoring operator produces: its tag lies
+    /// outside the operator's partition/block cut, or its bytes are not a
+    /// block's output — the job was relaunched with another shape
+    /// (parallelism, block size, record or output size).
+    ShapeMismatch {
+        /// The block's `(partition, block)` tag.
+        tag: (u32, u32),
+    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -105,6 +113,9 @@ impl fmt::Display for SnapshotError {
                 write!(f, "snapshot: chain segment {segment} is missing")
             }
             SnapshotError::Io(e) => write!(f, "snapshot: {e}"),
+            SnapshotError::ShapeMismatch { tag: (p, b) } => {
+                write!(f, "snapshot: block {p}/{b} is not on this operator's cut")
+            }
         }
     }
 }

@@ -26,10 +26,10 @@
 //! normally.
 
 use crate::checkpoint::CacheManifestEntry;
-use crate::gstream::{Engine, Ev};
+use crate::gstream::Engine;
 use crate::manager::GpuManager;
 use crate::session::JobId;
-use gflink_sim::{EventQueue, MembershipKind, MembershipPlan, SimTime};
+use gflink_sim::{MembershipKind, MembershipPlan, SimTime};
 
 impl GpuManager {
     /// Script membership changes (joins/leaves) against this worker.
@@ -40,20 +40,23 @@ impl GpuManager {
     }
 
     /// Apply one membership event right now (between drains) through the
-    /// same handler the scripted path uses. The stream layer is quiescent
-    /// between drains, so the throwaway event queue can only hold a join's
-    /// stream wake-ups — which the next drain's wake-all pass re-creates.
+    /// same handler the scripted path uses, on the manager's event queue.
+    /// The stream layer is quiescent between drains, so the queue can only
+    /// be left holding a join's stream wake-ups — which the next drain's
+    /// reset drops and its wake-all pass re-creates.
     fn apply_membership_now(&mut self, kind: MembershipKind, at: SimTime) {
-        let mut q: EventQueue<Ev> = EventQueue::new();
+        let registry = self.registry.lock();
         let mut eng = Engine {
             gmem: &mut self.gmem,
             recovery: &mut self.recovery,
             sessions: &mut self.sessions,
-            registry: &self.registry,
+            registry: &registry,
             rng: &mut self.rng,
         };
+        self.queue.reset();
         self.gstream
-            .on_membership(&mut eng, kind, &self.cfg, at, &mut q);
+            .on_membership(&mut eng, kind, &self.cfg, at, &mut self.queue);
+        self.gstream.publish_metrics(&mut self.gmem);
     }
 
     /// A device joins the live worker at `at`: fresh stream bulk, fresh

@@ -385,14 +385,13 @@ impl GStreamManager {
         let mut cursor = t;
         for i in 0..fl.members.len() {
             let mb = &mut fl.members[i];
-            let kernel = eng.registry.lock().get_by_id(mb.work.kernel).cloned();
-            let launched = match kernel {
+            let launched = match eng.registry.get_by_id(mb.work.kernel) {
                 Some(kernel) => eng
                     .gmem
                     .gpu_mut(fl.gpu)
                     .launch(
                         cursor,
-                        &kernel,
+                        kernel,
                         &mb.place.dev_inputs,
                         &[mb.out_dev.expect("allocated at dispatch")],
                         &mb.work.params,
@@ -586,7 +585,7 @@ impl GStreamManager {
                 .reclaim(&mut session.regions[gpu], gpu, place, mb.out_dev);
             self.executed_per_gpu[gpu] += 1;
             self.m_completed.inc();
-            self.metrics.maybe_sample(r.end);
+            self.sample_metrics(eng.gmem, r.end);
         }
         self.free_stream(gpu, stream, r.end, q);
         // Only a flight of one is a per-call measurement the cost model can

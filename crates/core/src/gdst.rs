@@ -28,7 +28,7 @@
 //! the result GDST's blocks; records are decoded only when a CPU operator
 //! asks for them ([`GDataSet::inner`]).
 
-use crate::checkpoint::{CheckpointManager, SnapshotBlock};
+use crate::checkpoint::{CheckpointManager, RestoredSnapshot, SnapshotBlock, SnapshotError};
 use crate::config::CheckpointConfig;
 use crate::gwork::{CacheKey, GWork, WorkBuf};
 use crate::jobsched::{AdmissionError, JobHandle};
@@ -67,6 +67,17 @@ pub enum OutMode {
         /// Maximum output records per input record.
         per_record: usize,
     },
+}
+
+impl OutMode {
+    /// Output records of a block of `rows` input records.
+    fn out_rows(self, rows: usize) -> usize {
+        match self {
+            OutMode::PerRecord => rows,
+            OutMode::PerBlock(n) => n,
+            OutMode::Bounded { per_record } => rows * per_record,
+        }
+    }
 }
 
 /// An extra input buffer shared by all blocks of a GPU map (broadcast
@@ -903,6 +914,44 @@ impl<T: GRecord> GDataSet<T> {
         )
     }
 
+    /// `rs`, if every block it holds is one this pass produces: a tag on
+    /// the pass's partition/block cut, with the bytes of that block's
+    /// output. A job relaunched with another shape (parallelism, block or
+    /// record size, output mode) cuts other blocks, so its predecessor's
+    /// snapshot is refused and the pass runs from zero.
+    fn on_this_cut(
+        &self,
+        rs: Option<RestoredSnapshot>,
+        out_mode: OutMode,
+        out_def: &GStructDef,
+    ) -> Result<Option<RestoredSnapshot>, SnapshotError> {
+        let Some(rs) = rs else {
+            return Ok(None);
+        };
+        let (rec_size, block_bytes) = (T::def().size(), self.env.fabric.cfg.block_bytes);
+        let cuts: Vec<Vec<usize>> = self
+            .parts
+            .iter()
+            .map(|part| {
+                block_cut(part_rows(part), self.scale, rec_size, block_bytes)
+                    .map(|rows| rows.len())
+                    .collect()
+            })
+            .collect();
+        for blk in &rs.snapshot.blocks {
+            let rows = cuts
+                .get(blk.tag.0 as usize)
+                .and_then(|c| c.get(blk.tag.1 as usize));
+            let out_bytes = |&rows| {
+                RecordView::required_bytes(out_def, DataLayout::Aos, out_mode.out_rows(rows))
+            };
+            if rows.map(out_bytes) != Some(blk.payload.len()) {
+                return Err(SnapshotError::ShapeMismatch { tag: blk.tag });
+            }
+        }
+        Ok(Some(rs))
+    }
+
     /// The GPU-based `mapPartition` (§3.5.2): run `spec.kernel` over every
     /// resident block on the worker's GPUs; the output blocks, still
     /// encoded, become the result GDST.
@@ -952,6 +1001,7 @@ impl<T: GRecord> GDataSet<T> {
                 .ckpt
                 .lock()
                 .read(&mut cl.hdfs, 0, &jname, seq, now)
+                .and_then(|rs| self.on_this_cut(rs, spec.out_mode, out_def))
             {
                 Ok(rs) => (rs, 0),
                 Err(_) => (None, 1),
@@ -979,6 +1029,9 @@ impl<T: GRecord> GDataSet<T> {
                 let n_log = n_act as f64 * scale;
                 elements += n_log as u64;
                 let mut cursor = part.ready + sched;
+                // One cluster lock per partition: its producer slot is
+                // reserved block by block under it.
+                let mut cl = cluster.lock();
                 // Zero-copy path: the resident bytes, already in the
                 // GDST's layout, are what goes to the device.
                 for (b, block) in self.blocks_for_pass(part, def).iter().enumerate() {
@@ -988,14 +1041,11 @@ impl<T: GRecord> GDataSet<T> {
                     let block_logical_bytes =
                         (block_logical_elems as f64 * def.size() as f64) as u64;
                     // Producer occupies its task slot briefly per block.
-                    let r = {
-                        let mut cl = cluster.lock();
-                        cl.workers[part.worker].slots.reserve_on(
-                            part.slot,
-                            cursor,
-                            fabric_cfg.producer_overhead,
-                        )
-                    };
+                    let r = cl.workers[part.worker].slots.reserve_on(
+                        part.slot,
+                        cursor,
+                        fabric_cfg.producer_overhead,
+                    );
                     cursor = r.end;
                     wall_start = wall_start.min(r.start);
                     let key = CacheKey {
@@ -1025,11 +1075,7 @@ impl<T: GRecord> GDataSet<T> {
                             }
                         });
                     }
-                    let out_rows = match spec.out_mode {
-                        OutMode::PerRecord => rows,
-                        OutMode::PerBlock(n) => n,
-                        OutMode::Bounded { per_record } => rows * per_record,
-                    };
+                    let out_rows = spec.out_mode.out_rows(rows);
                     let out_actual_bytes =
                         RecordView::required_bytes(out_def, DataLayout::Aos, out_rows);
                     let out_logical_bytes = match spec.out_mode {
@@ -1114,27 +1160,33 @@ impl<T: GRecord> GDataSet<T> {
         let mut fault_delta = FaultLedger::default();
         self.env.fabric.with_managers(|managers| {
             for m in managers.iter_mut() {
-                for done in m.drain_job(job) {
+                let completed = m.drain_job(job);
+                // One observability sample per completed work, folded in
+                // completion order under one rollup lock per drain: the
+                // job report's stage histograms, cache hit rate and
+                // per-channel byte counts aggregate these.
+                flink.with_gpu_rollup(|rollup| {
+                    for done in &completed {
+                        rollup.record(&GpuWorkSample {
+                            worker: m.worker_id(),
+                            gpu: (done.gpu != CPU_FALLBACK_GPU).then_some(done.gpu),
+                            queued: done.timing.queued(),
+                            h2d: done.timing.h2d,
+                            kernel: done.timing.kernel,
+                            d2h: done.timing.d2h,
+                            total: done.timing.total(),
+                            cache_hits: done.timing.cache_hits,
+                            cache_misses: done.timing.cache_misses,
+                            bytes_h2d: done.timing.bytes_h2d,
+                            bytes_d2h: done.timing.bytes_d2h,
+                        });
+                    }
+                });
+                for done in completed {
                     kernel_sum += done.timing.kernel;
                     h2d_sum += done.timing.h2d;
                     d2h_sum += done.timing.d2h;
                     wall_end = wall_end.max(done.timing.completed);
-                    // One observability sample per completed work: the
-                    // job report's stage histograms, cache hit rate and
-                    // per-channel byte counts aggregate these.
-                    flink.record_gpu_work(GpuWorkSample {
-                        worker: m.worker_id(),
-                        gpu: (done.gpu != CPU_FALLBACK_GPU).then_some(done.gpu),
-                        queued: done.timing.queued(),
-                        h2d: done.timing.h2d,
-                        kernel: done.timing.kernel,
-                        d2h: done.timing.d2h,
-                        total: done.timing.total(),
-                        cache_hits: done.timing.cache_hits,
-                        cache_misses: done.timing.cache_misses,
-                        bytes_h2d: done.timing.bytes_h2d,
-                        bytes_d2h: done.timing.bytes_d2h,
-                    });
                     if metrics.enabled() && slo.breached(done.timing.total()) {
                         slo_breaches += 1;
                         let mut ev = RecEvent::new(

@@ -25,7 +25,7 @@ use gflink_gpu::{
 };
 use gflink_memory::{ArenaBuf, BufferArena, HBuffer, PinnedLease, PinnedPool, PinnedStats};
 use gflink_sim::trace::{gpu_pid, Cat, TraceEvent, TID_DEVICE};
-use gflink_sim::{Counter, Metrics, SimTime, Tracer};
+use gflink_sim::{Counter, Metrics, SimTime, Tally, Tracer};
 
 /// Where one flight member's inputs live on the device: what stage 1
 /// (H2D) builds and [`GMemoryManager::reclaim`] tears down.
@@ -103,8 +103,9 @@ pub struct GMemoryManager {
     /// The live-metrics plane (disabled by default); kept so devices that
     /// join later inherit it like they inherit the tracer.
     metrics: Metrics,
-    /// Per-GPU live cache counters: (hits, misses, evictions).
-    m_cache: Vec<(Counter, Counter, Counter)>,
+    /// Per-GPU live cache counters: (hits, misses, evictions); the per-work
+    /// hit and miss feeds are tallies (see [`Self::publish_metrics`]).
+    m_cache: Vec<(Tally, Tally, Counter)>,
 }
 
 impl GMemoryManager {
@@ -164,15 +165,17 @@ impl GMemoryManager {
         let w = self.worker_id;
         let m = &self.metrics;
         let labels = format!("{{worker=\"{w}\",gpu=\"{gpu}\"}}");
+        self.m_cache[gpu].0.publish();
+        self.m_cache[gpu].1.publish();
         self.m_cache[gpu] = (
-            m.counter(
+            Tally::new(m.counter(
                 &format!("gflink_cache_hits_total{labels}"),
                 "GPU cache region hits",
-            ),
-            m.counter(
+            )),
+            Tally::new(m.counter(
                 &format!("gflink_cache_misses_total{labels}"),
                 "GPU cache region misses",
-            ),
+            )),
             m.counter(
                 &format!("gflink_cache_evictions_total{labels}"),
                 "GPU cache region evictions",
@@ -192,6 +195,16 @@ impl GMemoryManager {
                 "Bytes copied device-to-host",
             ),
         );
+    }
+
+    /// Publish the tallied per-device cache and device counters to the
+    /// live-metrics plane (before every sample and at quiescence).
+    pub(crate) fn publish_metrics(&mut self) {
+        for ((hits, misses, _), gpu) in self.m_cache.iter_mut().zip(&mut self.gpus) {
+            hits.publish();
+            misses.publish();
+            gpu.publish_metrics();
+        }
     }
 
     /// Attach a tracer: names one trace process per device and hands each

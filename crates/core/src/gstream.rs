@@ -36,9 +36,8 @@ use gflink_memory::{ArenaBuf, HBuffer};
 use gflink_sim::trace::{cpu_pid, gpu_pid, stream_tid, Cat, TraceEvent, TID_DEVICE};
 use gflink_sim::{
     Counter, EventQueue, FaultKind, Gauge, Histogram, MembershipKind, Metrics, RecEvent, RecKind,
-    SimRng, SimTime, Tracer,
+    SimRng, SimTime, Tally, Tracer,
 };
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -157,12 +156,14 @@ struct ChildRoute {
 /// Borrow-split view of the coordinator handed to every event handler:
 /// the two sibling managers, the open sessions, the kernel registry and
 /// the worker's RNG — everything an event may need besides the stream
-/// state the [`GStreamManager`] itself owns.
+/// state the [`GStreamManager`] itself owns. The registry is locked once
+/// per drain (lock order: managers → registry), so no handler locks it or
+/// clones a kernel.
 pub(crate) struct Engine<'a> {
     pub gmem: &'a mut GMemoryManager,
     pub recovery: &'a mut RecoveryManager,
     pub sessions: &'a mut BTreeMap<JobId, JobSession>,
-    pub registry: &'a Arc<Mutex<KernelRegistry>>,
+    pub registry: &'a KernelRegistry,
     pub rng: &'a mut SimRng,
 }
 
@@ -204,8 +205,8 @@ pub struct GStreamManager {
     /// The live-metrics plane (gates flight-recorder pushes and drives
     /// time-series sampling from the dispatch/completion hot path).
     pub(crate) metrics: Metrics,
-    m_dispatched: Counter,
-    pub(crate) m_completed: Counter,
+    m_dispatched: Tally,
+    pub(crate) m_completed: Tally,
     m_steals: Counter,
     m_penned: Counter,
     m_pen_depth: Gauge,
@@ -257,8 +258,8 @@ impl GStreamManager {
             tracer: Tracer::disabled(),
             worker_id: 0,
             metrics: Metrics::disabled(),
-            m_dispatched: Counter::disabled(),
-            m_completed: Counter::disabled(),
+            m_dispatched: Tally::default(),
+            m_completed: Tally::default(),
             m_steals: Counter::disabled(),
             m_penned: Counter::disabled(),
             m_pen_depth: Gauge::disabled(),
@@ -283,14 +284,16 @@ impl GStreamManager {
         self.metrics = metrics.clone();
         self.worker_id = worker_id;
         let l = format!("{{worker=\"{worker_id}\"}}");
-        self.m_dispatched = metrics.counter(
+        self.m_dispatched.publish();
+        self.m_completed.publish();
+        self.m_dispatched = Tally::new(metrics.counter(
             &format!("gflink_works_dispatched_total{l}"),
             "Works entering Alg. 5.1 placement (including retries)",
-        );
-        self.m_completed = metrics.counter(
+        ));
+        self.m_completed = Tally::new(metrics.counter(
             &format!("gflink_works_completed_total{l}"),
             "Works whose D2H landed",
-        );
+        ));
         self.m_steals = metrics.counter(
             &format!("gflink_steals_total{l}"),
             "Alg. 5.2 steals from foreign queues",
@@ -375,8 +378,62 @@ impl GStreamManager {
         &self.executed_per_gpu
     }
 
-    pub(crate) fn busy_until(&self, gpu: usize, stream: usize) -> SimTime {
-        self.stream_busy_until[gpu][stream]
+    /// Open a drain on `q` (reset, capacity kept): wake every live stream
+    /// at its busy-until so queued work left from interleaved submissions
+    /// is always picked up, enter the scripted faults and membership
+    /// events once each, then every session's pending works as one run,
+    /// stably ordered by submit instant (ties: session id, then submission
+    /// order) — the order, and so the pop order, of scheduling them one by
+    /// one.
+    pub(crate) fn seed_drain(
+        &self,
+        q: &mut EventQueue<Ev>,
+        gmem: &GMemoryManager,
+        recovery: &mut RecoveryManager,
+        sessions: &mut BTreeMap<JobId, JobSession>,
+    ) {
+        q.reset();
+        for (g, streams) in self.stream_busy_until.iter().enumerate() {
+            if gmem.usable(g) {
+                for (s, &busy) in streams.iter().enumerate() {
+                    q.schedule(busy, Ev::StreamFree { gpu: g, stream: s });
+                }
+            }
+        }
+        for e in recovery.take_unscheduled_faults() {
+            q.schedule(e.at, Ev::Fault(e.kind));
+        }
+        for e in recovery.take_unscheduled_membership() {
+            q.schedule(e.at, Ev::Membership(e.kind));
+        }
+        let mut pending: Vec<(JobId, SimTime, GWork)> = Vec::new();
+        for (&j, s) in sessions.iter_mut() {
+            pending.extend(s.pending.drain(..).map(|(t, w)| (j, t, w)));
+        }
+        pending.sort_by_key(|&(_, t, _)| t);
+        q.extend_sorted(
+            pending
+                .into_iter()
+                .map(|(job, t, work)| (t, Ev::submit(job, t, 0, work))),
+        );
+    }
+
+    /// Publish every per-work tally — this layer's and the memory layer's —
+    /// to the live-metrics plane: before each sample and at a drain's end,
+    /// so samples and exports read what per-work atomic adds would show.
+    pub(crate) fn publish_metrics(&mut self, gmem: &mut GMemoryManager) {
+        self.m_dispatched.publish();
+        self.m_completed.publish();
+        gmem.publish_metrics();
+    }
+
+    /// Sample the metrics plane at `t` if a tick is due, publishing the
+    /// tallies first.
+    pub(crate) fn sample_metrics(&mut self, gmem: &mut GMemoryManager, t: SimTime) {
+        if self.metrics.sample_due(t) {
+            self.publish_metrics(gmem);
+            self.metrics.maybe_sample(t);
+        }
     }
 
     /// True when no work is queued, penned, accumulating in a batcher, or
@@ -451,12 +508,12 @@ impl GStreamManager {
         q: &mut EventQueue<Ev>,
     ) {
         self.m_dispatched.inc();
-        self.metrics.maybe_sample(t);
+        self.sample_metrics(eng.gmem, t);
         // Intern the kernel name once at submission: spec-built works
         // arrive pre-resolved; hand-built ones resolve here. Every later
         // stage dispatches by id (an array index, no string hashing).
         if !work.kernel.is_resolved() {
-            if let Some(id) = eng.registry.lock().resolve(&work.execute_name) {
+            if let Some(id) = eng.registry.resolve(&work.execute_name) {
                 work.kernel = id;
             }
         }
@@ -973,7 +1030,7 @@ impl GStreamManager {
                 .inputs
                 .iter()
                 .all(|b| b.data.len().is_multiple_of(n) && b.logical_bytes.is_multiple_of(n as u64))
-            && eng.registry.lock().is_elementwise(work.kernel)
+            && eng.registry.is_elementwise(work.kernel)
     }
 
     /// Mint a synthetic child tag under `parent`'s partition: indices

@@ -55,6 +55,8 @@ pub struct GpuManager {
     pub(crate) sessions: BTreeMap<JobId, JobSession>,
     pub(crate) registry: Arc<Mutex<KernelRegistry>>,
     pub(crate) rng: SimRng,
+    /// The drain event loop's queue, reset and reused by every drain.
+    pub(crate) queue: EventQueue<Ev>,
 }
 
 impl GpuManager {
@@ -83,6 +85,7 @@ impl GpuManager {
             sessions: BTreeMap::new(),
             registry,
             rng: SimRng::new(0x5EED_0000 + worker_id as u64),
+            queue: EventQueue::new(),
             cfg,
         }
     }
@@ -303,42 +306,17 @@ impl GpuManager {
     /// their session ([`GpuManager::take_job_failed`]), not returned here.
     pub fn drain_job(&mut self, job: JobId) -> Vec<CompletedWork> {
         assert!(self.sessions.contains_key(&job), "unknown {job}");
-        let mut q: EventQueue<Ev> = EventQueue::new();
-        // Wake every live stream at its current busy-until so queued work
-        // left from interleaved submissions is always picked up.
-        for g in 0..self.gmem.gpu_count() {
-            if !self.gmem.usable(g) {
-                continue;
-            }
-            for s in 0..self.gstream.streams_per_gpu() {
-                q.schedule(
-                    self.gstream.busy_until(g, s),
-                    Ev::StreamFree { gpu: g, stream: s },
-                );
-            }
-        }
-        // Scripted faults and membership events enter the queue once each.
-        for e in self.recovery.take_unscheduled_faults() {
-            q.schedule(e.at, Ev::Fault(e.kind));
-        }
-        for e in self.recovery.take_unscheduled_membership() {
-            q.schedule(e.at, Ev::Membership(e.kind));
-        }
-        // Every session's pending works enter the loop, stably ordered by
-        // submit instant (ties: session id, then submission order).
-        let mut pending: Vec<(JobId, SimTime, GWork)> = Vec::new();
-        for (&j, s) in self.sessions.iter_mut() {
-            pending.extend(s.pending.drain(..).map(|(t, w)| (j, t, w)));
-        }
-        pending.sort_by_key(|&(_, t, _)| t);
-        for (job, t, work) in pending {
-            q.schedule(t, Ev::submit(job, t, 0, work));
-        }
+        let q = &mut self.queue;
+        self.gstream
+            .seed_drain(q, &self.gmem, &mut self.recovery, &mut self.sessions);
+        // One registry acquisition per drain (lock order: managers →
+        // registry); every handler borrows it.
+        let registry = self.registry.lock();
         let mut eng = Engine {
             gmem: &mut self.gmem,
             recovery: &mut self.recovery,
             sessions: &mut self.sessions,
-            registry: &self.registry,
+            registry: &registry,
             rng: &mut self.rng,
         };
         // Outer loop: works still penned when the queue runs dry (the
@@ -355,28 +333,27 @@ impl GpuManager {
                         work,
                     } => {
                         self.gstream
-                            .dispatch(&mut eng, job, work, submitted, retries, t, &mut q);
+                            .dispatch(&mut eng, job, work, submitted, retries, t, q);
                     }
-                    Ev::StreamFree { gpu, stream } => self
-                        .gstream
-                        .on_stream_free(&mut eng, gpu, stream, t, &mut q),
-                    Ev::KernelStage(id) => self.gstream.on_kernel_stage(&mut eng, id, t, &mut q),
-                    Ev::D2hStage(id) => self.gstream.on_d2h_stage(&mut eng, id, t, &mut q),
-                    Ev::Fault(kind) => self.gstream.on_fault(&mut eng, kind, t, &mut q),
-                    Ev::HangCheck(id) => self.gstream.on_hang_check(&mut eng, id, t, &mut q),
-                    Ev::FlushBatch { gpu, epoch } => {
-                        self.gstream.on_flush_batch(gpu, epoch, t, &mut q)
+                    Ev::StreamFree { gpu, stream } => {
+                        self.gstream.on_stream_free(&mut eng, gpu, stream, t, q)
                     }
-                    Ev::Membership(kind) => self
-                        .gstream
-                        .on_membership(&mut eng, kind, &self.cfg, t, &mut q),
+                    Ev::KernelStage(id) => self.gstream.on_kernel_stage(&mut eng, id, t, q),
+                    Ev::D2hStage(id) => self.gstream.on_d2h_stage(&mut eng, id, t, q),
+                    Ev::Fault(kind) => self.gstream.on_fault(&mut eng, kind, t, q),
+                    Ev::HangCheck(id) => self.gstream.on_hang_check(&mut eng, id, t, q),
+                    Ev::FlushBatch { gpu, epoch } => self.gstream.on_flush_batch(gpu, epoch, t, q),
+                    Ev::Membership(kind) => {
+                        self.gstream.on_membership(&mut eng, kind, &self.cfg, t, q)
+                    }
                 }
             }
-            if !self.gstream.flush_parked(&mut eng, last_t, &mut q) {
+            if !self.gstream.flush_parked(&mut eng, last_t, q) {
                 break;
             }
         }
         debug_assert!(self.gstream.is_idle(), "work left queued or in flight");
+        self.gstream.publish_metrics(&mut self.gmem);
         let session = self.sessions.get_mut(&job).expect("checked above");
         std::mem::take(&mut session.completed)
     }

@@ -21,9 +21,7 @@ use gflink_sim::{
     ComputeCost, Counter, EventQueue, FaultEvent, FaultLedger, FaultPlan, HostEngine,
     MembershipEvent, MembershipPlan, Metrics, RecEvent, RecKind, RetryPolicy, SimTime, Tracer,
 };
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use crate::gstream::Ev;
 
@@ -610,18 +608,16 @@ impl RecoveryManager {
     /// caller owns ledgers, traces, and completion routing.
     pub(crate) fn exec_on_host(
         &mut self,
-        registry: &Arc<Mutex<KernelRegistry>>,
+        registry: &KernelRegistry,
         work: &GWork,
         t: SimTime,
     ) -> Result<HostExec, ManagerError> {
-        let kernel = {
-            let reg = registry.lock();
-            // Works normally arrive interned; hand-built ones that never
-            // passed through a submission fall back to the name lookup.
-            reg.get_by_id(work.kernel)
-                .cloned()
-                .or_else(|| reg.get(&work.execute_name))
-        };
+        // Works normally arrive interned; hand-built ones that never passed
+        // through a submission fall back to the name lookup.
+        let kernel = registry.get_by_id(work.kernel).or_else(|| {
+            let id = registry.resolve(&work.execute_name)?;
+            registry.get_by_id(id)
+        });
         let Some(kernel) = kernel else {
             return Err(ManagerError::KernelMissing {
                 name: work.execute_name.to_string(),
@@ -659,7 +655,7 @@ impl RecoveryManager {
         &mut self,
         session: &mut JobSession,
         job: JobId,
-        registry: &Arc<Mutex<KernelRegistry>>,
+        registry: &KernelRegistry,
         work: GWork,
         submitted: SimTime,
         t: SimTime,

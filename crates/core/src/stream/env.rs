@@ -35,7 +35,7 @@ use crate::gdst::{GRecord, GpuFabric, GpuMapSpec, OutMode};
 use crate::gwork::{GWork, WorkBuf};
 use gflink_flink::{ClusterConfig, OpCost, SharedCluster};
 use gflink_gpu::{KernelArgs, KernelProfile};
-use gflink_memory::{gstruct, DataLayout, FieldKey, HBuffer, RecordReader, RecordView};
+use gflink_memory::{gstruct, DataLayout, GRow, HBuffer, RecordReader, RecordView};
 use gflink_sim::{LogHistogram, SimTime, Summary};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
@@ -67,15 +67,6 @@ gstruct! {
     }
 }
 
-/// The output row's columns, in declaration order.
-const KEYAGG_COLUMNS: [FieldKey<f64, 1>; 5] = [
-    KeyAgg::key,
-    KeyAgg::count,
-    KeyAgg::sum,
-    KeyAgg::min,
-    KeyAgg::max,
-];
-
 /// The windowed-aggregation kernel body: folds consecutive same-key runs
 /// in place with [`AggResult::push`] — the step [`AggResult::fold`], the
 /// CPU engine's fold, is made of — so the two engines are bit-identical.
@@ -84,25 +75,29 @@ const KEYAGG_COLUMNS: [FieldKey<f64, 1>; 5] = [
 fn window_agg_kernel(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
     let n = args.n_actual;
     let input = RecordReader::new(args.inputs[0], Pair::def(), DataLayout::Aos, n);
-    let capacity = args.outputs[0].len() / KeyAgg::def().size();
+    let capacity = args.outputs[0].len() / KeyAgg::SIZE;
     let out_buf = &mut args.outputs[0];
     let mut out = RecordView::new(out_buf, KeyAgg::def(), DataLayout::Aos, capacity);
-    let (key_in, value_in) = (input.field(Pair::key), input.field(Pair::value));
-    let columns = KEYAGG_COLUMNS.map(|k| out.field(k));
+    let mut slots = out.rows_of_mut::<KeyAgg>();
     let mut emitted = 0usize;
     let mut emit = |key: f64, r: AggResult| {
-        for (f, v) in columns
-            .into_iter()
-            .zip([key, r.count as f64, r.sum, r.min, r.max])
-        {
-            out.set(f, emitted, [v]);
+        let row = slots
+            .next()
+            .expect("kernel emitted past its output capacity");
+        KeyAgg {
+            key,
+            count: r.count as f64,
+            sum: r.sum,
+            min: r.min,
+            max: r.max,
         }
+        .store_row(row);
         emitted += 1;
     };
     // The open run: its first key and the fold so far.
     let mut run: Option<(f64, AggResult)> = None;
-    for row in input.rows() {
-        let ([key], [value]) = (key_in.read(row), value_in.read(row));
+    for row in input.rows_of::<Pair>() {
+        let Pair { key, value } = Pair::load_row(row);
         match &mut run {
             Some((k, acc)) if *k == key => acc.push(value),
             _ => {
@@ -664,12 +659,11 @@ impl<'a, T> WindowPipeline<'a, T> {
         let mut buf = HBuffer::zeroed(RecordView::required_bytes(pair, DataLayout::Aos, rows));
         {
             let mut view = RecordView::new(&mut buf, pair, DataLayout::Aos, rows);
-            let (key, value) = (view.field(Pair::key), view.field(Pair::value));
-            let mut slots = view.rows_mut();
+            let mut slots = view.rows_of_mut::<Pair>();
             for pane in &fw.panes {
-                for (&v, row) in pane.values.iter().zip(&mut slots) {
-                    key.write(row, [pane.key as f64]);
-                    value.write(row, [v]);
+                for (&value, row) in pane.values.iter().zip(&mut slots) {
+                    let key = pane.key as f64;
+                    Pair { key, value }.store_row(row);
                 }
             }
         }
@@ -930,21 +924,20 @@ impl<'a, T> WindowPipeline<'a, T> {
 /// The `(key, aggregate)` rows of one window's kernel output: the
 /// `emitted` first rows, or every row that fits when the count is unknown.
 fn read_keyagg(out: &HBuffer, emitted: Option<usize>) -> Vec<(u64, AggResult)> {
-    let capacity = out.len() / KeyAgg::def().size();
+    let capacity = out.len() / KeyAgg::SIZE;
     let reader = RecordReader::new(out, KeyAgg::def(), DataLayout::Aos, capacity);
-    let columns = KEYAGG_COLUMNS.map(|k| reader.field(k));
     reader
-        .rows()
+        .rows_of::<KeyAgg>()
         .take(emitted.unwrap_or(capacity))
         .map(|row| {
-            let [key, count, sum, min, max] = columns.map(|f| f.read(row)[0]);
+            let r = KeyAgg::load_row(row);
             let agg = AggResult {
-                count: count as u64,
-                sum,
-                min,
-                max,
+                count: r.count as u64,
+                sum: r.sum,
+                min: r.min,
+                max: r.max,
             };
-            (key as u64, agg)
+            (r.key as u64, agg)
         })
         .collect()
 }
@@ -1311,7 +1304,14 @@ mod tests {
             },
         ]);
         assert_eq!((Pair::key.index(), Pair::value.index()), (0, 1));
-        assert_eq!(KEYAGG_COLUMNS.map(|k| k.index()), [0, 1, 2, 3, 4]);
+        let keys = [
+            KeyAgg::key,
+            KeyAgg::count,
+            KeyAgg::sum,
+            KeyAgg::min,
+            KeyAgg::max,
+        ];
+        assert_eq!(keys.map(|k| k.index()), [0, 1, 2, 3, 4]);
         let names = KeyAgg::def().fields().iter().map(|f| &*f.name);
         assert!(names.eq(["key", "count", "sum", "min", "max"]));
     }
@@ -1365,6 +1365,26 @@ mod tests {
                 assert_eq!(run(window_agg_kernel), run(window_agg_oracle), "{pairs:?}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel emitted past its output capacity")]
+    fn window_kernel_panics_past_its_output_capacity() {
+        // Three key runs into an output sized for two rows.
+        let pairs = [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)];
+        let mut block = HBuffer::zeroed(pairs.len() * Pair::SIZE);
+        let mut view = RecordView::new(&mut block, Pair::def(), DataLayout::Aos, pairs.len());
+        for (&(key, value), row) in pairs.iter().zip(view.rows_of_mut::<Pair>()) {
+            Pair { key, value }.store_row(row);
+        }
+        let mut out = HBuffer::zeroed(2 * KeyAgg::SIZE);
+        window_agg_kernel(&mut KernelArgs {
+            inputs: &[&block],
+            outputs: &mut [&mut out],
+            params: &[],
+            n_actual: pairs.len(),
+            n_logical: pairs.len() as u64,
+        });
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! run.
 
 use crate::graph::{JobGraph, PhaseRecord};
-use crate::rollup::{GpuRollup, GpuWorkSample};
+use crate::rollup::GpuRollup;
 use crate::topology::{ClusterConfig, SharedCluster};
 use gflink_sim::{Accounting, FaultLedger, Phase, SimTime};
 use parking_lot::Mutex;
@@ -136,11 +136,6 @@ impl FlinkEnv {
     /// The job's failure ledger so far.
     pub fn faults(&self) -> FaultLedger {
         self.inner.lock().faults
-    }
-
-    /// Fold one completed GPU work into the job's observability rollup.
-    pub fn record_gpu_work(&self, sample: GpuWorkSample) {
-        self.inner.lock().gpu.record(&sample);
     }
 
     /// Run `f` over the job's GPU rollup (steal counts, per-device lanes —

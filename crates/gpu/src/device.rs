@@ -16,7 +16,7 @@ use crate::spec::{GpuModel, GpuSpec};
 use gflink_memory::HBuffer;
 use gflink_sim::timeline::Reservation;
 use gflink_sim::trace::{copy_engine_tid, Cat, TraceEvent, TID_DEVICE, TID_KERNEL_ENGINE};
-use gflink_sim::{Counter, SimTime, Timeline, Tracer};
+use gflink_sim::{Counter, SimTime, Tally, Timeline, Tracer};
 
 /// Direction of a PCIe copy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,11 +42,12 @@ pub struct VirtualGpu {
     bytes_d2h: u64,
     tracer: Tracer,
     trace_pid: u64,
-    /// Live-metrics mirrors of the lifetime counters (no-ops when the
-    /// metrics plane is off): kernel launches, H2D bytes, D2H bytes.
-    m_launches: Counter,
-    m_bytes_h2d: Counter,
-    m_bytes_d2h: Counter,
+    /// Live-metrics mirrors of the lifetime counters, published by
+    /// [`VirtualGpu::publish_metrics`]: kernel launches, H2D bytes, D2H
+    /// bytes.
+    m_launches: Tally,
+    m_bytes_h2d: Tally,
+    m_bytes_d2h: Tally,
 }
 
 impl VirtualGpu {
@@ -68,19 +69,30 @@ impl VirtualGpu {
             bytes_d2h: 0,
             tracer: Tracer::disabled(),
             trace_pid: 0,
-            m_launches: Counter::disabled(),
-            m_bytes_h2d: Counter::disabled(),
-            m_bytes_d2h: Counter::disabled(),
+            m_launches: Tally::default(),
+            m_bytes_h2d: Tally::default(),
+            m_bytes_d2h: Tally::default(),
         }
     }
 
     /// Attach live-metrics counters: kernel launches and copied bytes per
-    /// direction. The device feeds them alongside its lifetime counters;
-    /// disabled handles cost one branch per feed.
+    /// direction. The device tallies them alongside its lifetime counters
+    /// (a plain add per feed) and moves the tallies to the counters at
+    /// [`VirtualGpu::publish_metrics`].
     pub fn set_metrics(&mut self, launches: Counter, bytes_h2d: Counter, bytes_d2h: Counter) {
-        self.m_launches = launches;
-        self.m_bytes_h2d = bytes_h2d;
-        self.m_bytes_d2h = bytes_d2h;
+        self.publish_metrics();
+        self.m_launches = Tally::new(launches);
+        self.m_bytes_h2d = Tally::new(bytes_h2d);
+        self.m_bytes_d2h = Tally::new(bytes_d2h);
+    }
+
+    /// Publish the tallied launches and bytes to the live-metrics
+    /// counters. The owner calls it before every metrics sample and at
+    /// quiescence.
+    pub fn publish_metrics(&mut self) {
+        self.m_launches.publish();
+        self.m_bytes_h2d.publish();
+        self.m_bytes_d2h.publish();
     }
 
     /// Attach a tracer; the device emits engine-occupancy spans and health

@@ -11,18 +11,21 @@
 //! [`RecordReader`] (read-only) and [`RecordView`] (writable) interpret an
 //! [`HBuffer`] as `n` records of a [`GStructDef`] under a chosen layout.
 //! Neither allocates. Kernels address records the way a CUDA thread
-//! addresses `points[i].x` (§3.5.1): a [`Field`] handle, resolved once per
-//! launch, checks the field's type and length and fixes its base and
-//! stride, so no access after that looks at the schema. Under AoS a loop
-//! walks the records as rows (`rows`/`rows_mut`, `chunks_exact` over the
-//! struct size) and each handle reads or writes its field within a row.
-//! `get`/`set` access one record through a handle, with one record-range
-//! check; `get_field`/`set_field` resolve and access in one call. The
-//! per-element `get_f64`/`get_u64` family and the layout conversion serve
-//! generic code. Every access checks its record against the record count.
+//! addresses `points[i].x` (§3.5.1), at offsets fixed at compile time: under
+//! AoS a loop walks the records as rows of a [`GRow`] record
+//! (`rows_of`/`rows_of_mut`, `chunks_exact` over its constant size, the
+//! schema and layout checked once per launch) and moves each row with the
+//! record's const-offset codec. A [`Field`] handle, resolved once by key,
+//! checks the field's type and length and fixes its base and stride under
+//! any layout; `get`/`set` access one record through it with one
+//! record-range check, and `get_field`/`set_field` resolve and access in
+//! one call. The per-element `get_f64`/`get_u64` family and the layout
+//! conversion serve generic code. Every access checks its record against
+//! the record count.
 
 use crate::gstruct::{GStructDef, Prim, PrimType};
 use crate::hbuffer::HBuffer;
+use crate::record::GRow;
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::slice::{ChunksExact, ChunksExactMut};
@@ -144,22 +147,6 @@ impl<T: Prim, const N: usize> Field<T, N> {
     fn range(self, record: usize) -> Range<usize> {
         let start = self.base + record * self.stride;
         start..start + N * T::TYPE.size()
-    }
-
-    /// Read this field from one AoS row of its schema (an item of
-    /// [`RecordReader::rows`]).
-    #[inline(always)]
-    pub fn read(self, row: &[u8]) -> [T; N] {
-        debug_assert_eq!(row.len(), self.stride, "not an AoS row of this schema");
-        decode(&row[self.range(0)])
-    }
-
-    /// Write this field into one AoS row of its schema (an item of
-    /// [`RecordView::rows_mut`]).
-    #[inline(always)]
-    pub fn write(self, row: &mut [u8], v: [T; N]) {
-        debug_assert_eq!(row.len(), self.stride, "not an AoS row of this schema");
-        encode(&mut row[self.range(0)], v);
     }
 }
 
@@ -301,11 +288,13 @@ impl<'a> RecordView<'a> {
         self.set(self.field(key), record, v);
     }
 
-    /// The records as AoS rows of `def().size()` bytes, in record order —
-    /// what [`Field::write`] writes into. Panics unless the layout is AoS.
-    pub fn rows_mut(&mut self) -> ChunksExactMut<'_, u8> {
-        let stride = aos_stride(self.def, self.layout);
-        self.buf.as_mut_slice()[..self.n * stride].chunks_exact_mut(stride)
+    /// The records as AoS rows of `R`, in record order, for
+    /// [`GRow::store_row`]: `chunks_exact_mut(R::SIZE)` over the buffer.
+    /// The schema and layout are checked here, once per launch. Panics
+    /// unless the view holds AoS records of `R`'s schema.
+    pub fn rows_of_mut<R: GRow>(&mut self) -> ChunksExactMut<'_, u8> {
+        check_rows_of::<R>(self.def, self.layout);
+        self.buf.as_mut_slice()[..self.n * R::SIZE].chunks_exact_mut(R::SIZE)
     }
 
     /// Copy all records into `dst`, which may use a different layout.
@@ -416,11 +405,14 @@ impl<'a> RecordReader<'a> {
         self.get(self.field(key), record)
     }
 
-    /// The records as AoS rows of `def().size()` bytes, in record order —
-    /// what [`Field::read`] reads from. Panics unless the layout is AoS.
-    pub fn rows(&self) -> ChunksExact<'a, u8> {
-        let stride = aos_stride(self.def, self.layout);
-        self.buf.as_slice()[..self.n * stride].chunks_exact(stride)
+    /// The records as AoS rows of `R`, in record order, for
+    /// [`GRow::load_row`]: `chunks_exact(R::SIZE)` over the buffer. The
+    /// schema and layout are checked here, once per launch, so a row walk
+    /// reads every field at its compile-time offset. Panics unless the
+    /// reader holds AoS records of `R`'s schema.
+    pub fn rows_of<R: GRow>(&self) -> ChunksExact<'a, u8> {
+        check_rows_of::<R>(self.def, self.layout);
+        self.buf.as_slice()[..self.n * R::SIZE].chunks_exact(R::SIZE)
     }
 }
 
@@ -461,13 +453,22 @@ fn field_stride(def: &GStructDef, layout: DataLayout, field: usize) -> usize {
     }
 }
 
-fn aos_stride(def: &GStructDef, layout: DataLayout) -> usize {
+/// The once-per-launch check of a row walk: AoS records of `R`'s schema
+/// (the same `static`, or an equal schema built at run time).
+fn check_rows_of<R: GRow>(def: &GStructDef, layout: DataLayout) {
     assert!(
         layout == DataLayout::Aos,
         "row walks need AoS records, not {}",
         layout.label()
     );
-    def.size()
+    let want = R::def();
+    assert!(
+        std::ptr::eq(def, want) || def == want,
+        "row walk of {} over records of {}",
+        want.name(),
+        def.name()
+    );
+    debug_assert_eq!(R::SIZE, def.size());
 }
 
 #[inline]
@@ -541,6 +542,7 @@ fn round_up(x: usize, align: usize) -> usize {
 mod tests {
     use super::*;
     use crate::gstruct::{AlignClass, FieldDef, GStructDef};
+    use crate::GRecord;
 
     fn point_def() -> GStructDef {
         GStructDef::new(
@@ -864,26 +866,77 @@ mod tests {
         }
     }
 
+    crate::gstruct! {
+        /// `point_def()`, declared.
+        #[derive(Clone, Debug, PartialEq)]
+        struct Point: Align8 {
+            x: u32,
+            y: f64,
+            z: f32,
+        }
+    }
+
     #[test]
     fn row_walks_need_aos() {
         let def = point_def();
         for layout in [DataLayout::Soa, DataLayout::Aop] {
             let mut buf = HBuffer::zeroed(RecordView::required_bytes(&def, layout, 2));
             let text = panic_text(|| {
-                let _ = RecordReader::new(&buf, &def, layout, 2).rows();
+                let _ = RecordReader::new(&buf, &def, layout, 2).rows_of::<Point>();
             });
             assert_eq!(
                 text,
                 format!("row walks need AoS records, not {}", layout.label())
             );
             let text = panic_text(|| {
-                let _ = RecordView::new(&mut buf, &def, layout, 2).rows_mut();
+                let _ = RecordView::new(&mut buf, &def, layout, 2).rows_of_mut::<Point>();
             });
             assert_eq!(
                 text,
                 format!("row walks need AoS records, not {}", layout.label())
             );
         }
+    }
+
+    #[test]
+    fn row_walks_check_the_schema_once() {
+        // An equal schema built at run time walks like the declared one.
+        let def = point_def();
+        let mut buf = HBuffer::zeroed(RecordView::required_bytes(&def, DataLayout::Aos, 3));
+        let mut view = RecordView::new(&mut buf, &def, DataLayout::Aos, 3);
+        for (i, row) in view.rows_of_mut::<Point>().enumerate() {
+            Point {
+                x: i as u32,
+                y: i as f64 / 4.0,
+                z: -(i as f32),
+            }
+            .store_row(row);
+        }
+        let reader = RecordReader::new(&buf, &def, DataLayout::Aos, 3);
+        assert_eq!(reader.rows_of::<Point>().len(), 3);
+        let back: Vec<Point> = reader.rows_of::<Point>().map(Point::load_row).collect();
+        let want: Vec<Point> = (0..3).map(|i| Point::load(&reader, i)).collect();
+        assert_eq!(back, want);
+        assert_eq!(back[2].z, -2.0);
+        // Another schema of the same size is refused.
+        let other = GStructDef::new(
+            "Other",
+            AlignClass::Align8,
+            vec![
+                FieldDef::scalar("x", PrimType::U32),
+                FieldDef::scalar("y", PrimType::U64),
+                FieldDef::scalar("z", PrimType::F32),
+            ],
+        );
+        assert_eq!(other.size(), Point::SIZE);
+        let text = panic_text(|| {
+            let _ = RecordReader::new(&buf, &other, DataLayout::Aos, 3).rows_of::<Point>();
+        });
+        assert_eq!(text, "row walk of Point over records of Other");
+        let text = panic_text(|| {
+            let _ = RecordView::new(&mut buf, &other, DataLayout::Aos, 3).rows_of_mut::<Point>();
+        });
+        assert_eq!(text, "row walk of Point over records of Other");
     }
 
     #[test]

@@ -25,12 +25,12 @@
 //!   alignment class, offsets, padding);
 //! * [`gstruct!`] — a record declared once, the analogue of the paper's
 //!   `GStruct_8` + `@StructField(order = n)` annotations: the struct, its
-//!   `static` schema, its [`GRecord`] store/load and a typed [`FieldKey`]
-//!   per field;
+//!   `static` schema, its [`GRecord`] store/load, its [`GRow`]
+//!   const-offset AoS row codec and a typed [`FieldKey`] per field;
 //! * [`layout`] — Array-of-Structures / Structure-of-Arrays /
-//!   Array-of-Primitives views over the same logical schema, with
-//!   [`Field`] handles resolved by key once per kernel launch, AoS row walks,
-//!   conversions and a GPU memory-coalescing model (§2.1);
+//!   Array-of-Primitives views over the same logical schema, with AoS row
+//!   walks checked once per kernel launch, [`Field`] handles resolved by
+//!   key, conversions and a GPU memory-coalescing model (§2.1);
 //! * [`serialize`] — the *baseline* object-serialization path that GFlink
 //!   avoids, implemented so the contrast can be measured.
 
@@ -49,5 +49,5 @@ pub use hbuffer::HBuffer;
 pub use layout::{DataLayout, Field, FieldKey, RecordReader, RecordView};
 pub use pinned::{PinnedLease, PinnedPool, PinnedStats};
 pub use pool::{MemoryPool, PageRef, PoolError};
-pub use record::{GRecord, GValue};
+pub use record::{GRecord, GRow, GValue};
 pub use serialize::{decode_records, encode_records, FieldValue, Record};

@@ -5,9 +5,9 @@
 //! layout that both the host and the CUDA kernel read (§3.5.1).
 //! [`gstruct!`](crate::gstruct!) is that declaration: one struct definition
 //! yields the Rust struct, its [`GStructDef`] (built at compile time, field
-//! order = declaration order), the [`GRecord`] store/load and a typed
-//! [`FieldKey`] per field, so a field list cannot drift from the code that
-//! addresses it.
+//! order = declaration order), the [`GRecord`] store/load, the [`GRow`]
+//! const-offset AoS row codec and a typed [`FieldKey`] per field, so a
+//! field list cannot drift from the code that addresses it.
 //!
 //! [`FieldKey`]: crate::FieldKey
 
@@ -29,6 +29,24 @@ pub trait GRecord: Clone + Send + 'static {
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self;
 }
 
+/// A [`GRecord`] whose AoS row is fixed at compile time, as the paper's
+/// kernels read `points[i].x` at a constant offset (§3.5.1).
+/// [`gstruct!`](crate::gstruct!) implements it: `SIZE` and every field
+/// offset are constants of the declaration, so a row codec is a run of
+/// fixed-offset moves behind one length check.
+///
+/// Kernels walk rows with [`RecordReader::rows_of`] and
+/// [`RecordView::rows_of_mut`], which check the schema and the layout once
+/// per launch.
+pub trait GRow: GRecord {
+    /// The AoS row size: the padded struct size of [`GRecord::def`].
+    const SIZE: usize;
+    /// Decode one AoS row (at least `SIZE` bytes).
+    fn load_row(row: &[u8]) -> Self;
+    /// Encode into one AoS row (at least `SIZE` bytes).
+    fn store_row(&self, row: &mut [u8]);
+}
+
 /// The Rust type of a GStruct field: a primitive (a scalar field) or a
 /// fixed-length array of one (an array field).
 pub trait GValue: Copy {
@@ -42,6 +60,10 @@ pub trait GValue: Copy {
     fn into_elems(self) -> Self::Elems;
     /// The value of `elems`.
     fn from_elems(elems: Self::Elems) -> Self;
+    /// Decode from the little-endian bytes at the front of `bytes`.
+    fn read_le(bytes: &[u8]) -> Self;
+    /// Encode as little-endian bytes at the front of `bytes`.
+    fn write_le(self, bytes: &mut [u8]);
 }
 
 impl<T: Prim> GValue for T {
@@ -54,6 +76,14 @@ impl<T: Prim> GValue for T {
     fn from_elems([v]: [T; 1]) -> T {
         v
     }
+    #[inline(always)]
+    fn read_le(bytes: &[u8]) -> T {
+        Prim::read_le(bytes)
+    }
+    #[inline(always)]
+    fn write_le(self, bytes: &mut [u8]) {
+        Prim::write_le(self, bytes)
+    }
 }
 
 impl<T: Prim, const N: usize> GValue for [T; N] {
@@ -65,6 +95,16 @@ impl<T: Prim, const N: usize> GValue for [T; N] {
     }
     fn from_elems(elems: [T; N]) -> [T; N] {
         elems
+    }
+    #[inline(always)]
+    fn read_le(bytes: &[u8]) -> [T; N] {
+        std::array::from_fn(|i| T::read_le(&bytes[i * T::TYPE.size()..]))
+    }
+    #[inline(always)]
+    fn write_le(self, bytes: &mut [u8]) {
+        for (i, x) in self.into_iter().enumerate() {
+            x.write_le(&mut bytes[i * T::TYPE.size()..]);
+        }
     }
 }
 
@@ -83,9 +123,10 @@ impl<T: Prim, const N: usize> GValue for [T; N] {
 ///         pub links: [u32; 4],
 ///     }
 /// }
-/// use gflink_memory::{GRecord, PrimType};
+/// use gflink_memory::{GRecord, GRow, PrimType};
 /// let def = Point::def();
 /// assert_eq!((def.size(), def.offset(1), def.offset(2)), (32, 8, 16));
+/// assert_eq!(Point::SIZE, def.size());
 /// assert_eq!(def.fields()[1].prim, PrimType::F64);
 /// assert_eq!(Point::links.index(), 2);
 /// ```
@@ -98,10 +139,12 @@ impl<T: Prim, const N: usize> GValue for [T; N] {
 /// Docs and attributes on the struct and its fields pass through; the
 /// struct's derives must include `Clone`.
 ///
-/// Besides the struct, the declaration emits its [`GRecord`] impl and, for
-/// each field, an associated const of the field's visibility and name
-/// holding its typed [`FieldKey`](crate::FieldKey) (`Point::x:
-/// FieldKey<f32, 1>`), what kernels resolve their handles by.
+/// Besides the struct, the declaration emits its [`GRecord`] impl, its
+/// [`GRow`] row codec (the AoS size and every field offset are constants,
+/// so `Point::load_row` is fixed-offset moves) and, for each field, an
+/// associated const of the field's visibility and name holding its typed
+/// [`FieldKey`](crate::FieldKey) (`Point::x: FieldKey<f32, 1>`), what
+/// generic code resolves handles by.
 #[macro_export]
 macro_rules! gstruct {
     (
@@ -125,6 +168,12 @@ macro_rules! gstruct {
                 $($field,)+
             }
 
+            const FIELDS: &[$crate::FieldDef] = &[$($crate::FieldDef::of::<
+                $crate::gstruct!(@stored $ty $(as $store)?)>(stringify!($field)),)+];
+            /// Offsets by `Index`, the padded size and the alignment.
+            const LAYOUT: ([usize; FIELDS.len()], usize, usize) =
+                $crate::gstruct::c_layout_of(FIELDS, $crate::AlignClass::$align);
+
             #[allow(non_upper_case_globals)]
             impl $name {
                 $(
@@ -138,12 +187,12 @@ macro_rules! gstruct {
 
             impl $crate::GRecord for $name {
                 fn def() -> &'static $crate::GStructDef {
-                    use $crate::{gstruct::c_layout_of, AlignClass::$align as CLASS, FieldDef};
-                    const FIELDS: &[FieldDef] = &[$(FieldDef::of::<
-                        $crate::gstruct!(@stored $ty $(as $store)?)>(stringify!($field)),)+];
-                    const LAYOUT: ([usize; FIELDS.len()], usize, usize) = c_layout_of(FIELDS, CLASS);
-                    static DEF: $crate::GStructDef =
-                        $crate::GStructDef::declared(stringify!($name), CLASS, FIELDS, &LAYOUT);
+                    static DEF: $crate::GStructDef = $crate::GStructDef::declared(
+                        stringify!($name),
+                        $crate::AlignClass::$align,
+                        FIELDS,
+                        &LAYOUT,
+                    );
                     &DEF
                 }
 
@@ -160,6 +209,29 @@ macro_rules! gstruct {
                     )+}
                 }
             }
+
+            impl $crate::GRow for $name {
+                const SIZE: usize = LAYOUT.1;
+
+                #[inline]
+                fn load_row(row: &[u8]) -> Self {
+                    let row = &row[..LAYOUT.1];
+                    $name {$(
+                        $field: $crate::gstruct!(
+                            @read_row $ty $(as $store)?, &row[LAYOUT.0[Index::$field as usize]..]
+                        ),
+                    )+}
+                }
+
+                #[inline]
+                fn store_row(&self, row: &mut [u8]) {
+                    let row = &mut row[..LAYOUT.1];
+                    $($crate::GValue::write_le(
+                        self.$field $(as $store)?,
+                        &mut row[LAYOUT.0[Index::$field as usize]..],
+                    );)+
+                }
+            }
         };
     };
     (@stored $ty:ty) => { $ty };
@@ -168,11 +240,15 @@ macro_rules! gstruct {
     (@load $ty:ty as $store:ty, $elems:expr) => {
         <$store as $crate::GValue>::from_elems($elems) as $ty
     };
+    (@read_row $ty:ty, $bytes:expr) => { <$ty as $crate::GValue>::read_le($bytes) };
+    (@read_row $ty:ty as $store:ty, $bytes:expr) => {
+        <$store as $crate::GValue>::read_le($bytes) as $ty
+    };
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{AlignClass, DataLayout, FieldDef, GRecord, GStructDef, HBuffer, PrimType};
+    use crate::{AlignClass, DataLayout, FieldDef, GRecord, GRow, GStructDef, HBuffer, PrimType};
     use crate::{RecordReader, RecordView};
 
     crate::gstruct! {
@@ -237,9 +313,8 @@ mod tests {
         assert_eq!((Packed::a.index(), Packed::b.index()), (0, 1));
     }
 
-    #[test]
-    fn store_then_load_roundtrips_under_every_layout() {
-        let recs: Vec<Mixed> = (0..5u8)
+    fn mixed_records() -> Vec<Mixed> {
+        (0..5u8)
             .map(|r| Mixed {
                 tag: 250 - r,
                 xs: [r as f32, -1.5, f32::MAX],
@@ -249,7 +324,49 @@ mod tests {
                 j: i64::MIN + r as i64,
                 u: 0xDEAD_0000 | r as u32,
             })
-            .collect();
+            .collect()
+    }
+
+    /// The row codec writes exactly the bytes `store` writes under AoS and
+    /// reads back what `load` reads, padding included.
+    fn check_row_codec<R: GRow + PartialEq + std::fmt::Debug>(recs: &[R]) {
+        let (def, n) = (R::def(), recs.len());
+        assert_eq!(R::SIZE, def.size());
+        let bytes = RecordView::required_bytes(def, DataLayout::Aos, n);
+        let (mut stored, mut rowed) = (HBuffer::zeroed(bytes), HBuffer::zeroed(bytes));
+        let mut view = RecordView::new(&mut stored, def, DataLayout::Aos, n);
+        for (i, r) in recs.iter().enumerate() {
+            r.store(&mut view, i);
+        }
+        let mut view = RecordView::new(&mut rowed, def, DataLayout::Aos, n);
+        for (r, row) in recs.iter().zip(view.rows_of_mut::<R>()) {
+            r.store_row(row);
+        }
+        assert_eq!(stored, rowed, "{}", def.name());
+        let reader = RecordReader::new(&stored, def, DataLayout::Aos, n);
+        let rows: Vec<R> = reader.rows_of::<R>().map(R::load_row).collect();
+        let loaded: Vec<R> = (0..n).map(|i| R::load(&reader, i)).collect();
+        assert_eq!(rows, loaded);
+        assert_eq!(rows, recs);
+    }
+
+    #[test]
+    fn row_codec_equals_load_and_store_under_aos() {
+        check_row_codec(&mixed_records());
+        check_row_codec(&[
+            Packed { a: 1, b: -0.5 },
+            Packed {
+                a: u32::MAX,
+                b: f64::MIN_POSITIVE,
+            },
+            Packed { a: 7, b: 1e300 },
+        ]);
+        assert_eq!((Mixed::SIZE, Packed::SIZE), (Mixed::def().size(), 12));
+    }
+
+    #[test]
+    fn store_then_load_roundtrips_under_every_layout() {
+        let recs = mixed_records();
         let def = Mixed::def();
         for layout in DataLayout::ALL {
             let n = recs.len();

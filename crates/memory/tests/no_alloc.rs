@@ -1,9 +1,11 @@
 //! Readers, views, field handles and row walks never touch the heap, under
 //! any layout: a kernel that takes a `gstruct!` schema, resolves its
-//! handles by key and walks its records allocates nothing of its own per
-//! launch.
+//! handles by key or walks its rows with the record's row codec allocates
+//! nothing of its own per launch.
 
-use gflink_memory::{gstruct, DataLayout, FieldKey, GRecord, HBuffer, RecordReader, RecordView};
+use gflink_memory::{
+    gstruct, DataLayout, FieldKey, GRecord, GRow, HBuffer, RecordReader, RecordView,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
@@ -87,9 +89,9 @@ fn readers_views_handles_and_row_walks_allocate_nothing() {
                 view.set_f64(r, 3, 0, reader.get_f64(r, 3, 0));
             }
             if layout == DataLayout::Aos {
-                for (s, t) in reader.rows().zip(view.rows_mut()) {
-                    ys.write(t, xs.read(s));
-                    ls.write(t, ks.read(s));
+                for (s, t) in reader.rows_of::<Wide>().zip(view.rows_of_mut::<Wide>()) {
+                    let w = Wide::load_row(s);
+                    Wide { tag: !w.tag, ..w }.store_row(t);
                 }
             }
             black_box(&view);

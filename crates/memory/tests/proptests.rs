@@ -1,8 +1,9 @@
 //! Property tests for buffers, layouts, the pool and the serializer.
 
 use gflink_memory::{
-    decode_records, encode_records, AlignClass, DataLayout, FieldDef, FieldKey, FieldValue,
-    GStructDef, HBuffer, MemoryPool, Prim, PrimType, Record, RecordReader, RecordView,
+    decode_records, encode_records, gstruct, AlignClass, DataLayout, FieldDef, FieldKey,
+    FieldValue, GRow, GStructDef, HBuffer, MemoryPool, Prim, PrimType, Record, RecordReader,
+    RecordView,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -58,9 +59,9 @@ fn field_bytes<T: Prim, const N: usize>(v: [T; N]) -> Vec<u8> {
 }
 
 /// Check the `Field<T, N>` handle of `field` against `element_offset`,
-/// byte for byte: one-record reads and writes under every layout, and the
-/// row walks under AoS. Writes store record `n - 1 - r`'s value into
-/// record `r`, so every written cell moves.
+/// byte for byte: one-record reads and writes under every layout. Writes
+/// store record `n - 1 - r`'s value into record `r`, so every written cell
+/// moves.
 fn check_handle<T: Prim, const N: usize>(
     def: &GStructDef,
     layout: DataLayout,
@@ -103,18 +104,6 @@ fn check_handle<T: Prim, const N: usize>(
         view.set(g, r, *v);
     }
     prop_assert_eq!(&got, &want, "{:?} set", layout);
-    if layout == DataLayout::Aos {
-        prop_assert_eq!(reader.rows().len(), n);
-        for (r, row) in reader.rows().enumerate() {
-            prop_assert_eq!(field_bytes(f.read(row)), cell(r));
-        }
-        let mut walked = HBuffer::from_bytes(bytes);
-        let mut view = RecordView::new(&mut walked, def, layout, n);
-        for (row, v) in view.rows_mut().zip(&reversed) {
-            g.write(row, *v);
-        }
-        prop_assert_eq!(&walked, &want, "AoS row walk");
-    }
     Ok(())
 }
 
@@ -155,6 +144,57 @@ fn check_wrong_handle<T: Prim, const N: usize>(
             T::TYPE
         )
     );
+    Ok(())
+}
+
+gstruct! {
+    #[derive(Clone)]
+    struct Wide: Align8 {
+        tag: u8,
+        xs: [f32; 3],
+        i: i32,
+        seen: u64 as f64,
+        ks: [u64; 2],
+        u: u32,
+    }
+}
+
+gstruct! {
+    #[derive(Clone)]
+    struct Packed: Align4 {
+        a: u32,
+        b: f64,
+        c: [i64; 2],
+    }
+}
+
+/// `n` rows of `R` from `seed`'s byte stream: each row decoded by the row
+/// codec and by `load` must re-encode, through `store_row` and `store`, to
+/// the same bytes.
+fn check_row_codec<R: GRow>(seed: u64, n: usize) -> Result<(), TestCaseError> {
+    let def = R::def();
+    let mut state = seed;
+    let len = RecordView::required_bytes(def, DataLayout::Aos, n);
+    let bytes: Vec<u8> = (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 56) as u8
+        })
+        .collect();
+    let src = HBuffer::from_bytes(&bytes);
+    let reader = RecordReader::new(&src, def, DataLayout::Aos, n);
+    let (mut by_row, mut by_store) = (HBuffer::zeroed(len), HBuffer::zeroed(len));
+    let mut view = RecordView::new(&mut by_row, def, DataLayout::Aos, n);
+    for (src, dst) in reader.rows_of::<R>().zip(view.rows_of_mut::<R>()) {
+        R::load_row(src).store_row(dst);
+    }
+    let mut view = RecordView::new(&mut by_store, def, DataLayout::Aos, n);
+    for i in 0..n {
+        R::load(&reader, i).store(&mut view, i);
+    }
+    prop_assert_eq!(&by_row, &by_store, "{}", def.name());
     Ok(())
 }
 
@@ -310,9 +350,9 @@ proptest! {
         }
     }
 
-    /// Field handles — one-record reads and writes, and AoS row walks —
-    /// agree byte for byte with `element_offset` under every layout, for
-    /// mixed-width schemas with array fields.
+    /// Field handles' one-record reads and writes agree byte for byte with
+    /// `element_offset` under every layout, for mixed-width schemas with
+    /// array fields.
     #[test]
     fn field_handles_match_element_offsets(
         def in arb_def(),
@@ -339,6 +379,15 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// On arbitrary AoS bytes the row codec reads what `load` reads and
+    /// writes back the bytes `store` writes, for a padded Align8 record
+    /// with arrays and a cast field and for a packed Align4 one.
+    #[test]
+    fn row_codec_matches_load_and_store(seed in any::<u64>(), n in 0usize..9) {
+        check_row_codec::<Wide>(seed, n)?;
+        check_row_codec::<Packed>(seed, n)?;
     }
 
     /// Serializer roundtrip over random records.

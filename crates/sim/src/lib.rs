@@ -44,7 +44,7 @@ pub use faults::{
 pub use host::HostEngine;
 pub use metrics::{
     write_postmortem, Counter, FlightRecorder, Gauge, Histogram, LogHistogram, MetricId,
-    MetricKind, Metrics, PostmortemBundle, RecEvent, RecKind, SloPolicy, REC_NO_GPU,
+    MetricKind, Metrics, PostmortemBundle, RecEvent, RecKind, SloPolicy, Tally, REC_NO_GPU,
 };
 pub use rng::SimRng;
 pub use stats::Summary;

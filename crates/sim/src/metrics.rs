@@ -250,6 +250,47 @@ impl Counter {
     }
 }
 
+/// A [`Counter`] fed by one owner through `&mut self`, for per-work feeds:
+/// an increment is a plain add to a pending count, and
+/// [`Tally::publish`] moves the pending count to the shared cell in one
+/// atomic add. The owner publishes before every sample it triggers and at
+/// quiescence (a drain's end), so every sample and export reads exactly
+/// what a per-increment `Counter` would have shown, for the price of a
+/// plain add per increment instead of a locked one.
+#[derive(Clone, Debug, Default)]
+pub struct Tally {
+    cell: Counter,
+    pending: u64,
+}
+
+impl Tally {
+    /// A tally feeding `cell` (a disabled cell makes publishing a no-op).
+    pub fn new(cell: Counter) -> Self {
+        Tally { cell, pending: 0 }
+    }
+
+    /// Add `n`, pending until the next publish.
+    #[inline]
+    pub fn add(&mut self, n: u64) {
+        self.pending = self.pending.wrapping_add(n);
+    }
+
+    /// Add one, pending until the next publish.
+    #[inline]
+    pub fn inc(&mut self) {
+        self.add(1);
+    }
+
+    /// Move the pending count to the shared cell.
+    #[inline]
+    pub fn publish(&mut self) {
+        let n = std::mem::take(&mut self.pending);
+        if n != 0 {
+            self.cell.add(n);
+        }
+    }
+}
+
 /// A gauge handle: a settable level. Same cost model as [`Counter`].
 #[derive(Clone, Debug, Default)]
 pub struct Gauge(Option<Arc<AtomicU64>>);
@@ -465,6 +506,15 @@ impl Metrics {
             return;
         }
         self.sample_slow(inner, t);
+    }
+
+    /// Whether [`maybe_sample`](Self::maybe_sample) at `t` would take a
+    /// sample: the cue for [`Tally`] owners to publish first.
+    #[inline]
+    pub fn sample_due(&self, t: SimTime) -> bool {
+        self.inner
+            .as_ref()
+            .is_some_and(|inner| t.as_nanos() >= inner.next_due.load(Ordering::Relaxed))
     }
 
     fn sample_slow(&self, inner: &MetricsInner, t: SimTime) {

@@ -3,6 +3,15 @@
 use gflink_sim::{EventQueue, MultiTimeline, SimRng, SimTime, Timeline};
 use proptest::prelude::*;
 
+/// One step of the event-queue equivalence proptest.
+#[derive(Clone, Debug)]
+enum QueueOp {
+    Schedule(u64),
+    Run(Vec<u64>),
+    Pop(usize),
+    Reset,
+}
+
 proptest! {
     /// Reservations on a timeline never overlap and never go backwards.
     #[test]
@@ -62,6 +71,69 @@ proptest! {
             popped += 1;
         }
         prop_assert_eq!(popped, times.len());
+    }
+
+    /// A run entered with `extend_sorted` — sorted or not, interleaved
+    /// with `schedule` calls and pops, with tied times and times the clock
+    /// has passed (clamped to `now`) — pops exactly as the same events
+    /// entered one `schedule` call at a time.
+    #[test]
+    fn sorted_runs_pop_as_schedule_does(
+        ops in prop::collection::vec(
+            prop_oneof![
+                (0u64..40).prop_map(QueueOp::Schedule),
+                (prop::collection::vec(0u64..40, 0..12), any::<bool>())
+                    .prop_map(|(mut ts, sorted)| {
+                        if sorted {
+                            ts.sort_unstable();
+                        }
+                        QueueOp::Run(ts)
+                    }),
+                (1usize..6).prop_map(QueueOp::Pop),
+                Just(QueueOp::Reset),
+            ],
+            1..40,
+        ),
+    ) {
+        let (mut by_schedule, mut by_run) = (EventQueue::new(), EventQueue::new());
+        let mut id = 0u32;
+        let mut next = || {
+            id += 1;
+            id
+        };
+        for op in ops {
+            match op {
+                QueueOp::Schedule(at) => {
+                    let e = next();
+                    by_schedule.schedule(SimTime::from_nanos(at), e);
+                    by_run.schedule(SimTime::from_nanos(at), e);
+                }
+                QueueOp::Run(ts) => {
+                    let events: Vec<(SimTime, u32)> =
+                        ts.iter().map(|&at| (SimTime::from_nanos(at), next())).collect();
+                    for &(at, e) in &events {
+                        by_schedule.schedule(at, e);
+                    }
+                    by_run.extend_sorted(events);
+                }
+                QueueOp::Pop(k) => {
+                    for _ in 0..k {
+                        prop_assert_eq!(by_run.pop(), by_schedule.pop());
+                    }
+                }
+                QueueOp::Reset => {
+                    by_schedule = EventQueue::new();
+                    by_run.reset();
+                }
+            }
+            prop_assert_eq!(by_run.len(), by_schedule.len());
+            prop_assert_eq!(by_run.peek_time(), by_schedule.peek_time());
+            prop_assert_eq!(by_run.now(), by_schedule.now());
+        }
+        while let Some(e) = by_schedule.pop() {
+            prop_assert_eq!(by_run.pop(), Some(e));
+        }
+        prop_assert!(by_run.is_empty());
     }
 
     /// Same seed ⇒ identical RNG stream; fork ⇒ reproducible child stream.

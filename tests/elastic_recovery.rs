@@ -62,6 +62,17 @@ fn attempt(
     faults: FaultPlan,
     membership: MembershipPlan,
 ) -> (Vec<Point>, JobReport) {
+    attempt_with_parallelism(cluster, fabric, name, faults, membership, 4)
+}
+
+fn attempt_with_parallelism(
+    cluster: &SharedCluster,
+    fabric: &GpuFabric,
+    name: &str,
+    faults: FaultPlan,
+    membership: MembershipPlan,
+    parallelism: usize,
+) -> (Vec<Point>, JobReport) {
     fabric.with_managers(|ms| ms[0].set_fault_plan(faults));
     fabric.set_membership_plan(0, membership);
     let env = GflinkEnv::submit(cluster, fabric, name, SimTime::ZERO);
@@ -71,7 +82,7 @@ fn attempt(
             y: -(i as f32),
         })
         .collect();
-    let ds = env.flink.parallelize("pts", pts, 4, 1000.0);
+    let ds = env.flink.parallelize("pts", pts, parallelism, 1000.0);
     let gdst = env.to_gdst(ds, DataLayout::Aos);
     let spec = GpuMapSpec::new("cudaAddPoint")
         .with_params(vec![1.0, 2.0])
@@ -327,6 +338,42 @@ fn corrupt_snapshot_is_refused_and_job_replays_from_zero() {
     assert_eq!(g.restores, 0, "a corrupt snapshot must never be restored");
     assert_eq!(g.restores_refused, 1, "the refusal is counted");
     assert_eq!(g.works, total_works, "everything re-executes from zero");
+}
+
+#[test]
+fn restore_with_another_parallelism_is_refused_and_replays_from_zero() {
+    // Another parallelism deals the points out in another order.
+    let by_x = |mut pts: Vec<Point>| {
+        pts.sort_by(|a, b| a.x.total_cmp(&b.x));
+        pts
+    };
+    let clean = by_x(clean_reference().0);
+    for (first_par, second_par) in [(4, 2), (2, 4)] {
+        let cluster = SharedCluster::new(ClusterConfig::standard(1));
+        let run = |par| {
+            let fabric = make_fabric(fabric_cfg(SimTime::from_millis(1), true));
+            attempt_with_parallelism(
+                &cluster,
+                &fabric,
+                "reshaped",
+                FaultPlan::new(),
+                MembershipPlan::new(),
+                par,
+            )
+        };
+        let (first, _) = run(first_par);
+        assert_eq!(by_x(first), clean);
+        // The relaunch under the same name cuts other blocks: the first
+        // run's final snapshot is refused, never installed, and every
+        // block runs again.
+        let (second, report) = run(second_par);
+        assert_eq!(by_x(second), clean, "{first_par} -> {second_par}");
+        let g = report.gpu.as_ref().expect("gpu rollup");
+        assert_eq!(g.restores, 0, "{first_par} -> {second_par}");
+        assert_eq!(g.restores_refused, 1, "the refusal is counted");
+        assert_eq!(g.works_restored, 0);
+        assert!(g.works > 0, "everything re-executes from zero");
+    }
 }
 
 proptest! {
