@@ -61,7 +61,7 @@ fn same_seed_and_fault_plan_replays_identically() {
     assert_eq!(a.windows.len(), b.windows.len());
     assert_eq!(a.report.batches, b.report.batches);
     assert_eq!(a.report.lost.len(), b.report.lost.len());
-    assert_eq!(a.report.latency_hist.p99(), b.report.latency_hist.p99());
+    assert_eq!(a.report.latency.p99(), b.report.latency.p99());
 }
 
 #[test]

@@ -15,10 +15,17 @@
 //!
 //! `gpu_map_partition` implements the block-processing model of §5.1: each
 //! partition is split into blocks (a GStruct never straddles a block), the
-//! owning task slot *produces* one [`GWork`] per block, and the worker's
-//! [`GpuManager`] consumes them — three-stage pipelining, caching and
-//! locality-aware scheduling all apply. The partition's ready time
-//! advances to its last block's completion.
+//! owning task slot *produces* one [`GWork`](crate::gwork::GWork) per
+//! block, and the worker's [`GpuManager`] consumes them — three-stage
+//! pipelining, caching and locality-aware scheduling all apply. The
+//! partition's ready time advances to its last block's completion.
+//!
+//! Every GPU operator lowers its input the same way: a GDST block, a
+//! stream micro-batch and a fired window each become a work through one
+//! builder, `GpuMapSpec::work` (`lowering.rs`), and their output rows are
+//! counted by one rule, [`OutMode::rows`]. The restore read and install
+//! the GDST map and the windowed stream share live on the fabric
+//! (`GpuFabric::read_restore`, `GpuFabric::install_restore`).
 //!
 //! A GDST's source of truth is its *resident blocks*: off-heap
 //! [`HBuffer`]s in the GDST's layout, cut exactly where the producer cuts
@@ -30,15 +37,17 @@
 
 use crate::checkpoint::{CheckpointManager, RestoredSnapshot, SnapshotBlock, SnapshotError};
 use crate::config::CheckpointConfig;
-use crate::gwork::{CacheKey, GWork, WorkBuf};
+use crate::gwork::{CacheKey, WorkBuf};
 use crate::jobsched::{AdmissionError, JobHandle};
+pub(crate) use crate::lowering::EMITTED_FITS;
+pub use crate::lowering::{ExtraInput, GpuMapSpec, OutMode, SpecError};
 use crate::manager::{GpuManager, GpuWorkerConfig, CPU_FALLBACK_GPU};
 use crate::observe::Observer;
 use crate::session::JobId;
 use gflink_flink::dataset::RawPart;
 use gflink_flink::graph::{PhaseKind, PhaseRecord};
 use gflink_flink::{DataSet, FlinkEnv, GpuLane, GpuWorkSample, JobReport, SharedCluster};
-use gflink_gpu::{KernelArgs, KernelId, KernelProfile, KernelRegistry};
+use gflink_gpu::{KernelArgs, KernelProfile, KernelRegistry};
 pub use gflink_memory::GRecord;
 use gflink_memory::{DataLayout, GStructDef, HBuffer, RecordReader, RecordView};
 use gflink_sim::{
@@ -50,211 +59,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// Output shape of a GPU map.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OutMode {
-    /// One output record per input record (classic map, e.g. PointAdd).
-    PerRecord,
-    /// A fixed number of output records per block (block-level aggregation,
-    /// e.g. KMeans partial sums: k records per block).
-    PerBlock(usize),
-    /// Up to `per_record` output records per input record; the kernel
-    /// declares the valid count via `KernelProfile::with_emitted` (used by
-    /// block-level combining with data-dependent cardinality, e.g. the
-    /// PageRank contribution aggregation).
-    Bounded {
-        /// Maximum output records per input record.
-        per_record: usize,
-    },
-}
-
-impl OutMode {
-    /// Output records of a block of `rows` input records.
-    fn out_rows(self, rows: usize) -> usize {
-        match self {
-            OutMode::PerRecord => rows,
-            OutMode::PerBlock(n) => n,
-            OutMode::Bounded { per_record } => rows * per_record,
-        }
-    }
-}
-
-/// An extra input buffer shared by all blocks of a GPU map (broadcast
-/// state like KMeans centers, or SpMV's dense vector).
-#[derive(Clone)]
-pub struct ExtraInput {
-    /// The host bytes.
-    pub data: Arc<HBuffer>,
-    /// Paper-scale size for transfer timing.
-    pub logical_bytes: u64,
-    /// `Some(token)` caches the buffer on the GPU under that token (used by
-    /// SpMV to keep the dense vector resident, Fig. 8a); `None` re-transfers
-    /// it every map (used for per-iteration state like KMeans centers).
-    pub cache_token: Option<u64>,
-}
-
-/// Specification of a GPU-based mapper (what the user assembles in their
-/// `gpuMapBlock` implementation, Algorithm 3.1).
-#[derive(Clone)]
-pub struct GpuMapSpec {
-    /// Kernel `executeName` in the fabric registry. Shared (`Arc`) so the
-    /// per-block producer clones a pointer, not a string.
-    pub kernel: Arc<str>,
-    /// Interned dispatch id for `kernel`, set by [`GpuMapSpec::build`];
-    /// `KernelId::UNRESOLVED` until then.
-    pub kernel_id: KernelId,
-    /// Cosmetic `.ptx` provenance.
-    pub ptx_path: Arc<str>,
-    /// Scalar kernel parameters, shared across blocks.
-    pub params: Arc<[f64]>,
-    /// Mark the input blocks `Cache` (§4.2.2) — essential for iterative
-    /// workloads.
-    pub cache_input: bool,
-    /// Output shape.
-    pub out_mode: OutMode,
-    /// Logical elements per actual output element (`None` ⇒ inherit the
-    /// input's scale for `PerRecord`, `1.0` for `PerBlock`).
-    pub out_scale: Option<f64>,
-    /// Optional extra input shared by all blocks — broadcast state such as
-    /// the current KMeans centers or SpMV's dense vector.
-    pub extra_input: Option<ExtraInput>,
-    /// CUDA thread-block size (informational).
-    pub block_size: u32,
-}
-
-impl GpuMapSpec {
-    /// A spec with defaults: cached input, per-record output, 256 threads.
-    pub fn new(kernel: &str) -> Self {
-        GpuMapSpec {
-            kernel: kernel.into(),
-            kernel_id: KernelId::UNRESOLVED,
-            ptx_path: format!("/{kernel}.ptx").into(),
-            params: Arc::from([]),
-            cache_input: true,
-            out_mode: OutMode::PerRecord,
-            out_scale: None,
-            extra_input: None,
-            block_size: 256,
-        }
-    }
-
-    /// Set scalar parameters.
-    pub fn with_params(mut self, params: Vec<f64>) -> Self {
-        self.params = params.into();
-        self
-    }
-
-    /// Set the output mode.
-    pub fn with_out_mode(mut self, mode: OutMode) -> Self {
-        self.out_mode = mode;
-        self
-    }
-
-    /// Set the output scale.
-    pub fn with_out_scale(mut self, scale: f64) -> Self {
-        self.out_scale = Some(scale);
-        self
-    }
-
-    /// Disable input caching.
-    pub fn uncached(mut self) -> Self {
-        self.cache_input = false;
-        self
-    }
-
-    /// Attach a broadcast-style extra input, re-transferred on every map.
-    pub fn with_extra_input(mut self, buf: Arc<HBuffer>, logical_bytes: u64) -> Self {
-        self.extra_input = Some(ExtraInput {
-            data: buf,
-            logical_bytes,
-            cache_token: None,
-        });
-        self
-    }
-
-    /// Attach an extra input cached on the GPU under `token` (obtain one
-    /// from [`GpuFabric::new_cache_token`]).
-    pub fn with_cached_extra_input(
-        mut self,
-        buf: Arc<HBuffer>,
-        logical_bytes: u64,
-        token: u64,
-    ) -> Self {
-        self.extra_input = Some(ExtraInput {
-            data: buf,
-            logical_bytes,
-            cache_token: Some(token),
-        });
-        self
-    }
-
-    /// Validate the spec against `fabric` *before* any work is submitted:
-    /// the kernel must be registered (otherwise every block would fail deep
-    /// inside dispatch with `KernelMissing` and burn its whole retry
-    /// budget), and an attached extra input must carry non-degenerate byte
-    /// accounting (zero logical or actual bytes silently models an empty
-    /// transfer). On success, returns the spec with the kernel name
-    /// interned to its dispatch [`KernelId`] — blocks built from the spec
-    /// never hash the `executeName` again.
-    pub fn build(mut self, fabric: &GpuFabric) -> Result<GpuMapSpec, SpecError> {
-        match fabric.registry.lock().resolve(&self.kernel) {
-            Some(id) => self.kernel_id = id,
-            None => {
-                return Err(SpecError::UnregisteredKernel {
-                    name: self.kernel.to_string(),
-                })
-            }
-        }
-        if let Some(extra) = &self.extra_input {
-            if extra.data.is_empty() || extra.logical_bytes == 0 {
-                return Err(SpecError::DegenerateExtraInput {
-                    actual_bytes: extra.data.len(),
-                    logical_bytes: extra.logical_bytes,
-                });
-            }
-        }
-        Ok(self)
-    }
-}
-
-/// Why [`GpuMapSpec::build`] rejected a spec.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SpecError {
-    /// The kernel name is not registered in the fabric's registry.
-    UnregisteredKernel {
-        /// The missing `executeName`.
-        name: String,
-    },
-    /// The extra input's byte accounting is degenerate (empty host buffer
-    /// or zero logical bytes).
-    DegenerateExtraInput {
-        /// Host bytes actually held.
-        actual_bytes: usize,
-        /// Logical bytes declared for transfer timing.
-        logical_bytes: u64,
-    },
-}
-
-impl std::fmt::Display for SpecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SpecError::UnregisteredKernel { name } => {
-                write!(f, "kernel {name:?} is not registered in the fabric")
-            }
-            SpecError::DegenerateExtraInput {
-                actual_bytes,
-                logical_bytes,
-            } => write!(
-                f,
-                "extra input byte accounting is degenerate \
-                 ({actual_bytes} actual / {logical_bytes} logical bytes)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SpecError {}
 
 /// Fabric-wide GPU configuration.
 #[derive(Clone, Debug)]
@@ -289,7 +93,7 @@ impl Default for FabricConfig {
 #[derive(Clone)]
 pub struct GpuFabric {
     pub(crate) managers: Arc<Mutex<Vec<GpuManager>>>,
-    registry: Arc<Mutex<KernelRegistry>>,
+    pub(crate) registry: Arc<Mutex<KernelRegistry>>,
     /// Shared, immutable after construction: per-operator and per-manager
     /// paths clone the `Arc`, not the config.
     cfg: Arc<FabricConfig>,
@@ -415,6 +219,41 @@ impl GpuFabric {
     /// ([`GpuMapSpec::with_cached_extra_input`]).
     pub fn new_cache_token(&self) -> u64 {
         self.fresh_dataset_id()
+    }
+
+    /// The restore read of `job`'s next operator invocation under
+    /// `job_name` (DESIGN.md §13): the invocation's sequence number (`None`
+    /// when checkpointing is off or no `cluster` holds snapshots), the
+    /// snapshot its chain folds to, and the chains refused — 1 when the
+    /// chain is corrupt or broken, so the operator runs from zero instead
+    /// of replaying bad bytes. The read starts at `at`.
+    pub(crate) fn read_restore(
+        &self,
+        cluster: Option<&SharedCluster>,
+        job: JobId,
+        job_name: &str,
+        at: SimTime,
+    ) -> (Option<u64>, Option<RestoredSnapshot>, u64) {
+        let Some(cluster) = cluster.filter(|_| self.ckpt.lock().enabled()) else {
+            return (None, None, 0);
+        };
+        let seq = self.ckpt.lock().next_seq(job.0);
+        let mut cl = cluster.lock();
+        match self.ckpt.lock().read(&mut cl.hdfs, 0, job_name, seq, at) {
+            Ok(rs) => (Some(seq), rs, 0),
+            Err(_) => (Some(seq), None, 1),
+        }
+    }
+
+    /// Install a restore the operator validated: on every worker, the
+    /// blocks of `job` that `rs` covers are satisfied from it
+    /// (`works_restored`) instead of executing, so only the delta since
+    /// the snapshot replays.
+    pub(crate) fn install_restore(&self, job: &JobHandle, rs: &RestoredSnapshot) {
+        let tags = rs.snapshot.covered_tags();
+        for m in self.managers.lock().iter_mut() {
+            m.restore_job(job.id(), job.weight(), &tags);
+        }
     }
 
     /// Release all job caches on every worker (job teardown).
@@ -914,20 +753,18 @@ impl<T: GRecord> GDataSet<T> {
         )
     }
 
-    /// `rs`, if every block it holds is one this pass produces: a tag on
+    /// Whether every block `rs` holds is one this pass produces: a tag on
     /// the pass's partition/block cut, with the bytes of that block's
-    /// output. A job relaunched with another shape (parallelism, block or
-    /// record size, output mode) cuts other blocks, so its predecessor's
-    /// snapshot is refused and the pass runs from zero.
+    /// output and an emitted count the output-row rule accepts. A job
+    /// relaunched with another shape (parallelism, block or record size,
+    /// output mode) cuts other blocks, so its predecessor's snapshot is
+    /// refused and the pass runs from zero.
     fn on_this_cut(
         &self,
-        rs: Option<RestoredSnapshot>,
+        rs: &RestoredSnapshot,
         out_mode: OutMode,
         out_def: &GStructDef,
-    ) -> Result<Option<RestoredSnapshot>, SnapshotError> {
-        let Some(rs) = rs else {
-            return Ok(None);
-        };
+    ) -> Result<(), SnapshotError> {
         let (rec_size, block_bytes) = (T::def().size(), self.env.fabric.cfg.block_bytes);
         let cuts: Vec<Vec<usize>> = self
             .parts
@@ -945,11 +782,14 @@ impl<T: GRecord> GDataSet<T> {
             let out_bytes = |&rows| {
                 RecordView::required_bytes(out_def, DataLayout::Aos, out_mode.out_rows(rows))
             };
-            if rows.map(out_bytes) != Some(blk.payload.len()) {
+            let capacity = blk.payload.len() / out_def.size().max(1);
+            if rows.map(out_bytes) != Some(blk.payload.len())
+                || out_mode.rows(blk.emitted, capacity).is_none()
+            {
                 return Err(SnapshotError::ShapeMismatch { tag: blk.tag });
             }
         }
-        Ok(Some(rs))
+        Ok(())
     }
 
     /// The GPU-based `mapPartition` (§3.5.2): run `spec.kernel` over every
@@ -963,67 +803,41 @@ impl<T: GRecord> GDataSet<T> {
         let def = T::def();
         let out_def = U::def();
         let flink = &self.env.flink;
-        let fabric_cfg = Arc::clone(&self.env.fabric.cfg);
         let sched = flink.schedule_phase();
         let cluster = flink.cluster();
         let job = self.env.handle.id();
         let scale = self.scale;
-        let coalescing = self.layout.coalescing_all_fields(def);
+        let fabric = &self.env.fabric;
 
         let mut wall_start = SimTime::MAX;
         let mut last_submit = SimTime::ZERO;
         let mut elements = 0u64;
 
         // Checkpoint/restore (DESIGN.md §13). Each operator invocation of
-        // this job owns one snapshot file, keyed by the *job name* and a
+        // this job owns one snapshot chain, keyed by the *job name* and a
         // per-job invocation counter so a relaunched driver re-running the
         // same operator sequence finds its predecessor's snapshots. A
-        // found snapshot installs its covered tags on every worker: the
-        // producer below still submits all blocks, but covered ones are
-        // satisfied from the snapshot (`works_restored`) instead of
-        // executing — only the delta since the snapshot replays.
-        let ckpt_on = self.env.fabric.ckpt.lock().enabled();
+        // snapshot off this pass's cut is refused like a corrupt one; an
+        // accepted one is installed: the producer below still submits all
+        // blocks, but covered ones are satisfied from the snapshot.
         let jname = flink.name();
-        let seq = if ckpt_on {
-            self.env.fabric.ckpt.lock().next_seq(job.0)
-        } else {
-            0
-        };
-        // A corrupt or broken chain is refused here — the run falls back
-        // to executing from zero, never silently replaying bad bytes — and
-        // counted.
-        let (restored, refused) = if ckpt_on {
-            let now = flink.frontier();
-            let mut cl = cluster.lock();
-            match self
-                .env
-                .fabric
-                .ckpt
-                .lock()
-                .read(&mut cl.hdfs, 0, &jname, seq, now)
-                .and_then(|rs| self.on_this_cut(rs, spec.out_mode, out_def))
-            {
-                Ok(rs) => (rs, 0),
-                Err(_) => (None, 1),
-            }
-        } else {
-            (None, 0)
-        };
+        let (seq, read, mut refused) =
+            fabric.read_restore(Some(&cluster), job, &jname, flink.frontier());
+        let ckpt_on = seq.is_some();
+        let restored = read.filter(|rs| {
+            let fits = self.on_this_cut(rs, spec.out_mode, out_def).is_ok();
+            refused += u64::from(!fits);
+            fits
+        });
         if let Some(rs) = &restored {
-            let tags = rs.snapshot.covered_tags();
-            let weight = self.env.handle.weight();
-            self.env.fabric.with_managers(|managers| {
-                for m in managers.iter_mut() {
-                    m.restore_job(job, weight, &tags);
-                }
-            });
+            fabric.install_restore(&self.env.handle, rs);
         }
 
         // Producer side: each partition's pinned slot assembles one GWork
         // per block and submits it to the worker's GpuManager. The
         // operator name is interned once; every block shares it.
         let op_name: Arc<str> = name.into();
-        self.env.fabric.with_managers(|managers| {
+        fabric.with_managers(|managers| {
             for (p, part) in self.parts.iter().enumerate() {
                 let n_act = part_rows(part);
                 let n_log = n_act as f64 * scale;
@@ -1036,75 +850,29 @@ impl<T: GRecord> GDataSet<T> {
                 // GDST's layout, are what goes to the device.
                 for (b, block) in self.blocks_for_pass(part, def).iter().enumerate() {
                     let rows = block.rows;
-                    let block_logical_elems =
-                        (n_log * rows as f64 / n_act.max(1) as f64).round() as u64;
-                    let block_logical_bytes =
-                        (block_logical_elems as f64 * def.size() as f64) as u64;
+                    let n_logical = (n_log * rows as f64 / n_act.max(1) as f64).round() as u64;
                     // Producer occupies its task slot briefly per block.
                     let r = cl.workers[part.worker].slots.reserve_on(
                         part.slot,
                         cursor,
-                        fabric_cfg.producer_overhead,
+                        fabric.cfg.producer_overhead,
                     );
                     cursor = r.end;
                     wall_start = wall_start.min(r.start);
-                    let key = CacheKey {
-                        dataset: self.id,
-                        partition: p as u32,
-                        block: b as u32,
-                    };
-                    let data = Arc::clone(&block.buf);
-                    let mut inputs = vec![if spec.cache_input {
-                        WorkBuf::cached(data, block_logical_bytes, key)
+                    let (data, bytes) = (Arc::clone(&block.buf), n_logical * def.size() as u64);
+                    let tag = (p as u32, b as u32);
+                    let input = if spec.cache_input {
+                        let key = CacheKey {
+                            dataset: self.id,
+                            partition: tag.0,
+                            block: tag.1,
+                        };
+                        WorkBuf::cached(data, bytes, key)
                     } else {
-                        WorkBuf::transient(data, block_logical_bytes)
-                    }];
-                    if let Some(extra) = &spec.extra_input {
-                        inputs.push(match extra.cache_token {
-                            Some(token) => WorkBuf::cached(
-                                Arc::clone(&extra.data),
-                                extra.logical_bytes,
-                                CacheKey {
-                                    dataset: token,
-                                    partition: u32::MAX,
-                                    block: 0,
-                                },
-                            ),
-                            None => {
-                                WorkBuf::transient(Arc::clone(&extra.data), extra.logical_bytes)
-                            }
-                        });
-                    }
-                    let out_rows = spec.out_mode.out_rows(rows);
-                    let out_actual_bytes =
-                        RecordView::required_bytes(out_def, DataLayout::Aos, out_rows);
-                    let out_logical_bytes = match spec.out_mode {
-                        OutMode::PerRecord => {
-                            (block_logical_elems as f64 * out_def.size() as f64) as u64
-                        }
-                        OutMode::PerBlock(n) => (n * out_def.size()) as u64,
-                        OutMode::Bounded { per_record } => {
-                            (block_logical_elems as f64 * per_record as f64 * out_def.size() as f64)
-                                as u64
-                        }
+                        WorkBuf::transient(data, bytes)
                     };
-                    let work = GWork {
-                        name: Arc::clone(&op_name),
-                        execute_name: Arc::clone(&spec.kernel),
-                        kernel: spec.kernel_id,
-                        ptx_path: Arc::clone(&spec.ptx_path),
-                        block_size: spec.block_size,
-                        grid_size: (block_logical_elems as u32).div_ceil(spec.block_size.max(1)),
-                        inputs,
-                        out_actual_bytes,
-                        out_logical_bytes,
-                        out_records: out_rows,
-                        params: Arc::clone(&spec.params),
-                        n_actual: rows,
-                        n_logical: block_logical_elems,
-                        coalescing,
-                        tag: (p as u32, b as u32),
-                    };
+                    let name = Arc::clone(&op_name);
+                    let work = spec.work::<T, U>(name, input, self.layout, rows, n_logical, tag);
                     managers[part.worker].submit_for(job, work, r.end);
                     last_submit = last_submit.max(r.end);
                 }
@@ -1123,19 +891,12 @@ impl<T: GRecord> GDataSet<T> {
         // locks (metrics, observer policy, live jobs, checkpoint cursors)
         // are copied out *before* the managers are held, matching the
         // admission path's live-jobs-then-managers order.
-        let metrics = self.env.fabric.metrics.lock().clone();
+        let metrics = fabric.metrics.lock().clone();
         let (slo, snap_live, snap_ticks) = if metrics.enabled() {
-            let slo = self.env.fabric.observer.lock().slo;
-            let live: Vec<u64> = self
-                .env
-                .fabric
-                .live_jobs
-                .lock()
-                .iter()
-                .map(|j| j.0)
-                .collect();
+            let slo = fabric.observer.lock().slo;
+            let live: Vec<u64> = fabric.live_jobs.lock().iter().map(|j| j.0).collect();
             let ticks: BTreeMap<u64, SimTime> = {
-                let ck = self.env.fabric.ckpt.lock();
+                let ck = fabric.ckpt.lock();
                 live.iter()
                     .filter_map(|&j| ck.last_tick(j).map(|t| (j, t)))
                     .collect()
@@ -1145,10 +906,9 @@ impl<T: GRecord> GDataSet<T> {
             (SloPolicy::default(), Vec::new(), BTreeMap::new())
         };
 
-        // Consumer side: drain every worker's GpuManager.
-        #[allow(clippy::type_complexity)]
-        let mut per_part_blocks: Vec<Vec<(u32, Arc<HBuffer>, Option<usize>, SimTime)>> =
-            (0..self.parts.len()).map(|_| Vec::new()).collect();
+        // Consumer side: drain every worker's GpuManager. Every output
+        // block, executed or restored, is kept as the snapshot block it is.
+        let mut done_blocks: Vec<SnapshotBlock> = Vec::new();
         let mut kernel_sum = SimTime::ZERO;
         let mut h2d_sum = SimTime::ZERO;
         let mut d2h_sum = SimTime::ZERO;
@@ -1158,7 +918,7 @@ impl<T: GRecord> GDataSet<T> {
         let mut crashed_at: Option<SimTime> = None;
         let mut slo_breaches = 0u64;
         let mut fault_delta = FaultLedger::default();
-        self.env.fabric.with_managers(|managers| {
+        fabric.with_managers(|managers| {
             for m in managers.iter_mut() {
                 let completed = m.drain_job(job);
                 // One observability sample per completed work, folded in
@@ -1200,12 +960,12 @@ impl<T: GRecord> GDataSet<T> {
                         }
                         m.record_job_event(job, ev);
                     }
-                    per_part_blocks[done.tag.0 as usize].push((
-                        done.tag.1,
-                        Arc::new(done.output.into_inner()),
-                        done.emitted,
-                        done.timing.completed,
-                    ));
+                    done_blocks.push(SnapshotBlock {
+                        tag: done.tag,
+                        emitted: done.emitted,
+                        completed_at: done.timing.completed,
+                        payload: Arc::new(done.output.into_inner()),
+                    });
                 }
                 // Failure accounting: this drain's fault/recovery delta for
                 // THIS job (the session ledger window, not the cluster-wide
@@ -1218,10 +978,8 @@ impl<T: GRecord> GDataSet<T> {
                 flink.record_faults(delta);
                 for failed in m.take_job_failed(job) {
                     wall_end = wall_end.max(failed.failed_at);
-                    crashed_at = Some(match crashed_at {
-                        Some(c) => c.min(failed.failed_at),
-                        None => failed.failed_at,
-                    });
+                    crashed_at =
+                        Some(crashed_at.map_or(failed.failed_at, |c| c.min(failed.failed_at)));
                 }
             }
             // Flight-recorder postmortems: a non-quiet fault delta or an
@@ -1244,7 +1002,7 @@ impl<T: GRecord> GDataSet<T> {
                     managers,
                 );
                 let snap_json = snap.to_json();
-                let mut obs = self.env.fabric.observer.lock();
+                let mut obs = fabric.observer.lock();
                 if !fault_delta.is_quiet() {
                     obs.dump(
                         job.0,
@@ -1271,34 +1029,22 @@ impl<T: GRecord> GDataSet<T> {
         // here, ready when the restore read landed — they were never
         // (re)executed, which is the point.
         let mut restored_works = 0u64;
-        if let Some(rs) = &restored {
-            for blk in &rs.snapshot.blocks {
-                restored_works += 1;
-                wall_end = wall_end.max(rs.ready_at);
-                per_part_blocks[blk.tag.0 as usize].push((
-                    blk.tag.1,
-                    Arc::clone(&blk.payload),
-                    blk.emitted,
-                    rs.ready_at,
-                ));
-            }
+        if let Some(rs) = restored
+            .as_ref()
+            .filter(|rs| !rs.snapshot.blocks.is_empty())
+        {
+            restored_works = rs.snapshot.blocks.len() as u64;
+            wall_end = wall_end.max(rs.ready_at);
+            done_blocks.extend(rs.snapshot.blocks.iter().map(|blk| SnapshotBlock {
+                completed_at: rs.ready_at,
+                ..blk.clone()
+            }));
         }
         // Periodic snapshots of this op's progress, on the job-global
         // cadence (`CheckpointManager::snapshot_ticks`).
-        let (checkpoints, checkpoint_bytes) = if ckpt_on {
-            let mut done: Vec<SnapshotBlock> = Vec::new();
-            for (p, blocks) in per_part_blocks.iter().enumerate() {
-                for (b, buf, emitted, completed) in blocks.iter() {
-                    done.push(SnapshotBlock {
-                        tag: (p as u32, *b),
-                        emitted: *emitted,
-                        completed_at: *completed,
-                        payload: Arc::clone(buf),
-                    });
-                }
-            }
-            done.sort_by_key(|blk| (blk.completed_at, blk.tag));
-            let cache = self.env.fabric.with_managers(|managers| {
+        let (checkpoints, checkpoint_bytes) = if let Some(seq) = seq {
+            done_blocks.sort_by_key(|blk| (blk.completed_at, blk.tag));
+            let cache = fabric.with_managers(|managers| {
                 let mut c = Vec::new();
                 for m in managers.iter() {
                     c.extend(m.cache_manifest(job));
@@ -1306,14 +1052,14 @@ impl<T: GRecord> GDataSet<T> {
                 c
             });
             let mut cl = cluster.lock();
-            let mut ck = self.env.fabric.ckpt.lock();
+            let mut ck = fabric.ckpt.lock();
             let ticks = ck.snapshot_ticks(job.0, wall_start, wall_end, crashed_at);
             ck.write_ticks(
                 &mut cl.hdfs,
                 &jname,
                 (job.0, seq),
                 &ticks,
-                &done,
+                &done_blocks,
                 &cache,
                 |_| Some(Vec::new()),
             )
@@ -1354,7 +1100,7 @@ impl<T: GRecord> GDataSet<T> {
                     )
                     .inc();
             }
-            self.env.fabric.with_managers(|managers| {
+            fabric.with_managers(|managers| {
                 for m in managers.iter_mut() {
                     let w = m.worker_id() as u32;
                     if checkpoints > 0 {
@@ -1377,31 +1123,27 @@ impl<T: GRecord> GDataSet<T> {
         // The output blocks, in block order, become the result's resident
         // blocks as they are: nothing is decoded here.
         let out_size = out_def.size().max(1);
-        let parts: Vec<Part> = self
-            .parts
-            .iter()
-            .zip(per_part_blocks)
-            .map(|(part, mut blocks)| {
-                blocks.sort_by_key(|(b, _, _, _)| *b);
+        done_blocks.sort_by_key(|blk| blk.tag);
+        let mut done_blocks = done_blocks.into_iter().peekable();
+        let parts: Vec<Part> = (self.parts.iter().enumerate())
+            .map(|(p, part)| {
                 let mut ready = part.ready;
-                let blocks = blocks
-                    .into_iter()
-                    .map(|(_, buf, emitted, completed)| {
-                        ready = ready.max(completed);
-                        let rows = match spec.out_mode {
-                            OutMode::PerRecord => emitted.unwrap_or(buf.len() / out_size),
-                            OutMode::PerBlock(n) => n,
-                            OutMode::Bounded { .. } => {
-                                emitted.expect("Bounded output mode requires with_emitted")
-                            }
-                        };
-                        Block { buf, rows }
-                    })
-                    .collect();
+                let mut data = Vec::new();
+                while let Some(blk) = done_blocks.next_if(|blk| blk.tag.0 == p as u32) {
+                    ready = ready.max(blk.completed_at);
+                    // Restored blocks passed this rule in `on_this_cut`.
+                    let rows = spec
+                        .out_mode
+                        .rows(blk.emitted, blk.payload.len() / out_size);
+                    data.push(Block {
+                        rows: rows.expect(EMITTED_FITS),
+                        buf: blk.payload,
+                    });
+                }
                 Part {
                     worker: part.worker,
                     slot: part.slot,
-                    data: blocks,
+                    data,
                     ready,
                 }
             })
@@ -1423,17 +1165,14 @@ impl<T: GRecord> GDataSet<T> {
             elements,
         });
 
-        let out_scale = match (spec.out_mode, spec.out_scale) {
-            (_, Some(s)) => s,
-            (OutMode::PerRecord, None) | (OutMode::Bounded { .. }, None) => scale,
-            (OutMode::PerBlock(_), None) => 1.0,
-        };
         GDataSet {
             parts,
-            scale: out_scale,
+            scale: spec
+                .out_scale
+                .unwrap_or(spec.out_mode.inherited_scale(scale)),
             flink: flink.clone(),
             decoded: OnceLock::new(),
-            id: self.env.fabric.fresh_dataset_id(),
+            id: fabric.fresh_dataset_id(),
             layout: DataLayout::Aos,
             env: self.env.clone(),
         }

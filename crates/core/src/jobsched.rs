@@ -414,6 +414,17 @@ impl JobHandle {
         })
     }
 
+    /// Submissions of this job parked in backpressure pens so far, and the
+    /// simulated time they sat there, across all workers.
+    pub fn parked(&self) -> (u64, SimTime) {
+        self.fabric.with_managers(|ms| {
+            let sessions = ms.iter().filter_map(|m| m.session(self.job));
+            sessions.fold((0, SimTime::ZERO), |(n, t), s| {
+                (n + s.parked_works(), t + s.park_delay())
+            })
+        })
+    }
+
     /// This job's cumulative fault/recovery counters across all workers.
     pub fn faults(&self) -> FaultLedger {
         self.fabric.with_managers(|ms| {

@@ -21,7 +21,8 @@
 //! * [`GflinkEnv`] / [`GDataSet`] — the programming framework (§3.5): a
 //!   GPU-based DataSet built on [`GRecord`] (the GStruct binding), with
 //!   `gpu_map_partition`-style operators that split partitions into blocks
-//!   and drive them through the GPU fabric.
+//!   and drive them through the GPU fabric. A [`GpuMapSpec`] turns each
+//!   block — or stream micro-batch, or fired window — into its `GWork`.
 //! * [`commpath`] — the JVM→GPU communication-strategy comparison: GStruct
 //!   zero-copy vs. the serialize/copy path of prior systems (§4.1).
 //! * [`model`] — the analytical model of §6.3/6.4 (Eqs. 1–4).
@@ -39,6 +40,7 @@ pub mod gmemory;
 pub mod gstream;
 pub mod gwork;
 pub mod jobsched;
+mod lowering;
 pub mod manager;
 pub mod model;
 mod observe;

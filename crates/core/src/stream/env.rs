@@ -1,3 +1,5 @@
+#![warn(clippy::too_many_lines)]
+
 //! The DataStream builder and its engine lowerings.
 //!
 //! [`StreamEnv`] is the single streaming entry point: parameterized by
@@ -16,7 +18,8 @@
 //!
 //! — that lower onto the existing [`JobHandle`]/[`GpuMapSpec`] machinery:
 //! every micro-batch (map pipelines) or fired window (window pipelines)
-//! becomes one `GWork` submitted at its arrival/fire instant, flowing
+//! becomes one `GWork`, built by the same `GpuMapSpec::work` that lowers
+//! a GDST block, submitted at its arrival/fire instant, flowing
 //! through admission, backpressure pens, WFQ arbitration and whatever
 //! scheduling policy the fabric is configured with. Windowed keyed state
 //! checkpoints through the [`CheckpointManager`](crate::CheckpointManager)
@@ -31,12 +34,13 @@ use super::window::{
 };
 use super::{LostBatch, StreamError, StreamReport};
 use crate::checkpoint::{SnapshotBlock, StreamState};
-use crate::gdst::{GRecord, GpuFabric, GpuMapSpec, OutMode};
-use crate::gwork::{GWork, WorkBuf};
+use crate::gdst::{GRecord, GpuFabric, GpuMapSpec, OutMode, EMITTED_FITS};
+use crate::gwork::{CompletedWork, GWork, WorkBuf};
+use crate::jobsched::JobHandle;
 use gflink_flink::{ClusterConfig, OpCost, SharedCluster};
 use gflink_gpu::{KernelArgs, KernelProfile};
 use gflink_memory::{gstruct, DataLayout, GRow, HBuffer, RecordReader, RecordView};
-use gflink_sim::{LogHistogram, SimTime, Summary};
+use gflink_sim::{Samples, SimTime};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -603,9 +607,7 @@ impl<'a, T> WindowPipeline<'a, T> {
         let mut slot_free = vec![SimTime::ZERO; slots];
         let cost = OpCost::new(self.agg.flops_per_record, self.agg.bytes_per_record);
         let mut outputs = Vec::new();
-        let mut latency = Summary::new();
-        let mut hist = LogHistogram::new();
-        let mut last_latency = SimTime::ZERO;
+        let mut latency = Samples::new();
         let mut finished = SimTime::ZERO;
         for fw in &ing.fired {
             let dur = cpu.time_for(&cost, fw.logical() as f64);
@@ -614,9 +616,7 @@ impl<'a, T> WindowPipeline<'a, T> {
             let end = start + dur;
             *slot = end;
             let lat = end.saturating_sub(fw.fire_at);
-            latency.add_time(lat);
-            hist.record(lat);
-            last_latency = lat;
+            latency.push(lat);
             finished = finished.max(end);
             for pane in &fw.panes {
                 outputs.push(WindowOutput {
@@ -632,15 +632,8 @@ impl<'a, T> WindowPipeline<'a, T> {
         outputs.sort_by_key(|o| (o.span, o.key));
         Ok(WindowedRun {
             report: StreamReport {
-                batches: ing.fired.len(),
-                latency,
-                latency_hist: hist,
-                last_latency,
-                finished_at: finished,
-                lost: Vec::new(),
                 late_records: ing.late,
-                parked_works: 0,
-                park_delay: SimTime::ZERO,
+                ..StreamReport::new(latency, finished)
             },
             windows: outputs,
             watermarks: ing.stamps,
@@ -651,14 +644,18 @@ impl<'a, T> WindowPipeline<'a, T> {
         })
     }
 
-    /// Build the `GWork` for one fired window: panes packed key-ascending,
-    /// values in insertion order — the order the kernel folds in.
+    /// Lower one fired window: panes packed key-ascending, values in
+    /// insertion order — the order the kernel folds in — into one work
+    /// with one output row per pane.
     fn window_work(fw: &FiredWindow, spec: &GpuMapSpec, workers: usize) -> GWork {
-        let (pair, out_def) = (Pair::def(), KeyAgg::def());
         let rows = fw.rows();
-        let mut buf = HBuffer::zeroed(RecordView::required_bytes(pair, DataLayout::Aos, rows));
+        let mut buf = HBuffer::zeroed(RecordView::required_bytes(
+            Pair::def(),
+            DataLayout::Aos,
+            rows,
+        ));
         {
-            let mut view = RecordView::new(&mut buf, pair, DataLayout::Aos, rows);
+            let mut view = RecordView::new(&mut buf, Pair::def(), DataLayout::Aos, rows);
             let mut slots = view.rows_of_mut::<Pair>();
             for pane in &fw.panes {
                 for (&value, row) in pane.values.iter().zip(&mut slots) {
@@ -668,29 +665,11 @@ impl<'a, T> WindowPipeline<'a, T> {
             }
         }
         let logical = fw.logical().max(1);
-        let out_rows = fw.panes.len();
-        GWork {
-            name: format!("stream-window-{}", fw.seq).into(),
-            execute_name: Arc::clone(&spec.kernel),
-            kernel: spec.kernel_id,
-            ptx_path: Arc::clone(&spec.ptx_path),
-            block_size: spec.block_size,
-            grid_size: u32::try_from(logical)
-                .unwrap_or(u32::MAX)
-                .div_ceil(spec.block_size.max(1)),
-            inputs: vec![WorkBuf::transient(
-                Arc::new(buf),
-                logical * pair.size() as u64,
-            )],
-            out_actual_bytes: RecordView::required_bytes(out_def, DataLayout::Aos, out_rows),
-            out_logical_bytes: (out_rows * out_def.size()) as u64,
-            out_records: out_rows,
-            params: Arc::clone(&spec.params),
-            n_actual: rows,
-            n_logical: logical,
-            coalescing: 1.0,
-            tag: ((fw.seq as usize % workers) as u32, fw.seq),
-        }
+        let input = WorkBuf::transient(Arc::new(buf), logical * Pair::SIZE as u64);
+        let name = format!("stream-window-{}", fw.seq).into();
+        let tag = ((fw.seq as usize % workers) as u32, fw.seq);
+        let spec = spec.clone().with_out_mode(window_mode(fw));
+        spec.work::<Pair, KeyAgg>(name, input, DataLayout::Aos, rows, logical, tag)
     }
 
     fn run_gpu(&self) -> Result<WindowedRun, StreamError> {
@@ -698,31 +677,16 @@ impl<'a, T> WindowPipeline<'a, T> {
         let spec = GpuMapSpec::new(WINDOW_KERNEL)
             .uncached()
             .with_params(vec![self.agg.flops_per_record, self.agg.bytes_per_record])
-            .with_out_mode(OutMode::Bounded { per_record: 1 })
             .build(fabric)?;
         let workers = fabric.with_managers(|ms| ms.len()).max(1);
         let job = fabric.open_job_weighted(self.env.weight)?;
-        let jid = job.id();
 
         // --- restore read, ahead of the one ingest pass -------------------
         // The read is charged from time zero, so reading first moves no
         // simulated instant; it tells the pass which states to capture.
-        let ckpt = cluster.filter(|_| fabric.with_checkpoints(|c| c.enabled()));
-        let seq = if ckpt.is_some() {
-            fabric.with_checkpoints(|c| c.next_seq(jid.0))
-        } else {
-            0
-        };
-        let mut restores_refused = 0;
-        let read = ckpt.and_then(|cl| {
-            let mut cl = cl.lock();
-            fabric
-                .with_checkpoints(|c| c.read(&mut cl.hdfs, 0, &self.env.name, seq, SimTime::ZERO))
-                .unwrap_or_else(|_| {
-                    restores_refused += 1;
-                    None
-                })
-        });
+        let (seq, read, mut restores_refused) =
+            fabric.read_restore(cluster, job.id(), &self.env.name, SimTime::ZERO);
+        let ckpt = cluster.filter(|_| seq.is_some());
 
         // --- one ingest pass: windows, restore check, snapshot states -----
         let mut capture = Capture {
@@ -734,23 +698,25 @@ impl<'a, T> WindowPipeline<'a, T> {
         };
         capture.at.sort_unstable();
         let ing = self.ingest(self.crash_at, self.crash_at.is_none(), capture);
+        let fired_by_seq: BTreeMap<u32, &FiredWindow> =
+            ing.fired.iter().map(|f| (f.seq, f)).collect();
         // The snapshot's keyed state must equal the state the pass rebuilt
-        // at its frontier; divergence refuses the snapshot (replay from
-        // zero) rather than resuming wrong. So does a frontier past this
-        // run's own crash, which the pass never reached.
+        // at its frontier, and its windows' rows must pass the output-row
+        // rule; otherwise the snapshot is refused (replay from zero) rather
+        // than resumed wrong. So is a frontier past this run's own crash,
+        // which the pass never reached.
         let restored = read.filter(|rs| {
             let valid = StreamState::decode(&rs.snapshot.state)
-                .is_ok_and(|st| ing.states.at(rs.snapshot.frontier) == Some(&st));
+                .is_ok_and(|st| ing.states.at(rs.snapshot.frontier) == Some(&st))
+                && rs.snapshot.blocks.iter().all(|blk| {
+                    let fw = fired_by_seq.get(&blk.tag.1);
+                    fw.is_none_or(|fw| read_keyagg(fw, &blk.payload, blk.emitted).is_some())
+                });
             restores_refused += u64::from(!valid);
             valid
         });
         if let Some(rs) = &restored {
-            let tags = rs.snapshot.covered_tags();
-            fabric.with_managers(|ms| {
-                for m in ms.iter_mut() {
-                    m.restore_job(jid, job.weight(), &tags);
-                }
-            });
+            fabric.install_restore(&job, rs);
         }
 
         // --- submit every fired window at its fire instant ---------------
@@ -764,111 +730,57 @@ impl<'a, T> WindowPipeline<'a, T> {
         }
         gflink_flink::gate::checkpoint(last_submit);
 
-        // --- drain ------------------------------------------------------
-        struct Exec {
-            seq: u32,
-            completed: SimTime,
-            rows: Vec<(u64, AggResult)>,
-        }
-        let mut executed: Vec<Exec> = Vec::new();
+        // --- drain, then assemble outputs (executed + snapshot-restored) --
+        let (mut executed, lost, mut wall_end) = drain(&job, workers);
+        let crashed_at = lost.iter().map(|l| l.failed_at).chain(self.crash_at).min();
+        executed.sort_by_key(|done| done.tag.1);
+        let mut outputs = Vec::new();
+        let mut emit = |fw: &FiredWindow, rows: Vec<(u64, AggResult)>, at, latency, restored| {
+            outputs.extend(rows.into_iter().map(|(key, agg)| WindowOutput {
+                span: fw.span,
+                key,
+                agg,
+                fired_at: at,
+                latency,
+                restored,
+            }));
+        };
+        let mut latency = Samples::new();
         // Executed outputs kept for snapshots (checkpointing only).
         let mut done_blocks: Vec<SnapshotBlock> = Vec::new();
-        let mut wall_end = SimTime::ZERO;
-        for w in 0..workers {
-            for done in job.drain_worker(w) {
-                let rows = read_keyagg(&done.output, done.emitted);
-                let emitted = rows.len();
-                wall_end = wall_end.max(done.timing.completed);
-                executed.push(Exec {
-                    seq: done.tag.1,
-                    completed: done.timing.completed,
-                    rows,
-                });
-                if ckpt.is_some() {
-                    done_blocks.push(SnapshotBlock {
-                        tag: done.tag,
-                        emitted: Some(emitted),
-                        completed_at: done.timing.completed,
-                        payload: Arc::new(done.output.into_inner()),
-                    });
-                }
-            }
-        }
-        let mut lost = Vec::new();
-        let mut crashed_at = self.crash_at;
-        for f in job.take_failed() {
-            wall_end = wall_end.max(f.failed_at);
-            crashed_at = Some(crashed_at.map_or(f.failed_at, |c| c.min(f.failed_at)));
-            lost.push(LostBatch {
-                index: f.tag.1 as usize,
-                worker: f.tag.0 as usize,
-                reason: f.reason,
-            });
-        }
-        executed.sort_by_key(|e| e.seq);
-
-        // --- assemble outputs (executed + snapshot-restored) --------------
-        let fired_by_seq: BTreeMap<u32, &FiredWindow> =
-            ing.fired.iter().map(|f| (f.seq, f)).collect();
-        let mut outputs = Vec::new();
-        let mut latency = Summary::new();
-        let mut hist = LogHistogram::new();
-        let mut last_latency = SimTime::ZERO;
-        for e in &executed {
-            let fw = fired_by_seq[&e.seq];
-            let lat = e.completed.saturating_sub(fw.fire_at);
-            latency.add_time(lat);
-            hist.record(lat);
-            last_latency = lat;
-            for &(key, agg) in &e.rows {
-                outputs.push(WindowOutput {
-                    span: fw.span,
-                    key,
-                    agg,
-                    fired_at: e.completed,
-                    latency: lat,
-                    restored: false,
+        for done in executed {
+            let fw = fired_by_seq[&done.tag.1];
+            let rows = read_keyagg(fw, &done.output, done.emitted).expect(EMITTED_FITS);
+            let completed = done.timing.completed;
+            let lat = completed.saturating_sub(fw.fire_at);
+            latency.push(lat);
+            if ckpt.is_some() {
+                done_blocks.push(SnapshotBlock {
+                    tag: done.tag,
+                    emitted: Some(rows.len()),
+                    completed_at: completed,
+                    payload: Arc::new(done.output.into_inner()),
                 });
             }
+            emit(fw, rows, completed, lat, false);
         }
         let mut windows_restored = 0u64;
         if let Some(rs) = &restored {
             for blk in &rs.snapshot.blocks {
-                let Some(fw) = fired_by_seq.get(&blk.tag.1) else {
+                let Some(&fw) = fired_by_seq.get(&blk.tag.1) else {
                     continue;
                 };
                 windows_restored += 1;
                 wall_end = wall_end.max(rs.ready_at);
-                for (key, agg) in read_keyagg(&blk.payload, blk.emitted) {
-                    outputs.push(WindowOutput {
-                        span: fw.span,
-                        key,
-                        agg,
-                        fired_at: rs.ready_at,
-                        latency: SimTime::ZERO,
-                        restored: true,
-                    });
-                }
+                let rows = read_keyagg(fw, &blk.payload, blk.emitted).expect("validated");
+                emit(fw, rows, rs.ready_at, SimTime::ZERO, true);
             }
         }
-
-        // --- backpressure accounting --------------------------------------
-        let (parked_works, park_delay) = fabric.with_managers(|ms| {
-            let mut p = 0u64;
-            let mut d = SimTime::ZERO;
-            for m in ms.iter() {
-                if let Some(s) = m.session(jid) {
-                    p += s.parked_works();
-                    d += s.park_delay();
-                }
-            }
-            (p, d)
-        });
+        let (parked_works, park_delay) = job.parked();
 
         // --- periodic snapshots (gdst cadence, stream state attached) -----
-        // Each tick's keyed state is one the ingest pass captured.
         let (mut checkpoints, mut checkpoint_bytes) = (0, 0);
-        if let (Some(cl), false) = (ckpt, ing.fired.is_empty()) {
+        if let (Some(cl), Some(seq), false) = (ckpt, seq, ing.fired.is_empty()) {
             if let Some(rs) = restored {
                 let ready_at = rs.ready_at;
                 done_blocks.extend(rs.snapshot.blocks.into_iter().map(|blk| SnapshotBlock {
@@ -879,7 +791,8 @@ impl<'a, T> WindowPipeline<'a, T> {
             done_blocks.sort_by_key(|b| (b.completed_at, b.tag));
             let mut cl = cl.lock();
             (checkpoints, checkpoint_bytes) = fabric.with_checkpoints(|ck| {
-                let ticks = ck.snapshot_ticks(jid.0, first_fire, wall_end, crashed_at);
+                let ticks = ck.snapshot_ticks(job.id().0, first_fire, wall_end, crashed_at);
+                // Each tick's keyed state is one the ingest pass captured.
                 // A tick the pass holds no state for — the final tick of a
                 // run whose last window completed before its last batch
                 // landed, or a cadence tick of a run that restored every
@@ -888,7 +801,7 @@ impl<'a, T> WindowPipeline<'a, T> {
                 ck.write_ticks(
                     &mut cl.hdfs,
                     &self.env.name,
-                    (jid.0, seq),
+                    (job.id().0, seq),
                     &ticks,
                     &done_blocks,
                     &[],
@@ -901,15 +814,11 @@ impl<'a, T> WindowPipeline<'a, T> {
         outputs.sort_by_key(|o| (o.span, o.key));
         Ok(WindowedRun {
             report: StreamReport {
-                batches: executed.len(),
-                latency,
-                latency_hist: hist,
-                last_latency,
-                finished_at: wall_end,
                 lost,
                 late_records: ing.late,
                 parked_works,
                 park_delay,
+                ..StreamReport::new(latency, wall_end)
             },
             windows: outputs,
             watermarks: ing.stamps,
@@ -921,25 +830,49 @@ impl<'a, T> WindowPipeline<'a, T> {
     }
 }
 
-/// The `(key, aggregate)` rows of one window's kernel output: the
-/// `emitted` first rows, or every row that fits when the count is unknown.
-fn read_keyagg(out: &HBuffer, emitted: Option<usize>) -> Vec<(u64, AggResult)> {
+/// A fired window's output mode: one `KeyAgg` row per pane.
+fn window_mode(fw: &FiredWindow) -> OutMode {
+    OutMode::PerBlock(fw.panes.len())
+}
+
+/// The `(key, aggregate)` rows of window `fw`'s kernel output, counted by
+/// the output-row rule; `None` when the declared count does not fit.
+fn read_keyagg(
+    fw: &FiredWindow,
+    out: &HBuffer,
+    emitted: Option<usize>,
+) -> Option<Vec<(u64, AggResult)>> {
     let capacity = out.len() / KeyAgg::SIZE;
+    let rows = window_mode(fw).rows(emitted, capacity)?;
     let reader = RecordReader::new(out, KeyAgg::def(), DataLayout::Aos, capacity);
-    reader
-        .rows_of::<KeyAgg>()
-        .take(emitted.unwrap_or(capacity))
-        .map(|row| {
-            let r = KeyAgg::load_row(row);
-            let agg = AggResult {
-                count: r.count as u64,
-                sum: r.sum,
-                min: r.min,
-                max: r.max,
-            };
-            (r.key as u64, agg)
+    let rows = reader.rows_of::<KeyAgg>().take(rows).map(|row| {
+        let r = KeyAgg::load_row(row);
+        let agg = AggResult {
+            count: r.count as u64,
+            sum: r.sum,
+            min: r.min,
+            max: r.max,
+        };
+        (r.key as u64, agg)
+    });
+    Some(rows.collect())
+}
+
+/// Drain `job` on every worker: its completions, worker by worker, the
+/// units it lost for good, and when the last of either landed.
+fn drain(job: &JobHandle, workers: usize) -> (Vec<CompletedWork>, Vec<LostBatch>, SimTime) {
+    let done: Vec<CompletedWork> = (0..workers).flat_map(|w| job.drain_worker(w)).collect();
+    let lost: Vec<LostBatch> = (job.take_failed().into_iter())
+        .map(|f| LostBatch {
+            index: f.tag.1 as usize,
+            worker: f.tag.0 as usize,
+            reason: f.reason,
+            failed_at: f.failed_at,
         })
-        .collect()
+        .collect();
+    let ends = done.iter().map(|d| d.timing.completed);
+    let finished = ends.chain(lost.iter().map(|l| l.failed_at)).max();
+    (done, lost, finished.unwrap_or(SimTime::ZERO))
 }
 
 /// A per-batch GPU kernel map over the stream (GPU engine).
@@ -961,8 +894,7 @@ impl<T: GRecord, U: GRecord> MapPipeline<'_, T, U> {
         let (fabric, _) = self.stream.env.gpu_parts()?;
         self.stream.validate()?;
         let spec = self.spec.clone().build(fabric)?;
-        let def = T::def();
-        let out_def = U::def();
+        let (def, out_def) = (T::def(), U::def());
         let workers = fabric.with_managers(|ms| ms.len()).max(1);
         let job = fabric.open_job_weighted(self.stream.env.weight)?;
         let batches = merged_batches(&self.stream.sources);
@@ -978,125 +910,44 @@ impl<T: GRecord, U: GRecord> MapPipeline<'_, T, U> {
                 }
             }
             let n_logical = src.batch_logical();
-            let out_rows = match spec.out_mode {
-                OutMode::PerRecord => rows,
-                OutMode::PerBlock(n) => n,
-                OutMode::Bounded { per_record } => rows * per_record,
-            };
-            let out_logical_bytes = match spec.out_mode {
-                OutMode::PerRecord => n_logical * out_def.size() as u64,
-                OutMode::PerBlock(n) => (n * out_def.size()) as u64,
-                OutMode::Bounded { per_record } => {
-                    n_logical * per_record as u64 * out_def.size() as u64
-                }
-            };
-            let mut inputs = vec![WorkBuf::transient(
-                Arc::new(buf),
-                n_logical * def.size() as u64,
-            )];
-            if let Some(extra) = &spec.extra_input {
-                inputs.push(match extra.cache_token {
-                    Some(token) => WorkBuf::cached(
-                        Arc::clone(&extra.data),
-                        extra.logical_bytes,
-                        crate::gwork::CacheKey {
-                            dataset: token,
-                            partition: u32::MAX,
-                            block: 0,
-                        },
-                    ),
-                    None => WorkBuf::transient(Arc::clone(&extra.data), extra.logical_bytes),
-                });
-            }
-            let work = GWork {
-                name: format!("stream-batch-{g}").into(),
-                execute_name: Arc::clone(&spec.kernel),
-                kernel: spec.kernel_id,
-                ptx_path: Arc::clone(&spec.ptx_path),
-                block_size: spec.block_size,
-                grid_size: u32::try_from(n_logical)
-                    .unwrap_or(u32::MAX)
-                    .div_ceil(spec.block_size.max(1)),
-                inputs,
-                out_actual_bytes: RecordView::required_bytes(out_def, DataLayout::Aos, out_rows),
-                out_logical_bytes,
-                out_records: out_rows,
-                params: Arc::clone(&spec.params),
-                n_actual: rows,
-                n_logical,
-                coalescing: 1.0,
-                tag: ((g % workers) as u32, g as u32),
-            };
+            let input = WorkBuf::transient(Arc::new(buf), n_logical * def.size() as u64);
+            let name = format!("stream-batch-{g}").into();
+            let tag = ((g % workers) as u32, g as u32);
+            let work = spec.work::<T, U>(name, input, DataLayout::Aos, rows, n_logical, tag);
             job.submit_to(g % workers, work, b.arrival);
             last_submit = last_submit.max(b.arrival);
         }
         gflink_flink::gate::checkpoint(last_submit);
 
+        let (executed, lost, finished) = drain(&job, workers);
         let mut completions: Vec<Option<(SimTime, Vec<U>)>> =
             (0..batches.len()).map(|_| None).collect();
-        let mut finished = SimTime::ZERO;
-        for w in 0..workers {
-            for done in job.drain_worker(w) {
-                let g = done.tag.1 as usize;
-                let capacity = done.output.len() / out_def.size().max(1);
-                let out_rows = match spec.out_mode {
-                    OutMode::PerRecord => done.emitted.unwrap_or(capacity).min(capacity),
-                    OutMode::PerBlock(n) => n.min(capacity),
-                    OutMode::Bounded { .. } => done.emitted.unwrap_or(0).min(capacity),
-                };
-                let reader = RecordReader::new(&done.output, out_def, DataLayout::Aos, capacity);
-                let records: Vec<U> = (0..out_rows).map(|j| U::load(&reader, j)).collect();
-                finished = finished.max(done.timing.completed);
-                completions[g] = Some((done.timing.completed, records));
-            }
+        for done in executed {
+            let capacity = done.output.len() / out_def.size().max(1);
+            let rows = spec
+                .out_mode
+                .rows(done.emitted, capacity)
+                .expect(EMITTED_FITS);
+            let reader = RecordReader::new(&done.output, out_def, DataLayout::Aos, capacity);
+            let records = (0..rows).map(|j| U::load(&reader, j)).collect();
+            completions[done.tag.1 as usize] = Some((done.timing.completed, records));
         }
-        let mut lost = Vec::new();
-        for f in job.take_failed() {
-            finished = finished.max(f.failed_at);
-            lost.push(LostBatch {
-                index: f.tag.1 as usize,
-                worker: f.tag.0 as usize,
-                reason: f.reason,
-            });
-        }
-        let (parked_works, park_delay) = fabric.with_managers(|ms| {
-            let mut p = 0u64;
-            let mut d = SimTime::ZERO;
-            for m in ms.iter() {
-                if let Some(s) = m.session(job.id()) {
-                    p += s.parked_works();
-                    d += s.park_delay();
-                }
-            }
-            (p, d)
-        });
+        let (parked_works, park_delay) = job.parked();
         job.finish();
 
-        let mut latency = Summary::new();
-        let mut hist = LogHistogram::new();
-        let mut last_latency = SimTime::ZERO;
-        let mut processed = 0usize;
+        let mut latency = Samples::new();
         for (g, c) in completions.iter().enumerate() {
             let Some((completed, records)) = c else {
                 continue;
             };
             check(g, records);
-            let lat = completed.saturating_sub(batches[g].arrival);
-            latency.add_time(lat);
-            hist.record(lat);
-            last_latency = lat;
-            processed += 1;
+            latency.push(completed.saturating_sub(batches[g].arrival));
         }
         Ok(StreamReport {
-            batches: processed,
-            latency,
-            latency_hist: hist,
-            last_latency,
-            finished_at: finished,
             lost,
-            late_records: 0,
             parked_works,
             park_delay,
+            ..StreamReport::new(latency, finished)
         })
     }
 }
@@ -1117,9 +968,7 @@ impl<T, U> CpuMapPipeline<'_, T, U> {
         let cpu = cfg.cpu;
         let slots = (cfg.num_workers * cfg.slots_per_worker).max(1);
         let mut slot_free = vec![SimTime::ZERO; slots];
-        let mut latency = Summary::new();
-        let mut hist = LogHistogram::new();
-        let mut last_latency = SimTime::ZERO;
+        let mut latency = Samples::new();
         let mut finished = SimTime::ZERO;
         let batches = merged_batches(&self.stream.sources);
         for (g, b) in batches.iter().enumerate() {
@@ -1133,23 +982,10 @@ impl<T, U> CpuMapPipeline<'_, T, U> {
             let start = b.arrival.max(*slot);
             let end = start + dur;
             *slot = end;
-            let lat = end.saturating_sub(b.arrival);
-            latency.add_time(lat);
-            hist.record(lat);
-            last_latency = lat;
+            latency.push(end.saturating_sub(b.arrival));
             finished = finished.max(end);
         }
-        Ok(StreamReport {
-            batches: batches.len(),
-            latency,
-            latency_hist: hist,
-            last_latency,
-            finished_at: finished,
-            lost: Vec::new(),
-            late_records: 0,
-            parked_works: 0,
-            park_delay: SimTime::ZERO,
-        })
+        Ok(StreamReport::new(latency, finished))
     }
 }
 
@@ -1509,8 +1345,8 @@ mod tests {
         assert_eq!(cpu.watermark_digest(), gpu.watermark_digest());
         assert_eq!(cpu.report.late_records, gpu.report.late_records);
         // Window latency percentiles are populated and ordered.
-        assert!(gpu.report.latency_hist.p50() > SimTime::ZERO);
-        assert!(gpu.report.latency_hist.p99() >= gpu.report.latency_hist.p50());
+        assert!(gpu.report.latency.p50() > SimTime::ZERO);
+        assert!(gpu.report.latency.p99() >= gpu.report.latency.p50());
         // Determinism: running the exact same pipeline again is identical.
         let f2 = fabric_with(2, FabricConfig::default());
         let gpu2_env = StreamEnv::gpu(&f2);

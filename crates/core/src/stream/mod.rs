@@ -47,7 +47,7 @@ pub use window::{
 use crate::gdst::SpecError;
 use crate::jobsched::AdmissionError;
 use crate::recovery::FailReason;
-use gflink_sim::{LogHistogram, SimTime, Summary};
+use gflink_sim::{Samples, SimTime};
 
 /// Why a stream pipeline refused to run — configuration errors surfaced
 /// as typed values at build time instead of panics mid-stream.
@@ -117,6 +117,8 @@ pub struct LostBatch {
     pub worker: usize,
     /// Why it was abandoned.
     pub reason: FailReason,
+    /// When it was abandoned.
+    pub failed_at: SimTime,
 }
 
 /// Latency/throughput report for one streaming run.
@@ -124,11 +126,10 @@ pub struct LostBatch {
 pub struct StreamReport {
     /// Micro-batches (map) or windows (windowed) processed to completion.
     pub batches: usize,
-    /// Per-unit latency summary (seconds).
-    pub latency: Summary,
-    /// Per-unit latency histogram — `p50()`/`p95()`/`p99()` for SLO-style
+    /// Per-unit latencies, exact and in completion order: `mean()` in
+    /// seconds, nearest-rank `p50()`/`p95()`/`p99()` for SLO-style
     /// reporting.
-    pub latency_hist: LogHistogram,
+    pub latency: Samples,
     /// Latency of the final unit — diverges under backpressure.
     pub last_latency: SimTime,
     /// When the last unit completed (or terminally failed).
@@ -145,6 +146,21 @@ pub struct StreamReport {
 }
 
 impl StreamReport {
+    /// The report of a run whose units completed with `latency`, the last
+    /// of them at `finished_at`, and nothing was lost, late or penned.
+    pub(crate) fn new(latency: Samples, finished_at: SimTime) -> StreamReport {
+        StreamReport {
+            batches: latency.len(),
+            last_latency: latency.last(),
+            latency,
+            finished_at,
+            lost: Vec::new(),
+            late_records: 0,
+            parked_works: 0,
+            park_delay: SimTime::ZERO,
+        }
+    }
+
     /// Whether the operator kept up: the last unit's latency is within
     /// `factor` of the mean (no queue growth). A run whose mean latency is
     /// zero (nothing completed, or all-zero latencies) is sustained iff
@@ -240,17 +256,7 @@ mod tests {
 
     #[test]
     fn sustained_guard_handles_zero_mean() {
-        let mut r = StreamReport {
-            batches: 0,
-            latency: Summary::new(),
-            latency_hist: LogHistogram::new(),
-            last_latency: SimTime::ZERO,
-            finished_at: SimTime::ZERO,
-            lost: Vec::new(),
-            late_records: 0,
-            parked_works: 0,
-            park_delay: SimTime::ZERO,
-        };
+        let mut r = StreamReport::new(Samples::new(), SimTime::ZERO);
         assert!(r.sustained(1.5));
         r.last_latency = SimTime::from_millis(5);
         assert!(!r.sustained(1.5), "nonzero last over zero mean diverges");

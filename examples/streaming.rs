@@ -105,7 +105,7 @@ fn main() {
         "  GPU: {} windows, digest {:016x}, p99 window latency {}",
         gpu.windows.len(),
         gpu.digest(),
-        gpu.report.latency_hist.p99()
+        gpu.report.latency.p99()
     );
     assert_eq!(cpu.digest(), gpu.digest(), "engines agree bit-for-bit");
 

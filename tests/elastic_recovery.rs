@@ -3,7 +3,7 @@
 //! with a balanced double-entry ledger, and chaos schedules interleaving
 //! joins, leaves, kills and checkpoints never change results.
 
-use gflink::core::CpuFallback;
+use gflink::core::{CpuFallback, OutMode};
 use gflink::prelude::*;
 use proptest::prelude::*;
 
@@ -37,22 +37,28 @@ fn fabric_cfg(interval: SimTime, fallback: bool) -> FabricConfig {
 
 fn make_fabric(cfg: FabricConfig) -> GpuFabric {
     let fabric = GpuFabric::new(1, cfg);
-    fabric.register_kernel("cudaAddPoint", |args: &mut KernelArgs<'_, '_>| {
-        let def = Point::def();
-        let n = args.n_actual;
-        let (dx, dy) = (args.params[0], args.params[1]);
-        let input = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
-        let mut out = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
-        for i in 0..n {
-            out.set_f64(i, 0, 0, input.get_f64(i, 0, 0) + dx);
-            out.set_f64(i, 1, 0, input.get_f64(i, 1, 0) + dy);
-        }
-        KernelProfile::new(
-            args.n_logical as f64 * 2.0,
-            args.n_logical as f64 * 2.0 * def.size() as f64,
-        )
+    fabric.register_kernel("cudaAddPoint", add_point);
+    // The same map, declaring its output count as a `Bounded` op must.
+    fabric.register_kernel("cudaAddPointEmitted", |args: &mut KernelArgs<'_, '_>| {
+        add_point(args).with_emitted(args.n_actual)
     });
     fabric
+}
+
+fn add_point(args: &mut KernelArgs<'_, '_>) -> KernelProfile {
+    let def = Point::def();
+    let n = args.n_actual;
+    let (dx, dy) = (args.params[0], args.params[1]);
+    let input = RecordReader::new(args.inputs[0], def, DataLayout::Aos, n);
+    let mut out = RecordView::new(args.outputs[0], def, DataLayout::Aos, n);
+    for i in 0..n {
+        out.set_f64(i, 0, 0, input.get_f64(i, 0, 0) + dx);
+        out.set_f64(i, 1, 0, input.get_f64(i, 1, 0) + dy);
+    }
+    KernelProfile::new(
+        args.n_logical as f64 * 2.0,
+        args.n_logical as f64 * 2.0 * def.size() as f64,
+    )
 }
 
 fn attempt(
@@ -73,6 +79,19 @@ fn attempt_with_parallelism(
     membership: MembershipPlan,
     parallelism: usize,
 ) -> (Vec<Point>, JobReport) {
+    let spec = GpuMapSpec::new("cudaAddPoint");
+    attempt_op(cluster, fabric, name, faults, membership, parallelism, spec)
+}
+
+fn attempt_op(
+    cluster: &SharedCluster,
+    fabric: &GpuFabric,
+    name: &str,
+    faults: FaultPlan,
+    membership: MembershipPlan,
+    parallelism: usize,
+    spec: GpuMapSpec,
+) -> (Vec<Point>, JobReport) {
     fabric.with_managers(|ms| ms[0].set_fault_plan(faults));
     fabric.set_membership_plan(0, membership);
     let env = GflinkEnv::submit(cluster, fabric, name, SimTime::ZERO);
@@ -84,7 +103,7 @@ fn attempt_with_parallelism(
         .collect();
     let ds = env.flink.parallelize("pts", pts, parallelism, 1000.0);
     let gdst = env.to_gdst(ds, DataLayout::Aos);
-    let spec = GpuMapSpec::new("cudaAddPoint")
+    let spec = spec
         .with_params(vec![1.0, 2.0])
         .build(fabric)
         .expect("valid spec");
@@ -373,6 +392,64 @@ fn restore_with_another_parallelism_is_refused_and_replays_from_zero() {
         assert_eq!(g.restores_refused, 1, "the refusal is counted");
         assert_eq!(g.works_restored, 0);
         assert!(g.works > 0, "everything re-executes from zero");
+    }
+}
+
+#[test]
+fn restored_block_with_a_bad_emitted_count_is_refused() {
+    let (clean, total_works) = clean_reference();
+    // `Some(capacity + 1)` claims a row past a per-record block's payload;
+    // `None` leaves a bounded block's row count unknown. Both pass the
+    // CRC, since the snapshot is written as it is.
+    type Bad = fn(usize) -> Option<usize>;
+    let cases: [(&str, OutMode, Bad); 2] = [
+        ("cudaAddPoint", OutMode::PerRecord, |cap| Some(cap + 1)),
+        (
+            "cudaAddPointEmitted",
+            OutMode::Bounded { per_record: 1 },
+            |_| None,
+        ),
+    ];
+    for (kernel, mode, bad) in cases {
+        let cluster = SharedCluster::new(ClusterConfig::standard(1));
+        let run = || {
+            let fabric = make_fabric(fabric_cfg(SimTime::from_millis(1), true));
+            let spec = GpuMapSpec::new(kernel).with_out_mode(mode);
+            let (got, report) = attempt_op(
+                &cluster,
+                &fabric,
+                "bad-emitted",
+                FaultPlan::new(),
+                MembershipPlan::new(),
+                4,
+                spec,
+            );
+            (got, report, fabric)
+        };
+        let (first, _, fabric) = run();
+        assert_eq!(first, clean, "{mode:?}");
+        {
+            let mut cl = cluster.lock();
+            fabric.with_checkpoints(|ck| {
+                let mut snap = ck
+                    .read(&mut cl.hdfs, 0, "bad-emitted", 0, SimTime::ZERO)
+                    .expect("an intact chain")
+                    .expect("the final snapshot")
+                    .snapshot;
+                let blk = &mut snap.blocks[0];
+                blk.emitted = bad(blk.payload.len() / Point::def().size());
+                let at = SimTime::from_secs(10);
+                let token = ck.write(&mut cl.hdfs, 0, "bad-emitted", &snap, at);
+                let covered = snap.blocks.len();
+                assert_eq!(token.expect("the snapshot is written").covered, covered);
+            });
+        }
+        let (second, report, _) = run();
+        assert_eq!(second, clean, "a refused snapshot still replays correctly");
+        let g = report.gpu.as_ref().expect("gpu rollup");
+        assert_eq!(g.restores, 0, "{mode:?}");
+        assert_eq!(g.restores_refused, 1, "the refusal is counted");
+        assert_eq!(g.works, total_works, "everything re-executes from zero");
     }
 }
 
