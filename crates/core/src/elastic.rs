@@ -45,7 +45,7 @@ impl GpuManager {
     /// be left holding a join's stream wake-ups — which the next drain's
     /// reset drops and its wake-all pass re-creates.
     fn apply_membership_now(&mut self, kind: MembershipKind, at: SimTime) {
-        let registry = self.registry.lock();
+        let registry = self.registry.lock().clone();
         let mut eng = Engine {
             gmem: &mut self.gmem,
             recovery: &mut self.recovery,

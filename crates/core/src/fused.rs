@@ -5,8 +5,8 @@
 //! Dispatching a tiny GWork pays the transfer channel's per-call overhead α
 //! twice (H2D and D2H) for very little payload — at the Table 2 fit, a
 //! 2 KiB copy is ~74% α. When the fabric is saturated, small works that
-//! would *queue anyway* are instead coalesced into a [`PendingBatch`] and
-//! later dispatched as one [flight](crate::flight) of several members: a
+//! would *queue anyway* are instead coalesced into a `PendingBatch` and
+//! later dispatched as one flight (`crate::flight`) of several members: a
 //! single fused H2D reservation (one α for every member copy), the member
 //! kernels back-to-back on one stream, and a single fused D2H. Results are
 //! split back per member, so a batched work's output bytes — and therefore
@@ -15,8 +15,8 @@
 //! Batches only form under backlog (the dispatch path consults the batcher
 //! only after Algorithm 5.1 found no idle stream), and a freed stream
 //! flushes its GPU's batcher before going idle, so enabling batching never
-//! delays work an idle stream could have taken. A [window
-//! event](crate::gstream::Ev::FlushBatch) bounds how long a partial batch
+//! delays work an idle stream could have taken. A window
+//! event (`Ev::FlushBatch`) bounds how long a partial batch
 //! may wait; epochs guard against stale windows.
 
 use crate::flight::Parked;

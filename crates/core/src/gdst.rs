@@ -18,7 +18,11 @@
 //! owning task slot *produces* one [`GWork`](crate::gwork::GWork) per
 //! block, and the worker's [`GpuManager`] consumes them — three-stage
 //! pipelining, caching and locality-aware scheduling all apply. The
-//! partition's ready time advances to its last block's completion.
+//! partition's ready time advances to its last block's completion. Each
+//! worker's producer and drain form one step; the steps of an op run on a
+//! thread per worker when at least two workers hold enough blocks to repay
+//! one, and their results are folded back in worker order, so no output
+//! depends on the thread schedule (`step`, DESIGN.md §14).
 //!
 //! Every GPU operator lowers its input the same way: a GDST block, a
 //! stream micro-batch and a fired window each become a work through one
@@ -37,7 +41,6 @@
 
 use crate::checkpoint::{CheckpointManager, RestoredSnapshot, SnapshotBlock, SnapshotError};
 use crate::config::CheckpointConfig;
-use crate::gwork::{CacheKey, WorkBuf};
 use crate::jobsched::{AdmissionError, JobHandle};
 pub(crate) use crate::lowering::EMITTED_FITS;
 pub use crate::lowering::{ExtraInput, GpuMapSpec, OutMode, SpecError};
@@ -54,11 +57,13 @@ use gflink_sim::{
     FaultLedger, MembershipPlan, Metrics, Phase, RecEvent, RecKind, SimTime, SloPolicy, Tracer,
 };
 use parking_lot::Mutex;
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+
+mod step;
 
 /// Fabric-wide GPU configuration.
 #[derive(Clone, Debug)]
@@ -676,7 +681,7 @@ impl<T: GRecord> GDataSet<T> {
                 let mut data = Vec::with_capacity(part_rows(part));
                 for blk in &part.data {
                     let reader = RecordReader::new(&blk.buf, def, self.layout, blk.rows);
-                    data.extend((0..blk.rows).map(|i| T::load(&reader, i)));
+                    T::load_all(&reader, blk.rows, &mut data);
                 }
                 RawPart {
                     worker: part.worker,
@@ -708,49 +713,6 @@ impl<T: GRecord> GDataSet<T> {
         if let Some(ds) = self.decoded.get_mut() {
             ds.set_min_ready(t);
         }
-    }
-
-    /// `part`'s blocks cut for a pass over records of `def`: the resident
-    /// blocks themselves when they already sit on the cut with exactly the
-    /// bytes their rows need, otherwise new blocks copied row-contiguously
-    /// from them. Only AoS blocks — map outputs — can be off the cut: a
-    /// GDST built by `to_gdst` is encoded on it.
-    fn blocks_for_pass<'a>(&self, part: &'a Part, def: &GStructDef) -> Cow<'a, [Block]> {
-        let block_bytes = self.env.fabric.cfg.block_bytes;
-        let cut = block_cut(part_rows(part), self.scale, def.size(), block_bytes);
-        let on_cut = cut.len() == part.data.len()
-            && cut.clone().zip(&part.data).all(|(rows, blk)| {
-                blk.rows == rows.len()
-                    && blk.buf.len() == RecordView::required_bytes(def, self.layout, blk.rows)
-            });
-        if on_cut {
-            return Cow::Borrowed(&part.data);
-        }
-        assert_eq!(self.layout, DataLayout::Aos, "only AoS blocks are re-cut");
-        let size = def.size();
-        let mut src = part.data.iter().map(|b| &b.buf.as_slice()[..b.rows * size]);
-        let mut rest: &[u8] = &[];
-        Cow::Owned(
-            cut.map(|rows| {
-                let mut buf = HBuffer::zeroed(rows.len() * size);
-                let mut dst = buf.as_mut_slice();
-                while !dst.is_empty() {
-                    while rest.is_empty() {
-                        rest = src.next().expect("the cut covers exactly the stored rows");
-                    }
-                    let n = rest.len().min(dst.len());
-                    let (head, tail) = std::mem::take(&mut dst).split_at_mut(n);
-                    head.copy_from_slice(&rest[..n]);
-                    rest = &rest[n..];
-                    dst = tail;
-                }
-                Block {
-                    buf: Arc::new(buf),
-                    rows: rows.len(),
-                }
-            })
-            .collect(),
-        )
     }
 
     /// Whether every block `rs` holds is one this pass produces: a tag on
@@ -800,25 +762,18 @@ impl<T: GRecord> GDataSet<T> {
     /// operators (iterative drivers call this every superstep on the same
     /// cached input).
     pub fn gpu_map_partition<U: GRecord>(&self, name: &str, spec: &GpuMapSpec) -> GDataSet<U> {
-        let def = T::def();
         let out_def = U::def();
         let flink = &self.env.flink;
-        let sched = flink.schedule_phase();
         let cluster = flink.cluster();
         let job = self.env.handle.id();
-        let scale = self.scale;
         let fabric = &self.env.fabric;
-
-        let mut wall_start = SimTime::MAX;
-        let mut last_submit = SimTime::ZERO;
-        let mut elements = 0u64;
 
         // Checkpoint/restore (DESIGN.md §13). Each operator invocation of
         // this job owns one snapshot chain, keyed by the *job name* and a
         // per-job invocation counter so a relaunched driver re-running the
         // same operator sequence finds its predecessor's snapshots. A
         // snapshot off this pass's cut is refused like a corrupt one; an
-        // accepted one is installed: the producer below still submits all
+        // accepted one is installed: the producers still submit all
         // blocks, but covered ones are satisfied from the snapshot.
         let jname = flink.name();
         let (seq, read, mut refused) =
@@ -833,59 +788,23 @@ impl<T: GRecord> GDataSet<T> {
             fabric.install_restore(&self.env.handle, rs);
         }
 
-        // Producer side: each partition's pinned slot assembles one GWork
-        // per block and submits it to the worker's GpuManager. The
-        // operator name is interned once; every block shares it.
-        let op_name: Arc<str> = name.into();
-        fabric.with_managers(|managers| {
-            for (p, part) in self.parts.iter().enumerate() {
-                let n_act = part_rows(part);
-                let n_log = n_act as f64 * scale;
-                elements += n_log as u64;
-                let mut cursor = part.ready + sched;
-                // One cluster lock per partition: its producer slot is
-                // reserved block by block under it.
-                let mut cl = cluster.lock();
-                // Zero-copy path: the resident bytes, already in the
-                // GDST's layout, are what goes to the device.
-                for (b, block) in self.blocks_for_pass(part, def).iter().enumerate() {
-                    let rows = block.rows;
-                    let n_logical = (n_log * rows as f64 / n_act.max(1) as f64).round() as u64;
-                    // Producer occupies its task slot briefly per block.
-                    let r = cl.workers[part.worker].slots.reserve_on(
-                        part.slot,
-                        cursor,
-                        fabric.cfg.producer_overhead,
-                    );
-                    cursor = r.end;
-                    wall_start = wall_start.min(r.start);
-                    let (data, bytes) = (Arc::clone(&block.buf), n_logical * def.size() as u64);
-                    let tag = (p as u32, b as u32);
-                    let input = if spec.cache_input {
-                        let key = CacheKey {
-                            dataset: self.id,
-                            partition: tag.0,
-                            block: tag.1,
-                        };
-                        WorkBuf::cached(data, bytes, key)
-                    } else {
-                        WorkBuf::transient(data, bytes)
-                    };
-                    let name = Arc::clone(&op_name);
-                    let work = spec.work::<T, U>(name, input, self.layout, rows, n_logical, tag);
-                    managers[part.worker].submit_for(job, work, r.end);
-                    last_submit = last_submit.max(r.end);
-                }
-            }
-        });
-
-        // Concurrency barrier: under a job gate (concurrent tenants driven
-        // by `run_concurrent`-style harnesses), wait here until every
-        // co-tenant at or behind this frontier has also submitted, so the
-        // shared drain event loop below sees all jobs' works and cross-job
-        // arbitration has a real choice. A solo run passes straight
-        // through. No locks are held across this wait.
-        gflink_flink::gate::checkpoint(last_submit);
+        // Every worker's producer submits one GWork per block to its
+        // GpuManager, which then drains (see `step`).
+        let pass = step::Pass::<T, U> {
+            parts: &self.parts,
+            layout: self.layout,
+            scale: self.scale,
+            dataset: self.id,
+            spec,
+            op_name: name.into(),
+            job,
+            cluster: &cluster,
+            fabric,
+            sched: flink.schedule_phase(),
+            records: PhantomData,
+        };
+        let (produced, drained) = pass.run();
+        let (wall_start, elements) = (produced.wall_start, produced.elements);
 
         // Observability pre-capture. Lock order: the fabric's bookkeeping
         // locks (metrics, observer policy, live jobs, checkpoint cursors)
@@ -906,7 +825,7 @@ impl<T: GRecord> GDataSet<T> {
             (SloPolicy::default(), Vec::new(), BTreeMap::new())
         };
 
-        // Consumer side: drain every worker's GpuManager. Every output
+        // Fold every worker's completions, in worker order. Every output
         // block, executed or restored, is kept as the snapshot block it is.
         let mut done_blocks: Vec<SnapshotBlock> = Vec::new();
         let mut kernel_sum = SimTime::ZERO;
@@ -919,8 +838,7 @@ impl<T: GRecord> GDataSet<T> {
         let mut slo_breaches = 0u64;
         let mut fault_delta = FaultLedger::default();
         fabric.with_managers(|managers| {
-            for m in managers.iter_mut() {
-                let completed = m.drain_job(job);
+            for (m, completed) in managers.iter_mut().zip(drained) {
                 // One observability sample per completed work, folded in
                 // completion order under one rollup lock per drain: the
                 // job report's stage histograms, cache hit rate and
@@ -1169,7 +1087,7 @@ impl<T: GRecord> GDataSet<T> {
             parts,
             scale: spec
                 .out_scale
-                .unwrap_or(spec.out_mode.inherited_scale(scale)),
+                .unwrap_or(spec.out_mode.inherited_scale(self.scale)),
             flink: flink.clone(),
             decoded: OnceLock::new(),
             id: fabric.fresh_dataset_id(),
@@ -1249,6 +1167,30 @@ mod tests {
         assert!(report.acct.get(Phase::Kernel) > SimTime::ZERO);
         assert!(report.acct.get(Phase::TransferH2D) > SimTime::ZERO);
         assert!(report.acct.get(Phase::TransferD2H) > SimTime::ZERO);
+    }
+
+    #[test]
+    fn decode_equals_per_element_loads_under_every_layout() {
+        let (cluster, fabric) = setup(2);
+        let env = GflinkEnv::submit(&cluster, &fabric, "decode", SimTime::ZERO);
+        let pts: Vec<Point> = (0..101)
+            .map(|i| Point {
+                x: i as f32 * 0.5,
+                y: -(i as f32),
+            })
+            .collect();
+        for layout in DataLayout::ALL {
+            let ds = env.flink.parallelize("pts", pts.clone(), 4, 3.0e5);
+            let g = env.to_gdst(ds, layout);
+            assert!(g.parts.iter().any(|p| p.data.len() > 1), "several blocks");
+            let mut want = Vec::new();
+            for blk in g.parts.iter().flat_map(|p| &p.data) {
+                let reader = RecordReader::new(&blk.buf, Point::def(), layout, blk.rows);
+                want.extend((0..blk.rows).map(|i| Point::load(&reader, i)));
+            }
+            assert_eq!(want.len(), pts.len());
+            assert_eq!(g.inner().collect("get", 8.0), want, "{layout:?}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Owns the stream bulks (`stream_busy_until`), the per-GPU FIFO GWork
 //! queues (the GWork Pool), and the flight table, and drives the
 //! three-stage H2D → Kernel → D2H pipeline through the event loop (the
-//! flight state machine itself lives in [`crate::flight`]):
+//! flight state machine itself lives in `crate::flight`):
 //!
 //! * [`GWork` scheduling](crate::scheduling::SchedulingPolicy) follows
 //!   Algorithm 5.1: prefer the GPU whose cache region already holds the
@@ -17,7 +17,7 @@
 //!   [`GMemoryManager`]; fault bookkeeping and retry routing to the
 //!   [`RecoveryManager`].
 //!
-//! Handlers act on an [`Engine`] — the borrow-split view of the
+//! Handlers act on an `Engine` — the borrow-split view of the
 //! coordinator's other halves — so each event can touch the memory
 //! manager, the recovery manager, and the owning job's session at once.
 
@@ -156,9 +156,9 @@ struct ChildRoute {
 /// Borrow-split view of the coordinator handed to every event handler:
 /// the two sibling managers, the open sessions, the kernel registry and
 /// the worker's RNG — everything an event may need besides the stream
-/// state the [`GStreamManager`] itself owns. The registry is locked once
-/// per drain (lock order: managers → registry), so no handler locks it or
-/// clones a kernel.
+/// state the [`GStreamManager`] itself owns. The registry is snapshotted
+/// once per drain (lock order: managers → registry), so no handler locks
+/// it or clones a kernel.
 pub(crate) struct Engine<'a> {
     pub gmem: &'a mut GMemoryManager,
     pub recovery: &'a mut RecoveryManager,

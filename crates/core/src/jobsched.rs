@@ -1,14 +1,12 @@
 #![warn(clippy::too_many_lines)]
 
 //! The JobScheduler layer: multi-tenant arbitration between the
-//! [`GpuFabric`](crate::gdst::GpuFabric) and the
-//! [`GStreamManager`](crate::gstream::GStreamManager).
+//! [`GpuFabric`] and the [`GStreamManager`](crate::gstream::GStreamManager).
 //!
-//! Three concerns live here, all configured by
-//! [`SchedulerConfig`](crate::config::SchedulerConfig) and all off by
-//! default (single-tenant behaviour stays byte-identical):
+//! Three concerns live here, all configured by [`SchedulerConfig`] and all
+//! off by default (single-tenant behaviour stays byte-identical):
 //!
-//! * **Cross-job queue arbitration** — [`WorkQueue`] replaces the plain
+//! * **Cross-job queue arbitration** — `WorkQueue` replaces the plain
 //!   per-GPU FIFO `VecDeque` with a policy-switched queue: `Fifo` *is* the
 //!   old deque, while `Wfq` runs deficit round-robin over per-job lanes so
 //!   a tenant with a deep backlog cannot starve a light one (the deficit

@@ -3,15 +3,15 @@
 //! The per-worker GPUManager: a slim coordinator over the paper's two
 //! halves plus the recovery layer.
 //!
-//! * [`GMemoryManager`](crate::gmemory::GMemoryManager) (§4.2) owns the
+//! * [`GMemoryManager`] (§4.2) owns the
 //!   devices and everything that touches device memory: allocation with
 //!   cache-eviction pressure, H2D staging, reclaim, and per-job cache
 //!   regions.
-//! * [`GStreamManager`](crate::gstream::GStreamManager) (§5) owns the
+//! * [`GStreamManager`] (§5) owns the
 //!   stream bulks, the per-GPU GWork queues, and the in-flight table, and
 //!   drives Algorithm 5.1/5.2 scheduling plus the three-stage
 //!   H2D → Kernel → D2H pipeline.
-//! * [`RecoveryManager`](crate::recovery::RecoveryManager) owns the fault
+//! * [`RecoveryManager`] owns the fault
 //!   plan, retry/backoff routing, the CPU fallback path, and the
 //!   double-entry fault ledgers (see DESIGN.md, "Fault model & recovery").
 //!
@@ -309,9 +309,11 @@ impl GpuManager {
         let q = &mut self.queue;
         self.gstream
             .seed_drain(q, &self.gmem, &mut self.recovery, &mut self.sessions);
-        // One registry acquisition per drain (lock order: managers →
-        // registry); every handler borrows it.
-        let registry = self.registry.lock();
+        // One registry snapshot per drain (a reference count taken under
+        // a brief lock; lock order: managers → registry): every handler
+        // borrows it, and no drain holds the lock another worker's drain
+        // needs.
+        let registry = self.registry.lock().clone();
         let mut eng = Engine {
             gmem: &mut self.gmem,
             recovery: &mut self.recovery,

@@ -42,6 +42,13 @@ impl GpuManager {
         self.recovery.set_metrics(metrics, self.worker_id);
     }
 
+    /// Whether a tracer or the live metrics plane is attached: both record
+    /// emission order across workers, so such a manager's drains keep the
+    /// worker order.
+    pub(crate) fn observed(&self) -> bool {
+        self.gstream.tracer.enabled() || self.gstream.metrics.enabled()
+    }
+
     /// Push one structured event onto `job`'s flight-recorder ring (no-op
     /// for unknown jobs — the session may already be torn down).
     pub(crate) fn record_job_event(&mut self, job: JobId, ev: RecEvent) {

@@ -144,7 +144,7 @@ impl FlinkEnv {
         f(&mut self.inner.lock().gpu)
     }
 
-    /// The job's private HDFS placement cursor (see [`EnvInner`]): where the
+    /// The job's private HDFS placement cursor (see `EnvInner`): where the
     /// next file this job creates starts its round-robin block placement.
     pub fn hdfs_cursor(&self) -> usize {
         self.inner.lock().hdfs_cursor

@@ -122,6 +122,13 @@ pub fn checkpoint(frontier: SimTime) {
     }
 }
 
+/// Whether this thread is inside [`JobGate::run`]: its phase boundaries
+/// pass a baton, so work that must sit between two of them stays on this
+/// thread.
+pub fn active() -> bool {
+    CURRENT.with(|c| c.borrow().is_some())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,6 +137,15 @@ mod tests {
     #[test]
     fn checkpoint_outside_run_is_a_noop() {
         checkpoint(SimTime::from_secs(3)); // must not block or panic
+    }
+
+    #[test]
+    fn active_only_inside_run() {
+        assert!(!active());
+        let gate = JobGate::new();
+        let token = gate.register();
+        assert!(gate.run(token, active));
+        assert!(!active());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Device health.
 //!
-//! A [`VirtualGpu`] is normally [`Healthy`](DeviceHealth::Healthy). A
+//! A [`VirtualGpu`](crate::VirtualGpu) is normally [`Healthy`](DeviceHealth::Healthy). A
 //! scripted fault (see `gflink_sim::faults`) can move it to
 //! [`Degraded`](DeviceHealth::Degraded) — the card stays usable but its
 //! PCIe and kernel throughput drop to a fraction of nominal — or to

@@ -116,8 +116,17 @@ impl KernelId {
 /// Name → kernel map; the analogue of a directory of loaded `.ptx` modules.
 /// Ids are dense indices in registration order and stay stable across
 /// re-registration of the same name.
+///
+/// A clone is a snapshot that costs one reference count: the tables are
+/// shared until either side registers, which copies them first. A drain
+/// holds such a snapshot instead of the registry's lock.
 #[derive(Clone, Default)]
 pub struct KernelRegistry {
+    tables: Arc<Tables>,
+}
+
+#[derive(Clone, Default)]
+struct Tables {
     ids: HashMap<String, KernelId>,
     by_id: Vec<(String, KernelFn)>,
     /// Per-kernel element-wise declaration, indexed like `by_id`. Only
@@ -140,18 +149,19 @@ impl KernelRegistry {
     where
         F: Fn(&mut KernelArgs<'_, '_>) -> KernelProfile + Send + Sync + 'static,
     {
-        match self.ids.get(name) {
+        let t = Arc::make_mut(&mut self.tables);
+        match t.ids.get(name) {
             Some(&id) => {
-                self.by_id[id.0 as usize].1 = Arc::new(f);
+                t.by_id[id.0 as usize].1 = Arc::new(f);
                 // Conservative: a replacement registered without the
                 // element-wise declaration loses the eligibility.
-                self.elementwise[id.0 as usize] = false;
+                t.elementwise[id.0 as usize] = false;
             }
             None => {
-                let id = KernelId(u32::try_from(self.by_id.len()).expect("registry overflow"));
-                self.ids.insert(name.to_string(), id);
-                self.by_id.push((name.to_string(), Arc::new(f)));
-                self.elementwise.push(false);
+                let id = KernelId(u32::try_from(t.by_id.len()).expect("registry overflow"));
+                t.ids.insert(name.to_string(), id);
+                t.by_id.push((name.to_string(), Arc::new(f)));
+                t.elementwise.push(false);
             }
         }
     }
@@ -168,32 +178,36 @@ impl KernelRegistry {
         F: Fn(&mut KernelArgs<'_, '_>) -> KernelProfile + Send + Sync + 'static,
     {
         self.register(name, f);
-        let id = self.ids[name];
-        self.elementwise[id.0 as usize] = true;
+        let t = Arc::make_mut(&mut self.tables);
+        let id = t.ids[name];
+        t.elementwise[id.0 as usize] = true;
     }
 
     /// Whether `id` was declared element-wise at registration (see
     /// [`KernelRegistry::register_elementwise`]).
     pub fn is_elementwise(&self, id: KernelId) -> bool {
         id.index()
-            .and_then(|i| self.elementwise.get(i).copied())
+            .and_then(|i| self.tables.elementwise.get(i).copied())
             .unwrap_or(false)
     }
 
     /// Intern a kernel's `executeName`, returning its dispatch id.
     pub fn resolve(&self, name: &str) -> Option<KernelId> {
-        self.ids.get(name).copied()
+        self.tables.ids.get(name).copied()
     }
 
     /// Resolve a kernel by interned id — the per-launch path: an array
     /// index, no hashing, no string compare.
     pub fn get_by_id(&self, id: KernelId) -> Option<&KernelFn> {
-        self.by_id.get(id.0 as usize).map(|(_, f)| f)
+        self.tables.by_id.get(id.0 as usize).map(|(_, f)| f)
     }
 
     /// The `executeName` an id was interned from.
     pub fn name_of(&self, id: KernelId) -> Option<&str> {
-        self.by_id.get(id.0 as usize).map(|(n, _)| n.as_str())
+        self.tables
+            .by_id
+            .get(id.0 as usize)
+            .map(|(n, _)| n.as_str())
     }
 
     /// Resolve a kernel by its `executeName`.
@@ -205,30 +219,30 @@ impl KernelRegistry {
 
     /// Whether `name` is registered.
     pub fn contains(&self, name: &str) -> bool {
-        self.ids.contains_key(name)
+        self.tables.ids.contains_key(name)
     }
 
     /// Registered kernel names, sorted (for deterministic listings).
     pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.ids.keys().cloned().collect();
+        let mut v: Vec<String> = self.tables.ids.keys().cloned().collect();
         v.sort();
         v
     }
 
     /// Number of registered kernels.
     pub fn len(&self) -> usize {
-        self.by_id.len()
+        self.tables.by_id.len()
     }
 
     /// True when no kernels are registered.
     pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
+        self.tables.by_id.is_empty()
     }
 }
 
 impl fmt::Debug for KernelRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "KernelRegistry({} kernels)", self.by_id.len())
+        write!(f, "KernelRegistry({} kernels)", self.len())
     }
 }
 

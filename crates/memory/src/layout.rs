@@ -359,6 +359,11 @@ impl<'a> RecordReader<'a> {
         self.n == 0
     }
 
+    /// The layout the records are stored in.
+    pub fn layout(&self) -> DataLayout {
+        self.layout
+    }
+
     /// Byte offset of `(record, field, elem)` under this reader's layout.
     /// Panics if `record` or `elem` is out of range.
     #[inline]

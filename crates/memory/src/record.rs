@@ -27,6 +27,13 @@ pub trait GRecord: Clone + Send + 'static {
     fn store(&self, view: &mut RecordView<'_>, idx: usize);
     /// Read the record at slot `idx` of a layout view.
     fn load(reader: &RecordReader<'_>, idx: usize) -> Self;
+    /// Append the first `n` records of `reader` to `out`, in record order.
+    /// The default loads them one by one; [`gstruct!`](crate::gstruct!)
+    /// decodes AoS records with its [`GRow`] row codec instead. Panics if
+    /// `n` exceeds the reader's records.
+    fn load_all(reader: &RecordReader<'_>, n: usize, out: &mut Vec<Self>) {
+        out.extend((0..n).map(|i| Self::load(reader, i)));
+    }
 }
 
 /// A [`GRecord`] whose AoS row is fixed at compile time, as the paper's
@@ -208,6 +215,20 @@ macro_rules! gstruct {
                         ),
                     )+}
                 }
+
+                fn load_all(
+                    reader: &$crate::RecordReader<'_>,
+                    n: usize,
+                    out: &mut ::std::vec::Vec<Self>,
+                ) {
+                    if reader.layout() != $crate::DataLayout::Aos {
+                        out.extend((0..n).map(|i| <Self as $crate::GRecord>::load(reader, i)));
+                        return;
+                    }
+                    let rows = reader.rows_of::<Self>();
+                    assert!(n <= rows.len(), "{n} records of {}", rows.len());
+                    out.extend(rows.take(n).map(<Self as $crate::GRow>::load_row));
+                }
             }
 
             impl $crate::GRow for $name {
@@ -381,5 +402,51 @@ mod tests {
             let back: Vec<Mixed> = (0..n).map(|i| Mixed::load(&reader, i)).collect();
             assert_eq!(back, recs, "{layout:?}");
         }
+    }
+
+    /// `load_all` under `layout` equals the per-element loads, for every
+    /// prefix, appended after what `out` already holds.
+    fn check_load_all<R: GRecord + PartialEq + std::fmt::Debug>(recs: &[R], layout: DataLayout) {
+        let (def, n) = (R::def(), recs.len());
+        let mut buf = HBuffer::zeroed(RecordView::required_bytes(def, layout, n));
+        let mut view = RecordView::new(&mut buf, def, layout, n);
+        for (i, r) in recs.iter().enumerate() {
+            r.store(&mut view, i);
+        }
+        let reader = RecordReader::new(&buf, def, layout, n);
+        for k in 0..=n {
+            let mut out = recs[..1].to_vec();
+            R::load_all(&reader, k, &mut out);
+            let mut want = recs[..1].to_vec();
+            want.extend((0..k).map(|i| R::load(&reader, i)));
+            assert_eq!(out, want, "{} {layout:?}, {k} of {n}", def.name());
+        }
+    }
+
+    #[test]
+    fn load_all_equals_per_element_loads_under_every_layout() {
+        let packed = [
+            Packed { a: 1, b: -0.5 },
+            Packed { a: 9, b: -0.0 },
+            Packed { a: 7, b: 1e300 },
+        ];
+        for layout in DataLayout::ALL {
+            check_load_all(&mixed_records(), layout);
+            check_load_all(&packed, layout);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "6 records of 5")]
+    fn load_all_past_the_end_panics() {
+        let recs = mixed_records();
+        let def = Mixed::def();
+        let mut buf = HBuffer::zeroed(RecordView::required_bytes(def, DataLayout::Aos, 5));
+        let mut view = RecordView::new(&mut buf, def, DataLayout::Aos, 5);
+        for (i, r) in recs.iter().enumerate() {
+            r.store(&mut view, i);
+        }
+        let reader = RecordReader::new(&buf, def, DataLayout::Aos, 5);
+        Mixed::load_all(&reader, 6, &mut Vec::new());
     }
 }
