@@ -15,7 +15,7 @@ use gflink_core::{
 };
 use gflink_flink::{ClusterConfig, JobGate, SharedCluster};
 use gflink_sim::{FaultKind, FaultPlan, SimTime};
-use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const WORKERS: usize = 2;
 
@@ -211,12 +211,12 @@ fn checkpointed_q6_generates_each_bid_once() {
         .filter(|&i| src.arrival(i) <= CRASH)
         .count() as u64
         * per_batch;
-    let calls = Cell::new(0u64);
+    let calls = AtomicU64::new(0);
     let q6 = |env: &StreamEnv, crash: Option<SimTime>| {
         let seed = cfg.seed;
         let pipeline = env
             .source(src.clone(), |i| {
-                calls.set(calls.get() + 1);
+                calls.fetch_add(1, Ordering::Relaxed);
                 nexmark::bid(&cfg, i)
             })
             .timestamps(
@@ -230,7 +230,7 @@ fn checkpointed_q6_generates_each_bid_once() {
             Some(at) => pipeline.crash_at(at).run(),
             None => pipeline.run(),
         };
-        (run.expect("q6 runs"), calls.replace(0))
+        (run.expect("q6 runs"), calls.swap(0, Ordering::Relaxed))
     };
     let (_, _, env) = checkpointed("fresh", EVERY);
     let (fresh, n) = q6(&env, None);

@@ -11,8 +11,10 @@
 //!
 //! * GPU mean window latency must beat the CPU engine by **>= 1.2x**;
 //! * the GPU path must be sustained (late window latency within 1.5x of
-//!   mean) at the offered rate, with p99 window latency **<= 100 ms**,
-//!   taken over the exact per-window samples (nearest rank).
+//!   mean) at the offered rate, with every window's latency **<= 100 ms**.
+//!   The bound is on the maximum: a 3 s run fires 12 windows, too few for
+//!   a p99 to be anything but the largest sample. The anchor file keeps
+//!   its `max_p99_ms` key, so it still diffs clean against earlier runs.
 
 use gflink_apps::nexmark::{self, NexmarkConfig};
 use gflink_bench::{header, jobj, row, write_results, Json};
@@ -23,7 +25,7 @@ use gflink_sim::SimTime;
 const WORKERS: usize = 2;
 const MIN_SPEEDUP: f64 = 1.2;
 const SUSTAIN_FACTOR: f64 = 1.5;
-const MAX_P99: SimTime = SimTime::from_millis(100);
+const MAX_LATENCY: SimTime = SimTime::from_millis(100);
 
 fn config() -> NexmarkConfig {
     let mut cfg = NexmarkConfig::standard(42);
@@ -108,13 +110,13 @@ fn main() {
         "GPU path is not sustained at the offered rate"
     );
     assert!(
-        gpu.report.latency.p99() <= MAX_P99,
-        "GPU p99 window latency {} exceeds {MAX_P99}",
-        gpu.report.latency.p99()
+        gpu.report.latency.max() <= MAX_LATENCY,
+        "GPU max window latency {} exceeds {MAX_LATENCY}",
+        gpu.report.latency.max()
     );
     println!(
-        "(gates: GPU {speedup:.2}x >= {MIN_SPEEDUP}x over CPU; sustained; p99 {} <= {MAX_P99})",
-        gpu.report.latency.p99()
+        "(gates: GPU {speedup:.2}x >= {MIN_SPEEDUP}x over CPU; sustained; max {} <= {MAX_LATENCY})",
+        gpu.report.latency.max()
     );
 
     let results = Json::Arr(vec![
@@ -132,7 +134,7 @@ fn main() {
         "gates": jobj! {
             "min_speedup": MIN_SPEEDUP,
             "sustain_factor": SUSTAIN_FACTOR,
-            "max_p99_ms": MAX_P99.as_millis_f64(),
+            "max_p99_ms": MAX_LATENCY.as_millis_f64(),
         },
         "rows": results,
     };

@@ -12,6 +12,7 @@
 //! worker order, either way.
 
 use super::{block_cut, part_rows, Block, GpuFabric, Part};
+use crate::exec::{multi_core, on_threads};
 use crate::gwork::{CacheKey, CompletedWork, WorkBuf};
 use crate::lowering::GpuMapSpec;
 use crate::manager::GpuManager;
@@ -21,7 +22,7 @@ use gflink_memory::{DataLayout, GRecord, GStructDef, HBuffer, RecordView};
 use gflink_sim::{Reservation, SimTime};
 use std::borrow::Cow;
 use std::marker::PhantomData;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Fewest blocks a worker must hold in one op to count toward a parallel
 /// pass. A scoped spawn + join costs 33–60 µs on a shared 2-vCPU VM, and
@@ -234,42 +235,4 @@ impl<T: GRecord, U: GRecord> Pass<'_, T, U> {
             .collect(),
         )
     }
-}
-
-/// Whether this process may run on more than one core. Probed on the
-/// first pass that passes the other checks, once per process: the probe
-/// reads the affinity mask and cgroup limits on every call (≈ 50 µs the
-/// first time, ≈ 20 µs after), more than a whole small job's set-up.
-fn multi_core() -> bool {
-    static MULTI: OnceLock<bool> = OnceLock::new();
-    *MULTI.get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2))
-}
-
-/// `step(w, manager)` for every manager: worker 0's on the calling thread,
-/// each further worker's on a scoped thread of its own. Returns the
-/// results in worker order. A panic on a worker thread is re-raised here
-/// with its own payload.
-fn on_threads<R: Send>(
-    managers: &mut [GpuManager],
-    step: impl Fn(usize, &mut GpuManager) -> R + Sync,
-) -> Vec<R> {
-    let Some((first, rest)) = managers.split_first_mut() else {
-        return Vec::new();
-    };
-    let step = &step;
-    std::thread::scope(|s| {
-        let spawned: Vec<_> = (rest.iter_mut().enumerate())
-            .map(|(i, m)| s.spawn(move || step(i + 1, m)))
-            .collect();
-        let mut out = Vec::with_capacity(spawned.len() + 1);
-        out.push(step(0, first));
-        for handle in spawned {
-            out.push(
-                handle
-                    .join()
-                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
-            );
-        }
-        out
-    })
 }

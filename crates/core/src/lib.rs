@@ -33,6 +33,7 @@ pub mod commpath;
 pub mod config;
 pub(crate) mod costmodel;
 mod elastic;
+mod exec;
 mod flight;
 pub mod fused;
 pub mod gdst;

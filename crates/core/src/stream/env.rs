@@ -34,6 +34,7 @@ use super::window::{
 };
 use super::{LostBatch, StreamError, StreamReport};
 use crate::checkpoint::{SnapshotBlock, StreamState};
+use crate::exec::Exec;
 use crate::gdst::{GRecord, GpuFabric, GpuMapSpec, OutMode, EMITTED_FITS};
 use crate::gwork::{CompletedWork, GWork, WorkBuf};
 use crate::jobsched::JobHandle;
@@ -43,6 +44,7 @@ use gflink_memory::{gstruct, DataLayout, GRow, HBuffer, RecordReader, RecordView
 use gflink_sim::{Samples, SimTime};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The built-in GPU windowed-aggregation kernel, registered by
@@ -204,7 +206,7 @@ impl StreamEnv {
     pub fn source<'a, T>(
         &self,
         source: StreamSource,
-        gen: impl Fn(u64) -> T + 'a,
+        gen: impl Fn(u64) -> T + Sync + 'a,
     ) -> DataStream<'a, T> {
         DataStream {
             env: self.clone(),
@@ -230,10 +232,10 @@ impl StreamEnv {
 
 /// A rate-controlled source paired with its boxed record generator:
 /// `gen(i)` materializes the source's `i`-th record.
-type SourceGen<'a, T> = (StreamSource, Box<dyn Fn(u64) -> T + 'a>);
+type SourceGen<'a, T> = (StreamSource, Box<dyn Fn(u64) -> T + Sync + 'a>);
 
 /// A boxed event-timestamp extractor plus its watermark strategy.
-type TsAssigner<'a, T> = (Box<dyn Fn(&T) -> SimTime + 'a>, WatermarkStrategy);
+type TsAssigner<'a, T> = (Box<dyn Fn(&T) -> SimTime + Sync + 'a>, WatermarkStrategy);
 
 /// One merged-batch reference: which source, which batch, when it lands.
 #[derive(Clone, Copy, Debug)]
@@ -272,7 +274,7 @@ impl<'a, T> DataStream<'a, T> {
     pub fn and_source(
         mut self,
         source: StreamSource,
-        gen: impl Fn(u64) -> T + 'a,
+        gen: impl Fn(u64) -> T + Sync + 'a,
     ) -> DataStream<'a, T> {
         self.sources.push((source, Box::new(gen)));
         self
@@ -282,7 +284,7 @@ impl<'a, T> DataStream<'a, T> {
     /// any event-time operation (`key_by`/`window`).
     pub fn timestamps(
         mut self,
-        ts: impl Fn(&T) -> SimTime + 'a,
+        ts: impl Fn(&T) -> SimTime + Sync + 'a,
         strategy: WatermarkStrategy,
     ) -> DataStream<'a, T> {
         self.ts = Some((Box::new(ts), strategy));
@@ -290,7 +292,7 @@ impl<'a, T> DataStream<'a, T> {
     }
 
     /// Partition the stream by key for windowed aggregation.
-    pub fn key_by(self, key: impl Fn(&T) -> u64 + 'a) -> KeyedStream<'a, T> {
+    pub fn key_by(self, key: impl Fn(&T) -> u64 + Sync + 'a) -> KeyedStream<'a, T> {
         KeyedStream {
             stream: self,
             key: Box::new(key),
@@ -335,7 +337,7 @@ impl<'a, T> DataStream<'a, T> {
 /// A keyed stream, ready for window assignment.
 pub struct KeyedStream<'a, T> {
     stream: DataStream<'a, T>,
-    key: Box<dyn Fn(&T) -> u64 + 'a>,
+    key: Box<dyn Fn(&T) -> u64 + Sync + 'a>,
 }
 
 impl<'a, T> KeyedStream<'a, T> {
@@ -365,7 +367,11 @@ impl<'a, T> WindowedStream<'a, T> {
 
     /// Aggregate each pane's `value(record)` under `spec`, producing the
     /// runnable window pipeline.
-    pub fn aggregate(self, spec: AggSpec, value: impl Fn(&T) -> f64 + 'a) -> WindowPipeline<'a, T> {
+    pub fn aggregate(
+        self,
+        spec: AggSpec,
+        value: impl Fn(&T) -> f64 + Sync + 'a,
+    ) -> WindowPipeline<'a, T> {
         WindowPipeline {
             env: self.keyed.stream.env.clone(),
             stream: self.keyed.stream,
@@ -383,11 +389,11 @@ impl<'a, T> WindowedStream<'a, T> {
 pub struct WindowPipeline<'a, T> {
     env: StreamEnv,
     stream: DataStream<'a, T>,
-    key: Box<dyn Fn(&T) -> u64 + 'a>,
+    key: Box<dyn Fn(&T) -> u64 + Sync + 'a>,
     assigner: WindowAssigner,
     lateness: SimTime,
     agg: AggSpec,
-    value: Box<dyn Fn(&T) -> f64 + 'a>,
+    value: Box<dyn Fn(&T) -> f64 + Sync + 'a>,
     crash_at: Option<SimTime>,
 }
 
@@ -425,10 +431,20 @@ impl WindowedRun {
     }
 }
 
+/// One record reduced to what the keyed window state machine reads: its
+/// event time, key and value.
+type Triple = (SimTime, u64, f64);
+
+/// Fewest records in one source-stage chunk (it holds whole batches, at
+/// least one): one channel hand-off per ≈ 16 q6 batches, and a stage that
+/// runs only a few such chunks ahead of the state machine.
+const CHUNK_RECORDS: usize = 1024;
+
 /// The pure driver-side ingestion result: what fired, when, and the keyed
 /// states captured on the way. A pure function of the pipeline definition
 /// and the cutoff, which is what makes checkpoint validation-by-replay
 /// possible.
+#[derive(Debug, PartialEq)]
 struct Ingested {
     fired: Vec<FiredWindow>,
     stamps: Vec<WatermarkStamp>,
@@ -451,6 +467,7 @@ struct Capture {
 /// state changes only when a batch lands, so each one answers every
 /// instant from its last absorbed arrival up to the next arrival, and the
 /// final (pre-flush) state answers every instant past the last batch.
+#[derive(Debug, PartialEq)]
 struct StateTape {
     /// Every merged batch's arrival, ascending.
     arrivals: Vec<SimTime>,
@@ -467,10 +484,10 @@ impl StateTape {
 }
 
 /// One resumable pass of the keyed window state machine over the merged
-/// batches, in arrival order.
+/// batches, in arrival order, fed each batch's triples.
 struct Replay<'p, 'a, T> {
     pipeline: &'p WindowPipeline<'a, T>,
-    batches: Vec<BatchRef>,
+    batches: &'p [BatchRef],
     /// Batches absorbed so far (a prefix of `batches`).
     absorbed: usize,
     last_arrival: SimTime,
@@ -478,7 +495,7 @@ struct Replay<'p, 'a, T> {
 }
 
 impl<'p, 'a, T> Replay<'p, 'a, T> {
-    fn new(pipeline: &'p WindowPipeline<'a, T>) -> Self {
+    fn new(pipeline: &'p WindowPipeline<'a, T>, batches: &'p [BatchRef]) -> Self {
         let (_, strategy) = pipeline
             .stream
             .ts
@@ -486,32 +503,20 @@ impl<'p, 'a, T> Replay<'p, 'a, T> {
             .expect("validated: timestamps set");
         Replay {
             pipeline,
-            batches: merged_batches(&pipeline.stream.sources),
+            batches,
             absorbed: 0,
             last_arrival: SimTime::ZERO,
             kw: KeyedWindows::new(pipeline.assigner, pipeline.lateness, strategy.bound()),
         }
     }
 
-    /// The next batch's arrival, if there is one landing by `until` (any,
-    /// for `None`).
-    fn next_arrival(&self, until: Option<SimTime>) -> Option<SimTime> {
-        let arrival = self.batches.get(self.absorbed)?.arrival;
-        until.is_none_or(|u| arrival <= u).then_some(arrival)
-    }
-
-    /// Absorb the next batch, returning the windows it fired.
-    fn absorb(&mut self) -> Vec<FiredWindow> {
-        let p = self.pipeline;
-        let (ts_fn, _) = p.stream.ts.as_ref().expect("validated: timestamps set");
+    /// Absorb the next batch, given its triples, returning the windows it
+    /// fired.
+    fn absorb(&mut self, triples: &[Triple]) -> Vec<FiredWindow> {
         let b = self.batches[self.absorbed];
-        let (src, gen) = &p.stream.sources[b.source];
-        let scale = src.record_scale();
-        let actual = src.batch_actual();
-        for j in 0..actual {
-            let rec = gen((b.index * actual + j) as u64);
-            self.kw
-                .insert(ts_fn(&rec), (p.key)(&rec), (p.value)(&rec), scale);
+        let scale = self.pipeline.stream.sources[b.source].0.record_scale();
+        for &(ts, key, value) in triples {
+            self.kw.insert(ts, key, value, scale);
         }
         self.absorbed += 1;
         self.last_arrival = b.arrival;
@@ -523,12 +528,16 @@ impl<'p, 'a, T> Replay<'p, 'a, T> {
         self.kw.state(self.absorbed as u64)
     }
 
-    /// The keyed state at `tick` by absorbing up to it — the per-tick
-    /// replay the one pass's captured states are checked against.
+    /// The keyed state at `tick` by absorbing up to it, each batch reduced
+    /// in place — the per-tick replay the one pass's captured states are
+    /// checked against.
     #[cfg(test)]
     fn state_at(&mut self, tick: SimTime) -> StreamState {
-        while self.next_arrival(Some(tick)).is_some() {
-            self.absorb();
+        let mut triples = Vec::new();
+        while let Some(&b) = (self.batches.get(self.absorbed)).filter(|b| b.arrival <= tick) {
+            triples.clear();
+            self.pipeline.reduce(b, &mut triples);
+            self.absorb(&triples);
         }
         self.state()
     }
@@ -556,38 +565,98 @@ impl<'a, T> WindowPipeline<'a, T> {
         }
     }
 
+    /// Batch `b`'s records, generated and reduced to triples by the
+    /// timestamp, key and value extractors, appended to `out`.
+    fn reduce(&self, b: BatchRef, out: &mut Vec<Triple>) {
+        let (ts_fn, _) = self.stream.ts.as_ref().expect("validated: timestamps set");
+        let (src, gen) = &self.stream.sources[b.source];
+        let actual = src.batch_actual();
+        out.extend((0..actual).map(|j| {
+            let rec = gen((b.index * actual + j) as u64);
+            (ts_fn(&rec), (self.key)(&rec), (self.value)(&rec))
+        }));
+    }
+
     /// Drive the keyed window state machine over every merged batch with
     /// arrival ≤ `cutoff`, flushing remaining windows iff `flush`, in one
     /// pass that also captures the keyed state at every instant `capture`
     /// asks for and at its end, before any flush.
-    fn ingest(&self, cutoff: Option<SimTime>, flush: bool, capture: Capture) -> Ingested {
-        let mut replay = Replay::new(self);
-        let arrivals = replay.batches.iter().map(|b| b.arrival).collect();
+    ///
+    /// The source stage — generator and extractors — feeds the state
+    /// machine chunks of triples through `exec`: with threads a helper
+    /// reduces chunks ahead, and the caller reduces one itself only when
+    /// none is ready; in order, each chunk is reduced just before it is
+    /// absorbed. Either way each record is generated once, and none past
+    /// the cutoff.
+    fn ingest(
+        &self,
+        exec: Exec,
+        cutoff: Option<SimTime>,
+        flush: bool,
+        capture: Capture,
+    ) -> Ingested {
+        let batches = merged_batches(&self.stream.sources);
+        let arrivals: Vec<SimTime> = batches.iter().map(|b| b.arrival).collect();
+        let reach = arrivals.partition_point(|&a| cutoff.is_none_or(|c| a <= c));
+        let actual = |b: &BatchRef| self.stream.sources[b.source].0.batch_actual();
+        // The source stage's chunks: whole batches, each chunk but the last
+        // holding at least CHUNK_RECORDS records.
+        let mut chunks: Vec<Range<usize>> = Vec::new();
+        let mut records = 0;
+        for (i, b) in batches[..reach].iter().enumerate() {
+            match chunks.last_mut() {
+                Some(chunk) if records < CHUNK_RECORDS => chunk.end = i + 1,
+                _ => {
+                    chunks.push(i..i + 1);
+                    records = 0;
+                }
+            }
+            records += actual(b);
+        }
+        let reduce_chunk = |k: usize| {
+            let mut triples = Vec::with_capacity(CHUNK_RECORDS);
+            for &b in &batches[chunks[k].clone()] {
+                self.reduce(b, &mut triples);
+            }
+            triples
+        };
+
+        let mut replay = Replay::new(self, &batches);
         let mut states = BTreeMap::new();
-        let mut fixed = capture.at.into_iter().peekable();
+        let Capture { at, every } = capture;
+        let mut fixed = at.into_iter().peekable();
         let mut cadence: Option<SimTime> = None;
         let mut fired = Vec::new();
-        while let Some(arrival) = replay.next_arrival(cutoff) {
-            // An instant before this arrival sees the state as it stands.
-            while let Some(c) = fixed.peek().copied().into_iter().chain(cadence).min() {
-                if c >= arrival {
-                    break;
-                }
-                let absorbed = replay.absorbed as u64;
-                states.entry(absorbed).or_insert_with(|| replay.state());
-                if fixed.next_if_eq(&c).is_none() {
-                    // Skip the cadence instants that share this state.
-                    let every = capture.every.map_or(1, |e| e.as_nanos().max(1));
-                    let skip = (arrival - c).as_nanos().div_ceil(every);
-                    cadence = Some(c + SimTime::from_nanos(every) * skip);
+        exec.pipe(chunks.len(), reduce_chunk, |reduced| {
+            for (chunk, triples) in chunks.iter().zip(reduced) {
+                let mut triples = &triples[..];
+                for b in &batches[chunk.clone()] {
+                    // An instant before this arrival sees the state as it
+                    // stands.
+                    while let Some(c) = fixed.peek().copied().into_iter().chain(cadence).min() {
+                        if c >= b.arrival {
+                            break;
+                        }
+                        let absorbed = replay.absorbed as u64;
+                        states.entry(absorbed).or_insert_with(|| replay.state());
+                        if fixed.next_if_eq(&c).is_none() {
+                            // Skip the cadence instants that share this
+                            // state.
+                            let every = every.map_or(1, |e| e.as_nanos().max(1));
+                            let skip = (b.arrival - c).as_nanos().div_ceil(every);
+                            cadence = Some(c + SimTime::from_nanos(every) * skip);
+                        }
+                    }
+                    let (now, rest) = triples.split_at(actual(b));
+                    triples = rest;
+                    let f = replay.absorb(now);
+                    if cadence.is_none() && !f.is_empty() {
+                        cadence = every.map(|_| b.arrival);
+                    }
+                    fired.extend(f);
                 }
             }
-            let f = replay.absorb();
-            if cadence.is_none() && !f.is_empty() {
-                cadence = capture.every.map(|_| arrival);
-            }
-            fired.extend(f);
-        }
+        });
         states.insert(replay.absorbed as u64, replay.state());
         if flush {
             fired.extend(replay.kw.flush(replay.last_arrival));
@@ -601,7 +670,8 @@ impl<'a, T> WindowPipeline<'a, T> {
     }
 
     fn run_cpu(&self, cfg: &ClusterConfig) -> Result<WindowedRun, StreamError> {
-        let ing = self.ingest(self.crash_at, self.crash_at.is_none(), Capture::default());
+        let (cutoff, flush) = (self.crash_at, self.crash_at.is_none());
+        let ing = self.ingest(Exec::detect(), cutoff, flush, Capture::default());
         let cpu = cfg.cpu;
         let slots = (cfg.num_workers * cfg.slots_per_worker).max(1);
         let mut slot_free = vec![SimTime::ZERO; slots];
@@ -697,7 +767,8 @@ impl<'a, T> WindowPipeline<'a, T> {
             every: ckpt.map(|_| fabric.with_checkpoints(|c| c.config().interval)),
         };
         capture.at.sort_unstable();
-        let ing = self.ingest(self.crash_at, self.crash_at.is_none(), capture);
+        let exec = Exec::detect();
+        let ing = self.ingest(exec, self.crash_at, self.crash_at.is_none(), capture);
         let fired_by_seq: BTreeMap<u32, &FiredWindow> =
             ing.fired.iter().map(|f| (f.seq, f)).collect();
         // The snapshot's keyed state must equal the state the pass rebuilt
@@ -710,7 +781,7 @@ impl<'a, T> WindowPipeline<'a, T> {
                 .is_ok_and(|st| ing.states.at(rs.snapshot.frontier) == Some(&st))
                 && rs.snapshot.blocks.iter().all(|blk| {
                     let fw = fired_by_seq.get(&blk.tag.1);
-                    fw.is_none_or(|fw| read_keyagg(fw, &blk.payload, blk.emitted).is_some())
+                    fw.is_none_or(|fw| window_rows(fw, &blk.payload, blk.emitted).is_some())
                 });
             restores_refused += u64::from(!valid);
             valid
@@ -730,40 +801,42 @@ impl<'a, T> WindowPipeline<'a, T> {
         }
         gflink_flink::gate::checkpoint(last_submit);
 
-        // --- drain, then assemble outputs (executed + snapshot-restored) --
+        // --- drain, then count every window's rows (executed + restored) --
         let (mut executed, lost, mut wall_end) = drain(&job, workers);
         let crashed_at = lost.iter().map(|l| l.failed_at).chain(self.crash_at).min();
         executed.sort_by_key(|done| done.tag.1);
-        let mut outputs = Vec::new();
-        let mut emit = |fw: &FiredWindow, rows: Vec<(u64, AggResult)>, at, latency, restored| {
-            outputs.extend(rows.into_iter().map(|(key, agg)| WindowOutput {
-                span: fw.span,
-                key,
-                agg,
-                fired_at: at,
-                latency,
-                restored,
-            }));
-        };
         let mut latency = Samples::new();
-        // Executed outputs kept for snapshots (checkpointing only).
-        let mut done_blocks: Vec<SnapshotBlock> = Vec::new();
+        let mut landed = Vec::with_capacity(executed.len());
+        // Executed outputs: kept for snapshots when checkpointing, leased
+        // from the arena until assembled otherwise.
+        let (mut done_blocks, mut leased) = (Vec::new(), Vec::new());
         for done in executed {
             let fw = fired_by_seq[&done.tag.1];
-            let rows = read_keyagg(fw, &done.output, done.emitted).expect(EMITTED_FITS);
+            let rows = window_rows(fw, &done.output, done.emitted).expect(EMITTED_FITS);
             let completed = done.timing.completed;
             let lat = completed.saturating_sub(fw.fire_at);
             latency.push(lat);
+            landed.push(Landed {
+                fw,
+                rows,
+                at: completed,
+                latency: lat,
+                restored: false,
+            });
             if ckpt.is_some() {
                 done_blocks.push(SnapshotBlock {
                     tag: done.tag,
-                    emitted: Some(rows.len()),
+                    emitted: Some(rows),
                     completed_at: completed,
                     payload: Arc::new(done.output.into_inner()),
                 });
+            } else {
+                leased.push(done.output);
             }
-            emit(fw, rows, completed, lat, false);
         }
+        let executed_outs =
+            (done_blocks.iter().map(|b| &*b.payload)).chain(leased.iter().map(|b| &**b));
+        let mut landed: Vec<(Landed, &HBuffer)> = landed.into_iter().zip(executed_outs).collect();
         let mut windows_restored = 0u64;
         if let Some(rs) = &restored {
             for blk in &rs.snapshot.blocks {
@@ -772,25 +845,40 @@ impl<'a, T> WindowPipeline<'a, T> {
                 };
                 windows_restored += 1;
                 wall_end = wall_end.max(rs.ready_at);
-                let rows = read_keyagg(fw, &blk.payload, blk.emitted).expect("validated");
-                emit(fw, rows, rs.ready_at, SimTime::ZERO, true);
+                let l = Landed {
+                    fw,
+                    rows: window_rows(fw, &blk.payload, blk.emitted).expect("validated"),
+                    at: rs.ready_at,
+                    latency: SimTime::ZERO,
+                    restored: true,
+                };
+                landed.push((l, &*blk.payload));
             }
         }
         let (parked_works, park_delay) = job.parked();
+        // A window's rows are key-ascending, so assembling the windows in
+        // span order leaves the final sort a single pass over sorted rows;
+        // the stable sort keeps rows of one span in their executed-then-
+        // restored order, as sorting the rows alone would.
+        landed.sort_by_key(|(l, _)| l.fw.span);
 
-        // --- periodic snapshots (gdst cadence, stream state attached) -----
-        let (mut checkpoints, mut checkpoint_bytes) = (0, 0);
-        if let (Some(cl), Some(seq), false) = (ckpt, seq, ing.fired.is_empty()) {
-            if let Some(rs) = restored {
-                let ready_at = rs.ready_at;
-                done_blocks.extend(rs.snapshot.blocks.into_iter().map(|blk| SnapshotBlock {
-                    completed_at: ready_at,
-                    ..blk
+        // --- outputs assemble on a helper while the chain is written ------
+        let mut outputs = Vec::with_capacity(landed.iter().map(|(l, _)| l.rows).sum());
+        let write_chain = || {
+            let (Some(cl), Some(seq), false) = (ckpt, seq, ing.fired.is_empty()) else {
+                return (0, 0);
+            };
+            // Periodic snapshots (gdst cadence, stream state attached).
+            let mut chain = done_blocks.clone();
+            if let Some(rs) = &restored {
+                chain.extend(rs.snapshot.blocks.iter().map(|blk| SnapshotBlock {
+                    completed_at: rs.ready_at,
+                    ..blk.clone()
                 }));
             }
-            done_blocks.sort_by_key(|b| (b.completed_at, b.tag));
+            chain.sort_by_key(|b| (b.completed_at, b.tag));
             let mut cl = cl.lock();
-            (checkpoints, checkpoint_bytes) = fabric.with_checkpoints(|ck| {
+            fabric.with_checkpoints(|ck| {
                 let ticks = ck.snapshot_ticks(job.id().0, first_fire, wall_end, crashed_at);
                 // Each tick's keyed state is one the ingest pass captured.
                 // A tick the pass holds no state for — the final tick of a
@@ -803,12 +891,16 @@ impl<'a, T> WindowPipeline<'a, T> {
                     &self.env.name,
                     (job.id().0, seq),
                     &ticks,
-                    &done_blocks,
+                    &chain,
                     &[],
                     |tick| ing.states.at(tick).map(StreamState::encode),
                 )
-            });
-        }
+            })
+        };
+        let ((), (checkpoints, checkpoint_bytes)) =
+            exec.join(|| assemble(&landed, &mut outputs), write_chain);
+        drop(landed);
+        drop(leased);
         job.finish();
 
         outputs.sort_by_key(|o| (o.span, o.key));
@@ -830,32 +922,51 @@ impl<'a, T> WindowPipeline<'a, T> {
     }
 }
 
+/// One window whose rows land in the outputs: its fired window, how many
+/// rows the output-row rule counts in its kernel output, when they landed,
+/// and their latency.
+struct Landed<'r> {
+    fw: &'r FiredWindow,
+    rows: usize,
+    at: SimTime,
+    latency: SimTime,
+    restored: bool,
+}
+
+/// Append every landed window's rows, decoded from its kernel output, to
+/// `out` as window outputs.
+fn assemble(landed: &[(Landed<'_>, &HBuffer)], out: &mut Vec<WindowOutput>) {
+    for (l, buf) in landed {
+        let capacity = buf.len() / KeyAgg::SIZE;
+        let reader = RecordReader::new(buf, KeyAgg::def(), DataLayout::Aos, capacity);
+        out.extend(reader.rows_of::<KeyAgg>().take(l.rows).map(|row| {
+            let r = KeyAgg::load_row(row);
+            WindowOutput {
+                span: l.fw.span,
+                key: r.key as u64,
+                agg: AggResult {
+                    count: r.count as u64,
+                    sum: r.sum,
+                    min: r.min,
+                    max: r.max,
+                },
+                fired_at: l.at,
+                latency: l.latency,
+                restored: l.restored,
+            }
+        }));
+    }
+}
+
 /// A fired window's output mode: one `KeyAgg` row per pane.
 fn window_mode(fw: &FiredWindow) -> OutMode {
     OutMode::PerBlock(fw.panes.len())
 }
 
-/// The `(key, aggregate)` rows of window `fw`'s kernel output, counted by
-/// the output-row rule; `None` when the declared count does not fit.
-fn read_keyagg(
-    fw: &FiredWindow,
-    out: &HBuffer,
-    emitted: Option<usize>,
-) -> Option<Vec<(u64, AggResult)>> {
-    let capacity = out.len() / KeyAgg::SIZE;
-    let rows = window_mode(fw).rows(emitted, capacity)?;
-    let reader = RecordReader::new(out, KeyAgg::def(), DataLayout::Aos, capacity);
-    let rows = reader.rows_of::<KeyAgg>().take(rows).map(|row| {
-        let r = KeyAgg::load_row(row);
-        let agg = AggResult {
-            count: r.count as u64,
-            sum: r.sum,
-            min: r.min,
-            max: r.max,
-        };
-        (r.key as u64, agg)
-    });
-    Some(rows.collect())
+/// How many rows window `fw`'s kernel output holds by the output-row
+/// rule; `None` when the declared count does not fit.
+fn window_rows(fw: &FiredWindow, out: &HBuffer, emitted: Option<usize>) -> Option<usize> {
+    window_mode(fw).rows(emitted, out.len() / KeyAgg::SIZE)
 }
 
 /// Drain `job` on every worker: its completions, worker by worker, the
@@ -890,9 +1001,14 @@ impl<T: GRecord, U: GRecord> MapPipeline<'_, T, U> {
 
     /// Run, invoking `check(batch, records)` for every completed batch in
     /// merged arrival order. Lost batches appear in the report, not here.
+    /// A spec that caches its input is refused with
+    /// [`StreamError::CachedInput`]: every micro-batch is sent transient.
     pub fn run_each(self, mut check: impl FnMut(usize, &[U])) -> Result<StreamReport, StreamError> {
         let (fabric, _) = self.stream.env.gpu_parts()?;
         self.stream.validate()?;
+        if self.spec.cache_input {
+            return Err(StreamError::CachedInput);
+        }
         let spec = self.spec.clone().build(fabric)?;
         let (def, out_def) = (T::def(), U::def());
         let workers = fabric.with_managers(|ms| ms.len()).max(1);
@@ -1388,7 +1504,9 @@ mod tests {
     /// records: a crash-bounded cadence, a full cadence past the last batch
     /// with a repeated final tick, and a restore's frontier and `ready_at`,
     /// where `ready_at` comes before the first batch and the first fire
-    /// (every window restored).
+    /// (every window restored). The pass with its source stage on a helper
+    /// thread and the pass in order on the caller produce the same fired
+    /// windows, stamps, late count and captured states.
     #[test]
     fn single_pass_states_equal_per_tick_replay() {
         let a = StreamSource::at_rate(10_000_000.0).for_duration(SimTime::from_secs(1));
@@ -1423,7 +1541,8 @@ mod tests {
                 .window(assigner)
                 .aggregate(AggSpec::avg(), |e: &Event| e.value)
                 .crash_at(crash);
-            let replay = |t: SimTime| Replay::new(&p).state_at(t);
+            let batches = merged_batches(&p.stream.sources);
+            let replay = |t: SimTime| Replay::new(&p, &batches).state_at(t);
             let end = replay(last);
             assert!(end.late_records > 0 && end.fired > 0, "{assigner:?}");
             // A tick covers the batches arriving at or before it.
@@ -1437,25 +1556,36 @@ mod tests {
                 (None, true, ms(250), vec![ready_at, frontier], None),
             ];
             for (i, (cutoff, flush, every, at, crashed)) in cases.into_iter().enumerate() {
-                let restore = at.clone();
-                let capture = Capture {
-                    at,
-                    every: Some(every),
+                let pass = |exec| {
+                    let every = Some(every);
+                    p.ingest(
+                        exec,
+                        cutoff,
+                        flush,
+                        Capture {
+                            at: at.clone(),
+                            every,
+                        },
+                    )
                 };
-                let ing = p.ingest(cutoff, flush, capture);
+                let ing = pass(Exec::Threads);
+                // The source stage running ahead on a helper changes
+                // nothing the state machine produces.
+                let same = ing == pass(Exec::InOrder);
+                assert!(same, "{assigner:?} case {i}: threads vs in order");
                 let first_fire = ing.fired[0].fire_at;
                 let mut ck = CheckpointManager::new(CheckpointConfig::every(every));
                 let mut ticks = ck.snapshot_ticks(1, first_fire, last + ms(5), crashed);
                 if crashed.is_none() {
                     ticks.push(last + ms(5)); // the final tick repeats
                 }
-                if !restore.is_empty() {
+                if !at.is_empty() {
                     // A restore that covered every window cuts one tick at
                     // `ready_at`, before the first fire.
                     let mut ck = CheckpointManager::new(CheckpointConfig::every(every));
                     ticks.extend(ck.snapshot_ticks(2, first_fire, ready_at, None));
                     assert!(ready_at < first_fire && ticks.contains(&ready_at));
-                    ticks.extend(restore);
+                    ticks.extend(at);
                 }
                 for t in ticks {
                     if cutoff.is_some_and(|c| t > c) {
@@ -1466,6 +1596,61 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A generator that panics mid-stream is re-raised on the caller with
+    /// its own payload, in both modes and through `run`, instead of
+    /// hanging the state machine or ending the stream early.
+    #[test]
+    fn panicking_generator_is_reraised_with_its_payload() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let src = StreamSource::at_rate(10_000_000.0).for_duration(SimTime::from_secs(1));
+        let f = fabric_with(1, FabricConfig::default());
+        let env = StreamEnv::gpu(&f);
+        let p = env
+            .source(src, |i| {
+                assert!(i != 300, "generator broke at record {i}");
+                event(i)
+            })
+            .timestamps(
+                |e: &Event| e.ts,
+                WatermarkStrategy::bounded(SimTime::from_millis(40)),
+            )
+            .key_by(|e: &Event| e.key)
+            .window(Tumbling::of(SimTime::from_millis(100)))
+            .aggregate(AggSpec::avg(), |e: &Event| e.value);
+        let payload = |run: &dyn Fn()| {
+            let err = catch_unwind(AssertUnwindSafe(run)).expect_err("the run panics");
+            err.downcast_ref::<String>()
+                .cloned()
+                .expect("a formatted payload")
+        };
+        for exec in [Exec::Threads, Exec::InOrder] {
+            let got = payload(&|| {
+                p.ingest(exec, None, true, Capture::default());
+            });
+            assert_eq!(got, "generator broke at record 300", "{exec:?}");
+        }
+        let got = payload(&|| {
+            let _ = p.run();
+        });
+        assert_eq!(got, "generator broke at record 300", "run");
+    }
+
+    #[test]
+    fn stream_map_refuses_a_caching_spec() {
+        let f = fabric_with(1, FabricConfig::default());
+        let s = source(2_000_000.0);
+        let run = |spec: GpuMapSpec| {
+            StreamEnv::gpu(&f)
+                .source(s.clone(), |i| Sample { v: i as f32 })
+                .map_kernel::<Sample>(spec)
+                .run()
+        };
+        let err = run(GpuMapSpec::new("streamDouble")).unwrap_err();
+        assert_eq!(err, StreamError::CachedInput);
+        let report = run(GpuMapSpec::new("streamDouble").uncached()).expect("uncached runs");
+        assert_eq!(report.batches, s.num_batches());
     }
 
     #[test]

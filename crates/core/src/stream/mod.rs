@@ -67,6 +67,11 @@ pub enum StreamError {
         /// The engine the stage needs (`"cpu"` or `"gpu"`).
         needed: &'static str,
     },
+    /// A kernel map over a stream was given a spec that caches its input
+    /// blocks. Every micro-batch is transient — seen once, keyed by
+    /// nothing a later batch shares — so a stream map takes only an
+    /// `.uncached()` spec rather than silently dropping the flag.
+    CachedInput,
     /// The GPU kernel spec failed validation.
     Spec(SpecError),
     /// The fabric refused the job at admission.
@@ -84,6 +89,12 @@ impl std::fmt::Display for StreamError {
             }
             StreamError::WrongEngine { needed } => {
                 write!(f, "pipeline stage requires the {needed} engine")
+            }
+            StreamError::CachedInput => {
+                write!(
+                    f,
+                    "stream micro-batches are transient: the map spec must be uncached"
+                )
             }
             StreamError::Spec(e) => write!(f, "kernel spec rejected: {e:?}"),
             StreamError::Admission(e) => write!(f, "{e}"),

@@ -293,7 +293,7 @@ pub(crate) struct Pane {
 
 /// A window the watermark released: every pane of one span, keys
 /// ascending, ready to execute as one unit of work.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct FiredWindow {
     /// Fire order — the GPU work tag and checkpoint block identity.
     pub(crate) seq: u32,

@@ -176,6 +176,12 @@ impl Samples {
     pub fn p99(&self) -> SimTime {
         self.quantile(0.99)
     }
+
+    /// The largest sample (zero when empty) — what every nearest-rank
+    /// quantile above `1 − 1/n` reads.
+    pub fn max(&self) -> SimTime {
+        self.0.iter().copied().max().unwrap_or(SimTime::ZERO)
+    }
 }
 
 #[cfg(test)]
@@ -187,8 +193,8 @@ mod tests {
         let ms = SimTime::from_millis;
         let mut s = Samples::new();
         assert_eq!(
-            (s.mean(), s.p50(), s.last()),
-            (0.0, SimTime::ZERO, SimTime::ZERO)
+            (s.mean(), s.p50(), s.last(), s.max()),
+            (0.0, SimTime::ZERO, SimTime::ZERO, SimTime::ZERO)
         );
         let taken = [9, 1, 5, 3, 7, 2, 8, 4, 6, 10].map(ms);
         for t in taken {
@@ -199,6 +205,7 @@ mod tests {
         assert_eq!(s.p50(), ms(5));
         assert_eq!(s.p95(), ms(10));
         assert_eq!(s.p99(), ms(10));
+        assert_eq!(s.max(), ms(10));
         assert_eq!(s.quantile(0.0), ms(1));
         assert_eq!(s.quantile(0.21), ms(3));
         let direct: Summary = taken.iter().map(|t| t.as_secs_f64()).collect();
