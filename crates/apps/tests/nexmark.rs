@@ -524,7 +524,10 @@ fn failed_segment_write_chains_from_the_last_written() {
         fabric.with_checkpoints(|c| c.verify_chains());
         for node in 0..WORKERS {
             let until = down + SimTime::from_nanos(1);
-            cluster.lock().hdfs.fail_node_during(node, down, until);
+            let mut cl = cluster.lock();
+            cl.hdfs
+                .fail_node_during(node, down, until)
+                .expect("a datanode");
         }
         let crashed = nexmark::q6_with(&env, &cfg, Some(CRASH)).expect("crashed run");
         let audits = fabric.with_checkpoints(|c| c.take_audits());

@@ -37,11 +37,12 @@
 
 use crate::config::CheckpointConfig;
 use crate::gwork::CacheKey;
-use gflink_hdfs::{crc32, Hdfs, HdfsError};
+use gflink_hdfs::{Hdfs, HdfsError, Piece, Pieces};
 use gflink_memory::HBuffer;
 use gflink_sim::SimTime;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Magic prefix of a snapshot segment ("GFlink ChecKpoint").
@@ -134,7 +135,8 @@ pub struct SnapshotBlock {
     /// Simulated instant the block completed in the original run.
     pub completed_at: SimTime,
     /// The block's output bytes, verbatim — shared with the operator's
-    /// resident block, so cutting a snapshot copies no payload.
+    /// resident block, and written into each GFCK segment by reference,
+    /// so neither cutting a snapshot nor writing it copies a payload.
     pub payload: Arc<HBuffer>,
 }
 
@@ -182,7 +184,7 @@ impl JobSnapshot {
 
     /// The snapshot as one self-contained base segment.
     pub fn encode(&self) -> Vec<u8> {
-        encode_segment(&self.as_cut(), 0, None)
+        encode_segment(&self.as_cut(), 0, None).to_vec()
     }
 
     /// Length of [`JobSnapshot::encode`]: the snapshot's folded size.
@@ -267,7 +269,7 @@ pub struct SnapshotSegment {
 impl SnapshotSegment {
     /// Deterministic byte encoding (little-endian, length-prefixed).
     pub fn encode(&self) -> Vec<u8> {
-        encode_segment(&self.snapshot.as_cut(), self.index, self.link)
+        encode_segment(&self.snapshot.as_cut(), self.index, self.link).to_vec()
     }
 
     /// Decode one segment. Content integrity is the HDFS manifest CRC's
@@ -340,8 +342,10 @@ fn segment_len(state: &[u8], blocks: &[SnapshotBlock], cache: &[CacheManifestEnt
 }
 
 /// Segment `index` of `cut`, linking to `link` (a delta) or to nothing
-/// (a base).
-fn encode_segment(cut: &Cut<'_>, index: u64, link: Option<SegmentLink>) -> Vec<u8> {
+/// (a base), as pieces: every field goes into one buffer, and each block's
+/// payload goes in by reference between its own fields and the next
+/// block's, so no payload byte is copied.
+fn encode_segment(cut: &Cut<'_>, index: u64, link: Option<SegmentLink>) -> Pieces {
     let Cut {
         state,
         blocks,
@@ -349,7 +353,10 @@ fn encode_segment(cut: &Cut<'_>, index: u64, link: Option<SegmentLink>) -> Vec<u
         ..
     } = *cut;
     let len = segment_len(state, blocks, cache);
-    let mut out = Vec::with_capacity(len);
+    let payloads: usize = blocks.iter().map(|b| b.payload.len()).sum();
+    let mut out = Vec::with_capacity(len - payloads);
+    // Where each block's payload goes: the field bytes before it.
+    let mut splits = Vec::with_capacity(blocks.len());
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, VERSION);
     put_u64(&mut out, cut.job);
@@ -375,7 +382,7 @@ fn encode_segment(cut: &Cut<'_>, index: u64, link: Option<SegmentLink>) -> Vec<u
         put_u64(&mut out, b.emitted.unwrap_or(0) as u64);
         put_u64(&mut out, b.completed_at.as_nanos());
         put_u64(&mut out, b.payload.len() as u64);
-        out.extend_from_slice(b.payload.as_slice());
+        splits.push(out.len());
     }
     put_u64(&mut out, cache.len() as u64);
     for e in cache {
@@ -386,8 +393,29 @@ fn encode_segment(cut: &Cut<'_>, index: u64, link: Option<SegmentLink>) -> Vec<u
         put_u32(&mut out, e.key.block);
         put_u64(&mut out, e.bytes);
     }
-    debug_assert_eq!(out.len(), len, "GFCK length precomputed exactly");
-    out
+    let fields = Arc::new(out);
+    let run = |range: Range<usize>| -> Piece { Arc::new(FieldRun(Arc::clone(&fields), range)) };
+    let mut pieces = Vec::with_capacity(2 * blocks.len() + 1);
+    let mut from = 0;
+    for (b, &split) in blocks.iter().zip(&splits) {
+        pieces.push(run(from..split));
+        pieces.push(Arc::clone(&b.payload) as Piece);
+        from = split;
+    }
+    pieces.push(run(from..fields.len()));
+    let pieces = Pieces::from(pieces);
+    debug_assert_eq!(pieces.len(), len as u64, "GFCK length precomputed exactly");
+    pieces
+}
+
+/// A run of a segment's field bytes: a range of the one buffer that all
+/// its field runs share.
+struct FieldRun(Arc<Vec<u8>>, Range<usize>);
+
+impl AsRef<[u8]> for FieldRun {
+    fn as_ref(&self) -> &[u8] {
+        &self.0[self.1.clone()]
+    }
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -788,16 +816,15 @@ impl CheckpointManager {
     ) -> Result<Option<RestoredSnapshot>, SnapshotError> {
         let entry = self.file_name(job_name, seq);
         let folded = fold_chain(&entry, |name, link| {
-            let Ok(data) = hdfs.data(name) else {
+            let Ok(content) = hdfs.content(name) else {
                 return Ok(None);
             };
-            let m = check_link(hdfs, name, link)?;
-            if data.len() as u64 != m.len || crc32(&data) != m.crc {
+            if !check_link(hdfs, name, link)?.matches(content) {
                 return Err(SnapshotError::CrcMismatch {
                     file: name.to_string(),
                 });
             }
-            Ok(Some(data))
+            Ok(Some(content.to_vec()))
         })?;
         Ok(folded.map(|f| f.restored(hdfs, &entry, SimTime::ZERO)))
     }
@@ -854,7 +881,7 @@ impl Folded {
 /// terminates.
 fn fold_chain(
     entry: &str,
-    mut fetch: impl FnMut(&str, Option<&SegmentLink>) -> Result<Option<Arc<Vec<u8>>>, SnapshotError>,
+    mut fetch: impl FnMut(&str, Option<&SegmentLink>) -> Result<Option<Vec<u8>>, SnapshotError>,
 ) -> Result<Option<Folded>, SnapshotError> {
     let (mut name, mut link) = (entry.to_string(), None);
     let mut bytes_read = 0;
@@ -944,7 +971,7 @@ impl ChainWriter {
             .filter(|_| self.delta_bytes + delta_len <= self.base_bytes);
         let index = hdfs.manifest(&self.entry).map_or(0, |m| m.epoch) + 1;
         let payload = encode_segment(if link.is_some() { &fresh } else { cut }, index, link);
-        let len = payload.len() as u64;
+        let len = payload.len();
         let aside = link.map(|l| segment_name(&self.entry, l.index));
         if let Some(aside) = &aside {
             hdfs.rename(&self.entry, aside)?;

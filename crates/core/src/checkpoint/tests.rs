@@ -255,7 +255,8 @@ fn chains_fold_to_the_v1_cut_at_every_tick() {
         let outage = |hdfs: &mut Hdfs| {
             for node in 0..2 {
                 if let Some(t) = down {
-                    hdfs.fail_node_during(node, t, t + SimTime::from_nanos(1));
+                    let until = t + SimTime::from_nanos(1);
+                    hdfs.fail_node_during(node, t, until).unwrap();
                 }
             }
         };
@@ -397,4 +398,42 @@ fn broken_chains_are_typed_errors() {
     hdfs.snapshot_at(0, entry, vec![0; 3], SimTime::ZERO)
         .unwrap();
     assert_eq!(read(&mut hdfs).unwrap_err(), SnapshotError::Truncated);
+}
+
+/// Every segment holds its blocks' payloads by reference, shared with
+/// the operator's blocks. Rotting or tampering with a segment rewrites
+/// the file's own copy: every payload stays byte-identical, and the next
+/// read refuses the chain.
+#[test]
+fn damaged_segments_leave_shared_payloads_intact() {
+    let done = blocks(12);
+    let want: Vec<Vec<u8>> = done.iter().map(|b| b.payload.as_slice().to_vec()).collect();
+    let ticks = [ms(4), ms(8), ms(12)];
+    let entry = "ckpt/s/op0";
+    for rot in [true, false] {
+        let mut hdfs = Hdfs::new(1, HdfsConfig::default());
+        let mut cm = CheckpointManager::new(CheckpointConfig::every(ms(1)));
+        cm.write_ticks(&mut hdfs, "s", (1, 0), &ticks, &done, &[], |_| {
+            Some(vec![3; 8])
+        });
+        assert!(hdfs.list().len() >= 2, "a base and a delta at least");
+        assert!(
+            done.iter().all(|b| Arc::strong_count(&b.payload) == 2),
+            "each payload is stored once, by reference"
+        );
+        for file in hdfs.list() {
+            if rot {
+                hdfs.rot(&file).unwrap();
+            } else {
+                let flip = |data: &mut Vec<u8>| data.iter_mut().for_each(|b| *b ^= 0xFF);
+                hdfs.tamper(&file, flip).unwrap();
+            }
+        }
+        let got: Vec<Vec<u8>> = done.iter().map(|b| b.payload.as_slice().to_vec()).collect();
+        assert_eq!(got, want, "rot {rot}");
+        assert_eq!(
+            cm.read(&mut hdfs, 0, "s", 0, SimTime::ZERO).unwrap_err(),
+            SnapshotError::CrcMismatch { file: entry.into() }
+        );
+    }
 }

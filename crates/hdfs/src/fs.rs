@@ -1,5 +1,6 @@
 //! The simulated file system.
 
+use crate::crc;
 use gflink_sim::{BandwidthCost, SimTime, Timeline};
 use std::collections::HashMap;
 use std::fmt;
@@ -134,60 +135,68 @@ pub struct SnapshotManifest {
     pub epoch: u64,
 }
 
-/// The reflected IEEE 802.3 CRC-32 polynomial.
-const CRC32_POLY: u32 = 0xEDB8_8320;
+impl SnapshotManifest {
+    /// Whether `content` is what this manifest recorded: the same length
+    /// and the same CRC-32, folded over the pieces in order.
+    pub fn matches(&self, content: &Pieces) -> bool {
+        content.len() == self.len && content.crc32() == self.crc
+    }
+}
 
-/// Slicing-by-8 tables, built at compile time: `CRC32_TABLES[0]` is the
-/// classic byte-at-a-time table, and `CRC32_TABLES[k][b]` is the CRC of
-/// byte `b` followed by `k` zero bytes.
-const CRC32_TABLES: [[u32; 256]; 8] = {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
-            bit += 1;
-        }
-        t[0][i] = crc;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-};
+/// One shared piece of a file's content: any bytes behind an `Arc`, so a
+/// writer hands over buffers it also keeps (a checkpoint's block
+/// payloads) without copying them.
+pub type Piece = Arc<dyn AsRef<[u8]> + Send + Sync>;
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8: eight bytes
-/// per step through the compile-time tables, then the tail byte by byte.
-/// Dependency-free; checks every snapshot write and restore.
-pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut crc = !0u32;
-    let mut chunks = data.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][c[4] as usize]
-            ^ t[2][c[5] as usize]
-            ^ t[1][c[6] as usize]
-            ^ t[0][c[7] as usize];
+/// A file's content: shared pieces, in order. The file's bytes are the
+/// pieces joined, but nothing joins them until a reader asks for the
+/// bytes, and the manifest CRC folds over them where they lie.
+#[derive(Clone, Default)]
+pub struct Pieces(Vec<Piece>);
+
+impl Pieces {
+    /// Total length in bytes.
+    pub fn len(&self) -> u64 {
+        self.iter().map(|p| p.len() as u64).sum()
     }
-    for &byte in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
+
+    /// Whether the content holds no byte.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
-    !crc
+
+    /// CRC-32 (IEEE) of the joined bytes, continued piece by piece.
+    pub fn crc32(&self) -> u32 {
+        self.iter().fold(0, crc::update)
+    }
+
+    /// The joined bytes: a copy.
+    pub fn to_vec(&self) -> Vec<u8> {
+        self.iter().collect::<Vec<_>>().concat()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        self.0.iter().map(|p| (**p).as_ref())
+    }
+}
+
+impl From<Vec<Piece>> for Pieces {
+    fn from(pieces: Vec<Piece>) -> Self {
+        Pieces(pieces)
+    }
+}
+
+impl From<Vec<u8>> for Pieces {
+    /// One piece holding `bytes`.
+    fn from(bytes: Vec<u8>) -> Self {
+        Pieces(vec![Arc::new(bytes)])
+    }
+}
+
+impl fmt::Debug for Pieces {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Pieces({} pieces, {} B)", self.0.len(), self.len())
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -202,7 +211,7 @@ struct FileMeta {
     logical_size: u64,
     blocks: Vec<Block>,
     /// Scale-reduced real content (possibly empty for timing-only files).
-    data: Arc<Vec<u8>>,
+    data: Pieces,
 }
 
 /// The simulated HDFS instance: one namenode table + per-datanode disks.
@@ -262,11 +271,17 @@ impl Hdfs {
             .ok_or_else(|| HdfsError::NotFound(name.to_string()))
     }
 
-    /// The actual (scale-reduced) content of `name`.
-    pub fn data(&self, name: &str) -> Result<Arc<Vec<u8>>, HdfsError> {
+    /// The actual (scale-reduced) content of `name`, joined into one
+    /// buffer.
+    pub fn data(&self, name: &str) -> Result<Vec<u8>, HdfsError> {
+        self.content(name).map(Pieces::to_vec)
+    }
+
+    /// The actual (scale-reduced) content of `name`, as it is stored.
+    pub fn content(&self, name: &str) -> Result<&Pieces, HdfsError> {
         self.files
             .get(name)
-            .map(|f| Arc::clone(&f.data))
+            .map(|f| &f.data)
             .ok_or_else(|| HdfsError::NotFound(name.to_string()))
     }
 
@@ -280,8 +295,18 @@ impl Hdfs {
         logical_size: u64,
         actual: Vec<u8>,
     ) -> Result<(), HdfsError> {
+        self.create_pieces(name, logical_size, actual.into())
+    }
+
+    /// [`Hdfs::create`] with content in pieces.
+    fn create_pieces(
+        &mut self,
+        name: &str,
+        logical_size: u64,
+        actual: Pieces,
+    ) -> Result<(), HdfsError> {
         let start = self.next_block_start;
-        let placed = self.create_at(name, logical_size, actual, start)?;
+        let placed = self.place(name, logical_size, actual, start)?;
         self.next_block_start = start + placed;
         Ok(())
     }
@@ -297,6 +322,17 @@ impl Hdfs {
         name: &str,
         logical_size: u64,
         actual: Vec<u8>,
+        start: usize,
+    ) -> Result<usize, HdfsError> {
+        self.place(name, logical_size, actual.into(), start)
+    }
+
+    /// [`Hdfs::create_at`] with content in pieces.
+    fn place(
+        &mut self,
+        name: &str,
+        logical_size: u64,
+        actual: Pieces,
         start: usize,
     ) -> Result<usize, HdfsError> {
         if self.files.contains_key(name) {
@@ -326,7 +362,7 @@ impl Hdfs {
             FileMeta {
                 logical_size,
                 blocks,
-                data: Arc::new(actual),
+                data: actual,
             },
         );
         Ok(placed)
@@ -400,35 +436,41 @@ impl Hdfs {
             .get(name)
             .ok_or_else(|| HdfsError::NotFound(name.to_string()))?;
         Ok(
-            Self::touched_blocks(meta, offset, len, self.config.block_size)?
+            Self::touched_blocks(meta, name, offset, len, self.config.block_size)?
                 .iter()
                 .all(|&(b, _)| meta.blocks[b].replicas.contains(&node)),
         )
     }
 
+    /// The blocks of file `name` (described by `meta`) that the byte range
+    /// `[offset, offset + len)` touches, with the bytes it reads from
+    /// each. An empty range touches none; a range past the end of the
+    /// file, or past `u64::MAX`, is [`HdfsError::OutOfRange`].
     fn touched_blocks(
         meta: &FileMeta,
+        name: &str,
         offset: u64,
         len: u64,
         block_size: u64,
     ) -> Result<Vec<(usize, u64)>, HdfsError> {
-        if len > 0 && offset + len > meta.logical_size {
-            return Err(HdfsError::OutOfRange {
-                file: String::new(),
-                size: meta.logical_size,
-            });
-        }
-        let mut out = Vec::new();
         if len == 0 {
-            return Ok(out);
+            return Ok(Vec::new());
         }
+        let end = offset
+            .checked_add(len)
+            .filter(|&end| end <= meta.logical_size)
+            .ok_or_else(|| HdfsError::OutOfRange {
+                file: name.to_string(),
+                size: meta.logical_size,
+            })?;
+        let mut out = Vec::new();
         let first = (offset / block_size) as usize;
-        let last = ((offset + len - 1) / block_size) as usize;
+        let last = ((end - 1) / block_size) as usize;
         for b in first..=last {
             let block_start = b as u64 * block_size;
             let block_end = block_start + meta.blocks[b].size;
             let lo = offset.max(block_start);
-            let hi = (offset + len).min(block_end);
+            let hi = end.min(block_end);
             out.push((b, hi - lo));
         }
         Ok(out)
@@ -449,20 +491,12 @@ impl Hdfs {
         len: u64,
         earliest: SimTime,
     ) -> Result<IoGrant, HdfsError> {
-        if node >= self.num_nodes {
-            return Err(HdfsError::BadNode(node));
-        }
+        self.check_node(node)?;
         let meta = self
             .files
             .get(name)
             .ok_or_else(|| HdfsError::NotFound(name.to_string()))?;
-        if len > 0 && offset + len > meta.logical_size {
-            return Err(HdfsError::OutOfRange {
-                file: name.to_string(),
-                size: meta.logical_size,
-            });
-        }
-        let touched = Self::touched_blocks(meta, offset, len, self.config.block_size)?;
+        let touched = Self::touched_blocks(meta, name, offset, len, self.config.block_size)?;
         let disk = BandwidthCost::new(self.config.block_overhead, self.config.disk_read_bps);
         let net = BandwidthCost::new(SimTime::ZERO, self.config.net_bps);
         let mut cursor = earliest;
@@ -531,9 +565,7 @@ impl Hdfs {
         actual: Vec<u8>,
         earliest: SimTime,
     ) -> Result<IoGrant, HdfsError> {
-        if node >= self.num_nodes {
-            return Err(HdfsError::BadNode(node));
-        }
+        self.check_node(node)?;
         self.create(name, logical_size, actual)?;
         self.charge_write(node, name, earliest)
     }
@@ -550,9 +582,7 @@ impl Hdfs {
         earliest: SimTime,
         start: usize,
     ) -> Result<(IoGrant, usize), HdfsError> {
-        if node >= self.num_nodes {
-            return Err(HdfsError::BadNode(node));
-        }
+        self.check_node(node)?;
         let placed = self.create_at(name, logical_size, actual, start)?;
         Ok((self.charge_write(node, name, earliest)?, placed))
     }
@@ -612,6 +642,9 @@ impl Hdfs {
     /// the file's write epoch advances monotonically so a restore can
     /// tell which checkpoint generation it got. Returns the I/O grant.
     ///
+    /// The payload is stored as the pieces it arrives in, each shared,
+    /// never copied; the CRC folds over them in order.
+    ///
     /// Fails with [`HdfsError::BlockLost`], leaving any earlier epoch in
     /// place, when every datanode a block's replicas would land on is down
     /// at `earliest`: the write pipeline has nowhere to go.
@@ -619,13 +652,13 @@ impl Hdfs {
         &mut self,
         node: usize,
         name: &str,
-        payload: Vec<u8>,
+        payload: impl Into<Pieces>,
         earliest: SimTime,
     ) -> Result<IoGrant, HdfsError> {
-        if node >= self.num_nodes {
-            return Err(HdfsError::BadNode(node));
-        }
-        let blocks = (payload.len() as u64).div_ceil(self.config.block_size) as usize;
+        self.check_node(node)?;
+        let payload = payload.into();
+        let len = payload.len();
+        let blocks = len.div_ceil(self.config.block_size) as usize;
         if (0..blocks).any(|b| {
             self.replica_nodes(self.next_block_start + b)
                 .all(|r| self.down(r, earliest))
@@ -639,11 +672,10 @@ impl Hdfs {
             self.delete(name)?;
         }
         self.epochs.insert(name.to_string(), epoch);
-        let crc = crc32(&payload);
-        let len = payload.len() as u64;
+        let crc = payload.crc32();
         // Snapshots carry their real content: logical size == payload
         // size (no scale reduction — restores must be byte-exact).
-        self.create(name, len, payload)?;
+        self.create_pieces(name, len, payload)?;
         let grant = self.charge_write(node, name, earliest)?;
         self.manifests.insert(
             name.to_string(),
@@ -660,7 +692,7 @@ impl Hdfs {
     /// Restore a snapshot previously written with [`Hdfs::snapshot_at`]:
     /// read every block back from `node` (charging disk and network as
     /// usual), verify the payload against the manifest CRC, and return
-    /// the payload with the read grant.
+    /// the payload, joined into one buffer, with the read grant.
     ///
     /// Fails with [`HdfsError::NoManifest`] for plain files and
     /// [`HdfsError::Corrupt`] when the content no longer matches the
@@ -670,7 +702,7 @@ impl Hdfs {
         node: usize,
         name: &str,
         earliest: SimTime,
-    ) -> Result<(Arc<Vec<u8>>, IoGrant), HdfsError> {
+    ) -> Result<(Vec<u8>, IoGrant), HdfsError> {
         let manifest = *self.manifests.get(name).ok_or_else(|| {
             if self.files.contains_key(name) {
                 HdfsError::NoManifest {
@@ -681,13 +713,13 @@ impl Hdfs {
             }
         })?;
         let grant = self.read(node, name, 0, manifest.len, earliest)?;
-        let data = self.data(name)?;
-        if data.len() as u64 != manifest.len || crc32(&data) != manifest.crc {
+        let content = self.content(name)?;
+        if !manifest.matches(content) {
             return Err(HdfsError::Corrupt {
                 file: name.to_string(),
             });
         }
-        Ok((data, grant))
+        Ok((content.to_vec(), grant))
     }
 
     /// The snapshot manifest for `name`, if it was written by
@@ -708,40 +740,63 @@ impl Hdfs {
         })
     }
 
-    /// Chaos injection: rewrite `name`'s stored content in place with `f`
-    /// — truncate it, flip bits — without touching its manifest, as a
-    /// failing disk would.
+    /// Chaos injection: rewrite `name`'s stored content with `f` —
+    /// truncate it, flip bits — without touching its manifest, as a
+    /// failing disk would. The file gets a rewritten copy of its bytes, so
+    /// a piece it shares with a writer (a checkpointed block's output) is
+    /// never changed.
     pub fn tamper(&mut self, name: &str, f: impl FnOnce(&mut Vec<u8>)) -> Result<(), HdfsError> {
         let meta = self
             .files
             .get_mut(name)
             .ok_or_else(|| HdfsError::NotFound(name.to_string()))?;
-        f(Arc::make_mut(&mut meta.data));
+        let mut bytes = meta.data.to_vec();
+        f(&mut bytes);
+        meta.data = bytes.into();
         Ok(())
+    }
+
+    /// `node`, if it is one of this cluster's datanodes.
+    fn check_node(&self, node: usize) -> Result<usize, HdfsError> {
+        if node < self.num_nodes {
+            Ok(node)
+        } else {
+            Err(HdfsError::BadNode(node))
+        }
     }
 
     /// Mark a datanode as failed: its disk serves no further I/O; reads
     /// fail over to surviving replicas (HDFS's standard behaviour).
-    pub fn fail_node(&mut self, node: usize) {
+    pub fn fail_node(&mut self, node: usize) -> Result<(), HdfsError> {
+        let node = self.check_node(node)?;
         self.failed[node] = true;
+        Ok(())
     }
 
     /// Chaos injection: datanode `node` serves no I/O issued in `[from,
     /// until)` — a scripted mid-run outage on the simulated clock. Reads
     /// fail over to live replicas and writes skip the node, as for
     /// [`Hdfs::fail_node`]; a snapshot write with no live replica fails.
-    pub fn fail_node_during(&mut self, node: usize, from: SimTime, until: SimTime) {
-        self.outages.push((node, from, until));
+    pub fn fail_node_during(
+        &mut self,
+        node: usize,
+        from: SimTime,
+        until: SimTime,
+    ) -> Result<(), HdfsError> {
+        self.outages.push((self.check_node(node)?, from, until));
+        Ok(())
     }
 
     /// Bring a failed datanode back.
-    pub fn recover_node(&mut self, node: usize) {
+    pub fn recover_node(&mut self, node: usize) -> Result<(), HdfsError> {
+        let node = self.check_node(node)?;
         self.failed[node] = false;
+        Ok(())
     }
 
     /// Whether `node` is currently failed.
-    pub fn is_failed(&self, node: usize) -> bool {
-        self.failed[node]
+    pub fn is_failed(&self, node: usize) -> Result<bool, HdfsError> {
+        Ok(self.failed[self.check_node(node)?])
     }
 
     /// Reset all disk timelines (metadata is kept). Used between benchmark
@@ -769,7 +824,7 @@ impl fmt::Debug for Hdfs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::crc32;
 
     const MB: u64 = 1024 * 1024;
 
@@ -854,30 +909,69 @@ mod tests {
         );
     }
 
+    /// A range whose end passes `u64::MAX` is out of range, named after
+    /// its file, through both entry points; it neither overflows nor
+    /// wraps into a small range that reads nothing.
+    #[test]
+    fn ranges_past_u64_max_are_out_of_range() {
+        let mut fs = Hdfs::new(2, small_cfg());
+        fs.create("a", MB, vec![]).unwrap();
+        let out = Err(HdfsError::OutOfRange {
+            file: "a".into(),
+            size: MB,
+        });
+        for (offset, len) in [(u64::MAX, 1), (u64::MAX - 10, 100), (1, u64::MAX)] {
+            assert_eq!(fs.read(0, "a", offset, len, SimTime::ZERO).map(|_| ()), out);
+            assert_eq!(fs.is_local(0, "a", offset, len).map(|_| ()), out);
+        }
+        assert_eq!(fs.is_local(0, "a", MB - 10, 100).map(|_| ()), out);
+        // An empty range reads nothing wherever it starts.
+        let g = fs.read(0, "a", u64::MAX, 0, SimTime::ZERO).unwrap();
+        assert_eq!(g.duration(), SimTime::ZERO);
+        assert!(fs.is_local(1, "a", u64::MAX, 0).unwrap());
+    }
+
+    #[test]
+    fn datanode_controls_refuse_unknown_nodes() {
+        let mut fs = Hdfs::new(3, small_cfg());
+        let bad = Err(HdfsError::BadNode(3));
+        assert_eq!(fs.fail_node(3), bad);
+        assert_eq!(fs.recover_node(3), bad);
+        assert_eq!(fs.is_failed(3).map(|_| ()), bad);
+        let (from, until) = (SimTime::ZERO, SimTime::from_millis(1));
+        assert_eq!(
+            fs.fail_node_during(usize::MAX, from, until),
+            Err(HdfsError::BadNode(usize::MAX))
+        );
+        // Nothing changed: every datanode serves, and a snapshot lands.
+        assert!((0..3).all(|n| fs.is_failed(n) == Ok(false)));
+        fs.snapshot_at(0, "s", vec![1], SimTime::ZERO).unwrap();
+    }
+
     #[test]
     fn failed_node_reads_fail_over_to_replicas() {
         let mut fs = Hdfs::new(4, small_cfg());
         fs.create("a", 8 * MB, vec![]).unwrap(); // block on nodes 0,1,2
                                                  // Node 0 dies: a reader on node 0 still succeeds, remotely.
-        fs.fail_node(0);
+        fs.fail_node(0).unwrap();
         let g = fs.read(0, "a", 0, 8 * MB, SimTime::ZERO).unwrap();
         assert_eq!(g.local_bytes, 0);
         assert_eq!(g.remote_bytes, 8 * MB);
         // All replicas dead: the block is lost.
-        fs.fail_node(1);
-        fs.fail_node(2);
+        fs.fail_node(1).unwrap();
+        fs.fail_node(2).unwrap();
         let err = fs.read(3, "a", 0, 8 * MB, SimTime::ZERO).unwrap_err();
         assert!(matches!(err, HdfsError::BlockLost { .. }));
         // Recovery restores service.
-        fs.recover_node(1);
+        fs.recover_node(1).unwrap();
         assert!(fs.read(3, "a", 0, 8 * MB, SimTime::ZERO).is_ok());
-        assert!(fs.is_failed(0));
+        assert!(fs.is_failed(0).unwrap());
     }
 
     #[test]
     fn writes_skip_failed_datanodes() {
         let mut fs = Hdfs::new(4, small_cfg());
-        fs.fail_node(1);
+        fs.fail_node(1).unwrap();
         // One block, replicas {0,1,2}: node 1 is down, so only two live
         // copies are written (and charged).
         let g = fs.write(0, "out", 16 * MB, vec![], SimTime::ZERO).unwrap();
@@ -983,10 +1077,10 @@ mod tests {
         let mut fs = Hdfs::new(2, small_cfg()); // replication 2: both nodes
         let ms = SimTime::from_millis;
         fs.snapshot_at(0, "s", vec![1], ms(1)).unwrap();
-        fs.fail_node_during(0, ms(10), ms(20));
+        fs.fail_node_during(0, ms(10), ms(20)).unwrap();
         // One replica down: the pipeline writes the survivor.
         fs.snapshot_at(0, "s", vec![2], ms(10)).unwrap();
-        fs.fail_node_during(1, ms(10), ms(20));
+        fs.fail_node_during(1, ms(10), ms(20)).unwrap();
         assert_eq!(
             fs.snapshot_at(0, "s", vec![3], ms(15)),
             Err(HdfsError::BlockLost { file: "s".into() })
@@ -1020,43 +1114,79 @@ mod tests {
         );
     }
 
+    /// `len` scrambled bytes, different for each `seed`.
+    fn bytes(seed: u32, len: u32) -> Vec<u8> {
+        (0..len)
+            .map(|i| ((i ^ seed).wrapping_mul(0x9E37_79B1) >> 24) as u8)
+            .collect()
+    }
+
+    fn piece(data: &[u8]) -> Piece {
+        Arc::new(data.to_vec())
+    }
+
+    /// The CRC folded over pieces equals the one-shot CRC of the joined
+    /// bytes at every split into two pieces and into three (the middle
+    /// one shorter than a 16-byte lane), and a manifest matches either.
     #[test]
-    fn crc32_matches_known_vectors() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
-    }
-
-    /// The reference the tables must agree with: one bit per step.
-    fn crc32_bitwise(data: &[u8]) -> u32 {
-        let mut crc = !0u32;
-        for &byte in data {
-            crc ^= byte as u32;
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (CRC32_POLY & mask);
+    fn piecewise_crc_equals_the_one_shot_crc_at_every_split() {
+        let buf = bytes(7, 700);
+        let whole = crc32(&buf);
+        for at in 0..=buf.len() {
+            let (a, b) = buf.split_at(at);
+            let two = Pieces::from(vec![piece(a), piece(b)]);
+            assert_eq!(two.crc32(), whole, "split at {at}");
+            assert_eq!(two.to_vec(), buf);
+            for short in 0..16.min(b.len()) {
+                let (m, c) = b.split_at(short);
+                let three = Pieces::from(vec![piece(a), piece(m), piece(c)]);
+                assert_eq!(three.crc32(), whole, "split at {at} + {short}");
             }
         }
-        !crc
+        let m = SnapshotManifest {
+            crc: whole,
+            len: buf.len() as u64,
+            taken_at: SimTime::ZERO,
+            epoch: 1,
+        };
+        assert!(m.matches(&Pieces::from(buf.clone())));
+        assert!(m.matches(&Pieces::from(vec![piece(&buf[..300]), piece(&buf[300..])])));
+        assert!(!m.matches(&Pieces::from(buf[1..].to_vec())));
+        assert_eq!(Pieces::default().crc32(), 0);
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Slicing-by-8 equals the bitwise CRC for any length up to 4 KiB
-        /// starting at every offset within an 8-byte word, so every split
-        /// into whole 8-byte steps and a byte tail is exercised.
-        #[test]
-        fn crc32_matches_the_bitwise_reference(
-            buf in prop::collection::vec(any::<u8>(), 4096 + 8),
-            len in 0usize..=4096,
-        ) {
-            for offset in 0..8 {
-                let s = &buf[offset..offset + len];
-                prop_assert_eq!(crc32(s), crc32_bitwise(s));
-            }
-        }
+    /// A snapshot stores its pieces shared, not copied, and rot or tamper
+    /// rewrite a copy: the writer's buffer stays byte-identical while the
+    /// restore refuses the file.
+    #[test]
+    fn tampering_a_snapshot_never_touches_a_shared_piece() {
+        let mut fs = Hdfs::new(2, small_cfg());
+        let shared = Arc::new(bytes(3, 4096));
+        let pieces = vec![piece(b"head"), Arc::clone(&shared) as Piece, piece(b"tail")];
+        fs.snapshot_at(0, "s", Pieces::from(pieces), SimTime::ZERO)
+            .unwrap();
+        assert_eq!(Arc::strong_count(&shared), 2, "stored by reference");
+        let want = shared.to_vec();
+        let joined = [b"head".as_slice(), &want, b"tail"].concat();
+        assert_eq!(fs.manifest("s").unwrap().crc, crc32(&joined));
+        assert_eq!(fs.restore(0, "s", SimTime::ZERO).unwrap().0, joined);
+        fs.tamper("s", |data| data.iter_mut().for_each(|b| *b ^= 0xFF))
+            .unwrap();
+        assert_eq!(*shared, want);
+        assert_eq!(
+            fs.restore(0, "s", SimTime::ZERO).unwrap_err(),
+            HdfsError::Corrupt { file: "s".into() }
+        );
+        fs.snapshot_at(
+            0,
+            "s",
+            Pieces::from(vec![Arc::clone(&shared) as Piece]),
+            SimTime::ZERO,
+        )
+        .unwrap();
+        fs.rot("s").unwrap();
+        assert_eq!(*shared, want);
+        assert!(fs.restore(0, "s", SimTime::ZERO).is_err());
     }
 
     #[test]

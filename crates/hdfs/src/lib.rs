@@ -16,6 +16,8 @@
 //! Files carry both a *logical* size (paper scale, used for timing) and
 //! optional *actual* bytes (scale-reduced data the workloads really parse).
 
+mod crc;
 pub mod fs;
 
-pub use fs::{crc32, Hdfs, HdfsConfig, HdfsError, IoGrant, SnapshotManifest};
+pub use crc::crc32;
+pub use fs::{Hdfs, HdfsConfig, HdfsError, IoGrant, Piece, Pieces, SnapshotManifest};

@@ -98,7 +98,7 @@ proptest! {
         fs.create("f", size, vec![]).unwrap();
         // Kill `kill + 1` arbitrary nodes (at most 2 < replication 3).
         for n in 0..=kill {
-            fs.fail_node(n);
+            fs.fail_node(n).unwrap();
         }
         let g = fs.read(5, "f", 0, size, SimTime::ZERO).unwrap();
         prop_assert_eq!(g.local_bytes + g.remote_bytes, size);

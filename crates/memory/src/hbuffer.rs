@@ -273,6 +273,12 @@ impl fmt::Debug for HBuffer {
     }
 }
 
+impl AsRef<[u8]> for HBuffer {
+    fn as_ref(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
 impl PartialEq for HBuffer {
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
