@@ -152,11 +152,11 @@ pub fn run_gpu_at(setup: &Setup, params: &Params, at: SimTime) -> AppRun {
     let (dx, dy) = params.delta;
     let mut per_iteration = Vec::with_capacity(params.iterations);
     let mut last = genv.flink.frontier();
+    let spec = GpuMapSpec::new("cudaAddPoint")
+        .with_params(vec![dx as f64, dy as f64])
+        .build(&setup.fabric)
+        .expect("pointadd spec");
     for _ in 0..params.iterations {
-        let spec = GpuMapSpec::new("cudaAddPoint")
-            .with_params(vec![dx as f64, dy as f64])
-            .build(&setup.fabric)
-            .expect("pointadd spec");
         gds = gds.gpu_map_partition("addPoint", &spec);
         per_iteration.push(genv.flink.frontier() - last);
         last = genv.flink.frontier();

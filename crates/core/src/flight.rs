@@ -594,6 +594,7 @@ impl GStreamManager {
             self.observe_gpu_run(session, gpu, &mb.work, &mb.timing);
         }
         for mb in fl.members.drain(..) {
+            self.input_lists.give(mb.work.inputs);
             let done = CompletedWork {
                 name: mb.work.name,
                 tag: mb.work.tag,

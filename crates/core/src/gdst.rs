@@ -827,7 +827,9 @@ impl<T: GRecord> GDataSet<T> {
 
         // Fold every worker's completions, in worker order. Every output
         // block, executed or restored, is kept as the snapshot block it is.
-        let mut done_blocks: Vec<SnapshotBlock> = Vec::new();
+        let restored_blocks = restored.as_ref().map_or(0, |rs| rs.snapshot.blocks.len());
+        let executed: usize = drained.iter().map(Vec::len).sum();
+        let mut done_blocks: Vec<SnapshotBlock> = Vec::with_capacity(executed + restored_blocks);
         let mut kernel_sum = SimTime::ZERO;
         let mut h2d_sum = SimTime::ZERO;
         let mut d2h_sum = SimTime::ZERO;
@@ -961,7 +963,8 @@ impl<T: GRecord> GDataSet<T> {
         // Periodic snapshots of this op's progress, on the job-global
         // cadence (`CheckpointManager::snapshot_ticks`).
         let (checkpoints, checkpoint_bytes) = if let Some(seq) = seq {
-            done_blocks.sort_by_key(|blk| (blk.completed_at, blk.tag));
+            // Tags are unique (below), so the unstable sort is exact.
+            done_blocks.sort_unstable_by_key(|blk| (blk.completed_at, blk.tag));
             let cache = fabric.with_managers(|managers| {
                 let mut c = Vec::new();
                 for m in managers.iter() {
@@ -1040,14 +1043,24 @@ impl<T: GRecord> GDataSet<T> {
         }
         // The output blocks, in block order, become the result's resident
         // blocks as they are: nothing is decoded here.
+        // Every block has its own tag: a work's tag is its (partition,
+        // block), and a restored block's tag is one no work ran under
+        // (`submit_for` consumes it).
         let out_size = out_def.size().max(1);
-        done_blocks.sort_by_key(|blk| blk.tag);
-        let mut done_blocks = done_blocks.into_iter().peekable();
+        done_blocks.sort_unstable_by_key(|blk| blk.tag);
+        debug_assert!(
+            done_blocks.windows(2).all(|w| w[0].tag < w[1].tag),
+            "one output block per tag"
+        );
+        let mut done_blocks = done_blocks.into_iter();
         let parts: Vec<Part> = (self.parts.iter().enumerate())
             .map(|(p, part)| {
                 let mut ready = part.ready;
-                let mut data = Vec::new();
-                while let Some(blk) = done_blocks.next_if(|blk| blk.tag.0 == p as u32) {
+                let n = done_blocks
+                    .as_slice()
+                    .partition_point(|blk| blk.tag.0 == p as u32);
+                let mut data = Vec::with_capacity(n);
+                for blk in done_blocks.by_ref().take(n) {
                     ready = ready.max(blk.completed_at);
                     // Restored blocks passed this rule in `on_this_cut`.
                     let rows = spec

@@ -87,10 +87,15 @@ impl<T: GRecord, U: GRecord> Pass<'_, T, U> {
         let (produced, drained): (Vec<_>, Option<Vec<_>>) = self.fabric.with_managers(|managers| {
             if self.in_worker_order(managers) {
                 let steps = managers.iter_mut().enumerate();
-                return (steps.map(|(w, m)| self.produce(w, m)).collect(), None);
+                let produced = steps.map(|(w, m)| self.produce(w, m, self.spec, &self.op_name));
+                return (produced.collect(), None);
             }
             let steps = on_threads(managers, |w, m| {
-                let produced = self.produce(w, m);
+                // The step's own copies of the spec's shared values: every
+                // work clones them, and a reference count that two threads
+                // bump per work bounces its cache line between them.
+                let (spec, name) = (self.spec.unshared(), Arc::from(&*self.op_name));
+                let produced = self.produce(w, m, &spec, &name);
                 (produced, m.drain_job(self.job))
             });
             let (produced, drained) = steps.into_iter().unzip();
@@ -137,8 +142,15 @@ impl<T: GRecord, U: GRecord> Pass<'_, T, U> {
     }
 
     /// Worker `w`'s producer: each of its partitions' pinned slot
-    /// assembles one GWork per block and submits it to `m`.
-    fn produce(&self, w: usize, m: &mut GpuManager) -> Produced {
+    /// assembles one GWork per block of `spec`, named `name`, and submits
+    /// it to `m`.
+    fn produce(
+        &self,
+        w: usize,
+        m: &mut GpuManager,
+        spec: &GpuMapSpec,
+        name: &Arc<str>,
+    ) -> Produced {
         let def = T::def();
         let overhead = self.fabric.cfg.producer_overhead;
         let mut out = Produced::NONE;
@@ -174,7 +186,8 @@ impl<T: GRecord, U: GRecord> Pass<'_, T, U> {
                 out.wall_start = out.wall_start.min(r.start);
                 let (data, bytes) = (Arc::clone(&block.buf), n_logical * def.size() as u64);
                 let tag = (p as u32, b as u32);
-                let input = if self.spec.cache_input {
+                let mut inputs = m.gstream.input_lists.take();
+                inputs.push(if spec.cache_input {
                     let key = CacheKey {
                         dataset: self.dataset,
                         partition: tag.0,
@@ -183,9 +196,9 @@ impl<T: GRecord, U: GRecord> Pass<'_, T, U> {
                     WorkBuf::cached(data, bytes, key)
                 } else {
                     WorkBuf::transient(data, bytes)
-                };
-                let name = Arc::clone(&self.op_name);
-                let work = (self.spec).work::<T, U>(name, input, self.layout, rows, n_logical, tag);
+                });
+                let name = Arc::clone(name);
+                let work = spec.work::<T, U>(name, inputs, self.layout, rows, n_logical, tag);
                 m.submit_for(self.job, work, r.end);
                 out.last_submit = out.last_submit.max(r.end);
             }

@@ -26,7 +26,7 @@ use crate::costmodel::{decide, CostModel, HybridRoute};
 use crate::flight::{Flight, FlightTable, Member, Parked};
 use crate::fused::PendingBatch;
 use crate::gmemory::GMemoryManager;
-use crate::gwork::{CompletedWork, GWork, WorkBuf, WorkTiming};
+use crate::gwork::{CompletedWork, GWork, InputLists, WorkBuf, WorkTiming};
 use crate::jobsched::{JobScheduler, PennedWork};
 use crate::recovery::{FailReason, RecoveryManager, CPU_FALLBACK_GPU};
 use crate::scheduling::SchedulingPolicy;
@@ -186,6 +186,8 @@ pub struct GStreamManager {
     pub(crate) member_vecs: Vec<Vec<Member>>,
     /// Recycled work lists of dispatched fused batches.
     pub(crate) batch_vecs: Vec<Vec<QueuedWork>>,
+    /// Recycled input lists of finished works.
+    pub(crate) input_lists: InputLists,
     /// Small-GWork transfer batching policy.
     pub(crate) batch_cfg: BatchConfig,
     /// One accumulating batch per GPU; works that would otherwise queue
@@ -249,6 +251,7 @@ impl GStreamManager {
             next_flight: 1,
             member_vecs: Vec::new(),
             batch_vecs: Vec::new(),
+            input_lists: InputLists::default(),
             batch_cfg: cfg.transfer.batch.clone(),
             batchers: (0..n_gpus).map(|_| None).collect(),
             batch_epoch: 0,
@@ -1208,7 +1211,11 @@ impl GStreamManager {
                     }
                     cm.observe_host_kernel(work.kernel, kbytes, obs);
                 }
-                let done = he.into_completed(work, submitted);
+                let GWork {
+                    name, tag, inputs, ..
+                } = work;
+                self.input_lists.give(inputs);
+                let done = he.into_completed(name, tag, submitted);
                 self.deliver(eng, job, done);
             }
             Err(err) => {

@@ -132,6 +132,35 @@ impl std::fmt::Debug for GWork {
     }
 }
 
+/// Recycled [`GWork::inputs`] lists of one worker: the GDST producer takes
+/// a list per block and the host and flight completions give it back, so a
+/// work's input list costs no allocation in steady state.
+#[derive(Default)]
+pub(crate) struct InputLists(Vec<Vec<WorkBuf>>);
+
+impl InputLists {
+    /// Lists the pool keeps at most. A worker of pointadd-hybrid holds
+    /// ≈ 98 blocks per pass, so all of its lists come back; a larger pass
+    /// (kmeans-iter holds ≈ 1,145 blocks per worker) frees the rest, so
+    /// that lists idle between passes do not raise the peak resident set,
+    /// and works built elsewhere (`vec![…]` in a caller) never grow it.
+    const MAX: usize = 256;
+
+    /// An empty input list, recycled when one is free; a new one has room
+    /// for a block and a broadcast input.
+    pub(crate) fn take(&mut self) -> Vec<WorkBuf> {
+        self.0.pop().unwrap_or_else(|| Vec::with_capacity(2))
+    }
+
+    /// Give back a finished work's input list, dropping its buffers.
+    pub(crate) fn give(&mut self, mut inputs: Vec<WorkBuf>) {
+        if self.0.len() < Self::MAX && inputs.capacity() > 0 {
+            inputs.clear();
+            self.0.push(inputs);
+        }
+    }
+}
+
 /// Per-stage timing of one executed `GWork`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkTiming {

@@ -211,23 +211,41 @@ impl GpuMapSpec {
         Ok(self)
     }
 
+    /// The spec with fresh copies of its shared values (kernel name, ptx
+    /// path, params and the extra input's bytes), so a worker thread's
+    /// works share reference counts with no other thread's.
+    pub(crate) fn unshared(&self) -> GpuMapSpec {
+        GpuMapSpec {
+            kernel: Arc::from(&*self.kernel),
+            ptx_path: Arc::from(&*self.ptx_path),
+            params: Arc::from(&*self.params),
+            extra_input: self.extra_input.as_ref().map(|extra| ExtraInput {
+                data: Arc::new(HBuffer::clone(&extra.data)),
+                ..extra.clone()
+            }),
+            ..self.clone()
+        }
+    }
+
     /// Lower one block into the [`GWork`] that maps it: `rows` records of
-    /// `T` in `layout` (`n_logical` at paper scale) held by `input`, mapped
-    /// to `U` records. The spec's extra input rides after `input`, the
-    /// output is sized by the spec's [`OutMode`], and the launch geometry
-    /// and coalescing follow from the block. GDST blocks, stream
+    /// `T` in `layout` (`n_logical` at paper scale), mapped to `U` records.
+    /// `inputs` holds the block's input buffer alone — in a list recycled
+    /// through its manager's `InputLists` where the caller has one — and
+    /// the spec's extra input is appended.
+    /// The output is sized by the spec's [`OutMode`], and the launch
+    /// geometry and coalescing follow from the block. GDST blocks, stream
     /// micro-batches and fired windows are all lowered here.
     pub(crate) fn work<T: GRecord, U: GRecord>(
         &self,
         name: Arc<str>,
-        input: WorkBuf,
+        mut inputs: Vec<WorkBuf>,
         layout: DataLayout,
         rows: usize,
         n_logical: u64,
         tag: (u32, u32),
     ) -> GWork {
         let out_def = U::def();
-        let mut inputs = vec![input];
+        debug_assert_eq!(inputs.len(), 1, "a block lowers with its input alone");
         if let Some(extra) = &self.extra_input {
             let data = Arc::clone(&extra.data);
             inputs.push(match extra.cache_token {

@@ -285,6 +285,7 @@ impl GpuManager {
         let session = self.sessions.get_mut(&job).expect("session just ensured");
         if session.covered.remove(&work.tag) {
             self.recovery.note_work_restored(session);
+            self.gstream.input_lists.give(work.inputs);
             return;
         }
         session.pending.push((at, work));

@@ -22,6 +22,7 @@ use gflink_sim::{
     MembershipEvent, MembershipPlan, Metrics, RecEvent, RecKind, RetryPolicy, SimTime, Tracer,
 };
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::gstream::Ev;
 
@@ -691,7 +692,7 @@ impl RecoveryManager {
                 .with_arg("fallback", "all GPUs lost"),
             );
         }
-        Ok(he.into_completed(work, submitted))
+        Ok(he.into_completed(work.name, work.tag, submitted))
     }
 }
 
@@ -713,10 +714,15 @@ pub(crate) struct HostExec {
 impl HostExec {
     /// Package the execution as a [`CompletedWork`] (host executions charge
     /// no transfer time: the data never left host memory).
-    pub(crate) fn into_completed(self, work: GWork, submitted: SimTime) -> CompletedWork {
+    pub(crate) fn into_completed(
+        self,
+        name: Arc<str>,
+        tag: (u32, u32),
+        submitted: SimTime,
+    ) -> CompletedWork {
         CompletedWork {
-            name: work.name,
-            tag: work.tag,
+            name,
+            tag,
             gpu: CPU_FALLBACK_GPU,
             stream: self.slot,
             output: ArenaBuf::detached(self.out),

@@ -739,7 +739,7 @@ impl<'a, T> WindowPipeline<'a, T> {
         let name = format!("stream-window-{}", fw.seq).into();
         let tag = ((fw.seq as usize % workers) as u32, fw.seq);
         let spec = spec.clone().with_out_mode(window_mode(fw));
-        spec.work::<Pair, KeyAgg>(name, input, DataLayout::Aos, rows, logical, tag)
+        spec.work::<Pair, KeyAgg>(name, vec![input], DataLayout::Aos, rows, logical, tag)
     }
 
     fn run_gpu(&self) -> Result<WindowedRun, StreamError> {
@@ -1029,7 +1029,7 @@ impl<T: GRecord, U: GRecord> MapPipeline<'_, T, U> {
             let input = WorkBuf::transient(Arc::new(buf), n_logical * def.size() as u64);
             let name = format!("stream-batch-{g}").into();
             let tag = ((g % workers) as u32, g as u32);
-            let work = spec.work::<T, U>(name, input, DataLayout::Aos, rows, n_logical, tag);
+            let work = spec.work::<T, U>(name, vec![input], DataLayout::Aos, rows, n_logical, tag);
             job.submit_to(g % workers, work, b.arrival);
             last_submit = last_submit.max(b.arrival);
         }

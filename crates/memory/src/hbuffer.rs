@@ -5,24 +5,192 @@
 //! DMA-style transfer to the (virtual) GPU. All typed accessors use
 //! little-endian order — the byte order both x86 hosts and NVIDIA devices
 //! use, which is what lets GFlink ship bytes unmodified.
+//!
+//! Small buffers are recycled per thread, as the paper's transfer channel
+//! reuses its direct buffers (§4.1): a buffer of at most
+//! [`RECYCLE_MAX_LEN`] bytes at [`DEFAULT_ALIGN`] that its allocating
+//! thread drops goes back to an exact-size free list of that thread, and
+//! the next buffer of that size the thread asks for is taken from there
+//! and zeroed, so a recycled buffer is bit-identical to a fresh one. Each
+//! thread keeps at most [`RECYCLE_CAP_BYTES`], and never more buffers than
+//! it has alive, and frees the rest. A buffer dropped on another thread is
+//! freed, so a thread that drops more buffers than it allocates (a caller
+//! folding a worker thread's outputs) holds none of them.
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
+use std::cell::RefCell;
 use std::fmt;
 use std::ptr::NonNull;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Default alignment for direct buffers: one cache line.
 pub const DEFAULT_ALIGN: usize = 64;
+
+/// Largest buffer the per-thread recycler keeps. Host-placed GWork outputs
+/// and the GDST blocks of small-record passes (≈ 0.8 KiB for PointAdd) sit
+/// well below it; q6's 16–64 KiB window buffers stay on the allocator,
+/// where glibc serves them well (DESIGN.md §14).
+pub const RECYCLE_MAX_LEN: usize = 4096;
+
+/// Bytes one thread's recycler holds at most; a buffer dropped past it is
+/// freed. One pass of PointAdd's blocks (≈ 195 buffers of 824 B, 157 KiB)
+/// fits, and a thread never strands more than this.
+pub const RECYCLE_CAP_BYTES: usize = 256 << 10;
+
+/// Distinct sizes one thread's recycler tracks. A lookup scans them, so
+/// they stay few; a buffer of a new size takes over a size whose list is
+/// empty, or is freed when every list still holds buffers.
+const RECYCLE_SIZES: usize = 16;
+
+/// One thread's exact-size free lists of recyclable buffers: `lens[i]`
+/// bytes each in `free[i]` (`lens[i]` is 0 for a size never used).
+///
+/// The lists hold no more buffers than the thread has recyclable buffers
+/// alive (`spares ≤ live`). A pipeline that allocates a pass's outputs
+/// while the previous pass's blocks are alive keeps a pass's worth, and a
+/// thread whose buffers all die, as at a job's teardown, ends with none:
+/// spares kept past a teardown pin freed chunks apart in the heap, and the
+/// next set-up's allocations paid for it.
+struct Recycler {
+    /// This thread's identity as a buffer's home (0 until first used).
+    id: u32,
+    /// Bytes the lists hold.
+    held: usize,
+    /// Buffers the lists hold.
+    spares: usize,
+    /// Recyclable buffers this thread allocated that are alive. One that
+    /// dies on another thread stays counted, which loosens this thread's
+    /// bound; the byte cap still holds.
+    live: usize,
+    lens: [usize; RECYCLE_SIZES],
+    free: [Vec<NonNull<u8>>; RECYCLE_SIZES],
+}
+
+thread_local! {
+    static RECYCLER: RefCell<Recycler> = const { RefCell::new(Recycler::EMPTY) };
+}
+
+impl Recycler {
+    const EMPTY: Recycler = Recycler {
+        id: 0,
+        held: 0,
+        spares: 0,
+        live: 0,
+        lens: [0; RECYCLE_SIZES],
+        free: [const { Vec::new() }; RECYCLE_SIZES],
+    };
+
+    /// Whether a buffer of this shape may enter the lists.
+    fn fits(len: usize, align: usize) -> bool {
+        len != 0 && len <= RECYCLE_MAX_LEN && align == DEFAULT_ALIGN
+    }
+
+    /// This thread's identity as a buffer's home, drawn once per thread.
+    fn home(&mut self) -> u32 {
+        /// Next thread identity; 0 means "no home".
+        static NEXT: AtomicU32 = AtomicU32::new(1);
+        if self.id == 0 {
+            // Relaxed: the number publishes no other data. It wraps after
+            // 2³² threads, past which two threads may share an identity
+            // and a buffer may be kept by a thread that did not allocate
+            // it, which only moves it between lists of the same layout.
+            self.id = NEXT.fetch_add(1, Ordering::Relaxed).max(1);
+        }
+        self.id
+    }
+
+    /// Count a new recyclable buffer of `len` bytes as alive, and hand
+    /// out a held one of exactly that size if there is one.
+    fn lend(&mut self, len: usize) -> Option<NonNull<u8>> {
+        self.live += 1;
+        let i = self.lens.iter().position(|&l| l == len)?;
+        let ptr = self.free[i].pop()?;
+        self.held -= len;
+        self.spares -= 1;
+        Some(ptr)
+    }
+
+    /// One of this thread's buffers (`len` bytes at `ptr`) died: keep it
+    /// for reuse while the lists stay within `live` buffers, the byte cap
+    /// and the size slots. `false` hands it back to the caller to free.
+    fn keep(&mut self, len: usize, ptr: NonNull<u8>) -> bool {
+        self.live = self.live.saturating_sub(1);
+        if self.spares < self.live && self.held + len <= RECYCLE_CAP_BYTES {
+            let slot = self.lens.iter().position(|&l| l == len).or_else(|| {
+                let i = self.free.iter().position(Vec::is_empty)?;
+                self.lens[i] = len;
+                Some(i)
+            });
+            if let Some(i) = slot {
+                self.free[i].push(ptr);
+                self.held += len;
+                self.spares += 1;
+                return true;
+            }
+        }
+        while self.spares > self.live {
+            self.release_one();
+        }
+        false
+    }
+
+    /// Free one held buffer.
+    fn release_one(&mut self) {
+        let Some(i) = self.free.iter().position(|f| !f.is_empty()) else {
+            return;
+        };
+        let ptr = self.free[i].pop().expect("the list is not empty");
+        let len = self.lens[i];
+        self.held -= len;
+        self.spares -= 1;
+        release(len, ptr);
+    }
+
+    /// Run `f` on this thread's recycler; `None` during thread teardown
+    /// (the lists are gone or going) or on re-entry.
+    fn with<R>(f: impl FnOnce(&mut Recycler) -> R) -> Option<R> {
+        RECYCLER
+            .try_with(|r| r.try_borrow_mut().ok().map(|mut r| f(&mut r)))
+            .ok()
+            .flatten()
+    }
+}
+
+/// Free a held buffer of `len` bytes.
+fn release(len: usize, ptr: NonNull<u8>) {
+    let layout = Layout::from_size_align(len, DEFAULT_ALIGN)
+        .expect("a held buffer's layout was valid when it was allocated");
+    // SAFETY: every held pointer was allocated with exactly this layout
+    // (`HBuffer::home` is set only for shapes that `Recycler::fits`) and
+    // is owned by its list alone, which no longer holds it.
+    unsafe { dealloc(ptr.as_ptr(), layout) };
+}
+
+impl Drop for Recycler {
+    fn drop(&mut self) {
+        for (&len, free) in self.lens.iter().zip(&mut self.free) {
+            for ptr in free.drain(..) {
+                release(len, ptr);
+            }
+        }
+    }
+}
 
 /// An aligned, heap-allocated raw byte buffer with typed accessors.
 pub struct HBuffer {
     ptr: NonNull<u8>,
     len: usize,
-    align: usize,
+    align: u32,
+    /// The allocating thread ([`Recycler::home`]); 0 when the buffer's
+    /// shape does not [`Recycler::fits`]. It decides only which thread may
+    /// keep the buffer: any list holds buffers of its exact layout.
+    home: u32,
 }
 
 // SAFETY: HBuffer owns its allocation exclusively; &HBuffer only permits
 // reads and &mut HBuffer is unique, so it is safe to move/share across
-// threads like a Vec<u8>.
+// threads like a Vec<u8>. `home` is a plain number, and a buffer dropped
+// on any thread is either kept by that thread's own recycler or freed.
 unsafe impl Send for HBuffer {}
 unsafe impl Sync for HBuffer {}
 
@@ -33,21 +201,43 @@ impl HBuffer {
     }
 
     /// Allocate a zeroed buffer of `len` bytes aligned to `align`
-    /// (must be a power of two).
+    /// (must be a power of two). A buffer of at most [`RECYCLE_MAX_LEN`]
+    /// bytes at [`DEFAULT_ALIGN`] comes from this thread's free list when
+    /// it holds one, zeroed.
     pub fn zeroed_aligned(len: usize, align: usize) -> Self {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
-        if len == 0 {
-            return HBuffer {
-                ptr: NonNull::dangling(),
-                len: 0,
-                align,
-            };
+        let align32 = u32::try_from(align).expect("alignment fits in 32 bits");
+        let (ptr, home) = match len {
+            0 => (NonNull::dangling(), 0),
+            _ => Self::storage(len, align),
+        };
+        HBuffer {
+            ptr,
+            len,
+            align: align32,
+            home,
+        }
+    }
+
+    /// Zeroed storage for `len > 0` bytes at `align`, and its home: a held
+    /// buffer of this thread's when the shape fits and one is free,
+    /// otherwise a fresh allocation.
+    fn storage(len: usize, align: usize) -> (NonNull<u8>, u32) {
+        let mut home = 0;
+        if Recycler::fits(len, align) {
+            if let Some((held, h)) = Recycler::with(|r| (r.lend(len), r.home())) {
+                home = h;
+                if let Some(ptr) = held {
+                    // SAFETY: a held pointer owns `len` writable bytes.
+                    unsafe { ptr.as_ptr().write_bytes(0, len) };
+                    return (ptr, home);
+                }
+            }
         }
         let layout = Layout::from_size_align(len, align).expect("invalid layout");
-        // SAFETY: layout has nonzero size (len > 0 checked above).
+        // SAFETY: layout has nonzero size (the caller passes len > 0).
         let raw = unsafe { alloc_zeroed(layout) };
-        let ptr = NonNull::new(raw).expect("allocation failed");
-        HBuffer { ptr, len, align }
+        (NonNull::new(raw).expect("allocation failed"), home)
     }
 
     /// Build a buffer holding a copy of `bytes`.
@@ -90,7 +280,7 @@ impl HBuffer {
     /// The buffer's alignment.
     #[inline]
     pub fn align(&self) -> usize {
-        self.align
+        self.align as usize
     }
 
     /// The buffer's base address (the "user-space virtual address" the
@@ -251,17 +441,21 @@ impl HBuffer {
 
 impl Drop for HBuffer {
     fn drop(&mut self) {
-        if self.len != 0 {
-            let layout = Layout::from_size_align(self.len, self.align).unwrap();
+        let (len, ptr, home) = (self.len, self.ptr, self.home);
+        if home != 0 && Recycler::with(|r| r.home() == home && r.keep(len, ptr)) == Some(true) {
+            return;
+        }
+        if len != 0 {
+            let layout = Layout::from_size_align(len, self.align()).unwrap();
             // SAFETY: allocated with the identical layout in zeroed_aligned.
-            unsafe { dealloc(self.ptr.as_ptr(), layout) };
+            unsafe { dealloc(ptr.as_ptr(), layout) };
         }
     }
 }
 
 impl Clone for HBuffer {
     fn clone(&self) -> Self {
-        let mut b = HBuffer::zeroed_aligned(self.len, self.align);
+        let mut b = HBuffer::zeroed_aligned(self.len, self.align());
         b.as_mut_slice().copy_from_slice(self.as_slice());
         b
     }
@@ -289,6 +483,157 @@ impl Eq for HBuffer {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Bytes this thread's recycler holds.
+    fn held() -> usize {
+        RECYCLER.with(|r| r.borrow().held)
+    }
+
+    /// Free everything this thread's recycler holds.
+    fn flush() {
+        RECYCLER.with(|r| drop(std::mem::replace(&mut *r.borrow_mut(), Recycler::EMPTY)));
+    }
+
+    proptest! {
+        /// A buffer dropped dirty comes back to the next request of its
+        /// size on the same thread, zeroed and cache-line aligned.
+        #[test]
+        fn a_recycled_buffer_reads_all_zeros(len in 1usize..=RECYCLE_MAX_LEN, byte in 1u8..=255) {
+            flush();
+            let _alive = HBuffer::zeroed(len);
+            let mut dirty = HBuffer::zeroed(len);
+            dirty.as_mut_slice().fill(byte);
+            let addr = dirty.address();
+            drop(dirty);
+            prop_assert_eq!(held(), len);
+            let b = HBuffer::zeroed(len);
+            prop_assert_eq!(b.address(), addr, "the dropped buffer is reused");
+            prop_assert_eq!(b.address() % DEFAULT_ALIGN, 0);
+            prop_assert!(b.as_slice().iter().all(|&x| x == 0));
+            prop_assert_eq!(held(), 0);
+        }
+    }
+
+    #[test]
+    fn large_and_otherwise_aligned_buffers_never_enter_the_lists() {
+        flush();
+        let _alive: Vec<HBuffer> = (0..4).map(|_| HBuffer::zeroed(8)).collect();
+        drop(HBuffer::zeroed(RECYCLE_MAX_LEN + 1));
+        drop(HBuffer::zeroed_aligned(64, 4096));
+        drop(HBuffer::zeroed_aligned(64, 32));
+        drop(HBuffer::zeroed(0));
+        assert_eq!(held(), 0);
+        drop(HBuffer::zeroed(RECYCLE_MAX_LEN));
+        assert_eq!(held(), RECYCLE_MAX_LEN);
+        // A request at another alignment is not served from the lists.
+        let b = HBuffer::zeroed_aligned(RECYCLE_MAX_LEN, 4096);
+        assert_eq!(b.address() % 4096, 0);
+        assert_eq!(held(), RECYCLE_MAX_LEN);
+        flush();
+    }
+
+    #[test]
+    fn the_byte_cap_holds() {
+        flush();
+        let n = RECYCLE_CAP_BYTES / RECYCLE_MAX_LEN + 8;
+        let _alive: Vec<HBuffer> = (0..n).map(|_| HBuffer::zeroed(RECYCLE_MAX_LEN)).collect();
+        let dead: Vec<HBuffer> = (0..n).map(|_| HBuffer::zeroed(RECYCLE_MAX_LEN)).collect();
+        drop(dead);
+        assert_eq!(held(), RECYCLE_CAP_BYTES);
+        flush();
+    }
+
+    #[test]
+    fn spares_never_outnumber_live_buffers() {
+        flush();
+        let mut bufs: Vec<HBuffer> = (0..10).map(|_| HBuffer::zeroed(100)).collect();
+        bufs.truncate(5);
+        assert_eq!(held(), 500, "five dead, five alive");
+        bufs.truncate(2);
+        assert_eq!(held(), 200, "two alive");
+        drop(bufs);
+        assert_eq!(held(), 0, "a thread whose buffers all died holds none");
+        // A lone buffer is not kept: nothing alive would reuse it soon.
+        drop(HBuffer::zeroed(100));
+        assert_eq!(held(), 0);
+    }
+
+    #[test]
+    fn a_new_size_takes_over_an_empty_list_only() {
+        flush();
+        let _alive: Vec<HBuffer> = (0..2 * RECYCLE_SIZES).map(|_| HBuffer::zeroed(8)).collect();
+        for len in 1..=RECYCLE_SIZES {
+            drop(HBuffer::zeroed(len));
+        }
+        let all: usize = (1..=RECYCLE_SIZES).sum();
+        assert_eq!(held(), all);
+        // Every size slot holds a buffer: a new size is freed.
+        drop(HBuffer::zeroed(100));
+        assert_eq!(held(), all);
+        // Emptying size 1's list frees its slot for the new size.
+        let one = HBuffer::zeroed(1);
+        drop(HBuffer::zeroed(100));
+        assert_eq!(held(), all - 1 + 100);
+        drop(one);
+        assert_eq!(held(), all - 1 + 100, "size 1 lost its slot");
+        flush();
+    }
+
+    #[test]
+    fn a_buffer_dropped_on_another_thread_is_freed() {
+        let mut b = HBuffer::zeroed(300);
+        b.as_mut_slice().fill(0xA5);
+        std::thread::spawn(move || {
+            let _alive = HBuffer::zeroed(300);
+            drop(b);
+            assert_eq!(held(), 0, "only the allocating thread keeps it");
+            let mut own = HBuffer::zeroed(300);
+            own.as_mut_slice().fill(0x5A);
+            let addr = own.address();
+            drop(own);
+            assert_eq!(held(), 300);
+            let again = HBuffer::zeroed(300);
+            assert_eq!(again.address(), addr);
+            assert!(again.as_slice().iter().all(|&x| x == 0));
+        })
+        .join()
+        .unwrap();
+    }
+
+    #[test]
+    fn dropping_during_thread_teardown_frees_normally() {
+        /// Holds a buffer until its thread's TLS destructors run.
+        struct Holder(RefCell<Option<HBuffer>>);
+        thread_local! {
+            static BEFORE: Holder = const { Holder(RefCell::new(None)) };
+            static AFTER: Holder = const { Holder(RefCell::new(None)) };
+        }
+        impl Drop for Holder {
+            fn drop(&mut self) {
+                drop(self.0.borrow_mut().take());
+            }
+        }
+        // The holders' destructors are registered one before and one after
+        // the recycler's, so whichever order they run in, one holder drops
+        // its buffer into the live recycler (which frees it in turn) and
+        // the other drops its buffer after the recycler is gone.
+        std::thread::spawn(|| {
+            BEFORE.with(|h| *h.0.borrow_mut() = Some(HBuffer::zeroed(64)));
+            drop(HBuffer::zeroed(128));
+            assert_eq!(held(), 128);
+            AFTER.with(|h| *h.0.borrow_mut() = Some(HBuffer::zeroed(256)));
+        })
+        .join()
+        .expect("thread teardown with live buffers does not panic");
+    }
+
+    #[test]
+    fn a_buffer_stays_24_bytes() {
+        // Every block `Arc` and output slot holds one; the recycler's home
+        // shares a word with the alignment.
+        assert!(std::mem::size_of::<HBuffer>() <= 24);
+    }
 
     #[test]
     fn zeroed_and_aligned() {
