@@ -179,7 +179,6 @@ proptest! {
             max_works,
             small_work_bytes: 1u64 << small_shift,
             window: SimTime::from_micros(window_us),
-            ..BatchConfig::default()
         };
         let s = setup(batch);
         let batched = run(&s);

@@ -31,7 +31,6 @@ fn split_setup() -> Setup {
     fabric.worker.hybrid = HybridConfig {
         min_split_elems: 128,
         split_balance: 1_000.0,
-        ..HybridConfig::default()
     };
     Setup::with_configs(ClusterConfig::standard(WORKERS), fabric)
 }

@@ -11,8 +11,7 @@
 //!
 //! Two paths are timed:
 //! * `solo`  — batching off, one flight per GWork (the legacy pipeline);
-//! * `fused` — transfer batching on, works coalesced into fused flights
-//!   (the steady-state path the arena refactor targets).
+//! * `fused` — transfer batching on, works coalesced into fused flights.
 //!
 //! Wall-clock numbers are machine-dependent, so every throughput is also
 //! reported *normalized* by a calibration loop (boxed binary-heap churn —

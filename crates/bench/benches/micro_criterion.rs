@@ -1,14 +1,14 @@
 //! Criterion microbenchmarks of the engine primitives (real wall-clock
-//! time, not simulated time): memory pool churn, layout conversion, the
-//! baseline serializer, GPU cache operations, timeline reservations and the
-//! event queue. These are the hot paths of the simulation itself.
+//! time, not simulated time): layout conversion, the baseline serializer,
+//! GPU cache operations, timeline reservations and the event queue. These
+//! are the hot paths of the simulation itself.
 
 use criterion::{criterion_group, Criterion};
 use gflink_core::{CacheKey, CachePolicy, GpuCache};
 use gflink_gpu::DeviceMemory;
 use gflink_memory::{
     decode_records, encode_records, AlignClass, DataLayout, FieldDef, FieldValue, GStructDef,
-    HBuffer, MemoryPool, PrimType, Record, RecordView,
+    HBuffer, PrimType, Record, RecordView,
 };
 use gflink_sim::{EventQueue, SimTime, Timeline};
 use std::hint::black_box;
@@ -23,17 +23,6 @@ fn point_def() -> GStructDef {
             FieldDef::scalar("z", PrimType::F32),
         ],
     )
-}
-
-fn bench_pool(c: &mut Criterion) {
-    c.bench_function("pool_alloc_free", |b| {
-        let mut pool = MemoryPool::with_page_size(64, 32 * 1024);
-        b.iter(|| {
-            let p = pool.alloc().unwrap();
-            black_box(pool.page(&p).len());
-            pool.free(p).unwrap();
-        });
-    });
 }
 
 fn bench_layout_convert(c: &mut Criterion) {
@@ -140,7 +129,6 @@ fn bench_event_queue(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_pool,
     bench_layout_convert,
     bench_serializer,
     bench_cache,
@@ -163,7 +151,6 @@ fn main() {
             "benchmarks".to_string(),
             gflink_bench::Json::Arr(
                 [
-                    "pool_alloc_free",
                     "layout_aos_to_soa_1k",
                     "serializer_roundtrip_256",
                     "gpu_cache_lookup_insert",

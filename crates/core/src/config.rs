@@ -8,26 +8,18 @@ use crate::scheduling::ArbitrationPolicy;
 use gflink_gpu::{GpuModel, TransferMode};
 use gflink_sim::{RetryPolicy, SimTime};
 
-/// Transfer-channel configuration: host-side staging mode, the pinned
-/// staging pool, and small-GWork transfer batching.
+/// Transfer-channel configuration: host-side staging mode and small-GWork
+/// transfer batching.
 ///
 /// The defaults reproduce the pre-optimization timeline byte-for-byte:
-/// `Pinned` mode with zero registration cost *is* the fitted Table 2 path
-/// (the paper measures page-locked direct buffers, so registration is
-/// already inside the fitted α), and batching is off.
+/// `Pinned` mode *is* the fitted Table 2 path (the paper measures
+/// page-locked direct buffers, so registration is already inside the
+/// fitted α), and batching is off.
 #[derive(Clone, Debug)]
 pub struct TransferConfig {
     /// Host-side staging behaviour. `Pageable` models the path GFlink's
     /// off-heap design avoids: an extra host memcpy per copy, synchronous.
     pub mode: TransferMode,
-    /// Soft budget of registered (page-locked) staging bytes. Buffers
-    /// acquired beyond it are unregistered on release instead of recycled.
-    pub pinned_pool_bytes: u64,
-    /// Page-locking (registration) throughput in bytes/second, charged once
-    /// per freshly registered staging buffer (a pool miss). `0.0` means
-    /// registration is free — the fitted α already covers it — which keeps
-    /// default timelines identical.
-    pub register_bytes_per_sec: f64,
     /// Small-GWork transfer batching.
     pub batch: BatchConfig,
 }
@@ -36,8 +28,6 @@ impl Default for TransferConfig {
     fn default() -> Self {
         TransferConfig {
             mode: TransferMode::Pinned,
-            pinned_pool_bytes: 64 << 20,
-            register_bytes_per_sec: 0.0,
             batch: BatchConfig::default(),
         }
     }
@@ -46,7 +36,8 @@ impl Default for TransferConfig {
 /// Small-GWork transfer batching (CrystalGPU-style task batching): GWorks
 /// bound for the same GPU that would otherwise *queue* are coalesced into
 /// one fused H2D / kernel-sequence / fused D2H unit, paying a single
-/// per-call α per direction for the whole group.
+/// per-call α per direction for the whole group. A pending batch also
+/// flushes once its summed input bytes reach 4 MiB (`BATCH_MAX_BYTES`).
 ///
 /// Batches only form under backlog — a work that finds an idle stream runs
 /// immediately, unbatched — so enabling this never adds latency to an idle
@@ -58,8 +49,6 @@ pub struct BatchConfig {
     pub enabled: bool,
     /// Flush when a pending batch reaches this many works.
     pub max_works: usize,
-    /// Flush when a pending batch's summed input bytes would exceed this.
-    pub max_bytes: u64,
     /// Only works whose summed input logical bytes are at or below this
     /// cutoff are batched; bigger works already amortize α on their own.
     pub small_work_bytes: u64,
@@ -73,7 +62,6 @@ impl Default for BatchConfig {
         BatchConfig {
             enabled: false,
             max_works: 8,
-            max_bytes: 4 << 20,
             small_work_bytes: 256 << 10,
             window: SimTime::from_micros(50),
         }
@@ -181,16 +169,11 @@ impl CheckpointConfig {
 ///
 /// There is no master switch here: selecting the policy *is* the opt-in.
 /// Under every other policy these knobs are inert, so default timelines
-/// stay byte-for-byte identical.
+/// stay byte-for-byte identical. The estimators' EWMA factor, the host
+/// route's margin and the split's error threshold are fixed in
+/// `costmodel.rs`.
 #[derive(Clone, Debug)]
 pub struct HybridConfig {
-    /// EWMA smoothing factor for the online estimators, in `(0, 1]`.
-    /// Higher = adapt faster, forget priors sooner.
-    pub ewma_alpha: f64,
-    /// Safety margin the host prediction must beat every GPU route by
-    /// before work leaves the GPUs (`predict_cpu * cpu_margin <
-    /// best_gpu`). Guards against thrashing on near-ties.
-    pub cpu_margin: f64,
     /// Adaptive sizing: never split a block into pieces smaller than this
     /// many elements (a block below `2 *` this is never split).
     pub min_split_elems: usize,
@@ -198,19 +181,13 @@ pub struct HybridConfig {
     /// factor of parity in either direction — beyond it, one device is so
     /// dominant that splitting just adds launch overheads.
     pub split_balance: f64,
-    /// Shrink the slower side's share of a split when the model's relative
-    /// prediction error (EWMA) exceeds this threshold.
-    pub split_error_threshold: f64,
 }
 
 impl Default for HybridConfig {
     fn default() -> Self {
         HybridConfig {
-            ewma_alpha: 0.25,
-            cpu_margin: 1.2,
             min_split_elems: 8_192,
             split_balance: 3.0,
-            split_error_threshold: 0.25,
         }
     }
 }
@@ -245,7 +222,7 @@ pub struct GpuWorkerConfig {
     pub hang_timeout: SimTime,
     /// The CPU execution path used once every GPU is lost.
     pub cpu_fallback: CpuFallback,
-    /// Transfer-channel behaviour: staging mode, pinned pool, batching.
+    /// Transfer-channel behaviour: staging mode and batching.
     pub transfer: TransferConfig,
     /// Multi-job scheduling: cross-job arbitration, admission control, and
     /// cache-budget partitioning.

@@ -64,12 +64,25 @@ impl ClassEstimator {
     }
 }
 
-fn ewma(slot: &mut f64, obs: f64, alpha: f64) {
+/// EWMA smoothing factor of the online estimators: higher adapts faster
+/// and forgets the priors sooner.
+const EWMA_ALPHA: f64 = 0.25;
+
+/// Margin the host prediction must beat every GPU route by before work
+/// leaves the GPUs (`predict_cpu * CPU_MARGIN < best_gpu`); guards against
+/// thrashing on near-ties.
+const CPU_MARGIN: f64 = 1.2;
+
+/// A split halves the host's share while the model's relative prediction
+/// error (EWMA) exceeds this.
+const SPLIT_ERROR_THRESHOLD: f64 = 0.25;
+
+fn ewma(slot: &mut f64, obs: f64) {
     if !obs.is_finite() || obs <= 0.0 {
         return;
     }
     *slot = if *slot > 0.0 {
-        alpha * obs + (1.0 - alpha) * *slot
+        EWMA_ALPHA * obs + (1.0 - EWMA_ALPHA) * *slot
     } else {
         obs
     };
@@ -79,7 +92,6 @@ fn ewma(slot: &mut f64, obs: f64, alpha: f64) {
 /// for the host CPU pool, and a per-kernel prediction-error EWMA.
 #[derive(Clone, Debug)]
 pub(crate) struct CostModel {
-    alpha: f64,
     gpus: Vec<ClassEstimator>,
     host: ClassEstimator,
     /// Per-kernel EWMA of `|predicted - observed| / observed` over the
@@ -90,7 +102,6 @@ pub(crate) struct CostModel {
 impl CostModel {
     pub(crate) fn new(cfg: &GpuWorkerConfig) -> Self {
         CostModel {
-            alpha: cfg.hybrid.ewma_alpha.clamp(0.01, 1.0),
             gpus: cfg
                 .models
                 .iter()
@@ -135,19 +146,17 @@ impl CostModel {
         bytes: u64,
         dur: SimTime,
     ) {
-        let alpha = self.alpha;
         let net = dur.saturating_sub(self.gpus[g].launch);
         if let Some(slot) = slot_mut(&mut self.gpus[g].kernel_bps, kernel) {
-            ewma(slot, bytes as f64 / net.as_secs_f64(), alpha);
+            ewma(slot, bytes as f64 / net.as_secs_f64());
         }
     }
 
     /// Fold one observed host execution into the estimators.
     pub(crate) fn observe_host_kernel(&mut self, kernel: KernelId, bytes: u64, dur: SimTime) {
-        let alpha = self.alpha;
         let net = dur.saturating_sub(self.host.launch);
         if let Some(slot) = slot_mut(&mut self.host.kernel_bps, kernel) {
-            ewma(slot, bytes as f64 / net.as_secs_f64(), alpha);
+            ewma(slot, bytes as f64 / net.as_secs_f64());
         }
     }
 
@@ -156,12 +165,7 @@ impl CostModel {
         if bytes == 0 || dur.is_zero() {
             return;
         }
-        let alpha = self.alpha;
-        ewma(
-            &mut self.gpus[g].h2d_bps,
-            bytes as f64 / dur.as_secs_f64(),
-            alpha,
-        );
+        ewma(&mut self.gpus[g].h2d_bps, bytes as f64 / dur.as_secs_f64());
     }
 
     /// Fold one observed D2H transfer on GPU `g` into the link estimator.
@@ -169,22 +173,16 @@ impl CostModel {
         if bytes == 0 || dur.is_zero() {
             return;
         }
-        let alpha = self.alpha;
-        ewma(
-            &mut self.gpus[g].d2h_bps,
-            bytes as f64 / dur.as_secs_f64(),
-            alpha,
-        );
+        ewma(&mut self.gpus[g].d2h_bps, bytes as f64 / dur.as_secs_f64());
     }
 
     /// Fold one relative prediction error for `kernel` into its EWMA.
     pub(crate) fn observe_error(&mut self, kernel: KernelId, rel_err: f64) {
-        let alpha = self.alpha;
         if let Some(slot) = slot_mut(&mut self.err, kernel) {
             // rel_err == 0.0 is a perfect prediction and must still decay
             // the EWMA, so bypass the zero-is-unseeded convention.
             if *slot > 0.0 {
-                *slot = alpha * rel_err.max(0.0) + (1.0 - alpha) * *slot;
+                *slot = EWMA_ALPHA * rel_err.max(0.0) + (1.0 - EWMA_ALPHA) * *slot;
             } else {
                 *slot = rel_err.max(f64::MIN_POSITIVE);
             }
@@ -223,9 +221,9 @@ pub(crate) enum HybridRoute {
 }
 
 /// Pure decision function over the predicted completion times: compare the
-/// best GPU route against the host route under the [`HybridConfig`] margin
-/// and split rules. `splittable_n` is `Some(n_actual)` when the work can be
-/// split element-wise, `None` otherwise.
+/// best GPU route against the host route under [`CPU_MARGIN`] and the
+/// [`HybridConfig`] split rules. `splittable_n` is `Some(n_actual)` when
+/// the work can be split element-wise, `None` otherwise.
 pub(crate) fn decide(
     cfg: &HybridConfig,
     gpu_pred: SimTime,
@@ -246,7 +244,7 @@ pub(crate) fn decide(
         let ratio = (tc / tg).max(tg / tc);
         if n >= 2 * cfg.min_split_elems && ratio <= cfg.split_balance {
             let mut cpu_frac = tg / (tc + tg);
-            if model_err > cfg.split_error_threshold {
+            if model_err > SPLIT_ERROR_THRESHOLD {
                 cpu_frac /= 2.0;
             }
             let cpu_n = ((n as f64 * cpu_frac) as usize)
@@ -254,7 +252,7 @@ pub(crate) fn decide(
             return HybridRoute::Split { cpu_n };
         }
     }
-    if tc * cfg.cpu_margin < tg {
+    if tc * CPU_MARGIN < tg {
         HybridRoute::Cpu
     } else {
         HybridRoute::Gpu

@@ -38,7 +38,7 @@ use crate::gwork::{CompletedWork, GWork, WorkTiming};
 use crate::recovery::{FailReason, ManagerError};
 use crate::session::JobId;
 use gflink_gpu::DevBufId;
-use gflink_memory::{ArenaBuf, HBuffer, PinnedLease};
+use gflink_memory::{HBuffer, PinnedLease};
 use gflink_sim::trace::{gpu_pid, stream_tid, Cat, TraceEvent};
 use gflink_sim::{EventQueue, RecEvent, RecKind, SimTime};
 
@@ -185,8 +185,8 @@ pub(crate) struct Member {
     emitted: Option<usize>,
     /// When this member's kernel completes (kernels run back-to-back).
     kernel_end: SimTime,
-    /// Host result buffer, leased at the D2H stage.
-    output: Option<ArenaBuf>,
+    /// Host result buffer, allocated at the D2H stage (empty before).
+    output: HBuffer,
     /// A transient fault hit this member's kernel.
     faulted: bool,
 }
@@ -295,7 +295,7 @@ impl GStreamManager {
             out_dev: None,
             emitted: None,
             kernel_end: SimTime::ZERO,
-            output: None,
+            output: HBuffer::zeroed(0),
             faulted: false,
         };
         members.push(member(head));
@@ -514,8 +514,8 @@ impl GStreamManager {
         };
         let (job, gpu, stream) = (fl.job, fl.gpu, fl.stream);
         // Variable-output kernels transfer only the emitted fraction of the
-        // declared capacity. Result buffers are arena leases, recycled from
-        // earlier flights of the same output size.
+        // declared capacity. A small result buffer comes from this thread's
+        // free list of its size when an earlier output was dropped here.
         for mb in &mut fl.members {
             mb.timing.bytes_d2h = match mb.emitted {
                 Some(e) => {
@@ -524,7 +524,7 @@ impl GStreamManager {
                 }
                 None => mb.work.out_logical_bytes,
             };
-            mb.output = Some(eng.gmem.lease_output(job.0, mb.work.out_actual_bytes));
+            mb.output = HBuffer::zeroed(mb.work.out_actual_bytes);
         }
         // One copy call for the whole flight; a flight of one makes the
         // plain call, which times the same and keeps its `D2H` span label.
@@ -534,17 +534,16 @@ impl GStreamManager {
                 t,
                 mb.timing.bytes_d2h,
                 mb.out_dev.expect("allocated at dispatch"),
-                mb.output.as_mut().expect("leased above"),
+                &mut mb.output,
             ),
             all => {
                 let mut items: Vec<(u64, DevBufId, &mut HBuffer)> = all
                     .iter_mut()
                     .map(|mb| {
-                        let out = mb.output.as_mut().expect("leased above");
                         (
                             mb.timing.bytes_d2h,
                             mb.out_dev.expect("allocated"),
-                            &mut **out,
+                            &mut mb.output,
                         )
                     })
                     .collect();
@@ -600,7 +599,7 @@ impl GStreamManager {
                 tag: mb.work.tag,
                 gpu,
                 stream,
-                output: mb.output.expect("leased above"),
+                output: mb.output,
                 emitted: mb.emitted,
                 timing: mb.timing,
             };

@@ -24,6 +24,9 @@ use crate::gstream::{Ev, GStreamManager, QueuedWork};
 use crate::gwork::GWork;
 use gflink_sim::{EventQueue, SimTime};
 
+/// A pending batch flushes once its summed input bytes reach this.
+const BATCH_MAX_BYTES: u64 = 4 << 20;
+
 /// A per-GPU accumulating batch: works land here from the dispatch park
 /// path until a flush condition (fill, job change, window, or an idle
 /// stream) moves it to the queue.
@@ -91,7 +94,7 @@ impl GStreamManager {
                 })
             }
         };
-        if b.batch.len() >= self.batch_cfg.max_works || b.bytes >= self.batch_cfg.max_bytes {
+        if b.batch.len() >= self.batch_cfg.max_works || b.bytes >= BATCH_MAX_BYTES {
             self.flush_batcher(gpu);
         }
     }

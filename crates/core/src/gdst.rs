@@ -884,7 +884,7 @@ impl<T: GRecord> GDataSet<T> {
                         tag: done.tag,
                         emitted: done.emitted,
                         completed_at: done.timing.completed,
-                        payload: Arc::new(done.output.into_inner()),
+                        payload: Arc::new(done.output),
                     });
                 }
                 // Failure accounting: this drain's fault/recovery delta for

@@ -4,8 +4,8 @@
 //! A worker's *step* produces that worker's blocks into its own
 //! [`GpuManager`] and then drains it. A producer reserves only its own
 //! worker's task slots, and a manager owns its sessions, event queue,
-//! devices, RNG, fault plan, arena and cost model, so no step reads what
-//! another writes: every simulated timeline is the same whichever thread
+//! devices, RNG, fault plan, pinned pool and cost model, so no step reads
+//! what another writes: every simulated timeline is the same whichever thread
 //! runs a step, and in whatever order. [`Pass::run`] runs the steps on
 //! scoped threads when that pays, and in worker order on the caller
 //! otherwise; everything after the drains is folded by the caller, in

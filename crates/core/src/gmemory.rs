@@ -23,7 +23,7 @@ use crate::recovery::ManagerError;
 use gflink_gpu::{
     DevBufId, DeviceError, DeviceMemoryOps, DmemError, GpuModel, TransferMode, VirtualGpu,
 };
-use gflink_memory::{ArenaBuf, BufferArena, HBuffer, PinnedLease, PinnedPool, PinnedStats};
+use gflink_memory::{HBuffer, PinnedLease, PinnedPool, PinnedStats};
 use gflink_sim::trace::{gpu_pid, Cat, TraceEvent, TID_DEVICE};
 use gflink_sim::{Counter, Metrics, SimTime, Tally, Tracer};
 
@@ -66,9 +66,10 @@ pub(crate) fn pro_rata(dur: SimTime, logical: u64, total: u64) -> SimTime {
     SimTime::from_nanos((dur.as_nanos() as u128 * logical as u128 / total as u128) as u64)
 }
 
-/// Soft budget of pooled idle result bytes. Output blocks are a few KiB at
-/// harness scale; the budget only matters as a leak backstop.
-const RESULT_ARENA_SOFT_BYTES: u64 = 256 << 20;
+/// Soft budget of registered (page-locked) staging bytes per worker.
+/// Buffers acquired beyond it are unregistered on release instead of
+/// recycled.
+const PINNED_POOL_BYTES: u64 = 64 << 20;
 
 /// The device-memory half of the per-worker GPU manager.
 pub struct GMemoryManager {
@@ -81,10 +82,6 @@ pub struct GMemoryManager {
     /// Reusable page-locked host staging buffers (§4.1.2: registration is
     /// paid once, recycled for the life of the worker).
     pinned_pool: PinnedPool,
-    /// Reusable host *result* buffers: every flight's D2H lands in an
-    /// arena lease instead of a fresh allocation (ISSUE 7). Recycling is
-    /// exact-size and zero-on-hit, so digests cannot observe it.
-    arena: BufferArena,
     /// Recycled flight-bookkeeping `Vec` allocations (ISSUE 7): the
     /// device-input, transient, pin, and staging lists of every flight
     /// cycle through these pools instead of the host allocator.
@@ -93,9 +90,6 @@ pub struct GMemoryManager {
     lease_vecs: Vec<Vec<PinnedLease>>,
     /// Host-side staging behaviour of the transfer channel.
     mode: TransferMode,
-    /// Page-locking throughput (bytes/s) charged on a pool miss; `0.0`
-    /// means registration is free (the fitted α already covers it).
-    register_bps: f64,
     tracer: Tracer,
     worker_id: usize,
     /// Cumulative (hits, misses) per GPU, sampled into trace counters.
@@ -134,13 +128,11 @@ impl GMemoryManager {
             cache_capacity,
             cache_policy,
             retired_stats: vec![(0, 0, 0); n],
-            pinned_pool: PinnedPool::new(transfer.pinned_pool_bytes),
-            arena: BufferArena::new(RESULT_ARENA_SOFT_BYTES),
+            pinned_pool: PinnedPool::new(PINNED_POOL_BYTES),
             dev_vecs: Vec::new(),
             key_vecs: Vec::new(),
             lease_vecs: Vec::new(),
             mode: transfer.mode,
-            register_bps: transfer.register_bytes_per_sec,
             tracer: Tracer::disabled(),
             worker_id: 0,
             trace_cache: vec![(0, 0); n],
@@ -489,23 +481,17 @@ impl GMemoryManager {
     }
 
     /// In pinned mode, route `data` through a page-locked pool buffer:
-    /// lease one (recycled when possible), memcpy into it, and return the
-    /// lease plus the registration cost (zero on a pool hit, or always when
-    /// registration is modelled as free).
-    fn lease_staging(&mut self, owner: u64, data: &HBuffer) -> (Option<PinnedLease>, SimTime) {
+    /// lease one (recycled when possible) and memcpy into it. Registration
+    /// charges no simulated time: the fitted Table 2 α already covers it.
+    fn lease_staging(&mut self, owner: u64, data: &HBuffer) -> Option<PinnedLease> {
         if self.mode != TransferMode::Pinned || data.is_empty() {
-            return (None, SimTime::ZERO);
+            return None;
         }
         let lease = self.pinned_pool.acquire(owner, data.len());
         self.pinned_pool
             .buffer_mut(&lease)
             .copy_from(0, data, 0, data.len());
-        let reg = if lease.registered_bytes > 0 && self.register_bps > 0.0 {
-            SimTime::from_secs_f64(lease.registered_bytes as f64 / self.register_bps)
-        } else {
-            SimTime::ZERO
-        };
-        (Some(lease), reg)
+        Some(lease)
     }
 
     /// Return staging leases to the pinned pool for recycling (the copies
@@ -542,21 +528,6 @@ impl GMemoryManager {
     /// Drop a departing job's pinned-pool accounting.
     pub(crate) fn retire_pool_owner(&mut self, owner: u64) {
         self.pinned_pool.retire_owner(owner);
-        self.arena.retire_owner(owner);
-    }
-
-    /// Lease a zeroed host result buffer for `owner` (a job id) from the
-    /// shared arena — the hot-path replacement for a per-flight
-    /// `HBuffer::zeroed`; in steady state the buffer is recycled from an
-    /// earlier flight of the same output size.
-    pub(crate) fn lease_output(&self, owner: u64, len: usize) -> ArenaBuf {
-        self.arena.acquire(owner, len)
-    }
-
-    /// The shared result-buffer arena (hit-rate and exact-bytes teardown
-    /// diagnostics).
-    pub fn result_arena(&self) -> &BufferArena {
-        &self.arena
     }
 
     /// Whole-worker pinned staging-pool accounting.
@@ -698,12 +669,12 @@ impl GMemoryManager {
                     break;
                 }
             };
-            let (lease, reg) = self.lease_staging(owner, &inbuf.data);
+            let lease = self.lease_staging(owner, &inbuf.data);
             let src: &HBuffer = match &lease {
                 Some(l) => self.pinned_pool.buffer(l),
                 None => &inbuf.data,
             };
-            let r = match self.gpus[gpu].copy_h2d(t + reg, inbuf.logical_bytes, src, dev) {
+            let r = match self.gpus[gpu].copy_h2d(t, inbuf.logical_bytes, src, dev) {
                 Ok(r) => r,
                 Err(e) => {
                     if let Some(l) = lease {
@@ -759,7 +730,6 @@ impl GMemoryManager {
             Direct(usize, usize),
         }
         let mut pending: Vec<(u64, Src, DevBufId, usize)> = Vec::new();
-        let mut reg_total = SimTime::ZERO;
         'members: for (m, mb) in members.iter_mut().enumerate() {
             mb.place = self.take_placement();
             let Member {
@@ -781,9 +751,7 @@ impl GMemoryManager {
                         break 'members;
                     }
                 };
-                let (lease, reg) = self.lease_staging(owner, &inbuf.data);
-                reg_total += reg;
-                let src = match lease {
+                let src = match self.lease_staging(owner, &inbuf.data) {
                     Some(l) => {
                         staged.staging.push(l);
                         Src::Lease(staged.staging.len() - 1)
@@ -807,7 +775,7 @@ impl GMemoryManager {
                 (logical, buf, dev)
             })
             .collect();
-        let r = match self.gpus[gpu].copy_h2d_batch(t + reg_total, &items) {
+        let r = match self.gpus[gpu].copy_h2d_batch(t, &items) {
             Ok(r) => r,
             Err(e) => {
                 staged.failure = Some(ManagerError::Device(e));

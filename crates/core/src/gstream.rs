@@ -32,7 +32,7 @@ use crate::recovery::{FailReason, RecoveryManager, CPU_FALLBACK_GPU};
 use crate::scheduling::SchedulingPolicy;
 use crate::session::{JobId, JobSession};
 use gflink_gpu::{GpuModel, KernelRegistry};
-use gflink_memory::{ArenaBuf, HBuffer};
+use gflink_memory::HBuffer;
 use gflink_sim::trace::{cpu_pid, gpu_pid, stream_tid, Cat, TraceEvent, TID_DEVICE};
 use gflink_sim::{
     Counter, EventQueue, FaultKind, Gauge, Histogram, MembershipKind, Metrics, RecEvent, RecKind,
@@ -118,12 +118,13 @@ pub(crate) fn is_split_child(tag: (u32, u32)) -> bool {
 }
 
 /// Reassembly state for one split block: children write their output
-/// slices here; when the last lands, a single parent [`CompletedWork`] is
-/// emitted so consumers never see the split.
+/// slices into the parent's output buffer; when the last lands, a single
+/// parent [`CompletedWork`] carrying that buffer is emitted so consumers
+/// never see the split.
 struct MergeEntry {
     name: std::sync::Arc<str>,
     tag: (u32, u32),
-    out: Vec<u8>,
+    out: HBuffer,
     remaining: usize,
     /// Accumulated parent timing: stage times/bytes sum, `started` is the
     /// earliest child start, `completed` the latest child landing (or
@@ -1119,7 +1120,7 @@ impl GStreamManager {
         let merge = self.merges.insert(MergeEntry {
             name: work.name.clone(),
             tag: work.tag,
-            out: vec![0u8; work.out_actual_bytes],
+            out: HBuffer::zeroed(work.out_actual_bytes),
             remaining: 2,
             timing: WorkTiming {
                 submitted,
@@ -1273,8 +1274,8 @@ impl GStreamManager {
             return;
         };
         let entry = self.merges.get_mut(route.merge).expect("merge entry live");
-        let bytes = done.output.as_slice();
-        entry.out[route.offset..route.offset + bytes.len()].copy_from_slice(bytes);
+        let out = &done.output;
+        entry.out.copy_from(route.offset, out, 0, out.len());
         let mt = &mut entry.timing;
         mt.started = mt.started.min(done.timing.started);
         mt.completed = mt.completed.max(done.timing.completed);
@@ -1323,7 +1324,7 @@ impl GStreamManager {
                 tag: entry.tag,
                 gpu: entry.gpu,
                 stream: entry.stream,
-                output: ArenaBuf::detached(HBuffer::from_bytes(&entry.out)),
+                output: entry.out,
                 emitted: entry.emitted,
                 timing: entry.timing,
             }),

@@ -8,7 +8,7 @@
 //! output buffer and the per-stage [`WorkTiming`].
 
 use gflink_gpu::KernelId;
-use gflink_memory::{ArenaBuf, HBuffer};
+use gflink_memory::HBuffer;
 use gflink_sim::SimTime;
 use std::sync::Arc;
 
@@ -208,10 +208,11 @@ pub struct CompletedWork {
     pub gpu: usize,
     /// Stream index (within the GPU bulk) that carried it.
     pub stream: usize,
-    /// Output buffer with real results, leased from the fabric's
-    /// [`gflink_memory::BufferArena`] — dropping the completion returns
-    /// the buffer for the next flight to reuse.
-    pub output: ArenaBuf,
+    /// Output buffer with real results. A small one (at most
+    /// [`gflink_memory::hbuffer::RECYCLE_MAX_LEN`] bytes) goes back to its
+    /// allocating thread's free list when dropped there, for the next
+    /// output of that size.
+    pub output: HBuffer,
     /// Valid output records when the kernel declared a data-dependent
     /// count; `None` means full capacity.
     pub emitted: Option<usize>,

@@ -36,7 +36,7 @@ use crate::gwork::{CompletedWork, GWork};
 use crate::recovery::RecoveryManager;
 use crate::session::{JobId, JobSession};
 use gflink_gpu::{KernelRegistry, VirtualGpu};
-use gflink_memory::{BufferArena, PinnedStats};
+use gflink_memory::PinnedStats;
 use gflink_sim::{EventQueue, FaultLedger, FaultPlan, SimRng, SimTime, Tracer};
 use parking_lot::Mutex;
 use std::{collections::BTreeMap, sync::Arc};
@@ -118,11 +118,6 @@ impl GpuManager {
             let (sh, sm, se) = s.regions[gpu].stats();
             (h + sh, m + sm, e + se)
         })
-    }
-
-    /// The shared host result-buffer arena (hit-rate and teardown stats).
-    pub fn result_arena(&self) -> &BufferArena {
-        self.gmem.result_arena()
     }
 
     /// Works executed per GPU (load-balance reporting). CPU-fallback works

@@ -15,7 +15,7 @@ use crate::config::GpuWorkerConfig;
 use crate::gwork::{CompletedWork, GWork, WorkBuf, WorkTiming};
 use crate::session::{JobId, JobSession};
 use gflink_gpu::{DeviceError, KernelArgs, KernelRegistry};
-use gflink_memory::{ArenaBuf, HBuffer};
+use gflink_memory::HBuffer;
 use gflink_sim::trace::{cpu_pid, Cat, TraceEvent, TID_DEVICE};
 use gflink_sim::{
     ComputeCost, Counter, EventQueue, FaultEvent, FaultLedger, FaultPlan, HostEngine,
@@ -725,7 +725,7 @@ impl HostExec {
             tag,
             gpu: CPU_FALLBACK_GPU,
             stream: self.slot,
-            output: ArenaBuf::detached(self.out),
+            output: self.out,
             emitted: self.emitted,
             timing: WorkTiming {
                 submitted,

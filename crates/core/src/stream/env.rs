@@ -807,9 +807,9 @@ impl<'a, T> WindowPipeline<'a, T> {
         executed.sort_by_key(|done| done.tag.1);
         let mut latency = Samples::new();
         let mut landed = Vec::with_capacity(executed.len());
-        // Executed outputs: kept for snapshots when checkpointing, leased
-        // from the arena until assembled otherwise.
-        let (mut done_blocks, mut leased) = (Vec::new(), Vec::new());
+        // Executed outputs, as the blocks the checkpoint chain writes; the
+        // assembly reads the same list.
+        let mut done_blocks = Vec::with_capacity(executed.len());
         for done in executed {
             let fw = fired_by_seq[&done.tag.1];
             let rows = window_rows(fw, &done.output, done.emitted).expect(EMITTED_FITS);
@@ -823,19 +823,14 @@ impl<'a, T> WindowPipeline<'a, T> {
                 latency: lat,
                 restored: false,
             });
-            if ckpt.is_some() {
-                done_blocks.push(SnapshotBlock {
-                    tag: done.tag,
-                    emitted: Some(rows),
-                    completed_at: completed,
-                    payload: Arc::new(done.output.into_inner()),
-                });
-            } else {
-                leased.push(done.output);
-            }
+            done_blocks.push(SnapshotBlock {
+                tag: done.tag,
+                emitted: Some(rows),
+                completed_at: completed,
+                payload: Arc::new(done.output),
+            });
         }
-        let executed_outs =
-            (done_blocks.iter().map(|b| &*b.payload)).chain(leased.iter().map(|b| &**b));
+        let executed_outs = done_blocks.iter().map(|b| &*b.payload);
         let mut landed: Vec<(Landed, &HBuffer)> = landed.into_iter().zip(executed_outs).collect();
         let mut windows_restored = 0u64;
         if let Some(rs) = &restored {
@@ -899,8 +894,6 @@ impl<'a, T> WindowPipeline<'a, T> {
         };
         let ((), (checkpoints, checkpoint_bytes)) =
             exec.join(|| assemble(&landed, &mut outputs), write_chain);
-        drop(landed);
-        drop(leased);
         job.finish();
 
         outputs.sort_by_key(|o| (o.span, o.key));

@@ -601,7 +601,6 @@ fn hybrid_split_config() -> GpuWorkerConfig {
         hybrid: gflink_core::HybridConfig {
             min_split_elems: 1,
             split_balance: 1e12,
-            ..gflink_core::HybridConfig::default()
         },
         ..GpuWorkerConfig::default()
     }

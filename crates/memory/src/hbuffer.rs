@@ -7,9 +7,11 @@
 //! use, which is what lets GFlink ship bytes unmodified.
 //!
 //! Small buffers are recycled per thread, as the paper's transfer channel
-//! reuses its direct buffers (§4.1): a buffer of at most
-//! [`RECYCLE_MAX_LEN`] bytes at [`DEFAULT_ALIGN`] that its allocating
-//! thread drops goes back to an exact-size free list of that thread, and
+//! reuses its direct buffers (§4.1). This is the one recycler of host
+//! result buffers: host-placed and GPU-flight outputs alike are plain
+//! `HBuffer`s. A buffer of at most [`RECYCLE_MAX_LEN`] bytes at
+//! [`DEFAULT_ALIGN`] that its allocating thread drops goes back to an
+//! exact-size free list of that thread, and
 //! the next buffer of that size the thread asks for is taken from there
 //! and zeroed, so a recycled buffer is bit-identical to a fresh one. Each
 //! thread keeps at most [`RECYCLE_CAP_BYTES`], and never more buffers than
@@ -26,10 +28,11 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// Default alignment for direct buffers: one cache line.
 pub const DEFAULT_ALIGN: usize = 64;
 
-/// Largest buffer the per-thread recycler keeps. Host-placed GWork outputs
-/// and the GDST blocks of small-record passes (≈ 0.8 KiB for PointAdd) sit
-/// well below it; q6's 16–64 KiB window buffers stay on the allocator,
-/// where glibc serves them well (DESIGN.md §14).
+/// Largest buffer the per-thread recycler keeps. GWork outputs, host-placed
+/// or from a GPU flight's D2H stage, and the GDST blocks of small-record
+/// passes (≈ 0.8 KiB for PointAdd) sit well below it; q6's 16–64 KiB
+/// window buffers stay on the allocator, where glibc serves them well
+/// (DESIGN.md §14).
 pub const RECYCLE_MAX_LEN: usize = 4096;
 
 /// Bytes one thread's recycler holds at most; a buffer dropped past it is

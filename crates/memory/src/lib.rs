@@ -11,13 +11,10 @@
 //! provides the Rust equivalents:
 //!
 //! * [`HBuffer`] — an aligned raw byte buffer ("direct buffer"), the unit
-//!   handed to the virtual PCIe engine;
-//! * [`MemoryPool`] — a paged off-heap pool mirroring Flink's memory
-//!   segments; a GStruct never straddles a page (§5.1);
-//! * [`BufferArena`] — reusable host *result* buffers recycled across
-//!   GWork flights (CrystalGPU's buffer-reuse idiom): exact-size free
-//!   lists, zero-on-hit so recycling is digest-invisible, per-job
-//!   accounting with a hit-rate stat;
+//!   handed to the virtual PCIe engine. Small buffers recycle through
+//!   per-thread exact-size free lists, zeroed on reuse (CrystalGPU's
+//!   buffer-reuse idiom), which serve host-placed and GPU-flight outputs
+//!   alike;
 //! * [`PinnedPool`] — reusable page-locked host staging buffers for the
 //!   transfer channel (§4.1.2): registration paid once, high-water
 //!   recycling, per-job accounting;
@@ -34,20 +31,16 @@
 //! * [`serialize`] — the *baseline* object-serialization path that GFlink
 //!   avoids, implemented so the contrast can be measured.
 
-pub mod arena;
 pub mod gstruct;
 pub mod hbuffer;
 pub mod layout;
 pub mod pinned;
-pub mod pool;
 pub mod record;
 pub mod serialize;
 
-pub use arena::{ArenaBuf, ArenaStats, BufferArena};
 pub use gstruct::{AlignClass, FieldDef, GStructDef, Prim, PrimType};
 pub use hbuffer::HBuffer;
 pub use layout::{DataLayout, Field, FieldKey, RecordReader, RecordView};
 pub use pinned::{PinnedLease, PinnedPool, PinnedStats};
-pub use pool::{MemoryPool, PageRef, PoolError};
 pub use record::{GRecord, GRow, GValue};
 pub use serialize::{decode_records, encode_records, FieldValue, Record};

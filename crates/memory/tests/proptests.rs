@@ -1,9 +1,8 @@
-//! Property tests for buffers, layouts, the pool and the serializer.
+//! Property tests for buffers, layouts and the serializer.
 
 use gflink_memory::{
     decode_records, encode_records, gstruct, AlignClass, DataLayout, FieldDef, FieldKey,
-    FieldValue, GRow, GStructDef, HBuffer, MemoryPool, Prim, PrimType, Record, RecordReader,
-    RecordView,
+    FieldValue, GRow, GStructDef, HBuffer, Prim, PrimType, Record, RecordReader, RecordView,
 };
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -411,30 +410,6 @@ proptest! {
     ]) {
         if let Some(recs) = decode_records(&bytes) {
             prop_assert!(recs.len() < bytes.len());
-        }
-    }
-
-    /// Pool: allocations never exceed capacity, never alias, and free always
-    /// restores availability.
-    #[test]
-    fn pool_invariants(ops in prop::collection::vec(any::<bool>(), 1..200)) {
-        let mut pool = MemoryPool::with_page_size(16, 256);
-        let mut live = Vec::new();
-        for alloc in ops {
-            if alloc {
-                match pool.alloc() {
-                    Ok(p) => {
-                        prop_assert!(live.iter().all(|q: &gflink_memory::PageRef| q.index() != p.index()),
-                            "aliased live page");
-                        live.push(p);
-                    }
-                    Err(_) => prop_assert_eq!(live.len(), 16),
-                }
-            } else if let Some(p) = live.pop() {
-                pool.free(p).unwrap();
-            }
-            prop_assert_eq!(pool.allocated(), live.len());
-            prop_assert!(pool.allocated() <= pool.capacity());
         }
     }
 }
