@@ -28,15 +28,16 @@
 use crate::checkpoint::CacheManifestEntry;
 use crate::gstream::Engine;
 use crate::manager::GpuManager;
+use crate::recovery::Charge;
 use crate::session::JobId;
-use gflink_sim::{MembershipKind, MembershipPlan, SimTime};
+use gflink_sim::{LedgerEntry, MembershipKind, MembershipPlan, SimTime};
 
 impl GpuManager {
     /// Script membership changes (joins/leaves) against this worker.
     /// Events at instants the simulation has already passed fire
     /// immediately at the next drain, interleaved with scripted faults.
     pub fn set_membership_plan(&mut self, plan: MembershipPlan) {
-        self.recovery.set_membership_plan(plan);
+        self.recovery.membership.set(plan);
     }
 
     /// Apply one membership event right now (between drains) through the
@@ -120,7 +121,8 @@ impl GpuManager {
         let n = penned.len() as u64 + session.pending.len() as u64;
         session.pending.clear();
         if n > 0 {
-            self.recovery.note_parked_abandoned(session, n);
+            self.recovery
+                .note(Charge::Job(session), LedgerEntry::ParkedAbandoned, n, None);
         }
     }
 }

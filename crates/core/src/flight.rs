@@ -35,12 +35,12 @@
 use crate::gmemory::{pro_rata, Placement};
 use crate::gstream::{Engine, Ev, GStreamManager, QueuedWork};
 use crate::gwork::{CompletedWork, GWork, WorkTiming};
-use crate::recovery::{FailReason, ManagerError};
+use crate::recovery::{Charge, FailReason, ManagerError, Rec};
 use crate::session::JobId;
 use gflink_gpu::DevBufId;
 use gflink_memory::{HBuffer, PinnedLease};
 use gflink_sim::trace::{gpu_pid, stream_tid, Cat, TraceEvent};
-use gflink_sim::{EventQueue, RecEvent, RecKind, SimTime};
+use gflink_sim::{EventQueue, LedgerEntry, SimTime};
 
 /// Generation-tagged slab of flights keyed by the packed ids that ride in
 /// pipeline-stage events: `(gen << 32) | slot`. A stage event that fires
@@ -242,18 +242,10 @@ impl GStreamManager {
 
     /// Emit a recovery instant (`transient`, `hang`) on a flight's stream.
     fn trace_recovery(&self, fl: &Flight, name: &'static str, t: SimTime) {
-        if self.tracer.enabled() {
-            self.tracer.record(
-                TraceEvent::instant(
-                    gpu_pid(self.worker_id, fl.gpu),
-                    stream_tid(fl.stream),
-                    Cat::Recovery,
-                    name,
-                    t,
-                )
-                .with_job(fl.job.0),
-            );
-        }
+        let (pid, tid) = (gpu_pid(self.worker_id, fl.gpu), stream_tid(fl.stream));
+        self.tracer.record_with(|| {
+            TraceEvent::instant(pid, tid, Cat::Recovery, name, t).with_job(fl.job.0)
+        });
     }
 
     /// Hand a stream back at `at` and wake it for Alg. 5.2.
@@ -449,13 +441,12 @@ impl GStreamManager {
                 fl.members[i].faulted = true;
                 faulted += 1;
                 let session = eng.sessions.get_mut(&fl.job).expect("session open");
-                eng.recovery.note_transient_fault(session);
-                if self.metrics.enabled() {
-                    session.recorder.push(
-                        RecEvent::new(t, RecKind::TransientFault, self.worker_id as u32)
-                            .on_gpu(fl.gpu),
-                    );
-                }
+                eng.recovery.note(
+                    Charge::Job(session),
+                    LedgerEntry::TransientFaults,
+                    1,
+                    Some(Rec::at(t).on_gpu(fl.gpu)),
+                );
                 self.trace_recovery(&fl, "transient", t);
             }
         }
@@ -623,12 +614,12 @@ impl GStreamManager {
         }
         let fl = self.flights.remove(id).expect("checked above");
         let session = eng.sessions.get_mut(&fl.job).expect("session open");
-        eng.recovery.note_hang_detected(session);
-        if self.metrics.enabled() {
-            session.recorder.push(
-                RecEvent::new(t, RecKind::HangDetected, self.worker_id as u32).on_gpu(fl.gpu),
-            );
-        }
+        eng.recovery.note(
+            Charge::Job(session),
+            LedgerEntry::HangsDetected,
+            1,
+            Some(Rec::at(t).on_gpu(fl.gpu)),
+        );
         self.recover_flight(eng, fl, t, t, FailReason::RetriesExhausted, q);
     }
 
@@ -697,7 +688,8 @@ impl GStreamManager {
             eng.gmem.release_staging(std::mem::take(&mut fl.staging));
             let session = eng.sessions.get_mut(&fl.job).expect("session open");
             for mb in fl.members.drain(..) {
-                eng.recovery.note_retry(session);
+                eng.recovery
+                    .note(Charge::Job(session), LedgerEntry::Retries, 1, None);
                 let ev = Ev::submit(fl.job, mb.timing.submitted, mb.retries, mb.work);
                 q.schedule(t, ev);
             }

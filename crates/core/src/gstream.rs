@@ -28,15 +28,15 @@ use crate::fused::PendingBatch;
 use crate::gmemory::GMemoryManager;
 use crate::gwork::{CompletedWork, GWork, InputLists, WorkBuf, WorkTiming};
 use crate::jobsched::{JobScheduler, PennedWork};
-use crate::recovery::{FailReason, RecoveryManager, CPU_FALLBACK_GPU};
+use crate::recovery::{Charge, FailReason, Rec, RecoveryManager, CPU_FALLBACK_GPU};
 use crate::scheduling::SchedulingPolicy;
 use crate::session::{JobId, JobSession};
 use gflink_gpu::{GpuModel, KernelRegistry};
 use gflink_memory::HBuffer;
-use gflink_sim::trace::{cpu_pid, gpu_pid, stream_tid, Cat, TraceEvent, TID_DEVICE};
+use gflink_sim::trace::{gpu_pid, stream_tid, Cat, TraceEvent, TID_DEVICE};
 use gflink_sim::{
-    Counter, EventQueue, FaultKind, Gauge, Histogram, MembershipKind, Metrics, RecEvent, RecKind,
-    SimRng, SimTime, Tally, Tracer,
+    Counter, EventQueue, FaultKind, Gauge, Histogram, LedgerEntry, MembershipKind, Metrics,
+    RecEvent, RecKind, SimRng, SimTime, Tally, Tracer,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -404,10 +404,10 @@ impl GStreamManager {
                 }
             }
         }
-        for e in recovery.take_unscheduled_faults() {
+        for e in recovery.faults.take_unscheduled() {
             q.schedule(e.at, Ev::Fault(e.kind));
         }
-        for e in recovery.take_unscheduled_membership() {
+        for e in recovery.membership.take_unscheduled() {
             q.schedule(e.at, Ev::Membership(e.kind));
         }
         let mut pending: Vec<(JobId, SimTime, GWork)> = Vec::new();
@@ -745,20 +745,15 @@ impl GStreamManager {
         }
     }
 
-    /// Push a device-scoped flight-recorder event into every open session
-    /// (a dead device is every tenant's problem). No-op when the metrics
-    /// plane is off.
-    fn record_all(&self, eng: &mut Engine<'_>, t: SimTime, kind: RecKind, gpu: usize) {
-        if !self.metrics.enabled() {
-            return;
-        }
-        let w = self.worker_id as u32;
-        for session in eng.sessions.values_mut() {
-            session.recorder.push(RecEvent::new(t, kind, w).on_gpu(gpu));
-        }
+    /// Note a device-scoped event on `gpu`: every open session is charged.
+    fn charge_device(eng: &mut Engine<'_>, entry: LedgerEntry, t: SimTime, gpu: usize) {
+        let rec = Rec::at(t).on_gpu(gpu);
+        eng.recovery
+            .note(Charge::Open(&mut *eng.sessions), entry, 1, Some(rec));
     }
 
-    /// A scripted fault fires.
+    /// A scripted fault fires. A fault aimed at a device the worker does
+    /// not have (yet) is ignored before anything is charged.
     pub(crate) fn on_fault(
         &mut self,
         eng: &mut Engine<'_>,
@@ -766,62 +761,49 @@ impl GStreamManager {
         t: SimTime,
         q: &mut EventQueue<Ev>,
     ) {
-        eng.recovery.note_fault_injected(&mut *eng.sessions);
         let gpu = kind.gpu();
-        assert!(
-            gpu < eng.gmem.gpu_count(),
-            "fault targets unknown device {gpu}"
-        );
-        self.record_all(eng, t, RecKind::FaultInjected, gpu);
-        if self.tracer.enabled() {
-            self.tracer.record(
-                TraceEvent::instant(
-                    gpu_pid(self.worker_id, gpu),
-                    TID_DEVICE,
-                    Cat::Recovery,
-                    "fault-injected",
-                    t,
-                )
-                .with_arg("kind", format!("{kind:?}")),
-            );
+        if gpu >= eng.gmem.gpu_count() {
+            return;
         }
+        Self::charge_device(eng, LedgerEntry::FaultsInjected, t, gpu);
+        self.tracer.record_with(|| {
+            self.device_instant(gpu, "fault-injected", t)
+                .with_arg("kind", format!("{kind:?}"))
+        });
         match kind {
+            FaultKind::KernelTransient { .. } | FaultKind::KernelHang { .. } => {
+                eng.recovery.arm(kind);
+            }
+            // Already gone; nothing more to lose or degrade.
+            _ if eng.gmem.gpu(gpu).health().is_lost() => {}
             FaultKind::GpuLost { .. } => {
-                if eng.gmem.gpu(gpu).health().is_lost() {
-                    return; // already gone; nothing more to lose
-                }
-                eng.recovery.note_gpu_lost(&mut *eng.sessions);
-                self.record_all(eng, t, RecKind::DeviceLost, gpu);
+                Self::charge_device(eng, LedgerEntry::GpusLost, t, gpu);
                 eng.gmem.gpu_mut(gpu).mark_lost(t);
-                // Every open session loses its region on the dead device;
-                // each tenant's ledger records its own invalidations.
-                for session in eng.sessions.values_mut() {
-                    let n = session.regions[gpu].invalidate_all() as u64;
-                    eng.recovery.note_invalidations(session, n);
-                }
                 self.drain_device(eng, gpu, t, q);
             }
             FaultKind::GpuDegraded { throughput, .. } => {
-                if eng.gmem.gpu(gpu).health().is_lost() {
-                    return;
-                }
-                eng.recovery.note_gpu_degraded(&mut *eng.sessions);
-                self.record_all(eng, t, RecKind::DeviceDegraded, gpu);
+                Self::charge_device(eng, LedgerEntry::GpusDegraded, t, gpu);
                 eng.gmem.gpu_mut(gpu).degrade(t, throughput);
-            }
-            FaultKind::KernelTransient { .. } => {
-                eng.recovery.arm_transient(gpu);
-            }
-            FaultKind::KernelHang { .. } => {
-                eng.recovery.arm_hang(gpu);
             }
         }
     }
 
+    /// A device-health instant on `gpu`'s device thread.
+    fn device_instant(&self, gpu: usize, name: &'static str, t: SimTime) -> TraceEvent {
+        TraceEvent::instant(
+            gpu_pid(self.worker_id, gpu),
+            TID_DEVICE,
+            Cat::Recovery,
+            name,
+            t,
+        )
+    }
+
     /// Evacuate a device that just left the live fabric (lost to a fault
-    /// or gracefully retired): blacklist its streams, re-submit its live
-    /// flights, and drain its queue — and any accumulating batch — onto the
-    /// survivors.
+    /// or gracefully retired): every open session loses its cached blocks
+    /// there (each tenant's ledger records its own invalidations), its
+    /// streams are blacklisted, its live flights re-submitted, and its
+    /// queue — and any accumulating batch — drained onto the survivors.
     fn drain_device(
         &mut self,
         eng: &mut Engine<'_>,
@@ -829,6 +811,11 @@ impl GStreamManager {
         t: SimTime,
         q: &mut EventQueue<Ev>,
     ) {
+        for session in eng.sessions.values_mut() {
+            let n = session.regions[gpu].invalidate_all() as u64;
+            let entry = LedgerEntry::CacheInvalidations;
+            eng.recovery.note(Charge::Job(session), entry, n, None);
+        }
         // Blacklist: the device's streams never come free again.
         for s in 0..self.streams_per_gpu {
             self.stream_busy_until[gpu][s] = SimTime::MAX;
@@ -843,12 +830,12 @@ impl GStreamManager {
         for parked in queued {
             for qw in std::iter::once(parked.head).chain(parked.rest) {
                 let session = eng.sessions.get_mut(&qw.job).expect("session open");
-                eng.recovery.note_steal_on_drain(session);
-                if self.metrics.enabled() {
-                    session.recorder.push(
-                        RecEvent::new(t, RecKind::StealOnDrain, self.worker_id as u32).on_gpu(gpu),
-                    );
-                }
+                eng.recovery.note(
+                    Charge::Job(session),
+                    LedgerEntry::StealsOnDrain,
+                    1,
+                    Some(Rec::at(t).on_gpu(gpu)),
+                );
                 q.schedule(t, Ev::submit(qw.job, qw.submitted, qw.retries, qw.work));
             }
         }
@@ -880,8 +867,7 @@ impl GStreamManager {
                 if let Some(cm) = self.cost_model.as_mut() {
                     cm.grow(model);
                 }
-                eng.recovery.note_member_joined(&mut *eng.sessions);
-                self.record_all(eng, t, RecKind::MemberJoined, g);
+                Self::charge_device(eng, LedgerEntry::MembersJoined, t, g);
                 self.stream_busy_until
                     .push(vec![SimTime::ZERO; self.streams_per_gpu]);
                 self.executed_per_gpu.push(0);
@@ -898,13 +884,7 @@ impl GStreamManager {
                             &format!("stream {s}"),
                         );
                     }
-                    self.tracer.record(TraceEvent::instant(
-                        gpu_pid(self.worker_id, g),
-                        TID_DEVICE,
-                        Cat::Recovery,
-                        "join",
-                        t,
-                    ));
+                    self.tracer.record(self.device_instant(g, "join", t));
                 }
                 // Wake the new bulk: each fresh stream runs Alg. 5.2 and
                 // pulls queued backlog onto the joined device.
@@ -918,15 +898,8 @@ impl GStreamManager {
                 if gpu >= eng.gmem.gpu_count() || !eng.gmem.usable(gpu) {
                     return; // never joined, already lost, or already retired
                 }
-                eng.recovery.note_member_left(&mut *eng.sessions);
-                self.record_all(eng, t, RecKind::MemberLeft, gpu);
+                Self::charge_device(eng, LedgerEntry::MembersLeft, t, gpu);
                 eng.gmem.retire_device(gpu, t);
-                // Every open session loses its region on the retiring
-                // device; graceful or not, the blocks are gone.
-                for session in eng.sessions.values_mut() {
-                    let n = session.regions[gpu].invalidate_all() as u64;
-                    eng.recovery.note_invalidations(session, n);
-                }
                 self.drain_device(eng, gpu, t, q);
                 eng.gmem
                     .rebalance_regions(eng.sessions, cfg.scheduler.partition_cache);
@@ -1181,20 +1154,13 @@ impl GStreamManager {
                         self.worker_id as u32,
                     ));
                 }
-                if self.tracer.enabled() {
-                    self.tracer.record(
-                        TraceEvent::span(
-                            cpu_pid(self.worker_id),
-                            1 + he.slot as u32,
-                            Cat::Cpu,
-                            &*work.name,
-                            he.start,
-                            he.end,
-                        )
-                        .with_job(job.0)
-                        .with_arg("placement", "hybrid"),
-                    );
-                }
+                he.trace(
+                    &self.tracer,
+                    self.worker_id,
+                    job,
+                    &work.name,
+                    ("placement", "hybrid"),
+                );
                 if let Some(cm) = self.cost_model.as_mut() {
                     // Score the prediction against this execution first
                     // (the error gauges the model as it stood), then fold
@@ -1310,7 +1276,7 @@ impl GStreamManager {
         self.free_child_tags.extend(entry.child_tags);
         let session = eng.sessions.get_mut(&job).expect("session open");
         match entry.failed {
-            Some(reason) => eng.recovery.fail_named(
+            Some(reason) => eng.recovery.fail(
                 session,
                 &entry.name,
                 entry.tag,
@@ -1376,16 +1342,17 @@ impl GStreamManager {
             self.fail_split_child(eng, job, work.tag, retries, now, reason);
         } else {
             let session = eng.sessions.get_mut(&job).expect("session open");
-            eng.recovery
-                .fail_work(session, work, submitted, retries, now, reason);
+            eng.recovery.fail(
+                session, &work.name, work.tag, retries, submitted, now, reason,
+            );
         }
     }
 
-    /// [`RecoveryManager::retry_or_fail`] with split-child awareness: a
-    /// child whose failure is terminal under the retry policy must fail its
-    /// *parent* block — removing its route and releasing the merge entry —
-    /// never strand the merge by recording a failure under a synthetic tag
-    /// the consumer never submitted.
+    /// Retry a recovered work after its policy backoff, or fail it once
+    /// [`RecoveryManager::terminal_reason`] says the policy gave up. A
+    /// split child that fails terminally fails its *parent* block (see
+    /// [`GStreamManager::fail_terminal`]), never a synthetic tag the
+    /// consumer never submitted.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn route_retry_or_fail(
         &mut self,
@@ -1398,16 +1365,15 @@ impl GStreamManager {
         reason: FailReason,
         q: &mut EventQueue<Ev>,
     ) {
-        if is_split_child(work.tag) {
-            let spent = now.saturating_sub(submitted);
-            if let Some(terminal) = eng.recovery.terminal_reason(&reason, retries, spent) {
-                self.fail_split_child(eng, job, work.tag, retries, now, terminal);
-                return;
+        let spent = now.saturating_sub(submitted);
+        match eng.recovery.terminal_reason(&reason, retries, spent) {
+            Some(terminal) => self.fail_terminal(eng, job, work, submitted, retries, now, terminal),
+            None => {
+                let session = eng.sessions.get_mut(&job).expect("session open");
+                eng.recovery
+                    .retry(session, job, work, submitted, retries, now, q);
             }
         }
-        let session = eng.sessions.get_mut(&job).expect("session open");
-        eng.recovery
-            .retry_or_fail(session, job, work, submitted, retries, now, reason, q);
     }
 }
 

@@ -33,11 +33,11 @@
 use crate::gmemory::GMemoryManager;
 use crate::gstream::{Engine, Ev, GStreamManager};
 use crate::gwork::{CompletedWork, GWork};
-use crate::recovery::RecoveryManager;
+use crate::recovery::{Charge, RecoveryManager};
 use crate::session::{JobId, JobSession};
 use gflink_gpu::{KernelRegistry, VirtualGpu};
 use gflink_memory::PinnedStats;
-use gflink_sim::{EventQueue, FaultLedger, FaultPlan, SimRng, SimTime, Tracer};
+use gflink_sim::{EventQueue, FaultLedger, FaultPlan, LedgerEntry, SimRng, SimTime, Tracer};
 use parking_lot::Mutex;
 use std::{collections::BTreeMap, sync::Arc};
 
@@ -170,13 +170,13 @@ impl GpuManager {
     /// Number of injected kernel failures recovered from (random
     /// `failure_rate` plus scripted transients).
     pub fn failures(&self) -> u64 {
-        self.recovery.failures()
+        self.recovery.ledger().transient_faults
     }
 
     /// Script faults against this manager's devices. Events at instants the
     /// simulation has already passed fire immediately at the next drain.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.recovery.set_fault_plan(plan);
+        self.recovery.faults.set(plan);
     }
 
     /// Attach a tracer to all three layers: one trace process per GPU (and
@@ -218,15 +218,19 @@ impl GpuManager {
     /// pending queue (abandoned, not leaked — see the fault ledger's
     /// `parked_abandoned`), release its cached device buffers, retire its
     /// cache statistics into the worker totals, and (under cache
-    /// partitioning) return its budget share to the survivors.
-    pub fn end_job(&mut self, job: JobId) {
-        if let Some(mut session) = self.sessions.remove(&job) {
-            self.abandon_leftovers(job, &mut session);
-            self.gmem.release_regions(&mut session.regions);
-            self.gmem.retire_regions(&session.regions);
-            self.gmem.retire_pool_owner(job.0);
-            self.rebalance_regions();
-        }
+    /// partitioning) return its budget share to the survivors. Returns the
+    /// job's final cumulative ledger, abandoned works included (zero if
+    /// the job was not open).
+    pub fn end_job(&mut self, job: JobId) -> FaultLedger {
+        let Some(mut session) = self.sessions.remove(&job) else {
+            return FaultLedger::default();
+        };
+        self.abandon_leftovers(job, &mut session);
+        self.gmem.release_regions(&mut session.regions);
+        self.gmem.retire_regions(&session.regions);
+        self.gmem.retire_pool_owner(job.0);
+        self.rebalance_regions();
+        session.faults()
     }
 
     /// Delegate to the memory layer's weight-proportional region rebalance
@@ -279,7 +283,8 @@ impl GpuManager {
         self.begin_job(job);
         let session = self.sessions.get_mut(&job).expect("session just ensured");
         if session.covered.remove(&work.tag) {
-            self.recovery.note_work_restored(session);
+            self.recovery
+                .note(Charge::Job(session), LedgerEntry::WorksRestored, 1, None);
             self.gstream.input_lists.give(work.inputs);
             return;
         }

@@ -4,12 +4,15 @@
 //! plan/arming machinery, retry-with-backoff routing, the CPU fallback
 //! path, and the fault ledgers.
 //!
-//! Fault/recovery counters are **double-entry**: every event is tallied on
-//! the owning job's session ledger *and* mirrored into the worker-global
-//! ledger. Work-scoped events (retries, transients, hangs, failures, CPU
-//! fallbacks) charge the job that owned the work; device-scoped events
-//! (injections, loss, degradation) charge every open session — a dead
-//! device is every tenant's problem.
+//! Fault/recovery counters are **double-entry**: every event is noted in
+//! one call, `RecoveryManager::note`, which tallies it on the session
+//! ledger(s) *and* the worker-global ledger, bumps the entry's live counter
+//! and pushes its flight-recorder event. Work-scoped entries (retries,
+//! transients, hangs, failures, CPU fallbacks, …) charge the job that owned
+//! the work; device-scoped entries (injections, loss, degradation,
+//! membership) charge every open session — a dead device is every
+//! tenant's problem. Each entry's scope, counter and recorder kind are
+//! declared once, with the [`FaultLedger`] itself.
 
 use crate::config::GpuWorkerConfig;
 use crate::gwork::{CompletedWork, GWork, WorkBuf, WorkTiming};
@@ -18,8 +21,8 @@ use gflink_gpu::{DeviceError, KernelArgs, KernelRegistry};
 use gflink_memory::HBuffer;
 use gflink_sim::trace::{cpu_pid, Cat, TraceEvent, TID_DEVICE};
 use gflink_sim::{
-    ComputeCost, Counter, EventQueue, FaultEvent, FaultLedger, FaultPlan, HostEngine,
-    MembershipEvent, MembershipPlan, Metrics, RecEvent, RecKind, RetryPolicy, SimTime, Tracer,
+    ComputeCost, Counter, EventQueue, FaultKind, FaultLedger, HostEngine, LedgerEntry, LedgerScope,
+    MembershipKind, Metrics, Plan, RecEvent, RetryPolicy, SimTime, Timed, Tracer, REC_NO_GPU,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -142,24 +145,43 @@ impl Default for CpuFallback {
     }
 }
 
-/// Live-metrics counter handles mirroring the fault ledger, all disabled
-/// (free) until the metrics plane is attached.
-#[derive(Clone, Default)]
-struct RecCounters {
-    retries: Counter,
-    transients: Counter,
-    hangs: Counter,
-    steals_on_drain: Counter,
-    invalidations: Counter,
-    faults_injected: Counter,
-    gpus_lost: Counter,
-    gpus_degraded: Counter,
-    members_joined: Counter,
-    members_left: Counter,
-    works_restored: Counter,
-    works_failed: Counter,
-    cpu_fallbacks: Counter,
-    parked_abandoned: Counter,
+/// Whom a [`RecoveryManager::note`] charges besides the worker ledger.
+pub(crate) enum Charge<'a> {
+    /// The job that owned the work (a [`LedgerScope::Work`] entry).
+    Job(&'a mut JobSession),
+    /// Every open session (a [`LedgerScope::Device`] entry).
+    Open(&'a mut BTreeMap<JobId, JobSession>),
+}
+
+/// The flight-recorder half of a [`RecoveryManager::note`]: when the event
+/// happened, on which device, and the kind-specific detail.
+#[derive(Clone, Copy)]
+pub(crate) struct Rec {
+    at: SimTime,
+    gpu: u32,
+    a: u64,
+}
+
+impl Rec {
+    /// An event at `at` with no device attribution.
+    pub(crate) fn at(at: SimTime) -> Rec {
+        Rec {
+            at,
+            gpu: REC_NO_GPU,
+            a: 0,
+        }
+    }
+
+    /// Attribute the event to device `gpu`.
+    pub(crate) fn on_gpu(self, gpu: usize) -> Rec {
+        let gpu = gpu as u32;
+        Rec { gpu, ..self }
+    }
+
+    /// Attach the kind-specific detail value.
+    pub(crate) fn with_detail(self, a: u64) -> Rec {
+        Rec { a, ..self }
+    }
 }
 
 /// The recovery half of the per-worker GPU manager.
@@ -168,22 +190,16 @@ pub struct RecoveryManager {
     hang_timeout: SimTime,
     failure_rate: f64,
     cpu_fallback: CpuFallback,
-    fault_plan: FaultPlan,
-    /// Index of the first `fault_plan` event not yet scheduled into a drain.
-    fault_cursor: usize,
+    /// Scripted faults, delivered into drains exactly once.
+    pub(crate) faults: Script<FaultKind>,
     /// Scripted elastic-membership changes (joins/leaves), delivered into
-    /// drains exactly once via `membership_cursor` — the fault plan's
-    /// administrative twin.
-    membership_plan: MembershipPlan,
-    membership_cursor: usize,
-    /// Scripted transient faults armed per GPU (consumed by next launches).
-    pending_transient: Vec<u32>,
-    /// Scripted hangs armed per GPU (consumed by next launches).
-    pending_hang: Vec<u32>,
+    /// drains exactly once — the fault plan's administrative twin.
+    pub(crate) membership: Script<MembershipKind>,
+    /// Scripted kernel faults armed per GPU, consumed by its next launches.
+    armed: Vec<Armed>,
     /// Worker-global ledger: the sum over every session's ledger for
     /// work-scoped counters, single-entry for device-scoped ones.
     ledger: FaultLedger,
-    failures: u64,
     /// The host CPU execution engine — shared by the last-resort fallback
     /// and the hybrid cost-model placement, so both account against the
     /// same slot timelines.
@@ -192,7 +208,8 @@ pub struct RecoveryManager {
     worker_id: usize,
     /// The live-metrics plane (gates flight-recorder pushes).
     metrics: Metrics,
-    m: RecCounters,
+    /// The live mirror of `ledger`, one counter per [`LedgerEntry`].
+    m: [Counter; LedgerEntry::COUNT],
 }
 
 impl RecoveryManager {
@@ -204,19 +221,15 @@ impl RecoveryManager {
             hang_timeout: cfg.hang_timeout,
             failure_rate: cfg.failure_rate,
             cpu_fallback,
-            fault_plan: FaultPlan::new(),
-            fault_cursor: 0,
-            membership_plan: MembershipPlan::new(),
-            membership_cursor: 0,
-            pending_transient: vec![0; cfg.models.len()],
-            pending_hang: vec![0; cfg.models.len()],
+            faults: Script::new(),
+            membership: Script::new(),
+            armed: vec![Armed::default(); cfg.models.len()],
             ledger: FaultLedger::default(),
-            failures: 0,
             host,
             tracer: Tracer::disabled(),
             worker_id: 0,
             metrics: Metrics::disabled(),
-            m: RecCounters::default(),
+            m: Default::default(),
         }
     }
 
@@ -226,41 +239,10 @@ impl RecoveryManager {
         self.metrics = metrics.clone();
         self.worker_id = worker_id;
         let l = format!("{{worker=\"{worker_id}\"}}");
-        let c = |name: &str, help: &str| metrics.counter(&format!("{name}{l}"), help);
-        self.m = RecCounters {
-            retries: c("gflink_retries_total", "Work retries scheduled"),
-            transients: c(
-                "gflink_transient_faults_total",
-                "Transient kernel faults recovered",
-            ),
-            hangs: c("gflink_hangs_detected_total", "Hung kernels detected"),
-            steals_on_drain: c(
-                "gflink_steals_on_drain_total",
-                "Works stolen off a dying device",
-            ),
-            invalidations: c(
-                "gflink_cache_invalidations_total",
-                "Cache entries invalidated by device loss",
-            ),
-            faults_injected: c("gflink_faults_injected_total", "Faults injected"),
-            gpus_lost: c("gflink_gpus_lost_total", "Devices lost"),
-            gpus_degraded: c("gflink_gpus_degraded_total", "Devices degraded"),
-            members_joined: c("gflink_members_joined_total", "Elastic joins applied"),
-            members_left: c("gflink_members_left_total", "Elastic leaves applied"),
-            works_restored: c(
-                "gflink_works_restored_total",
-                "Works satisfied from a restored checkpoint",
-            ),
-            works_failed: c("gflink_works_failed_total", "Works abandoned"),
-            cpu_fallbacks: c(
-                "gflink_cpu_fallbacks_total",
-                "Works executed on the host CPU",
-            ),
-            parked_abandoned: c(
-                "gflink_parked_abandoned_total",
-                "Parked works abandoned at job teardown",
-            ),
-        };
+        for e in LedgerEntry::COUNTER_ORDER {
+            self.m[e as usize] =
+                metrics.counter(&format!("gflink_{}_total{l}", e.name()), e.help());
+        }
     }
 
     /// Attach a tracer: the worker's CPU-fallback pool gets its own trace
@@ -279,36 +261,9 @@ impl RecoveryManager {
         self.worker_id = worker_id;
     }
 
-    pub(crate) fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_plan = plan;
-        self.fault_cursor = 0;
-    }
-
-    /// Scripted faults not yet delivered into any drain; advances the
-    /// cursor so each fault enters an event queue exactly once.
-    pub(crate) fn take_unscheduled_faults(&mut self) -> Vec<FaultEvent> {
-        let evs = self.fault_plan.events()[self.fault_cursor..].to_vec();
-        self.fault_cursor = self.fault_plan.events().len();
-        evs
-    }
-
-    pub(crate) fn set_membership_plan(&mut self, plan: MembershipPlan) {
-        self.membership_plan = plan;
-        self.membership_cursor = 0;
-    }
-
-    /// Scripted membership changes not yet delivered into any drain;
-    /// advances the cursor so each change applies exactly once.
-    pub(crate) fn take_unscheduled_membership(&mut self) -> Vec<MembershipEvent> {
-        let evs = self.membership_plan.events()[self.membership_cursor..].to_vec();
-        self.membership_cursor = self.membership_plan.events().len();
-        evs
-    }
-
     /// Grow the armed-fault state for a device that joined the complement.
     pub(crate) fn grow_device(&mut self) {
-        self.pending_transient.push(0);
-        self.pending_hang.push(0);
+        self.armed.push(Armed::default());
     }
 
     /// Worker-global cumulative fault/recovery counters.
@@ -316,45 +271,30 @@ impl RecoveryManager {
         self.ledger
     }
 
-    /// Injected kernel failures recovered from (random `failure_rate` plus
-    /// scripted transients).
-    pub fn failures(&self) -> u64 {
-        self.failures
-    }
-
     /// Watchdog timeout for hung kernels.
     pub fn hang_timeout(&self) -> SimTime {
         self.hang_timeout
     }
 
-    /// Arm one scripted transient kernel fault on `gpu`.
-    pub(crate) fn arm_transient(&mut self, gpu: usize) {
-        self.pending_transient[gpu] += 1;
-    }
-
-    /// Arm one scripted kernel hang on `gpu`.
-    pub(crate) fn arm_hang(&mut self, gpu: usize) {
-        self.pending_hang[gpu] += 1;
+    /// Arm a scripted kernel fault (a transient or a hang) on its device;
+    /// other kinds arm nothing.
+    pub(crate) fn arm(&mut self, kind: FaultKind) {
+        let armed = &mut self.armed[kind.gpu()];
+        match kind {
+            FaultKind::KernelTransient { .. } => armed.transients += 1,
+            FaultKind::KernelHang { .. } => armed.hangs += 1,
+            FaultKind::GpuLost { .. } | FaultKind::GpuDegraded { .. } => {}
+        }
     }
 
     /// Consume one armed transient fault on `gpu`, if any.
     pub(crate) fn take_transient(&mut self, gpu: usize) -> bool {
-        if self.pending_transient[gpu] > 0 {
-            self.pending_transient[gpu] -= 1;
-            true
-        } else {
-            false
-        }
+        take_one(&mut self.armed[gpu].transients)
     }
 
     /// Consume one armed hang on `gpu`, if any.
     pub(crate) fn take_hang(&mut self, gpu: usize) -> bool {
-        if self.pending_hang[gpu] > 0 {
-            self.pending_hang[gpu] -= 1;
-            true
-        } else {
-            false
-        }
+        take_one(&mut self.armed[gpu].hangs)
     }
 
     /// Random transient injection at `failure_rate`. Callers must evaluate
@@ -364,110 +304,54 @@ impl RecoveryManager {
         self.failure_rate > 0.0 && rng.next_f64() < self.failure_rate
     }
 
-    // --- double-entry ledger notes -------------------------------------
-
-    pub(crate) fn note_retry(&mut self, session: &mut JobSession) {
-        self.ledger.retries += 1;
-        session.ledger_mut().retries += 1;
-        self.m.retries.inc();
-    }
-
-    pub(crate) fn note_transient_fault(&mut self, session: &mut JobSession) {
-        self.failures += 1;
-        self.ledger.transient_faults += 1;
-        session.ledger_mut().transient_faults += 1;
-        self.m.transients.inc();
-    }
-
-    pub(crate) fn note_hang_detected(&mut self, session: &mut JobSession) {
-        self.ledger.hangs_detected += 1;
-        session.ledger_mut().hangs_detected += 1;
-        self.m.hangs.inc();
-    }
-
-    pub(crate) fn note_steal_on_drain(&mut self, session: &mut JobSession) {
-        self.ledger.steals_on_drain += 1;
-        session.ledger_mut().steals_on_drain += 1;
-        self.m.steals_on_drain.inc();
-    }
-
-    pub(crate) fn note_invalidations(&mut self, session: &mut JobSession, n: u64) {
-        self.ledger.cache_invalidations += n;
-        session.ledger_mut().cache_invalidations += n;
-        self.m.invalidations.add(n);
-    }
-
-    /// Device-scoped: a fault was injected. Charged to every open session.
-    pub(crate) fn note_fault_injected(&mut self, sessions: &mut BTreeMap<JobId, JobSession>) {
-        self.ledger.faults_injected += 1;
-        for s in sessions.values_mut() {
-            s.ledger_mut().faults_injected += 1;
+    /// Note `n` events of `entry`: the worker ledger, the charged session
+    /// ledger(s) and the entry's live counter each gain `n`, and while the
+    /// metrics plane is on every charged session's flight recorder gets
+    /// the entry's event (entries without a recorder kind, and `rec: None`,
+    /// push nothing).
+    pub(crate) fn note(
+        &mut self,
+        charge: Charge<'_>,
+        entry: LedgerEntry,
+        n: u64,
+        rec: Option<Rec>,
+    ) {
+        debug_assert_eq!(
+            matches!(charge, Charge::Open(_)),
+            entry.scope() == LedgerScope::Device,
+            "{entry:?} charged to the wrong scope"
+        );
+        *self.ledger.get_mut(entry) += n;
+        self.m[entry as usize].add(n);
+        let ev = rec
+            .filter(|_| self.metrics.enabled())
+            .zip(entry.rec_kind())
+            .map(|(r, kind)| RecEvent {
+                at: r.at,
+                kind,
+                worker: self.worker_id as u32,
+                gpu: r.gpu,
+                a: r.a,
+            });
+        let charge_one = |s: &mut JobSession| {
+            *s.ledger.total_mut().get_mut(entry) += n;
+            if let Some(ev) = ev {
+                s.recorder.push(ev);
+            }
+        };
+        match charge {
+            Charge::Job(s) => charge_one(s),
+            Charge::Open(sessions) => sessions.values_mut().for_each(charge_one),
         }
-        self.m.faults_injected.inc();
-    }
-
-    /// Device-scoped: a GPU was lost. Charged to every open session.
-    pub(crate) fn note_gpu_lost(&mut self, sessions: &mut BTreeMap<JobId, JobSession>) {
-        self.ledger.gpus_lost += 1;
-        for s in sessions.values_mut() {
-            s.ledger_mut().gpus_lost += 1;
-        }
-        self.m.gpus_lost.inc();
-    }
-
-    /// Device-scoped: a GPU was degraded. Charged to every open session.
-    pub(crate) fn note_gpu_degraded(&mut self, sessions: &mut BTreeMap<JobId, JobSession>) {
-        self.ledger.gpus_degraded += 1;
-        for s in sessions.values_mut() {
-            s.ledger_mut().gpus_degraded += 1;
-        }
-        self.m.gpus_degraded.inc();
-    }
-
-    /// Device-scoped: a node joined the complement. Charged to every open
-    /// session — each tenant's dispatch targets just changed.
-    pub(crate) fn note_member_joined(&mut self, sessions: &mut BTreeMap<JobId, JobSession>) {
-        self.ledger.members_joined += 1;
-        for s in sessions.values_mut() {
-            s.ledger_mut().members_joined += 1;
-        }
-        self.m.members_joined.inc();
-    }
-
-    /// Device-scoped: a node left the complement gracefully.
-    pub(crate) fn note_member_left(&mut self, sessions: &mut BTreeMap<JobId, JobSession>) {
-        self.ledger.members_left += 1;
-        for s in sessions.values_mut() {
-            s.ledger_mut().members_left += 1;
-        }
-        self.m.members_left.inc();
-    }
-
-    /// Work-scoped: a submission was satisfied from a restored checkpoint
-    /// instead of executing.
-    pub(crate) fn note_work_restored(&mut self, session: &mut JobSession) {
-        self.ledger.works_restored += 1;
-        session.ledger_mut().works_restored += 1;
-        self.m.works_restored.inc();
-    }
-
-    /// Work-scoped: `n` of the job's works were still parked (penned or
-    /// pending) when the job was torn down.
-    pub(crate) fn note_parked_abandoned(&mut self, session: &mut JobSession, n: u64) {
-        self.ledger.parked_abandoned += n;
-        session.ledger_mut().parked_abandoned += n;
-        self.m.parked_abandoned.add(n);
     }
 
     // --- retry / fail / CPU fallback -----------------------------------
 
-    /// The terminal [`FailReason`] `retry_or_fail` would record for a work
-    /// in this state, or `None` while the policy still allows a retry. A
-    /// [`FailReason::Fatal`] wrapping [`ManagerError::KernelMissing`] is
-    /// always terminal (no later attempt can succeed). Callers that must
-    /// intercept a permanent failure (split children fail their *parent*
-    /// block, never their synthetic tag) consult this before handing the
-    /// work to [`RecoveryManager::retry_or_fail`].
+    /// The terminal [`FailReason`] for a work that failed with `reason`
+    /// after `retries` retries and `spent` time, or `None` while the policy
+    /// still allows a retry. A [`FailReason::Fatal`] wrapping
+    /// [`ManagerError::KernelMissing`] is always terminal (no later attempt
+    /// can succeed).
     pub(crate) fn terminal_reason(
         &self,
         reason: &FailReason,
@@ -487,10 +371,9 @@ impl RecoveryManager {
     }
 
     /// Route a recovered work back through Alg. 5.1 after its policy
-    /// backoff, or give up with a structured [`FailedWork`] carrying the
-    /// terminal reason from [`RecoveryManager::terminal_reason`].
+    /// backoff.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn retry_or_fail(
+    pub(crate) fn retry(
         &mut self,
         session: &mut JobSession,
         job: JobId,
@@ -498,59 +381,36 @@ impl RecoveryManager {
         submitted: SimTime,
         retries: u32,
         now: SimTime,
-        reason: FailReason,
         q: &mut EventQueue<Ev>,
     ) {
-        let spent = now.saturating_sub(submitted);
-        if let Some(terminal) = self.terminal_reason(&reason, retries, spent) {
-            self.fail_work(session, work, submitted, retries, now, terminal);
-            return;
-        }
-        self.note_retry(session);
-        if self.metrics.enabled() {
-            session.recorder.push(
-                RecEvent::new(now, RecKind::Retry, self.worker_id as u32)
-                    .with_detail(u64::from(retries + 1)),
-            );
-        }
+        self.note(
+            Charge::Job(session),
+            LedgerEntry::Retries,
+            1,
+            Some(Rec::at(now).with_detail(u64::from(retries + 1))),
+        );
         let delay = self.retry.backoff(retries);
         let at = SimTime::from_nanos(now.as_nanos().saturating_add(delay.as_nanos()));
-        if self.tracer.enabled() {
-            self.tracer.record(
-                TraceEvent::instant(
-                    cpu_pid(self.worker_id),
-                    TID_DEVICE,
-                    Cat::Recovery,
-                    "retry",
-                    now,
-                )
+        self.tracer.record_with(|| {
+            self.recovery_instant("retry", now)
                 .with_job(job.0)
                 .with_arg("op", &work.name)
-                .with_arg("attempt", retries + 1),
-            );
-        }
+                .with_arg("attempt", retries + 1)
+        });
         q.schedule(at, Ev::submit(job, submitted, retries + 1, work));
     }
 
-    pub(crate) fn fail_work(
-        &mut self,
-        session: &mut JobSession,
-        work: GWork,
-        submitted: SimTime,
-        retries: u32,
-        now: SimTime,
-        reason: FailReason,
-    ) {
-        self.fail_named(
-            session, &work.name, work.tag, retries, submitted, now, reason,
-        );
+    /// A recovery instant on thread 0 of the worker's CPU-pool process.
+    fn recovery_instant(&self, name: &'static str, at: SimTime) -> TraceEvent {
+        TraceEvent::instant(cpu_pid(self.worker_id), TID_DEVICE, Cat::Recovery, name, at)
     }
 
-    /// [`RecoveryManager::fail_work`] by identity rather than by `GWork`:
-    /// lets split-block reassembly fail a *parent* whose `GWork` no longer
-    /// exists (only its sliced children do).
+    /// Give up on a work with a structured [`FailedWork`]. Takes the
+    /// work's identity rather than its `GWork`, so split-block reassembly
+    /// can fail a *parent* whose `GWork` no longer exists (only its sliced
+    /// children do).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn fail_named(
+    pub(crate) fn fail(
         &mut self,
         session: &mut JobSession,
         name: &str,
@@ -560,28 +420,17 @@ impl RecoveryManager {
         now: SimTime,
         reason: FailReason,
     ) {
-        self.ledger.works_failed += 1;
-        session.ledger_mut().works_failed += 1;
-        self.m.works_failed.inc();
-        if self.metrics.enabled() {
-            session.recorder.push(
-                RecEvent::new(now, RecKind::WorkFailed, self.worker_id as u32)
-                    .with_detail(u64::from(retries)),
-            );
-        }
-        if self.tracer.enabled() {
-            self.tracer.record(
-                TraceEvent::instant(
-                    cpu_pid(self.worker_id),
-                    TID_DEVICE,
-                    Cat::Recovery,
-                    "work-failed",
-                    now,
-                )
+        self.note(
+            Charge::Job(session),
+            LedgerEntry::WorksFailed,
+            1,
+            Some(Rec::at(now).with_detail(u64::from(retries))),
+        );
+        self.tracer.record_with(|| {
+            self.recovery_instant("work-failed", now)
                 .with_arg("op", name)
-                .with_arg("reason", format!("{reason:?}")),
-            );
-        }
+                .with_arg("reason", format!("{reason:?}"))
+        });
         session.failed.push(FailedWork {
             name: name.to_string(),
             tag,
@@ -668,30 +517,19 @@ impl RecoveryManager {
             Ok(he) => he,
             Err(err) => return Err((work, FailReason::Fatal(err))),
         };
-        self.ledger.cpu_fallbacks += 1;
-        session.ledger_mut().cpu_fallbacks += 1;
-        self.m.cpu_fallbacks.inc();
-        if self.metrics.enabled() {
-            session.recorder.push(RecEvent::new(
-                t,
-                RecKind::CpuFallback,
-                self.worker_id as u32,
-            ));
-        }
-        if self.tracer.enabled() {
-            self.tracer.record(
-                TraceEvent::span(
-                    cpu_pid(self.worker_id),
-                    1 + he.slot as u32,
-                    Cat::Cpu,
-                    &*work.name,
-                    he.start,
-                    he.end,
-                )
-                .with_job(job.0)
-                .with_arg("fallback", "all GPUs lost"),
-            );
-        }
+        self.note(
+            Charge::Job(session),
+            LedgerEntry::CpuFallbacks,
+            1,
+            Some(Rec::at(t)),
+        );
+        he.trace(
+            &self.tracer,
+            self.worker_id,
+            job,
+            &work.name,
+            ("fallback", "all GPUs lost"),
+        );
         Ok(he.into_completed(work.name, work.tag, submitted))
     }
 }
@@ -712,6 +550,31 @@ pub(crate) struct HostExec {
 }
 
 impl HostExec {
+    /// Trace the execution as a span on its host slot, with one argument
+    /// saying why it ran on the host.
+    pub(crate) fn trace(
+        &self,
+        tracer: &Tracer,
+        worker_id: usize,
+        job: JobId,
+        name: &str,
+        (key, why): (&'static str, &'static str),
+    ) {
+        let tid = 1 + self.slot as u32;
+        tracer.record_with(|| {
+            TraceEvent::span(
+                cpu_pid(worker_id),
+                tid,
+                Cat::Cpu,
+                name,
+                self.start,
+                self.end,
+            )
+            .with_job(job.0)
+            .with_arg(key, why)
+        });
+    }
+
     /// Package the execution as a [`CompletedWork`] (host executions charge
     /// no transfer time: the data never left host memory).
     pub(crate) fn into_completed(
@@ -740,6 +603,48 @@ impl HostExec {
                 bytes_d2h: 0,
             },
         }
+    }
+}
+
+/// Scripted kernel faults armed on one GPU.
+#[derive(Clone, Copy, Default)]
+struct Armed {
+    transients: u32,
+    hangs: u32,
+}
+
+/// Take one from a nonzero count; whether there was one to take.
+fn take_one(n: &mut u32) -> bool {
+    let some = *n > 0;
+    *n -= u32::from(some);
+    some
+}
+
+/// A scripted plan and the index of its first event not yet delivered
+/// into a drain.
+pub(crate) struct Script<K> {
+    plan: Plan<K>,
+    cursor: usize,
+}
+
+impl<K> Script<K> {
+    fn new() -> Self {
+        Script {
+            plan: Plan::new(),
+            cursor: 0,
+        }
+    }
+
+    /// Replace the plan; every event of the new one is undelivered.
+    pub(crate) fn set(&mut self, plan: Plan<K>) {
+        *self = Script { plan, cursor: 0 };
+    }
+
+    /// The events not yet delivered into any drain; advances the cursor so
+    /// each enters an event queue exactly once.
+    pub(crate) fn take_unscheduled(&mut self) -> &[Timed<K>] {
+        let from = std::mem::replace(&mut self.cursor, self.plan.events().len());
+        &self.plan.events()[from..]
     }
 }
 

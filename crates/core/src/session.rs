@@ -199,8 +199,4 @@ impl JobSession {
     pub fn faults(&self) -> FaultLedger {
         self.ledger.total()
     }
-
-    pub(crate) fn ledger_mut(&mut self) -> &mut FaultLedger {
-        self.ledger.total_mut()
-    }
 }

@@ -141,6 +141,51 @@ fn dropped_job_handle_accounts_parked_work() {
     assert_eq!(ledger.parked_abandoned, 4);
 }
 
+/// A fault aimed at a device the worker does not have is ignored before
+/// anything is charged: the run matches the fault-free run, timeline and
+/// bytes, and its ledger stays quiet. A device that joins later is a valid
+/// target once it exists.
+#[test]
+fn fault_on_a_missing_device_is_ignored() {
+    use gflink_sim::{FaultKind, MembershipKind};
+    let at = SimTime::from_micros(100);
+    let plan = FaultPlan::new()
+        .with(at, FaultKind::KernelTransient { gpu: 5 })
+        .with(at, FaultKind::KernelHang { gpu: 2 })
+        .with(
+            at,
+            FaultKind::GpuDegraded {
+                gpu: 3,
+                throughput: 0.5,
+            },
+        )
+        .with(at, FaultKind::GpuLost { gpu: 2 });
+    let timeline = |done: &[CompletedWork]| {
+        done.iter()
+            .map(|d| (d.tag, d.gpu, d.stream, d.timing.completed))
+            .collect::<Vec<_>>()
+    };
+    let (clean, _) = run_plan(FaultPlan::new(), 2, 12);
+    let (done, m) = run_plan(plan, 2, 12);
+    assert_eq!(timeline(&done), timeline(&clean));
+    for (a, b) in done.iter().zip(&clean) {
+        assert_eq!(a.output.as_slice(), b.output.as_slice());
+    }
+    assert!(m.fault_ledger().is_quiet(), "{:?}", m.fault_ledger());
+
+    // Once device 2 has joined, a loss aimed at it applies.
+    let (done, m) = run_elastic(
+        FaultPlan::new().with(SimTime::from_micros(200), FaultKind::GpuLost { gpu: 2 }),
+        MembershipPlan::new().with(SimTime::from_micros(50), MembershipKind::Join),
+        &[],
+        2,
+        12,
+    );
+    assert_eq!(done.len(), 12);
+    let ledger = m.fault_ledger();
+    assert_eq!((ledger.faults_injected, ledger.gpus_lost), (1, 1));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -8,6 +8,11 @@
 //! * **fused**: `BatchConfig::enabled()` on one single-stream GPU in the
 //!   backlog regime, no faults — small works fuse, larger ones interleave
 //!   as solo flights.
+//! * **elastic**: two jobs on two GPUs through a degrade, a join and a
+//!   leave of the joined device, the loss of both original GPUs (the
+//!   survivors' works fall back to the CPU), a restored checkpoint and
+//!   works still pending at teardown — the ledger entries the solo run
+//!   leaves at zero.
 //!
 //! Each run fingerprints every `CompletedWork` (tag, gpu, stream, every
 //! `WorkTiming` field, output bytes) and every `FailedWork` in the order
@@ -23,11 +28,16 @@ use gflink_core::{
 };
 use gflink_gpu::{GpuModel, KernelArgs, KernelId, KernelProfile, KernelRegistry};
 use gflink_memory::HBuffer;
-use gflink_sim::{FaultKind, FaultPlan, Metrics, RetryPolicy, SimRng, SimTime, Tracer};
+use gflink_sim::{
+    FaultKind, FaultPlan, LedgerEntry, LedgerScope, MembershipKind, MembershipPlan, Metrics,
+    RetryPolicy, SimRng, SimTime, Tracer,
+};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
 const JOB: JobId = JobId(1);
+/// The elastic run's second job, opened as restored from a checkpoint.
+const JOB_B: JobId = JobId(2);
 
 /// 64-bit FNV-1a, fed field by field.
 struct Fnv(u64);
@@ -255,6 +265,138 @@ fn fused_run() -> Golden {
     observe(&mut m, &tracer, &metrics)
 }
 
+/// Everything the elastic run exports: each job's completions and
+/// failures, both sessions' recorder events and ledgers, the worker
+/// ledger after both jobs closed, and the exports taken after that.
+struct ElasticGolden {
+    completed: u64,
+    failed: u64,
+    trace: u64,
+    prom: u64,
+    json: u64,
+    events: u64,
+    ledger: u64,
+    done: usize,
+    n_failed: usize,
+}
+
+/// The elastic scenario on one worker with metrics and a tracer on. Both
+/// jobs stay open from the first submission to the drain's end; job B
+/// opens as restored with tags `(0, 1)`, `(0, 3)` and `(0, 5)` covered.
+/// Faults: a transient on GPU 0, a hang on GPU 1, GPU 0 degraded, then
+/// GPU 1 and GPU 0 lost. Membership: a device joins (GPU 2) and leaves
+/// again before the losses, so the works left after the second loss run
+/// on the CPU. Job A's work 17 names an unregistered kernel. Returns the
+/// manager with both sessions still open, each job's completions and
+/// failures, and the tracer and metrics plane.
+#[allow(clippy::type_complexity)]
+fn elastic_scenario() -> (
+    GpuManager,
+    [(Vec<CompletedWork>, Vec<FailedWork>); 2],
+    Tracer,
+    Metrics,
+) {
+    let mut m = GpuManager::new(
+        0,
+        GpuWorkerConfig {
+            models: vec![GpuModel::TeslaC2050; 2],
+            streams_per_gpu: 2,
+            hang_timeout: SimTime::from_micros(300),
+            retry: RetryPolicy {
+                max_retries: 100,
+                ..RetryPolicy::default()
+            },
+            ..GpuWorkerConfig::default()
+        },
+        registry(),
+    );
+    let tracer = Tracer::new(Tracer::DEFAULT_CAPACITY);
+    m.set_tracer(tracer.clone());
+    let metrics = Metrics::new(SimTime::from_micros(100));
+    m.set_metrics(&metrics);
+    m.set_fault_plan(
+        FaultPlan::new()
+            .with(
+                SimTime::from_micros(150),
+                FaultKind::KernelTransient { gpu: 0 },
+            )
+            .with(SimTime::from_micros(400), FaultKind::KernelHang { gpu: 1 })
+            .with(
+                SimTime::from_micros(600),
+                FaultKind::GpuDegraded {
+                    gpu: 0,
+                    throughput: 0.5,
+                },
+            )
+            .with(SimTime::from_millis(4), FaultKind::GpuLost { gpu: 1 })
+            .with(SimTime::from_millis(6), FaultKind::GpuLost { gpu: 0 }),
+    );
+    m.set_membership_plan(
+        MembershipPlan::new()
+            .with(SimTime::from_millis(1), MembershipKind::Join)
+            .with(SimTime::from_millis(3), MembershipKind::Leave { gpu: 2 }),
+    );
+    m.begin_job(JOB);
+    m.restore_job(JOB_B, 1, &[(0, 1), (0, 3), (0, 5)]);
+    let mut rng = SimRng::new(13);
+    let mut at = SimTime::ZERO;
+    for i in 0..40 {
+        for job in [JOB, JOB_B] {
+            at += SimTime::from_micros(10 + rng.gen_range(200));
+            let logical = (1u64 << 20) + rng.gen_range(1 << 22);
+            let kernel = if job == JOB && i == 17 {
+                "unregistered"
+            } else {
+                "scale2"
+            };
+            m.submit_for(job, mk_work(i, logical, kernel), at);
+        }
+    }
+    let a = (m.drain_job(JOB), m.take_job_failed(JOB));
+    let b = (m.drain_job(JOB_B), m.take_job_failed(JOB_B));
+    (m, [a, b], tracer, metrics)
+}
+
+/// Submit three works of job A that no drain will run: they are still
+/// pending when the job closes.
+fn leave_pending(m: &mut GpuManager) {
+    for i in 40..43 {
+        m.submit_for(JOB, mk_work(i, 1 << 20, "scale2"), SimTime::from_millis(20));
+    }
+}
+
+/// The elastic scenario's fingerprints. Three works of job A are still
+/// pending when both jobs close.
+fn elastic_run() -> ElasticGolden {
+    let (mut m, runs, tracer, metrics) = elastic_scenario();
+    let mut completed = Fnv::new();
+    let mut failed = Fnv::new();
+    let mut events = String::new();
+    let mut ledger = String::new();
+    for (job, (done, fails)) in [JOB, JOB_B].into_iter().zip(&runs) {
+        completed.u64(fp_completed(done));
+        failed.u64(fp_failed(fails));
+        let session = m.session(job).expect("session open");
+        events += &format!("{:?}", session.flight_events());
+        ledger += &format!("{:?}", session.faults());
+    }
+    leave_pending(&mut m);
+    m.end_job(JOB);
+    m.end_job(JOB_B);
+    ledger += &format!("{:?}", m.fault_ledger());
+    ElasticGolden {
+        completed: completed.0,
+        failed: failed.0,
+        trace: fnv_str(&tracer.export_chrome_json()),
+        prom: fnv_str(&metrics.export_prometheus()),
+        json: fnv_str(&metrics.export_json()),
+        events: fnv_str(&events),
+        ledger: fnv_str(&ledger),
+        done: runs.iter().map(|r| r.0.len()).sum(),
+        n_failed: runs.iter().map(|r| r.1.len()).sum(),
+    }
+}
+
 /// The Prometheus export without the completed-works series.
 fn prom_without_completed(prom: &str) -> String {
     prom.lines()
@@ -317,4 +459,56 @@ fn fused_run_matches_golden() {
     );
     assert_eq!(g.events, 0x9c3d_dcd3_288c_214b, "flight-recorder events");
     assert_eq!(g.ledger, 0xb14d_a21a_32c6_3354, "fault ledger");
+}
+
+#[test]
+fn elastic_run_matches_golden() {
+    let g = elastic_run();
+    eprintln!(
+        "elastic: completed={:#018x} failed={:#018x} trace={:#018x} prom={:#018x} \
+         json={:#018x} events={:#018x} ledger={:#018x} done={} n_failed={}",
+        g.completed, g.failed, g.trace, g.prom, g.json, g.events, g.ledger, g.done, g.n_failed,
+    );
+    assert_eq!(
+        g.done + g.n_failed,
+        80 - 3,
+        "every work not restored completes or fails"
+    );
+    assert_eq!(g.n_failed, 1, "only the unregistered kernel fails");
+    assert_eq!(g.completed, 0xbeeb_94e9_5a98_ad4d, "completions");
+    assert_eq!(g.failed, 0x7f96_484d_1633_8bc1, "failures");
+    assert_eq!(g.trace, 0x7655_dd60_0108_ef37, "Chrome trace");
+    assert_eq!(g.prom, 0x4e4f_0eba_70cc_e639, "Prometheus export");
+    assert_eq!(g.json, 0xf8bd_e6a5_9b63_e4a8, "JSON export");
+    assert_eq!(g.events, 0x0dee_c7d7_5f1e_37bb, "flight-recorder events");
+    assert_eq!(g.ledger, 0xc1e9_1c36_164c_89d8, "fault ledgers");
+}
+
+/// The double-entry claim, checked for every ledger entry in one place.
+/// The elastic scenario reaches every entry, and both of its jobs are open
+/// from the first event to teardown. For each entry, the worker ledger
+/// equals its live counter; a work-scoped entry equals the sum of the two
+/// job ledgers, and a device-scoped entry equals each job's ledger.
+#[test]
+fn every_ledger_entry_is_double_entry() {
+    let (mut m, _, _, metrics) = elastic_scenario();
+    leave_pending(&mut m);
+    let jobs = [m.end_job(JOB), m.end_job(JOB_B)];
+    let worker = m.fault_ledger();
+    for e in LedgerEntry::ALL {
+        let (name, w) = (e.name(), worker.get(e));
+        assert!(w > 0, "the scenario reaches {name}");
+        let counter = metrics.counter(&format!("gflink_{name}_total{{worker=\"0\"}}"), "");
+        assert_eq!(counter.get(), w, "{name}: live counter");
+        match e.scope() {
+            LedgerScope::Work => {
+                assert_eq!(jobs[0].get(e) + jobs[1].get(e), w, "{name}: sum of jobs")
+            }
+            LedgerScope::Device => {
+                for job in &jobs {
+                    assert_eq!(job.get(e), w, "{name}: every open job");
+                }
+            }
+        }
+    }
 }

@@ -408,14 +408,7 @@ impl ClusterSnapshot {
                 }
                 out.push('}');
             }
-            out.push_str("],\"ledger\":{");
-            for (i, (name, v)) in w.ledger.entries().into_iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{name}\":{v}");
-            }
-            out.push_str("}}");
+            let _ = write!(out, "],\"ledger\":{}}}", w.ledger.to_json());
         }
         out.push_str("]}");
         out

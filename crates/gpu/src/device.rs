@@ -151,12 +151,10 @@ impl VirtualGpu {
             },
             DeviceHealth::Healthy => DeviceHealth::Degraded { throughput },
         };
-        if self.tracer.enabled() {
-            self.tracer.record(
-                TraceEvent::instant(self.trace_pid, TID_DEVICE, Cat::Health, "degraded", at)
-                    .with_arg("throughput", throughput),
-            );
-        }
+        self.tracer.record_with(|| {
+            TraceEvent::instant(self.trace_pid, TID_DEVICE, Cat::Health, "degraded", at)
+                .with_arg("throughput", throughput)
+        });
     }
 
     /// Take the device off the bus permanently at instant `at`. All device
@@ -164,15 +162,7 @@ impl VirtualGpu {
     /// every later transfer or launch fails with [`DeviceError::Lost`].
     /// Returns how many device allocations were destroyed.
     pub fn mark_lost(&mut self, at: SimTime) -> usize {
-        self.health = DeviceHealth::Lost;
-        let wiped = self.dmem.wipe();
-        if self.tracer.enabled() {
-            self.tracer.record(
-                TraceEvent::instant(self.trace_pid, TID_DEVICE, Cat::Health, "lost", at)
-                    .with_arg("wiped_allocations", wiped),
-            );
-        }
-        wiped
+        self.go_off_bus(at, "lost", "wiped_allocations")
     }
 
     /// Retire the device gracefully at instant `at`: it leaves the
@@ -182,15 +172,20 @@ impl VirtualGpu {
     /// chaos audits can tell administrative departures from crashes.
     /// Returns how many device allocations were released.
     pub fn retire(&mut self, at: SimTime) -> usize {
+        self.go_off_bus(at, "retired", "released_allocations")
+    }
+
+    /// The device leaves the bus for good at `at`: memory wiped, health
+    /// `Lost`, and a health instant `name` whose `arg` counts the
+    /// allocations destroyed (returned).
+    fn go_off_bus(&mut self, at: SimTime, name: &'static str, arg: &'static str) -> usize {
         self.health = DeviceHealth::Lost;
-        let released = self.dmem.wipe();
-        if self.tracer.enabled() {
-            self.tracer.record(
-                TraceEvent::instant(self.trace_pid, TID_DEVICE, Cat::Health, "retired", at)
-                    .with_arg("released_allocations", released),
-            );
-        }
-        released
+        let wiped = self.dmem.wipe();
+        self.tracer.record_with(|| {
+            TraceEvent::instant(self.trace_pid, TID_DEVICE, Cat::Health, name, at)
+                .with_arg(arg, wiped)
+        });
+        wiped
     }
 
     fn ensure_usable(&self) -> Result<(), DeviceError> {

@@ -14,6 +14,7 @@
 //! every fault injected and every recovery action taken, threaded from the
 //! `GStreamManager` up into the job report so chaos runs are auditable.
 
+use crate::metrics::RecKind;
 use crate::rng::SimRng;
 use crate::time::SimTime;
 
@@ -61,42 +62,50 @@ impl FaultKind {
     }
 }
 
-/// A fault scheduled at a simulated instant.
+/// An event scheduled at a simulated instant: a [`FaultEvent`] or a
+/// [`MembershipEvent`].
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FaultEvent {
-    /// When the fault fires on the simulated clock.
+pub struct Timed<K> {
+    /// When the event fires on the simulated clock.
     pub at: SimTime,
     /// What happens.
-    pub kind: FaultKind,
+    pub kind: K,
 }
 
-/// A time-ordered script of faults to inject into one worker's devices.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct FaultPlan {
-    events: Vec<FaultEvent>,
+/// A time-ordered script of events against one worker: a [`FaultPlan`] or
+/// a [`MembershipPlan`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct Plan<K> {
+    events: Vec<Timed<K>>,
 }
 
-impl FaultPlan {
-    /// An empty plan (no faults — the common case).
+impl<K> Default for Plan<K> {
+    fn default() -> Self {
+        Plan { events: Vec::new() }
+    }
+}
+
+impl<K> Plan<K> {
+    /// An empty plan (nothing scripted — the common case).
     pub fn new() -> Self {
-        FaultPlan::default()
+        Plan::default()
     }
 
-    /// Add a fault at `at`; keeps the plan time-ordered. Builder-style.
-    pub fn with(mut self, at: SimTime, kind: FaultKind) -> Self {
+    /// Add an event at `at`; keeps the plan time-ordered. Builder-style.
+    pub fn with(mut self, at: SimTime, kind: K) -> Self {
         self.push(at, kind);
         self
     }
 
-    /// Add a fault at `at`; keeps the plan time-ordered (stable for ties,
-    /// so two faults at the same instant fire in insertion order).
-    pub fn push(&mut self, at: SimTime, kind: FaultKind) {
+    /// Add an event at `at`; keeps the plan time-ordered (stable for ties,
+    /// so two events at the same instant fire in insertion order).
+    pub fn push(&mut self, at: SimTime, kind: K) {
         let idx = self.events.partition_point(|e| e.at <= at);
-        self.events.insert(idx, FaultEvent { at, kind });
+        self.events.insert(idx, Timed { at, kind });
     }
 
     /// The scripted events, soonest first.
-    pub fn events(&self) -> &[FaultEvent] {
+    pub fn events(&self) -> &[Timed<K>] {
         &self.events
     }
 
@@ -104,20 +113,22 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
+}
 
+/// A fault scheduled at a simulated instant.
+pub type FaultEvent = Timed<FaultKind>;
+
+/// A time-ordered script of faults to inject into one worker's devices.
+pub type FaultPlan = Plan<FaultKind>;
+
+impl FaultPlan {
     /// How many devices the plan kills outright (distinct `GpuLost` targets).
     pub fn gpus_lost(&self) -> usize {
-        let mut lost: Vec<usize> = self
-            .events
-            .iter()
-            .filter_map(|e| match e.kind {
-                FaultKind::GpuLost { gpu } => Some(gpu),
-                _ => None,
-            })
-            .collect();
-        lost.sort_unstable();
-        lost.dedup();
-        lost.len()
+        let lost = self.events.iter().filter_map(|e| match e.kind {
+            FaultKind::GpuLost { gpu } => Some(gpu),
+            _ => None,
+        });
+        lost.collect::<std::collections::BTreeSet<_>>().len()
     }
 
     /// A seed-reproducible chaos schedule: `n_events` faults spread over
@@ -174,52 +185,15 @@ pub enum MembershipKind {
 }
 
 /// A membership change scheduled at a simulated instant.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MembershipEvent {
-    /// When the change takes effect on the simulated clock.
-    pub at: SimTime,
-    /// What changes.
-    pub kind: MembershipKind,
-}
+pub type MembershipEvent = Timed<MembershipKind>;
 
 /// A time-ordered script of membership changes for one worker, the
 /// elastic-cluster counterpart of a [`FaultPlan`]. Chaos tests interleave
 /// both plans to exercise joins, leaves, kills and checkpoints under one
 /// deterministic clock.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MembershipPlan {
-    events: Vec<MembershipEvent>,
-}
+pub type MembershipPlan = Plan<MembershipKind>;
 
 impl MembershipPlan {
-    /// An empty plan (fixed membership — the common case).
-    pub fn new() -> Self {
-        MembershipPlan::default()
-    }
-
-    /// Add a change at `at`; keeps the plan time-ordered. Builder-style.
-    pub fn with(mut self, at: SimTime, kind: MembershipKind) -> Self {
-        self.push(at, kind);
-        self
-    }
-
-    /// Add a change at `at`; keeps the plan time-ordered (stable for
-    /// ties, so simultaneous changes apply in insertion order).
-    pub fn push(&mut self, at: SimTime, kind: MembershipKind) {
-        let idx = self.events.partition_point(|e| e.at <= at);
-        self.events.insert(idx, MembershipEvent { at, kind });
-    }
-
-    /// The scripted events, soonest first.
-    pub fn events(&self) -> &[MembershipEvent] {
-        &self.events
-    }
-
-    /// True if nothing is scripted.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Net membership delta (joins minus leaves) the plan applies.
     pub fn net_joins(&self) -> i64 {
         self.events.iter().fold(0i64, |n, e| match e.kind {
@@ -273,125 +247,182 @@ impl MembershipPlan {
     }
 }
 
-/// Counters for faults injected and recovery actions taken.
-///
-/// Recorded by the `GStreamManager` as it reacts to a [`FaultPlan`] and
-/// surfaced on the job report. All counts are cumulative; use
-/// [`FaultLedger::since`] to compute per-job deltas from a shared manager.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultLedger {
+/// Declares the [`FaultLedger`] once. Each entry gives its field and
+/// [`LedgerEntry`] variant, its [`LedgerScope`], the flight-recorder kind a
+/// noted event pushes (if any) and the help text of its
+/// `gflink_<field>_total` live counter; the struct, the entry enum and
+/// every per-entry table below derive from this one list.
+macro_rules! fault_ledger {
+    ($(
+        $(#[doc = $doc:literal])*
+        $field:ident / $entry:ident: $scope:ident, $rec:expr, $help:literal;
+    )*) => {
+        /// Counters for faults injected and recovery actions taken.
+        ///
+        /// Noted by the `RecoveryManager` as the GPU manager reacts to a
+        /// [`FaultPlan`] and surfaced on the job report. All counts are
+        /// cumulative; use [`FaultLedger::since`] to compute per-job deltas
+        /// from a shared manager.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct FaultLedger {
+            $($(#[doc = $doc])* pub $field: u64,)*
+        }
+
+        /// One [`FaultLedger`] entry.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum LedgerEntry {
+            $($(#[doc = $doc])* $entry,)*
+        }
+
+        impl LedgerEntry {
+            /// Number of ledger entries.
+            pub const COUNT: usize = [$(LedgerEntry::$entry),*].len();
+
+            /// Every entry, in declaration (field) order.
+            pub const ALL: [LedgerEntry; LedgerEntry::COUNT] = [$(LedgerEntry::$entry),*];
+
+            /// The entry's field name; its live counter is
+            /// `gflink_<name>_total`.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(LedgerEntry::$entry => stringify!($field),)*
+                }
+            }
+
+            /// Help text of the entry's live counter.
+            pub fn help(self) -> &'static str {
+                match self {
+                    $(LedgerEntry::$entry => $help,)*
+                }
+            }
+
+            /// Whom the entry charges besides the worker ledger.
+            pub fn scope(self) -> LedgerScope {
+                match self {
+                    $(LedgerEntry::$entry => LedgerScope::$scope,)*
+                }
+            }
+
+            /// The flight-recorder event a noted entry pushes, if any.
+            pub fn rec_kind(self) -> Option<RecKind> {
+                match self {
+                    $(LedgerEntry::$entry => $rec,)*
+                }
+            }
+        }
+
+        impl FaultLedger {
+            /// The value of one entry.
+            pub fn get(&self, entry: LedgerEntry) -> u64 {
+                match entry {
+                    $(LedgerEntry::$entry => self.$field,)*
+                }
+            }
+
+            /// Mutable access to one entry.
+            pub fn get_mut(&mut self, entry: LedgerEntry) -> &mut u64 {
+                match entry {
+                    $(LedgerEntry::$entry => &mut self.$field,)*
+                }
+            }
+        }
+    };
+}
+
+fault_ledger! {
     /// Total scripted faults that fired.
-    pub faults_injected: u64,
+    faults_injected / FaultsInjected: Device, Some(RecKind::FaultInjected), "Faults injected";
     /// Devices permanently lost.
-    pub gpus_lost: u64,
+    gpus_lost / GpusLost: Device, Some(RecKind::DeviceLost), "Devices lost";
     /// Degradation events applied.
-    pub gpus_degraded: u64,
+    gpus_degraded / GpusDegraded: Device, Some(RecKind::DeviceDegraded), "Devices degraded";
     /// Transient kernel failures observed.
-    pub transient_faults: u64,
+    transient_faults / TransientFaults: Work, Some(RecKind::TransientFault),
+        "Transient kernel faults recovered";
     /// Kernels declared hung by the timeout detector.
-    pub hangs_detected: u64,
+    hangs_detected / HangsDetected: Work, Some(RecKind::HangDetected), "Hung kernels detected";
     /// Work resubmissions (for any reason: transient fault, hang, loss).
-    pub retries: u64,
+    retries / Retries: Work, Some(RecKind::Retry), "Work retries scheduled";
     /// Queued works moved off a dead device onto survivors.
-    pub steals_on_drain: u64,
+    steals_on_drain / StealsOnDrain: Work, Some(RecKind::StealOnDrain),
+        "Works stolen off a dying device";
     /// Cached device buffers invalidated by device loss.
-    pub cache_invalidations: u64,
+    cache_invalidations / CacheInvalidations: Work, None,
+        "Cache entries invalidated by device loss";
     /// Works executed on the host CPU because no GPU was left.
-    pub cpu_fallbacks: u64,
+    cpu_fallbacks / CpuFallbacks: Work, Some(RecKind::CpuFallback),
+        "Works executed on the host CPU";
     /// Works abandoned after retry exhaustion.
-    pub works_failed: u64,
+    works_failed / WorksFailed: Work, Some(RecKind::WorkFailed), "Works abandoned";
     /// Works satisfied from a restored checkpoint instead of executing.
     ///
     /// Double-entry invariant across a restore boundary: for every job,
     /// `works_restored + completions == works submitted` — nothing lost,
     /// nothing executed twice.
-    pub works_restored: u64,
+    works_restored / WorksRestored: Work, None, "Works satisfied from a restored checkpoint";
     /// Device nodes that joined the complement mid-run.
-    pub members_joined: u64,
+    members_joined / MembersJoined: Device, Some(RecKind::MemberJoined), "Elastic joins applied";
     /// Device nodes that left the complement gracefully (not via fault).
-    pub members_left: u64,
+    members_left / MembersLeft: Device, Some(RecKind::MemberLeft), "Elastic leaves applied";
     /// Works still parked (penned or pending) when their job was torn
     /// down — accounted here rather than silently leaked.
-    pub parked_abandoned: u64,
+    parked_abandoned / ParkedAbandoned: Work, None, "Parked works abandoned at job teardown";
+}
+
+/// Whom a [`LedgerEntry`] charges besides the worker ledger.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LedgerScope {
+    /// The one job whose work the event concerns; the worker ledger is the
+    /// sum over the session ledgers.
+    Work,
+    /// Every open session (a dead device is every tenant's problem); the
+    /// worker ledger counts the event once.
+    Device,
+}
+
+impl LedgerEntry {
+    /// The order the live counters register in, and so the column order
+    /// of the metrics plane's JSON export, kept as first exported.
+    pub const COUNTER_ORDER: [LedgerEntry; LedgerEntry::COUNT] = [
+        LedgerEntry::Retries,
+        LedgerEntry::TransientFaults,
+        LedgerEntry::HangsDetected,
+        LedgerEntry::StealsOnDrain,
+        LedgerEntry::CacheInvalidations,
+        LedgerEntry::FaultsInjected,
+        LedgerEntry::GpusLost,
+        LedgerEntry::GpusDegraded,
+        LedgerEntry::MembersJoined,
+        LedgerEntry::MembersLeft,
+        LedgerEntry::WorksRestored,
+        LedgerEntry::WorksFailed,
+        LedgerEntry::CpuFallbacks,
+        LedgerEntry::ParkedAbandoned,
+    ];
 }
 
 impl FaultLedger {
     /// Elementwise sum of two ledgers (merging managers into a job report).
     pub fn merge(&self, other: &FaultLedger) -> FaultLedger {
-        FaultLedger {
-            faults_injected: self.faults_injected + other.faults_injected,
-            gpus_lost: self.gpus_lost + other.gpus_lost,
-            gpus_degraded: self.gpus_degraded + other.gpus_degraded,
-            transient_faults: self.transient_faults + other.transient_faults,
-            hangs_detected: self.hangs_detected + other.hangs_detected,
-            retries: self.retries + other.retries,
-            steals_on_drain: self.steals_on_drain + other.steals_on_drain,
-            cache_invalidations: self.cache_invalidations + other.cache_invalidations,
-            cpu_fallbacks: self.cpu_fallbacks + other.cpu_fallbacks,
-            works_failed: self.works_failed + other.works_failed,
-            works_restored: self.works_restored + other.works_restored,
-            members_joined: self.members_joined + other.members_joined,
-            members_left: self.members_left + other.members_left,
-            parked_abandoned: self.parked_abandoned + other.parked_abandoned,
+        let mut sum = *self;
+        for e in LedgerEntry::ALL {
+            *sum.get_mut(e) += other.get(e);
         }
+        sum
     }
 
     /// Elementwise delta `self - earlier` (what happened since a snapshot).
     ///
     /// Panics if `earlier` is not a prefix of `self` (counts only grow).
     pub fn since(&self, earlier: &FaultLedger) -> FaultLedger {
-        let sub = |a: u64, b: u64, what: &str| {
-            a.checked_sub(b)
-                .unwrap_or_else(|| panic!("ledger went backwards on {what}: {a} < {b}"))
-        };
-        FaultLedger {
-            faults_injected: sub(
-                self.faults_injected,
-                earlier.faults_injected,
-                "faults_injected",
-            ),
-            gpus_lost: sub(self.gpus_lost, earlier.gpus_lost, "gpus_lost"),
-            gpus_degraded: sub(self.gpus_degraded, earlier.gpus_degraded, "gpus_degraded"),
-            transient_faults: sub(
-                self.transient_faults,
-                earlier.transient_faults,
-                "transient_faults",
-            ),
-            hangs_detected: sub(
-                self.hangs_detected,
-                earlier.hangs_detected,
-                "hangs_detected",
-            ),
-            retries: sub(self.retries, earlier.retries, "retries"),
-            steals_on_drain: sub(
-                self.steals_on_drain,
-                earlier.steals_on_drain,
-                "steals_on_drain",
-            ),
-            cache_invalidations: sub(
-                self.cache_invalidations,
-                earlier.cache_invalidations,
-                "cache_invalidations",
-            ),
-            cpu_fallbacks: sub(self.cpu_fallbacks, earlier.cpu_fallbacks, "cpu_fallbacks"),
-            works_failed: sub(self.works_failed, earlier.works_failed, "works_failed"),
-            works_restored: sub(
-                self.works_restored,
-                earlier.works_restored,
-                "works_restored",
-            ),
-            members_joined: sub(
-                self.members_joined,
-                earlier.members_joined,
-                "members_joined",
-            ),
-            members_left: sub(self.members_left, earlier.members_left, "members_left"),
-            parked_abandoned: sub(
-                self.parked_abandoned,
-                earlier.parked_abandoned,
-                "parked_abandoned",
-            ),
+        let mut delta = *self;
+        for e in LedgerEntry::ALL {
+            let (a, b) = (self.get(e), earlier.get(e));
+            *delta.get_mut(e) = a
+                .checked_sub(b)
+                .unwrap_or_else(|| panic!("ledger went backwards on {}: {a} < {b}", e.name()));
         }
+        delta
     }
 
     /// True if nothing was injected and nothing recovered.
@@ -400,26 +431,17 @@ impl FaultLedger {
     }
 
     /// Every entry as a stable `(name, value)` list, in declaration order.
-    /// The single source of truth for ledger serialization (postmortem
-    /// bundles, cluster snapshots): a new counter added here shows up in
-    /// every export automatically.
-    pub fn entries(&self) -> [(&'static str, u64); 14] {
-        [
-            ("faults_injected", self.faults_injected),
-            ("gpus_lost", self.gpus_lost),
-            ("gpus_degraded", self.gpus_degraded),
-            ("transient_faults", self.transient_faults),
-            ("hangs_detected", self.hangs_detected),
-            ("retries", self.retries),
-            ("steals_on_drain", self.steals_on_drain),
-            ("cache_invalidations", self.cache_invalidations),
-            ("cpu_fallbacks", self.cpu_fallbacks),
-            ("works_failed", self.works_failed),
-            ("works_restored", self.works_restored),
-            ("members_joined", self.members_joined),
-            ("members_left", self.members_left),
-            ("parked_abandoned", self.parked_abandoned),
-        ]
+    pub fn entries(&self) -> [(&'static str, u64); LedgerEntry::COUNT] {
+        LedgerEntry::ALL.map(|e| (e.name(), self.get(e)))
+    }
+
+    /// The ledger as one JSON object, entries in declaration order: the
+    /// single serialization postmortem bundles and cluster snapshots share.
+    pub fn to_json(&self) -> String {
+        let fields: Vec<String> = (self.entries().iter())
+            .map(|(name, v)| format!("\"{name}\":{v}"))
+            .collect();
+        format!("{{{}}}", fields.join(","))
     }
 }
 
@@ -637,6 +659,13 @@ mod tests {
         assert_eq!(m.since(&a), b);
         assert!(FaultLedger::default().is_quiet());
         assert!(!m.is_quiet());
+    }
+
+    #[test]
+    fn counter_order_lists_every_entry_once() {
+        let mut order = LedgerEntry::COUNTER_ORDER;
+        order.sort();
+        assert_eq!(order, LedgerEntry::ALL);
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub use accounting::{Accounting, Phase};
 pub use cost::{BandwidthCost, ComputeCost, LatencyBandwidth};
 pub use events::EventQueue;
 pub use faults::{
-    FaultEvent, FaultKind, FaultLedger, FaultPlan, LedgerWindow, MembershipEvent, MembershipKind,
-    MembershipPlan, RetryPolicy,
+    FaultEvent, FaultKind, FaultLedger, FaultPlan, LedgerEntry, LedgerScope, LedgerWindow,
+    MembershipEvent, MembershipKind, MembershipPlan, Plan, RetryPolicy, Timed,
 };
 pub use host::HostEngine;
 pub use metrics::{

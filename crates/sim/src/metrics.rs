@@ -923,19 +923,13 @@ impl PostmortemBundle {
     /// Deterministic JSON encoding of the bundle.
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\"job\":{},\"seq\":{},\"reason\":{},\"t_ns\":{},\"ledger_delta\":{{",
+            "{{\"job\":{},\"seq\":{},\"reason\":{},\"t_ns\":{},\"ledger_delta\":{},\"events\":[",
             self.job,
             self.seq,
             json_str(&self.reason),
-            self.at.as_nanos()
+            self.at.as_nanos(),
+            self.ledger_delta.to_json()
         );
-        for (i, (name, v)) in self.ledger_delta.entries().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{v}"));
-        }
-        out.push_str("},\"events\":[");
         for (i, ev) in self.events.iter().enumerate() {
             if i > 0 {
                 out.push(',');

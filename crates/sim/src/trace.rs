@@ -308,6 +308,14 @@ impl Tracer {
         }
     }
 
+    /// Build and append an event only while tracing is on, so the
+    /// disabled path builds (and allocates) nothing.
+    pub fn record_with(&self, ev: impl FnOnce() -> TraceEvent) {
+        if self.enabled() {
+            self.record(ev());
+        }
+    }
+
     /// Register a display name for process `pid`.
     pub fn name_process(&self, pid: u64, name: &str) {
         if let Some(mut b) = self.buf() {

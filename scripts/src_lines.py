@@ -9,9 +9,12 @@ its matching closing brace, and a file pulled in by `#[cfg(test)] mod x;`
 
 Usage: python3 scripts/src_lines.py [REPO_ROOT] [--files]
 
-Prints the total; `--files` also prints each file's count, largest first.
+Prints the total; `--files` also prints each file's count, largest first
+(before the total). Piping into `head` is fine: the script stops quietly
+when its reader closes stdout.
 """
 
+import os
 import re
 import sys
 from pathlib import Path
@@ -108,4 +111,10 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except BrokenPipeError:
+        # The reader closed stdout early (`--files | head`): stop quietly,
+        # and keep the interpreter's final flush off the closed pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(0)
