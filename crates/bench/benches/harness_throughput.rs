@@ -27,7 +27,7 @@
 //!
 //! Gates (skipped when `GFLINK_BENCH_BASELINE=1`, the re-measuring mode):
 //! * allocation: steady-state allocations per scheduled GWork must stay
-//!   at most 2 on both paths (measured 1.02 solo / 1.53 fused) — the
+//!   at most 2 on both paths (measured 1.02 solo / 1.03 fused) — the
 //!   pre-refactor path paid ~15; the
 //!   refactored flight itself pays 0 (the residue is the bench's own
 //!   per-work `GWork::inputs` Vec and per-batch bookkeeping). This is the

@@ -73,7 +73,7 @@ fn main() {
     for &(bytes, _, _) in &PAPER {
         let host = HBuffer::zeroed(64);
         let dev = gpu.dmem.alloc(bytes, 64).unwrap();
-        let r = gpu.copy_h2d(cursor, bytes, &host, dev).unwrap();
+        let r = gpu.copy_h2d(cursor, [(bytes, &host, dev)], false).unwrap();
         let bw = bytes as f64 / r.duration().as_secs_f64() / 1e6;
         row(&[format!("{bytes}"), format!("{bw:.1} MB/s")]);
         cursor = r.end;

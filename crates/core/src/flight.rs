@@ -11,17 +11,17 @@
 //! kernels back-to-back on the stream, one fused D2H. Member count changes
 //! modelled behaviour in exactly three places:
 //!
-//! * **H2D.** A flight of one issues one copy call per input
-//!   ([`GMemoryManager::stage_inputs`]); a larger flight issues one fused
-//!   call paying α once ([`GMemoryManager::stage_fused`]). The α saving is
-//!   the point of batching, and a fused call for a flight of one would
-//!   move every solo timeline.
+//! * **H2D.** One staging pass ([`GMemoryManager::stage`]) serves every
+//!   flight. A flight of one issues one copy call per input as it stages;
+//!   a larger flight issues one fused call paying α once after staging
+//!   every member. The α saving is the point of batching, and a fused
+//!   call for a flight of one would move every solo timeline.
 //! * **Cost model.** Only a flight of one is scored and observed: a
 //!   member's pro-rata share of a fused copy is not a per-call measurement.
 //! * **Trace labels.** A flight of one labels its spans `op = <work
-//!   name>`; a larger one `op = "fused-batch"` plus `works`. Its D2H uses
-//!   the plain copy call for the same reason: a copy batch of one takes
-//!   exactly the same time and differs only in its span's label.
+//!   name>`; a larger one `op = "fused-batch"` plus `works`. Its D2H is
+//!   the same one copy call for any member count, labelled fused only for
+//!   a larger flight: a copy of one item takes exactly the same time.
 //!
 //! Everything else treats each member as a solo work: completions are
 //! counted and sampled, transients and hangs leave trace instants and
@@ -29,8 +29,7 @@
 //! member with its typed error, retries and deliveries are split-child
 //! aware, and a flight of one owns its whole D2H reservation.
 //!
-//! [`GMemoryManager::stage_inputs`]: crate::gmemory::GMemoryManager::stage_inputs
-//! [`GMemoryManager::stage_fused`]: crate::gmemory::GMemoryManager::stage_fused
+//! [`GMemoryManager::stage`]: crate::gmemory::GMemoryManager::stage
 
 use crate::gmemory::{pro_rata, Placement};
 use crate::gstream::{Engine, Ev, GStreamManager, QueuedWork};
@@ -299,10 +298,7 @@ impl GStreamManager {
         let region = &mut session.regions[gpu];
         // Stage 1: H2D (GMemoryManager; skipped per-buffer on cache hits).
         // A flight of one copies per input; a larger one fuses its copies.
-        let staged = match &mut members[..] {
-            [mb] => eng.gmem.stage_inputs(region, gpu, job.0, mb, t),
-            all => eng.gmem.stage_fused(region, gpu, job.0, all, t),
-        };
+        let staged = eng.gmem.stage(region, gpu, job.0, &mut members, t);
         // Output allocation (GMemoryManager, automatic).
         let mut failure = staged.failure;
         if failure.is_none() {
@@ -517,30 +513,14 @@ impl GStreamManager {
             };
             mb.output = HBuffer::zeroed(mb.work.out_actual_bytes);
         }
-        // One copy call for the whole flight; a flight of one makes the
-        // plain call, which times the same and keeps its `D2H` span label.
-        let dev = eng.gmem.gpu_mut(gpu);
-        let copied = match &mut fl.members[..] {
-            [mb] => dev.copy_d2h(
-                t,
-                mb.timing.bytes_d2h,
-                mb.out_dev.expect("allocated at dispatch"),
-                &mut mb.output,
-            ),
-            all => {
-                let mut items: Vec<(u64, DevBufId, &mut HBuffer)> = all
-                    .iter_mut()
-                    .map(|mb| {
-                        (
-                            mb.timing.bytes_d2h,
-                            mb.out_dev.expect("allocated"),
-                            &mut mb.output,
-                        )
-                    })
-                    .collect();
-                dev.copy_d2h_batch(t, &mut items)
-            }
-        };
+        // One copy call for the whole flight, labelled fused for more than
+        // one member.
+        let n = fl.members.len();
+        let items = fl.members.iter_mut().map(|mb| {
+            let dev = mb.out_dev.expect("allocated at dispatch");
+            (mb.timing.bytes_d2h, dev, &mut mb.output)
+        });
+        let copied = eng.gmem.gpu_mut(gpu).copy_d2h(t, items, n > 1);
         let r = match copied {
             Ok(r) => r,
             Err(e) => {
@@ -551,7 +531,6 @@ impl GStreamManager {
                 return;
             }
         };
-        let n = fl.members.len();
         let session = eng.sessions.get_mut(&job).expect("session open");
         if n > 1 {
             let saved = eng.gmem.gpu(gpu).transfer_path().alpha_saved(n);
@@ -688,8 +667,11 @@ impl GStreamManager {
             eng.gmem.release_staging(std::mem::take(&mut fl.staging));
             let session = eng.sessions.get_mut(&fl.job).expect("session open");
             for mb in fl.members.drain(..) {
-                eng.recovery
-                    .note(Charge::Job(session), LedgerEntry::Retries, 1, None);
+                // The work re-enters with the retry count it had: a loss
+                // is not the work's fault.
+                let rec = Rec::at(t).on_gpu(gpu).with_detail(u64::from(mb.retries));
+                let entry = LedgerEntry::Retries;
+                eng.recovery.note(Charge::Job(session), entry, 1, Some(rec));
                 let ev = Ev::submit(fl.job, mb.timing.submitted, mb.retries, mb.work);
                 q.schedule(t, ev);
             }

@@ -371,11 +371,6 @@ impl GflinkEnv {
         &self.fabric
     }
 
-    /// The RAII handle of this job on the fabric.
-    pub fn job_handle(&self) -> &Arc<JobHandle> {
-        &self.handle
-    }
-
     /// This job's identity on the GPU fabric.
     pub fn job_id(&self) -> JobId {
         self.handle.id()
@@ -692,11 +687,6 @@ impl<T: GRecord> GDataSet<T> {
             })
             .collect();
         DataSet::from_raw(self.flink.clone(), parts, self.scale)
-    }
-
-    /// The dataset's stable identity (GPU cache key scope).
-    pub fn dataset_id(&self) -> u64 {
-        self.id
     }
 
     /// The input data layout.

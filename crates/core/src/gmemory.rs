@@ -18,7 +18,7 @@
 use crate::cache::{CachePolicy, GpuCache};
 use crate::config::TransferConfig;
 use crate::flight::Member;
-use crate::gwork::{CacheKey, GWork, WorkBuf, WorkTiming};
+use crate::gwork::{CacheKey, GWork};
 use crate::recovery::ManagerError;
 use gflink_gpu::{
     DevBufId, DeviceError, DeviceMemoryOps, DmemError, GpuModel, TransferMode, VirtualGpu,
@@ -88,6 +88,10 @@ pub struct GMemoryManager {
     dev_vecs: Vec<Vec<DevBufId>>,
     key_vecs: Vec<Vec<CacheKey>>,
     lease_vecs: Vec<Vec<PinnedLease>>,
+    /// Input copies staged but not yet issued, `(member, input, device
+    /// buffer, index of the staging lease)`, kept between flights for its
+    /// allocation.
+    pending_copies: Vec<(usize, usize, DevBufId, Option<usize>)>,
     /// Host-side staging behaviour of the transfer channel.
     mode: TransferMode,
     tracer: Tracer,
@@ -132,6 +136,7 @@ impl GMemoryManager {
             dev_vecs: Vec::new(),
             key_vecs: Vec::new(),
             lease_vecs: Vec::new(),
+            pending_copies: Vec::new(),
             mode: transfer.mode,
             tracer: Tracer::disabled(),
             worker_id: 0,
@@ -564,48 +569,47 @@ impl GMemoryManager {
         }
     }
 
-    /// Place one input buffer from the job's cache region when it is
-    /// resident there, pinning it for the member's lifetime; `false` on a
-    /// miss.
+    /// Place input `j` of member `mb` from the job's cache region when it
+    /// is resident there, pinning it for the member's lifetime; `false` on
+    /// a miss.
     fn place_hit(
         &mut self,
         region: &mut GpuCache,
         gpu: usize,
-        inbuf: &WorkBuf,
+        mb: &mut Member,
+        j: usize,
         t: SimTime,
-        timing: &mut WorkTiming,
-        place: &mut Placement,
     ) -> bool {
-        let Some((key, dev)) = inbuf
+        let Some((key, dev)) = mb.work.inputs[j]
             .cache_key
             .and_then(|key| region.lookup(key).map(|dev| (key, dev)))
         else {
             return false;
         };
-        timing.cache_hits += 1;
+        mb.timing.cache_hits += 1;
         region.pin(key);
-        place.pinned.push(key);
-        place.dev_inputs.push(dev);
+        mb.place.pinned.push(key);
+        mb.place.dev_inputs.push(dev);
         self.trace_cache_event(gpu, true, key, t);
         true
     }
 
-    /// Place one input buffer that missed the cache: the §4.2.2 insert/pin
-    /// protocol for cacheable inputs, a transient buffer otherwise.
-    #[allow(clippy::too_many_arguments)]
+    /// Place input `j` of member `mb`, which missed the cache, in device
+    /// buffer `dev`: the §4.2.2 insert/pin protocol for cacheable inputs,
+    /// a transient buffer otherwise.
     fn place_miss(
         &mut self,
         region: &mut GpuCache,
         gpu: usize,
-        inbuf: &WorkBuf,
+        mb: &mut Member,
+        j: usize,
         dev: DevBufId,
         t: SimTime,
-        timing: &mut WorkTiming,
-        place: &mut Placement,
     ) {
+        let inbuf = &mb.work.inputs[j];
         let mut keep = false;
         if let Some(key) = inbuf.cache_key {
-            timing.cache_misses += 1;
+            mb.timing.cache_misses += 1;
             self.trace_cache_event(gpu, false, key, t);
             let (evicted, may_insert) = region.make_room(inbuf.logical_bytes);
             for d in evicted {
@@ -617,97 +621,28 @@ impl GMemoryManager {
                     let _ = self.dmem(gpu).release(old);
                 }
                 region.pin(key);
-                place.pinned.push(key);
+                mb.place.pinned.push(key);
                 keep = true;
             }
         }
         if !keep {
-            place.transient.push(dev);
+            mb.place.transient.push(dev);
         }
-        place.dev_inputs.push(dev);
+        mb.place.dev_inputs.push(dev);
     }
 
-    /// Stage 1 for a flight of one: bring the member's inputs onto device
-    /// `gpu` with one H2D copy call per input, skipped per-buffer on cache
-    /// hits against the job's region. Every cached buffer the work
-    /// references is pinned until its D2H completes so concurrent works
-    /// cannot evict a live kernel argument. In pinned mode each copy is fed
-    /// from a pool staging buffer (leases ride in the result until the
-    /// copies land).
-    pub(crate) fn stage_inputs(
-        &mut self,
-        region: &mut GpuCache,
-        gpu: usize,
-        owner: u64,
-        mb: &mut Member,
-        t: SimTime,
-    ) -> Staged {
-        let mut staged = Staged {
-            staging: self.take_lease_vec(),
-            h2d_start: None,
-            kernel_earliest: t,
-            copies: 0,
-            failure: None,
-        };
-        mb.place = self.take_placement();
-        let Member {
-            work,
-            timing,
-            place,
-            ..
-        } = mb;
-        for inbuf in &work.inputs {
-            if self.place_hit(region, gpu, inbuf, t, timing, place) {
-                continue;
-            }
-            let alloc =
-                self.alloc_with_pressure(region, gpu, inbuf.logical_bytes, inbuf.data.len(), t);
-            let dev = match alloc {
-                Ok(dev) => dev,
-                Err(e) => {
-                    staged.failure = Some(e);
-                    break;
-                }
-            };
-            let lease = self.lease_staging(owner, &inbuf.data);
-            let src: &HBuffer = match &lease {
-                Some(l) => self.pinned_pool.buffer(l),
-                None => &inbuf.data,
-            };
-            let r = match self.gpus[gpu].copy_h2d(t, inbuf.logical_bytes, src, dev) {
-                Ok(r) => r,
-                Err(e) => {
-                    if let Some(l) = lease {
-                        self.pinned_pool.release(l);
-                    }
-                    place.transient.push(dev);
-                    staged.failure = Some(ManagerError::Device(e));
-                    break;
-                }
-            };
-            if let Some(l) = lease {
-                staged.staging.push(l);
-            }
-            staged.copies += 1;
-            timing.h2d += r.duration();
-            timing.bytes_h2d += inbuf.logical_bytes;
-            staged.h2d_start = Some(match staged.h2d_start {
-                Some(s) => s.min(r.start),
-                None => r.start,
-            });
-            staged.kernel_earliest = staged.kernel_earliest.max(r.end);
-            self.place_miss(region, gpu, inbuf, dev, t, timing, place);
-        }
-        staged
-    }
-
-    /// Stage 1 for a larger flight: every member's cache-miss copy is
-    /// folded into a single fused H2D call paying one per-call α. Cache
-    /// semantics are identical to [`GMemoryManager::stage_inputs`], applied
-    /// member by member (a later member can hit a key an earlier member
-    /// just inserted). Per-member `h2d` time is the member's pro-rata share
-    /// of the fused reservation by bytes.
-    pub(crate) fn stage_fused(
+    /// Stage 1 (H2D): bring every member's inputs onto device `gpu`,
+    /// skipped per-buffer on cache hits against the job's region (a later
+    /// member can hit a key an earlier member just inserted). Every cached
+    /// buffer a member references is pinned until its D2H completes, so
+    /// concurrent works cannot evict a live kernel argument. In pinned mode
+    /// each copy is fed from a pool staging buffer (leases ride in the
+    /// result until the copies land).
+    ///
+    /// A flight of one issues one copy call per input as it stages. A
+    /// larger flight folds every miss into one fused call after the loop,
+    /// paying α once.
+    pub(crate) fn stage(
         &mut self,
         region: &mut GpuCache,
         gpu: usize,
@@ -715,6 +650,7 @@ impl GMemoryManager {
         members: &mut [Member],
         t: SimTime,
     ) -> Staged {
+        let fused = members.len() > 1;
         let mut staged = Staged {
             staging: self.take_lease_vec(),
             h2d_start: None,
@@ -722,26 +658,14 @@ impl GMemoryManager {
             copies: 0,
             failure: None,
         };
-        // Copies deferred into the fused call: (logical bytes, source,
-        // device buffer, member index). Sources are leases (pinned mode) or
-        // the works' own host buffers.
-        enum Src {
-            Lease(usize),
-            Direct(usize, usize),
-        }
-        let mut pending: Vec<(u64, Src, DevBufId, usize)> = Vec::new();
-        'members: for (m, mb) in members.iter_mut().enumerate() {
-            mb.place = self.take_placement();
-            let Member {
-                work,
-                timing,
-                place,
-                ..
-            } = mb;
-            for (j, inbuf) in work.inputs.iter().enumerate() {
-                if self.place_hit(region, gpu, inbuf, t, timing, place) {
+        let mut pending = std::mem::take(&mut self.pending_copies);
+        'members: for m in 0..members.len() {
+            members[m].place = self.take_placement();
+            for j in 0..members[m].work.inputs.len() {
+                if self.place_hit(region, gpu, &mut members[m], j, t) {
                     continue;
                 }
+                let inbuf = &members[m].work.inputs[j];
                 let alloc =
                     self.alloc_with_pressure(region, gpu, inbuf.logical_bytes, inbuf.data.len(), t);
                 let dev = match alloc {
@@ -751,47 +675,75 @@ impl GMemoryManager {
                         break 'members;
                     }
                 };
-                let src = match self.lease_staging(owner, &inbuf.data) {
-                    Some(l) => {
-                        staged.staging.push(l);
-                        Src::Lease(staged.staging.len() - 1)
+                let lease = self.lease_staging(owner, &inbuf.data).map(|l| {
+                    staged.staging.push(l);
+                    staged.staging.len() - 1
+                });
+                pending.push((m, j, dev, lease));
+                if !fused {
+                    let copied = self.copy_pending(gpu, members, &pending, &mut staged, t);
+                    pending.clear();
+                    if let Err(e) = copied {
+                        members[m].place.transient.push(dev);
+                        staged.failure = Some(e);
+                        break 'members;
                     }
-                    None => Src::Direct(m, j),
-                };
-                pending.push((inbuf.logical_bytes, src, dev, m));
-                self.place_miss(region, gpu, inbuf, dev, t, timing, place);
+                }
+                self.place_miss(region, gpu, &mut members[m], j, dev, t);
             }
         }
-        if staged.failure.is_some() || pending.is_empty() {
-            return staged;
+        if staged.failure.is_none() && !pending.is_empty() {
+            let copied = self.copy_pending(gpu, members, &pending, &mut staged, t);
+            staged.failure = copied.err();
         }
-        let items: Vec<(u64, &HBuffer, DevBufId)> = pending
-            .iter()
-            .map(|&(logical, ref src, dev, _)| {
-                let buf: &HBuffer = match src {
-                    Src::Lease(i) => self.pinned_pool.buffer(&staged.staging[*i]),
-                    Src::Direct(m, j) => &members[*m].work.inputs[*j].data,
-                };
-                (logical, buf, dev)
-            })
-            .collect();
-        let r = match self.gpus[gpu].copy_h2d_batch(t, &items) {
-            Ok(r) => r,
-            Err(e) => {
-                staged.failure = Some(ManagerError::Device(e));
-                return staged;
-            }
-        };
-        drop(items);
-        let total: u64 = pending.iter().map(|p| p.0).sum();
-        for &(logical, _, _, m) in &pending {
-            members[m].timing.h2d += pro_rata(r.duration(), logical, total);
-            members[m].timing.bytes_h2d += logical;
-        }
-        staged.h2d_start = Some(r.start);
-        staged.kernel_earliest = r.end;
-        staged.copies = pending.len();
+        pending.clear();
+        self.pending_copies = pending;
         staged
+    }
+
+    /// Issue one H2D copy call from `t` for the `pending` input copies,
+    /// `(member, input, device buffer, staging lease)`, fused when the
+    /// flight has more than one member. A flight of one owns the call's
+    /// whole reservation; members of a larger flight take their pro-rata
+    /// share by bytes.
+    fn copy_pending(
+        &mut self,
+        gpu: usize,
+        members: &mut [Member],
+        pending: &[(usize, usize, DevBufId, Option<usize>)],
+        staged: &mut Staged,
+        t: SimTime,
+    ) -> Result<(), ManagerError> {
+        let fused = members.len() > 1;
+        let items = pending.iter().map(|&(m, j, dev, lease)| {
+            let inbuf = &members[m].work.inputs[j];
+            let src = match lease {
+                Some(i) => self.pinned_pool.buffer(&staged.staging[i]),
+                None => &inbuf.data,
+            };
+            (inbuf.logical_bytes, src, dev)
+        });
+        let r = self.gpus[gpu]
+            .copy_h2d(t, items, fused)
+            .map_err(ManagerError::Device)?;
+        let total = pending
+            .iter()
+            .map(|&(m, j, ..)| members[m].work.inputs[j].logical_bytes)
+            .sum();
+        for &(m, j, ..) in pending {
+            let mb = &mut members[m];
+            let logical = mb.work.inputs[j].logical_bytes;
+            mb.timing.h2d += if fused {
+                pro_rata(r.duration(), logical, total)
+            } else {
+                r.duration()
+            };
+            mb.timing.bytes_h2d += logical;
+        }
+        staged.h2d_start = Some(staged.h2d_start.map_or(r.start, |s| s.min(r.start)));
+        staged.kernel_earliest = staged.kernel_earliest.max(r.end);
+        staged.copies += pending.len();
+        Ok(())
     }
 
     /// Allocate a work's output buffer under cache pressure.

@@ -13,7 +13,7 @@ use crate::cache::GpuCache;
 use crate::gwork::{CompletedWork, GWork};
 use crate::recovery::FailedWork;
 use gflink_sim::{
-    FaultLedger, FlightRecorder, LedgerWindow, LogHistogram, RecEvent, SimTime, Summary,
+    FaultLedger, FlightRecorder, LedgerWindow, LogHistogram, RecEvent, RecKind, SimTime, Summary,
 };
 use std::collections::BTreeSet;
 
@@ -112,6 +112,12 @@ impl JobSession {
     /// the metrics plane is off).
     pub fn flight_events(&self) -> Vec<RecEvent> {
         self.recorder.events()
+    }
+
+    /// Flight-recorder events of `kind` this job ever recorded, including
+    /// those the bounded ring has since evicted.
+    pub fn flight_recorded(&self, kind: RecKind) -> u64 {
+        self.recorder.recorded(kind)
     }
 
     /// Pen-delay histogram over this job's released penned works.

@@ -174,13 +174,6 @@ impl AggSpec {
     pub fn avg() -> AggSpec {
         AggSpec::of(AggOp::Avg)
     }
-
-    /// Override the per-logical-record cost profile.
-    pub fn with_cost(mut self, flops_per_record: f64, bytes_per_record: f64) -> AggSpec {
-        self.flops_per_record = flops_per_record;
-        self.bytes_per_record = bytes_per_record;
-        self
-    }
 }
 
 /// The full fold of one pane: every downstream value (`count`, `sum`,

@@ -13,6 +13,10 @@
 //!   survivors' works fall back to the CPU), a restored checkpoint and
 //!   works still pending at teardown — the ledger entries the solo run
 //!   leaves at zero.
+//! * **staging**: multi-input works, where the two H2D rules differ — a
+//!   flight of one copies per input as it stages, a larger flight makes
+//!   one fused call after staging every member (cache hits, an allocation
+//!   failure after a first copy, a fused call with one item, zero bytes).
 //!
 //! Each run fingerprints every `CompletedWork` (tag, gpu, stream, every
 //! `WorkTiming` field, output bytes) and every `FailedWork` in the order
@@ -116,6 +120,20 @@ fn registry() -> Arc<Mutex<KernelRegistry>> {
         for i in 0..n {
             let v = args.inputs[0].read_f32(i * 4);
             args.outputs[0].write_f32(i * 4, v * 2.0);
+        }
+        KernelProfile::new(args.n_logical as f64, args.n_logical as f64 * 8.0)
+    });
+    // Element-wise sum over every input; a short input reads as zeros.
+    reg.register("sum_in", |args: &mut KernelArgs<'_, '_>| {
+        for i in 0..args.n_actual {
+            let at = i * 4;
+            let v: f32 = args
+                .inputs
+                .iter()
+                .filter(|b| b.len() >= at + 4)
+                .map(|b| b.read_f32(at))
+                .sum();
+            args.outputs[0].write_f32(at, v);
         }
         KernelProfile::new(args.n_logical as f64, args.n_logical as f64 * 8.0)
     });
@@ -438,7 +456,7 @@ fn solo_run_matches_golden() {
     assert_eq!(g.trace, 0xde56_c0b2_2603_6990, "Chrome trace");
     assert_eq!(fnv_str(&g.prom), 0x6e24_4c82_983e_f668, "Prometheus export");
     assert_eq!(fnv_str(&g.json), 0xb957_94ac_e261_dbb5, "JSON export");
-    assert_eq!(g.events, 0x0675_ca1a_c039_ae3f, "flight-recorder events");
+    assert_eq!(g.events, 0xcb1d_700e_638a_f029, "flight-recorder events");
     assert_eq!(g.ledger, 0xbb77_da83_ee6e_69ce, "fault ledger");
 }
 
@@ -480,7 +498,7 @@ fn elastic_run_matches_golden() {
     assert_eq!(g.trace, 0x7655_dd60_0108_ef37, "Chrome trace");
     assert_eq!(g.prom, 0x4e4f_0eba_70cc_e639, "Prometheus export");
     assert_eq!(g.json, 0xf8bd_e6a5_9b63_e4a8, "JSON export");
-    assert_eq!(g.events, 0x0dee_c7d7_5f1e_37bb, "flight-recorder events");
+    assert_eq!(g.events, 0x82ff_3946_73e7_53a5, "flight-recorder events");
     assert_eq!(g.ledger, 0xc1e9_1c36_164c_89d8, "fault ledgers");
 }
 
@@ -510,5 +528,325 @@ fn every_ledger_entry_is_double_entry() {
                 }
             }
         }
+    }
+}
+
+/// Every noted event reaches the flight recorder. In the elastic scenario
+/// (metrics on, so recorders record), for each ledger entry that has a
+/// recorder kind, each session's recorder has recorded as many events of
+/// that kind as the session's ledger counts (the bounded ring wraps here,
+/// so the count includes evicted events).
+#[test]
+fn every_recorded_ledger_entry_reaches_the_recorder() {
+    let (m, _, _, _) = elastic_scenario();
+    for job in [JOB, JOB_B] {
+        let session = m.session(job).expect("session open");
+        let ledger = session.faults();
+        for e in LedgerEntry::ALL {
+            if let Some(kind) = e.rec_kind() {
+                let (recorded, noted) = (session.flight_recorded(kind), ledger.get(e));
+                assert_eq!(recorded, noted, "{job:?}: {} events", e.name());
+            }
+        }
+    }
+}
+
+/// One input of a staging-golden work: four `f32`s seeded by `seed` (none
+/// at zero logical bytes), cached under block `key` when given.
+fn input(seed: u32, logical: u64, key: Option<u32>) -> WorkBuf {
+    let base = seed as f32;
+    let data = Arc::new(if logical == 0 {
+        HBuffer::zeroed(0)
+    } else {
+        HBuffer::from_f32s(&[base, base + 0.5, -base, base * 1.5])
+    });
+    match key {
+        Some(block) => WorkBuf::cached(
+            data,
+            logical,
+            CacheKey {
+                dataset: 9,
+                partition: 0,
+                block,
+            },
+        ),
+        None => WorkBuf::transient(data, logical),
+    }
+}
+
+/// A `sum_in` work over `inputs` with `out_logical` output bytes.
+fn multi(i: u32, inputs: Vec<WorkBuf>, out_logical: u64) -> GWork {
+    GWork {
+        inputs,
+        out_logical_bytes: out_logical,
+        n_logical: 4096,
+        ..mk_work(i, 0, "sum_in")
+    }
+}
+
+/// What a staging golden pins: every completion and failure (per-member
+/// `WorkTiming`, outputs), the Chrome trace, the copy-engine busy time and
+/// the retries, plus the H2D span counts by label.
+#[derive(Debug, PartialEq)]
+struct Staging {
+    completed: u64,
+    failed: u64,
+    trace: u64,
+    copy_busy_ns: u64,
+    retries: u64,
+    done: usize,
+    n_failed: usize,
+    h2d_spans: usize,
+    fused_h2d_spans: usize,
+}
+
+/// Run `works` on one C2050 with `streams` streams; batching fuses up to
+/// `fuse` works when `fuse > 0`.
+fn staging_run(streams: usize, fuse: usize, works: Vec<(SimTime, GWork)>) -> Staging {
+    let mut cfg = GpuWorkerConfig {
+        models: vec![GpuModel::TeslaC2050],
+        streams_per_gpu: streams,
+        retry: RetryPolicy {
+            max_retries: 20,
+            ..RetryPolicy::default()
+        },
+        ..GpuWorkerConfig::default()
+    };
+    if fuse > 0 {
+        cfg.transfer.batch = BatchConfig {
+            max_works: fuse,
+            ..BatchConfig::enabled()
+        };
+    }
+    let mut m = GpuManager::new(0, cfg, registry());
+    let tracer = Tracer::new(Tracer::DEFAULT_CAPACITY);
+    m.set_tracer(tracer.clone());
+    m.begin_job(JOB);
+    for (at, w) in works {
+        m.submit_for(JOB, w, at);
+    }
+    let done = m.drain_job(JOB);
+    let failed = m.take_job_failed(JOB);
+    let trace = tracer.export_chrome_json();
+    let g = Staging {
+        completed: fp_completed(&done),
+        failed: fp_failed(&failed),
+        trace: fnv_str(&trace),
+        copy_busy_ns: m.gpu(0).copy_busy().as_nanos(),
+        retries: m.job_faults(JOB).retries,
+        done: done.len(),
+        n_failed: failed.len(),
+        h2d_spans: trace.matches("\"name\":\"H2D\"").count(),
+        fused_h2d_spans: trace.matches("\"name\":\"H2D(fused)\"").count(),
+    };
+    eprintln!("{g:x?}");
+    g
+}
+
+/// A flight of one with three inputs: a transient miss, a hit on the key
+/// an earlier work cached, and a cacheable miss — two `H2D` calls.
+#[test]
+fn staging_golden_flight_of_one_with_three_inputs() {
+    let g = staging_run(
+        1,
+        0,
+        vec![
+            (
+                SimTime::ZERO,
+                multi(0, vec![input(1, 64 << 10, Some(1))], 64 << 10),
+            ),
+            (
+                SimTime::from_micros(5),
+                multi(
+                    1,
+                    vec![
+                        input(2, 96 << 10, None),
+                        input(1, 64 << 10, Some(1)),
+                        input(3, 32 << 10, Some(2)),
+                    ],
+                    64 << 10,
+                ),
+            ),
+        ],
+    );
+    assert_eq!((g.done, g.n_failed, g.retries), (2, 0, 0));
+    assert_eq!(
+        (g.h2d_spans, g.fused_h2d_spans),
+        (3, 0),
+        "one + two solo calls"
+    );
+    assert_eq!(g.completed, 0x7a64_b0a2_6781_803f, "completions");
+    assert_eq!(g.trace, 0x9112_4149_10e8_684a, "Chrome trace");
+    assert_eq!(g.copy_busy_ns, 119_001, "copy-engine busy");
+}
+
+/// A fused flight of four two-input members behind a blocker that caches
+/// key 1: members hit key 1, and key 2 that an earlier member of the same
+/// flight inserted; the five misses share one `H2D(fused)` call.
+#[test]
+fn staging_golden_fused_flight_of_two_input_members() {
+    let g = staging_run(
+        1,
+        4,
+        vec![
+            (
+                SimTime::ZERO,
+                multi(
+                    0,
+                    vec![input(1, 1 << 20, None), input(2, 16 << 10, Some(1))],
+                    1 << 20,
+                ),
+            ),
+            (
+                SimTime::from_micros(1),
+                multi(
+                    1,
+                    vec![input(3, 16 << 10, Some(1)), input(4, 16 << 10, None)],
+                    16 << 10,
+                ),
+            ),
+            (
+                SimTime::from_micros(2),
+                multi(
+                    2,
+                    vec![input(5, 8 << 10, Some(2)), input(6, 12 << 10, None)],
+                    16 << 10,
+                ),
+            ),
+            (
+                SimTime::from_micros(3),
+                multi(
+                    3,
+                    vec![input(5, 8 << 10, Some(2)), input(2, 16 << 10, Some(1))],
+                    16 << 10,
+                ),
+            ),
+            (
+                SimTime::from_micros(4),
+                multi(
+                    4,
+                    vec![input(7, 4 << 10, None), input(8, 20 << 10, Some(3))],
+                    16 << 10,
+                ),
+            ),
+        ],
+    );
+    assert_eq!((g.done, g.n_failed, g.retries), (5, 0, 0));
+    assert_eq!(
+        (g.h2d_spans, g.fused_h2d_spans),
+        (2, 1),
+        "blocker solo, members fused"
+    );
+    assert_eq!(g.completed, 0x766e_e7b2_62f1_5562, "completions");
+    assert_eq!(g.trace, 0x57d9_2c0d_9279_2f41, "Chrome trace");
+    assert_eq!(g.copy_busy_ns, 756_611, "copy-engine busy");
+}
+
+/// Flights of one whose second input cannot be allocated after the first
+/// input's copy was issued: work 1 fits once the blocker's 60%-of-device
+/// output is freed, work 2 never fits and runs out of retries. Every
+/// attempt's first copy stays reserved on the copy engine.
+#[test]
+fn staging_golden_second_input_fails_to_allocate() {
+    let dev = GpuModel::TeslaC2050.spec().dev_mem_bytes;
+    let g = staging_run(
+        2,
+        0,
+        vec![
+            (
+                SimTime::ZERO,
+                multi(0, vec![input(1, 1 << 20, None)], dev / 10 * 6),
+            ),
+            (
+                SimTime::from_micros(1),
+                multi(
+                    1,
+                    vec![input(2, 64 << 10, None), input(3, dev / 2, None)],
+                    64 << 10,
+                ),
+            ),
+            (
+                SimTime::from_micros(2),
+                multi(
+                    2,
+                    vec![input(4, 64 << 10, None), input(5, dev + 1, None)],
+                    64 << 10,
+                ),
+            ),
+        ],
+    );
+    assert_eq!((g.done, g.n_failed), (2, 1));
+    assert_eq!(g.retries, 23, "retries");
+    assert_eq!(
+        (g.h2d_spans, g.fused_h2d_spans),
+        (27, 0),
+        "one copy per attempt, two at the last"
+    );
+    assert_eq!(g.completed, 0xa021_3224_225c_5a40, "completions");
+    assert_eq!(g.failed, 0x46d0_2d03_a3e0_1117, "failures");
+    assert_eq!(g.trace, 0xc15a_4f9d_317d_c81f, "Chrome trace");
+    assert_eq!(g.copy_busy_ns, 1_100_974_190, "copy-engine busy");
+}
+
+/// Fused flights in which exactly one input misses, behind a blocker that
+/// caches keys 1 and 2: the one-item call is still an `H2D(fused)` call.
+/// When the miss is a zero-byte input, the call moves no bytes, pays α,
+/// and every member's pro-rata `h2d` is zero.
+#[test]
+fn staging_golden_fused_flight_with_one_miss() {
+    let run = |miss_bytes: u64| {
+        staging_run(
+            1,
+            3,
+            vec![
+                (
+                    SimTime::ZERO,
+                    multi(
+                        0,
+                        vec![
+                            input(1, 1 << 20, None),
+                            input(2, 8 << 10, Some(1)),
+                            input(3, 0, Some(2)),
+                        ],
+                        1 << 20,
+                    ),
+                ),
+                (
+                    SimTime::from_micros(1),
+                    multi(1, vec![input(2, 8 << 10, Some(1))], 8 << 10),
+                ),
+                (
+                    SimTime::from_micros(2),
+                    multi(
+                        2,
+                        vec![input(3, 0, Some(2)), input(2, 8 << 10, Some(1))],
+                        8 << 10,
+                    ),
+                ),
+                (
+                    SimTime::from_micros(3),
+                    multi(3, vec![input(4, miss_bytes, None)], 8 << 10),
+                ),
+            ],
+        )
+    };
+    for (miss_bytes, completed, trace, busy) in [
+        (0, 0x86d5_df76_bf03_9538, 0x632f_d808_7067_feeb, 721_703),
+        (
+            12 << 10,
+            0x38fd_994a_f756_8232,
+            0x2610_5aa6_e626_4f88,
+            725_799,
+        ),
+    ] {
+        let g = run(miss_bytes);
+        assert_eq!((g.done, g.n_failed, g.retries), (4, 0, 0));
+        assert_eq!((g.h2d_spans, g.fused_h2d_spans), (3, 1), "blocker solo");
+        assert_eq!(g.completed, completed, "completions, {miss_bytes} B miss");
+        assert_eq!(g.trace, trace, "Chrome trace, {miss_bytes} B miss");
+        assert_eq!(
+            g.copy_busy_ns, busy,
+            "copy-engine busy, {miss_bytes} B miss"
+        );
     }
 }

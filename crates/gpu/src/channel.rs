@@ -18,9 +18,10 @@
 //! ([`TransferPath::pageable`]) adds the cost the paper's design avoids —
 //! the driver must first memcpy the pageable source into its own pinned
 //! bounce buffer at host-memory bandwidth, and the copy is synchronous
-//! (it blocks the stream's copy engine for the staging leg too). Fused
-//! (batched) transfers amortize α: [`TransferPath::time_for_fused`]
-//! charges one call overhead for the whole group.
+//! (it blocks the stream's copy engine for the staging leg too). A fused
+//! (batched) transfer is one call over the group's summed bytes, so it
+//! pays one call overhead for the whole group
+//! ([`TransferPath::alpha_saved`] counts what that saves).
 
 use crate::spec::GpuSpec;
 use gflink_sim::{BandwidthCost, SimTime};
@@ -125,14 +126,6 @@ impl TransferPath {
             None => SimTime::ZERO,
         };
         self.call_overhead + stage + self.pcie.time_for(bytes)
-    }
-
-    /// Time for one *fused* call moving `bytes` total on behalf of `works`
-    /// coalesced transfers: a single α for the whole group. With
-    /// `works == 1` this is exactly [`TransferPath::time_for`].
-    pub fn time_for_fused(&self, bytes: u64, works: usize) -> SimTime {
-        debug_assert!(works >= 1);
-        self.time_for(bytes)
     }
 
     /// Call overhead saved by fusing `works` transfers into one call.
@@ -278,7 +271,7 @@ mod tests {
         let spec = GpuModel::TeslaC2050.spec();
         let path = TransferPath::for_mode(&spec, TransferMode::Pinned);
         let solo = path.time_for(2048) * 8;
-        let fused = path.time_for_fused(8 * 2048, 8);
+        let fused = path.time_for(8 * 2048);
         assert!(fused < solo);
         // The gap is the seven saved α calls (modulo rounding of the
         // per-call vs summed PCIe term).
@@ -292,7 +285,6 @@ mod tests {
             slack <= SimTime::from_nanos(8),
             "saved {saved:?} vs {alpha7:?}"
         );
-        assert_eq!(path.time_for_fused(2048, 1), path.time_for(2048));
         assert_eq!(path.alpha_saved(1), SimTime::ZERO);
         assert_eq!(path.alpha_saved(0), SimTime::ZERO);
     }

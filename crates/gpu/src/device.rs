@@ -221,138 +221,89 @@ impl VirtualGpu {
         }
     }
 
-    /// Copy host bytes to a device buffer, reserving the appropriate copy
-    /// engine from `earliest`. Returns the granted interval.
-    pub fn copy_h2d(
+    /// Upload `items`, each `(logical bytes, host buffer, device buffer)`,
+    /// in **one** H2D copy call from `earliest`: one α for the whole group,
+    /// the payloads traveling back-to-back over PCIe. Returns the copy
+    /// engine's reservation. `fused` labels the span `H2D(fused)` with the
+    /// item count, for a call made on behalf of a fused flight.
+    pub fn copy_h2d<'h>(
         &mut self,
         earliest: SimTime,
-        logical_bytes: u64,
-        host: &HBuffer,
-        dst: DevBufId,
+        items: impl IntoIterator<Item = (u64, &'h HBuffer, DevBufId)>,
+        fused: bool,
     ) -> Result<Reservation, DeviceError> {
         self.ensure_usable()?;
-        self.dmem.upload(dst, host)?;
-        let dur = self.copy_time(logical_bytes);
-        self.bytes_h2d += logical_bytes;
-        self.m_bytes_h2d.add(logical_bytes);
-        let engine = self.copy_engine_index(CopyDirection::H2D);
-        let r = self.copy_engines[engine].reserve(earliest, dur);
-        if self.tracer.enabled() {
-            self.tracer.record(
-                TraceEvent::span(
-                    self.trace_pid,
-                    copy_engine_tid(engine),
-                    Cat::H2d,
-                    "H2D",
-                    r.start,
-                    r.end,
-                )
-                .with_arg("bytes", logical_bytes),
-            );
-        }
-        Ok(r)
-    }
-
-    /// Fused H2D: upload several host buffers in **one** transfer call —
-    /// one α for the whole group, the per-work payloads traveling
-    /// back-to-back over PCIe. `items` are `(logical_bytes, host, dst)`
-    /// triples; returns the single copy-engine reservation covering the
-    /// group. Small-GWork batching (gflink-core) is built on this.
-    pub fn copy_h2d_batch(
-        &mut self,
-        earliest: SimTime,
-        items: &[(u64, &HBuffer, DevBufId)],
-    ) -> Result<Reservation, DeviceError> {
-        self.ensure_usable()?;
-        for &(_, host, dst) in items {
+        let (mut bytes, mut works) = (0, 0);
+        for (logical, host, dst) in items {
             self.dmem.upload(dst, host)?;
+            bytes += logical;
+            works += 1;
         }
-        let total: u64 = items.iter().map(|&(b, _, _)| b).sum();
-        let dur = self.scale_by_health(self.transfer.time_for_fused(total, items.len()));
-        self.bytes_h2d += total;
-        self.m_bytes_h2d.add(total);
-        let engine = self.copy_engine_index(CopyDirection::H2D);
-        let r = self.copy_engines[engine].reserve(earliest, dur);
-        if self.tracer.enabled() {
-            self.tracer.record(
-                TraceEvent::span(
-                    self.trace_pid,
-                    copy_engine_tid(engine),
-                    Cat::H2d,
-                    "H2D(fused)",
-                    r.start,
-                    r.end,
-                )
-                .with_arg("bytes", total)
-                .with_arg("works", items.len()),
-            );
-        }
-        Ok(r)
+        Ok(self.reserve_copy(CopyDirection::H2D, earliest, bytes, works, fused))
     }
 
-    /// Fused D2H: download several device buffers in one transfer call
-    /// (single α). `items` are `(logical_bytes, src, host)` triples.
-    pub fn copy_d2h_batch(
+    /// Download `items`, each `(logical bytes, device buffer, host
+    /// buffer)`, in one D2H copy call from `earliest`; the mirror of
+    /// [`VirtualGpu::copy_h2d`].
+    pub fn copy_d2h<'h>(
         &mut self,
         earliest: SimTime,
-        items: &mut [(u64, DevBufId, &mut HBuffer)],
+        items: impl IntoIterator<Item = (u64, DevBufId, &'h mut HBuffer)>,
+        fused: bool,
     ) -> Result<Reservation, DeviceError> {
         self.ensure_usable()?;
-        for (_, src, host) in items.iter_mut() {
-            self.dmem.download(*src, host)?;
+        let (mut bytes, mut works) = (0, 0);
+        for (logical, src, host) in items {
+            self.dmem.download(src, host)?;
+            bytes += logical;
+            works += 1;
         }
-        let total: u64 = items.iter().map(|&(b, _, _)| b).sum();
-        let dur = self.scale_by_health(self.transfer.time_for_fused(total, items.len()));
-        self.bytes_d2h += total;
-        self.m_bytes_d2h.add(total);
-        let engine = self.copy_engine_index(CopyDirection::D2H);
-        let r = self.copy_engines[engine].reserve(earliest, dur);
-        if self.tracer.enabled() {
-            self.tracer.record(
-                TraceEvent::span(
-                    self.trace_pid,
-                    copy_engine_tid(engine),
-                    Cat::D2h,
-                    "D2H(fused)",
-                    r.start,
-                    r.end,
-                )
-                .with_arg("bytes", total)
-                .with_arg("works", items.len()),
-            );
-        }
-        Ok(r)
+        Ok(self.reserve_copy(CopyDirection::D2H, earliest, bytes, works, fused))
     }
 
-    /// Copy a device buffer back to host memory.
-    pub fn copy_d2h(
+    /// Account one copy call of `bytes` over `works` items: reserve the
+    /// direction's copy engine for its time, count the bytes, trace the
+    /// span.
+    fn reserve_copy(
         &mut self,
+        dir: CopyDirection,
         earliest: SimTime,
-        logical_bytes: u64,
-        src: DevBufId,
-        host: &mut HBuffer,
-    ) -> Result<Reservation, DeviceError> {
-        self.ensure_usable()?;
-        self.dmem.download(src, host)?;
-        let dur = self.copy_time(logical_bytes);
-        self.bytes_d2h += logical_bytes;
-        self.m_bytes_d2h.add(logical_bytes);
-        let engine = self.copy_engine_index(CopyDirection::D2H);
+        bytes: u64,
+        works: u64,
+        fused: bool,
+    ) -> Reservation {
+        let dur = self.copy_time(bytes);
+        let (cat, name) = match dir {
+            CopyDirection::H2D => {
+                self.bytes_h2d += bytes;
+                self.m_bytes_h2d.add(bytes);
+                (Cat::H2d, if fused { "H2D(fused)" } else { "H2D" })
+            }
+            CopyDirection::D2H => {
+                self.bytes_d2h += bytes;
+                self.m_bytes_d2h.add(bytes);
+                (Cat::D2h, if fused { "D2H(fused)" } else { "D2H" })
+            }
+        };
+        let engine = self.copy_engine_index(dir);
         let r = self.copy_engines[engine].reserve(earliest, dur);
         if self.tracer.enabled() {
-            self.tracer.record(
-                TraceEvent::span(
-                    self.trace_pid,
-                    copy_engine_tid(engine),
-                    Cat::D2h,
-                    "D2H",
-                    r.start,
-                    r.end,
-                )
-                .with_arg("bytes", logical_bytes),
-            );
+            let span = TraceEvent::span(
+                self.trace_pid,
+                copy_engine_tid(engine),
+                cat,
+                name,
+                r.start,
+                r.end,
+            )
+            .with_arg("bytes", bytes);
+            self.tracer.record(if fused {
+                span.with_arg("works", works)
+            } else {
+                span
+            });
         }
-        Ok(r)
+        r
     }
 
     /// Simulated duration of a kernel with the given profile on this device:
@@ -432,11 +383,6 @@ impl VirtualGpu {
         self.kernel_engine.next_free().max(copies)
     }
 
-    /// Earliest instant the kernel engine is free.
-    pub fn kernel_engine_free(&self) -> SimTime {
-        self.kernel_engine.next_free()
-    }
-
     /// Lifetime statistics: (kernels launched, H2D bytes, D2H bytes).
     pub fn stats(&self) -> (u64, u64, u64) {
         (self.kernels_launched, self.bytes_h2d, self.bytes_d2h)
@@ -455,14 +401,6 @@ impl VirtualGpu {
     /// Kernel-engine utilization over `[0, horizon]` (0 on a zero horizon).
     pub fn kernel_utilization(&self, horizon: SimTime) -> f64 {
         self.kernel_engine.utilization(horizon)
-    }
-
-    /// Reset all engine timelines (device memory is untouched).
-    pub fn reset_engines(&mut self) {
-        self.kernel_engine.reset();
-        for e in &mut self.copy_engines {
-            e.reset();
-        }
     }
 }
 
@@ -503,14 +441,18 @@ mod tests {
         let host_in = HBuffer::from_f32s(&[1.0, 2.0, 3.0, 4.0]);
         let din = gpu.dmem.alloc(16, 16).unwrap();
         let dout = gpu.dmem.alloc(16, 16).unwrap();
-        let r1 = gpu.copy_h2d(SimTime::ZERO, 16, &host_in, din).unwrap();
+        let r1 = gpu
+            .copy_h2d(SimTime::ZERO, [(16, &host_in, din)], false)
+            .unwrap();
         let reg = scale_kernel_registry();
         let k = reg.get("scale2").unwrap();
         let (r2, _) = gpu
             .launch(r1.end, &k, &[din], &[dout], &[], 4, 4, 1.0)
             .unwrap();
         let mut host_out = HBuffer::zeroed(16);
-        let r3 = gpu.copy_d2h(r2.end, 16, dout, &mut host_out).unwrap();
+        let r3 = gpu
+            .copy_d2h(r2.end, [(16, dout, &mut host_out)], false)
+            .unwrap();
         assert_eq!(host_out.to_f32_vec(), vec![2.0, 4.0, 6.0, 8.0]);
         assert!(r1.end <= r2.start && r2.end <= r3.start);
     }
@@ -545,9 +487,11 @@ mod tests {
         let a = gpu.dmem.alloc(1_000_000, 64).unwrap();
         let host = HBuffer::zeroed(64);
         let mut host_out = HBuffer::zeroed(64);
-        let r1 = gpu.copy_h2d(SimTime::ZERO, 1_000_000, &host, a).unwrap();
+        let r1 = gpu
+            .copy_h2d(SimTime::ZERO, [(1_000_000, &host, a)], false)
+            .unwrap();
         let r2 = gpu
-            .copy_d2h(SimTime::ZERO, 1_000_000, a, &mut host_out)
+            .copy_d2h(SimTime::ZERO, [(1_000_000, a, &mut host_out)], false)
             .unwrap();
         assert!(r2.start >= r1.end, "half duplex must serialize");
     }
@@ -558,9 +502,11 @@ mod tests {
         let a = gpu.dmem.alloc(1_000_000, 64).unwrap();
         let host = HBuffer::zeroed(64);
         let mut host_out = HBuffer::zeroed(64);
-        let r1 = gpu.copy_h2d(SimTime::ZERO, 1_000_000, &host, a).unwrap();
+        let r1 = gpu
+            .copy_h2d(SimTime::ZERO, [(1_000_000, &host, a)], false)
+            .unwrap();
         let r2 = gpu
-            .copy_d2h(SimTime::ZERO, 1_000_000, a, &mut host_out)
+            .copy_d2h(SimTime::ZERO, [(1_000_000, a, &mut host_out)], false)
             .unwrap();
         assert_eq!(r2.start, SimTime::ZERO, "full duplex overlaps");
         assert!(r1.start == SimTime::ZERO);
@@ -576,7 +522,9 @@ mod tests {
         assert_eq!(wiped, 1);
         assert!(gpu.health().is_lost());
         assert_eq!(gpu.dmem.used(), 0);
-        let err = gpu.copy_h2d(SimTime::ZERO, 16, &host, a).unwrap_err();
+        let err = gpu
+            .copy_h2d(SimTime::ZERO, [(16, &host, a)], false)
+            .unwrap_err();
         assert_eq!(err, crate::health::DeviceError::Lost { gpu: 1 });
         let reg = scale_kernel_registry();
         let k = reg.get("scale2").unwrap();
@@ -595,7 +543,9 @@ mod tests {
         assert_eq!(gpu.retire(SimTime::ZERO), 1);
         assert!(gpu.health().is_lost());
         assert_eq!(gpu.dmem.used(), 0);
-        let err = gpu.copy_h2d(SimTime::ZERO, 16, &host, a).unwrap_err();
+        let err = gpu
+            .copy_h2d(SimTime::ZERO, [(16, &host, a)], false)
+            .unwrap_err();
         assert_eq!(err, crate::health::DeviceError::Lost { gpu: 2 });
     }
 
@@ -618,14 +568,17 @@ mod tests {
         let host_in = HBuffer::from_f32s(&[1.0, 2.0, 3.0, 4.0]);
         let din = gpu.dmem.alloc(16, 16).unwrap();
         let dout = gpu.dmem.alloc(16, 16).unwrap();
-        let r1 = gpu.copy_h2d(SimTime::ZERO, 16, &host_in, din).unwrap();
+        let r1 = gpu
+            .copy_h2d(SimTime::ZERO, [(16, &host_in, din)], false)
+            .unwrap();
         let reg = scale_kernel_registry();
         let k = reg.get("scale2").unwrap();
         let (r2, _) = gpu
             .launch(r1.end, &k, &[din], &[dout], &[], 4, 4, 1.0)
             .unwrap();
         let mut host_out = HBuffer::zeroed(16);
-        gpu.copy_d2h(r2.end, 16, dout, &mut host_out).unwrap();
+        gpu.copy_d2h(r2.end, [(16, dout, &mut host_out)], false)
+            .unwrap();
         assert_eq!(host_out.to_f32_vec(), vec![2.0, 4.0, 6.0, 8.0]);
     }
 
@@ -634,12 +587,8 @@ mod tests {
         let mut gpu = VirtualGpu::new(0, GpuModel::TeslaC2050);
         let hosts: Vec<HBuffer> = (0..4).map(|i| HBuffer::from_f32s(&[i as f32; 4])).collect();
         let devs: Vec<DevBufId> = (0..4).map(|_| gpu.dmem.alloc(2048, 16).unwrap()).collect();
-        let items: Vec<(u64, &HBuffer, DevBufId)> = hosts
-            .iter()
-            .zip(&devs)
-            .map(|(h, &d)| (2048u64, h, d))
-            .collect();
-        let r = gpu.copy_h2d_batch(SimTime::ZERO, &items).unwrap();
+        let items = hosts.iter().zip(&devs).map(|(h, &d)| (2048u64, h, d));
+        let r = gpu.copy_h2d(SimTime::ZERO, items, true).unwrap();
         assert_eq!(
             r.duration(),
             gpu.transfer_path().time_for(4 * 2048),
@@ -652,12 +601,11 @@ mod tests {
         assert_eq!(gpu.stats().1, 4 * 2048);
         // D2H side mirrors it.
         let mut outs: Vec<HBuffer> = (0..4).map(|_| HBuffer::zeroed(16)).collect();
-        let mut d2h: Vec<(u64, DevBufId, &mut HBuffer)> = devs
+        let d2h = devs
             .iter()
             .zip(outs.iter_mut())
-            .map(|(&d, h)| (2048u64, d, h))
-            .collect();
-        let r2 = gpu.copy_d2h_batch(r.end, &mut d2h).unwrap();
+            .map(|(&d, h)| (2048u64, d, h));
+        let r2 = gpu.copy_d2h(r.end, d2h, true).unwrap();
         assert_eq!(r2.duration(), gpu.transfer_path().time_for(4 * 2048));
         for (i, out) in outs.iter().enumerate() {
             assert_eq!(out.read_f32(0), i as f32);
@@ -680,7 +628,8 @@ mod tests {
         let mut gpu = VirtualGpu::new(3, GpuModel::TeslaC2050);
         let a = gpu.dmem.alloc(100, 16).unwrap();
         let host = HBuffer::zeroed(16);
-        gpu.copy_h2d(SimTime::ZERO, 100, &host, a).unwrap();
+        gpu.copy_h2d(SimTime::ZERO, [(100, &host, a)], false)
+            .unwrap();
         let (k, h2d, d2h) = gpu.stats();
         assert_eq!((k, h2d, d2h), (0, 100, 0));
         assert_eq!(gpu.id(), 3);

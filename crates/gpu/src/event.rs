@@ -129,7 +129,9 @@ mod tests {
         let host = HBuffer::zeroed(64);
         let mut start = CudaEvent::create();
         start.record(SimTime::ZERO);
-        let r = gpu.copy_h2d(SimTime::ZERO, 1 << 20, &host, dev).unwrap();
+        let r = gpu
+            .copy_h2d(SimTime::ZERO, [(1 << 20, &host, dev)], false)
+            .unwrap();
         let mut end = CudaEvent::create();
         end.record(r.end);
         let dt = CudaEvent::elapsed_time(&start, &end).unwrap();

@@ -66,9 +66,9 @@ proptest! {
             let mut gpu = VirtualGpu::new(0, model);
             let host = HBuffer::from_bytes(&data);
             let id = gpu.dmem.alloc(data.len() as u64, data.len()).unwrap();
-            gpu.copy_h2d(SimTime::ZERO, data.len() as u64, &host, id).unwrap();
+            gpu.copy_h2d(SimTime::ZERO, [(data.len() as u64, &host, id)], false).unwrap();
             let mut out = HBuffer::zeroed(data.len());
-            gpu.copy_d2h(SimTime::ZERO, data.len() as u64, id, &mut out).unwrap();
+            gpu.copy_d2h(SimTime::ZERO, [(data.len() as u64, id, &mut out)], false).unwrap();
             prop_assert_eq!(out.as_slice(), &data[..]);
         }
     }

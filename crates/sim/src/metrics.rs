@@ -762,6 +762,9 @@ pub enum RecKind {
 }
 
 impl RecKind {
+    /// Number of kinds.
+    pub const COUNT: usize = RecKind::SloBreach as usize + 1;
+
     /// Stable lowercase name used by the postmortem JSON encoding.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -853,6 +856,8 @@ impl RecEvent {
 pub struct FlightRecorder {
     ring: VecDeque<RecEvent>,
     dropped: u64,
+    /// Events ever pushed, per kind, dropped ones included.
+    pushed: [u64; RecKind::COUNT],
 }
 
 impl FlightRecorder {
@@ -861,6 +866,7 @@ impl FlightRecorder {
 
     /// Record one event.
     pub fn push(&mut self, ev: RecEvent) {
+        self.pushed[ev.kind as usize] += 1;
         if self.ring.capacity() == 0 {
             self.ring.reserve_exact(Self::CAPACITY);
         }
@@ -889,6 +895,11 @@ impl FlightRecorder {
     /// Events evicted by ring overflow.
     pub fn dropped(&self) -> u64 {
         self.dropped
+    }
+
+    /// Events of `kind` ever recorded, including those evicted since.
+    pub fn recorded(&self, kind: RecKind) -> u64 {
+        self.pushed[kind as usize]
     }
 }
 
