@@ -133,7 +133,7 @@ fn crash_then_resume(interval: SimTime) -> (f64, Outcome) {
             folded_bytes: folded,
             restored: g.works_restored,
             replayed: g.works,
-            replay_delta: SimTime::from_secs_f64(g.recovery_delta.sum()),
+            replay_delta: g.recovery_delta.sum(),
             resumed_total: report.total,
         },
     )

@@ -110,7 +110,7 @@ fn bench_app(name: &str, map_phase: &str, run: impl Fn(&Setup) -> AppRun, out: &
             map_pageable.as_secs_f64() / map_batched.as_secs_f64().max(1e-12)
         ),
         format!("{}", br.batches),
-        format!("{:.1}", br.batch_size.mean()),
+        format!("{:.1}", br.mean_batch_size()),
         format!("{:.0}%", br.pinned_hit_rate() * 100.0),
         format!("{:.3} ms", br.alpha_saved.as_secs_f64() * 1e3),
     ]);
@@ -139,7 +139,7 @@ fn bench_app(name: &str, map_phase: &str, run: impl Fn(&Setup) -> AppRun, out: &
         "map_speedup_vs_pageable": map_pageable.as_secs_f64() / map_batched.as_secs_f64().max(1e-12),
         "batches": br.batches,
         "batched_works": br.batched_works,
-        "mean_batch_size": br.batch_size.mean(),
+        "mean_batch_size": br.mean_batch_size(),
         "pinned_hit_rate": br.pinned_hit_rate(),
         "alpha_saved_secs": br.alpha_saved,
     });

@@ -335,7 +335,6 @@ impl GStreamManager {
             session.batches += 1;
             session.batched_works += n as u64;
             session.alpha_saved += saved;
-            session.batch_sizes.add(n as f64);
         }
         let fl = Flight {
             seq,

@@ -424,7 +424,6 @@ impl GflinkEnv {
             let mut batches = 0u64;
             let mut batched_works = 0u64;
             let mut alpha_saved = SimTime::ZERO;
-            let mut batch_size = gflink_sim::Summary::default();
             let mut pinned = gflink_memory::PinnedStats::default();
             let mut parked_works = 0u64;
             let mut park_delay = SimTime::ZERO;
@@ -439,7 +438,6 @@ impl GflinkEnv {
                     batches += s.batches();
                     batched_works += s.batched_works();
                     alpha_saved += s.alpha_saved();
-                    batch_size.merge(s.batch_sizes());
                     parked_works += s.parked_works();
                     park_delay += s.park_delay();
                     pen_hist.merge(s.pen_histogram());
@@ -475,11 +473,10 @@ impl GflinkEnv {
                 r.batches += batches;
                 r.batched_works += batched_works;
                 r.alpha_saved += alpha_saved;
-                r.batch_size.merge(&batch_size);
                 r.weight = self.handle.weight();
                 r.parked_works += parked_works;
                 r.park_delay += park_delay;
-                r.slo.pen.merge(&pen_hist);
+                r.pen.merge(&pen_hist);
                 r.hybrid_gpu += hybrid_gpu;
                 r.hybrid_cpu += hybrid_cpu;
                 r.hybrid_splits += hybrid_splits;
@@ -985,8 +982,7 @@ impl<T: GRecord> GDataSet<T> {
                 if let Some(rs) = &restored {
                     r.restores += 1;
                     r.works_restored += restored_works;
-                    r.recovery_delta
-                        .add_time(wall_end.saturating_sub(rs.ready_at));
+                    r.recovery_delta.push(wall_end.saturating_sub(rs.ready_at));
                 }
             });
         }

@@ -107,15 +107,6 @@ impl GWork {
     pub fn input_logical_bytes(&self) -> u64 {
         self.inputs.iter().map(|b| b.logical_bytes).sum()
     }
-
-    /// Logical bytes of inputs annotated `Cache`.
-    pub fn cached_input_bytes(&self) -> u64 {
-        self.inputs
-            .iter()
-            .filter(|b| b.cache_key.is_some())
-            .map(|b| b.logical_bytes)
-            .sum()
-    }
 }
 
 impl std::fmt::Debug for GWork {
@@ -263,7 +254,6 @@ mod tests {
             WorkBuf::transient(buf(0), 500),
         ]);
         assert_eq!(w.input_logical_bytes(), 1500);
-        assert_eq!(w.cached_input_bytes(), 1000);
     }
 
     #[test]

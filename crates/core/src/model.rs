@@ -49,14 +49,6 @@ pub fn fixed_cost_share(acct: &Accounting) -> f64 {
     acct.fraction(Phase::Submit) + acct.fraction(Phase::Io) + acct.fraction(Phase::Schedule)
 }
 
-/// Hybrid placement's predicted speedup of one device over another: how
-/// much faster the cost model expects `candidate` to finish than
-/// `incumbent` (`> 1.0` favors the candidate). Infinite when the candidate
-/// is predicted free; 0.0 when the incumbent is and the candidate is not.
-pub fn predicted_speedup(incumbent: SimTime, candidate: SimTime) -> f64 {
-    ratio(incumbent, candidate)
-}
-
 /// Relative error of a completion-time prediction against the observed
 /// stage time: `|predicted − observed| / observed`. Returns 0.0 when
 /// nothing was observed (a zero-length work tells us nothing about the
@@ -137,18 +129,6 @@ mod tests {
         let (h, k, d) = map_gpu_breakdown(&a);
         assert!((h + k + d - 1.0).abs() < 1e-12);
         assert!((k - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn predicted_speedup_compares_completion_times() {
-        // GPU predicted at 2 ms vs CPU at 500 µs: CPU is 4x faster.
-        let gpu = SimTime::from_millis(2);
-        let cpu = SimTime::from_micros(500);
-        assert!((predicted_speedup(gpu, cpu) - 4.0).abs() < 1e-12);
-        // The inverse direction is the reciprocal.
-        assert!((predicted_speedup(cpu, gpu) - 0.25).abs() < 1e-12);
-        // A free candidate is infinitely preferable.
-        assert!(predicted_speedup(gpu, SimTime::ZERO).is_infinite());
     }
 
     #[test]

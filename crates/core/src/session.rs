@@ -13,7 +13,7 @@ use crate::cache::GpuCache;
 use crate::gwork::{CompletedWork, GWork};
 use crate::recovery::FailedWork;
 use gflink_sim::{
-    FaultLedger, FlightRecorder, LedgerWindow, LogHistogram, RecEvent, RecKind, SimTime, Summary,
+    FaultLedger, FlightRecorder, LedgerWindow, LogHistogram, RecEvent, RecKind, SimTime,
 };
 use std::collections::BTreeSet;
 
@@ -48,8 +48,6 @@ pub struct JobSession {
     pub(crate) batched_works: u64,
     /// Per-call transfer overhead (α) saved by fusing this job's copies.
     pub(crate) alpha_saved: SimTime,
-    /// Distribution of fused batch sizes (works per batch).
-    pub(crate) batch_sizes: Summary,
     /// Fair-share weight under weighted-fair arbitration and cache
     /// partitioning (1 = baseline tenant).
     pub(crate) weight: u32,
@@ -67,7 +65,7 @@ pub struct JobSession {
     /// enabled, so the default path allocates and pays nothing.
     pub(crate) recorder: FlightRecorder,
     /// Pen-delay histogram (per release, not the cumulative `park_delay`),
-    /// merged into the job's SLO rollup at teardown.
+    /// merged into the job's rollup at teardown.
     pub(crate) pen_hist: LogHistogram,
     /// Works the hybrid cost model routed to a GPU (it would have chosen
     /// the host otherwise; Alg. 5.1 picked the device).
@@ -94,7 +92,6 @@ impl JobSession {
             batches: 0,
             batched_works: 0,
             alpha_saved: SimTime::ZERO,
-            batch_sizes: Summary::new(),
             weight: weight.max(1),
             parked_works: 0,
             park_delay: SimTime::ZERO,
@@ -184,11 +181,6 @@ impl JobSession {
     /// Per-call transfer overhead (α) saved by fusing this job's copies.
     pub fn alpha_saved(&self) -> SimTime {
         self.alpha_saved
-    }
-
-    /// Distribution of fused batch sizes (works per batch).
-    pub fn batch_sizes(&self) -> &Summary {
-        &self.batch_sizes
     }
 
     /// The job's cache region on device `gpu`.

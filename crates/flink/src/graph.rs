@@ -92,11 +92,6 @@ impl JobGraph {
         self.phases.is_empty()
     }
 
-    /// Total wall time across phases (≥ job makespan when phases overlap).
-    pub fn total_wall(&self) -> SimTime {
-        self.phases.iter().map(|p| p.wall).sum()
-    }
-
     /// Render the DAG as an ASCII chain (phases are linear per job here).
     pub fn render(&self) -> String {
         let mut s = String::new();
@@ -154,7 +149,6 @@ mod tests {
         g.push(rec("map", PhaseKind::Map, 20));
         assert_eq!(g.len(), 2);
         assert_eq!(g.phases()[1].name, "map");
-        assert_eq!(g.total_wall(), SimTime::from_millis(30));
     }
 
     #[test]

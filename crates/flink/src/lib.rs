@@ -36,8 +36,6 @@ pub use dataset::{DataSet, KeyedOps};
 pub use env::{FlinkEnv, JobReport};
 pub use gate::JobGate;
 pub use graph::{JobGraph, PhaseRecord};
-pub use observe::{
-    ClusterSnapshot, DeviceSnapshot, DeviceState, JobHealth, SloRollup, WorkerSnapshot,
-};
+pub use observe::{ClusterSnapshot, DeviceSnapshot, DeviceState, JobHealth, WorkerSnapshot};
 pub use rollup::{GpuLane, GpuRollup, GpuWorkSample};
 pub use topology::{Cluster, ClusterConfig, NetworkModel, SharedCluster, Worker};

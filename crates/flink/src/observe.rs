@@ -1,4 +1,4 @@
-//! Cluster health snapshots and per-job SLO rollups.
+//! Cluster health snapshots.
 //!
 //! This module holds the *pure data* side of the live metrics plane: the
 //! [`ClusterSnapshot`] health view (per-device utilization and health
@@ -10,62 +10,10 @@
 //! `gflink-core::observe`, next to the managers that own the state; this
 //! crate only knows how to carry and render the result, mirroring how
 //! [`crate::rollup`] carries what the drain loop feeds it.
-//!
-//! [`SloRollup`] is the per-job latency-objective companion: exact
-//! deterministic log-histogram percentiles for every stage a `GWork`
-//! passes through, folded into the job's [`crate::rollup::GpuRollup`].
 
-use gflink_sim::{FaultLedger, LogHistogram, SimTime};
+use gflink_sim::{FaultLedger, SimTime};
 use std::fmt;
 use std::fmt::Write as _;
-
-/// Per-job SLO histograms: end-to-end latency plus every stage a work
-/// passes through, each a fixed-bucket [`LogHistogram`] with exact
-/// deterministic p50/p95/p99.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SloRollup {
-    /// Submission-to-completion latency.
-    pub total: LogHistogram,
-    /// Queue wait before a stream picked the work up.
-    pub queued: LogHistogram,
-    /// Time submissions sat in the backpressure pen.
-    pub pen: LogHistogram,
-    /// H2D transfer stage.
-    pub h2d: LogHistogram,
-    /// Kernel execution stage.
-    pub kernel: LogHistogram,
-    /// D2H transfer stage.
-    pub d2h: LogHistogram,
-}
-
-impl SloRollup {
-    /// True when no latency was recorded at all.
-    pub fn is_empty(&self) -> bool {
-        self.total.is_empty() && self.pen.is_empty()
-    }
-
-    /// Fold another rollup into this one.
-    pub fn merge(&mut self, other: &SloRollup) {
-        self.total.merge(&other.total);
-        self.queued.merge(&other.queued);
-        self.pen.merge(&other.pen);
-        self.h2d.merge(&other.h2d);
-        self.kernel.merge(&other.kernel);
-        self.d2h.merge(&other.d2h);
-    }
-
-    /// The stages in render order as `(name, histogram)` pairs.
-    pub fn stages(&self) -> [(&'static str, &LogHistogram); 6] {
-        [
-            ("total", &self.total),
-            ("queued", &self.queued),
-            ("pen", &self.pen),
-            ("h2d", &self.h2d),
-            ("kernel", &self.kernel),
-            ("d2h", &self.d2h),
-        ]
-    }
-}
 
 /// Health regime of one device, as the snapshot carries it (the flink
 /// layer does not see the gpu crate; `gflink-core` maps the device's
@@ -588,19 +536,5 @@ mod tests {
         assert!(json.contains("\"checkpoint_lag_ns\":2000000"));
         assert!(json.contains("\"gpus_lost\":1"));
         assert_eq!(json, s.to_json());
-    }
-
-    #[test]
-    fn slo_rollup_merges_stagewise() {
-        let mut a = SloRollup::default();
-        let mut b = SloRollup::default();
-        a.total.record(SimTime::from_micros(100));
-        b.total.record(SimTime::from_micros(300));
-        b.pen.record(SimTime::from_micros(40));
-        assert!(!b.is_empty());
-        a.merge(&b);
-        assert_eq!(a.total.count(), 2);
-        assert_eq!(a.pen.count(), 1);
-        assert_eq!(a.stages()[0].0, "total");
     }
 }

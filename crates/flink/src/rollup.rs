@@ -4,13 +4,14 @@
 //! While the tracer (`gflink_sim::trace`) records *individual* spans for
 //! offline timeline inspection, the rollup keeps *aggregate* statistics
 //! cheap enough to compute on every job: per-stage time histograms
-//! ([`gflink_sim::Summary`]), cache hit rate, bytes moved per channel,
-//! work-steal counts, and per-device busy/utilization lanes. The driver
-//! feeds one [`GpuWorkSample`] per completed `GWork` as it drains the
-//! managers, plus one [`GpuLane`] per device at job teardown.
+//! ([`gflink_sim::LogHistogram`]: one entry per work in fixed-size
+//! storage, exact count, sum, min and max, deterministic p50/p95/p99),
+//! cache hit rate, bytes moved per channel, work-steal counts, and
+//! per-device busy/utilization lanes. The drain loop feeds one
+//! [`GpuWorkSample`] per completed `GWork` as it drains the managers,
+//! plus one [`GpuLane`] per device at job teardown.
 
-use crate::observe::SloRollup;
-use gflink_sim::{SimTime, Summary};
+use gflink_sim::{LogHistogram, Samples, SimTime};
 use std::fmt;
 
 /// Per-work observation fed into the rollup by the drain loop.
@@ -66,15 +67,18 @@ pub struct GpuRollup {
     /// path or a hybrid cost-model placement (see `hybrid_cpu`).
     pub cpu_works: u64,
     /// Queueing-time histogram.
-    pub queue: Summary,
+    pub queue: LogHistogram,
     /// H2D-stage histogram.
-    pub h2d: Summary,
+    pub h2d: LogHistogram,
     /// Kernel-stage histogram.
-    pub kernel: Summary,
+    pub kernel: LogHistogram,
     /// D2H-stage histogram.
-    pub d2h: Summary,
+    pub d2h: LogHistogram,
     /// Submission-to-completion histogram.
-    pub total: Summary,
+    pub total: LogHistogram,
+    /// Time submissions sat in the backpressure pen, one entry per release
+    /// (merged in at teardown from the sessions' pen histograms).
+    pub pen: LogHistogram,
     /// Cache hits across all works.
     pub cache_hits: u64,
     /// Cache misses across all works.
@@ -104,8 +108,6 @@ pub struct GpuRollup {
     pub batched_works: u64,
     /// Per-copy setup time (α) amortized away by fusing transfers.
     pub alpha_saved: SimTime,
-    /// Batch-size histogram (works per fused batch).
-    pub batch_size: Summary,
     /// Checkpoints snapshotted to HDFS for this job.
     pub checkpoints: u64,
     /// Encoded snapshot bytes written across those checkpoints.
@@ -120,11 +122,7 @@ pub struct GpuRollup {
     /// Per restored operator: simulated time from the snapshot's restore
     /// landing to the replayed delta's completion — what resuming actually
     /// cost, versus re-running the whole operator.
-    pub recovery_delta: Summary,
-    /// Per-job SLO histograms with exact deterministic p50/p95/p99 for
-    /// end-to-end latency and every stage (pen delay is merged in at
-    /// teardown from the session's backpressure histogram).
-    pub slo: SloRollup,
+    pub recovery_delta: Samples,
     /// Works the hybrid cost model placed on a GPU (host was a live
     /// candidate but predicted slower).
     pub hybrid_gpu: u64,
@@ -135,7 +133,7 @@ pub struct GpuRollup {
     pub hybrid_splits: u64,
     /// Predicted-vs-observed relative error per hybrid completion, in
     /// basis points (1/100 of a percent).
-    pub hybrid_err: gflink_sim::LogHistogram,
+    pub hybrid_err: LogHistogram,
     /// Trace events the tracer's ring dropped during the job — nonzero
     /// means the Chrome timeline is incomplete.
     pub trace_dropped: u64,
@@ -150,20 +148,37 @@ impl GpuRollup {
             Some(_) => self.works += 1,
             None => self.cpu_works += 1,
         }
-        self.queue.add_time(s.queued);
-        self.h2d.add_time(s.h2d);
-        self.kernel.add_time(s.kernel);
-        self.d2h.add_time(s.d2h);
-        self.total.add_time(s.total);
-        self.slo.total.record(s.total);
-        self.slo.queued.record(s.queued);
-        self.slo.h2d.record(s.h2d);
-        self.slo.kernel.record(s.kernel);
-        self.slo.d2h.record(s.d2h);
+        self.queue.record(s.queued);
+        self.h2d.record(s.h2d);
+        self.kernel.record(s.kernel);
+        self.d2h.record(s.d2h);
+        self.total.record(s.total);
         self.cache_hits += s.cache_hits as u64;
         self.cache_misses += s.cache_misses as u64;
         self.bytes_h2d += s.bytes_h2d;
         self.bytes_d2h += s.bytes_d2h;
+    }
+
+    /// The per-work latency histograms in render order as `(name,
+    /// histogram)` pairs: end to end, then every stage a work passes.
+    pub fn stages(&self) -> [(&'static str, &LogHistogram); 6] {
+        [
+            ("total", &self.total),
+            ("queued", &self.queue),
+            ("pen", &self.pen),
+            ("h2d", &self.h2d),
+            ("kernel", &self.kernel),
+            ("d2h", &self.d2h),
+        ]
+    }
+
+    /// Mean works per fused batch (0 when nothing was fused).
+    pub fn mean_batch_size(&self) -> f64 {
+        if self.batches == 0 {
+            0.0
+        } else {
+            self.batched_works as f64 / self.batches as f64
+        }
     }
 
     /// GPU cache hit rate over cacheable lookups, in `[0, 1]`.
@@ -261,7 +276,7 @@ impl fmt::Display for GpuRollup {
                 "  batching: {} works fused into {} batches (mean {:.1}/batch), α saved {}",
                 self.batched_works,
                 self.batches,
-                self.batch_size.mean(),
+                self.mean_batch_size(),
                 self.alpha_saved
             )?;
         }
@@ -327,18 +342,17 @@ impl fmt::Display for GpuRollup {
             ("d2h", &self.d2h),
             ("total", &self.total),
         ] {
-            let max = if s.count() == 0 { 0.0 } else { s.max() };
             writeln!(
                 f,
                 "  {name:<8} {:>11} {:>10} {:>12}",
                 fmt_ms(s.mean()),
-                fmt_ms(max),
-                fmt_ms(s.sum()),
+                fmt_ms(s.max().as_secs_f64()),
+                fmt_ms(s.sum_nanos() as f64 / 1e9),
             )?;
         }
-        if self.slo.total.count() > 0 {
+        if self.total.count() > 0 {
             writeln!(f, "  slo          p50         p95         p99")?;
-            for (name, h) in self.slo.stages() {
+            for (name, h) in self.stages() {
                 if h.count() == 0 {
                     continue;
                 }
@@ -459,7 +473,7 @@ mod tests {
         r.record(&sample(Some(0), 0, 1));
         r.restores = 1;
         r.works_restored = 7;
-        r.recovery_delta.add(0.004);
+        r.recovery_delta.push(SimTime::from_millis(4));
         let text = format!("{r}");
         assert!(!text.contains("checkpointing"));
         assert!(text.contains("restores: 1 covering 7 works, replay delta mean 4.000 ms"));
@@ -483,16 +497,39 @@ mod tests {
     }
 
     #[test]
-    fn record_feeds_slo_histograms() {
+    fn record_feeds_stage_histograms() {
         let mut r = GpuRollup::default();
         r.record(&sample(Some(0), 1, 0));
         r.record(&sample(Some(1), 1, 0));
-        assert_eq!(r.slo.total.count(), 2);
-        assert_eq!(r.slo.kernel.count(), 2);
+        assert_eq!(r.total.count(), 2);
+        assert_eq!(r.kernel.count(), 2);
         // Deterministic exact percentile on identical samples: the p99
         // equals the recorded value's bucket upper clamped to the max.
-        assert_eq!(r.slo.total.p99(), r.slo.total.max());
-        assert_eq!(r.slo.total.max().as_nanos(), 360_000);
+        assert_eq!(r.total.p99(), r.total.max());
+        assert_eq!(r.total.max().as_nanos(), 360_000);
+        assert_eq!(r.total.mean(), 360e-6);
+        let names = r.stages().map(|(name, _)| name);
+        assert_eq!(names, ["total", "queued", "pen", "h2d", "kernel", "d2h"]);
+    }
+
+    #[test]
+    fn default_rollup_reads_the_true_stage_minimum() {
+        let mut r = GpuRollup::default();
+        let mut fast = sample(Some(0), 0, 1);
+        fast.queued = SimTime::from_micros(3);
+        fast.h2d = SimTime::from_micros(40);
+        fast.kernel = SimTime::from_micros(90);
+        fast.d2h = SimTime::from_micros(20);
+        fast.total = SimTime::from_micros(153);
+        r.record(&sample(Some(0), 0, 1));
+        r.record(&fast);
+        let us = SimTime::from_micros;
+        assert_eq!(r.queue.min(), us(3));
+        assert_eq!(r.h2d.min(), us(40));
+        assert_eq!(r.kernel.min(), us(90));
+        assert_eq!(r.d2h.min(), us(20));
+        assert_eq!(r.total.min(), us(153));
+        assert_eq!(r.queue.max(), us(10));
     }
 
     #[test]
@@ -503,7 +540,7 @@ mod tests {
         r.checkpoint_bytes = 2048;
         r.restores = 1;
         r.works_restored = 7;
-        r.recovery_delta.add(0.004);
+        r.recovery_delta.push(SimTime::from_millis(4));
         let text = format!("{r}");
         assert!(text.contains("checkpointing: 3 snapshots (2.0 KiB)"));
         assert!(text.contains("restores: 1 covering 7 works"));
@@ -531,11 +568,11 @@ mod tests {
         r.batches = 2;
         r.batched_works = 6;
         r.alpha_saved = SimTime::from_micros(8);
-        r.batch_size.add(2.0);
-        r.batch_size.add(4.0);
         let text = format!("{r}");
         assert!(text.contains("pinned pool: 3 hits / 1 misses (75.0% hit rate)"));
         assert!(text.contains("6 works fused into 2 batches (mean 3.0/batch)"));
+        assert_eq!(r.mean_batch_size(), 3.0);
+        assert_eq!(GpuRollup::default().mean_batch_size(), 0.0);
         assert!((r.pinned_hit_rate() - 0.75).abs() < 1e-12);
     }
 

@@ -31,11 +31,6 @@ impl DeviceClass {
             DeviceClass::Host => "host",
         }
     }
-
-    /// Whether this class sits behind a transfer link.
-    pub fn needs_transfer(self) -> bool {
-        matches!(self, DeviceClass::Gpu(_))
-    }
 }
 
 /// Analytical cost priors for one device class: the kernel roofline and,
@@ -88,12 +83,6 @@ mod tests {
         labels.dedup();
         assert_eq!(labels.len(), n, "labels must be unique");
         assert_eq!(DeviceClass::Host.label(), "host");
-    }
-
-    #[test]
-    fn transfer_requirement_by_class() {
-        assert!(DeviceClass::Gpu(GpuModel::TeslaC2050).needs_transfer());
-        assert!(!DeviceClass::Host.needs_transfer());
     }
 
     #[test]

@@ -306,28 +306,6 @@ impl DeviceMemory {
         self.slot_mut(id).map(|a| &mut a.data)
     }
 
-    /// Mutable access to two distinct allocations at once (kernel in/out).
-    ///
-    /// Returns [`DmemError::Aliased`] when `a == b` and `BadHandle` if
-    /// either is unknown.
-    pub fn data_pair_mut(
-        &mut self,
-        a: DevBufId,
-        b: DevBufId,
-    ) -> Result<(&mut HBuffer, &mut HBuffer), DmemError> {
-        if a == b {
-            return Err(DmemError::Aliased);
-        }
-        if !self.is_live(a) || !self.is_live(b) {
-            return Err(DmemError::BadHandle);
-        }
-        // SAFETY: handles verified live and distinct (different slots, so
-        // different slab entries); the reborrows are disjoint.
-        let pa = self.slot_mut(a).unwrap() as *mut Allocation;
-        let pb = self.slot_mut(b).unwrap() as *mut Allocation;
-        unsafe { Ok((&mut (*pa).data, &mut (*pb).data)) }
-    }
-
     /// Borrow several allocations at once: `inputs` immutably and `outputs`
     /// mutably, as a kernel launch needs. The borrows are handed to `f` as
     /// plain slices built in reusable scratch (no per-launch allocation).
@@ -512,22 +490,9 @@ mod tests {
     }
 
     #[test]
-    fn data_pair_gives_disjoint_buffers() {
+    fn aliased_outputs_are_rejected() {
         let mut m = DeviceMemory::new(1024);
         let a = m.alloc(10, 8).unwrap();
-        let b = m.alloc(10, 8).unwrap();
-        let (ba, bb) = m.data_pair_mut(a, b).unwrap();
-        ba.write_u8(0, 1);
-        bb.write_u8(0, 2);
-        assert_eq!(m.data(a).unwrap().read_u8(0), 1);
-        assert_eq!(m.data(b).unwrap().read_u8(0), 2);
-    }
-
-    #[test]
-    fn data_pair_rejects_aliases() {
-        let mut m = DeviceMemory::new(1024);
-        let a = m.alloc(10, 8).unwrap();
-        assert_eq!(m.data_pair_mut(a, a).unwrap_err(), DmemError::Aliased);
         let b = m.alloc(10, 8).unwrap();
         let aliased = m.with_buffers(&[a], &[a], |_, _| ()).unwrap_err();
         assert_eq!(aliased, DmemError::Aliased);

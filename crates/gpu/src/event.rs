@@ -57,11 +57,6 @@ impl CudaEvent {
             _ => None,
         }
     }
-
-    /// Whether the event has ever been recorded.
-    pub fn is_recorded(&self) -> bool {
-        self.recorded.is_some()
-    }
 }
 
 impl fmt::Display for CudaEvent {
@@ -99,7 +94,6 @@ mod tests {
         let a = CudaEvent::create();
         let b = CudaEvent::create();
         assert_eq!(CudaEvent::elapsed_time(&a, &b), None);
-        assert!(!a.is_recorded());
     }
 
     #[test]

@@ -202,14 +202,6 @@ impl KernelRegistry {
         self.tables.by_id.get(id.0 as usize).map(|(_, f)| f)
     }
 
-    /// The `executeName` an id was interned from.
-    pub fn name_of(&self, id: KernelId) -> Option<&str> {
-        self.tables
-            .by_id
-            .get(id.0 as usize)
-            .map(|(n, _)| n.as_str())
-    }
-
     /// Resolve a kernel by its `executeName`.
     pub fn get(&self, name: &str) -> Option<KernelFn> {
         self.resolve(name)
@@ -317,7 +309,6 @@ mod tests {
             n_logical: 0,
         };
         assert_eq!(reg.get_by_id(a).unwrap()(&mut args).flops, 9.0);
-        assert_eq!(reg.name_of(b), Some("b"));
         assert!(reg.get_by_id(KernelId::UNRESOLVED).is_none());
     }
 

@@ -142,11 +142,6 @@ impl GpuSpec {
     pub fn pcie_cost(&self) -> BandwidthCost {
         BandwidthCost::gb_per_sec(SimTime::ZERO, self.pcie_gbps)
     }
-
-    /// Whether H2D and D2H can overlap (needs two copy engines).
-    pub fn full_duplex(&self) -> bool {
-        self.copy_engines >= 2
-    }
 }
 
 #[cfg(test)]
@@ -167,9 +162,10 @@ mod tests {
 
     #[test]
     fn copy_engine_duplexing() {
-        assert!(!GpuModel::TeslaC2050.spec().full_duplex());
-        assert!(GpuModel::TeslaK20.spec().full_duplex());
-        assert!(GpuModel::TeslaP100.spec().full_duplex());
+        // H2D and D2H overlap only with a second copy engine.
+        assert_eq!(GpuModel::TeslaC2050.spec().copy_engines, 1);
+        assert_eq!(GpuModel::TeslaK20.spec().copy_engines, 2);
+        assert_eq!(GpuModel::TeslaP100.spec().copy_engines, 2);
     }
 
     #[test]

@@ -263,14 +263,6 @@ impl Hdfs {
         self.files.contains_key(name)
     }
 
-    /// Logical size of `name`.
-    pub fn file_size(&self, name: &str) -> Result<u64, HdfsError> {
-        self.files
-            .get(name)
-            .map(|f| f.logical_size)
-            .ok_or_else(|| HdfsError::NotFound(name.to_string()))
-    }
-
     /// The actual (scale-reduced) content of `name`, joined into one
     /// buffer.
     pub fn data(&self, name: &str) -> Result<Vec<u8>, HdfsError> {
@@ -798,14 +790,6 @@ impl Hdfs {
     pub fn is_failed(&self, node: usize) -> Result<bool, HdfsError> {
         Ok(self.failed[self.check_node(node)?])
     }
-
-    /// Reset all disk timelines (metadata is kept). Used between benchmark
-    /// repetitions.
-    pub fn reset_disks(&mut self) {
-        for d in &mut self.disks {
-            d.reset();
-        }
-    }
 }
 
 impl fmt::Debug for Hdfs {
@@ -840,7 +824,6 @@ mod tests {
         let mut fs = Hdfs::new(4, small_cfg());
         fs.create("a", 40 * MB, vec![1, 2, 3]).unwrap();
         assert!(fs.exists("a"));
-        assert_eq!(fs.file_size("a").unwrap(), 40 * MB);
         assert_eq!(*fs.data("a").unwrap(), vec![1, 2, 3]);
         assert_eq!(fs.list(), vec!["a".to_string()]);
         assert_eq!(
@@ -865,12 +848,13 @@ mod tests {
 
     #[test]
     fn local_read_beats_remote_read() {
-        let cfg = small_cfg();
-        let mut fs = Hdfs::new(8, cfg.clone());
-        fs.create("a", 8 * MB, vec![]).unwrap(); // 1 block on nodes 0,1,2
-        let local = fs.read(0, "a", 0, 8 * MB, SimTime::ZERO).unwrap();
-        fs.reset_disks();
-        let remote = fs.read(7, "a", 0, 8 * MB, SimTime::ZERO).unwrap();
+        // Each read on a fresh namespace: idle disks on both sides.
+        let read = |node| {
+            let mut fs = Hdfs::new(8, small_cfg());
+            fs.create("a", 8 * MB, vec![]).unwrap(); // 1 block on nodes 0,1,2
+            fs.read(node, "a", 0, 8 * MB, SimTime::ZERO).unwrap()
+        };
+        let (local, remote) = (read(0), read(7));
         assert!(remote.duration() > local.duration());
         assert_eq!(local.remote_bytes, 0);
         assert_eq!(remote.local_bytes, 0);
@@ -879,11 +863,12 @@ mod tests {
 
     #[test]
     fn read_time_linear_in_bytes() {
-        let mut fs = Hdfs::new(4, small_cfg());
-        fs.create("a", 32 * MB, vec![]).unwrap();
-        let small = fs.read(0, "a", 0, MB, SimTime::ZERO).unwrap();
-        fs.reset_disks();
-        let large = fs.read(0, "a", 0, 8 * MB, SimTime::ZERO).unwrap();
+        let read = |bytes| {
+            let mut fs = Hdfs::new(4, small_cfg());
+            fs.create("a", 32 * MB, vec![]).unwrap();
+            fs.read(0, "a", 0, bytes, SimTime::ZERO).unwrap()
+        };
+        let (small, large) = (read(MB), read(8 * MB));
         assert!(large.duration() > small.duration() * 4);
     }
 

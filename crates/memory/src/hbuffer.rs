@@ -435,11 +435,6 @@ impl HBuffer {
     pub fn to_f32_vec(&self) -> Vec<f32> {
         (0..self.len / 4).map(|i| self.read_f32(i * 4)).collect()
     }
-
-    /// Interpret the whole buffer as packed `f64`s.
-    pub fn to_f64_vec(&self) -> Vec<f64> {
-        (0..self.len / 8).map(|i| self.read_f64(i * 8)).collect()
-    }
 }
 
 impl Drop for HBuffer {
@@ -714,10 +709,8 @@ mod tests {
     }
 
     #[test]
-    fn f32_f64_vec_roundtrip() {
+    fn f32_vec_roundtrip() {
         let xs = [1.0f32, -2.0, 3.25];
         assert_eq!(HBuffer::from_f32s(&xs).to_f32_vec(), xs);
-        let ys = [0.5f64, -123.0, 7e300];
-        assert_eq!(HBuffer::from_f64s(&ys).to_f64_vec(), ys);
     }
 }

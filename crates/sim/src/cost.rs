@@ -94,12 +94,6 @@ impl ComputeCost {
         let t_mem = bytes / (self.mem_bytes_per_sec * efficiency);
         self.launch_overhead + SimTime::from_secs_f64(t_flops.max(t_mem))
     }
-
-    /// Arithmetic intensity (flops/byte) at which this device transitions
-    /// from memory-bound to compute-bound.
-    pub fn ridge_point(&self) -> f64 {
-        self.flops_per_sec / self.mem_bytes_per_sec
-    }
 }
 
 #[cfg(test)]
@@ -144,12 +138,6 @@ mod tests {
         let full = c.time_for(1e9, 0.0, 1.0);
         let half = c.time_for(1e9, 0.0, 0.5);
         assert_eq!(half.as_nanos(), full.as_nanos() * 2);
-    }
-
-    #[test]
-    fn ridge_point() {
-        let c = ComputeCost::new(SimTime::ZERO, 4e12, 2e11);
-        assert!((c.ridge_point() - 20.0).abs() < 1e-9);
     }
 
     #[test]

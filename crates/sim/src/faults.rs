@@ -194,14 +194,6 @@ pub type MembershipEvent = Timed<MembershipKind>;
 pub type MembershipPlan = Plan<MembershipKind>;
 
 impl MembershipPlan {
-    /// Net membership delta (joins minus leaves) the plan applies.
-    pub fn net_joins(&self) -> i64 {
-        self.events.iter().fold(0i64, |n, e| match e.kind {
-            MembershipKind::Join => n + 1,
-            MembershipKind::Leave { .. } => n - 1,
-        })
-    }
-
     /// A seed-reproducible elastic schedule: `n_events` changes spread
     /// over `[0, horizon)` against a worker that starts with `gpus`
     /// devices.
@@ -596,7 +588,6 @@ mod tests {
             .with(SimTime::from_millis(1), MembershipKind::Join);
         let at: Vec<u64> = plan.events().iter().map(|e| e.at.as_nanos()).collect();
         assert_eq!(at, vec![1_000_000, 5_000_000]);
-        assert_eq!(plan.net_joins(), 0);
         assert!(MembershipPlan::new().is_empty());
     }
 

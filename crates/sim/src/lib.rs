@@ -47,7 +47,7 @@ pub use metrics::{
     MetricKind, Metrics, PostmortemBundle, RecEvent, RecKind, SloPolicy, Tally, REC_NO_GPU,
 };
 pub use rng::SimRng;
-pub use stats::{Samples, Summary};
+pub use stats::Samples;
 pub use time::SimTime;
 pub use timeline::{MultiTimeline, Reservation, Timeline};
 pub use trace::{Cat, EventKind, LaneProfile, PipelineProfile, TraceEvent, Tracer};

@@ -66,6 +66,9 @@ fn bucket_upper(idx: usize) -> u64 {
 /// so recording is pure index arithmetic. Percentiles are *exact over the
 /// bucket layout*: deterministic bucket upper bounds, clamped to the true
 /// observed maximum — two identical runs report identical p50/p95/p99.
+/// Count, sum, minimum and maximum are exact. This is the type for
+/// per-`GWork` data, whose volume rules out keeping every value
+/// ([`crate::Samples`] keeps the low-volume ones exactly).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LogHistogram {
     count: u64,
@@ -128,9 +131,13 @@ impl LogHistogram {
         SimTime::from_nanos(if self.count == 0 { 0 } else { self.max })
     }
 
-    /// Mean of recorded values (zero when empty).
-    pub fn mean(&self) -> SimTime {
-        SimTime::from_nanos(self.sum.checked_div(self.count).unwrap_or(0))
+    /// Mean of recorded values in seconds (zero when empty): the exact
+    /// sum over the count.
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        self.sum as f64 / 1e9 / self.count as f64
     }
 
     /// Fold another histogram into this one.
@@ -487,12 +494,6 @@ impl Metrics {
                 }
             }
         }
-    }
-
-    /// The interned id of `name`, if registered.
-    pub fn id_of(&self, name: &str) -> Option<MetricId> {
-        let inner = self.inner.as_ref()?;
-        lock(&inner.state).by_name.get(name).map(|&i| MetricId(i))
     }
 
     /// Sample the plane if the simulated clock crossed the next cadence
@@ -1014,7 +1015,7 @@ mod tests {
         assert_eq!(h.quantile(1.0).as_nanos(), 10);
         assert_eq!(h.min().as_nanos(), 1);
         assert_eq!(h.max().as_nanos(), 10);
-        assert_eq!(h.mean().as_nanos(), 5);
+        assert!((h.mean() - 5.5e-9).abs() < 1e-20);
         assert_eq!(h.count(), 10);
     }
 
@@ -1065,7 +1066,6 @@ mod tests {
         a.add(2);
         b.inc();
         assert_eq!(a.get(), 3);
-        assert_eq!(m.id_of("gflink_retries_total"), Some(MetricId(0)));
     }
 
     #[test]

@@ -204,15 +204,6 @@ impl TraceEvent {
     }
 }
 
-/// True when both events are spans and their intervals overlap by a
-/// positive duration (shared endpoints do not count as overlap).
-pub fn spans_overlap(a: &TraceEvent, b: &TraceEvent) -> bool {
-    match (a.interval(), b.interval()) {
-        (Some((s0, e0)), Some((s1, e1))) => s0 < e1 && s1 < e0,
-        _ => false,
-    }
-}
-
 // --- track conventions --------------------------------------------------
 
 /// The per-device track (`tid` 0): health transitions, cache events.
@@ -341,15 +332,6 @@ impl Tracer {
             }
             None => f(&[]),
         }
-    }
-
-    /// Drain the retained events out of the ring, in emission order — an
-    /// export that transfers ownership instead of cloning. Names, capacity
-    /// and the dropped counter are kept.
-    pub fn take_events(&self) -> Vec<TraceEvent> {
-        self.buf()
-            .map(|mut b| b.events.drain(..).collect())
-            .unwrap_or_default()
     }
 
     /// Fold the retained engine spans into a [`PipelineProfile`] without
@@ -677,10 +659,6 @@ mod tests {
             assert_eq!(evs[0].name, "k0");
             assert_eq!(evs[1].cat, Cat::Health);
         });
-        // Draining transfers ownership and empties the ring.
-        let evs = tr.take_events();
-        assert_eq!(evs.len(), 2);
-        assert!(tr.is_empty());
     }
 
     #[test]
@@ -752,15 +730,6 @@ mod tests {
     fn escape_handles_specials() {
         assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
         assert_eq!(escape("x\ny"), "x\\u000ay");
-    }
-
-    #[test]
-    fn span_overlap_predicate() {
-        let a = TraceEvent::span(0, 1, Cat::Kernel, "k", t(0), t(10));
-        let b = TraceEvent::span(0, 2, Cat::H2d, "h", t(5), t(15));
-        let c = TraceEvent::span(0, 3, Cat::H2d, "h", t(10), t(20));
-        assert!(spans_overlap(&a, &b));
-        assert!(!spans_overlap(&a, &c), "shared endpoint is not overlap");
     }
 
     #[test]

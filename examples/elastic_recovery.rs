@@ -179,7 +179,7 @@ fn main() {
         r.works_restored,
         total_works,
         r.works,
-        SimTime::from_secs_f64(r.recovery_delta.sum())
+        r.recovery_delta.sum()
     );
     println!(
         "  makespan: clean {} | resumed {}",
@@ -218,7 +218,7 @@ fn main() {
              works, replay delta {}",
             rep1.gpu.as_ref().map(|g| g.checkpoints).unwrap_or(0),
             g.works_restored,
-            SimTime::from_secs_f64(g.recovery_delta.sum())
+            g.recovery_delta.sum()
         );
     }
     assert!(

@@ -81,7 +81,7 @@ fn main() {
             gpu.pinned_hits,
             gpu.pinned_misses,
             gpu.batches,
-            gpu.batch_size.mean(),
+            gpu.mean_batch_size(),
         );
         assert_eq!(
             e.digest.to_bits(),

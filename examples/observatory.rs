@@ -95,7 +95,7 @@ fn main() {
     print!("{snapshot}");
     let gpu = report.gpu.as_ref().expect("gpu rollup");
     println!("  slo percentiles (end-to-end GWork latency):");
-    for (name, h) in gpu.slo.stages() {
+    for (name, h) in gpu.stages() {
         if !h.is_empty() {
             println!(
                 "    {name:<7} p50 {:<12} p95 {:<12} p99 {}",

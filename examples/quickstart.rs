@@ -112,7 +112,7 @@ fn main() {
         gpu.pinned_hits,
         gpu.pinned_misses,
         gpu.batches,
-        gpu.batch_size.mean(),
+        gpu.mean_batch_size(),
     );
 
     // ---- the same program under hybrid CPU+GPU placement ----
