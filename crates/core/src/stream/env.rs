@@ -688,16 +688,14 @@ impl<'a, T> WindowPipeline<'a, T> {
             let lat = end.saturating_sub(fw.fire_at);
             latency.push(lat);
             finished = finished.max(end);
-            for pane in &fw.panes {
-                outputs.push(WindowOutput {
-                    span: fw.span,
-                    key: pane.key,
-                    agg: AggResult::fold(&pane.values),
-                    fired_at: end,
-                    latency: lat,
-                    restored: false,
-                });
-            }
+            outputs.extend(fw.panes().map(|(key, _, values)| WindowOutput {
+                span: fw.span,
+                key,
+                agg: AggResult::fold(values),
+                fired_at: end,
+                latency: lat,
+                restored: false,
+            }));
         }
         outputs.sort_by_key(|o| (o.span, o.key));
         Ok(WindowedRun {
@@ -726,12 +724,14 @@ impl<'a, T> WindowPipeline<'a, T> {
         ));
         {
             let mut view = RecordView::new(&mut buf, Pair::def(), DataLayout::Aos, rows);
-            let mut slots = view.rows_of_mut::<Pair>();
-            for pane in &fw.panes {
-                for (&value, row) in pane.values.iter().zip(&mut slots) {
-                    let key = pane.key as f64;
-                    Pair { key, value }.store_row(row);
-                }
+            let pairs = fw.panes().flat_map(|(key, _, values)| {
+                (values.iter()).map(move |&value| Pair {
+                    key: key as f64,
+                    value,
+                })
+            });
+            for (pair, row) in pairs.zip(view.rows_of_mut::<Pair>()) {
+                pair.store_row(row);
             }
         }
         let logical = fw.logical().max(1);
@@ -953,7 +953,7 @@ fn assemble(landed: &[(Landed<'_>, &HBuffer)], out: &mut Vec<WindowOutput>) {
 
 /// A fired window's output mode: one `KeyAgg` row per pane.
 fn window_mode(fw: &FiredWindow) -> OutMode {
-    OutMode::PerBlock(fw.panes.len())
+    OutMode::PerBlock(fw.keys.len())
 }
 
 /// How many rows window `fw`'s kernel output holds by the output-row
@@ -1588,6 +1588,82 @@ mod tests {
                     assert_eq!(got, Some(&replay(t)), "{assigner:?} case {i} at {t}");
                 }
             }
+        }
+    }
+
+    /// Two sources whose record weights mix in one pane and do not add up
+    /// exactly (1e6/64 and 250,000/24): the fired windows (keys, logical
+    /// and value bits), the keyed state's bytes at three ticks and the
+    /// output digest are pinned, so the order a pane sums its weights in
+    /// cannot move.
+    #[test]
+    fn mixed_weight_panes_are_pinned() {
+        use super::super::time::{fnv1a, FNV_OFFSET};
+        let a = StreamSource::at_rate(10_000_000.0).for_duration(SimTime::from_secs(1));
+        let b = StreamSource::at_rate(5_000_000.0)
+            .for_duration(SimTime::from_secs(1))
+            .with_batch(250_000, 24);
+        let ms = SimTime::from_millis;
+        let env = StreamEnv::cpu(&ClusterConfig::standard(1));
+        let pins = [
+            (
+                Tumbling::of(ms(100)),
+                [
+                    0xd3fe_b9b7_7761_8e24,
+                    0xac73_d34b_df4c_4b0a,
+                    0x482f_a26f_a78d_f3dc,
+                ],
+            ),
+            (
+                Sliding::of(ms(100), ms(40)),
+                [
+                    0x6887_2856_b6e8_88a5,
+                    0xeb03_e6ab_3a65_a1b9,
+                    0xcda4_5024_7f14_4476,
+                ],
+            ),
+            (
+                Session::with_gap(ms(30)),
+                [
+                    0xda32_81be_fc2d_804f,
+                    0xe47b_387d_9ccb_3843,
+                    0xcc26_600b_2972_85a9,
+                ],
+            ),
+        ];
+        for (assigner, pin) in pins {
+            let p = env
+                .source(a.clone(), event)
+                .and_source(b.clone(), |i| event(i * 3 + 1))
+                .timestamps(|e: &Event| e.ts, WatermarkStrategy::bounded(ms(40)))
+                .key_by(|e: &Event| e.key)
+                .window(assigner)
+                .aggregate(AggSpec::avg(), |e: &Event| e.value);
+            let ticks = vec![ms(120), ms(450), ms(800)];
+            let capture = Capture {
+                at: ticks.clone(),
+                every: None,
+            };
+            let ing = p.ingest(Exec::InOrder, None, true, capture);
+            let mut fired = FNV_OFFSET;
+            for fw in &ing.fired {
+                fnv1a(&mut fired, &fw.seq.to_le_bytes());
+                fnv1a(&mut fired, &fw.span.start.as_nanos().to_le_bytes());
+                fnv1a(&mut fired, &fw.span.end.as_nanos().to_le_bytes());
+                for (key, logical, values) in fw.panes() {
+                    fnv1a(&mut fired, &key.to_le_bytes());
+                    fnv1a(&mut fired, &logical.to_bits().to_le_bytes());
+                    for v in values {
+                        fnv1a(&mut fired, &v.to_bits().to_le_bytes());
+                    }
+                }
+            }
+            let mut states = FNV_OFFSET;
+            for t in ticks {
+                fnv1a(&mut states, &ing.states.at(t).expect("captured").encode());
+            }
+            let digest = p.run().expect("mixed-weight run").digest();
+            assert_eq!([fired, states, digest], pin, "{assigner:?}");
         }
     }
 

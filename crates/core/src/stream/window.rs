@@ -8,11 +8,15 @@
 //! reopening state. Session windows have no static spans — panes merge as
 //! records bridge the inactivity gap, exactly once, keyed deterministically.
 //!
-//! Open panes are grouped by span. Within a span a hash index (a fixed,
-//! unseeded hasher) finds a key's pane, and a set of spans ordered by
-//! `(end, start)` says what fires next. A record costs a span lookup and a
-//! key lookup per assigned span; a batch costs nothing beyond the spans it
-//! releases. No hash order ever reaches an output. The guarantees are:
+//! An open tumbling or sliding span keeps its records as columns (key,
+//! value, logical weight) in arrival order, so a record costs one append
+//! per assigned span, found by a binary search over the open spans. A
+//! span becomes panes only when it fires or is snapshotted: one stable
+//! LSD radix sort over the key bytes that vary orders its rows. Session
+//! panes merge by adding whole panes' weights, so they stay one pane per
+//! `(span, key)`, ordered by `(end, start, key)`, beside each key's list
+//! of open sessions. Both stores keep their spans in fire order, so a
+//! batch costs nothing beyond the spans it releases. The guarantees are:
 //!
 //! * windows fire in `(end, start)` order, one fire sequence number each;
 //! * a fired window's panes are key-ascending;
@@ -28,15 +32,14 @@
 use super::time::{fnv1a, WatermarkStamp, FNV_OFFSET};
 use crate::checkpoint::{OpenPane, StreamState};
 use gflink_sim::SimTime;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 
 #[cfg(test)]
 mod oracle;
 
 /// One window's event-time extent: `[start, end)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct WindowSpan {
     /// Inclusive event-time start.
     pub start: SimTime,
@@ -274,149 +277,112 @@ pub fn output_digest(outputs: &[WindowOutput]) -> u64 {
     h
 }
 
-/// One open `(span, key)` pane: buffered values in insertion order plus
-/// the accumulated logical weight (paper-scale record count).
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct Pane {
-    pub(crate) span: WindowSpan,
-    pub(crate) key: u64,
-    pub(crate) values: Vec<f64>,
-    pub(crate) logical: f64,
-}
-
-/// A window the watermark released: every pane of one span, keys
-/// ascending, ready to execute as one unit of work.
-#[derive(Clone, Debug, PartialEq)]
+/// A window the watermark released, as columns: every pane of one span,
+/// keys ascending, ready to execute as one unit of work.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct FiredWindow {
     /// Fire order — the GPU work tag and checkpoint block identity.
     pub(crate) seq: u32,
     pub(crate) span: WindowSpan,
     /// The arrival instant whose watermark advance released the window.
     pub(crate) fire_at: SimTime,
-    pub(crate) panes: Vec<Pane>,
+    /// Each pane's key, ascending.
+    pub(crate) keys: Vec<u64>,
+    /// Each pane's accumulated logical weight (paper-scale record count).
+    pub(crate) logical: Vec<f64>,
+    /// Where each pane's values end in `values`.
+    pub(crate) ends: Vec<usize>,
+    /// Every pane's values, pane after pane, each pane's in insertion order.
+    pub(crate) values: Vec<f64>,
 }
 
 impl FiredWindow {
+    /// Each pane as `(key, logical, values)`, keys ascending.
+    pub(crate) fn panes(&self) -> impl Iterator<Item = (u64, f64, &[f64])> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        let runs = starts.zip(&self.ends).map(|(s, &e)| &self.values[s..e]);
+        let panes = self.keys.iter().zip(&self.logical).zip(runs);
+        panes.map(|((&key, &logical), values)| (key, logical, values))
+    }
+
+    /// Append one pane, whose key is above every key already here.
+    pub(crate) fn push_pane(&mut self, key: u64, logical: f64, values: &[f64]) {
+        self.keys.push(key);
+        self.logical.push(logical);
+        self.values.extend_from_slice(values);
+        self.ends.push(self.values.len());
+    }
+
     pub(crate) fn rows(&self) -> usize {
-        self.panes.iter().map(|p| p.values.len()).sum()
+        self.values.len()
     }
 
     pub(crate) fn logical(&self) -> u64 {
-        (self.panes.iter().map(|p| p.logical).sum::<f64>()).round() as u64
+        (self.logical.iter().sum::<f64>()).round() as u64
     }
 }
 
-/// A fixed multiplicative hasher for `u64` pane keys: no per-process
-/// random seed, so every run builds the same tables, and one multiply per
-/// key instead of SipHash's rounds.
+/// The stable key order of `keys`, as `(key, row)` pairs: an LSD radix
+/// sort with one counting pass per key byte that varies between the keys
+/// (a byte they all share orders nothing).
+fn radix_order(keys: &[u64]) -> Vec<(u64, usize)> {
+    let mut rows: Vec<(u64, usize)> = keys.iter().copied().zip(0..).collect();
+    let (or, and) = (keys.iter()).fold((0, u64::MAX), |(o, a), &k| (o | k, a & k));
+    let mut spare = rows.clone();
+    for shift in (0..64).step_by(8).filter(|s| ((or ^ and) >> s) & 0xff != 0) {
+        let digit = |k: u64| ((k >> shift) & 0xff) as usize;
+        let mut at = [0usize; 256];
+        for &(k, _) in &rows {
+            at[digit(k)] += 1;
+        }
+        let mut sum = 0;
+        for slot in &mut at {
+            (*slot, sum) = (sum, sum + *slot);
+        }
+        for &row in &rows {
+            spare[at[digit(row.0)]] = row;
+            at[digit(row.0)] += 1;
+        }
+        std::mem::swap(&mut rows, &mut spare);
+    }
+    rows
+}
+
+/// One open tumbling or sliding span's records, as columns in arrival
+/// order. Panes exist only once the span fires or is snapshotted.
 #[derive(Default)]
-struct KeyHasher(u64);
+struct Columns {
+    keys: Vec<u64>,
+    values: Vec<f64>,
+    /// Each record's logical weight (its source's `record_scale`).
+    weights: Vec<f64>,
+}
 
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
+impl Columns {
+    /// The rows as one window of panes (sequence 0, fired at zero): keys
+    /// ascending, each pane's values in arrival order and its weights
+    /// summed from zero in arrival order.
+    fn grouped(&self, span: WindowSpan) -> FiredWindow {
+        let mut fw = FiredWindow {
+            span,
+            values: Vec::with_capacity(self.keys.len()),
+            ..FiredWindow::default()
+        };
+        for run in radix_order(&self.keys).chunk_by(|a, b| a.0 == b.0) {
+            let mut logical = 0.0;
+            for &(_, row) in run {
+                fw.values.push(self.values[row]);
+                logical += self.weights[row];
+            }
+            fw.keys.push(run[0].0);
+            fw.logical.push(logical);
+            fw.ends.push(fw.values.len());
         }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        // The product's well-mixed high bits become the bucket index.
-        self.0.rotate_left(26)
+        fw
     }
 }
 
-type KeyMap<V> = HashMap<u64, V, BuildHasherDefault<KeyHasher>>;
-
-/// Every open pane of one span, in first-arrival order, with a key → slot
-/// index. Keys are sorted only when the span fires or is snapshotted.
-#[derive(Default)]
-struct SpanPanes {
-    panes: Vec<Pane>,
-    slots: KeyMap<u32>,
-}
-
-impl SpanPanes {
-    /// The panes in ascending key order.
-    fn sorted(&self) -> Vec<&Pane> {
-        let mut panes: Vec<&Pane> = self.panes.iter().collect();
-        panes.sort_unstable_by_key(|p| p.key);
-        panes
-    }
-}
-
-/// The open panes grouped by span, plus the spans ordered by `(end,
-/// start)` — the fire order — so releasing windows pops a prefix of that
-/// set instead of scanning every open pane.
-#[derive(Default)]
-struct OpenSpans {
-    /// Keyed `(start ns, end ns)`: snapshot order.
-    by_span: BTreeMap<(u64, u64), SpanPanes>,
-    /// `(end ns, start ns)` of every span in `by_span`.
-    by_end: BTreeSet<(u64, u64)>,
-}
-
-impl OpenSpans {
-    /// The `(span, key)` pane, opened empty if absent.
-    fn pane(&mut self, span: WindowSpan, key: u64) -> &mut Pane {
-        let (start, end) = (span.start.as_nanos(), span.end.as_nanos());
-        let group = self.by_span.entry((start, end)).or_insert_with(|| {
-            self.by_end.insert((end, start));
-            SpanPanes::default()
-        });
-        let slot = *group.slots.entry(key).or_insert_with(|| {
-            group.panes.push(Pane {
-                span,
-                key,
-                values: Vec::new(),
-                logical: 0.0,
-            });
-            (group.panes.len() - 1) as u32
-        });
-        &mut group.panes[slot as usize]
-    }
-
-    /// Remove and return the open `(span, key)` pane.
-    fn take(&mut self, span: WindowSpan, key: u64) -> Pane {
-        let k = (span.start.as_nanos(), span.end.as_nanos());
-        let group = self.by_span.get_mut(&k).expect("open span");
-        let slot = group.slots.remove(&key).expect("open pane") as usize;
-        let pane = group.panes.swap_remove(slot);
-        if let Some(moved) = group.panes.get(slot) {
-            group.slots.insert(moved.key, slot as u32);
-        }
-        if group.panes.is_empty() {
-            self.by_span.remove(&k);
-            self.by_end.remove(&(k.1, k.0));
-        }
-        pane
-    }
-
-    /// Remove the earliest-ending span if `released(end)`, returning its
-    /// panes in key order.
-    fn pop_released(&mut self, released: impl Fn(SimTime) -> bool) -> Option<Vec<Pane>> {
-        let &(end, start) = self.by_end.first()?;
-        if !released(SimTime::from_nanos(end)) {
-            return None;
-        }
-        self.by_end.pop_first();
-        let mut panes = self.by_span.remove(&(start, end)).expect("open span").panes;
-        panes.sort_unstable_by_key(|p| p.key);
-        Some(panes)
-    }
-
-    /// Every open pane in `(start, end, key)` order.
-    fn iter(&self) -> impl Iterator<Item = &Pane> {
-        self.by_span.values().flat_map(SpanPanes::sorted)
-    }
-}
-
-/// The keyed event-time state machine: open panes, the watermark, the
+/// The keyed event-time state machine: open spans, the watermark, the
 /// late-record counter, and the fire sequence. Driven batch-by-batch by
 /// the engines; identical inputs produce identical fire sequences on
 /// every engine.
@@ -426,9 +392,15 @@ pub(crate) struct KeyedWindows {
     bound: SimTime,
     max_ts: Option<SimTime>,
     watermark: Option<SimTime>,
-    open: OpenSpans,
-    /// Session assigner only: each key's open session spans, ascending.
-    sessions: KeyMap<Vec<WindowSpan>>,
+    /// Tumbling and sliding: every open span's columns, ascending. All
+    /// spans have one size, so this is also the fire order.
+    spans: VecDeque<(WindowSpan, Columns)>,
+    /// Sessions: every open pane keyed `(end, start, key)`, the fire
+    /// order, as its values in insertion order (a merge concatenates the
+    /// earliest session first) and its accumulated logical weight.
+    panes: BTreeMap<(SimTime, SimTime, u64), (Vec<f64>, f64)>,
+    /// Sessions: each key's open session spans, ascending.
+    sessions: BTreeMap<u64, Vec<WindowSpan>>,
     pub(crate) late_records: u64,
     fire_seq: u32,
     pub(crate) stamps: Vec<WatermarkStamp>,
@@ -442,8 +414,9 @@ impl KeyedWindows {
             bound,
             max_ts: None,
             watermark: None,
-            open: OpenSpans::default(),
-            sessions: KeyMap::default(),
+            spans: VecDeque::new(),
+            panes: BTreeMap::new(),
+            sessions: BTreeMap::new(),
             late_records: 0,
             fire_seq: 0,
             stamps: Vec::new(),
@@ -459,7 +432,7 @@ impl KeyedWindows {
         }
     }
 
-    /// Route one record into its pane(s); counts it late when every
+    /// Route one record into its span(s); counts it late when every
     /// assigned window already fired.
     pub(crate) fn insert(&mut self, ts: SimTime, key: u64, value: f64, logical: f64) {
         self.max_ts = Some(self.max_ts.map_or(ts, |m| m.max(ts)));
@@ -472,13 +445,27 @@ impl KeyedWindows {
                 continue;
             }
             landed = true;
-            let pane = self.open.pane(span, key);
-            pane.values.push(value);
-            pane.logical += logical;
+            let cols = self.columns(span);
+            cols.keys.push(key);
+            cols.values.push(value);
+            cols.weights.push(logical);
         }
         if !landed {
             self.late_records += 1;
         }
+    }
+
+    /// The open span's columns, opened empty if absent. The watermark keeps
+    /// few spans open, so the search is short.
+    fn columns(&mut self, span: WindowSpan) -> &mut Columns {
+        let at = match self.spans.binary_search_by_key(&span, |(s, _)| *s) {
+            Ok(i) => i,
+            Err(i) => {
+                self.spans.insert(i, (span, Columns::default()));
+                i
+            }
+        };
+        &mut self.spans[at].1
     }
 
     /// Session insertion: merge every same-key session whose gap-extended
@@ -494,18 +481,17 @@ impl KeyedWindows {
             start: ts,
             end: ts + gap,
         };
-        let mut values = Vec::new();
-        let mut weight = 0.0;
-        let open = &mut self.open;
+        let (mut values, mut weight) = (Vec::new(), 0.0);
+        let panes = &mut self.panes;
         let mine = self.sessions.entry(key).or_default();
         mine.retain(|&s| {
             let touching = ts <= s.end && s.start <= ts + gap;
             if touching {
-                let pane = open.take(s, key);
+                let (vs, w) = panes.remove(&(s.end, s.start, key)).expect("open pane");
                 span.start = span.start.min(s.start);
                 span.end = span.end.max(s.end);
-                values.extend(pane.values);
-                weight += pane.logical;
+                values.extend(vs);
+                weight += w;
             }
             !touching
         });
@@ -513,9 +499,7 @@ impl KeyedWindows {
         weight += logical;
         let at = mine.partition_point(|s| *s < span);
         mine.insert(at, span);
-        let pane = open.pane(span, key);
-        pane.values = values;
-        pane.logical = weight;
+        panes.insert((span.end, span.start, key), (values, weight));
     }
 
     /// Advance the watermark after a batch arriving at `arrival` was
@@ -551,27 +535,44 @@ impl KeyedWindows {
     /// Release eligible spans in `(end, start)` order, each one window of
     /// key-ascending panes — the deterministic fire sequence. Stops at the
     /// first span still open, so a batch that releases nothing visits no
-    /// pane.
+    /// record.
     fn fire(&mut self, at: SimTime, all: bool) -> Vec<FiredWindow> {
         let (watermark, lateness) = (self.watermark, self.lateness);
         let released = |end: SimTime| all || watermark.is_some_and(|wm| end + lateness <= wm);
         let mut fired = Vec::new();
-        while let Some(panes) = self.open.pop_released(released) {
-            let span = panes[0].span;
-            if !self.sessions.is_empty() {
-                for pane in &panes {
-                    self.forget_session(pane.key, span);
-                }
-            }
-            fired.push(FiredWindow {
-                seq: self.fire_seq,
-                span,
-                fire_at: at,
-                panes,
-            });
+        while let Some(fw) = self.pop_released(released) {
+            let (seq, fire_at) = (self.fire_seq, at);
+            fired.push(FiredWindow { seq, fire_at, ..fw });
             self.fire_seq += 1;
         }
         fired
+    }
+
+    /// Remove the next span in fire order if `released(end)`, as one
+    /// window of panes.
+    fn pop_released(&mut self, released: impl Fn(SimTime) -> bool) -> Option<FiredWindow> {
+        if let Some(&(end, start, _)) = self.panes.keys().next() {
+            if !released(end) {
+                return None;
+            }
+            let mut fw = FiredWindow {
+                span: WindowSpan { start, end },
+                ..FiredWindow::default()
+            };
+            let same = |k: &(SimTime, SimTime, u64)| (k.0, k.1) == (end, start);
+            while let Some(e) = self.panes.first_entry().filter(|e| same(e.key())) {
+                let ((_, _, key), (values, logical)) = e.remove_entry();
+                self.forget_session(key, fw.span);
+                fw.push_pane(key, logical, &values);
+            }
+            return Some(fw);
+        }
+        let (span, _) = self.spans.front()?;
+        if !released(span.end) {
+            return None;
+        }
+        let (span, cols) = self.spans.pop_front()?;
+        Some(cols.grouped(span))
     }
 
     /// Drop a fired session span from its key's index.
@@ -587,23 +588,32 @@ impl KeyedWindows {
     /// The keyed state after `batches` absorbed batches: the counters plus
     /// every open pane in `(start, end, key)` order.
     pub(crate) fn state(&self, batches: u64) -> StreamState {
+        let pane = |(start, end, key), logical, values: &[f64]| OpenPane {
+            start,
+            end,
+            key,
+            logical,
+            values: values.to_vec(),
+        };
+        let mut open = Vec::new();
+        for (span, cols) in &self.spans {
+            let fw = cols.grouped(*span);
+            open.extend(
+                fw.panes()
+                    .map(|(k, l, v)| pane((span.start, span.end, k), l, v)),
+            );
+        }
+        // Session panes are keyed `(end, start, key)`.
+        let sessions = (self.panes.iter()).map(|(&(e, s, k), (v, l))| pane((s, e, k), *l, v));
+        open.extend(sessions);
+        open.sort_by_key(|p| (p.start, p.end, p.key));
         StreamState {
             batches,
             watermark: self.watermark,
             max_event_ts: self.max_ts.unwrap_or(SimTime::ZERO),
             late_records: self.late_records,
             fired: self.fire_seq as u64,
-            open: self
-                .open
-                .iter()
-                .map(|p| OpenPane {
-                    start: p.span.start,
-                    end: p.span.end,
-                    key: p.key,
-                    logical: p.logical,
-                    values: p.values.clone(),
-                })
-                .collect(),
+            open,
         }
     }
 }
@@ -654,8 +664,8 @@ mod tests {
         let fired = kw.advance(ms(200));
         assert_eq!(fired.len(), 1, "watermark 110 releases [0,100)");
         assert_eq!(fired[0].span.start, SimTime::ZERO);
-        assert_eq!(fired[0].panes.len(), 1);
-        assert_eq!(AggResult::fold(&fired[0].panes[0].values).sum, 3.0);
+        assert_eq!(fired[0].keys, [1]);
+        assert_eq!(AggResult::fold(&fired[0].values).sum, 3.0);
         assert_eq!(fired[0].logical(), 20);
         // A record for the fired window is late, not silently reopened.
         kw.insert(ms(60), 1, 9.0, 10.0);
@@ -664,7 +674,7 @@ mod tests {
         let rest = kw.flush(ms(300));
         assert_eq!(rest.len(), 1);
         assert_eq!(rest[0].seq, 1);
-        assert_eq!(rest[0].panes[0].key, 2);
+        assert_eq!(rest[0].keys, [2]);
     }
 
     #[test]
@@ -681,30 +691,41 @@ mod tests {
         kw.insert(ms(160), 1, 4.0, 1.0);
         let fired = kw.advance(ms(160));
         assert_eq!(fired.len(), 1);
-        assert_eq!(AggResult::fold(&fired[0].panes[0].values).count, 2);
+        assert_eq!(AggResult::fold(&fired[0].values).count, 2);
     }
 
     #[test]
     fn sessions_merge_on_bridging_records() {
         let mut kw = KeyedWindows::new(Session::with_gap(ms(50)), SimTime::ZERO, SimTime::ZERO);
+        let open = |kw: &KeyedWindows| kw.state(0).open;
         kw.insert(ms(0), 7, 1.0, 1.0);
         kw.insert(ms(100), 7, 2.0, 1.0);
-        assert_eq!(kw.open.iter().count(), 2, "two separate sessions");
+        assert_eq!(open(&kw).len(), 2, "two separate sessions");
         kw.insert(ms(25), 7, 3.0, 1.0); // touches the first session only
-        assert_eq!(kw.open.iter().count(), 2);
+        assert_eq!(open(&kw).len(), 2);
         kw.insert(ms(60), 7, 4.0, 1.0); // bridges [0,75) and [100,150)
-        assert_eq!(
-            kw.open.iter().count(),
-            1,
-            "bridging record merges the sessions"
-        );
-        let pane = kw.open.iter().next().unwrap();
-        assert_eq!(pane.span.start, SimTime::ZERO);
-        assert_eq!(pane.span.end, ms(150));
-        assert_eq!(pane.values, vec![1.0, 3.0, 2.0, 4.0]);
+        let merged = open(&kw);
+        assert_eq!(merged.len(), 1, "bridging record merges the sessions");
+        assert_eq!((merged[0].start, merged[0].end), (SimTime::ZERO, ms(150)));
+        assert_eq!(merged[0].values, vec![1.0, 3.0, 2.0, 4.0]);
         // A different key never merges.
         kw.insert(ms(60), 8, 9.0, 1.0);
-        assert_eq!(kw.open.iter().count(), 2);
+        assert_eq!(open(&kw).len(), 2);
+    }
+
+    /// The radix order equals a stable comparison sort, whichever key
+    /// bytes vary: keys at both ends of the range, every byte boundary,
+    /// interleaved repeats, a span of one key and a span of one row.
+    #[test]
+    fn radix_order_is_a_stable_sort_by_key() {
+        let mix = [0, 1, 255, 256, 1 << 56, u64::MAX, 256, 1, u64::MAX, 0];
+        let mut keys: Vec<u64> = (0..40).map(|i| mix[(i * 7) % mix.len()]).collect();
+        keys.extend([1 << 56, 255, 0, u64::MAX - 1, 1 << 8 | 1 << 40]);
+        for keys in [keys, vec![42; 9], vec![u64::MAX; 3], vec![7], vec![]] {
+            let mut want: Vec<(u64, usize)> = keys.iter().copied().zip(0..).collect();
+            want.sort_by_key(|&(k, _)| k);
+            assert_eq!(radix_order(&keys), want, "{keys:?}");
+        }
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //! by span: one `BTreeMap` of every open `(start, end, key)` pane, a full
 //! scan per fire and per session insert, and a `Vec` per assignment. Kept
 //! as it was — only visibility changed, the assigner became a free
-//! function, and the `StreamState` assembly moved in from `Replay::state` — as
-//! the differential oracle the span-grouped [`KeyedWindows`] must match
-//! output for output, byte for byte.
+//! function, the `StreamState` assembly moved in from `Replay::state`, and
+//! a fired window's panes are appended to its columns — as the
+//! differential oracle the columnar [`KeyedWindows`] must match output for
+//! output, byte for byte.
 //!
 //! [`KeyedWindows`]: super::KeyedWindows
 
-use super::{FiredWindow, Pane, WindowAssigner, WindowSpan};
+use super::{FiredWindow, WindowAssigner, WindowSpan};
 use crate::checkpoint::{OpenPane, StreamState};
 use crate::stream::time::WatermarkStamp;
 use gflink_sim::SimTime;
@@ -54,6 +55,15 @@ fn assign(assigner: &WindowAssigner, ts: SimTime) -> Vec<WindowSpan> {
         }
         WindowAssigner::Session { .. } => Vec::new(),
     }
+}
+
+/// One open `(span, key)` pane: buffered values in insertion order plus
+/// the accumulated logical weight (paper-scale record count).
+struct Pane {
+    span: WindowSpan,
+    key: u64,
+    values: Vec<f64>,
+    logical: f64,
 }
 
 /// The keyed event-time state machine: open panes, the watermark, the
@@ -213,19 +223,18 @@ impl KeyedWindows {
         let mut fired: Vec<FiredWindow> = Vec::new();
         for k in eligible {
             let pane = self.open.remove(&k).expect("eligible pane exists");
-            match fired.last_mut() {
-                Some(fw) if fw.span == pane.span => fw.panes.push(pane),
-                _ => {
-                    let seq = self.fire_seq;
-                    self.fire_seq += 1;
-                    fired.push(FiredWindow {
-                        seq,
-                        span: pane.span,
-                        fire_at: at,
-                        panes: vec![pane],
-                    });
-                }
+            if fired.last().is_none_or(|fw| fw.span != pane.span) {
+                let seq = self.fire_seq;
+                self.fire_seq += 1;
+                fired.push(FiredWindow {
+                    seq,
+                    span: pane.span,
+                    fire_at: at,
+                    ..FiredWindow::default()
+                });
             }
+            let fw = fired.last_mut().expect("a window per span");
+            fw.push_pane(pane.key, pane.logical, &pane.values);
         }
         fired
     }
@@ -295,6 +304,9 @@ mod differential {
         lateness: SimTime,
         bound: SimTime,
         keys: u64,
+        /// Spread the keys over the full `u64` range (every key byte
+        /// varies) instead of drawing them below `keys`.
+        spread: bool,
         batch: usize,
         records: usize,
         /// Largest backwards jitter of a record's timestamp, in units; up
@@ -307,17 +319,19 @@ mod differential {
         let windows = (assigner(), zero_or(30), zero_or(20));
         let stream = (
             prop_oneof![1u64..=4, 5u64..=100, 101u64..=5_000],
+            any::<bool>(),
             prop_oneof![1usize..=8, 9usize..=256],
             1usize..=2_000,
             0u64..=60,
             any::<u64>(),
         );
         (windows, stream).prop_map(
-            |((assigner, lateness, bound), (keys, batch, records, disorder, seed))| Case {
+            |((assigner, lateness, bound), (keys, spread, batch, records, disorder, seed))| Case {
                 assigner,
                 lateness,
                 bound,
                 keys,
+                spread,
                 batch,
                 records,
                 disorder,
@@ -327,23 +341,17 @@ mod differential {
     }
 
     /// A fired window with every float as its bit pattern.
-    type FiredBits = (
-        u32,
-        WindowSpan,
-        SimTime,
-        Vec<(u64, WindowSpan, u64, Vec<u64>)>,
-    );
+    type FiredBits = (u32, WindowSpan, SimTime, Vec<(u64, u64, Vec<u64>)>);
 
     fn bits(fired: &[FiredWindow]) -> Vec<FiredBits> {
         fired
             .iter()
             .map(|fw| {
                 let panes = fw
-                    .panes
-                    .iter()
-                    .map(|p| {
-                        let values = p.values.iter().map(|v| v.to_bits()).collect();
-                        (p.key, p.span, p.logical.to_bits(), values)
+                    .panes()
+                    .map(|(key, logical, values)| {
+                        let values = values.iter().map(|v| v.to_bits()).collect();
+                        (key, logical.to_bits(), values)
                     })
                     .collect();
                 (fw.seq, fw.span, fw.fire_at, panes)
@@ -370,7 +378,10 @@ mod differential {
             for i in 0..c.records {
                 head += next(&mut rng) % 3;
                 let ts = SimTime::from_nanos((head * U).saturating_sub(next(&mut rng) % (c.disorder * U + 1)));
-                let key = next(&mut rng) % c.keys;
+                let mut key = next(&mut rng) % c.keys;
+                if c.spread {
+                    key = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                }
                 let value = (next(&mut rng) >> 11) as f64 / (1u64 << 53) as f64 * 100.0 - 50.0;
                 let logical = 1.0 + (next(&mut rng) % 7) as f64 * 0.37;
                 new.insert(ts, key, value, logical);

@@ -82,11 +82,6 @@ impl Timeline {
         }
         (self.busy.as_secs_f64() / horizon.as_secs_f64()).min(1.0)
     }
-
-    /// Reset the timeline to the epoch, discarding history.
-    pub fn reset(&mut self) {
-        *self = Timeline::default();
-    }
 }
 
 /// `k` identical single-server resources with earliest-available dispatch.
@@ -202,15 +197,6 @@ impl MultiTimeline {
         let denom = horizon.as_secs_f64() * self.servers.len() as f64;
         (self.busy_time().as_secs_f64() / denom).min(1.0)
     }
-
-    /// Reset every server to the epoch.
-    pub fn reset(&mut self) {
-        for s in &mut self.servers {
-            s.reset();
-        }
-        self.busy_total = SimTime::ZERO;
-        self.drain_at = SimTime::ZERO;
-    }
 }
 
 #[cfg(test)]
@@ -291,16 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_history() {
-        let mut tl = Timeline::new();
-        tl.reserve(t(0), t(10));
-        tl.reset();
-        assert_eq!(tl.next_free(), SimTime::ZERO);
-        assert_eq!(tl.busy_time(), SimTime::ZERO);
-        assert_eq!(tl.reservations(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one server")]
     fn empty_pool_rejected() {
         let _ = MultiTimeline::new(0);
@@ -321,8 +297,5 @@ mod tests {
             .unwrap();
         assert_eq!(pool.busy_time(), busy_rescan);
         assert_eq!(pool.all_free(), drain_rescan);
-        pool.reset();
-        assert_eq!(pool.busy_time(), SimTime::ZERO);
-        assert_eq!(pool.all_free(), SimTime::ZERO);
     }
 }
